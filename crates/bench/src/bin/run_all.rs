@@ -28,12 +28,9 @@ fn main() {
         "pool_workers",
         cej_exec::ExecPool::global().threads() as f64,
     );
-    // the runtime-dispatched SIMD lane width (CEJ_SIMD; 1 = scalar)
-    report.push_value("simd_lanes", cej_vector::dispatched_width().lanes() as f64);
     println!(
-        "simd width: {} ({} lanes); pool workers: {}",
-        cej_vector::dispatched_width().label(),
-        cej_vector::dispatched_width().lanes(),
+        "simd isa: {}; pool workers: {}",
+        cej_vector::SimdIsa::detect().label(),
         cej_exec::ExecPool::global().threads()
     );
     let section = |report: &mut Report, name: &str, body: &mut dyn FnMut()| {

@@ -43,9 +43,11 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
-            "\"benchmark\":{},\"scale\":{},\"entries\":{{",
+            "\"benchmark\":{},\"scale\":{},\"simd_isa\":{},\"entries\":{{",
             json_string(&self.benchmark),
             json_number(scale()),
+            // which implementation of the vectorised kernels this CPU ran
+            json_string(cej_vector::SimdIsa::detect().label()),
         ));
         for (i, (name, value)) in self.entries.iter().enumerate() {
             if i > 0 {
@@ -128,6 +130,8 @@ mod tests {
         r.push_elapsed("fig08", Duration::from_millis(250));
         let json = r.to_json();
         assert!(json.starts_with("{\"benchmark\":\"smoke\""));
+        let isa = cej_vector::SimdIsa::detect().label();
+        assert!(json.contains(&format!("\"simd_isa\":\"{isa}\",\"entries\"")));
         assert!(json.contains("\"alpha\":1.5"));
         assert!(json.contains("\"fig08_ms\":250"));
         let alpha = json.find("alpha").unwrap();

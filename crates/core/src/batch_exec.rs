@@ -876,9 +876,9 @@ fn drain(
 
 /// The per-batch probe strategy of a join: everything inner-side is prepared
 /// once, then reused by every outer batch.
-enum Probe {
+enum Probe<'t> {
     Naive {
-        right: Vec<String>,
+        right: &'t [String],
     },
     Prefetch {
         join: PrefetchNlJoin,
@@ -931,7 +931,9 @@ fn execute_join_batched(
     let cache = ctx.embeddings.cache(&node.model, ctx.registry)?;
     let run = RunEmbedder::new(cache.as_ref());
 
-    let (probe, right_view) = match (&node.op, &node.inner) {
+    // An indexed inner brings its own view of the base table; a planned one
+    // is the materialised `inner_table`, which the probe state borrows from.
+    let (probe, indexed_view) = match (&node.op, &node.inner) {
         (PhysicalJoinOp::Index(config), InnerInput::Indexed(indexed)) => {
             // epoch first, then the table read (see the row path for why)
             let epoch = ctx.indexes.publication_epoch(&indexed.key);
@@ -978,23 +980,23 @@ fn execute_join_batched(
                     index,
                     inner_filter,
                 },
-                right_view,
+                Some(right_view),
             )
         }
         (op, InnerInput::Plan(_)) => {
-            let inner_table = inner_table.expect("materialised above");
-            let right_strings: Vec<String> = inner_table
+            let right_strings = inner_table
+                .as_ref()
+                .expect("materialised above")
                 .column_by_name(&node.right_column)
                 .map_err(CoreError::from)?
-                .as_utf8()?
-                .to_vec();
+                .as_utf8()?;
             check_predicate(&node.predicate)?;
             let probe = match op {
                 PhysicalJoinOp::NaiveNlj => Probe::Naive {
                     right: right_strings,
                 },
                 PhysicalJoinOp::PrefetchNlj(config) => {
-                    let inner_matrix = embed_all(&run, &right_strings)?;
+                    let inner_matrix = embed_all(&run, right_strings)?;
                     Probe::Prefetch {
                         join: PrefetchNlJoin::new(*config),
                         inner: inner_matrix,
@@ -1003,7 +1005,7 @@ fn execute_join_batched(
                 PhysicalJoinOp::Tensor(config) => {
                     // the inner side is normalised exactly once; every probe
                     // batch reuses it through `join_prenormalized`
-                    let mut inner_norm = embed_all(&run, &right_strings)?;
+                    let mut inner_norm = embed_all(&run, right_strings)?;
                     normalize_matrix_rows_with(&mut inner_norm, config.kernel);
                     Probe::Tensor {
                         join: TensorJoin::new(*config),
@@ -1013,7 +1015,7 @@ fn execute_join_batched(
                 PhysicalJoinOp::Index(config) => {
                     stats.index_builds += 1;
                     let join = IndexJoin::new(*config);
-                    let inner_matrix = embed_all(&run, &right_strings)?;
+                    let inner_matrix = embed_all(&run, right_strings)?;
                     let index = Arc::new(join.build_index(&inner_matrix)?);
                     Probe::Hnsw {
                         join,
@@ -1022,7 +1024,7 @@ fn execute_join_batched(
                     }
                 }
             };
-            (probe, inner_table)
+            (probe, None)
         }
         (op, InnerInput::Indexed(_)) => {
             return Err(CoreError::InvalidInput(format!(
@@ -1110,7 +1112,11 @@ fn execute_join_batched(
     };
     let refs: Vec<&Table> = outer_parts.iter().collect();
     let outer_table = Table::concat(&refs).map_err(CoreError::from)?;
-    materialize_output(&outer_table, &right_view, &result)
+    let right_view = indexed_view
+        .as_ref()
+        .or(inner_table.as_ref())
+        .expect("every join has an indexed or a planned inner");
+    materialize_output(&outer_table, right_view, &result)
 }
 
 /// Executes a plan batch-at-a-time.  Same contract as the row executor:

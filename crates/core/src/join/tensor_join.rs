@@ -21,6 +21,7 @@ use cej_storage::SelectionBitmap;
 use cej_vector::{
     gemm::{block_into, block_into_with_pool},
     norm::normalize_matrix_rows_with,
+    topk::scan_at_least,
     BufferBudget, GemmConfig, Kernel, Matrix, TopK,
 };
 
@@ -171,12 +172,10 @@ impl TensorJoin {
         let start = Instant::now();
 
         // Pre-filtering: compact the selected rows before any vector work.
-        let (left_rows, left_map) = Self::compact(left, left_filter)?;
-        let (right_rows, right_map) = Self::compact(right, right_filter)?;
+        // The compacted copies are also what gets normalised in place.
+        let (mut left_norm, left_map) = Self::compact(left, left_filter)?;
+        let (mut right_norm, right_map) = Self::compact(right, right_filter)?;
         let kernel = self.config.kernel;
-
-        let mut left_norm = left_rows;
-        let mut right_norm = right_rows;
         normalize_matrix_rows_with(&mut left_norm, kernel);
         normalize_matrix_rows_with(&mut right_norm, kernel);
 
@@ -185,7 +184,7 @@ impl TensorJoin {
             ..JoinStats::default()
         };
 
-        let pairs = if left_norm.rows() == 0 || right_norm.rows() == 0 {
+        let mut pairs = if left_norm.rows() == 0 || right_norm.rows() == 0 {
             Vec::new()
         } else if self.config.batch_inner {
             self.blocked_join(&left_norm, &right_norm, predicate, &mut stats)?
@@ -193,11 +192,14 @@ impl TensorJoin {
             self.non_batched_join(&left_norm, &right_norm, predicate, &mut stats)
         };
 
-        // Map compacted offsets back to original row numbers.
-        let pairs: Vec<JoinPair> = pairs
-            .into_iter()
-            .map(|p| JoinPair::new(left_map[p.left], right_map[p.right], p.score))
-            .collect();
+        // Map compacted offsets back to original row numbers; an unfiltered
+        // side already has them.
+        if let Some(map) = &left_map {
+            pairs.iter_mut().for_each(|p| p.left = map[p.left]);
+        }
+        if let Some(map) = &right_map {
+            pairs.iter_mut().for_each(|p| p.right = map[p.right]);
+        }
 
         stats.peak_buffer_bytes += left_norm.bytes() + right_norm.bytes();
         stats.elapsed = start.elapsed();
@@ -241,11 +243,15 @@ impl TensorJoin {
         Ok(JoinResult { pairs, stats })
     }
 
-    /// Compacts the selected rows of `m`, returning the compacted matrix and
-    /// the mapping from compacted offset to original row.
-    fn compact(m: &Matrix, filter: Option<&SelectionBitmap>) -> Result<(Matrix, Vec<usize>)> {
+    /// Copies the selected rows of `m`, returning the compacted matrix and
+    /// the mapping from compacted offset to original row — `None` without a
+    /// filter, when the two coincide.
+    fn compact(
+        m: &Matrix,
+        filter: Option<&SelectionBitmap>,
+    ) -> Result<(Matrix, Option<Vec<usize>>)> {
         match filter {
-            None => Ok((m.clone(), (0..m.rows()).collect())),
+            None => Ok((m.clone(), None)),
             Some(f) => {
                 if f.len() != m.rows() {
                     return Err(CoreError::InvalidInput(format!(
@@ -259,7 +265,7 @@ impl TensorJoin {
                 let out = m
                     .gather_rows(&lanes)
                     .map_err(|e| CoreError::InvalidInput(e.to_string()))?;
-                Ok((out, map))
+                Ok((out, Some(map)))
             }
         }
     }
@@ -312,22 +318,16 @@ impl TensorJoin {
                 // Harvest the block: either threshold pairs or top-k updates.
                 match (&predicate, &mut topk_state) {
                     (SimilarityPredicate::Threshold(t), _) => {
-                        for li in 0..l_rows {
-                            let row = &out[li * r_rows..(li + 1) * r_rows];
-                            for (ri, &score) in row.iter().enumerate() {
-                                if score >= *t {
-                                    pairs.push(JoinPair::new(l_start + li, r_start + ri, score));
-                                }
-                            }
+                        for (li, row) in out.chunks_exact(r_rows).enumerate() {
+                            scan_at_least(row, *t, |ri, score| {
+                                pairs.push(JoinPair::new(l_start + li, r_start + ri, score));
+                                *t
+                            });
                         }
                     }
                     (SimilarityPredicate::TopK(_), Some(state)) => {
-                        for li in 0..l_rows {
-                            let row = &out[li * r_rows..(li + 1) * r_rows];
-                            let collector = &mut state[l_start + li];
-                            for (ri, &score) in row.iter().enumerate() {
-                                collector.push(r_start + ri, score);
-                            }
+                        for (li, row) in out.chunks_exact(r_rows).enumerate() {
+                            state[l_start + li].push_row(r_start, row);
                         }
                     }
                     _ => unreachable!("top-k state exists iff the predicate is top-k"),
@@ -374,11 +374,10 @@ impl TensorJoin {
             stats.blocks_computed += 1;
             match (&predicate, &mut topk_state) {
                 (SimilarityPredicate::Threshold(t), _) => {
-                    for (i, &score) in scores.iter().enumerate() {
-                        if score >= *t {
-                            pairs.push(JoinPair::new(i, j, score));
-                        }
-                    }
+                    scan_at_least(&scores, *t, |i, score| {
+                        pairs.push(JoinPair::new(i, j, score));
+                        *t
+                    });
                 }
                 (SimilarityPredicate::TopK(_), Some(state)) => {
                     for (i, &score) in scores.iter().enumerate() {

@@ -6,25 +6,34 @@
 //! score matrix `D = A · Bᵀ` (paper Section IV-C, Figure 6).  This module
 //! computes `D` (or a sub-block of it) with:
 //!
-//! * **register/cache tiling**: rows of `A` and `B` are processed in small
-//!   tiles so the working set of `B` rows stays cache resident and is reused
-//!   across many rows of `A` — exactly the cache-locality argument the paper
-//!   makes for preferring the tensor formulation over per-pair NLJ.
+//! * **cache tiling**: rows of `A` and `B` are processed in small tiles so
+//!   the working set of `B` rows stays cache resident and is reused across
+//!   many rows of `A` — exactly the cache-locality argument the paper makes
+//!   for preferring the tensor formulation over per-pair NLJ.
 //! * **kernel selection**: the innermost dot product dispatches through
-//!   [`Kernel`], reproducing the SIMD / NO-SIMD axis; the vectorised family
-//!   additionally routes through the process-wide runtime-dispatched lane
-//!   width (`CEJ_SIMD`, see [`crate::kernels::dispatched_width`]), so one
-//!   binary serves scalar, 4-lane, and 8-lane width classes.
+//!   [`Kernel`], reproducing the SIMD / NO-SIMD axis.
+//! * **ISA dispatch**: for the vectorised family, [`block_into`] asks the
+//!   CPU once per block which implementation to run
+//!   ([`SimdIsa::detect`]).  With AVX2 each cache tile is walked in 4 × 2
+//!   register blocks (8 `ymm` accumulators, 6 loads per 8 multiply-adds);
+//!   otherwise — and for the rows and columns a block cannot fill — the
+//!   portable per-pair loop runs.  Both perform the operations of
+//!   [`dot_lanes`](crate::kernels::dot_lanes)`::<8>` in the same order, so a
+//!   score does not depend on the path, the tile shape, or where in a block
+//!   its pair fell.
 //! * **optional multi-threading**: rows of `A` are split across the shared
 //!   [`cej_exec::ExecPool`] worker pool, each worker writing a disjoint
 //!   slice of the output.
+
+use std::ops::Range;
 
 use cej_exec::ExecPool;
 use serde::{Deserialize, Serialize};
 
 use crate::error::VectorError;
-use crate::kernels::Kernel;
+use crate::kernels::{Kernel, SimdIsa};
 use crate::matrix::Matrix;
+use crate::topk::scan_at_least;
 use crate::Result;
 
 /// Configuration of the blocked similarity kernel.
@@ -124,12 +133,10 @@ impl SimilarityMatrix {
     pub fn pairs_above(&self, threshold: f32) -> Vec<(usize, usize, f32)> {
         let mut out = Vec::new();
         for a in 0..self.a_rows {
-            let row = self.row(a);
-            for (b, &s) in row.iter().enumerate() {
-                if s >= threshold {
-                    out.push((a, b, s));
-                }
-            }
+            scan_at_least(self.row(a), threshold, |b, s| {
+                out.push((a, b, s));
+                threshold
+            });
         }
         out
     }
@@ -194,27 +201,58 @@ pub fn block_into(
     debug_assert_eq!(out.len(), a_rows * b_rows);
     let tr = config.tile_rows.max(1);
     let tc = config.tile_cols.max(1);
-    let kernel = config.kernel;
-    let mut ai = 0;
-    while ai < a_rows {
-        let a_end = (ai + tr).min(a_rows);
-        let mut bi = 0;
-        while bi < b_rows {
-            let b_end = (bi + tc).min(b_rows);
-            // Tile loop: the B tile (tc rows) stays hot in cache while it is
-            // reused against every A row of the tile.
-            for ar in ai..a_end {
-                let a_row = &a[ar * dim..(ar + 1) * dim];
-                let out_row = &mut out[ar * b_rows..(ar + 1) * b_rows];
-                for br in bi..b_end {
-                    let b_row = &b[br * dim..(br + 1) * dim];
-                    out_row[br] = kernel.dot(a_row, b_row);
-                }
-            }
-            bi = b_end;
+    match (config.kernel, SimdIsa::detect()) {
+        #[cfg(target_arch = "x86_64")]
+        (Kernel::Unrolled, SimdIsa::Avx2) => {
+            // SAFETY: `SimdIsa::detect` returned `Avx2`, i.e. the running CPU
+            // reports AVX2, the one feature the callee is compiled for.
+            unsafe { crate::avx2::block_into(a, b, a_rows, b_rows, dim, tr, tc, out) }
         }
-        ai = a_end;
+        (kernel, _) => block_into_portable(a, b, a_rows, b_rows, dim, kernel, tr, tc, out),
     }
+}
+
+/// The per-pair tile loop: every kernel on every CPU, and the reference the
+/// AVX2 path is tested against.
+#[allow(clippy::too_many_arguments)]
+fn block_into_portable(
+    a: &[f32],
+    b: &[f32],
+    a_rows: usize,
+    b_rows: usize,
+    dim: usize,
+    kernel: Kernel,
+    tr: usize,
+    tc: usize,
+    out: &mut [f32],
+) {
+    for (a_tile, b_tile) in tiles(a_rows, b_rows, tr, tc) {
+        // Tile loop: the B tile (tc rows) stays hot in cache while it is
+        // reused against every A row of the tile.
+        for ar in a_tile {
+            let a_row = &a[ar * dim..(ar + 1) * dim];
+            let out_row = &mut out[ar * b_rows..(ar + 1) * b_rows];
+            for br in b_tile.clone() {
+                let b_row = &b[br * dim..(br + 1) * dim];
+                out_row[br] = kernel.dot(a_row, b_row);
+            }
+        }
+    }
+}
+
+/// The `tr × tc` cache tiles of an `a_rows × b_rows` block as (A rows, B
+/// rows) ranges, A-major — the walk both implementations share.
+pub(crate) fn tiles(
+    a_rows: usize,
+    b_rows: usize,
+    tr: usize,
+    tc: usize,
+) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    (0..a_rows).step_by(tr).flat_map(move |ai| {
+        (0..b_rows)
+            .step_by(tc)
+            .map(move |bi| (ai..(ai + tr).min(a_rows), bi..(bi + tc).min(b_rows)))
+    })
 }
 
 /// Multi-threaded variant of [`block_into`]: rows of `A` are split into
@@ -247,6 +285,7 @@ pub fn block_into_with_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::dot_lanes;
     use crate::vector::Vector;
 
     fn approx(a: f32, b: f32) -> bool {
@@ -388,6 +427,184 @@ mod tests {
         let expected = naive(&a, &b);
         for (g, e) in got.as_slice().iter().zip(expected.iter()) {
             assert!(approx(*g, *e));
+        }
+    }
+
+    /// The 8-lane class, pair by pair: what every path must reproduce.
+    fn per_pair_reference(
+        a: &[f32],
+        b: &[f32],
+        a_rows: usize,
+        b_rows: usize,
+        dim: usize,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; a_rows * b_rows];
+        for i in 0..a_rows {
+            for j in 0..b_rows {
+                out[i * b_rows + j] =
+                    dot_lanes::<8>(&a[i * dim..(i + 1) * dim], &b[j * dim..(j + 1) * dim]);
+            }
+        }
+        out
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: IEEE 754 leaves the
+    /// sign and payload of a NaN result to the implementation, and LLVM may
+    /// commute the operands of an add whose two inputs are both NaN.
+    fn assert_same_bits(got: &[f32], expected: &[f32], what: &str) {
+        assert_eq!(got.len(), expected.len(), "{what}");
+        for (at, (g, e)) in got.iter().zip(expected).enumerate() {
+            assert!(
+                g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan()),
+                "{what}: score {at} is {g:e} ({:#x}), expected {e:e} ({:#x})",
+                g.to_bits(),
+                e.to_bits()
+            );
+        }
+    }
+
+    /// Deterministic values in (-0.5, 0.5) with the IEEE special cases
+    /// sprinkled in when `special` is set: NaN, ±inf, -0.0 and subnormals
+    /// land in body lanes and tail lanes, on block and edge rows alike.
+    fn floats(n: usize, seed: u32, special: bool) -> Vec<f32> {
+        let mut state = seed;
+        (0..n)
+            .map(|i| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                let v = ((state >> 8) as f32 / (1u32 << 24) as f32) - 0.5;
+                if !special {
+                    return v;
+                }
+                match (state >> 3) % 23 {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    3 => -0.0,
+                    4 => f32::from_bits(1 + (i as u32 % 7)), // subnormal
+                    5 => -f32::MIN_POSITIVE / 2.0,           // subnormal
+                    6 => 0.0,
+                    _ => v,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dispatched_block_into_is_bit_identical_to_the_eight_lane_class() {
+        const ROWS: [usize; 14] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 130];
+        const DIMS: [usize; 6] = [1, 7, 8, 9, 64, 100];
+        // default tiles, tiles smaller than / equal to / not a multiple of
+        // the 4 x 2 register block, and a tile wider than the input
+        const TILES: [(usize, usize); 5] = [(64, 64), (5, 3), (1, 1), (4, 2), (7, 200)];
+        for special in [false, true] {
+            for (di, &dim) in DIMS.iter().enumerate() {
+                // one leading float puts every row off 32-byte (and, for odd
+                // dims, off 8-byte) alignment
+                let a_buf = floats(1 + 130 * dim, 17 + di as u32, special);
+                let b_buf = floats(1 + 130 * dim, 91 + di as u32, special);
+                for offset in [0usize, 1] {
+                    for &a_rows in &ROWS {
+                        for &b_rows in &ROWS {
+                            let a = &a_buf[offset..offset + a_rows * dim];
+                            let b = &b_buf[offset..offset + b_rows * dim];
+                            let expected = per_pair_reference(a, b, a_rows, b_rows, dim);
+                            // every tile shape on the small inputs, two on the rest
+                            let tiles = if a_rows <= 9 && b_rows <= 9 {
+                                &TILES[..]
+                            } else {
+                                &TILES[..2]
+                            };
+                            for &(tr, tc) in tiles {
+                                let what = format!(
+                                    "{a_rows}x{b_rows}x{dim} tiles {tr}x{tc} offset {offset} special {special}"
+                                );
+                                let cfg = GemmConfig::default().tiles(tr, tc);
+                                let mut got = vec![f32::NAN; a_rows * b_rows];
+                                block_into(a, b, a_rows, b_rows, dim, &cfg, &mut got);
+                                assert_same_bits(&got, &expected, &what);
+                                let mut portable = vec![f32::NAN; a_rows * b_rows];
+                                block_into_portable(
+                                    a,
+                                    b,
+                                    a_rows,
+                                    b_rows,
+                                    dim,
+                                    Kernel::Unrolled,
+                                    tr,
+                                    tc,
+                                    &mut portable,
+                                );
+                                assert_same_bits(&portable, &expected, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_score_does_not_depend_on_where_its_pair_fell() {
+        // the same pair as an interior register-block cell, an edge row, a
+        // 1-row morsel and a pooled chunk
+        let dim = 100;
+        let a = floats(11 * dim, 5, false);
+        let b = floats(9 * dim, 6, false);
+        let cfg = GemmConfig::default();
+        let mut full = vec![0.0f32; 11 * 9];
+        block_into(&a, &b, 11, 9, dim, &cfg, &mut full);
+        for row in 0..11 {
+            let mut one = vec![0.0f32; 9];
+            block_into(
+                &a[row * dim..(row + 1) * dim],
+                &b,
+                1,
+                9,
+                dim,
+                &cfg,
+                &mut one,
+            );
+            assert_same_bits(&one, &full[row * 9..(row + 1) * 9], "1-row morsel");
+        }
+        let mut pooled = vec![0.0f32; 11 * 9];
+        block_into_with_pool(&a, &b, 11, 9, dim, &cfg, &ExecPool::new(3), &mut pooled);
+        assert_same_bits(&pooled, &full, "pooled");
+    }
+
+    #[test]
+    fn scalar_kernel_never_takes_the_vectorised_path() {
+        let dim = 64;
+        let a = floats(8 * dim, 1, false);
+        let b = floats(8 * dim, 2, false);
+        let mut got = vec![0.0f32; 64];
+        let cfg = GemmConfig::with_kernel(Kernel::Scalar);
+        block_into(&a, &b, 8, 8, dim, &cfg, &mut got);
+        for i in 0..8 {
+            for j in 0..8 {
+                let expected = crate::kernels::dot_scalar(
+                    &a[i * dim..(i + 1) * dim],
+                    &b[j * dim..(j + 1) * dim],
+                );
+                assert_eq!(got[i * 8 + j].to_bits(), expected.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_above_matches_the_per_score_loop() {
+        let a = matrix(7, 16, 31);
+        let b = matrix(29, 16, 32);
+        let s = similarity_matrix(&a, &b, &GemmConfig::default()).unwrap();
+        for threshold in [-1.0f32, 0.0, 0.05, 10.0, f32::NAN] {
+            let mut expected = Vec::new();
+            for i in 0..7 {
+                for j in 0..29 {
+                    if s.score(i, j) >= threshold {
+                        expected.push((i, j, s.score(i, j)));
+                    }
+                }
+            }
+            assert_eq!(s.pairs_above(threshold), expected);
         }
     }
 }

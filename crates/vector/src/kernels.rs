@@ -1,4 +1,4 @@
-//! Scalar and width-dispatched ("vectorised") compute kernels.
+//! Scalar and vectorised compute kernels.
 //!
 //! The paper evaluates every operator both with and without SIMD
 //! acceleration (Figures 8, 9, 11).  We reproduce that axis with two kernel
@@ -9,84 +9,63 @@
 //!   accumulator prevents LLVM from auto-vectorising the floating-point
 //!   reduction, so this is a faithful stand-in for the paper's `NO-SIMD`
 //!   configuration.
-//! * **Lane-unrolled** kernels: a `W`-lane unrolled loop with independent
-//!   partial accumulators, monomorphised per width ([`dot_lanes`]).  LLVM
-//!   reliably turns the 4- and 8-lane bodies into packed SIMD instructions
-//!   on x86-64 and aarch64, standing in for the paper's AVX-512 `SIMD`
-//!   configuration.
+//! * **Lane-unrolled** kernels: an 8-lane unrolled loop with independent
+//!   partial accumulators ([`dot_lanes`]`::<8>`).  LLVM turns the body into
+//!   packed SIMD instructions on x86-64 and aarch64, standing in for the
+//!   paper's AVX-512 `SIMD` configuration.
 //!
 //! Operators take a [`Kernel`] value so benchmarks can switch between the
-//! families at run time.  The lane width of the vectorised family is
-//! **runtime-dispatched**: [`dispatched_width`] reads `CEJ_SIMD`
-//! (`scalar` / `4` / `8`, default `8`) once per process and every
-//! `Kernel::Unrolled` operation routes through the selected
-//! width-specialised kernel.  Floating-point accumulation order is fixed
-//! *per width class* — all dots computed under one width setting are
-//! bit-identical run to run, and the default width 8 reproduces the
-//! historical 8-lane unrolled kernel exactly, so checked-in CI baselines
-//! and serve checksums are unchanged.
-
-use std::sync::OnceLock;
+//! families at run time.
+//!
+//! ## One rounding class, several implementations
+//!
+//! The vectorised family has exactly one floating-point operation order —
+//! the **8-lane class**: eight per-lane partial sums (`acc[l] += x[l] *
+//! y[l]`, multiply then add, never fused), a left-to-right sum of the eight
+//! lanes, then the `len % 8` tail added sequentially.  [`dot_lanes`]`::<8>`
+//! is its portable definition.  The CPU picks, once, which *implementation*
+//! of that class runs ([`SimdIsa::detect`]): on x86-64 with AVX2 the GEMM
+//! uses `std::arch` code that performs the same operations in the same
+//! order on `ymm` registers; everywhere else the portable loops run.  A score therefore never depends on the machine, on
+//! which path computed it, or on any setting — there is no knob.
 
 use serde::{Deserialize, Serialize};
 
-/// Number of independent accumulator lanes used by the default unrolled
-/// kernels (the `CEJ_SIMD=8` width class).
+/// Number of independent accumulator lanes of the vectorised kernel family.
 pub const UNROLL_LANES: usize = 8;
 
-/// Lane width of the vectorised kernel family, selected once per process.
-///
-/// Each width class has a fixed accumulation order (W independent partial
-/// sums folded left-to-right, then a sequential remainder), so results are
-/// deterministic and bit-stable *within* a width class while different
-/// classes may differ in the last bits — the reason CI legs pin the width
-/// per job rather than per call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum SimdWidth {
-    /// Single sequential accumulator (forces the vectorised family down the
-    /// scalar path; `CEJ_SIMD=scalar`).
-    Scalar,
-    /// 4 accumulator lanes (`CEJ_SIMD=4`; SSE/NEON-width).
-    W4,
-    /// 8 accumulator lanes (`CEJ_SIMD=8`; AVX2-width) — the default, and
-    /// bit-identical to the historical `dot_unrolled` kernel.
-    #[default]
-    W8,
+/// Which implementation of the 8-lane class the vectorised family runs on.
+/// Decided by the CPU, never by configuration; every variant produces the
+/// same bits (see the module documentation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SimdIsa {
+    /// `std::arch` AVX2 code for the GEMM micro-kernel (x86-64 CPUs that
+    /// report AVX2).
+    Avx2,
+    /// The portable lane-unrolled loops, vectorised by LLVM for whatever the
+    /// build targets.
+    Portable,
 }
 
-impl SimdWidth {
-    /// Number of accumulator lanes of this width class.
-    pub fn lanes(&self) -> usize {
-        match self {
-            SimdWidth::Scalar => 1,
-            SimdWidth::W4 => 4,
-            SimdWidth::W8 => 8,
+impl SimdIsa {
+    /// The implementation this CPU gets.  The feature probe behind it is
+    /// cached by the standard library, so calling this per block is free.
+    #[inline]
+    pub fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return SimdIsa::Avx2;
         }
+        SimdIsa::Portable
     }
 
     /// Stable label for reports and bench artifacts.
     pub fn label(&self) -> &'static str {
         match self {
-            SimdWidth::Scalar => "scalar",
-            SimdWidth::W4 => "w4",
-            SimdWidth::W8 => "w8",
+            SimdIsa::Avx2 => "avx2",
+            SimdIsa::Portable => "portable",
         }
     }
-
-    fn from_env() -> Self {
-        match std::env::var("CEJ_SIMD").ok().as_deref() {
-            Some("scalar") | Some("1") => SimdWidth::Scalar,
-            Some("4") => SimdWidth::W4,
-            _ => SimdWidth::W8,
-        }
-    }
-}
-
-/// The process-wide dispatched lane width (`CEJ_SIMD`, read once).
-#[inline]
-pub fn dispatched_width() -> SimdWidth {
-    static WIDTH: OnceLock<SimdWidth> = OnceLock::new();
-    *WIDTH.get_or_init(SimdWidth::from_env)
 }
 
 /// Which compute kernel family an operator should use.
@@ -103,10 +82,9 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Dot product of two equally sized slices using this kernel.  The
-    /// `Unrolled` family routes through the runtime-dispatched lane width
-    /// (see [`dispatched_width`]); `Scalar` is always the sequential loop,
-    /// independent of dispatch — it *is* the paper's NO-SIMD axis.
+    /// Dot product of two equally sized slices using this kernel: the
+    /// 8-lane class for `Unrolled`, the sequential loop for `Scalar` — the
+    /// paper's NO-SIMD axis.
     ///
     /// # Panics
     /// Debug-asserts that the slices have equal length; in release builds the
@@ -115,16 +93,11 @@ impl Kernel {
     pub fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
         match self {
             Kernel::Scalar => dot_scalar(a, b),
-            Kernel::Unrolled => match dispatched_width() {
-                SimdWidth::Scalar => dot_scalar(a, b),
-                SimdWidth::W4 => dot_lanes::<4>(a, b),
-                SimdWidth::W8 => dot_lanes::<8>(a, b),
-            },
+            Kernel::Unrolled => dot_unrolled(a, b),
         }
     }
 
-    /// L2 norm of a slice using this kernel (same dispatch rules as
-    /// [`Kernel::dot`]).
+    /// L2 norm of a slice using this kernel.
     #[inline]
     pub fn l2_norm(&self, a: &[f32]) -> f32 {
         match self {
@@ -153,15 +126,15 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// Width-specialised dot product with `W` independent accumulators,
-/// monomorphised per lane width.
+/// Dot product with `W` independent accumulators.  `W = 8` is the portable
+/// definition of the 8-lane class every vectorised kernel reproduces bit for
+/// bit (see the module documentation); no other width is instantiated.
 ///
 /// The inner loop iterates `chunks_exact` slices, so the bounds of every
-/// lane access are known to LLVM and the body compiles to packed FMA /
-/// mul-add instructions without bounds checks.  The accumulation order is
-/// fixed per width: `W` per-lane partials, a left-to-right lane sum, then
-/// the sequential remainder.  `W = 8` reproduces the historical
-/// `dot_unrolled` kernel bit for bit.
+/// lane access are known to LLVM and the body compiles to packed multiply
+/// and add instructions without bounds checks.  The accumulation order is
+/// fixed: `W` per-lane partials, a left-to-right lane sum, then the
+/// sequential remainder.
 #[inline]
 pub fn dot_lanes<const W: usize>(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -171,7 +144,7 @@ pub fn dot_lanes<const W: usize>(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; W];
     for (xs, ys) in (&mut ca).zip(&mut cb) {
         // Independent accumulators break the reduction dependency chain so
-        // the loop auto-vectorises into packed FMA/mul-add instructions.
+        // the loop auto-vectorises into packed multiply/add instructions.
         for lane in 0..W {
             acc[lane] += xs[lane] * ys[lane];
         }
@@ -183,8 +156,7 @@ pub fn dot_lanes<const W: usize>(a: &[f32], b: &[f32]) -> f32 {
     total
 }
 
-/// The historical 8-lane unrolled dot product — now an alias for
-/// [`dot_lanes`]`::<8>` (the default width class).
+/// The 8-lane unrolled dot product: [`dot_lanes`]`::<8>`.
 #[inline]
 pub fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
     dot_lanes::<UNROLL_LANES>(a, b)
@@ -216,9 +188,7 @@ pub fn axpy(alpha: f32, x: &[f32], out: &mut [f32]) {
 }
 
 /// Sum of a slice (8-lane partial accumulators, `chunks_exact` inner loop;
-/// same accumulation order as the index-based predecessor).  Deliberately
-/// *not* width-dispatched: it feeds embedding training, whose reductions
-/// must stay identical across every CI leg.
+/// same accumulation order as the index-based predecessor).
 #[inline]
 pub fn sum(a: &[f32]) -> f32 {
     let mut chunks = a.chunks_exact(UNROLL_LANES);
@@ -278,33 +248,17 @@ impl CmpOp {
 /// so a filter above a filter touches survivors only — the vectorised
 /// executor's "mark, don't copy" contract.
 ///
-/// The compare/compact split is width-dispatched: under a vector width `W`
-/// the selection vector is walked in `W`-lane groups, the comparisons of a
+/// The selection vector is walked in 8-lane groups: the comparisons of a
 /// group are evaluated branch-free into a mask, and only then are the
 /// surviving lanes compacted — the classic SIMD predicate-then-compress
-/// shape.  Compaction preserves lane order, so the output is identical for
-/// every width (only the instruction mix differs).
+/// shape.  Compaction preserves lane order.
 ///
 /// # Panics
 /// Debug-asserts that every selected lane is in bounds; release builds
 /// panic on out-of-bounds lanes via the slice index.
 #[inline]
 pub fn filter_cmp<T: PartialOrd + Copy>(values: &[T], sel: &[u32], op: CmpOp, rhs: T) -> Vec<u32> {
-    match dispatched_width() {
-        SimdWidth::Scalar => filter_cmp_lanes::<1, T>(values, sel, op, rhs),
-        SimdWidth::W4 => filter_cmp_lanes::<4, T>(values, sel, op, rhs),
-        SimdWidth::W8 => filter_cmp_lanes::<8, T>(values, sel, op, rhs),
-    }
-}
-
-/// Width-specialised body of [`filter_cmp`].
-#[inline]
-fn filter_cmp_lanes<const W: usize, T: PartialOrd + Copy>(
-    values: &[T],
-    sel: &[u32],
-    op: CmpOp,
-    rhs: T,
-) -> Vec<u32> {
+    const W: usize = UNROLL_LANES;
     let mut out = Vec::with_capacity(sel.len());
     let mut chunks = sel.chunks_exact(W);
     for lanes in &mut chunks {
@@ -471,53 +425,37 @@ mod tests {
     }
 
     #[test]
-    fn width_classes_agree_approximately() {
-        let a: Vec<f32> = (0..103).map(|i| (i as f32 * 0.37).sin()).collect();
-        let b: Vec<f32> = (0..103).map(|i| (i as f32 * 0.11).cos()).collect();
-        let reference = dot_scalar(&a, &b);
-        assert!(approx(dot_lanes::<4>(&a, &b), reference));
-        assert!(approx(dot_lanes::<8>(&a, &b), reference));
-    }
-
-    #[test]
-    fn width_eight_is_bit_identical_to_the_legacy_unrolled_kernel() {
+    fn unrolled_dot_is_the_eight_lane_class() {
         let a: Vec<f32> = (0..257).map(|i| (i as f32 * 0.013).sin()).collect();
         let b: Vec<f32> = (0..257).map(|i| (i as f32 * 0.029).cos()).collect();
-        assert_eq!(
-            dot_lanes::<8>(&a, &b).to_bits(),
-            dot_unrolled(&a, &b).to_bits()
-        );
-    }
-
-    #[test]
-    fn filter_cmp_output_is_identical_across_widths() {
-        let values: Vec<i64> = (0..97).map(|i| (i * 31 + 7) % 50).collect();
-        let sel: Vec<u32> = (0..97).step_by(2).collect();
-        for op in [CmpOp::Lt, CmpOp::GtEq, CmpOp::Eq] {
-            let s1 = filter_cmp_lanes::<1, i64>(&values, &sel, op, 25);
-            let s4 = filter_cmp_lanes::<4, i64>(&values, &sel, op, 25);
-            let s8 = filter_cmp_lanes::<8, i64>(&values, &sel, op, 25);
-            assert_eq!(s1, s4, "op {op:?}");
-            assert_eq!(s1, s8, "op {op:?}");
+        // the class, spelled out: 8 lane partials, left-to-right lane sum,
+        // sequential tail
+        let mut acc = [0.0f32; 8];
+        for k in 0..256 {
+            acc[k % 8] += a[k] * b[k];
+        }
+        let mut expected = acc[0];
+        for lane in &acc[1..] {
+            expected += lane;
+        }
+        expected += a[256] * b[256];
+        for got in [
+            dot_lanes::<8>(&a, &b),
+            dot_unrolled(&a, &b),
+            Kernel::Unrolled.dot(&a, &b),
+        ] {
+            assert_eq!(got.to_bits(), expected.to_bits());
         }
     }
 
     #[test]
-    fn simd_width_labels_and_lanes() {
-        assert_eq!(SimdWidth::Scalar.lanes(), 1);
-        assert_eq!(SimdWidth::W4.lanes(), 4);
-        assert_eq!(SimdWidth::W8.lanes(), 8);
-        assert_eq!(SimdWidth::Scalar.label(), "scalar");
-        assert_eq!(SimdWidth::W4.label(), "w4");
-        assert_eq!(SimdWidth::W8.label(), "w8");
-        assert_eq!(SimdWidth::default(), SimdWidth::W8);
-        if std::env::var("CEJ_SIMD").is_err() {
-            assert_eq!(
-                dispatched_width(),
-                SimdWidth::W8,
-                "default dispatch is 8 lanes"
-            );
-        }
+    fn simd_isa_labels_and_detection() {
+        assert_eq!(SimdIsa::Avx2.label(), "avx2");
+        assert_eq!(SimdIsa::Portable.label(), "portable");
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(SimdIsa::detect(), SimdIsa::Portable);
+        // the CPU decides, and decides the same thing every time
+        assert_eq!(SimdIsa::detect(), SimdIsa::detect());
     }
 
     #[test]

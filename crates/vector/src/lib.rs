@@ -11,16 +11,18 @@
 //! * [`Matrix`] — a row-major matrix used to hold batches of embeddings
 //!   (one embedding per row), the representation used by the *tensor join*
 //!   formulation of the paper (Section IV-C).
-//! * [`kernels`] — scalar and hand-unrolled ("vectorised") inner-product and
-//!   norm kernels.  The unrolled variants are written so that LLVM
-//!   auto-vectorises them, reproducing the paper's SIMD / NO-SIMD axis
-//!   without `unsafe` intrinsics.
+//! * [`kernels`] — scalar and lane-unrolled ("vectorised") inner-product and
+//!   norm kernels, reproducing the paper's SIMD / NO-SIMD axis.  The
+//!   unrolled variants define one floating-point operation order (the
+//!   8-lane class); the CPU decides whether the hot primitives run it as
+//!   portable loops or as AVX2 `std::arch` code, with identical bits.
 //! * [`gemm`] — a blocked (tiled) similarity-matrix kernel `A · Bᵀ` with
-//!   configurable tile sizes and optional multi-threading, the physical
-//!   backbone of the tensor join (Figure 6 of the paper).
+//!   configurable tile sizes, an AVX2 register-blocked micro-kernel and
+//!   optional multi-threading, the physical backbone of the tensor join
+//!   (Figure 6 of the paper).
 //! * [`distance`] — cosine similarity / distance, dot product and L2 metrics.
 //! * [`topk`] — top-k selection used by index probes and top-k join
-//!   predicates.
+//!   predicates, and the 8-at-a-time score-row harvest under it.
 //! * [`partition`] — block partitioning helpers that derive mini-batch sizes
 //!   from a buffer budget (Section V-B, Figure 7).
 //!
@@ -29,8 +31,11 @@
 //! where operators only ever see context-free tensors.
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(clippy::all)]
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 pub mod distance;
 pub mod error;
 pub mod gemm;
@@ -45,7 +50,7 @@ pub mod vector;
 pub use distance::{cosine_distance, cosine_similarity, dot, euclidean_distance, Metric};
 pub use error::VectorError;
 pub use gemm::{GemmConfig, SimilarityMatrix};
-pub use kernels::{dispatched_width, dot_lanes, dot_select, filter_cmp, CmpOp, Kernel, SimdWidth};
+pub use kernels::{dot_lanes, dot_select, filter_cmp, CmpOp, Kernel, SimdIsa};
 pub use matrix::Matrix;
 pub use norm::{l2_norm, normalize, normalize_matrix_rows};
 pub use partition::{BlockPartition, BufferBudget};

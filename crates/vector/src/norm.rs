@@ -9,9 +9,7 @@
 use crate::kernels::Kernel;
 use crate::matrix::Matrix;
 
-/// L2 norm of a slice using the default vectorised kernel (routed through
-/// the runtime-dispatched lane width, see
-/// [`crate::kernels::dispatched_width`]).
+/// L2 norm of a slice using the default vectorised kernel.
 #[inline]
 pub fn l2_norm(a: &[f32]) -> f32 {
     Kernel::Unrolled.l2_norm(a)

@@ -4,9 +4,16 @@
 //! scores seen so far".  [`TopK`] is a small bounded max-collector built on a
 //! binary min-heap keyed by score, with deterministic tie-breaking on the id
 //! so results are reproducible across runs.
+//!
+//! A score row (one outer tuple against a block of inner tuples) is mostly
+//! scores that fail the predicate.  [`scan_at_least`] is the harvest
+//! primitive that skips them eight at a time; [`TopK::push_row`] and the
+//! threshold harvests of the tensor join are built on it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+use crate::kernels::UNROLL_LANES;
 
 /// A scored candidate kept by [`TopK`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,6 +90,32 @@ impl TopK {
         }
     }
 
+    /// Offers `scores[i]` under id `first_id + i` for every `i`, with the
+    /// outcome of calling [`TopK::push`] on each in ascending order.  Once
+    /// the collector is full only scores that reach its current k-th best
+    /// are looked at individually ([`scan_at_least`]).
+    ///
+    /// The equivalence rests on the k-th best never falling, which holds
+    /// while the kept scores are totally ordered.  A NaN kept by an unfilled
+    /// collector breaks that order (it compares equal to everything), and
+    /// which entries survive later pushes is then unspecified — for this
+    /// method as for [`TopK::push`]; a NaN offered to a full collector is
+    /// always refused.
+    pub fn push_row(&mut self, first_id: usize, scores: &[f32]) {
+        // an unfilled collector keeps whatever comes, NaN included
+        let fill = (self.k - self.heap.len()).min(scores.len());
+        for (i, &score) in scores[..fill].iter().enumerate() {
+            self.push(first_id + i, score);
+        }
+        let Some(bound) = self.threshold() else {
+            return;
+        };
+        scan_at_least(&scores[fill..], bound, |i, score| {
+            self.push(first_id + fill + i, score);
+            self.heap.peek().map_or(bound, |worst| worst.0.score)
+        });
+    }
+
     /// Current worst kept score, if the collector is full.
     pub fn threshold(&self) -> Option<f32> {
         if self.heap.len() < self.k {
@@ -113,6 +146,46 @@ impl TopK {
                 .then_with(|| a.id.cmp(&b.id))
         });
         entries
+    }
+}
+
+/// Score-row harvest: calls `visit(i, scores[i])`, in ascending `i`, for
+/// exactly those scores that are `>=` the bound in force when `i` is
+/// reached.  The bound starts at `bound` and `visit` returns the one to use
+/// from there on, which must not be lower (a top-k collector's k-th best
+/// only rises; a threshold harvest returns its threshold).  NaN is never
+/// visited.
+///
+/// The row is walked in 8-lane groups: one branch-free compare produces a
+/// bit mask per group and only set bits are visited, so a row of
+/// non-qualifying scores costs a compare per group instead of a branch per
+/// score.  The compare is plain Rust on every CPU, not `std::arch` code: an
+/// AVX2 `cmp_ps`/`movemask` compare moves `scan_join_warm` by less than its
+/// run-to-run spread (`BENCH_14.json`, `harvest_isa_ab`).
+#[inline]
+pub fn scan_at_least(scores: &[f32], mut bound: f32, mut visit: impl FnMut(usize, f32) -> f32) {
+    let mut groups = scores.chunks_exact(UNROLL_LANES);
+    let mut base = 0usize;
+    for group in &mut groups {
+        let group: &[f32; UNROLL_LANES] = group.try_into().expect("chunks_exact(8) yields 8");
+        let mut mask = 0u32;
+        for (lane, &score) in group.iter().enumerate() {
+            mask |= u32::from(score >= bound) << lane;
+        }
+        while mask != 0 {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            // the mask saw the bound of the group's start; it may have risen
+            if group[lane] >= bound {
+                bound = visit(base + lane, group[lane]);
+            }
+        }
+        base += UNROLL_LANES;
+    }
+    for (i, &score) in groups.remainder().iter().enumerate() {
+        if score >= bound {
+            bound = visit(base + i, score);
+        }
     }
 }
 
@@ -191,5 +264,125 @@ mod tests {
         let expected_ids: Vec<usize> = expected[..25].iter().map(|e| e.0).collect();
         let got_ids: Vec<usize> = got.iter().map(|e| e.id).collect();
         assert_eq!(got_ids, expected_ids);
+    }
+
+    /// Scores with many exact ties, plus NaN and infinities when asked.
+    fn tied_scores(n: usize, seed: u32, special: bool) -> Vec<f32> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                match (state >> 8) % 16 {
+                    0 if special => f32::NAN,
+                    1 if special => f32::INFINITY,
+                    2 if special => f32::NEG_INFINITY,
+                    3 if special => -0.0,
+                    v => (v % 5) as f32 * 0.25,
+                }
+            })
+            .collect()
+    }
+
+    fn heap_bits(collector: TopK) -> Vec<(usize, u32)> {
+        let entries = collector.heap.into_vec();
+        entries
+            .iter()
+            .map(|e| (e.0.id, e.0.score.to_bits()))
+            .collect()
+    }
+
+    /// Rows shorter than, equal to and longer than a group, with and without a
+    /// tail.
+    const ROW_LENS: [usize; 10] = [0, 1, 3, 7, 8, 9, 16, 17, 64, 101];
+
+    #[test]
+    fn threshold_scan_visits_what_the_per_score_loop_visits() {
+        for special in [false, true] {
+            for (li, &len) in ROW_LENS.iter().enumerate() {
+                let scores = tied_scores(len, 3 + li as u32, special);
+                for bound in [
+                    f32::NEG_INFINITY,
+                    -0.0,
+                    0.0,
+                    0.5,
+                    1.0,
+                    2.0,
+                    f32::INFINITY,
+                    f32::NAN,
+                ] {
+                    let expected: Vec<(usize, u32)> = scores
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, s)| **s >= bound)
+                        .map(|(i, s)| (i, s.to_bits()))
+                        .collect();
+                    let mut visited = Vec::new();
+                    scan_at_least(&scores, bound, |i, s| {
+                        visited.push((i, s.to_bits()));
+                        bound
+                    });
+                    assert_eq!(visited, expected, "len {len} bound {bound}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_honours_a_bound_that_rises_inside_a_group() {
+        // the mask of the group saw bound 0.0; after the first visit only
+        // scores >= 0.5 may be visited
+        let scores = [0.1f32, 0.2, 0.6, 0.3, 0.5, 0.4, 0.9, 0.0, 0.45, 0.7];
+        let mut visited = Vec::new();
+        scan_at_least(&scores, 0.0, |i, _| {
+            visited.push(i);
+            0.5
+        });
+        assert_eq!(visited, vec![0, 2, 4, 6, 9]);
+    }
+
+    #[test]
+    fn push_row_equals_pushing_every_score() {
+        for special in [false, true] {
+            for k in [0usize, 1, 2, 3, 8, 50, 1000] {
+                for (li, &len) in ROW_LENS.iter().enumerate() {
+                    // three blocks of one outer row, harvested with ascending
+                    // and with descending inner ids: equal scores must keep
+                    // the smallest ids either way
+                    for first_ids in [[0usize, 200, 400], [400, 200, 0]] {
+                        let mut by_row = TopK::new(k);
+                        let mut by_score = TopK::new(k);
+                        for (bi, &first_id) in first_ids.iter().enumerate() {
+                            let scores = tied_scores(len, (7 * li + bi) as u32, special);
+                            by_row.push_row(first_id, &scores);
+                            for (i, &s) in scores.iter().enumerate() {
+                                by_score.push(first_id + i, s);
+                            }
+                            assert_eq!(by_row.len(), by_score.len());
+                            assert_eq!(
+                                by_row.threshold().map(f32::to_bits),
+                                by_score.threshold().map(f32::to_bits)
+                            );
+                        }
+                        // rejected pushes leave a collector untouched, so
+                        // the two heaps must be in the same state entry for
+                        // entry (NaN kept by an unfilled collector included,
+                        // hence bits and not `into_sorted`)
+                        let got = heap_bits(by_row);
+                        let expected = heap_bits(by_score);
+                        assert_eq!(got, expected, "k {k} len {len} ids {first_ids:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_row_never_admits_nan_into_a_full_collector() {
+        let mut tk = TopK::new(2);
+        tk.push_row(0, &[0.1, 0.2]);
+        tk.push_row(2, &[f32::NAN; 19]);
+        tk.push_row(21, &[f32::NAN, 0.3, f32::NAN]);
+        let ids: Vec<usize> = tk.into_sorted().iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![22, 1]);
     }
 }

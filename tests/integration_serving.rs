@@ -224,12 +224,19 @@ fn admission_gate_rejects_overload_with_busy() {
         .unwrap();
 
     // hammer from two threads so executions overlap; with a single slot at
-    // least one request must observe `busy`
+    // least one request must observe `busy`.  A refused client backs off for
+    // a moment, as a real one would: a refusal is far cheaper than a run, so
+    // without it one client can spend all 50 requests on refusals during a
+    // handful of the other's runs, and "most are served" becomes a race.
+    let back_off = || std::thread::sleep(std::time::Duration::from_millis(1));
     let hammer = std::thread::spawn(move || {
         let mut busy = 0;
         for _ in 0..50 {
             match blocker.request("RUN slow").unwrap() {
-                Response::Err(e) if e.starts_with("busy") => busy += 1,
+                Response::Err(e) if e.starts_with("busy") => {
+                    busy += 1;
+                    back_off();
+                }
                 Response::Rows { .. } => {}
                 other => panic!("unexpected response {other:?}"),
             }
@@ -239,7 +246,10 @@ fn admission_gate_rejects_overload_with_busy() {
     let mut busy = 0;
     for _ in 0..50 {
         match prober.request("RUN q").unwrap() {
-            Response::Err(e) if e.starts_with("busy") => busy += 1,
+            Response::Err(e) if e.starts_with("busy") => {
+                busy += 1;
+                back_off();
+            }
             Response::Rows { .. } => {}
             other => panic!("unexpected response {other:?}"),
         }

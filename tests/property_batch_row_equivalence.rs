@@ -13,6 +13,12 @@
 //! covers all budgets regardless of `CEJ_THREADS`): morsel-driven parallel
 //! execution must not change a single byte relative to the serial pull
 //! loop, only timing.
+//!
+//! A deterministic tensor-join sweep adds the cardinalities the random cases
+//! rarely hit together: outer sizes ≡ 1, 2, 3 (mod 4) and odd inner sizes, so
+//! that the whole-table GEMM of the row executor and the 1/7/1024-row morsels
+//! of the batch executor all put pairs on both sides of the AVX2 kernel's
+//! 4 × 2 register-block edges — a score must not depend on which side.
 
 use cej_core::{
     ContextJoinSession, ExecContext, ExecMode, IndexJoinConfig, JoinStrategy, NljConfig,
@@ -82,6 +88,47 @@ fn run_mode(
         .execute_with(&ctx, mode)
         .expect("execute");
     (out.table, out.operator_rows, out.stats.matched_pairs)
+}
+
+#[test]
+fn tensor_join_scores_do_not_depend_on_register_block_edges() {
+    // (outer, inner): outer covers 1, 2, 3 (mod 4), inner is odd; 13 outer
+    // rows split into 7 + 6 under the 7-row morsel
+    for (outer_rows, inner_rows) in [(5usize, 9usize), (6, 7), (7, 11), (13, 5), (9, 33)] {
+        let s = session(
+            outer_rows,
+            inner_rows,
+            JoinStrategy::Tensor(TensorJoinConfig::default()),
+        );
+        for predicate in [
+            SimilarityPredicate::TopK(2),
+            SimilarityPredicate::Threshold(0.1),
+        ] {
+            // unfiltered, so the GEMM sees exactly these cardinalities
+            let plan = LogicalPlan::e_join(
+                LogicalPlan::scan("r"),
+                LogicalPlan::scan("s"),
+                "word",
+                "word",
+                "ft",
+                predicate,
+            );
+            let (row_table, row_actuals, row_pairs) = run_mode(&s, &plan, ExecMode::Row, 1);
+            assert!(row_pairs > 0, "the sweep must compare actual scores");
+            for batch_rows in [1usize, 7, 1024] {
+                for threads in [1usize, 2] {
+                    let (batch_table, batch_actuals, batch_pairs) =
+                        run_mode(&s, &plan, ExecMode::Batch { batch_rows }, threads);
+                    let what = format!(
+                        "{outer_rows}x{inner_rows} {predicate:?} batch_rows {batch_rows} threads {threads}"
+                    );
+                    assert_eq!(row_table, batch_table, "{what}");
+                    assert_eq!(row_actuals, batch_actuals, "{what}");
+                    assert_eq!(row_pairs, batch_pairs, "{what}");
+                }
+            }
+        }
+    }
 }
 
 proptest! {
