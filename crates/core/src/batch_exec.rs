@@ -10,14 +10,25 @@
 //! * `Filter` refines the selection vector in place
 //!   ([`cej_relational::eval::evaluate_predicate_select`], with the
 //!   `filter_cmp` kernel fast path) — survivors are *marked*, never copied.
-//! * `Project` is metadata-only: it narrows the visible-column set.
-//! * `Embed` gathers only the selected lanes and embeds them in one
-//!   `embed_batch_counted` call per batch.
-//! * Joins consume batches on the probe side: the inner relation is
-//!   embedded (and for the tensor path, normalised) once, then every outer
-//!   batch is scored against it ([`TensorJoin::join_prenormalized`], HNSW
-//!   `probe_join`, or the NLJ variants) and pair offsets are remapped by the
-//!   batch's cumulative offset.
+//! * `Project` and `Rename` are metadata-only: they narrow, reorder and
+//!   rename the visible-column set; no row is touched.
+//! * `Embed` embeds only the selected lanes, in one call per batch — by
+//!   remembered **slot** when the batch still windows a catalog table (the
+//!   session's per-column `row → slot` maps,
+//!   [`crate::executor::ColumnSlots`]), through the strings otherwise.
+//! * Joins keep **both inputs as selections** until the pairs are known
+//!   (late materialisation).  The inner pipeline is collected, not gathered:
+//!   its join column is embedded by row (and for the tensor path normalised)
+//!   once, every outer batch is scored against it
+//!   ([`TensorJoin::join_prenormalized`], HNSW `probe_join`, or the NLJ
+//!   variants), pair offsets — positions in each side's selection — are
+//!   remapped by the batch's cumulative offset, and only the matched rows of
+//!   either side are finally copied out of the base tables.  A warm run over
+//!   a filtered inner table therefore hashes no string and copies no
+//!   unmatched row.  Inputs that are not one window over one base (an inner
+//!   that is itself a join, per-batch `Embed` outputs) are materialised as
+//!   before and embedded through the strings — over the same arena, so the
+//!   vectors are the same bits either way.
 //!
 //! ## Morsel-driven parallelism
 //!
@@ -27,7 +38,7 @@
 //! selection-vector batch each) and dispatched onto the shared
 //! work-stealing pool, each worker running the whole operator chain over
 //! its morsel ([`run_chain_parallel`]).  Join probe sides follow the same
-//! pattern — outer morsels are gathered and probed concurrently against
+//! pattern — outer morsels are embedded and probed concurrently against
 //! the once-prepared inner side, and the relational hash join builds its
 //! partitioned hash table across workers
 //! ([`HashSide::build_with_pool`]).
@@ -52,14 +63,17 @@ use cej_relational::{
     eval::{evaluate_predicate, evaluate_predicate_select},
     EmbedSpec, Expr,
 };
-use cej_storage::{BatchView, Column, SelectionBitmap, StorageError, Table, DEFAULT_BATCH_ROWS};
+use cej_storage::{
+    Column, Field, Schema, SelectionBitmap, StorageError, Table, DEFAULT_BATCH_ROWS,
+};
 use cej_vector::norm::normalize_matrix_rows_with;
+use cej_vector::Matrix;
 
 use crate::error::CoreError;
 use crate::executor::{
-    materialize_output, ExecContext, ExecOutcome, OpMetrics, RunEmbedder, RunStats,
+    join_output, ExecContext, ExecOutcome, OpMetrics, RunEmbedder, RunStats, SharedCache,
 };
-use crate::join::hash_join::{rename_columns, HashSide};
+use crate::join::hash_join::HashSide;
 use crate::join::index_join::IndexJoin;
 use crate::join::naive_nlj::NaiveNlJoin;
 use crate::join::prefetch_nlj::PrefetchNlJoin;
@@ -105,6 +119,54 @@ struct ExecBatch {
     base: Arc<Table>,
     sel: Vec<u32>,
     visible: Vec<usize>,
+    /// The visible columns' output names once a `Rename` has been applied
+    /// (parallel to `visible`); `None` = the base schema's names.
+    names: Option<Vec<String>>,
+    /// `base` is a catalog snapshot (what a scan emits), not an operator's
+    /// intermediate output: its string columns are worth a slot map, because
+    /// the next run scans the same allocation again.
+    catalog_base: bool,
+}
+
+impl ExecBatch {
+    /// The rows `sel` of `base`, every column visible under its own name.
+    fn window(base: Arc<Table>, sel: Vec<u32>, catalog_base: bool) -> Self {
+        Self {
+            visible: (0..base.num_columns()).collect(),
+            sel,
+            base,
+            names: None,
+            catalog_base,
+        }
+    }
+
+    /// The output name of the `i`-th visible column.
+    fn name_of(&self, i: usize) -> &str {
+        match &self.names {
+            Some(names) => &names[i],
+            None => &self.base.schema().fields()[self.visible[i]].name,
+        }
+    }
+}
+
+/// Re-emits a materialised operator output (`base`) as `batch_rows`-sized
+/// windows; always at least one batch, possibly empty, so schemas propagate.
+fn emit_window(
+    base: &Arc<Table>,
+    cursor: &mut usize,
+    emitted: &mut bool,
+    batch_rows: usize,
+    catalog_base: bool,
+) -> Option<ExecBatch> {
+    let rows = base.num_rows();
+    if *cursor >= rows && *emitted {
+        return None;
+    }
+    let end = (*cursor + batch_rows).min(rows);
+    let sel: Vec<u32> = (*cursor as u32..end as u32).collect();
+    *cursor = end;
+    *emitted = true;
+    Some(ExecBatch::window(base.clone(), sel, catalog_base))
 }
 
 /// One operator of the batch pipeline.  `slot` is the operator's pre-order
@@ -287,29 +349,12 @@ impl<'p> BatchOp<'p> {
                 if table.is_none() {
                     *table = Some(ctx.catalog.table(name).map_err(CoreError::from)?);
                 }
-                let base = table.as_ref().expect("resolved above").clone();
-                let rows = base.num_rows();
-                if *cursor >= rows {
-                    if !*emitted {
-                        *emitted = true;
-                        return Ok(Some(ExecBatch {
-                            visible: (0..base.num_columns()).collect(),
-                            sel: Vec::new(),
-                            base,
-                        }));
-                    }
-                    return Ok(None);
+                let base = table.as_ref().expect("resolved above");
+                let batch = emit_window(base, cursor, emitted, batch_rows, true);
+                if let Some(batch) = &batch {
+                    metrics.rows[*slot] += batch.sel.len() as u64;
                 }
-                let end = (*cursor + batch_rows).min(rows);
-                let sel: Vec<u32> = (*cursor as u32..end as u32).collect();
-                *cursor = end;
-                *emitted = true;
-                metrics.rows[*slot] += sel.len() as u64;
-                Ok(Some(ExecBatch {
-                    visible: (0..base.num_columns()).collect(),
-                    sel,
-                    base,
-                }))
+                Ok(batch)
             }
             BatchOp::Filter {
                 slot,
@@ -322,9 +367,8 @@ impl<'p> BatchOp<'p> {
                 let refined = filter_batch(predicate, &batch)?;
                 metrics.rows[*slot] += refined.len() as u64;
                 Ok(Some(ExecBatch {
-                    base: batch.base,
                     sel: refined,
-                    visible: batch.visible,
+                    ..batch
                 }))
             }
             BatchOp::Project {
@@ -335,16 +379,9 @@ impl<'p> BatchOp<'p> {
                 let Some(batch) = input.next_batch(ctx, batch_rows, stats, metrics)? else {
                     return Ok(None);
                 };
-                let mut visible = Vec::with_capacity(columns.len());
-                for name in columns.iter() {
-                    visible.push(visible_position(&batch, name)?);
-                }
+                let batch = project_batch(batch, columns)?;
                 metrics.rows[*slot] += batch.sel.len() as u64;
-                Ok(Some(ExecBatch {
-                    base: batch.base,
-                    sel: batch.sel,
-                    visible,
-                }))
+                Ok(Some(batch))
             }
             BatchOp::Embed { slot, spec, input } => {
                 let Some(batch) = input.next_batch(ctx, batch_rows, stats, metrics)? else {
@@ -380,28 +417,8 @@ impl<'p> BatchOp<'p> {
                     metrics.rows[*slot] += table.num_rows() as u64;
                     *result = Some(Arc::new(table));
                 }
-                let base = result.as_ref().expect("materialised above").clone();
-                let rows = base.num_rows();
-                if *cursor >= rows {
-                    if !*emitted {
-                        *emitted = true;
-                        return Ok(Some(ExecBatch {
-                            visible: (0..base.num_columns()).collect(),
-                            sel: Vec::new(),
-                            base,
-                        }));
-                    }
-                    return Ok(None);
-                }
-                let end = (*cursor + batch_rows).min(rows);
-                let sel: Vec<u32> = (*cursor as u32..end as u32).collect();
-                *cursor = end;
-                *emitted = true;
-                Ok(Some(ExecBatch {
-                    visible: (0..base.num_columns()).collect(),
-                    sel,
-                    base,
-                }))
+                let base = result.as_ref().expect("materialised above");
+                Ok(emit_window(base, cursor, emitted, batch_rows, false))
             }
             BatchOp::HashJoinSource {
                 slot,
@@ -435,28 +452,8 @@ impl<'p> BatchOp<'p> {
                     metrics.rows[*slot] += table.num_rows() as u64;
                     *result = Some(Arc::new(table));
                 }
-                let base = result.as_ref().expect("materialised above").clone();
-                let rows = base.num_rows();
-                if *cursor >= rows {
-                    if !*emitted {
-                        *emitted = true;
-                        return Ok(Some(ExecBatch {
-                            visible: (0..base.num_columns()).collect(),
-                            sel: Vec::new(),
-                            base,
-                        }));
-                    }
-                    return Ok(None);
-                }
-                let end = (*cursor + batch_rows).min(rows);
-                let sel: Vec<u32> = (*cursor as u32..end as u32).collect();
-                *cursor = end;
-                *emitted = true;
-                Ok(Some(ExecBatch {
-                    visible: (0..base.num_columns()).collect(),
-                    sel,
-                    base,
-                }))
+                let base = result.as_ref().expect("materialised above");
+                Ok(emit_window(base, cursor, emitted, batch_rows, false))
             }
             BatchOp::Rename {
                 slot,
@@ -466,7 +463,7 @@ impl<'p> BatchOp<'p> {
                 let Some(batch) = input.next_batch(ctx, batch_rows, stats, metrics)? else {
                     return Ok(None);
                 };
-                let out = rename_one_batch(&batch, columns)?;
+                let out = rename_batch(batch, columns)?;
                 metrics.rows[*slot] += out.sel.len() as u64;
                 Ok(Some(out))
             }
@@ -474,16 +471,41 @@ impl<'p> BatchOp<'p> {
     }
 }
 
-/// Resolves a column name against the batch's *visible* set (hidden base
-/// columns must not leak), mirroring the row path's `ColumnNotFound`.
+/// Resolves a column name against the batch's *visible* set under its
+/// output names (hidden base columns must not leak), mirroring the row
+/// path's `ColumnNotFound`.  Returns the base schema position.
 fn visible_position(batch: &ExecBatch, name: &str) -> Result<usize> {
-    let fields = batch.base.schema().fields();
-    batch
-        .visible
-        .iter()
-        .copied()
-        .find(|&i| fields[i].name == name)
+    (0..batch.visible.len())
+        .find(|&i| batch.name_of(i) == name)
+        .map(|i| batch.visible[i])
         .ok_or_else(|| CoreError::from(StorageError::ColumnNotFound(name.to_string())))
+}
+
+/// A string column of the batch by output name: its base position and the
+/// *whole* base column (index it through `sel`).
+fn string_column<'b>(batch: &'b ExecBatch, name: &str) -> Result<(usize, &'b [String])> {
+    let pos = visible_position(batch, name)?;
+    let strings = batch.base.column(pos).map_err(CoreError::from)?.as_utf8()?;
+    Ok((pos, strings))
+}
+
+/// Embeds the selected lanes of a batch's string column (base position
+/// `pos`): by remembered slot when the base is a catalog snapshot, through
+/// the strings otherwise.
+fn embed_lanes(
+    batch: &ExecBatch,
+    (pos, strings): (usize, &[String]),
+    model: &str,
+    cache: &Arc<SharedCache>,
+    run: &RunEmbedder<'_>,
+    ctx: &ExecContext<'_>,
+) -> Matrix {
+    let slots = if batch.catalog_base {
+        ctx.embeddings.column_slots(model, cache, &batch.base, pos)
+    } else {
+        None
+    };
+    run.embed_rows(strings, &batch.sel, slots.as_deref())
 }
 
 /// Applies a filter predicate to a batch, returning the refined selection.
@@ -495,17 +517,20 @@ fn filter_batch(predicate: &Expr, batch: &ExecBatch) -> Result<Vec<u32>> {
     let mut names = Vec::new();
     expr_columns(predicate, &mut names);
     let fields = batch.base.schema().fields();
-    let all_visible = names
-        .iter()
-        .all(|n| batch.visible.iter().any(|&i| fields[i].name == *n));
+    let all_visible = batch.names.is_none()
+        && names
+            .iter()
+            .all(|n| batch.visible.iter().any(|&i| fields[i].name == *n));
     if all_visible {
-        // every referenced column is visible: evaluating against the base
-        // table over the selected lanes is exactly what the row path sees
+        // every referenced column is visible under its base name: evaluating
+        // against the base table over the selected lanes is exactly what the
+        // row path sees
         evaluate_predicate_select(predicate, &batch.base, &batch.sel).map_err(CoreError::from)
     } else {
-        // a referenced column is hidden or missing: gather the visible lanes
-        // and replicate the row path bit for bit, including its short-circuit
-        // semantics (an unknown column behind a false AND arm is no error)
+        // a referenced column is hidden, renamed or missing: gather the
+        // visible lanes and replicate the row path bit for bit, including
+        // its short-circuit semantics (an unknown column behind a false AND
+        // arm is no error)
         let gathered = gather_batch(batch)?;
         let bitmap = evaluate_predicate(predicate, &gathered).map_err(CoreError::from)?;
         Ok(bitmap
@@ -516,10 +541,45 @@ fn filter_batch(predicate: &Expr, batch: &ExecBatch) -> Result<Vec<u32>> {
     }
 }
 
-/// The `Embed` operator's per-batch body: gathers the selected lanes, embeds
-/// the input column in one batch call, and rebases the batch onto the
-/// embedded output table.  Returns the run-local embedding delta so callers
-/// on any thread can fold it into the run stats.
+/// The `Project` operator's per-batch body — metadata only: narrows the
+/// visible set.
+fn project_batch(batch: ExecBatch, columns: &[String]) -> Result<ExecBatch> {
+    let mut visible = Vec::with_capacity(columns.len());
+    for name in columns {
+        visible.push(visible_position(&batch, name)?);
+    }
+    Ok(ExecBatch {
+        visible,
+        // columns were found by output name, so they keep the names asked for
+        names: batch.names.as_ref().map(|_| columns.to_vec()),
+        ..batch
+    })
+}
+
+/// The `Rename` operator's per-batch body — metadata only: selects, reorders
+/// and renames visible columns without touching a row.
+fn rename_batch(batch: ExecBatch, columns: &[(String, String)]) -> Result<ExecBatch> {
+    let fields = batch.base.schema().fields();
+    let mut visible = Vec::with_capacity(columns.len());
+    let mut renamed = Vec::with_capacity(columns.len());
+    for (from, to) in columns {
+        let pos = visible_position(&batch, from)?;
+        visible.push(pos);
+        renamed.push(Field::new(to, fields[pos].data_type));
+    }
+    // the row path builds this schema; duplicate output names fail here too
+    Schema::new(renamed).map_err(CoreError::from)?;
+    Ok(ExecBatch {
+        visible,
+        names: Some(columns.iter().map(|(_, to)| to.clone()).collect()),
+        ..batch
+    })
+}
+
+/// The `Embed` operator's per-batch body: embeds the input column's selected
+/// lanes in one call, gathers the batch, and rebases it onto the embedded
+/// output table.  Returns the run-local embedding delta so callers on any
+/// thread can fold it into the run stats.
 fn embed_one_batch(
     batch: &ExecBatch,
     spec: &EmbedSpec,
@@ -527,44 +587,18 @@ fn embed_one_batch(
 ) -> Result<(ExecBatch, EmbeddingStats)> {
     let cache = ctx.embeddings.cache(&spec.model, ctx.registry)?;
     let run = RunEmbedder::new(cache.as_ref());
-    let pos = visible_position(batch, &spec.input_column)?;
-    let strings = batch.base.column(pos).map_err(CoreError::from)?.as_utf8()?;
-    // embed exactly the selected lanes, one batch call
-    let selected: Vec<String> = batch
-        .sel
-        .iter()
-        .map(|&lane| strings[lane as usize].clone())
-        .collect();
-    let matrix = embed_all(&run, &selected)?;
+    let column = string_column(batch, &spec.input_column)?;
+    let matrix = embed_lanes(batch, column, &spec.model, &cache, &run, ctx);
     let delta = run.stats();
     let gathered = gather_batch(batch)?;
     let out = gathered
         .with_column(&spec.output_column, Column::Vector(matrix))
         .map_err(CoreError::from)?;
-    let base = Arc::new(out);
-    let rows = base.num_rows();
+    let rows = out.num_rows() as u32;
     Ok((
-        ExecBatch {
-            sel: (0..rows as u32).collect(),
-            visible: (0..base.num_columns()).collect(),
-            base,
-        },
+        ExecBatch::window(Arc::new(out), (0..rows).collect(), false),
         delta,
     ))
-}
-
-/// The `Rename` operator's per-batch body: gather, select/rename/reorder,
-/// rebase.
-fn rename_one_batch(batch: &ExecBatch, columns: &[(String, String)]) -> Result<ExecBatch> {
-    let gathered = gather_batch(batch)?;
-    let out = rename_columns(&gathered, columns)?;
-    let base = Arc::new(out);
-    let rows = base.num_rows();
-    Ok(ExecBatch {
-        sel: (0..rows as u32).collect(),
-        visible: (0..base.num_columns()).collect(),
-        base,
-    })
 }
 
 /// Collects every column name an expression references.
@@ -584,52 +618,66 @@ fn expr_columns<'e>(expr: &'e Expr, out: &mut Vec<&'e str>) {
     }
 }
 
-/// Materialises a batch: visible columns, selected lanes.  When the batch is
-/// the whole base table the `Arc` contents are cloned directly (the same
-/// single copy the row path pays).
+/// Materialises a batch: visible columns, selected lanes.
 fn gather_batch(batch: &ExecBatch) -> Result<Table> {
-    let whole_table = batch
-        .visible
-        .iter()
-        .copied()
-        .eq(0..batch.base.num_columns())
-        && batch.sel.len() == batch.base.num_rows()
+    gather_rows(batch, &batch.sel)
+}
+
+/// Materialises rows `rows` of the batch's base under the batch's visible
+/// columns and output names.  When that is the whole base table the `Arc`
+/// contents are cloned directly (the same single copy the row path pays).
+fn gather_rows(batch: &ExecBatch, rows: &[u32]) -> Result<Table> {
+    let whole_table = batch.names.is_none()
         && batch
-            .sel
+            .visible
             .iter()
             .copied()
-            .eq(0..batch.base.num_rows() as u32);
+            .eq(0..batch.base.num_columns())
+        && rows.len() == batch.base.num_rows()
+        && rows.iter().copied().eq(0..batch.base.num_rows() as u32);
     if whole_table {
         return Ok(batch.base.as_ref().clone());
     }
-    let view = BatchView::new(&batch.base, &batch.sel, &batch.visible).map_err(CoreError::from)?;
-    view.gather().map_err(CoreError::from)
+    let mut fields = Vec::with_capacity(batch.visible.len());
+    let mut columns = Vec::with_capacity(batch.visible.len());
+    for (i, &pos) in batch.visible.iter().enumerate() {
+        let column = batch.base.column(pos).map_err(CoreError::from)?;
+        fields.push(Field::new(batch.name_of(i), column.data_type()));
+        columns.push(column.gather(rows).map_err(CoreError::from)?);
+    }
+    let schema = Schema::new(fields).map_err(CoreError::from)?;
+    Table::new(schema, columns).map_err(CoreError::from)
 }
 
-/// Reassembles drained batches into one table.  Batches that share a base
-/// and visible set collapse into a single gather; heterogeneous batches
-/// (e.g. per-batch `Embed` outputs) are gathered individually and
-/// concatenated.
-fn finalize(batches: Vec<ExecBatch>) -> Result<Table> {
+/// Collapses drained batches that window one base the same way (same
+/// visible set, same names) into a single selection — no row is copied.
+/// Heterogeneous batches (e.g. per-batch `Embed` outputs) come back
+/// untouched.
+fn merge_selections(batches: Vec<ExecBatch>) -> std::result::Result<ExecBatch, Vec<ExecBatch>> {
     let Some(first) = batches.first() else {
+        return Err(batches);
+    };
+    let same_window = batches.iter().all(|b| {
+        Arc::ptr_eq(&b.base, &first.base) && b.visible == first.visible && b.names == first.names
+    });
+    if !same_window {
+        return Err(batches);
+    }
+    let total: usize = batches.iter().map(|b| b.sel.len()).sum();
+    let mut batches = batches.into_iter();
+    let mut merged = batches.next().expect("non-empty, checked above");
+    merged.sel.reserve(total - merged.sel.len());
+    for b in batches {
+        merged.sel.extend_from_slice(&b.sel);
+    }
+    Ok(merged)
+}
+
+/// Gathers heterogeneous batches one by one and concatenates them.
+fn concat_batches(batches: &[ExecBatch]) -> Result<Table> {
+    if batches.is_empty() {
         // every pipeline emits at least one batch; defensive only
         return Ok(Table::empty());
-    };
-    let same_base = batches
-        .iter()
-        .all(|b| Arc::ptr_eq(&b.base, &first.base) && b.visible == first.visible);
-    if same_base {
-        let total = batches.iter().map(|b| b.sel.len()).sum();
-        let mut sel: Vec<u32> = Vec::with_capacity(total);
-        for b in &batches {
-            sel.extend_from_slice(&b.sel);
-        }
-        let merged = ExecBatch {
-            base: first.base.clone(),
-            sel,
-            visible: first.visible.clone(),
-        };
-        return gather_batch(&merged);
     }
     let parts: Vec<Table> = batches
         .iter()
@@ -637,6 +685,33 @@ fn finalize(batches: Vec<ExecBatch>) -> Result<Table> {
         .collect::<Result<Vec<_>>>()?;
     let refs: Vec<&Table> = parts.iter().collect();
     Table::concat(&refs).map_err(CoreError::from)
+}
+
+/// Reassembles drained batches into one table: a single gather when they
+/// share a window, gather-and-concatenate otherwise.
+fn finalize(batches: Vec<ExecBatch>) -> Result<Table> {
+    match merge_selections(batches) {
+        Ok(merged) => gather_batch(&merged),
+        Err(batches) => concat_batches(&batches),
+    }
+}
+
+/// One join input after its pipeline ran, kept as a **selection**: the rows
+/// `sel` of one base, nothing gathered.  Only when the batches do not share
+/// a window are they materialised (and then windowed whole).
+fn join_side(batches: Vec<ExecBatch>) -> Result<ExecBatch> {
+    match merge_selections(batches) {
+        Ok(merged) => Ok(merged),
+        Err(batches) => {
+            let table = concat_batches(&batches)?;
+            let rows = table.num_rows() as u32;
+            Ok(ExecBatch::window(
+                Arc::new(table),
+                (0..rows).collect(),
+                false,
+            ))
+        }
+    }
 }
 
 /// One stage of an extracted linear chain (everything above the scan).
@@ -749,11 +824,7 @@ fn process_morsel(
     let mut lane_counts = Vec::with_capacity(1 + chain.stages.len());
     let sel: Vec<u32> = range.collect();
     lane_counts.push(sel.len() as u64);
-    let mut batch = ExecBatch {
-        visible: (0..base.num_columns()).collect(),
-        sel,
-        base: base.clone(),
-    };
+    let mut batch = ExecBatch::window(base.clone(), sel, true);
     let mut embed_delta = EmbeddingStats::default();
     for stage in &chain.stages {
         match stage {
@@ -762,11 +833,7 @@ fn process_morsel(
                 lane_counts.push(batch.sel.len() as u64);
             }
             MorselStage::Project { columns, .. } => {
-                let mut visible = Vec::with_capacity(columns.len());
-                for name in columns.iter() {
-                    visible.push(visible_position(&batch, name)?);
-                }
-                batch.visible = visible;
+                batch = project_batch(batch, columns)?;
                 lane_counts.push(batch.sel.len() as u64);
             }
             MorselStage::Embed { spec, .. } => {
@@ -777,7 +844,7 @@ fn process_morsel(
                 batch = out;
             }
             MorselStage::Rename { columns, .. } => {
-                batch = rename_one_batch(&batch, columns)?;
+                batch = rename_batch(batch, columns)?;
                 lane_counts.push(batch.sel.len() as u64);
             }
         }
@@ -876,17 +943,17 @@ fn drain(
 
 /// The per-batch probe strategy of a join: everything inner-side is prepared
 /// once, then reused by every outer batch.
-enum Probe<'t> {
+enum Probe {
     Naive {
-        right: &'t [String],
+        right: Vec<String>,
     },
     Prefetch {
         join: PrefetchNlJoin,
-        inner: cej_vector::Matrix,
+        inner: Matrix,
     },
     Tensor {
         join: TensorJoin,
-        inner_norm: cej_vector::Matrix,
+        inner_norm: Matrix,
     },
     Hnsw {
         join: IndexJoin,
@@ -904,11 +971,22 @@ fn merge_stats(acc: &mut JoinStats, part: &JoinStats) {
     acc.peak_buffer_bytes = acc.peak_buffer_bytes.max(part.peak_buffer_bytes);
 }
 
-/// Executes a join node batch-at-a-time: materialise the inner side once,
-/// then stream outer morsels through the probe — concurrently on the
-/// context's pool, since the prepared probe state is read-only — remapping
-/// pair offsets by each morsel's cumulative position (in morsel order, so
-/// output order matches the serial loop exactly).
+/// The selected lanes of a string column as owned strings (the naive NLJ
+/// embeds inside its pair loop and wants plain slices).
+fn gather_strings(strings: &[String], sel: &[u32]) -> Vec<String> {
+    sel.iter()
+        .map(|&lane| strings[lane as usize].clone())
+        .collect()
+}
+
+/// Executes a join node batch-at-a-time.  Both inputs stay **selections**
+/// over their base tables until the pairs are known: the inner pipeline is
+/// collected but not gathered, its join column embedded by row
+/// ([`embed_lanes`]); outer morsels stream through the probe — concurrently
+/// on the context's pool, since the prepared probe state is read-only — with
+/// pair offsets remapped by each morsel's cumulative position (in morsel
+/// order, so output order matches the serial loop exactly); and only the
+/// matched rows of either side are ever copied ([`materialize_pairs`]).
 fn execute_join_batched(
     node: &JoinNode,
     outer: &mut BatchOp<'_>,
@@ -920,20 +998,23 @@ fn execute_join_batched(
 ) -> Result<Table> {
     let start = Instant::now();
 
-    // Materialise the inner subplan (if any) *before* snapshotting this
-    // join's cache counters — nested joins and embeds inside it account for
-    // their own model calls (same rule as the row path).
-    let inner_table = match inner.as_mut() {
-        Some(op) => Some(drain(op, ctx, batch_rows, stats, metrics)?),
+    // Run the inner subplan (if any) *before* snapshotting this join's cache
+    // counters — nested joins and embeds inside it account for their own
+    // model calls (same rule as the row path).
+    let planned_inner = match inner.as_mut() {
+        Some(op) => Some(join_side(collect_batches(
+            op, ctx, batch_rows, stats, metrics,
+        )?)?),
         None => None,
     };
 
     let cache = ctx.embeddings.cache(&node.model, ctx.registry)?;
     let run = RunEmbedder::new(cache.as_ref());
+    let embed = |side: &ExecBatch, column: (usize, &[String])| {
+        embed_lanes(side, column, &node.model, &cache, &run, ctx)
+    };
 
-    // An indexed inner brings its own view of the base table; a planned one
-    // is the materialised `inner_table`, which the probe state borrows from.
-    let (probe, indexed_view) = match (&node.op, &node.inner) {
+    let (probe, inner_side) = match (&node.op, &node.inner) {
         (PhysicalJoinOp::Index(config), InnerInput::Indexed(indexed)) => {
             // epoch first, then the table read (see the row path for why)
             let epoch = ctx.indexes.publication_epoch(&indexed.key);
@@ -967,45 +1048,38 @@ fn execute_join_batched(
                     Some(acc) => acc.and(&bitmap).map_err(CoreError::from)?,
                 });
             }
-            let right_view = match &indexed.projection {
-                Some(columns) => {
-                    let names: Vec<&str> = columns.iter().map(|c| c.as_str()).collect();
-                    base.project(&names).map_err(CoreError::from)?
-                }
-                None => base.as_ref().clone(),
-            };
+            // probe results name base rows: the inner side is the whole
+            // base under the index's projection
+            let rows = base.num_rows() as u32;
+            let mut side = ExecBatch::window(base, (0..rows).collect(), true);
+            if let Some(columns) = &indexed.projection {
+                side = project_batch(side, columns)?;
+            }
             (
                 Probe::Hnsw {
                     join,
                     index,
                     inner_filter,
                 },
-                Some(right_view),
+                side,
             )
         }
         (op, InnerInput::Plan(_)) => {
-            let right_strings = inner_table
-                .as_ref()
-                .expect("materialised above")
-                .column_by_name(&node.right_column)
-                .map_err(CoreError::from)?
-                .as_utf8()?;
+            let side = planned_inner.expect("collected above");
+            let column = string_column(&side, &node.right_column)?;
             check_predicate(&node.predicate)?;
             let probe = match op {
                 PhysicalJoinOp::NaiveNlj => Probe::Naive {
-                    right: right_strings,
+                    right: gather_strings(column.1, &side.sel),
                 },
-                PhysicalJoinOp::PrefetchNlj(config) => {
-                    let inner_matrix = embed_all(&run, right_strings)?;
-                    Probe::Prefetch {
-                        join: PrefetchNlJoin::new(*config),
-                        inner: inner_matrix,
-                    }
-                }
+                PhysicalJoinOp::PrefetchNlj(config) => Probe::Prefetch {
+                    join: PrefetchNlJoin::new(*config),
+                    inner: embed(&side, column),
+                },
                 PhysicalJoinOp::Tensor(config) => {
                     // the inner side is normalised exactly once; every probe
                     // batch reuses it through `join_prenormalized`
-                    let mut inner_norm = embed_all(&run, right_strings)?;
+                    let mut inner_norm = embed(&side, column);
                     normalize_matrix_rows_with(&mut inner_norm, config.kernel);
                     Probe::Tensor {
                         join: TensorJoin::new(*config),
@@ -1015,8 +1089,7 @@ fn execute_join_batched(
                 PhysicalJoinOp::Index(config) => {
                     stats.index_builds += 1;
                     let join = IndexJoin::new(*config);
-                    let inner_matrix = embed_all(&run, right_strings)?;
-                    let index = Arc::new(join.build_index(&inner_matrix)?);
+                    let index = Arc::new(join.build_index(&embed(&side, column))?);
                     Probe::Hnsw {
                         join,
                         index,
@@ -1024,7 +1097,7 @@ fn execute_join_batched(
                     }
                 }
             };
-            (probe, None)
+            (probe, side)
         }
         (op, InnerInput::Indexed(_)) => {
             return Err(CoreError::InvalidInput(format!(
@@ -1035,33 +1108,29 @@ fn execute_join_batched(
     };
 
     // Collect the outer morsels (parallel when the outer pipeline is a
-    // linear chain), then gather + probe every morsel concurrently: the
-    // probe state above is read-only and the run-local embedding counters
-    // are atomic.
+    // linear chain), then embed + probe every morsel concurrently: the probe
+    // state above is read-only and the run-local embedding counters are
+    // atomic.
     let batches = collect_batches(outer, ctx, batch_rows, stats, metrics)?;
     let probed = ctx
         .pool
-        .parallel_map(&batches, |batch| -> Result<(Table, Option<JoinResult>)> {
-            let gathered = gather_batch(batch)?;
+        .parallel_map(&batches, |batch| -> Result<Option<JoinResult>> {
             // the column lookup happens for every morsel (even empty ones)
             // so a missing probe column errors exactly like the row path
-            let left_strings = gathered
-                .column_by_name(&node.left_column)
-                .map_err(CoreError::from)?
-                .as_utf8()?;
-            if gathered.num_rows() == 0 {
-                return Ok((gathered, None));
+            let column = string_column(batch, &node.left_column)?;
+            if batch.sel.is_empty() {
+                return Ok(None);
             }
             let result = match &probe {
                 Probe::Naive { right } => {
-                    NaiveNlJoin::new().join(&run, left_strings, right, node.predicate)?
+                    let left = gather_strings(column.1, &batch.sel);
+                    NaiveNlJoin::new().join(&run, &left, right, node.predicate)?
                 }
                 Probe::Prefetch { join, inner } => {
-                    let left = embed_all(&run, left_strings)?;
-                    join.join_matrices(&left, inner, node.predicate)?
+                    join.join_matrices(&embed(batch, column), inner, node.predicate)?
                 }
                 Probe::Tensor { join, inner_norm } => {
-                    let mut left_norm = embed_all(&run, left_strings)?;
+                    let mut left_norm = embed(batch, column);
                     normalize_matrix_rows_with(&mut left_norm, join.config().kernel);
                     join.join_prenormalized(&left_norm, inner_norm, node.predicate)?
                 }
@@ -1069,31 +1138,31 @@ fn execute_join_batched(
                     join,
                     index,
                     inner_filter,
-                } => {
-                    let left = embed_all(&run, left_strings)?;
-                    join.probe_join(&left, index, node.predicate, None, inner_filter.as_ref())?
-                }
+                } => join.probe_join(
+                    &embed(batch, column),
+                    index,
+                    node.predicate,
+                    None,
+                    inner_filter.as_ref(),
+                )?,
             };
-            Ok((gathered, Some(result)))
+            Ok(Some(result))
         });
 
     // Fold per-morsel results in morsel order: pair offsets are remapped by
     // the cumulative outer position, so the pair list is exactly the serial
     // loop's.
-    let mut outer_parts: Vec<Table> = Vec::with_capacity(probed.len());
     let mut pairs: Vec<JoinPair> = Vec::new();
     let mut join_stats = JoinStats::default();
     let mut offset = 0usize;
-    for item in probed {
-        let (gathered, result) = item?;
-        if let Some(result) = result {
+    for (batch, result) in batches.iter().zip(probed) {
+        if let Some(result) = result? {
             for p in result.pairs {
                 pairs.push(JoinPair::new(offset + p.left, p.right, p.score));
             }
             merge_stats(&mut join_stats, &result.stats);
         }
-        offset += gathered.num_rows();
-        outer_parts.push(gathered);
+        offset += batch.sel.len();
     }
 
     let delta = run.stats();
@@ -1110,13 +1179,22 @@ fn execute_join_batched(
         pairs,
         stats: join_stats,
     };
-    let refs: Vec<&Table> = outer_parts.iter().collect();
-    let outer_table = Table::concat(&refs).map_err(CoreError::from)?;
-    let right_view = indexed_view
-        .as_ref()
-        .or(inner_table.as_ref())
-        .expect("every join has an indexed or a planned inner");
-    materialize_output(&outer_table, right_view, &result)
+    materialize_pairs(&join_side(batches)?, &inner_side, &result)
+}
+
+/// Late materialisation of a join: pair offsets are positions in each side's
+/// selection, so they are mapped through `sel` to base rows and only those
+/// rows — the matched ones — are gathered, straight from the base tables.
+fn materialize_pairs(outer: &ExecBatch, inner: &ExecBatch, result: &JoinResult) -> Result<Table> {
+    let pairs = result.sorted_pairs();
+    let left_rows: Vec<u32> = pairs.iter().map(|p| outer.sel[p.left]).collect();
+    let right_rows: Vec<u32> = pairs.iter().map(|p| inner.sel[p.right]).collect();
+    let scores: Vec<f64> = pairs.iter().map(|p| p.score as f64).collect();
+    join_output(
+        gather_rows(outer, &left_rows)?,
+        gather_rows(inner, &right_rows)?,
+        scores,
+    )
 }
 
 /// Executes a plan batch-at-a-time.  Same contract as the row executor:

@@ -8,7 +8,10 @@
 //!
 //! * [`EmbeddingCachePool`] — one counting [`CachedEmbedder`] per model,
 //!   owned by the session and shared by every query, so repeated executions
-//!   re-pay zero model calls for already-embedded strings;
+//!   re-pay zero model calls for already-embedded strings — and, beside each
+//!   cache, one row → slot map per scanned string column
+//!   ([`ColumnSlots`]), so warm runs fetch a tuple's vector by row id
+//!   instead of hashing its string again;
 //! * [`crate::index_manager::IndexManager`] — persistent HNSW indexes keyed
 //!   by `(table, column, model, params)`, so warm index-join runs perform no
 //!   HNSW construction at all.
@@ -17,13 +20,14 @@
 //! counters, so `ExecutionReport::embedding_stats` keeps its familiar
 //! meaning: model calls paid by *this* execution.
 
-use cej_embedding::{CachedEmbedder, Embedder, EmbeddingStats};
+use cej_embedding::{CachedEmbedder, Embedder, EmbeddingStats, UNRESOLVED_SLOT};
 use cej_relational::{eval::evaluate_predicate, physical::ModelRegistry, Catalog};
 use cej_storage::{Column, Field, Schema, SelectionBitmap, Table};
-use cej_vector::Vector;
+use cej_vector::{Matrix, Vector};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 use crate::access_path::AccessPath;
 use crate::batch_exec::ExecMode;
@@ -66,8 +70,8 @@ pub type SharedCache = CachedEmbedder<SharedEmbedder>;
 /// whichever queries happened to overlap with it.
 pub struct RunEmbedder<'r> {
     cache: &'r SharedCache,
-    model_calls: std::sync::atomic::AtomicU64,
-    cache_hits: std::sync::atomic::AtomicU64,
+    model_calls: AtomicU64,
+    cache_hits: AtomicU64,
 }
 
 impl<'r> RunEmbedder<'r> {
@@ -75,17 +79,82 @@ impl<'r> RunEmbedder<'r> {
     pub fn new(cache: &'r SharedCache) -> Self {
         Self {
             cache,
-            model_calls: std::sync::atomic::AtomicU64::new(0),
-            cache_hits: std::sync::atomic::AtomicU64::new(0),
+            model_calls: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
         }
     }
 
     /// The calls this run paid and the hits it was served so far.
     pub fn stats(&self) -> EmbeddingStats {
-        use std::sync::atomic::Ordering;
         EmbeddingStats {
             model_calls: self.model_calls.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
+        }
+    }
+
+    fn record(&self, delta: EmbeddingStats) {
+        self.model_calls
+            .fetch_add(delta.model_calls, Ordering::Relaxed);
+        self.cache_hits
+            .fetch_add(delta.cache_hits, Ordering::Relaxed);
+    }
+
+    /// Embeds rows `sel` of a string column, one matrix row per lane in
+    /// `sel` order.
+    ///
+    /// With the column's slot map, rows the map already knows are fetched by
+    /// slot — no string is touched — and only the others are resolved
+    /// through their strings, once, and remembered.  Without one this is the
+    /// string path over borrowed `&str`s.  Both read the same arena, so the
+    /// vectors are the same bits, and both count the same way: the first
+    /// touch of a never-seen string is a model call, every other lane a hit.
+    pub(crate) fn embed_rows(
+        &self,
+        column: &[String],
+        sel: &[u32],
+        slots: Option<&ColumnSlots>,
+    ) -> Matrix {
+        let text = |row: u32| column[row as usize].as_str();
+        let Some(memo) = slots else {
+            let strings: Vec<&str> = sel.iter().map(|&row| text(row)).collect();
+            let (matrix, delta) = self.cache.embed_strs_counted(&strings);
+            self.record(delta);
+            return matrix;
+        };
+        let mut model_calls = 0;
+        loop {
+            // a cleared cache moves the generation: everything this
+            // iteration learnt is then stale and it starts over
+            let generation = self.cache.generation();
+            let mut slots = memo.lookup(generation, sel);
+            let unresolved: Vec<usize> = (0..sel.len())
+                .filter(|&lane| slots[lane] == UNRESOLVED_SLOT)
+                .collect();
+            if !unresolved.is_empty() {
+                let strings: Vec<&str> = unresolved.iter().map(|&lane| text(sel[lane])).collect();
+                let resolved = self
+                    .cache
+                    .resolve(&strings)
+                    .expect("the pool hands out caching wrappers");
+                model_calls += resolved.model_calls;
+                if resolved.generation != generation {
+                    continue;
+                }
+                for (&lane, &slot) in unresolved.iter().zip(&resolved.slots) {
+                    slots[lane] = slot;
+                }
+                let rows = unresolved.iter().map(|&lane| sel[lane]);
+                memo.remember(generation, rows.zip(resolved.slots));
+            }
+            if let Some(matrix) = self.cache.gather_slots(generation, &slots) {
+                let cache_hits = (sel.len() as u64).saturating_sub(model_calls);
+                self.cache.add_hits(cache_hits);
+                self.record(EmbeddingStats {
+                    model_calls,
+                    cache_hits,
+                });
+                return matrix;
+            }
         }
     }
 }
@@ -96,25 +165,87 @@ impl Embedder for RunEmbedder<'_> {
     }
 
     fn embed(&self, input: &str) -> Vector {
-        use std::sync::atomic::Ordering;
         let (vector, paid) = self.cache.embed_counted(input);
-        if paid {
-            self.model_calls.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        self.record(EmbeddingStats {
+            model_calls: u64::from(paid),
+            cache_hits: u64::from(!paid),
+        });
         vector
     }
 
-    fn embed_batch(&self, inputs: &[String]) -> cej_vector::Matrix {
-        use std::sync::atomic::Ordering;
+    fn embed_batch(&self, inputs: &[String]) -> Matrix {
         let (matrix, delta) = self.cache.embed_batch_counted(inputs);
-        self.model_calls
-            .fetch_add(delta.model_calls, Ordering::Relaxed);
-        self.cache_hits
-            .fetch_add(delta.cache_hits, Ordering::Relaxed);
+        self.record(delta);
         matrix
     }
+}
+
+/// The remembered `row → slot` assignment of one string column of one table
+/// snapshot against one model's cache: which arena row holds the embedding of
+/// the string in row *r*.
+///
+/// Filled lazily, for exactly the lanes runs select (a pre-filtered row that
+/// no run ever admits is never embedded); 4 bytes per row of a table the
+/// catalog already holds.  The map belongs to one cache *generation*: after
+/// [`CachedEmbedder::clear_cache`] it forgets everything on next use.
+pub struct ColumnSlots {
+    /// The snapshot the rows index into.  Holding the `Weak` keeps the
+    /// allocation's address from being reused, which is what makes that
+    /// address a sound map key while this entry exists.
+    table: Weak<Table>,
+    state: RwLock<SlotState>,
+}
+
+struct SlotState {
+    generation: u64,
+    /// `UNRESOLVED_SLOT` = not resolved yet.
+    slots: Vec<u32>,
+}
+
+impl ColumnSlots {
+    fn new(table: &Arc<Table>) -> Self {
+        Self {
+            table: Arc::downgrade(table),
+            state: RwLock::new(SlotState {
+                generation: 0,
+                slots: vec![UNRESOLVED_SLOT; table.num_rows()],
+            }),
+        }
+    }
+
+    /// The slots of rows `sel` as far as they are known under `generation`.
+    fn lookup(&self, generation: u64, sel: &[u32]) -> Vec<u32> {
+        let state = self.state.read();
+        if state.generation != generation {
+            return vec![UNRESOLVED_SLOT; sel.len()];
+        }
+        sel.iter().map(|&row| state.slots[row as usize]).collect()
+    }
+
+    /// Records `(row, slot)` pairs resolved under `generation`.
+    fn remember(&self, generation: u64, resolved: impl Iterator<Item = (u32, u32)>) {
+        let mut state = self.state.write();
+        if state.generation > generation {
+            // a newer generation already owns the map
+            return;
+        }
+        if state.generation < generation {
+            state.slots.fill(UNRESOLVED_SLOT);
+            state.generation = generation;
+        }
+        for (row, slot) in resolved {
+            state.slots[row as usize] = slot;
+        }
+    }
+}
+
+/// What the pool keeps per model: the shared cache and, beside it, the slot
+/// maps of the columns embedded through it, keyed by (table allocation
+/// address, column position).  Dropping the entry drops both, so a
+/// re-registered model can never be served slots of its predecessor's arena.
+struct ModelEntry {
+    cache: Arc<SharedCache>,
+    columns: HashMap<(usize, usize), Arc<ColumnSlots>>,
 }
 
 /// Session-owned pool of per-model embedding caches.
@@ -122,9 +253,16 @@ impl Embedder for RunEmbedder<'_> {
 /// The cache for a model survives across queries (and is shared with every
 /// prepared query), which is what makes warm executions free of model calls;
 /// it is dropped when the model is re-registered.
+///
+/// Beside each cache the pool keeps the [`ColumnSlots`] of the base-table
+/// columns that were embedded through it.  A map is tied to one table
+/// *allocation*: a new table version, a re-registered table or a delta all
+/// publish a new `Arc<Table>`, which simply has no map yet, and maps whose
+/// table is gone are swept whenever a new one is inserted — so the maps are
+/// bounded by the live tables, with no budget to tune.
 #[derive(Default)]
 pub struct EmbeddingCachePool {
-    caches: RwLock<HashMap<String, Arc<SharedCache>>>,
+    caches: RwLock<HashMap<String, ModelEntry>>,
 }
 
 impl std::fmt::Debug for EmbeddingCachePool {
@@ -148,17 +286,61 @@ impl EmbeddingCachePool {
     /// Returns [`cej_relational::RelationalError::UnknownModel`] (wrapped)
     /// when the registry has no such model.
     pub fn cache(&self, model: &str, registry: &ModelRegistry) -> Result<Arc<SharedCache>> {
-        if let Some(cache) = self.caches.read().get(model) {
-            return Ok(cache.clone());
+        if let Some(entry) = self.caches.read().get(model) {
+            return Ok(entry.cache.clone());
         }
         let resolved = registry.model(model).map_err(CoreError::from)?;
         let cache = Arc::new(CachedEmbedder::new(SharedEmbedder(resolved)));
         let mut write = self.caches.write();
-        Ok(write.entry(model.to_string()).or_insert(cache).clone())
+        let entry = write.entry(model.to_string()).or_insert(ModelEntry {
+            cache,
+            columns: HashMap::new(),
+        });
+        Ok(entry.cache.clone())
+    }
+
+    /// The slot map of column `column` of `table` under `model`, created
+    /// (and dead maps swept) on first use.  `None` when `cache` is no longer
+    /// the pool's cache for `model` — the model was re-registered meanwhile,
+    /// and the caller embeds through strings instead.
+    pub(crate) fn column_slots(
+        &self,
+        model: &str,
+        cache: &Arc<SharedCache>,
+        table: &Arc<Table>,
+        column: usize,
+    ) -> Option<Arc<ColumnSlots>> {
+        let key = (Arc::as_ptr(table) as usize, column);
+        {
+            let read = self.caches.read();
+            let entry = read.get(model)?;
+            if !Arc::ptr_eq(&entry.cache, cache) {
+                return None;
+            }
+            if let Some(slots) = entry.columns.get(&key) {
+                return Some(slots.clone());
+            }
+        }
+        let mut write = self.caches.write();
+        for entry in write.values_mut() {
+            entry
+                .columns
+                .retain(|_, slots| slots.table.strong_count() > 0);
+        }
+        let entry = write.get_mut(model)?;
+        if !Arc::ptr_eq(&entry.cache, cache) {
+            return None;
+        }
+        let slots = entry
+            .columns
+            .entry(key)
+            .or_insert_with(|| Arc::new(ColumnSlots::new(table)));
+        Some(slots.clone())
     }
 
     /// Drops the cache of one model (used when the model is re-registered,
-    /// because memoised vectors came from the old model).
+    /// because memoised vectors came from the old model) together with its
+    /// slot maps.
     pub fn invalidate(&self, model: &str) {
         self.caches.write().remove(model);
     }
@@ -172,8 +354,8 @@ impl EmbeddingCachePool {
     pub fn stats(&self) -> EmbeddingStats {
         let read = self.caches.read();
         let mut total = EmbeddingStats::default();
-        for cache in read.values() {
-            let s = cache.stats();
+        for entry in read.values() {
+            let s = entry.cache.stats();
             total.model_calls += s.model_calls;
             total.cache_hits += s.cache_hits;
         }
@@ -185,7 +367,18 @@ impl EmbeddingCachePool {
         self.caches
             .read()
             .values()
-            .map(|c| c.cached_entries())
+            .map(|entry| entry.cache.cached_entries())
+            .sum()
+    }
+
+    /// Number of slot maps held: one per (table snapshot, column, model)
+    /// that was embedded by row, including maps of dropped tables not yet
+    /// swept by the next insertion.
+    pub fn slot_maps(&self) -> usize {
+        self.caches
+            .read()
+            .values()
+            .map(|entry| entry.columns.len())
             .sum()
     }
 }
@@ -563,29 +756,28 @@ pub(crate) fn materialize_output(
     let left_indices: Vec<usize> = pairs.iter().map(|p| p.left).collect();
     let right_indices: Vec<usize> = pairs.iter().map(|p| p.right).collect();
     let scores: Vec<f64> = pairs.iter().map(|p| p.score as f64).collect();
+    join_output(
+        left.take(&left_indices).map_err(CoreError::from)?,
+        right.take(&right_indices).map_err(CoreError::from)?,
+        scores,
+    )
+}
 
-    let left_taken = left.take(&left_indices).map_err(CoreError::from)?;
-    let right_taken = right.take(&right_indices).map_err(CoreError::from)?;
-
+/// Assembles the join output from the matched rows of each side (row `i` of
+/// `left`, of `right` and of `scores` is the `i`-th pair): the sides' columns
+/// are moved, not copied, under `l_` / `r_` names, then `similarity`.
+pub(crate) fn join_output(left: Table, right: Table, scores: Vec<f64>) -> Result<Table> {
     let mut fields: Vec<Field> = Vec::new();
     let mut columns: Vec<Column> = Vec::new();
-    for (field, column) in left_taken
-        .schema()
-        .fields()
-        .iter()
-        .zip(left_taken.columns())
-    {
-        fields.push(Field::new(format!("l_{}", field.name), field.data_type));
-        columns.push(column.clone());
-    }
-    for (field, column) in right_taken
-        .schema()
-        .fields()
-        .iter()
-        .zip(right_taken.columns())
-    {
-        fields.push(Field::new(format!("r_{}", field.name), field.data_type));
-        columns.push(column.clone());
+    for (prefix, side) in [("l_", left), ("r_", right)] {
+        let (schema, side_columns) = side.into_parts();
+        for field in schema.fields() {
+            fields.push(Field::new(
+                format!("{prefix}{}", field.name),
+                field.data_type,
+            ));
+        }
+        columns.extend(side_columns);
     }
     fields.push(Field::new("similarity", cej_storage::DataType::Float64));
     columns.push(Column::Float64(scores));

@@ -46,7 +46,7 @@ pub mod tokenizer;
 pub mod train;
 pub mod vocab;
 
-pub use cache::{CachedEmbedder, EmbeddingStats};
+pub use cache::{CachedEmbedder, EmbeddingStats, ResolvedSlots, UNRESOLVED_SLOT};
 pub use cost::ModelCostProfile;
 pub use error::EmbeddingError;
 pub use model::{Embedder, FastTextConfig, FastTextModel};

@@ -51,9 +51,10 @@ pub trait Embedder: Send + Sync {
 /// global worker pool and reassembles one matrix row per input, in input
 /// order.  Used by the [`Embedder::embed_batch`] default and by wrappers
 /// (e.g. the counting cache) whose per-input closure differs.
-pub(crate) fn embed_batch_with<F>(dim: usize, inputs: &[String], embed: F) -> Matrix
+pub(crate) fn embed_batch_with<S, F>(dim: usize, inputs: &[S], embed: F) -> Matrix
 where
-    F: Fn(&String) -> Vector + Sync,
+    S: Sync,
+    F: Fn(&S) -> Vector + Sync,
 {
     if inputs.is_empty() {
         return Matrix::zeros(0, dim);

@@ -204,33 +204,40 @@ impl Column {
                 });
             }
         }
+        // Exact-capacity outputs: a concatenated table is often kept (every
+        // applied delta publishes one), so growth slack would stay resident.
+        let total: usize = parts.iter().map(|p| p.len()).sum();
         Ok(match first {
-            Column::Int64(_) => Column::Int64(
-                parts
-                    .iter()
-                    .flat_map(|p| p.as_int64().expect("checked").iter().copied())
-                    .collect(),
-            ),
-            Column::Float64(_) => Column::Float64(
-                parts
-                    .iter()
-                    .flat_map(|p| p.as_float64().expect("checked").iter().copied())
-                    .collect(),
-            ),
-            Column::Utf8(_) => Column::Utf8(
-                parts
-                    .iter()
-                    .flat_map(|p| p.as_utf8().expect("checked").iter().cloned())
-                    .collect(),
-            ),
-            Column::Date(_) => Column::Date(
-                parts
-                    .iter()
-                    .flat_map(|p| p.as_date().expect("checked").iter().copied())
-                    .collect(),
-            ),
+            Column::Int64(_) => {
+                let mut out = Vec::with_capacity(total);
+                for part in parts {
+                    out.extend_from_slice(part.as_int64().expect("checked"));
+                }
+                Column::Int64(out)
+            }
+            Column::Float64(_) => {
+                let mut out = Vec::with_capacity(total);
+                for part in parts {
+                    out.extend_from_slice(part.as_float64().expect("checked"));
+                }
+                Column::Float64(out)
+            }
+            Column::Utf8(_) => {
+                let mut out = Vec::with_capacity(total);
+                for part in parts {
+                    out.extend_from_slice(part.as_utf8().expect("checked"));
+                }
+                Column::Utf8(out)
+            }
+            Column::Date(_) => {
+                let mut out = Vec::with_capacity(total);
+                for part in parts {
+                    out.extend_from_slice(part.as_date().expect("checked"));
+                }
+                Column::Date(out)
+            }
             Column::Bool(_) => {
-                let mut out = Vec::new();
+                let mut out = Vec::with_capacity(total);
                 for part in parts {
                     if let Column::Bool(v) = part {
                         out.extend_from_slice(v);
@@ -247,14 +254,13 @@ impl Column {
                     })
                     .next()
                     .unwrap_or(first_m.cols());
-                let mut rows = 0usize;
-                let mut data = Vec::new();
+                let mut data = Vec::with_capacity(total * cols);
                 for part in parts {
                     if let Column::Vector(m) = part {
-                        rows += m.rows();
                         data.extend_from_slice(m.as_slice());
                     }
                 }
+                let rows = total;
                 Column::Vector(
                     Matrix::from_flat(rows, cols, data)
                         .map_err(|e| StorageError::InvalidArgument(e.to_string()))?,
@@ -423,6 +429,45 @@ mod tests {
             assert_eq!(t.len(), 1);
             assert_eq!(t.data_type(), c.data_type());
         }
+    }
+
+    #[test]
+    fn concat_stacks_every_type_without_growth_slack() {
+        let big: Vec<i64> = (0..1000).collect();
+        let tail = Column::Int64(vec![7; 3]);
+        let Column::Int64(out) = Column::concat(&[&Column::Int64(big), &tail]).unwrap() else {
+            panic!("int64 in, int64 out");
+        };
+        assert_eq!(out.len(), 1003);
+        assert_eq!(out[1000..], [7, 7, 7]);
+        // a published table version keeps this buffer: no doubling slack
+        assert_eq!(out.capacity(), out.len());
+        let pairs = vec![
+            (Column::Float64(vec![1.0]), Column::Float64(vec![2.0, 3.0])),
+            (utf8_col(), utf8_col()),
+            (Column::Date(vec![1]), Column::Date(vec![])),
+            (Column::Bool(vec![true]), Column::Bool(vec![false])),
+            (
+                Column::Vector(Matrix::zeros(0, 0)),
+                Column::Vector(Matrix::zeros(2, 3)),
+            ),
+        ];
+        for (a, b) in pairs {
+            let joined = Column::concat(&[&a, &b]).unwrap();
+            assert_eq!(joined.len(), a.len() + b.len());
+            assert_eq!(
+                joined.get(0).unwrap(),
+                a.get(0).or_else(|_| b.get(0)).unwrap()
+            );
+            assert_eq!(
+                joined.get(joined.len() - 1).unwrap(),
+                b.get(b.len().max(1) - 1)
+                    .or_else(|_| a.get(a.len() - 1))
+                    .unwrap()
+            );
+        }
+        assert!(Column::concat(&[]).is_err());
+        assert!(Column::concat(&[&Column::Int64(vec![1]), &utf8_col()]).is_err());
     }
 
     #[test]

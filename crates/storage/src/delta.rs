@@ -53,8 +53,9 @@ pub enum Delta {
 /// the exact added/removed row multisets (both in the table's schema).
 #[derive(Debug, Clone)]
 pub struct AppliedDelta {
-    /// The post-delta table.
-    pub table: Table,
+    /// The post-delta table, shared with the [`TableVersion`] (and the
+    /// catalog entry) that publishes it — built once, never copied.
+    pub table: Arc<Table>,
     /// Rows present after but not before (appended / upserted rows).
     pub added: Table,
     /// Rows present before but not after (deleted / replaced rows).
@@ -214,7 +215,7 @@ impl Delta {
         let empty = current.take(&[])?;
         match self {
             Delta::Append(rows) => Ok(AppliedDelta {
-                table: Table::concat(&[current, rows])?,
+                table: Arc::new(Table::concat(&[current, rows])?),
                 added: rows.clone(),
                 removed: empty,
             }),
@@ -223,7 +224,7 @@ impl Delta {
                     keys.iter().map(scalar_key).collect::<Result<_>>()?;
                 let (kept, removed) = split_by_keys(current, key_column, &key_set)?;
                 Ok(AppliedDelta {
-                    table: kept,
+                    table: Arc::new(kept),
                     added: empty,
                     removed,
                 })
@@ -234,7 +235,7 @@ impl Delta {
                     .collect();
                 let (kept, removed) = split_by_keys(current, key_column, &key_set)?;
                 Ok(AppliedDelta {
-                    table: Table::concat(&[&kept, rows])?,
+                    table: Arc::new(Table::concat(&[&kept, rows])?),
                     added: rows.clone(),
                     removed,
                 })
@@ -323,7 +324,7 @@ impl TableVersion {
         let applied = delta.apply(self.table.as_ref())?;
         let head = Arc::new(TableVersion {
             version: self.version + 1,
-            table: Arc::new(applied.table.clone()),
+            table: applied.table.clone(),
             parent: Some(truncate_chain(
                 self,
                 MAX_VERSION_CHAIN.saturating_sub(1).max(1),
@@ -480,6 +481,10 @@ mod tests {
             let delta = Delta::Append(rows(vec![100 + i], vec!["x"]));
             let (next, applied) = head.apply(&delta).unwrap();
             assert_eq!(applied.added.num_rows(), 1);
+            assert!(
+                Arc::ptr_eq(&applied.table, next.table()),
+                "the new head shares the applied table instead of copying it"
+            );
             head = next;
         }
         assert_eq!(head.version(), 20);

@@ -82,6 +82,14 @@ impl Table {
         &self.columns
     }
 
+    /// Takes the table apart into its schema and its columns (in schema
+    /// order), so a consumer that builds a new table from them — a join
+    /// output, a renamed view — moves the column buffers instead of cloning
+    /// them.
+    pub fn into_parts(self) -> (Schema, Vec<Column>) {
+        (self.schema, self.columns)
+    }
+
     /// The column at schema position `i`.
     ///
     /// # Errors
@@ -318,6 +326,15 @@ mod tests {
         assert_eq!(out.num_rows(), 3);
         assert_eq!(out.value(0, "id").unwrap(), ScalarValue::Int64(3));
         assert_eq!(out.value(2, "id").unwrap(), ScalarValue::Int64(1));
+    }
+
+    #[test]
+    fn into_parts_moves_the_columns_out() {
+        let t = sample();
+        let (schema, columns) = t.clone().into_parts();
+        assert_eq!(&schema, t.schema());
+        assert_eq!(columns, t.columns());
+        assert_eq!(Table::new(schema, columns).unwrap(), t);
     }
 
     #[test]

@@ -75,6 +75,10 @@ impl TopK {
     }
 
     /// Offers a candidate; it is kept only if it beats the current k-th best.
+    ///
+    /// An unfilled collector keeps a NaN score like any other; the heap order
+    /// is then no longer total and which entries later pushes evict is
+    /// unspecified (deterministic, but not "the k best").
     pub fn push(&mut self, id: usize, score: f32) {
         if self.k == 0 {
             return;
@@ -97,22 +101,27 @@ impl TopK {
     ///
     /// The equivalence rests on the k-th best never falling, which holds
     /// while the kept scores are totally ordered.  A NaN kept by an unfilled
-    /// collector breaks that order (it compares equal to everything), and
-    /// which entries survive later pushes is then unspecified — for this
-    /// method as for [`TopK::push`]; a NaN offered to a full collector is
-    /// always refused.
+    /// collector breaks that order (it compares equal to everything): a
+    /// later push can then surface a kept score *below* the k-th best seen
+    /// so far, and which entries survive is unspecified — for this method as
+    /// for [`TopK::push`].  What this method still guarantees in that state
+    /// is [`scan_at_least`]'s precondition: the bound it scans against never
+    /// falls, so no score under a bound once in force is admitted later in
+    /// the row.  A NaN offered to a full collector is always refused.
     pub fn push_row(&mut self, first_id: usize, scores: &[f32]) {
         // an unfilled collector keeps whatever comes, NaN included
         let fill = (self.k - self.heap.len()).min(scores.len());
         for (i, &score) in scores[..fill].iter().enumerate() {
             self.push(first_id + i, score);
         }
-        let Some(bound) = self.threshold() else {
+        let Some(mut bound) = self.threshold() else {
             return;
         };
         scan_at_least(&scores[fill..], bound, |i, score| {
             self.push(first_id + fill + i, score);
-            self.heap.peek().map_or(bound, |worst| worst.0.score)
+            // `f32::max` keeps `bound` when the new worst is lower or NaN
+            bound = bound.max(self.heap.peek().map_or(bound, |worst| worst.0.score));
+            bound
         });
     }
 
@@ -153,7 +162,8 @@ impl TopK {
 /// exactly those scores that are `>=` the bound in force when `i` is
 /// reached.  The bound starts at `bound` and `visit` returns the one to use
 /// from there on, which must not be lower (a top-k collector's k-th best
-/// only rises; a threshold harvest returns its threshold).  NaN is never
+/// only rises — [`TopK::push_row`] clamps it so that this holds even after a
+/// NaN was kept; a threshold harvest returns its threshold).  NaN is never
 /// visited.
 ///
 /// The row is walked in 8-lane groups: one branch-free compare produces a
@@ -374,6 +384,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn push_row_bound_never_falls_once_a_nan_is_kept() {
+        // An unfilled collector keeps a NaN; the heap order is then not
+        // total and a later push can surface a kept score *below* the bound
+        // the row is being scanned against.  Whatever survives, the scan
+        // must not follow the bound down: nothing offered after the fill
+        // phase gets in with a score under the bound in force when the fill
+        // ended — neither in the rest of its 8-lane group nor later.
+        let mut falls_seen = 0;
+        for k in [2usize, 3, 4, 5, 8] {
+            for seed in 0..400u32 {
+                // blocks harvested with descending ids put a NaN above
+                // lower-id entries it compares equal to
+                let mut collector = TopK::new(k);
+                for (bi, first_id) in [400usize, 200, 0].into_iter().enumerate() {
+                    let scores = tied_scores(19, seed * 3 + bi as u32, true);
+                    let fill = (k - collector.len()).min(scores.len());
+                    let mut filled = collector.clone();
+                    for (i, &s) in scores[..fill].iter().enumerate() {
+                        filled.push(first_id + i, s);
+                    }
+                    let bound = filled.threshold();
+                    collector.push_row(first_id, &scores);
+                    // per-score pushes do follow the bound down in that state
+                    let mut by_score = filled.clone();
+                    for (i, &s) in scores.iter().enumerate().skip(fill) {
+                        by_score.push(first_id + i, s);
+                    }
+                    let Some(bound) = bound.filter(|b| !b.is_nan()) else {
+                        continue;
+                    };
+                    let scanned = first_id + fill..first_id + scores.len();
+                    let below = |c: &TopK| {
+                        c.heap
+                            .iter()
+                            .filter(|e| scanned.contains(&e.0.id) && e.0.score < bound)
+                            .count()
+                    };
+                    assert_eq!(below(&collector), 0, "k {k} seed {seed} block {bi}");
+                    falls_seen += below(&by_score);
+                }
+            }
+        }
+        assert!(falls_seen > 0, "the sweep must reach the non-total state");
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //! shared session, drive the text protocol through real TCP clients, and
 //! assert on statement reuse, concurrency, admission, and shutdown.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Mutex;
+
 use cej_core::{ContextJoinSession, JoinStrategy, TensorJoinConfig};
-use cej_embedding::{FastTextConfig, FastTextModel};
+use cej_embedding::{Embedder, FastTextConfig, FastTextModel};
 use cej_server::{Client, Response, Server, ServerConfig};
 use cej_workload::{JoinWorkload, RelationSpec};
 
@@ -199,12 +203,55 @@ fn concurrent_clients_share_the_session_and_agree() {
     server.shutdown();
 }
 
+/// A model whose next call, once armed, announces itself and then blocks
+/// until the test lets it go — so a test can *hold* a query mid-execution
+/// instead of hoping two runs overlap.
+struct GatedModel {
+    model: FastTextModel,
+    armed: AtomicBool,
+    entered: SyncSender<()>,
+    release: Mutex<Receiver<()>>,
+}
+
+impl Embedder for GatedModel {
+    fn dim(&self) -> usize {
+        self.model.dim()
+    }
+
+    fn embed(&self, input: &str) -> cej_vector::Vector {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.entered.send(()).expect("test is listening");
+            let release = self.release.lock().expect("gate lock");
+            release.recv().expect("test releases the gate");
+        }
+        self.model.embed(input)
+    }
+}
+
 #[test]
 fn admission_gate_rejects_overload_with_busy() {
-    // a 1-slot, 0-queue server: while one slow query runs, any other RUN is
-    // rejected as busy
+    // a 1-slot, 0-queue server: while one query runs, any other RUN is
+    // rejected as busy.  The first query is held inside its first model call,
+    // so the overlap is a fact, not a race.
+    let (entered_tx, entered_rx) = sync_channel(1);
+    let (release_tx, release_rx) = sync_channel(1);
+    let mut session = demo_session();
+    session.register_model(
+        "gated",
+        GatedModel {
+            model: FastTextModel::new(FastTextConfig {
+                dim: 16,
+                buckets: 2_000,
+                ..FastTextConfig::default()
+            })
+            .unwrap(),
+            armed: AtomicBool::new(true),
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+        },
+    );
     let mut server = Server::start(
-        demo_session(),
+        session,
         ServerConfig {
             max_inflight: 1,
             max_queued: 0,
@@ -216,51 +263,38 @@ fn admission_gate_rejects_overload_with_busy() {
 
     let mut blocker = Client::connect(addr).unwrap();
     blocker
-        .request("PREPARE slow JOIN r.word s.word MODEL ft TOPK 4")
+        .request("PREPARE slow JOIN r.word s.word MODEL gated TOPK 4")
         .unwrap();
     let mut prober = Client::connect(addr).unwrap();
     prober
         .request("PREPARE q JOIN r.word s.word MODEL ft TOPK 1")
         .unwrap();
 
-    // hammer from two threads so executions overlap; with a single slot at
-    // least one request must observe `busy`.  A refused client backs off for
-    // a moment, as a real one would: a refusal is far cheaper than a run, so
-    // without it one client can spend all 50 requests on refusals during a
-    // handful of the other's runs, and "most are served" becomes a race.
-    let back_off = || std::thread::sleep(std::time::Duration::from_millis(1));
-    let hammer = std::thread::spawn(move || {
-        let mut busy = 0;
-        for _ in 0..50 {
-            match blocker.request("RUN slow").unwrap() {
-                Response::Err(e) if e.starts_with("busy") => {
-                    busy += 1;
-                    back_off();
-                }
-                Response::Rows { .. } => {}
-                other => panic!("unexpected response {other:?}"),
-            }
-        }
-        busy
-    });
-    let mut busy = 0;
-    for _ in 0..50 {
+    let holder = std::thread::spawn(move || blocker.request("RUN slow").unwrap());
+    // the blocker's run is inside the model now: it owns the only slot
+    entered_rx.recv().unwrap();
+    assert_eq!(server.admission().inflight, 1);
+    for rejected in 1..=3u64 {
         match prober.request("RUN q").unwrap() {
-            Response::Err(e) if e.starts_with("busy") => {
-                busy += 1;
-                back_off();
-            }
-            Response::Rows { .. } => {}
-            other => panic!("unexpected response {other:?}"),
+            Response::Err(e) => assert!(e.starts_with("busy"), "unexpected error {e}"),
+            other => panic!("a full gate must refuse, got {other:?}"),
         }
+        assert_eq!(server.admission().rejected, rejected);
     }
-    busy += hammer.join().unwrap();
-    let admission = server.admission();
-    assert_eq!(admission.rejected as usize, busy);
+    release_tx.send(()).unwrap();
     assert!(
-        admission.admitted >= 50,
-        "most requests must still be served"
+        matches!(holder.join().unwrap(), Response::Rows { .. }),
+        "the held query finishes normally"
     );
+    // the slot is free again: the refused client is served on retry
+    assert!(matches!(
+        prober.request("RUN q").unwrap(),
+        Response::Rows { .. }
+    ));
+    let admission = server.admission();
+    assert_eq!(admission.admitted, 2);
+    assert_eq!(admission.rejected, 3);
+    assert_eq!(admission.peak_inflight, 1);
     server.shutdown();
 }
 

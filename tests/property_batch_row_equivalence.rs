@@ -14,6 +14,14 @@
 //! execution must not change a single byte relative to the serial pull
 //! loop, only timing.
 //!
+//! A second deterministic sweep pins the *embedding* side of the contract:
+//! the batch executor embeds base-table columns by row id (slot maps) and
+//! keeps a join's inner side a selection, the row executor embeds strings —
+//! and both must report the same table **and** the same
+//! `ExecutionReport::embedding_stats`, on the first (cold) and the second
+//! (warm) run, whether the inner side is unfiltered, filtered, projected or
+//! renamed.
+//!
 //! A deterministic tensor-join sweep adds the cardinalities the random cases
 //! rarely hit together: outer sizes ≡ 1, 2, 3 (mod 4) and odd inner sizes, so
 //! that the whole-table GEMM of the row executor and the 1/7/1024-row morsels
@@ -21,10 +29,10 @@
 //! 4 × 2 register-block edges — a score must not depend on which side.
 
 use cej_core::{
-    ContextJoinSession, ExecContext, ExecMode, IndexJoinConfig, JoinStrategy, NljConfig,
-    TensorJoinConfig,
+    ContextJoinSession, ExecContext, ExecMode, IndexJoinConfig, InnerInput, JoinStrategy,
+    NljConfig, PhysicalJoinOp, TensorJoinConfig,
 };
-use cej_embedding::{FastTextConfig, FastTextModel};
+use cej_embedding::{EmbeddingStats, FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
 use cej_relational::{col, lit_i64, LogicalPlan, SimilarityPredicate};
 use cej_storage::Table;
@@ -88,6 +96,104 @@ fn run_mode(
         .execute_with(&ctx, mode)
         .expect("execute");
     (out.table, out.operator_rows, out.stats.matched_pairs)
+}
+
+/// Runs `plan` twice on a **fresh** session — so the first run is cold for
+/// this executor, whatever ran before — returning table and embedding
+/// counters of both runs, and the number of slot maps the session ended up
+/// with next to the number of scanned join columns a batch run embeds by row
+/// (the outer one, and the inner one unless a persistent index stands in for
+/// it: index builds embed through strings).
+fn cold_then_warm(
+    strategy: JoinStrategy,
+    plan: &LogicalPlan,
+    mode: ExecMode,
+    threads: usize,
+) -> ([(Table, EmbeddingStats); 2], (usize, usize)) {
+    let s = session(9, 33, strategy);
+    let prepared = s.prepare(plan).expect("prepare");
+    let join = prepared.physical_plan().join_nodes()[0];
+    let by_row_columns = match (&join.op, &join.inner) {
+        // the naive NLJ embeds inside its pair loop, by string
+        (PhysicalJoinOp::NaiveNlj, _) => 0,
+        (_, InnerInput::Indexed(_)) => 1,
+        (_, InnerInput::Plan(_)) => 2,
+    };
+    let registry = s.model_registry();
+    let ctx = ExecContext {
+        catalog: s.catalog(),
+        registry: &registry,
+        embeddings: s.embedding_caches(),
+        indexes: s.index_manager(),
+        pool: cej_exec::ExecPool::new(threads),
+    };
+    let run = || {
+        let out = prepared
+            .physical_plan()
+            .execute_with(&ctx, mode)
+            .expect("execute");
+        (out.table, out.stats.embedding_stats)
+    };
+    let runs = [run(), run()];
+    (runs, (s.embedding_caches().slot_maps(), by_row_columns))
+}
+
+#[test]
+fn embedding_by_row_matches_embedding_by_string_cold_and_warm() {
+    let filtered = || LogicalPlan::scan("s").select(col("filter").lt(lit_i64(40)));
+    let inner_sides: [(&str, LogicalPlan, &str); 4] = [
+        ("unfiltered", LogicalPlan::scan("s"), "word"),
+        ("filtered", filtered(), "word"),
+        ("projected", filtered().project(&["word", "id"]), "word"),
+        (
+            "renamed",
+            filtered().rename(&[("id", "sid"), ("word", "text")]),
+            "text",
+        ),
+    ];
+    for (shape, inner, right_column) in inner_sides {
+        for strategy_idx in 0..4 {
+            let strategy = strategy_for(strategy_idx);
+            // the naive NLJ only takes thresholds
+            let predicate = if strategy_idx == 0 {
+                SimilarityPredicate::Threshold(0.1)
+            } else {
+                SimilarityPredicate::TopK(2)
+            };
+            let plan = LogicalPlan::e_join(
+                LogicalPlan::scan("r"),
+                inner.clone(),
+                "word",
+                right_column,
+                "ft",
+                predicate,
+            );
+            // the optimizer must leave the shape for the executor to see
+            // (a persistent-index inner carries its projection in the probe)
+            let explain = session(9, 33, strategy).explain(&plan).expect("plan");
+            match shape {
+                "projected" => assert!(explain.to_lowercase().contains("project"), "{explain}"),
+                "renamed" => assert!(explain.contains("Rename"), "{explain}"),
+                _ => {}
+            }
+            let (by_string, (row_maps, _)) = cold_then_warm(strategy, &plan, ExecMode::Row, 1);
+            assert_eq!(row_maps, 0, "the row executor embeds strings");
+            let [(_, cold), (_, warm)] = &by_string;
+            assert!(cold.model_calls > 0, "{shape}: the first run is cold");
+            assert_eq!(warm.model_calls, 0, "{shape}: the second run is warm");
+            assert!(warm.cache_hits > 0);
+            for batch_rows in [1usize, 7, 1024] {
+                for threads in [1usize, 2] {
+                    let (by_row, (maps, expected_maps)) =
+                        cold_then_warm(strategy, &plan, ExecMode::Batch { batch_rows }, threads);
+                    let what =
+                        format!("{shape} {strategy:?} batch_rows {batch_rows} threads {threads}");
+                    assert_eq!(by_string, by_row, "{what}");
+                    assert_eq!(maps, expected_maps, "{what}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
