@@ -42,6 +42,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use cej_vector::{Matrix, Vector};
 use parking_lot::RwLock;
 
+use crate::arena::Arena;
 use crate::cost::ModelCostProfile;
 use crate::model::Embedder;
 
@@ -65,56 +66,6 @@ impl EmbeddingStats {
 /// it has not resolved yet.  [`CachedEmbedder::resolve`] never returns it.
 pub const UNRESOLVED_SLOT: u32 = u32::MAX;
 
-/// Rows per arena chunk (256 KiB of `f32` at 64 dimensions).
-const CHUNK_ROWS: usize = 1024;
-
-/// Append-only row store in chunks of [`CHUNK_ROWS`] rows.  A chunk is
-/// allocated zeroed and whole, so the operating system backs its pages only
-/// as rows are written, and it is never reallocated.
-struct Arena {
-    dim: usize,
-    chunks: Vec<Box<[f32]>>,
-    rows: usize,
-}
-
-impl Arena {
-    fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            chunks: Vec::new(),
-            rows: 0,
-        }
-    }
-
-    /// Appends one (zeroed) row and returns its slot.
-    fn reserve(&mut self) -> u32 {
-        let slot = u32::try_from(self.rows).expect("arena holds fewer than 2^32 rows");
-        assert_ne!(slot, UNRESOLVED_SLOT, "arena is full");
-        if self.rows == self.chunks.len() * CHUNK_ROWS {
-            self.chunks
-                .push(vec![0.0; CHUNK_ROWS * self.dim].into_boxed_slice());
-        }
-        self.rows += 1;
-        slot
-    }
-
-    /// Chunk index and element range of a slot's row.
-    fn locate(&self, slot: u32) -> (usize, std::ops::Range<usize>) {
-        let (chunk, row) = (slot as usize / CHUNK_ROWS, slot as usize % CHUNK_ROWS);
-        (chunk, row * self.dim..(row + 1) * self.dim)
-    }
-
-    fn row(&self, slot: u32) -> &[f32] {
-        let (chunk, range) = self.locate(slot);
-        &self.chunks[chunk][range]
-    }
-
-    fn row_mut(&mut self, slot: u32) -> &mut [f32] {
-        let (chunk, range) = self.locate(slot);
-        &mut self.chunks[chunk][range]
-    }
-}
-
 /// Everything a caching wrapper memoises, under one lock.
 struct Memo {
     /// Bumped whenever the slots handed out so far stop being valid.
@@ -131,7 +82,7 @@ impl Memo {
     fn reset(&mut self) {
         self.generation += 1;
         self.slots.clear();
-        self.arena = Arena::new(self.arena.dim);
+        self.arena = Arena::new(self.arena.dim());
         self.in_flight.clear();
     }
 }
@@ -380,7 +331,7 @@ impl<E: Embedder> CachedEmbedder<E> {
                 for (&(slot, _), vector) in owned.iter().zip(&fresh) {
                     assert_eq!(
                         vector.dim(),
-                        write.arena.dim,
+                        write.arena.dim(),
                         "embedder produced inconsistent dimensions"
                     );
                     write.arena.row_mut(slot).copy_from_slice(vector.as_slice());
@@ -435,7 +386,7 @@ impl<E: Embedder> CachedEmbedder<E> {
         if read.generation != generation {
             return None;
         }
-        let dim = read.arena.dim;
+        let dim = read.arena.dim();
         let mut data = Vec::with_capacity(slots.len() * dim);
         for &slot in slots {
             data.extend_from_slice(read.arena.row(slot));
@@ -531,6 +482,7 @@ impl<E: Embedder> Embedder for CachedEmbedder<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::CHUNK_ROWS;
     use crate::model::{FastTextConfig, FastTextModel};
 
     fn model() -> FastTextModel {

@@ -4,10 +4,16 @@
 //! first-class term: it can range "from random access to a lookup table …
 //! to expensive computations over deep neural networks", and when embeddings
 //! are bought as a service it is literally a monetary cost per call.  Our
-//! FastText-style model is cheap, so to study how the operators behave with
-//! expensive models (and to make the quadratic-vs-linear model access cost of
-//! the naive E-NLJ visible at small scales) the benchmark harness can attach
-//! a [`ModelCostProfile`] that adds a deterministic busy-wait per model call.
+//! FastText-style model sits at the cheap end, and that is a measured
+//! statement: at 64 dimensions a 12-word string of already-seen words embeds
+//! in ≈ 1.2 µs (one pass over its characters, one vector add per token from
+//! the model's token memo), and a string of twelve never-seen words in
+//! ≈ 64 µs (≈ 40 n-gram bucket streams generated per word) — it was
+//! ≈ 46 µs and ≈ 74 µs before the model remembered its tokens (PR 20,
+//! `BENCH_20.json` `model_microbench`).  So to study how the operators behave with expensive
+//! models (and to make the quadratic-vs-linear model access cost of the
+//! naive E-NLJ visible at small scales) the benchmark harness can attach a
+//! [`ModelCostProfile`] that adds a deterministic busy-wait per model call.
 
 use std::time::{Duration, Instant};
 

@@ -7,14 +7,20 @@
 //! because the paper's experiments fix the random seed for reproducibility.
 
 /// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// 64-bit FNV-1a prime.
 const FNV_PRIME: u64 = 0x100000001b3;
 
 /// Hashes a byte string with 64-bit FNV-1a.
 #[inline]
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, data)
+}
+
+/// Continues an FNV-1a hash over more bytes, so a string held in pieces
+/// hashes like their concatenation.
+#[inline]
+pub(crate) fn fnv1a_extend(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -28,8 +34,14 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 /// Panics if `buckets == 0`; the model configuration validates this earlier.
 #[inline]
 pub fn bucket_of(ngram: &str, buckets: usize) -> usize {
+    bucket_of_hash(fnv1a(ngram.as_bytes()), buckets)
+}
+
+/// The bucket of an n-gram whose FNV-1a hash is already known.
+#[inline]
+pub(crate) fn bucket_of_hash(hash: u64, buckets: usize) -> usize {
     assert!(buckets > 0, "bucket count must be non-zero");
-    (fnv1a(ngram.as_bytes()) % buckets as u64) as usize
+    (hash % buckets as u64) as usize
 }
 
 /// A deterministic pseudo-random stream seeded from a hash value, used to

@@ -18,7 +18,8 @@
 //! * [`hasher`] — FNV-1a hashing of n-grams into a fixed bucket space.
 //! * [`model`] — [`FastTextModel`]: composes a word embedding as the mean of
 //!   its n-gram bucket vectors; bucket vectors come from a deterministic
-//!   seeded projection, optionally refined by corpus training.
+//!   seeded projection, optionally refined by corpus training.  Each distinct
+//!   token is composed once and remembered in a bounded memo.
 //! * [`train`] — a lightweight co-occurrence "retrofit" trainer that pulls
 //!   words appearing in similar contexts towards each other, enough to
 //!   reproduce the semantic-clustering behaviour of Table II on a synthetic
@@ -36,6 +37,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+mod arena;
 pub mod cache;
 pub mod cost;
 pub mod error;

@@ -6,6 +6,11 @@
 //! special sequence `<where>`).  Sharing n-grams is what gives the model its
 //! robustness to misspellings and out-of-vocabulary words — the property the
 //! paper relies on for context-aware joins over dirty strings.
+//!
+//! [`ngrams`] enumerates them without allocating; everything else here is
+//! built on it.
+
+use crate::hasher::{fnv1a_extend, FNV_OFFSET};
 
 /// Inclusive n-gram length range used for subword extraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,29 +48,81 @@ pub fn wrap_word(word: &str) -> String {
     s
 }
 
-/// Extracts the character n-grams of `word` (with boundary markers) for every
-/// length in `range`, plus the full wrapped word itself.
+/// One n-gram of a wrapped word, named by the pieces it is made of instead of
+/// copied out: `<` if it starts the word, a slice of the word itself, `>` if
+/// it ends it.  [`Ngram::fnv1a`] hashes those pieces in place; `to_string()`
+/// spells the n-gram out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ngram<'a> {
+    open: bool,
+    body: &'a str,
+    close: bool,
+}
+
+impl Ngram<'_> {
+    /// 64-bit FNV-1a of the n-gram's bytes — the hash of its `to_string()`,
+    /// without building the string.
+    #[inline]
+    pub fn fnv1a(&self) -> u64 {
+        let mut hash = FNV_OFFSET;
+        if self.open {
+            hash = fnv1a_extend(hash, b"<");
+        }
+        hash = fnv1a_extend(hash, self.body.as_bytes());
+        if self.close {
+            hash = fnv1a_extend(hash, b">");
+        }
+        hash
+    }
+}
+
+impl std::fmt::Display for Ngram<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.open {
+            f.write_str("<")?;
+        }
+        f.write_str(self.body)?;
+        if self.close {
+            f.write_str(">")?;
+        }
+        Ok(())
+    }
+}
+
+/// Enumerates the character n-grams of `word` (with boundary markers) for
+/// every length in `range`, shortest first and left to right within a length,
+/// then the full wrapped word itself unless its length already lies in
+/// `range` (so that frequent exact words keep a dedicated feature even when
+/// longer than `max_n`, and never count twice).
 ///
-/// Extraction is performed over Unicode scalar values, not bytes, so
-/// multi-byte characters never get split.
+/// This is the one definition of "the n-grams of a word": the model hashes
+/// the items as they come, [`extract_ngrams`] collects them.  Nothing is
+/// allocated — the wrapped word is never built; the enumerator walks the
+/// character boundaries it would have.  Extraction is over Unicode scalar
+/// values, not bytes, so multi-byte characters never get split.
+pub fn ngrams(word: &str, range: NgramRange) -> impl Iterator<Item = Ngram<'_>> {
+    let len = word.len();
+    let chars = word.chars().count() + 2;
+    // character boundaries of `<word>`, as byte offsets into it
+    let bounds = move || {
+        std::iter::once(0)
+            .chain(word.char_indices().map(|(at, _)| at + 1))
+            .chain([len + 1, len + 2])
+    };
+    let whole = (!(range.min_n..=range.max_n).contains(&chars)).then_some((0, len + 2));
+    (range.min_n.max(1)..=range.max_n.min(chars))
+        .flat_map(move |n| bounds().zip(bounds().skip(n)))
+        .chain(whole)
+        .map(move |(start, end)| Ngram {
+            open: start == 0,
+            body: &word[start.max(1) - 1..end.min(len + 1) - 1],
+            close: end == len + 2,
+        })
+}
+
+/// The n-grams of `word` as owned strings, in [`ngrams`] order.
 pub fn extract_ngrams(word: &str, range: NgramRange) -> Vec<String> {
-    let wrapped = wrap_word(word);
-    let chars: Vec<char> = wrapped.chars().collect();
-    let mut out = Vec::new();
-    for n in range.min_n..=range.max_n {
-        if n > chars.len() {
-            break;
-        }
-        for start in 0..=(chars.len() - n) {
-            out.push(chars[start..start + n].iter().collect());
-        }
-    }
-    // The full word sequence is always included (even when longer than max_n)
-    // so that frequent exact words keep a dedicated feature.
-    if !out.contains(&wrapped) {
-        out.push(wrapped);
-    }
-    out
+    ngrams(word, range).map(|gram| gram.to_string()).collect()
 }
 
 /// Jaccard overlap between the n-gram sets of two words — a cheap diagnostic
@@ -85,6 +142,64 @@ pub fn ngram_overlap(a: &str, b: &str, range: NgramRange) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The parent's extraction — the wrapped word as a `Vec<char>`, a
+    /// `String` per n-gram, `contains` for the whole-word rule — kept as the
+    /// reference the enumerator is held to.
+    fn reference_ngrams(word: &str, range: NgramRange) -> Vec<String> {
+        let wrapped = wrap_word(word);
+        let chars: Vec<char> = wrapped.chars().collect();
+        let mut out = Vec::new();
+        for n in range.min_n..=range.max_n {
+            if n > chars.len() {
+                break;
+            }
+            for start in 0..=(chars.len() - n) {
+                out.push(chars[start..start + n].iter().collect());
+            }
+        }
+        if !out.contains(&wrapped) {
+            out.push(wrapped);
+        }
+        out
+    }
+
+    #[test]
+    fn enumerator_matches_the_reference_extraction() {
+        let words = [
+            "",
+            "a",
+            "ab",
+            "abc",
+            "abcd",
+            "abcde",
+            "abcdefg",
+            "aaaa",
+            "über",
+            "née",
+            "東京",
+            "東京都庁舎",
+            "pneumonoultramicroscopicsilicovolcanocon",
+        ];
+        for (min_n, max_n) in [(1, 1), (1, 2), (2, 3), (3, 6), (4, 4), (5, 6), (1, 50)] {
+            let range = NgramRange::new(min_n, max_n);
+            for word in words {
+                let expected = reference_ngrams(word, range);
+                assert_eq!(
+                    extract_ngrams(word, range),
+                    expected,
+                    "{word:?} {min_n}..={max_n}"
+                );
+                // hashing the pieces is hashing the string
+                let hashes: Vec<u64> = ngrams(word, range).map(|g| g.fnv1a()).collect();
+                let expected_hashes: Vec<u64> = expected
+                    .iter()
+                    .map(|g| crate::hasher::fnv1a(g.as_bytes()))
+                    .collect();
+                assert_eq!(hashes, expected_hashes, "{word:?} {min_n}..={max_n}");
+            }
+        }
+    }
 
     #[test]
     fn wraps_with_markers() {

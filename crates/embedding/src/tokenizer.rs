@@ -3,8 +3,13 @@
 //! The paper's dataset preparation cleans the Wikipedia corpus of stop words
 //! before training the FastText model (Section VI-A).  The tokenizer here
 //! performs the equivalent normalisation for both training sentences and the
-//! strings flowing through the join: lower-casing, punctuation and digit
-//! stripping, whitespace splitting, and optional stop-word removal.
+//! strings flowing through the join: lower-casing, punctuation stripping
+//! (letters and digits are kept), splitting on whitespace and `-` `_` `/`,
+//! and optional stop-word removal.
+//!
+//! [`Tokenizer::for_each_token`] is the one implementation: it lends each
+//! token to a visitor from a reused buffer.  [`Tokenizer::tokenize`] collects
+//! what it visits.
 
 use std::collections::HashSet;
 
@@ -45,7 +50,8 @@ impl Tokenizer {
         self
     }
 
-    /// Sets a minimum token length; shorter tokens are discarded.
+    /// Sets a minimum token length in characters (not bytes); shorter tokens
+    /// are discarded.
     pub fn with_min_token_len(mut self, len: usize) -> Self {
         self.min_token_len = len.max(1);
         self
@@ -53,24 +59,56 @@ impl Tokenizer {
 
     /// Normalises a single word: lower-case, keep only alphanumeric characters.
     pub fn normalize_word(&self, word: &str) -> String {
-        word.chars()
-            .filter(|c| c.is_alphanumeric())
-            .flat_map(|c| c.to_lowercase())
-            .collect()
+        let mut out = String::new();
+        normalize_into(word, &mut out);
+        out
+    }
+
+    /// Calls `visit` with each normalised token of `text`, in order — the
+    /// visitor form of [`Tokenizer::tokenize`].  Tokens are lent from one
+    /// buffer that is reused across the call, so nothing is allocated per
+    /// token; the model embeds through this.
+    pub fn for_each_token(&self, text: &str, mut visit: impl FnMut(&str)) {
+        let mut token = String::new();
+        for word in text.split(|c: char| c.is_whitespace() || c == '-' || c == '_' || c == '/') {
+            token.clear();
+            normalize_into(word, &mut token);
+            if token.chars().count() >= self.min_token_len
+                && !(self.remove_stopwords && self.stopwords.contains(token.as_str()))
+            {
+                visit(&token);
+            }
+        }
     }
 
     /// Splits `text` into normalised tokens.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
-        text.split(|c: char| c.is_whitespace() || c == '-' || c == '_' || c == '/')
-            .map(|w| self.normalize_word(w))
-            .filter(|w| w.len() >= self.min_token_len)
-            .filter(|w| !self.remove_stopwords || !self.stopwords.contains(w))
-            .collect()
+        let mut tokens = Vec::new();
+        self.for_each_token(text, |token| tokens.push(token.to_string()));
+        tokens
     }
 
     /// `true` when the (already normalised) token is a stop word.
     pub fn is_stopword(&self, token: &str) -> bool {
         self.stopwords.contains(token)
+    }
+}
+
+/// Appends the lower-cased alphanumeric characters of `word` to `out`.
+fn normalize_into(word: &str, out: &mut String) {
+    if word.is_ascii() {
+        // the same characters, without decoding and re-encoding each one
+        out.extend(
+            word.bytes()
+                .filter(u8::is_ascii_alphanumeric)
+                .map(|b| char::from(b.to_ascii_lowercase())),
+        );
+    } else {
+        out.extend(
+            word.chars()
+                .filter(|c| c.is_alphanumeric())
+                .flat_map(char::to_lowercase),
+        );
     }
 }
 
@@ -113,6 +151,33 @@ mod tests {
     fn min_token_len_filters_short_tokens() {
         let t = Tokenizer::new(false).with_min_token_len(3);
         assert_eq!(t.tokenize("a an the dbms"), vec!["the", "dbms"]);
+    }
+
+    #[test]
+    fn min_token_len_counts_characters_not_bytes() {
+        let t = Tokenizer::new(false).with_min_token_len(3);
+        // two characters, six bytes: too short; three characters pass
+        assert_eq!(t.tokenize("東京 東京都 né née"), vec!["東京都", "née"]);
+    }
+
+    #[test]
+    fn ascii_fast_path_normalises_like_the_unicode_path() {
+        let t = Tokenizer::new(false);
+        for c in (0u8..128).map(char::from) {
+            // the `é` sends the same character down the Unicode path
+            let slow = t.normalize_word(&format!("é{c}"));
+            assert_eq!(format!("é{}", t.normalize_word(&c.to_string())), slow);
+        }
+    }
+
+    #[test]
+    fn visitor_and_tokenize_agree() {
+        let t = Tokenizer::new(true).with_min_token_len(2);
+        let text = "The Zürich-café_of/IPv6 a   x2  ";
+        let mut visited = Vec::new();
+        t.for_each_token(text, |token| visited.push(token.to_string()));
+        assert_eq!(visited, t.tokenize(text));
+        assert_eq!(visited, vec!["zürich", "café", "ipv6", "x2"]);
     }
 
     #[test]
