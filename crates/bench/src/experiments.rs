@@ -1,9 +1,9 @@
-//! Parameterised experiment bodies shared by the per-figure binaries.
+//! Parameterised experiment bodies behind the `paper_figs` binary.
 //!
 //! Each function reproduces the measurement loop of one (or one family of)
-//! paper experiments and returns printable rows; the binaries only choose
-//! parameters and print.  Keeping the bodies here also lets the integration
-//! tests smoke-test every experiment at a tiny scale.
+//! paper experiments and returns printable rows; the binary only chooses
+//! parameters and prints.  Keeping the bodies here also lets the unit tests
+//! smoke-test every experiment at a tiny scale.
 
 use std::time::Duration;
 
@@ -611,109 +611,6 @@ pub fn costmodel_validation(sizes: &[(usize, usize)]) -> Vec<(String, u64, u64, 
         .collect()
 }
 
-/// One section of the row-vs-batch execution-model comparison.
-pub struct ExecModelRow {
-    /// Section identifier (`filtered_scan`, `tensor_join`) — doubles as the
-    /// report-key prefix.
-    pub section: String,
-    /// Median wall-clock time of the row-at-a-time executor.
-    pub row_time: Duration,
-    /// Median wall-clock time of the vectorized batch executor.
-    pub batch_time: Duration,
-    /// Whether the two executors produced byte-identical output (table and
-    /// per-operator row actuals).
-    pub identical: bool,
-}
-
-/// Row-at-a-time vs vectorized batch execution over the same physical
-/// plans: a selective filtered scan (where the row executor pays a full
-/// table materialisation per operator) and a tensor e-join over a filtered
-/// inner (the paper's scan-side workhorse), both run warm so the comparison
-/// isolates executor overhead from model calls.
-pub fn exec_model(scan_rows: usize, outer_rows: usize, inner_rows: usize) -> Vec<ExecModelRow> {
-    use cej_core::{ContextJoinSession, ExecContext, ExecMode, JoinStrategy};
-    use cej_relational::{col, lit_i64, LogicalPlan};
-    use cej_workload::{JoinWorkload, RelationSpec};
-
-    let workload = JoinWorkload::generate(
-        RelationSpec::with_rows(scan_rows.max(outer_rows)),
-        RelationSpec::with_rows(inner_rows),
-        23,
-    );
-    let mut session = ContextJoinSession::new();
-    session.register_table("big", workload.outer.clone());
-    session.register_table("r", {
-        let sel: Vec<u32> = (0..outer_rows.min(workload.outer.num_rows()) as u32).collect();
-        workload.outer.gather(&sel).expect("prefix gather")
-    });
-    session.register_table("s", workload.inner.clone());
-    session.register_model(
-        "ft",
-        FastTextModel::new(FastTextConfig {
-            dim: 32,
-            buckets: 5_000,
-            ..FastTextConfig::default()
-        })
-        .expect("valid config"),
-    );
-    session.with_strategy(JoinStrategy::Tensor(TensorJoinConfig::default()));
-
-    // `filter` is uniform over [0, 100): `filter < 10` keeps ~10 % of rows.
-    let scan_plan = LogicalPlan::scan("big")
-        .select(col("filter").lt(lit_i64(10)))
-        .project(&["id", "word"]);
-    let join_plan = LogicalPlan::e_join(
-        LogicalPlan::scan("r"),
-        LogicalPlan::scan("s").select(col("filter").lt(lit_i64(10))),
-        "word",
-        "word",
-        "ft",
-        SimilarityPredicate::Threshold(0.4),
-    );
-
-    let registry = session.model_registry();
-    let ctx = ExecContext {
-        catalog: session.catalog(),
-        registry: &registry,
-        embeddings: session.embedding_caches(),
-        indexes: session.index_manager(),
-        pool: *cej_exec::ExecPool::global(),
-    };
-    let runs = 5;
-    [("filtered_scan", scan_plan), ("tensor_join", join_plan)]
-        .into_iter()
-        .map(|(section, plan)| {
-            let prepared = session.prepare(&plan).expect("prepare");
-            let physical = prepared.physical_plan();
-            // Warm run per mode: populates the embedding cache and checks
-            // byte-identity of tables and per-operator actuals.
-            let row = physical
-                .execute_with(&ctx, ExecMode::Row)
-                .expect("row execution");
-            let batch = physical
-                .execute_with(&ctx, ExecMode::default())
-                .expect("batch execution");
-            let identical = row.table == batch.table && row.operator_rows == batch.operator_rows;
-            let row_time = crate::harness::time_median(runs, || {
-                physical
-                    .execute_with(&ctx, ExecMode::Row)
-                    .expect("row execution")
-            });
-            let batch_time = crate::harness::time_median(runs, || {
-                physical
-                    .execute_with(&ctx, ExecMode::default())
-                    .expect("batch execution")
-            });
-            ExecModelRow {
-                section: section.to_string(),
-                row_time,
-                batch_time,
-                identical,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,19 +622,6 @@ mod tests {
         assert!((frac - 0.3).abs() < 0.05, "got {frac}");
         assert_eq!(selectivity_bitmap(100, 0).count_selected(), 0);
         assert_eq!(selectivity_bitmap(100, 100).count_selected(), 100);
-    }
-
-    #[test]
-    fn exec_model_smoke() {
-        let rows = exec_model(200, 8, 40);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(
-                r.identical,
-                "section {}: batch output diverged from row output",
-                r.section
-            );
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Machine-readable benchmark reports.
+//! Machine-readable gate reports.
 //!
-//! The experiment binaries print human-oriented tables; CI additionally
-//! wants an artifact it can archive and diff across runs.  [`Report`]
-//! collects named numeric values and section timings and serialises them as
-//! a small, dependency-free JSON document.  Binaries call
+//! `ivm_gate` prints a human-oriented summary; CI additionally wants an
+//! artifact it can archive and diff across runs.  [`Report`] collects named
+//! numeric values and section timings and serialises them as a small,
+//! dependency-free JSON document.  The gate calls
 //! [`Report::write_if_requested`], which writes to the path in the
 //! `CEJ_REPORT` environment variable (and does nothing when it is unset, so
 //! local runs stay side-effect free).
@@ -80,9 +80,8 @@ impl Report {
 }
 
 /// Extracts `"key":<number>` from the flat JSON documents this module
-/// emits — the parsing half the CI gate binaries (`recall_gate`,
-/// `accuracy_gate`, `serve_gate`) share, kept next to the emitter so the
-/// two halves cannot drift apart.
+/// emits — the parsing half `ivm_gate` reads its baseline through, kept
+/// next to the emitter so the two halves cannot drift apart.
 pub fn extract_value(json: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
     let start = json.find(&needle)? + needle.len();

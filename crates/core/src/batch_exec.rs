@@ -87,7 +87,7 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// The legacy materialize-everything row executor (kept as the reference
-    /// implementation for equivalence tests and the `exec_model` benchmark).
+    /// implementation for equivalence tests).
     Row,
     /// The vectorized pull executor: operators exchange `batch_rows`-sized
     /// column batches with selection vectors.
@@ -98,15 +98,11 @@ pub enum ExecMode {
 }
 
 impl Default for ExecMode {
-    /// Batch execution with [`DEFAULT_BATCH_ROWS`] rows per batch, overridable
-    /// via the `CEJ_BATCH_ROWS` environment variable.
+    /// Batch execution with [`DEFAULT_BATCH_ROWS`] rows per batch.
     fn default() -> Self {
-        let batch_rows = std::env::var("CEJ_BATCH_ROWS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_BATCH_ROWS);
-        ExecMode::Batch { batch_rows }
+        ExecMode::Batch {
+            batch_rows: DEFAULT_BATCH_ROWS,
+        }
     }
 }
 

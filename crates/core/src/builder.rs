@@ -115,20 +115,6 @@ impl<'s> QueryBuilder<'s> {
         self
     }
 
-    /// Deprecated alias of [`QueryBuilder::ejoin_with`], kept so pre-N-table
-    /// programs compile unchanged.
-    #[deprecated(since = "0.2.0", note = "renamed to `ejoin_with`")]
-    #[must_use]
-    pub fn ejoin_plan(
-        self,
-        right: LogicalPlan,
-        on: (&str, &str),
-        model: &str,
-        predicate: SimilarityPredicate,
-    ) -> Self {
-        self.ejoin_with(right, on, model, predicate)
-    }
-
     /// Finishes the chain, returning the logical plan (the old
     /// `execute(&LogicalPlan)` entry point accepts it unchanged).
     pub fn build(self) -> LogicalPlan {

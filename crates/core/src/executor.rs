@@ -248,6 +248,25 @@ struct ModelEntry {
     columns: HashMap<(usize, usize), Arc<ColumnSlots>>,
 }
 
+impl ModelEntry {
+    fn new(model: Arc<dyn Embedder>) -> Self {
+        ModelEntry {
+            cache: Arc::new(CachedEmbedder::new(SharedEmbedder(model))),
+            columns: HashMap::new(),
+        }
+    }
+
+    /// The entry's shared cache if `model` is the model it wraps, else a
+    /// private cache over `model`.
+    fn cache_of(&self, model: Arc<dyn Embedder>) -> Arc<SharedCache> {
+        if Arc::ptr_eq(&self.cache.inner().0, &model) {
+            self.cache.clone()
+        } else {
+            Arc::new(CachedEmbedder::new(SharedEmbedder(model)))
+        }
+    }
+}
+
 /// Session-owned pool of per-model embedding caches.
 ///
 /// The cache for a model survives across queries (and is shared with every
@@ -279,24 +298,27 @@ impl EmbeddingCachePool {
         Self::default()
     }
 
-    /// The shared cache for `model`, creating it from the registry on first
-    /// use.
+    /// The cache a run whose registry snapshot is `registry` embeds `model`
+    /// through: the pool's shared cache when the snapshot resolves the name
+    /// to the model the pool holds (created from the registry on first
+    /// use), and a private, unshared cache when it resolves to another one
+    /// — a statement prepared before the model was re-registered keeps its
+    /// old model, and must neither be served the new model's vectors nor
+    /// leave its own in the pool.
     ///
     /// # Errors
     /// Returns [`cej_relational::RelationalError::UnknownModel`] (wrapped)
     /// when the registry has no such model.
     pub fn cache(&self, model: &str, registry: &ModelRegistry) -> Result<Arc<SharedCache>> {
-        if let Some(entry) = self.caches.read().get(model) {
-            return Ok(entry.cache.clone());
-        }
         let resolved = registry.model(model).map_err(CoreError::from)?;
-        let cache = Arc::new(CachedEmbedder::new(SharedEmbedder(resolved)));
+        if let Some(entry) = self.caches.read().get(model) {
+            return Ok(entry.cache_of(resolved));
+        }
         let mut write = self.caches.write();
-        let entry = write.entry(model.to_string()).or_insert(ModelEntry {
-            cache,
-            columns: HashMap::new(),
-        });
-        Ok(entry.cache.clone())
+        let entry = write
+            .entry(model.to_string())
+            .or_insert_with(|| ModelEntry::new(resolved.clone()));
+        Ok(entry.cache_of(resolved))
     }
 
     /// The slot map of column `column` of `table` under `model`, created
@@ -338,16 +360,23 @@ impl EmbeddingCachePool {
         Some(slots.clone())
     }
 
-    /// Drops the cache of one model (used when the model is re-registered,
-    /// because memoised vectors came from the old model) together with its
-    /// slot maps.
-    pub fn invalidate(&self, model: &str) {
-        self.caches.write().remove(model);
+    /// Makes `model` the pool's model behind `name`, with an empty cache and
+    /// no slot maps (used when the model is re-registered: memoised vectors
+    /// came from the old model).  The pool has to be *told* the new model —
+    /// were the entry only dropped, the first run to ask would decide whose
+    /// vectors everyone shares, and that run may hold a stale registry.
+    pub fn replace(&self, name: &str, model: Arc<dyn Embedder>) {
+        self.caches
+            .write()
+            .insert(name.to_string(), ModelEntry::new(model));
     }
 
-    /// Drops every cache.
+    /// Empties every cache and drops its slot maps; each entry keeps its
+    /// model, for the reason [`EmbeddingCachePool::replace`] gives.
     pub fn clear(&self) {
-        self.caches.write().clear();
+        for entry in self.caches.write().values_mut() {
+            *entry = ModelEntry::new(entry.cache.inner().0.clone());
+        }
     }
 
     /// Aggregate counters over every per-model cache.
@@ -497,9 +526,9 @@ impl PhysicalPlan {
     /// Executes the plan against the given context, recording the actual
     /// output rows of every operator alongside the usual run statistics.
     ///
-    /// Runs under the default [`ExecMode`] — the vectorized batch executor
-    /// (`CEJ_BATCH_ROWS` tunes the batch size).  Batch and row execution are
-    /// byte-identical; use [`PhysicalPlan::execute_with`] to pick explicitly.
+    /// Runs under the default [`ExecMode`] — the vectorized batch executor.
+    /// Batch and row execution are byte-identical; use
+    /// [`PhysicalPlan::execute_with`] to pick explicitly.
     ///
     /// # Errors
     /// Propagates catalog, evaluation, embedding, index, and join errors.
@@ -913,7 +942,8 @@ mod tests {
         a.embed("hello");
         assert_eq!(f.embeddings.stats().model_calls, 1);
         assert_eq!(f.embeddings.cached_entries(), 1);
-        f.embeddings.invalidate("fasttext");
+        f.embeddings
+            .replace("fasttext", f.registry.model("fasttext").unwrap());
         let c = f.embeddings.cache("fasttext", &f.registry).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(f.embeddings.cached_entries(), 0);

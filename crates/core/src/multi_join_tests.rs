@@ -4,7 +4,9 @@
 
 use crate::builder::sim_gte;
 use crate::error::CoreError;
-use crate::session::ContextJoinSession;
+use crate::physical_plan::{q_error, InnerInput, PhysicalPlan};
+use crate::planner::Planner;
+use crate::session::{ContextJoinSession, JoinStrategy};
 use crate::ExecMode;
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_relational::{col, lit_i64, LogicalPlan, RelationalError, SimilarityPredicate};
@@ -222,6 +224,177 @@ fn all_join_orders_produce_identical_results_in_both_exec_modes() {
     }
 }
 
+/// A star schema with something for the ordering pass to win (on the six
+/// rows of [`star_session`] it rightly leaves the ejoin on the fact table):
+/// `fact` rows carry foreign keys into two dimensions, of which `stores` is
+/// filtered to a tenth, and a `note` joined to `products` by similarity.
+fn filtered_star_session(fact_rows: usize, dim_rows: usize) -> ContextJoinSession {
+    const POOL: [&str; 12] = [
+        "barbecue", "grill", "database", "server", "laptop", "garden", "vector", "index", "tensor",
+        "storage", "network", "kernel",
+    ];
+    let phrase = |a: usize, b: usize| format!("{} {}", POOL[a % 12], POOL[b % 12]);
+    let mut s = ContextJoinSession::new();
+    s.register_table(
+        "fact",
+        TableBuilder::new()
+            .int64("order_id", (0..fact_rows as i64).collect())
+            .int64(
+                "store_fk",
+                (0..fact_rows).map(|i| (i % dim_rows) as i64).collect(),
+            )
+            .int64(
+                "courier_fk",
+                (0..fact_rows)
+                    .map(|i| ((i * 7 + 1) % dim_rows) as i64)
+                    .collect(),
+            )
+            .utf8(
+                "note",
+                (0..fact_rows).map(|i| phrase(i, i * 5 + 3)).collect(),
+            )
+            .build()
+            .unwrap(),
+    );
+    s.register_table(
+        "stores",
+        TableBuilder::new()
+            .int64("store_id", (0..dim_rows as i64).collect())
+            .int64(
+                "store_kind",
+                (0..dim_rows).map(|i| (i % 10) as i64).collect(),
+            )
+            .build()
+            .unwrap(),
+    );
+    s.register_table(
+        "couriers",
+        TableBuilder::new()
+            .int64("courier_id", (0..dim_rows as i64).collect())
+            .int64(
+                "courier_tier",
+                (0..dim_rows).map(|i| (i % 3) as i64).collect(),
+            )
+            .build()
+            .unwrap(),
+    );
+    s.register_table(
+        "products",
+        TableBuilder::new()
+            .int64("product_id", (0..dim_rows as i64).collect())
+            .utf8(
+                "title",
+                (0..dim_rows).map(|j| phrase(j, j * 7 + 2)).collect(),
+            )
+            .build()
+            .unwrap(),
+    );
+    s.register_model("fasttext", model());
+    for table in ["fact", "stores", "couriers", "products"] {
+        s.catalog().analyze(table).unwrap();
+    }
+    s
+}
+
+/// Walks `plan` in the executor's pre-order against its per-operator
+/// actuals, returning the worst q-error of any operator and the actual rows
+/// the (outermost) ejoin read from its outer input.
+fn plan_quality(plan: &PhysicalPlan, actuals: &[u64]) -> (f64, u64) {
+    fn walk(
+        plan: &PhysicalPlan,
+        actuals: &[u64],
+        slot: &mut usize,
+        worst: &mut f64,
+        fed: &mut Option<u64>,
+    ) {
+        let actual = actuals[*slot];
+        *slot += 1;
+        *worst = worst.max(q_error(plan.estimate().rows, actual as f64));
+        match plan {
+            PhysicalPlan::TableScan { .. } => {}
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Embed { input, .. }
+            | PhysicalPlan::Rename { input, .. } => walk(input, actuals, slot, worst, fed),
+            PhysicalPlan::HashJoin(node) => {
+                walk(&node.left, actuals, slot, worst, fed);
+                walk(&node.right, actuals, slot, worst, fed);
+            }
+            PhysicalPlan::Join(node) => {
+                // the outer input's root is the slot right after the join's
+                fed.get_or_insert(actuals[*slot]);
+                walk(&node.outer, actuals, slot, worst, fed);
+                if let InnerInput::Plan(inner) = &node.inner {
+                    walk(inner, actuals, slot, worst, fed);
+                }
+            }
+        }
+    }
+    let (mut slot, mut worst, mut fed) = (0, 1.0, None);
+    walk(plan, actuals, &mut slot, &mut worst, &mut fed);
+    assert_eq!(slot, actuals.len(), "one actual per operator");
+    (worst, fed.expect("the plan has an ejoin"))
+}
+
+#[test]
+fn dp_order_feeds_the_ejoin_fewer_rows_than_the_worst_left_deep_order() {
+    let s = filtered_star_session(600, 20);
+    // the worst left-deep order, as written: the similarity join over the
+    // whole fact table first, both dimension joins stacked above it
+    let written = LogicalPlan::join(
+        LogicalPlan::join(
+            LogicalPlan::e_join(
+                LogicalPlan::scan("fact"),
+                LogicalPlan::scan("products"),
+                "note",
+                "title",
+                "fasttext",
+                SimilarityPredicate::Threshold(0.6),
+            ),
+            LogicalPlan::scan("stores").select(col("store_kind").eq(lit_i64(0))),
+            "l_store_fk",
+            "store_id",
+        ),
+        LogicalPlan::scan("couriers"),
+        "l_courier_fk",
+        "courier_id",
+    );
+
+    let registry = s.model_registry();
+    let ctx = crate::executor::ExecContext {
+        catalog: s.catalog(),
+        registry: &registry,
+        embeddings: s.embedding_caches(),
+        indexes: s.index_manager(),
+        pool: *cej_exec::ExecPool::global(),
+    };
+    // `prepare` runs the ordering pass; lowering the tree directly keeps the
+    // written order (its filter already sits on its scan)
+    let prepared = s.prepare(&written).unwrap();
+    let dp_plan = prepared.physical_plan();
+    let written_plan = Planner::new(s.advisor(), JoinStrategy::Auto)
+        .plan(&written, s.catalog(), &registry, s.index_manager())
+        .unwrap();
+    let dp = dp_plan.execute(&ctx).unwrap();
+    let as_written = written_plan.execute(&ctx).unwrap();
+    assert!(dp.table.num_rows() > 0);
+    assert_eq!(canonical(&dp.table), canonical(&as_written.table));
+
+    let (dp_qerror, dp_fed) = plan_quality(dp_plan, &dp.operator_rows);
+    let (_, written_fed) = plan_quality(&written_plan, &as_written.operator_rows);
+    assert_eq!(written_fed, 600, "the written order scores every fact");
+    assert!(
+        dp_fed < written_fed,
+        "the DP order must join the dimensions first: ejoin fed {dp_fed} rows\n{}",
+        dp_plan.explain()
+    );
+    assert!(
+        dp_qerror <= 8.0,
+        "DP plan's worst per-operator q-error {dp_qerror:.2} exceeds 8.0\n{}",
+        dp_plan.explain_analyze(&dp.operator_rows)
+    );
+}
+
 #[test]
 fn filtered_join_orders_stay_identical() {
     let s = star_session();
@@ -406,32 +579,4 @@ fn bind_threshold_still_works_unambiguously_on_single_ejoin_plans() {
     assert_eq!(prepared.threshold_join_count(), 1);
     let strict = prepared.bind_threshold(0.99).unwrap();
     assert!(strict.run().unwrap().table.num_rows() <= prepared.run().unwrap().table.num_rows());
-}
-
-#[test]
-fn deprecated_ejoin_plan_matches_ejoin_with() {
-    let s = star_session();
-    #[allow(deprecated)]
-    let legacy = s
-        .query("orders")
-        .ejoin_plan(
-            LogicalPlan::scan("products"),
-            ("note", "title"),
-            "fasttext",
-            sim_gte(0.4),
-        )
-        .run()
-        .unwrap();
-    let current = s
-        .query("orders")
-        .ejoin_with(
-            LogicalPlan::scan("products"),
-            ("note", "title"),
-            "fasttext",
-            sim_gte(0.4),
-        )
-        .run()
-        .unwrap();
-    assert_eq!(canonical(&legacy.table), canonical(&current.table));
-    assert!(legacy.table.num_rows() > 0);
 }

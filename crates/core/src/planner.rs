@@ -71,30 +71,12 @@ struct Lowered {
 pub struct Planner {
     advisor: AccessPathAdvisor,
     strategy: JoinStrategy,
-    filter_selectivity_override: Option<f64>,
 }
 
 impl Planner {
     /// Creates a planner with the given advisor and (session) strategy.
     pub fn new(advisor: AccessPathAdvisor, strategy: JoinStrategy) -> Self {
-        Self {
-            advisor,
-            strategy,
-            filter_selectivity_override: None,
-        }
-    }
-
-    /// Forces every relational filter to the given selectivity, bypassing
-    /// the statistics-driven estimator.
-    #[deprecated(
-        since = "0.1.0",
-        note = "testing-only override; filters are estimated from column \
-                statistics (histograms / distinct counts) since the ANALYZE \
-                pipeline landed"
-    )]
-    pub fn with_filter_selectivity(mut self, selectivity: f64) -> Self {
-        self.filter_selectivity_override = Some(selectivity.clamp(0.0, 1.0));
-        self
+        Self { advisor, strategy }
     }
 
     /// Lowers `plan` to a physical plan.
@@ -143,14 +125,11 @@ impl Planner {
             LogicalPlan::Selection { predicate, input } => {
                 let child = self.lower(input, catalog, registry, indexes)?;
                 check_predicate(predicate, &child.schema).map_err(CoreError::from)?;
-                let selectivity = match self.filter_selectivity_override {
-                    Some(s) => s,
-                    None => child
-                        .stats
-                        .as_deref()
-                        .map(|stats| estimate_selectivity(predicate, stats))
-                        .unwrap_or(DEFAULT_SELECTIVITY),
-                };
+                let selectivity = child
+                    .stats
+                    .as_deref()
+                    .map(|stats| estimate_selectivity(predicate, stats))
+                    .unwrap_or(DEFAULT_SELECTIVITY);
                 let in_est = child.plan.estimate();
                 let est = PlanEstimate::new(
                     in_est.rows * selectivity,
@@ -757,17 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_override_is_testing_only_but_still_wins() {
-        let (catalog, registry, indexes) = setup();
-        #[allow(deprecated)]
-        let planner = Planner::new(AccessPathAdvisor::default(), JoinStrategy::Auto)
-            .with_filter_selectivity(0.5);
-        let plan = LogicalPlan::scan("s").select(col("id").gt(lit_i64(10)));
-        let physical = planner.plan(&plan, &catalog, &registry, &indexes).unwrap();
-        assert_eq!(physical.estimate().rows, 100.0);
-    }
-
-    #[test]
     fn auto_small_join_lowers_to_tensor_with_both_costs() {
         let (catalog, registry, indexes) = setup();
         let planner = Planner::new(AccessPathAdvisor::default(), JoinStrategy::Auto);
@@ -848,7 +816,7 @@ mod tests {
         // crossover happens inside a small test relation: the *only*
         // difference between the two plans is the inner filter cutoff, so a
         // flipped access path proves the advisor consumed the estimated
-        // selectivity — with no with_filter_selectivity override anywhere.
+        // selectivity.
         let (catalog, registry, indexes) = setup();
         catalog.register(
             "big",

@@ -221,15 +221,17 @@ impl ContextJoinSession {
     /// its memoised embedding cache *and* every persistent index built from
     /// its vectors (a resident graph would otherwise be probed with the new
     /// model's embeddings).  Copy-on-write: queries already prepared keep
-    /// the registry snapshot they were planned against.
+    /// the registry snapshot they were planned against, and embed through a
+    /// private cache from then on — the shared one belongs to the new model.
     pub fn register_model<E: Embedder + 'static>(&mut self, name: &str, model: E) -> &mut Self {
+        let model: Arc<dyn Embedder> = Arc::new(model);
         {
             let mut registry = self.state.registry.write();
             let mut next = (**registry).clone();
-            next.register(name, Arc::new(model));
+            next.register(name, model.clone());
             *registry = Arc::new(next);
         }
-        self.state.embeddings.invalidate(name);
+        self.state.embeddings.replace(name, model);
         self.state.indexes.invalidate_model(name);
         self
     }

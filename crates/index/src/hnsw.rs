@@ -942,17 +942,6 @@ impl HnswIndex {
         &self.params
     }
 
-    /// Overrides the *search-time* parameters (`efSearch` and the descent
-    /// beam width) without rebuilding the graph.  Construction parameters
-    /// (`M`, `M0`, `efConstruction`, metric, seed) are fixed at build time;
-    /// this setter exists so parameter sweeps (`cej-bench`'s `beam_sweep`)
-    /// can map the cost/recall curve of one graph instead of rebuilding it
-    /// per configuration.
-    pub fn set_search_params(&mut self, ef_search: usize, beam_width: usize) {
-        self.params.ef_search = ef_search.max(1);
-        self.params.beam_width = beam_width;
-    }
-
     /// The highest layer currently in use.
     pub fn max_level(&self) -> usize {
         self.max_level

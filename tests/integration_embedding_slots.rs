@@ -170,6 +170,29 @@ fn a_warm_statement_after_any_invalidation_equals_a_fresh_session() {
 }
 
 #[test]
+fn a_stale_statement_run_first_after_a_model_swap_leaves_the_shared_cache_alone() {
+    let mut live = base_session();
+    let held = live.prepare(&plan()).expect("prepare").detach();
+    let old = held.run().expect("held run");
+
+    live.register_model("ft", model(7));
+    // the stale statement is the first to embed after the swap: it keeps its
+    // old model, through a cache nobody else sees
+    let stale = held.run().expect("stale run");
+    assert_eq!(stale.table, old.table);
+    assert_eq!(live.embedding_caches().cached_entries(), 0);
+    assert_eq!(live.embedding_caches().slot_maps(), 0);
+
+    let mut fresh = base_session();
+    fresh.register_model("ft", model(7));
+    let expected = run(&fresh);
+    assert_ne!(expected.table, old.table, "the two models must disagree");
+    let after = run(&live);
+    assert_eq!(after.table, expected.table);
+    assert_eq!(after.embedding_stats, expected.embedding_stats);
+}
+
+#[test]
 fn cleared_cache_pays_the_model_again_and_never_serves_old_slots() {
     let live = base_session();
     let cold = run(&live);

@@ -10,7 +10,10 @@ use cej_core::{
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
 use cej_relational::{col, lit_i64, LogicalPlan, RelationalError, SimilarityPredicate};
-use cej_workload::{JoinWorkload, RelationSpec};
+use cej_storage::{Column, Table};
+use cej_workload::{JoinWorkload, RelationSpec, Zipf};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn model(dim: usize) -> FastTextModel {
     FastTextModel::new(FastTextConfig {
@@ -79,20 +82,60 @@ fn explain_analyze_reports_actuals_matching_the_execution_report() {
     assert_eq!(q_error(est, analyzed.report.operator_rows[0] as f64), 1.0);
 }
 
+/// `table` plus a Zipf-distributed `zipf` column (value ids 0..100, theta
+/// 1.05 — one heavy hitter holding a double-digit share of the rows plus a
+/// long tail).
+fn with_zipf_column(table: &Table, seed: u64) -> Table {
+    let zipf = Zipf::new(100, 1.05);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let values: Vec<i64> = (0..table.num_rows())
+        .map(|_| zipf.sample(&mut rng) as i64)
+        .collect();
+    table
+        .with_column("zipf", Column::Int64(values))
+        .expect("zipf column append")
+}
+
 #[test]
 fn filtered_scan_estimates_meet_the_q_error_bar() {
-    let s = session(20, 500);
-    for cut in [10, 30, 60, 90] {
-        let plan = LogicalPlan::scan("s").select(col("filter").lt(lit_i64(cut)));
+    let mut s = session(20, 500);
+    let skewed = with_zipf_column(&s.catalog().table("s").expect("inner table"), 99);
+    s.register_table("z", skewed);
+
+    // cuts across the uniform column, each held to the bar on its own ...
+    let uniform = [10, 30, 60, 90].map(|cut| col("filter").lt(lit_i64(cut)));
+    // ... and the skew cases: head and tail equality, head and tail ranges,
+    // a conjunction across both distributions
+    let skew = [
+        col("zipf").eq(lit_i64(0)),
+        col("zipf").eq(lit_i64(40)),
+        col("zipf").lt(lit_i64(5)),
+        col("zipf").gt_eq(lit_i64(10)),
+        col("filter")
+            .lt(lit_i64(50))
+            .and(col("zipf").lt(lit_i64(10))),
+    ];
+    let mut q_errors = Vec::new();
+    for (i, predicate) in uniform.iter().chain(&skew).enumerate() {
+        let plan = LogicalPlan::scan("z").select(predicate.clone());
         let prepared = s.prepare(&plan).expect("prepare");
         let est = prepared.physical_plan().estimate().rows;
         let actual = prepared.run().expect("run").table.num_rows() as f64;
         let q = q_error(est, actual);
         assert!(
-            q <= 2.0,
-            "filter<{cut}: q-error {q:.3} (est {est:.1}, actual {actual}) exceeds 2.0"
+            q <= 2.0 || i >= uniform.len(),
+            "{predicate}: q-error {q:.3} (est {est:.1}, actual {actual}) exceeds 2.0"
         );
+        q_errors.push(q);
     }
+    // over the whole sweep the bar is on the median: single tail values of a
+    // skewed column may be off by more, the typical predicate may not
+    q_errors.sort_by(f64::total_cmp);
+    let median = q_errors[q_errors.len() / 2];
+    assert!(
+        median <= 2.0,
+        "median q-error {median:.3} over {q_errors:?} exceeds 2.0"
+    );
 }
 
 #[test]

@@ -64,6 +64,12 @@ fn prepare_run_explain_bind_over_tcp() {
     };
     assert!(lines[0].contains("l_word") && lines[0].contains("similarity"));
     assert_eq!(lines.len() - 1, 40, "top-2 join over 20 outer rows");
+    // the served bytes are the same whatever the worker-pool budget: CI runs
+    // this suite under CEJ_THREADS=1 and 2 against this one constant
+    assert_eq!(
+        checksum, 0xed6d_e44b_1cd1_6ce0,
+        "RUN j1 over the fixed 20 x 60 workload answered {checksum:#018x}"
+    );
     // repeat runs are byte-identical (warm prepared statement)
     let Response::Rows {
         checksum: warm_checksum,
