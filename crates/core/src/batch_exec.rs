@@ -1,57 +1,61 @@
-//! Vectorized (batch-at-a-time) execution of [`PhysicalPlan`] trees.
+//! The interpreter: the one place a physical operator body lives.
 //!
-//! This is the MonetDB/X100-style pull model the row executor's
-//! materialize-everything strategy is refactored into: operators exchange
-//! fixed-size **column batches** (default [`DEFAULT_BATCH_ROWS`] rows)
-//! carrying a selection vector over a shared, immutable base table.
+//! [`PhysicalPlan::execute`] is a single recursive function over the plan
+//! tree in the MonetDB/X100 style: operators exchange **morsels** — a
+//! selection vector plus a visible-column set over a shared, immutable base
+//! table — and nothing is copied until a pipeline breaker needs the rows.
 //!
-//! * `TableScan` emits zero-copy windows over the catalog's `Arc<Table>` —
-//!   no per-run deep clone of the base table.
-//! * `Filter` refines the selection vector in place
+//! A plan is a chain of *stages* (`Filter | Project | Embed | Rename`) above
+//! a *source* (a table scan, a context-enhanced join or a hash join).  One
+//! call of the interpreter peels the stages, resolves the source to an
+//! `Arc<Table>` (recursing into a join's inputs), cuts it into
+//! `morsel_rows`-sized selections and maps the whole stage chain over them
+//! on the context's [`cej_exec::ExecPool`] — inline at a budget of one
+//! thread, on the work-stealing workers above it.  The code is the same at
+//! every budget and every morsel size: a morsel of the whole table is the
+//! materialise-everything execution model, a morsel of one row is
+//! tuple-at-a-time.
+//!
+//! * A scan's morsels are zero-copy windows over the catalog snapshot.
+//! * `Filter` refines the selection vector
 //!   ([`cej_relational::eval::evaluate_predicate_select`], with the
 //!   `filter_cmp` kernel fast path) — survivors are *marked*, never copied.
 //! * `Project` and `Rename` are metadata-only: they narrow, reorder and
-//!   rename the visible-column set; no row is touched.
-//! * `Embed` embeds only the selected lanes, in one call per batch — by
-//!   remembered **slot** when the batch still windows a catalog table (the
+//!   rename the visible-column set.
+//! * `Embed` embeds only the selected lanes, in one call per morsel — by
+//!   remembered **slot** when the morsel still windows a catalog table (the
 //!   session's per-column `row → slot` maps,
 //!   [`crate::executor::ColumnSlots`]), through the strings otherwise.
 //! * Joins keep **both inputs as selections** until the pairs are known
-//!   (late materialisation).  The inner pipeline is collected, not gathered:
-//!   its join column is embedded by row (and for the tensor path normalised)
-//!   once, every outer batch is scored against it
+//!   (late materialisation).  The inner input is collected, not gathered:
+//!   its join column is embedded by row (and for the tensor join normalised)
+//!   once, every outer morsel is scored against it
 //!   ([`TensorJoin::join_prenormalized`], HNSW `probe_join`, or the NLJ
 //!   variants), pair offsets — positions in each side's selection — are
-//!   remapped by the batch's cumulative offset, and only the matched rows of
-//!   either side are finally copied out of the base tables.  A warm run over
-//!   a filtered inner table therefore hashes no string and copies no
+//!   remapped by the morsel's cumulative offset, and only the matched rows
+//!   of either side are finally copied out of the base tables.  A warm run
+//!   over a filtered inner table therefore hashes no string and copies no
 //!   unmatched row.  Inputs that are not one window over one base (an inner
-//!   that is itself a join, per-batch `Embed` outputs) are materialised as
-//!   before and embedded through the strings — over the same arena, so the
-//!   vectors are the same bits either way.
+//!   that is itself a join, per-morsel `Embed` outputs) are materialised and
+//!   embedded through the strings — over the same arena, so the vectors are
+//!   the same bits either way.
+//! * The relational hash join builds its partitioned table across workers
+//!   ([`HashSide::build_with_pool`]) and probes the left morsels against it.
 //!
-//! ## Morsel-driven parallelism
+//! Incremental view maintenance ([`crate::ivm`]) owns no operator: it pushes
+//! its delta tables through [`stage_over_table`] and [`join_tables`], the
+//! same bodies a full run executes.
 //!
-//! When the context's [`cej_exec::ExecPool`] budget exceeds one thread,
-//! linear `Scan → (Filter|Project|Embed|Rename)*` chains do not pull
-//! batches one at a time: the scan range is split into **morsels** (one
-//! selection-vector batch each) and dispatched onto the shared
-//! work-stealing pool, each worker running the whole operator chain over
-//! its morsel ([`run_chain_parallel`]).  Join probe sides follow the same
-//! pattern — outer morsels are embedded and probed concurrently against
-//! the once-prepared inner side, and the relational hash join builds its
-//! partitioned hash table across workers
-//! ([`HashSide::build_with_pool`]).
-//!
-//! The load-bearing invariant survives parallelism: results are
-//! **byte-identical** to the row executor — and to any thread budget and
-//! any morsel size — for every plan shape and join strategy.  Per-morsel
-//! outputs are reassembled in morsel-index order (ascending scan ranges),
-//! so rows, row order, similarity bits, and per-operator row actuals are
-//! exactly what the serial pull loop produces.  The per-operator actual-row
-//! accounting counts *selected lanes*, never batches, so `explain_analyze`
-//! q-errors are unchanged.  Only timing (`operator_micros`) and scheduler
-//! counters vary across budgets.
+//! The load-bearing invariant: results are **byte-identical** for every
+//! morsel size and every thread budget, for every plan shape and join
+//! strategy.  Per-morsel outputs are reassembled in morsel order (ascending
+//! row ranges), so rows, row order, similarity bits and per-operator row
+//! actuals do not depend on how the work was cut.  The per-operator
+//! actual-row accounting counts *selected lanes*, never morsels, so
+//! `explain_analyze` q-errors do not either.  Only timing
+//! (`operator_micros`), morsel counts and scheduler counters vary.
+//! `tests/property_morsel_equivalence.rs` holds the engine to that, and the
+//! whole-table morsel to `cej-oracle`, which shares no code with it.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -63,16 +67,12 @@ use cej_relational::{
     eval::{evaluate_predicate, evaluate_predicate_select},
     EmbedSpec, Expr,
 };
-use cej_storage::{
-    Column, Field, Schema, SelectionBitmap, StorageError, Table, DEFAULT_BATCH_ROWS,
-};
+use cej_storage::{Column, DataType, Field, Schema, SelectionBitmap, StorageError, Table};
 use cej_vector::norm::normalize_matrix_rows_with;
 use cej_vector::Matrix;
 
 use crate::error::CoreError;
-use crate::executor::{
-    join_output, ExecContext, ExecOutcome, OpMetrics, RunEmbedder, RunStats, SharedCache,
-};
+use crate::executor::{ExecContext, ExecOutcome, RunEmbedder, RunStats, SharedCache};
 use crate::join::hash_join::HashSide;
 use crate::join::index_join::IndexJoin;
 use crate::join::naive_nlj::NaiveNlJoin;
@@ -83,30 +83,7 @@ use crate::physical_plan::{HashJoinNode, InnerInput, JoinNode, PhysicalJoinOp, P
 use crate::result::{JoinPair, JoinResult, JoinStats};
 use crate::Result;
 
-/// Which executor runs a [`PhysicalPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The legacy materialize-everything row executor (kept as the reference
-    /// implementation for equivalence tests).
-    Row,
-    /// The vectorized pull executor: operators exchange `batch_rows`-sized
-    /// column batches with selection vectors.
-    Batch {
-        /// Rows per batch handed between operators (must be > 0).
-        batch_rows: usize,
-    },
-}
-
-impl Default for ExecMode {
-    /// Batch execution with [`DEFAULT_BATCH_ROWS`] rows per batch.
-    fn default() -> Self {
-        ExecMode::Batch {
-            batch_rows: DEFAULT_BATCH_ROWS,
-        }
-    }
-}
-
-/// A batch in flight: a selection vector plus a visible-column set over a
+/// A morsel in flight: a selection vector plus a visible-column set over a
 /// shared base table.  `sel` holds absolute row indices into `base`
 /// (ascending within a pipeline); `visible` holds base schema positions in
 /// output order.  Nothing is copied until a materialising boundary gathers
@@ -136,6 +113,12 @@ impl ExecBatch {
         }
     }
 
+    /// Every row of an operator's (or IVM's) materialised table.
+    fn whole(base: Arc<Table>) -> Self {
+        let rows = base.num_rows() as u32;
+        Self::window(base, (0..rows).collect(), false)
+    }
+
     /// The output name of the `i`-th visible column.
     fn name_of(&self, i: usize) -> &str {
         match &self.names {
@@ -145,331 +128,9 @@ impl ExecBatch {
     }
 }
 
-/// Re-emits a materialised operator output (`base`) as `batch_rows`-sized
-/// windows; always at least one batch, possibly empty, so schemas propagate.
-fn emit_window(
-    base: &Arc<Table>,
-    cursor: &mut usize,
-    emitted: &mut bool,
-    batch_rows: usize,
-    catalog_base: bool,
-) -> Option<ExecBatch> {
-    let rows = base.num_rows();
-    if *cursor >= rows && *emitted {
-        return None;
-    }
-    let end = (*cursor + batch_rows).min(rows);
-    let sel: Vec<u32> = (*cursor as u32..end as u32).collect();
-    *cursor = end;
-    *emitted = true;
-    Some(ExecBatch::window(base.clone(), sel, catalog_base))
-}
-
-/// One operator of the batch pipeline.  `slot` is the operator's pre-order
-/// position in the executor's actual-row vector — the same order
-/// `explain_analyze` renders operators in.
-enum BatchOp<'p> {
-    Scan {
-        slot: usize,
-        name: &'p str,
-        table: Option<Arc<Table>>,
-        cursor: usize,
-        emitted: bool,
-    },
-    Filter {
-        slot: usize,
-        predicate: &'p Expr,
-        input: Box<BatchOp<'p>>,
-    },
-    Project {
-        slot: usize,
-        columns: &'p [String],
-        input: Box<BatchOp<'p>>,
-    },
-    Embed {
-        slot: usize,
-        spec: &'p EmbedSpec,
-        input: Box<BatchOp<'p>>,
-    },
-    /// A join is a pipeline breaker: on first pull it streams its outer
-    /// pipeline through the probe side, materialises the joined table, then
-    /// re-emits it as batches for any operators above.
-    JoinSource {
-        slot: usize,
-        node: &'p JoinNode,
-        outer: Option<Box<BatchOp<'p>>>,
-        inner: Option<Box<BatchOp<'p>>>,
-        result: Option<Arc<Table>>,
-        cursor: usize,
-        emitted: bool,
-    },
-    /// The relational hash equi-join: the right pipeline is drained once into
-    /// a built hash side, then left (probe) batches stream against it; the
-    /// accumulated output re-emits as batches for the operators above.
-    HashJoinSource {
-        slot: usize,
-        node: &'p HashJoinNode,
-        left: Option<Box<BatchOp<'p>>>,
-        right: Option<Box<BatchOp<'p>>>,
-        result: Option<Arc<Table>>,
-        cursor: usize,
-        emitted: bool,
-    },
-    /// Generalised projection: gathers each batch and re-emits it with
-    /// columns selected, renamed, and reordered.
-    Rename {
-        slot: usize,
-        columns: &'p [(String, String)],
-        input: Box<BatchOp<'p>>,
-    },
-}
-
-/// Builds the operator pipeline, assigning pre-order slots that line up with
-/// the row executor's `operator_rows` protocol (join claims its slot, then
-/// the outer subtree, then the inner subtree when it is a plan).
-fn build_pipeline<'p>(plan: &'p PhysicalPlan, next_slot: &mut usize) -> BatchOp<'p> {
-    let slot = *next_slot;
-    *next_slot += 1;
-    match plan {
-        PhysicalPlan::TableScan { table, .. } => BatchOp::Scan {
-            slot,
-            name: table,
-            table: None,
-            cursor: 0,
-            emitted: false,
-        },
-        PhysicalPlan::Filter {
-            predicate, input, ..
-        } => BatchOp::Filter {
-            slot,
-            predicate,
-            input: Box::new(build_pipeline(input, next_slot)),
-        },
-        PhysicalPlan::Project { columns, input, .. } => BatchOp::Project {
-            slot,
-            columns,
-            input: Box::new(build_pipeline(input, next_slot)),
-        },
-        PhysicalPlan::Embed { spec, input, .. } => BatchOp::Embed {
-            slot,
-            spec,
-            input: Box::new(build_pipeline(input, next_slot)),
-        },
-        PhysicalPlan::Join(node) => {
-            let outer = Box::new(build_pipeline(&node.outer, next_slot));
-            let inner = match &node.inner {
-                InnerInput::Plan(inner) => Some(Box::new(build_pipeline(inner, next_slot))),
-                InnerInput::Indexed(_) => None,
-            };
-            BatchOp::JoinSource {
-                slot,
-                node,
-                outer: Some(outer),
-                inner,
-                result: None,
-                cursor: 0,
-                emitted: false,
-            }
-        }
-        PhysicalPlan::HashJoin(node) => {
-            let left = Box::new(build_pipeline(&node.left, next_slot));
-            let right = Box::new(build_pipeline(&node.right, next_slot));
-            BatchOp::HashJoinSource {
-                slot,
-                node,
-                left: Some(left),
-                right: Some(right),
-                result: None,
-                cursor: 0,
-                emitted: false,
-            }
-        }
-        PhysicalPlan::Rename { columns, input, .. } => BatchOp::Rename {
-            slot,
-            columns,
-            input: Box::new(build_pipeline(input, next_slot)),
-        },
-    }
-}
-
-impl<'p> BatchOp<'p> {
-    /// This operator's pre-order metrics slot.
-    fn slot(&self) -> usize {
-        match self {
-            BatchOp::Scan { slot, .. }
-            | BatchOp::Filter { slot, .. }
-            | BatchOp::Project { slot, .. }
-            | BatchOp::Embed { slot, .. }
-            | BatchOp::JoinSource { slot, .. }
-            | BatchOp::HashJoinSource { slot, .. }
-            | BatchOp::Rename { slot, .. } => *slot,
-        }
-    }
-
-    /// Pulls the next batch, or `None` when the operator is exhausted.  Every
-    /// pipeline emits at least one batch (possibly empty) so schemas
-    /// propagate even for zero-row inputs.  Wall time of the pull (inclusive
-    /// of input pulls) and the morsel count accrue to this operator's slot.
-    fn next_batch(
-        &mut self,
-        ctx: &ExecContext<'_>,
-        batch_rows: usize,
-        stats: &mut RunStats,
-        metrics: &mut OpMetrics,
-    ) -> Result<Option<ExecBatch>> {
-        let slot = self.slot();
-        let start = Instant::now();
-        let result = self.next_batch_inner(ctx, batch_rows, stats, metrics);
-        metrics.add_time(slot, start.elapsed());
-        if let Ok(Some(_)) = &result {
-            metrics.morsels[slot] += 1;
-        }
-        result
-    }
-
-    fn next_batch_inner(
-        &mut self,
-        ctx: &ExecContext<'_>,
-        batch_rows: usize,
-        stats: &mut RunStats,
-        metrics: &mut OpMetrics,
-    ) -> Result<Option<ExecBatch>> {
-        match self {
-            BatchOp::Scan {
-                slot,
-                name,
-                table,
-                cursor,
-                emitted,
-            } => {
-                if table.is_none() {
-                    *table = Some(ctx.catalog.table(name).map_err(CoreError::from)?);
-                }
-                let base = table.as_ref().expect("resolved above");
-                let batch = emit_window(base, cursor, emitted, batch_rows, true);
-                if let Some(batch) = &batch {
-                    metrics.rows[*slot] += batch.sel.len() as u64;
-                }
-                Ok(batch)
-            }
-            BatchOp::Filter {
-                slot,
-                predicate,
-                input,
-            } => {
-                let Some(batch) = input.next_batch(ctx, batch_rows, stats, metrics)? else {
-                    return Ok(None);
-                };
-                let refined = filter_batch(predicate, &batch)?;
-                metrics.rows[*slot] += refined.len() as u64;
-                Ok(Some(ExecBatch {
-                    sel: refined,
-                    ..batch
-                }))
-            }
-            BatchOp::Project {
-                slot,
-                columns,
-                input,
-            } => {
-                let Some(batch) = input.next_batch(ctx, batch_rows, stats, metrics)? else {
-                    return Ok(None);
-                };
-                let batch = project_batch(batch, columns)?;
-                metrics.rows[*slot] += batch.sel.len() as u64;
-                Ok(Some(batch))
-            }
-            BatchOp::Embed { slot, spec, input } => {
-                let Some(batch) = input.next_batch(ctx, batch_rows, stats, metrics)? else {
-                    return Ok(None);
-                };
-                let (out, delta) = embed_one_batch(&batch, spec, ctx)?;
-                stats.embedding_stats.model_calls += delta.model_calls;
-                stats.embedding_stats.cache_hits += delta.cache_hits;
-                metrics.rows[*slot] += out.sel.len() as u64;
-                Ok(Some(out))
-            }
-            BatchOp::JoinSource {
-                slot,
-                node,
-                outer,
-                inner,
-                result,
-                cursor,
-                emitted,
-            } => {
-                if result.is_none() {
-                    let mut outer_op = *outer.take().expect("join executes once");
-                    let inner_op = inner.take();
-                    let table = execute_join_batched(
-                        node,
-                        &mut outer_op,
-                        inner_op,
-                        ctx,
-                        batch_rows,
-                        stats,
-                        metrics,
-                    )?;
-                    metrics.rows[*slot] += table.num_rows() as u64;
-                    *result = Some(Arc::new(table));
-                }
-                let base = result.as_ref().expect("materialised above");
-                Ok(emit_window(base, cursor, emitted, batch_rows, false))
-            }
-            BatchOp::HashJoinSource {
-                slot,
-                node,
-                left,
-                right,
-                result,
-                cursor,
-                emitted,
-            } => {
-                if result.is_none() {
-                    let mut left_op = *left.take().expect("join executes once");
-                    let mut right_op = *right.take().expect("join executes once");
-                    // Build once from the drained right pipeline, radix-
-                    // partitioned across the pool's workers...
-                    let build_table = drain(&mut right_op, ctx, batch_rows, stats, metrics)?;
-                    let side =
-                        HashSide::build_with_pool(build_table, &node.right_column, &ctx.pool)?;
-                    // ...then probe morsels against it.  The side is read-
-                    // only, so probe batches run concurrently; concatenating
-                    // per-morsel outputs in morsel order keeps matches in
-                    // probe-row order.
-                    let batches = collect_batches(&mut left_op, ctx, batch_rows, stats, metrics)?;
-                    let probed = ctx.pool.parallel_map(&batches, |batch| -> Result<Table> {
-                        let gathered = gather_batch(batch)?;
-                        side.probe(&gathered, &node.left_column)
-                    });
-                    let parts = probed.into_iter().collect::<Result<Vec<_>>>()?;
-                    let refs: Vec<&Table> = parts.iter().collect();
-                    let table = Table::concat(&refs).map_err(CoreError::from)?;
-                    metrics.rows[*slot] += table.num_rows() as u64;
-                    *result = Some(Arc::new(table));
-                }
-                let base = result.as_ref().expect("materialised above");
-                Ok(emit_window(base, cursor, emitted, batch_rows, false))
-            }
-            BatchOp::Rename {
-                slot,
-                columns,
-                input,
-            } => {
-                let Some(batch) = input.next_batch(ctx, batch_rows, stats, metrics)? else {
-                    return Ok(None);
-                };
-                let out = rename_batch(batch, columns)?;
-                metrics.rows[*slot] += out.sel.len() as u64;
-                Ok(Some(out))
-            }
-        }
-    }
-}
-
 /// Resolves a column name against the batch's *visible* set under its
-/// output names (hidden base columns must not leak), mirroring the row
-/// path's `ColumnNotFound`.  Returns the base schema position.
+/// output names (hidden base columns must not leak).  Returns the base
+/// schema position.
 fn visible_position(batch: &ExecBatch, name: &str) -> Result<usize> {
     (0..batch.visible.len())
         .find(|&i| batch.name_of(i) == name)
@@ -504,29 +165,27 @@ fn embed_lanes(
     run.embed_rows(strings, &batch.sel, slots.as_deref())
 }
 
-/// Applies a filter predicate to a batch, returning the refined selection.
+/// The `Filter` operator's per-morsel body: the refined selection.
 fn filter_batch(predicate: &Expr, batch: &ExecBatch) -> Result<Vec<u32>> {
     if batch.sel.is_empty() {
-        // the row path evaluates nothing over an empty input
+        // nothing is evaluated over an empty input
         return Ok(Vec::new());
     }
-    let mut names = Vec::new();
-    expr_columns(predicate, &mut names);
     let fields = batch.base.schema().fields();
     let all_visible = batch.names.is_none()
-        && names
+        && predicate
+            .referenced_columns()
             .iter()
             .all(|n| batch.visible.iter().any(|&i| fields[i].name == *n));
     if all_visible {
-        // every referenced column is visible under its base name: evaluating
-        // against the base table over the selected lanes is exactly what the
-        // row path sees
+        // every referenced column is visible under its base name: evaluate
+        // against the base table over the selected lanes
         evaluate_predicate_select(predicate, &batch.base, &batch.sel).map_err(CoreError::from)
     } else {
         // a referenced column is hidden, renamed or missing: gather the
-        // visible lanes and replicate the row path bit for bit, including
-        // its short-circuit semantics (an unknown column behind a false AND
-        // arm is no error)
+        // visible lanes and evaluate over exactly what the operator may see,
+        // short-circuit semantics included (an unknown column behind a false
+        // AND arm is no error)
         let gathered = gather_batch(batch)?;
         let bitmap = evaluate_predicate(predicate, &gathered).map_err(CoreError::from)?;
         Ok(bitmap
@@ -537,7 +196,7 @@ fn filter_batch(predicate: &Expr, batch: &ExecBatch) -> Result<Vec<u32>> {
     }
 }
 
-/// The `Project` operator's per-batch body — metadata only: narrows the
+/// The `Project` operator's per-morsel body — metadata only: narrows the
 /// visible set.
 fn project_batch(batch: ExecBatch, columns: &[String]) -> Result<ExecBatch> {
     let mut visible = Vec::with_capacity(columns.len());
@@ -552,8 +211,8 @@ fn project_batch(batch: ExecBatch, columns: &[String]) -> Result<ExecBatch> {
     })
 }
 
-/// The `Rename` operator's per-batch body — metadata only: selects, reorders
-/// and renames visible columns without touching a row.
+/// The `Rename` operator's per-morsel body — metadata only: selects,
+/// reorders and renames visible columns without touching a row.
 fn rename_batch(batch: ExecBatch, columns: &[(String, String)]) -> Result<ExecBatch> {
     let fields = batch.base.schema().fields();
     let mut visible = Vec::with_capacity(columns.len());
@@ -563,7 +222,7 @@ fn rename_batch(batch: ExecBatch, columns: &[(String, String)]) -> Result<ExecBa
         visible.push(pos);
         renamed.push(Field::new(to, fields[pos].data_type));
     }
-    // the row path builds this schema; duplicate output names fail here too
+    // duplicate output names fail here, before any row is produced
     Schema::new(renamed).map_err(CoreError::from)?;
     Ok(ExecBatch {
         visible,
@@ -572,8 +231,9 @@ fn rename_batch(batch: ExecBatch, columns: &[(String, String)]) -> Result<ExecBa
     })
 }
 
-/// The `Embed` operator's per-batch body: embeds the input column's selected
-/// lanes in one call, gathers the batch, and rebases it onto the embedded
+/// The `Embed` operator's per-morsel body: embeds the input column's
+/// selected lanes in one call — through the shared per-model cache, so warm
+/// runs re-pay nothing — gathers the batch, and rebases it onto the embedded
 /// output table.  Returns the run-local embedding delta so callers on any
 /// thread can fold it into the run stats.
 fn embed_one_batch(
@@ -590,28 +250,42 @@ fn embed_one_batch(
     let out = gathered
         .with_column(&spec.output_column, Column::Vector(matrix))
         .map_err(CoreError::from)?;
-    let rows = out.num_rows() as u32;
-    Ok((
-        ExecBatch::window(Arc::new(out), (0..rows).collect(), false),
-        delta,
-    ))
+    Ok((ExecBatch::whole(Arc::new(out)), delta))
 }
 
-/// Collects every column name an expression references.
-fn expr_columns<'e>(expr: &'e Expr, out: &mut Vec<&'e str>) {
-    match expr {
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            expr_columns(a, out);
-            expr_columns(b, out);
-        }
-        Expr::Not(inner) => expr_columns(inner, out),
-        Expr::Compare { left, right, .. } => {
-            expr_columns(left, out);
-            expr_columns(right, out);
-        }
-        Expr::Column(name) => out.push(name),
-        Expr::Literal(_) => {}
+/// The input of a stage operator, `None` for a source.
+fn stage_input(plan: &PhysicalPlan) -> Option<&PhysicalPlan> {
+    match plan {
+        PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::Embed { input, .. }
+        | PhysicalPlan::Rename { input, .. } => Some(input),
+        PhysicalPlan::TableScan { .. } | PhysicalPlan::Join(_) | PhysicalPlan::HashJoin(_) => None,
     }
+}
+
+/// Applies one stage operator to one morsel, returning the morsel it emits
+/// and the model access it paid.
+fn apply_stage(
+    stage: &PhysicalPlan,
+    batch: ExecBatch,
+    ctx: &ExecContext<'_>,
+) -> Result<(ExecBatch, EmbeddingStats)> {
+    let out = match stage {
+        PhysicalPlan::Filter { predicate, .. } => ExecBatch {
+            sel: filter_batch(predicate, &batch)?,
+            ..batch
+        },
+        PhysicalPlan::Project { columns, .. } => project_batch(batch, columns)?,
+        PhysicalPlan::Rename { columns, .. } => rename_batch(batch, columns)?,
+        PhysicalPlan::Embed { spec, .. } => return embed_one_batch(&batch, spec, ctx),
+        PhysicalPlan::TableScan { .. } | PhysicalPlan::Join(_) | PhysicalPlan::HashJoin(_) => {
+            return Err(CoreError::InvalidInput(
+                "interpreter bug: a source operator is not a stage".into(),
+            ))
+        }
+    };
+    Ok((out, EmbeddingStats::default()))
 }
 
 /// Materialises a batch: visible columns, selected lanes.
@@ -619,19 +293,24 @@ fn gather_batch(batch: &ExecBatch) -> Result<Table> {
     gather_rows(batch, &batch.sel)
 }
 
-/// Materialises rows `rows` of the batch's base under the batch's visible
-/// columns and output names.  When that is the whole base table the `Arc`
-/// contents are cloned directly (the same single copy the row path pays).
-fn gather_rows(batch: &ExecBatch, rows: &[u32]) -> Result<Table> {
-    let whole_table = batch.names.is_none()
+/// Whether `rows` of the batch's base under its visible columns and names
+/// is the base table itself.
+fn is_whole_base(batch: &ExecBatch, rows: &[u32]) -> bool {
+    batch.names.is_none()
         && batch
             .visible
             .iter()
             .copied()
             .eq(0..batch.base.num_columns())
         && rows.len() == batch.base.num_rows()
-        && rows.iter().copied().eq(0..batch.base.num_rows() as u32);
-    if whole_table {
+        && rows.iter().copied().eq(0..batch.base.num_rows() as u32)
+}
+
+/// Materialises rows `rows` of the batch's base under the batch's visible
+/// columns and output names.  When that is the whole base table its columns
+/// are cloned directly instead of gathered lane by lane.
+fn gather_rows(batch: &ExecBatch, rows: &[u32]) -> Result<Table> {
+    if is_whole_base(batch, rows) {
         return Ok(batch.base.as_ref().clone());
     }
     let mut fields = Vec::with_capacity(batch.visible.len());
@@ -645,10 +324,9 @@ fn gather_rows(batch: &ExecBatch, rows: &[u32]) -> Result<Table> {
     Table::new(schema, columns).map_err(CoreError::from)
 }
 
-/// Collapses drained batches that window one base the same way (same
-/// visible set, same names) into a single selection — no row is copied.
-/// Heterogeneous batches (e.g. per-batch `Embed` outputs) come back
-/// untouched.
+/// Collapses morsels that window one base the same way (same visible set,
+/// same names) into a single selection — no row is copied.  Heterogeneous
+/// morsels (e.g. per-morsel `Embed` outputs) come back untouched.
 fn merge_selections(batches: Vec<ExecBatch>) -> std::result::Result<ExecBatch, Vec<ExecBatch>> {
     let Some(first) = batches.first() else {
         return Err(batches);
@@ -669,10 +347,10 @@ fn merge_selections(batches: Vec<ExecBatch>) -> std::result::Result<ExecBatch, V
     Ok(merged)
 }
 
-/// Gathers heterogeneous batches one by one and concatenates them.
+/// Gathers heterogeneous morsels one by one and concatenates them.
 fn concat_batches(batches: &[ExecBatch]) -> Result<Table> {
     if batches.is_empty() {
-        // every pipeline emits at least one batch; defensive only
+        // every pipeline emits at least one morsel; defensive only
         return Ok(Table::empty());
     }
     let parts: Vec<Table> = batches
@@ -683,262 +361,172 @@ fn concat_batches(batches: &[ExecBatch]) -> Result<Table> {
     Table::concat(&refs).map_err(CoreError::from)
 }
 
-/// Reassembles drained batches into one table: a single gather when they
-/// share a window, gather-and-concatenate otherwise.
+/// Reassembles a pipeline's morsels into one table: a single gather when
+/// they share a window, gather-and-concatenate otherwise.  An operator's own
+/// output that reaches here untouched is handed over, not copied.
 fn finalize(batches: Vec<ExecBatch>) -> Result<Table> {
     match merge_selections(batches) {
+        Ok(merged) if is_whole_base(&merged, &merged.sel) => {
+            Ok(Arc::try_unwrap(merged.base).unwrap_or_else(|shared| shared.as_ref().clone()))
+        }
         Ok(merged) => gather_batch(&merged),
         Err(batches) => concat_batches(&batches),
     }
 }
 
 /// One join input after its pipeline ran, kept as a **selection**: the rows
-/// `sel` of one base, nothing gathered.  Only when the batches do not share
+/// `sel` of one base, nothing gathered.  Only when the morsels do not share
 /// a window are they materialised (and then windowed whole).
 fn join_side(batches: Vec<ExecBatch>) -> Result<ExecBatch> {
     match merge_selections(batches) {
         Ok(merged) => Ok(merged),
-        Err(batches) => {
-            let table = concat_batches(&batches)?;
-            let rows = table.num_rows() as u32;
-            Ok(ExecBatch::window(
-                Arc::new(table),
-                (0..rows).collect(),
-                false,
-            ))
+        Err(batches) => Ok(ExecBatch::whole(Arc::new(concat_batches(&batches)?))),
+    }
+}
+
+/// Per-operator execution metrics, indexed by the operator's pre-order slot
+/// (the order `explain_analyze` renders in): a join, then its outer (left)
+/// subtree, then its inner (right) subtree when that is a plan.
+struct OpMetrics {
+    /// Actual output rows (selected lanes, never morsels).
+    rows: Vec<u64>,
+    /// Inclusive wall time in microseconds: an operator's time includes its
+    /// inputs'.  The stages fused into one morsel chain — and the scan under
+    /// them — all report the chain's wall-clock time (they execute
+    /// interleaved per morsel, so per-stage attribution would report summed
+    /// worker time, not elapsed time).
+    micros: Vec<u64>,
+    /// Morsels the operator processed or, for a join, emitted — how finely
+    /// its work was cut for the worker pool.
+    morsels: Vec<u64>,
+}
+
+/// One execution of a plan: the context, the morsel size, and what the run
+/// accumulates.
+struct Interpreter<'c, 's> {
+    ctx: &'c ExecContext<'s>,
+    morsel_rows: usize,
+    stats: RunStats,
+    metrics: OpMetrics,
+}
+
+impl Interpreter<'_, '_> {
+    /// Runs the subtree whose root sits at pre-order `slot`, returning its
+    /// output morsels in row order.  Always at least one morsel, possibly
+    /// empty, so schemas propagate through zero-row inputs.
+    fn run(&mut self, plan: &PhysicalPlan, slot: usize) -> Result<Vec<ExecBatch>> {
+        let start = Instant::now();
+        let mut stages = Vec::new();
+        let mut source = plan;
+        while let Some(input) = stage_input(source) {
+            stages.push(source);
+            source = input;
         }
-    }
-}
+        // `stages` is top-down, and so are their slots: `slot`, `slot + 1`, …
+        let source_slot = slot + stages.len();
+        let (base, catalog_base) = match source {
+            PhysicalPlan::TableScan { table, .. } => (
+                self.ctx.catalog.table(table).map_err(CoreError::from)?,
+                true,
+            ),
+            PhysicalPlan::Join(node) => (Arc::new(self.ejoin(node, source_slot)?), false),
+            PhysicalPlan::HashJoin(node) => (Arc::new(self.hash_join(node, source_slot)?), false),
+            _ => unreachable!("stages were peeled above"),
+        };
+        let source_micros = start.elapsed().as_micros() as u64;
 
-/// One stage of an extracted linear chain (everything above the scan).
-enum MorselStage<'p> {
-    Filter {
-        slot: usize,
-        predicate: &'p Expr,
-    },
-    Project {
-        slot: usize,
-        columns: &'p [String],
-    },
-    Embed {
-        slot: usize,
-        spec: &'p EmbedSpec,
-    },
-    Rename {
-        slot: usize,
-        columns: &'p [(String, String)],
-    },
-}
+        let rows = base.num_rows();
+        // an empty source still emits its one (empty) morsel
+        let morsels: Vec<Range<u32>> = (0..rows.max(1))
+            .step_by(self.morsel_rows)
+            .map(|s| s as u32..s.saturating_add(self.morsel_rows).min(rows) as u32)
+            .collect();
+        let ctx = self.ctx;
+        let chained = ctx.pool.parallel_map(
+            &morsels,
+            |range| -> Result<(ExecBatch, Vec<u64>, EmbeddingStats)> {
+                let sel = range.clone().collect();
+                let mut batch = ExecBatch::window(base.clone(), sel, catalog_base);
+                // per-stage output lanes, bottom-up, and the model access paid
+                let mut lanes = Vec::with_capacity(stages.len());
+                let mut embedded = EmbeddingStats::default();
+                for stage in stages.iter().rev() {
+                    let (out, delta) = apply_stage(stage, batch, ctx)?;
+                    embedded.model_calls += delta.model_calls;
+                    embedded.cache_hits += delta.cache_hits;
+                    lanes.push(out.sel.len() as u64);
+                    batch = out;
+                }
+                Ok((batch, lanes, embedded))
+            },
+        );
 
-impl MorselStage<'_> {
-    fn slot(&self) -> usize {
-        match self {
-            MorselStage::Filter { slot, .. }
-            | MorselStage::Project { slot, .. }
-            | MorselStage::Embed { slot, .. }
-            | MorselStage::Rename { slot, .. } => *slot,
+        let metrics = &mut self.metrics;
+        metrics.rows[source_slot] += rows as u64;
+        let mut batches = Vec::with_capacity(chained.len());
+        for result in chained {
+            let (batch, lanes, embedded) = result?;
+            for (depth, lanes) in lanes.into_iter().enumerate() {
+                metrics.rows[source_slot - 1 - depth] += lanes;
+            }
+            self.stats.embedding_stats.model_calls += embedded.model_calls;
+            self.stats.embedding_stats.cache_hits += embedded.cache_hits;
+            batches.push(batch);
         }
-    }
-}
-
-/// A linear `Scan → (Filter|Project|Embed|Rename)*` pipeline extracted from
-/// a fresh [`BatchOp`] tree — the unit of morsel-driven parallelism.
-/// `stages` is in application (bottom-up) order.
-struct MorselChain<'p> {
-    scan_slot: usize,
-    scan_name: &'p str,
-    stages: Vec<MorselStage<'p>>,
-}
-
-/// Extracts a linear chain from a *fresh* (never-pulled) pipeline, or `None`
-/// when the pipeline contains a pipeline breaker (a join source) and must be
-/// pulled serially.
-fn extract_chain<'p>(op: &BatchOp<'p>) -> Option<MorselChain<'p>> {
-    let mut stages_top_down: Vec<MorselStage<'p>> = Vec::new();
-    let mut cursor = op;
-    loop {
-        match cursor {
-            BatchOp::Scan { slot, name, .. } => {
-                stages_top_down.reverse();
-                return Some(MorselChain {
-                    scan_slot: *slot,
-                    scan_name: name,
-                    stages: stages_top_down,
-                });
-            }
-            BatchOp::Filter {
-                slot,
-                predicate,
-                input,
-            } => {
-                stages_top_down.push(MorselStage::Filter {
-                    slot: *slot,
-                    predicate,
-                });
-                cursor = input;
-            }
-            BatchOp::Project {
-                slot,
-                columns,
-                input,
-            } => {
-                stages_top_down.push(MorselStage::Project {
-                    slot: *slot,
-                    columns,
-                });
-                cursor = input;
-            }
-            BatchOp::Embed { slot, spec, input } => {
-                stages_top_down.push(MorselStage::Embed { slot: *slot, spec });
-                cursor = input;
-            }
-            BatchOp::Rename {
-                slot,
-                columns,
-                input,
-            } => {
-                stages_top_down.push(MorselStage::Rename {
-                    slot: *slot,
-                    columns,
-                });
-                cursor = input;
-            }
-            BatchOp::JoinSource { .. } | BatchOp::HashJoinSource { .. } => return None,
+        // every fused stage reports the chain's wall time, and so does the
+        // scan under them; a join keeps its own
+        let chain_micros = start.elapsed().as_micros() as u64;
+        metrics.micros[source_slot] += if catalog_base {
+            chain_micros
+        } else {
+            source_micros
+        };
+        for stage_micros in &mut metrics.micros[slot..source_slot] {
+            *stage_micros += chain_micros;
         }
-    }
-}
-
-/// Runs one morsel (a contiguous scan range) through every stage of a chain.
-/// Returns the surviving batch, the per-stage output-lane counts (scan
-/// first, then `stages` in order), and the embedding delta this morsel paid.
-fn process_morsel(
-    base: &Arc<Table>,
-    range: Range<u32>,
-    chain: &MorselChain<'_>,
-    ctx: &ExecContext<'_>,
-) -> Result<(ExecBatch, Vec<u64>, EmbeddingStats)> {
-    let mut lane_counts = Vec::with_capacity(1 + chain.stages.len());
-    let sel: Vec<u32> = range.collect();
-    lane_counts.push(sel.len() as u64);
-    let mut batch = ExecBatch::window(base.clone(), sel, true);
-    let mut embed_delta = EmbeddingStats::default();
-    for stage in &chain.stages {
-        match stage {
-            MorselStage::Filter { predicate, .. } => {
-                batch.sel = filter_batch(predicate, &batch)?;
-                lane_counts.push(batch.sel.len() as u64);
-            }
-            MorselStage::Project { columns, .. } => {
-                batch = project_batch(batch, columns)?;
-                lane_counts.push(batch.sel.len() as u64);
-            }
-            MorselStage::Embed { spec, .. } => {
-                let (out, delta) = embed_one_batch(&batch, spec, ctx)?;
-                embed_delta.model_calls += delta.model_calls;
-                embed_delta.cache_hits += delta.cache_hits;
-                lane_counts.push(out.sel.len() as u64);
-                batch = out;
-            }
-            MorselStage::Rename { columns, .. } => {
-                batch = rename_batch(batch, columns)?;
-                lane_counts.push(batch.sel.len() as u64);
-            }
+        for morsel_count in &mut metrics.morsels[slot..=source_slot] {
+            *morsel_count += morsels.len() as u64;
         }
+        Ok(batches)
     }
-    Ok((batch, lane_counts, embed_delta))
+
+    /// The relational hash equi-join: the right input is drained once into a
+    /// built hash side, radix-partitioned across the pool's workers, then
+    /// the left morsels probe it.  The side is read-only, so morsels probe
+    /// concurrently; concatenating their outputs in morsel order keeps
+    /// matches in probe-row order.
+    fn hash_join(&mut self, node: &HashJoinNode, slot: usize) -> Result<Table> {
+        let right_slot = slot + 1 + node.left.operator_count();
+        let build = finalize(self.run(&node.right, right_slot)?)?;
+        let side = HashSide::build_with_pool(build, &node.right_column, &self.ctx.pool)?;
+        let batches = self.run(&node.left, slot + 1)?;
+        let probed = self.ctx.pool.parallel_map(&batches, |batch| {
+            side.probe(&gather_batch(batch)?, &node.left_column)
+        });
+        let parts = probed.into_iter().collect::<Result<Vec<_>>>()?;
+        let refs: Vec<&Table> = parts.iter().collect();
+        Table::concat(&refs).map_err(CoreError::from)
+    }
+
+    /// The context-enhanced join: collects both inputs, then joins them.
+    /// The inner subplan (if any) runs first — nested joins and embeds
+    /// inside it account for their own model calls before this join counts
+    /// its own.
+    fn ejoin(&mut self, node: &JoinNode, slot: usize) -> Result<Table> {
+        let inner = match &node.inner {
+            InnerInput::Plan(inner) => {
+                let inner_slot = slot + 1 + node.outer.operator_count();
+                Some(join_side(self.run(inner, inner_slot)?)?)
+            }
+            InnerInput::Indexed(_) => None,
+        };
+        let outer = self.run(&node.outer, slot + 1)?;
+        join_sides(node, outer, inner, self.ctx, &mut self.stats)
+    }
 }
 
-/// Morsel-driven parallel execution of a linear chain: the scan range is
-/// split into `batch_rows`-sized morsels dispatched onto the context's
-/// worker pool, each worker running the full stage chain over its morsel.
-/// Outputs come back in morsel-index order, so the returned batch sequence
-/// — and everything downstream — is byte-identical to the serial pull loop.
-///
-/// All fused operators accrue the pipeline's wall-clock time (per-stage
-/// timing inside interleaved morsels would sum worker CPU time instead).
-fn run_chain_parallel(
-    chain: &MorselChain<'_>,
-    ctx: &ExecContext<'_>,
-    batch_rows: usize,
-    stats: &mut RunStats,
-    metrics: &mut OpMetrics,
-) -> Result<Vec<ExecBatch>> {
-    let start = Instant::now();
-    let base = ctx
-        .catalog
-        .table(chain.scan_name)
-        .map_err(CoreError::from)?;
-    let rows = base.num_rows();
-    // the serial scan emits exactly one empty batch for an empty table (so
-    // schemas propagate) and no trailing empty batch otherwise
-    let morsels: Vec<Range<u32>> = if rows == 0 {
-        std::iter::once(0..0).collect()
-    } else {
-        (0..rows)
-            .step_by(batch_rows)
-            .map(|s| s as u32..((s + batch_rows).min(rows)) as u32)
-            .collect()
-    };
-    let results = ctx.pool.parallel_map(&morsels, |range| {
-        process_morsel(&base, range.clone(), chain, ctx)
-    });
-    let mut batches = Vec::with_capacity(results.len());
-    for result in results {
-        let (batch, lane_counts, embed_delta) = result?;
-        metrics.rows[chain.scan_slot] += lane_counts[0];
-        metrics.morsels[chain.scan_slot] += 1;
-        for (stage, lanes) in chain.stages.iter().zip(&lane_counts[1..]) {
-            metrics.rows[stage.slot()] += *lanes;
-            metrics.morsels[stage.slot()] += 1;
-        }
-        stats.embedding_stats.model_calls += embed_delta.model_calls;
-        stats.embedding_stats.cache_hits += embed_delta.cache_hits;
-        batches.push(batch);
-    }
-    let elapsed = start.elapsed();
-    metrics.add_time(chain.scan_slot, elapsed);
-    for stage in &chain.stages {
-        metrics.add_time(stage.slot(), elapsed);
-    }
-    Ok(batches)
-}
-
-/// Collects every batch a pipeline produces.  Linear chains go down the
-/// morsel-parallel path when the pool budget allows; pipelines containing a
-/// join source are pulled serially (their heavy probe work is parallelised
-/// inside the join instead).
-fn collect_batches(
-    op: &mut BatchOp<'_>,
-    ctx: &ExecContext<'_>,
-    batch_rows: usize,
-    stats: &mut RunStats,
-    metrics: &mut OpMetrics,
-) -> Result<Vec<ExecBatch>> {
-    if ctx.pool.threads() > 1 {
-        if let Some(chain) = extract_chain(op) {
-            return run_chain_parallel(&chain, ctx, batch_rows, stats, metrics);
-        }
-    }
-    let mut batches = Vec::new();
-    while let Some(batch) = op.next_batch(ctx, batch_rows, stats, metrics)? {
-        batches.push(batch);
-    }
-    Ok(batches)
-}
-
-/// Drains a pipeline to a materialised table (pipeline-breaker boundary).
-fn drain(
-    op: &mut BatchOp<'_>,
-    ctx: &ExecContext<'_>,
-    batch_rows: usize,
-    stats: &mut RunStats,
-    metrics: &mut OpMetrics,
-) -> Result<Table> {
-    finalize(collect_batches(op, ctx, batch_rows, stats, metrics)?)
-}
-
-/// The per-batch probe strategy of a join: everything inner-side is prepared
-/// once, then reused by every outer batch.
+/// The per-morsel probe strategy of a join: everything inner-side is
+/// prepared once, then reused by every outer morsel.
 enum Probe {
     Naive {
         right: Vec<String>,
@@ -958,7 +546,7 @@ enum Probe {
     },
 }
 
-/// Accumulates per-batch join statistics the way a single whole-input call
+/// Accumulates per-morsel join statistics the way a single whole-input call
 /// would have: additive counters sum, probe stats merge, peaks take the max.
 fn merge_stats(acc: &mut JoinStats, part: &JoinStats) {
     acc.pairs_compared += part.pairs_compared;
@@ -975,36 +563,28 @@ fn gather_strings(strings: &[String], sel: &[u32]) -> Vec<String> {
         .collect()
 }
 
-/// Executes a join node batch-at-a-time.  Both inputs stay **selections**
-/// over their base tables until the pairs are known: the inner pipeline is
-/// collected but not gathered, its join column embedded by row
-/// ([`embed_lanes`]); outer morsels stream through the probe — concurrently
-/// on the context's pool, since the prepared probe state is read-only — with
-/// pair offsets remapped by each morsel's cumulative position (in morsel
-/// order, so output order matches the serial loop exactly); and only the
-/// matched rows of either side are ever copied ([`materialize_pairs`]).
-fn execute_join_batched(
+/// The context-enhanced join over two collected inputs: `outer` as the
+/// morsels its pipeline emitted, `inner` as one selection (`None` when a
+/// persistent index stands in for it).  Both stay **selections** over their
+/// base tables until the pairs are known: the inner join column is embedded
+/// by row ([`embed_lanes`]); outer morsels stream through the probe —
+/// concurrently on the context's pool, since the prepared probe state is
+/// read-only — with pair offsets remapped by each morsel's cumulative
+/// position (in morsel order, so output order does not depend on the cut);
+/// and only the matched rows of either side are ever copied
+/// ([`materialize_pairs`]).
+fn join_sides(
     node: &JoinNode,
-    outer: &mut BatchOp<'_>,
-    mut inner: Option<Box<BatchOp<'_>>>,
+    outer: Vec<ExecBatch>,
+    inner: Option<ExecBatch>,
     ctx: &ExecContext<'_>,
-    batch_rows: usize,
     stats: &mut RunStats,
-    metrics: &mut OpMetrics,
 ) -> Result<Table> {
     let start = Instant::now();
-
-    // Run the inner subplan (if any) *before* snapshotting this join's cache
-    // counters — nested joins and embeds inside it account for their own
-    // model calls (same rule as the row path).
-    let planned_inner = match inner.as_mut() {
-        Some(op) => Some(join_side(collect_batches(
-            op, ctx, batch_rows, stats, metrics,
-        )?)?),
-        None => None,
-    };
-
     let cache = ctx.embeddings.cache(&node.model, ctx.registry)?;
+    // All of this join's embedding goes through a run-local counting view,
+    // so the reported stats are exact per-run deltas even while other
+    // executions share (and race on) the same cache.
     let run = RunEmbedder::new(cache.as_ref());
     let embed = |side: &ExecBatch, column: (usize, &[String])| {
         embed_lanes(side, column, &node.model, &cache, &run, ctx)
@@ -1012,7 +592,10 @@ fn execute_join_batched(
 
     let (probe, inner_side) = match (&node.op, &node.inner) {
         (PhysicalJoinOp::Index(config), InnerInput::Indexed(indexed)) => {
-            // epoch first, then the table read (see the row path for why)
+            // epoch first, then the table read: a re-registration landing
+            // between the two is detected at publication time, so an index
+            // built from the rows snapshotted here can never be cached past
+            // an invalidation of its own table or model
             let epoch = ctx.indexes.publication_epoch(&indexed.key);
             let base = ctx
                 .catalog
@@ -1023,18 +606,32 @@ fn execute_join_batched(
                 .map_err(CoreError::from)?
                 .as_utf8()?;
             let join = IndexJoin::new(*config);
-            let (index, built, evicted) =
-                ctx.indexes
-                    .get_or_build_tracked_from(epoch, &indexed.key, || {
-                        let matrix = embed_all(&run, inner_strings)?;
-                        join.build_index(&matrix)
-                    })?;
-            if built {
-                stats.index_builds += 1;
+            let build = || join.build_index(&embed_all(&run, inner_strings)?);
+            let index = if ctx.embeddings.shares(&node.model, &cache) {
+                // tracked variant: evictions this call performed are
+                // attributed to this run, not diffed off the shared
+                // manager's global counter; single-flight means a losing
+                // racer pays no embedding or build cost here at all
+                let (index, built, evicted) =
+                    ctx.indexes
+                        .get_or_build_tracked_from(epoch, &indexed.key, build)?;
+                if built {
+                    stats.index_builds += 1;
+                } else {
+                    stats.index_reuses += 1;
+                }
+                stats.index_evictions += evicted;
+                index
             } else {
-                stats.index_reuses += 1;
-            }
-            stats.index_evictions += evicted;
+                // a statement prepared before the model was re-registered
+                // embeds through a private cache of its old model (checked
+                // after the epoch read, so a swap landing later is caught at
+                // publication): the manager's graph under this key holds —
+                // or will hold — the new model's vectors, so this run
+                // neither probes it nor publishes its own
+                stats.index_builds += 1;
+                Arc::new(build()?)
+            };
 
             let mut inner_filter: Option<SelectionBitmap> = None;
             for expr in &indexed.filters {
@@ -1061,7 +658,7 @@ fn execute_join_batched(
             )
         }
         (op, InnerInput::Plan(_)) => {
-            let side = planned_inner.expect("collected above");
+            let side = inner.expect("a planned inner input is collected by the caller");
             let column = string_column(&side, &node.right_column)?;
             check_predicate(&node.predicate)?;
             let probe = match op {
@@ -1073,8 +670,8 @@ fn execute_join_batched(
                     inner: embed(&side, column),
                 },
                 PhysicalJoinOp::Tensor(config) => {
-                    // the inner side is normalised exactly once; every probe
-                    // batch reuses it through `join_prenormalized`
+                    // the inner side is normalised exactly once; every outer
+                    // morsel reuses it through `join_prenormalized`
                     let mut inner_norm = embed(&side, column);
                     normalize_matrix_rows_with(&mut inner_norm, config.kernel);
                     Probe::Tensor {
@@ -1103,16 +700,13 @@ fn execute_join_batched(
         }
     };
 
-    // Collect the outer morsels (parallel when the outer pipeline is a
-    // linear chain), then embed + probe every morsel concurrently: the probe
-    // state above is read-only and the run-local embedding counters are
-    // atomic.
-    let batches = collect_batches(outer, ctx, batch_rows, stats, metrics)?;
+    // Embed + probe every outer morsel concurrently: the probe state above
+    // is read-only and the run-local embedding counters are atomic.
     let probed = ctx
         .pool
-        .parallel_map(&batches, |batch| -> Result<Option<JoinResult>> {
+        .parallel_map(&outer, |batch| -> Result<Option<JoinResult>> {
             // the column lookup happens for every morsel (even empty ones)
-            // so a missing probe column errors exactly like the row path
+            // so a missing probe column errors whatever the input holds
             let column = string_column(batch, &node.left_column)?;
             if batch.sel.is_empty() {
                 return Ok(None);
@@ -1146,12 +740,12 @@ fn execute_join_batched(
         });
 
     // Fold per-morsel results in morsel order: pair offsets are remapped by
-    // the cumulative outer position, so the pair list is exactly the serial
-    // loop's.
+    // the cumulative outer position, so the pair list does not depend on
+    // where the morsels were cut.
     let mut pairs: Vec<JoinPair> = Vec::new();
     let mut join_stats = JoinStats::default();
     let mut offset = 0usize;
-    for (batch, result) in batches.iter().zip(probed) {
+    for (batch, result) in outer.iter().zip(probed) {
         if let Some(result) = result? {
             for p in result.pairs {
                 pairs.push(JoinPair::new(offset + p.left, p.right, p.score));
@@ -1175,40 +769,64 @@ fn execute_join_batched(
         pairs,
         stats: join_stats,
     };
-    materialize_pairs(&join_side(batches)?, &inner_side, &result)
+    materialize_pairs(&join_side(outer)?, &inner_side, &result)
 }
 
 /// Late materialisation of a join: pair offsets are positions in each side's
 /// selection, so they are mapped through `sel` to base rows and only those
 /// rows — the matched ones — are gathered, straight from the base tables.
+/// The gathered columns are moved, not copied, into the output: `l_*`
+/// columns, `r_*` columns, then `similarity`.
 fn materialize_pairs(outer: &ExecBatch, inner: &ExecBatch, result: &JoinResult) -> Result<Table> {
     let pairs = result.sorted_pairs();
     let left_rows: Vec<u32> = pairs.iter().map(|p| outer.sel[p.left]).collect();
     let right_rows: Vec<u32> = pairs.iter().map(|p| inner.sel[p.right]).collect();
-    let scores: Vec<f64> = pairs.iter().map(|p| p.score as f64).collect();
-    join_output(
-        gather_rows(outer, &left_rows)?,
-        gather_rows(inner, &right_rows)?,
-        scores,
-    )
+    let mut fields: Vec<Field> = Vec::new();
+    let mut columns: Vec<Column> = Vec::new();
+    for (prefix, side) in [
+        ("l_", gather_rows(outer, &left_rows)?),
+        ("r_", gather_rows(inner, &right_rows)?),
+    ] {
+        let (schema, side_columns) = side.into_parts();
+        for field in schema.fields() {
+            fields.push(Field::new(
+                format!("{prefix}{}", field.name),
+                field.data_type,
+            ));
+        }
+        columns.extend(side_columns);
+    }
+    fields.push(Field::new("similarity", DataType::Float64));
+    columns.push(Column::Float64(
+        pairs.iter().map(|p| p.score as f64).collect(),
+    ));
+    let schema = Schema::new(fields).map_err(CoreError::from)?;
+    Table::new(schema, columns).map_err(CoreError::from)
 }
 
-/// Executes a plan batch-at-a-time.  Same contract as the row executor:
-/// per-operator actual rows in pre-order, per-run stat deltas, and a
-/// byte-identical output table.
-pub(crate) fn execute_batched(
+/// Executes a plan in `morsel_rows`-sized morsels: per-operator actual rows
+/// in pre-order, per-run stat deltas, and the output table.
+pub(crate) fn execute(
     plan: &PhysicalPlan,
     ctx: &ExecContext<'_>,
-    batch_rows: usize,
+    morsel_rows: usize,
 ) -> Result<ExecOutcome> {
-    let batch_rows = batch_rows.max(1);
-    let mut stats = RunStats::default();
+    let operators = plan.operator_count();
+    let mut interpreter = Interpreter {
+        ctx,
+        morsel_rows: morsel_rows.max(1),
+        stats: RunStats::default(),
+        metrics: OpMetrics {
+            rows: vec![0; operators],
+            micros: vec![0; operators],
+            morsels: vec![0; operators],
+        },
+    };
     let pool_before = cej_exec::ExecPool::metrics();
-    let mut metrics = OpMetrics::with_slots(plan.operator_count());
-    let mut next_slot = 0usize;
-    let mut root = build_pipeline(plan, &mut next_slot);
-    debug_assert_eq!(next_slot, plan.operator_count());
-    let table = drain(&mut root, ctx, batch_rows, &mut stats, &mut metrics)?;
+    let table = finalize(interpreter.run(plan, 0)?)?;
+    let Interpreter {
+        mut stats, metrics, ..
+    } = interpreter;
     stats.scheduler = cej_exec::ExecPool::metrics().delta_since(&pool_before);
     Ok(ExecOutcome {
         table,
@@ -1217,4 +835,79 @@ pub(crate) fn execute_batched(
         operator_micros: metrics.micros,
         operator_morsels: metrics.morsels,
     })
+}
+
+/// One stage operator over one already-materialised table — how IVM pushes
+/// a delta through a `Filter | Project | Embed | Rename`.
+pub(crate) fn stage_over_table(
+    stage: &PhysicalPlan,
+    table: Table,
+    ctx: &ExecContext<'_>,
+) -> Result<Table> {
+    let (out, _) = apply_stage(stage, ExecBatch::whole(Arc::new(table)), ctx)?;
+    finalize(vec![out])
+}
+
+/// `node`'s join over two already-collected tables (`inner` is `None` when
+/// a persistent index stands in for it) — IVM's delta-sized joins.
+pub(crate) fn join_tables(
+    node: &JoinNode,
+    outer: &Arc<Table>,
+    inner: Option<&Arc<Table>>,
+    ctx: &ExecContext<'_>,
+) -> Result<Table> {
+    let inner = inner.map(|table| ExecBatch::whole(table.clone()));
+    let outer = vec![ExecBatch::whole(outer.clone())];
+    join_sides(node, outer, inner, ctx, &mut RunStats::default())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::physical_plan::PlanEstimate;
+    use cej_storage::TableBuilder;
+
+    #[test]
+    fn rename_selects_reorders_and_renames() {
+        let (catalog, registry) = Default::default();
+        let (embeddings, indexes) = Default::default();
+        let ctx = ExecContext {
+            catalog: &catalog,
+            registry: &registry,
+            embeddings: &embeddings,
+            indexes: &indexes,
+            pool: cej_exec::ExecPool::new(1),
+        };
+        let fact = TableBuilder::new()
+            .int64("fk", vec![1, 2, 2, 9])
+            .utf8("caption", "abcd".chars().map(String::from).collect())
+            .build()
+            .unwrap();
+        let est = PlanEstimate::new(4.0, 0.0);
+        let rename = |columns: &[(&str, &str)]| PhysicalPlan::Rename {
+            columns: columns
+                .iter()
+                .map(|(from, to)| (from.to_string(), to.to_string()))
+                .collect(),
+            input: Box::new(PhysicalPlan::TableScan {
+                table: "fact".into(),
+                est,
+            }),
+            est,
+        };
+        let stage = rename(&[("caption", "text"), ("fk", "fk")]);
+        let out = stage_over_table(&stage, fact.clone(), &ctx).unwrap();
+        let names: Vec<&str> = out
+            .schema()
+            .fields()
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(names, vec!["text", "fk"]);
+        assert_eq!(out.num_rows(), 4);
+        assert_eq!(out.column(1).unwrap(), fact.column(0).unwrap());
+        assert!(stage_over_table(&rename(&[("ghost", "g")]), fact.clone(), &ctx).is_err());
+        let twice = rename(&[("fk", "x"), ("caption", "x")]);
+        assert!(stage_over_table(&twice, fact, &ctx).is_err());
+    }
 }

@@ -1,10 +1,11 @@
-//! Execution of [`PhysicalPlan`] trees against session-owned shared state.
+//! The state a [`PhysicalPlan`] executes against, and what a run reports.
 //!
-//! The executor is deliberately dumb: every decision (operator choice, access
-//! path, persistent-vs-ephemeral index) was already made by the
-//! [`crate::planner::Planner`] and is recorded in the plan, so executing the
-//! same [`PhysicalPlan`] twice performs the same physical work — minus
-//! whatever the shared state already holds:
+//! Execution itself is one interpreter, [`crate::batch_exec`]; this module
+//! holds what it runs *on*.  The interpreter is deliberately dumb: every
+//! decision (operator choice, access path, persistent-vs-ephemeral index)
+//! was already made by the [`crate::planner::Planner`] and is recorded in
+//! the plan, so executing the same [`PhysicalPlan`] twice performs the same
+//! physical work — minus whatever the shared state already holds:
 //!
 //! * [`EmbeddingCachePool`] — one counting [`CachedEmbedder`] per model,
 //!   owned by the session and shared by every query, so repeated executions
@@ -21,8 +22,8 @@
 //! meaning: model calls paid by *this* execution.
 
 use cej_embedding::{CachedEmbedder, Embedder, EmbeddingStats, UNRESOLVED_SLOT};
-use cej_relational::{eval::evaluate_predicate, physical::ModelRegistry, Catalog};
-use cej_storage::{Column, Field, Schema, SelectionBitmap, Table};
+use cej_relational::{physical::ModelRegistry, Catalog};
+use cej_storage::{Table, DEFAULT_BATCH_ROWS};
 use cej_vector::{Matrix, Vector};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -30,16 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use crate::access_path::AccessPath;
-use crate::batch_exec::ExecMode;
 use crate::error::CoreError;
-use crate::join::embed_all;
-use crate::join::hash_join::{rename_columns, HashSide};
-use crate::join::index_join::IndexJoin;
-use crate::join::naive_nlj::NaiveNlJoin;
-use crate::join::prefetch_nlj::PrefetchNlJoin;
-use crate::join::tensor_join::TensorJoin;
-use crate::physical_plan::{InnerInput, JoinNode, PhysicalJoinOp, PhysicalPlan};
-use crate::result::{JoinResult, JoinStats};
+use crate::physical_plan::PhysicalPlan;
+use crate::result::JoinStats;
 use crate::Result;
 
 /// Adapter so a shared `Arc<dyn Embedder>` can be wrapped by
@@ -256,6 +250,12 @@ impl ModelEntry {
         }
     }
 
+    /// Whether `cache` is this entry's shared cache (and not a private one,
+    /// or a predecessor's).
+    fn shares(&self, cache: &Arc<SharedCache>) -> bool {
+        Arc::ptr_eq(&self.cache, cache)
+    }
+
     /// The entry's shared cache if `model` is the model it wraps, else a
     /// private cache over `model`.
     fn cache_of(&self, model: Arc<dyn Embedder>) -> Arc<SharedCache> {
@@ -321,6 +321,18 @@ impl EmbeddingCachePool {
         Ok(entry.cache_of(resolved))
     }
 
+    /// Whether `cache` is the cache every run currently shares for `model`.
+    /// `false` for the private cache of a statement whose registry snapshot
+    /// predates a re-registration of the model: nothing derived from such a
+    /// cache's vectors (slot maps, persistent indexes) may be published
+    /// under the model's name.
+    pub(crate) fn shares(&self, model: &str, cache: &Arc<SharedCache>) -> bool {
+        self.caches
+            .read()
+            .get(model)
+            .is_some_and(|entry| entry.shares(cache))
+    }
+
     /// The slot map of column `column` of `table` under `model`, created
     /// (and dead maps swept) on first use.  `None` when `cache` is no longer
     /// the pool's cache for `model` — the model was re-registered meanwhile,
@@ -336,7 +348,7 @@ impl EmbeddingCachePool {
         {
             let read = self.caches.read();
             let entry = read.get(model)?;
-            if !Arc::ptr_eq(&entry.cache, cache) {
+            if !entry.shares(cache) {
                 return None;
             }
             if let Some(slots) = entry.columns.get(&key) {
@@ -350,7 +362,7 @@ impl EmbeddingCachePool {
                 .retain(|_, slots| slots.table.strong_count() > 0);
         }
         let entry = write.get_mut(model)?;
-        if !Arc::ptr_eq(&entry.cache, cache) {
+        if !entry.shares(cache) {
             return None;
         }
         let slots = entry
@@ -456,51 +468,6 @@ pub struct RunStats {
     pub index_evictions: u64,
 }
 
-/// Per-operator execution metrics, indexed by the operator's pre-order slot
-/// (the order `explain_analyze` renders in).  All three vectors share that
-/// slot space.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct OpMetrics {
-    /// Actual output rows (selected lanes, never batches).
-    pub rows: Vec<u64>,
-    /// Inclusive wall time in microseconds: an operator's time includes its
-    /// inputs'.  Operators fused into one morsel-parallel pipeline all
-    /// report the pipeline's wall-clock time (they execute interleaved per
-    /// morsel, so per-stage attribution would report summed CPU time, not
-    /// elapsed time).
-    pub micros: Vec<u64>,
-    /// Morsels (selection-vector batches) the operator processed — the
-    /// parallelism-granularity counter: `1` per operator under the row
-    /// executor, `ceil(rows / batch_rows)` under the batch executor.
-    pub morsels: Vec<u64>,
-}
-
-impl OpMetrics {
-    /// Metrics sized for `operators` pre-order slots, all zero.
-    pub fn with_slots(operators: usize) -> Self {
-        Self {
-            rows: vec![0; operators],
-            micros: vec![0; operators],
-            morsels: vec![0; operators],
-        }
-    }
-
-    /// Claims the next pre-order slot (row-executor protocol: claim before
-    /// recursing into inputs).
-    pub fn claim(&mut self) -> usize {
-        let slot = self.rows.len();
-        self.rows.push(0);
-        self.micros.push(0);
-        self.morsels.push(0);
-        slot
-    }
-
-    /// Adds inclusive wall time to a slot.
-    pub fn add_time(&mut self, slot: usize, elapsed: std::time::Duration) {
-        self.micros[slot] += elapsed.as_micros() as u64;
-    }
-}
-
 /// The outcome of executing a physical plan.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
@@ -525,294 +492,24 @@ pub struct ExecOutcome {
 impl PhysicalPlan {
     /// Executes the plan against the given context, recording the actual
     /// output rows of every operator alongside the usual run statistics.
-    ///
-    /// Runs under the default [`ExecMode`] — the vectorized batch executor.
-    /// Batch and row execution are byte-identical; use
-    /// [`PhysicalPlan::execute_with`] to pick explicitly.
+    /// Operators exchange morsels of [`DEFAULT_BATCH_ROWS`] rows.
     ///
     /// # Errors
     /// Propagates catalog, evaluation, embedding, index, and join errors.
     pub fn execute(&self, ctx: &ExecContext<'_>) -> Result<ExecOutcome> {
-        self.execute_with(ctx, ExecMode::default())
+        self.execute_with(ctx, DEFAULT_BATCH_ROWS)
     }
 
-    /// Executes the plan under an explicit [`ExecMode`].
+    /// [`PhysicalPlan::execute`] with an explicit morsel size (clamped to at
+    /// least one row; `usize::MAX` is the whole-table morsel).  Results are
+    /// byte-identical for every size — this is the seam equivalence tests
+    /// sweep, not a tuning knob.
     ///
     /// # Errors
     /// Propagates catalog, evaluation, embedding, index, and join errors.
-    pub fn execute_with(&self, ctx: &ExecContext<'_>, mode: ExecMode) -> Result<ExecOutcome> {
-        match mode {
-            ExecMode::Row => self.execute_rows(ctx),
-            ExecMode::Batch { batch_rows } => {
-                crate::batch_exec::execute_batched(self, ctx, batch_rows)
-            }
-        }
+    pub fn execute_with(&self, ctx: &ExecContext<'_>, morsel_rows: usize) -> Result<ExecOutcome> {
+        crate::batch_exec::execute(self, ctx, morsel_rows)
     }
-
-    /// The materialize-everything row executor (the reference
-    /// implementation the batch executor is checked against).
-    fn execute_rows(&self, ctx: &ExecContext<'_>) -> Result<ExecOutcome> {
-        let mut stats = RunStats::default();
-        let pool_before = cej_exec::ExecPool::metrics();
-        let mut metrics = OpMetrics::default();
-        let table = execute_node(self, ctx, &mut stats, &mut metrics)?;
-        stats.scheduler = cej_exec::ExecPool::metrics().delta_since(&pool_before);
-        Ok(ExecOutcome {
-            table,
-            stats,
-            operator_rows: metrics.rows,
-            operator_micros: metrics.micros,
-            operator_morsels: metrics.morsels,
-        })
-    }
-}
-
-fn execute_node(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext<'_>,
-    stats: &mut RunStats,
-    metrics: &mut OpMetrics,
-) -> Result<Table> {
-    // Claim this operator's pre-order slot before recursing, so the recorded
-    // vector lines up with the order `explain_analyze` renders operators in.
-    let slot = metrics.claim();
-    let start = std::time::Instant::now();
-    let table = match plan {
-        PhysicalPlan::TableScan { table, .. } => ctx
-            .catalog
-            .table(table)
-            .map_err(CoreError::from)?
-            .as_ref()
-            .clone(),
-        PhysicalPlan::Filter {
-            predicate, input, ..
-        } => {
-            let table = execute_node(input, ctx, stats, metrics)?;
-            let selection = evaluate_predicate(predicate, &table).map_err(CoreError::from)?;
-            table.filter(&selection).map_err(CoreError::from)?
-        }
-        PhysicalPlan::Project { columns, input, .. } => {
-            let table = execute_node(input, ctx, stats, metrics)?;
-            let names: Vec<&str> = columns.iter().map(|c| c.as_str()).collect();
-            table.project(&names).map_err(CoreError::from)?
-        }
-        PhysicalPlan::Embed { spec, input, .. } => {
-            let table = execute_node(input, ctx, stats, metrics)?;
-            // Route `E_µ` through the shared per-model cache (not the raw
-            // registry model) so warm prepared runs re-pay nothing, tallying
-            // through a run-local counter so concurrent executions on the
-            // shared session report isolated stats.
-            let cache = ctx.embeddings.cache(&spec.model, ctx.registry)?;
-            let run = RunEmbedder::new(cache.as_ref());
-            let strings = table
-                .column_by_name(&spec.input_column)
-                .map_err(CoreError::from)?
-                .as_utf8()?;
-            let matrix = embed_all(&run, strings)?;
-            let delta = run.stats();
-            stats.embedding_stats.model_calls += delta.model_calls;
-            stats.embedding_stats.cache_hits += delta.cache_hits;
-            table
-                .with_column(&spec.output_column, Column::Vector(matrix))
-                .map_err(CoreError::from)?
-        }
-        PhysicalPlan::Join(node) => execute_join(node, ctx, stats, metrics)?,
-        PhysicalPlan::HashJoin(node) => {
-            let left = execute_node(&node.left, ctx, stats, metrics)?;
-            let right = execute_node(&node.right, ctx, stats, metrics)?;
-            let side = HashSide::build_with_pool(right, &node.right_column, &ctx.pool)?;
-            side.probe(&left, &node.left_column)?
-        }
-        PhysicalPlan::Rename { columns, input, .. } => {
-            let table = execute_node(input, ctx, stats, metrics)?;
-            rename_columns(&table, columns)?
-        }
-    };
-    metrics.rows[slot] = table.num_rows() as u64;
-    metrics.morsels[slot] = 1;
-    metrics.add_time(slot, start.elapsed());
-    Ok(table)
-}
-
-fn execute_join(
-    node: &JoinNode,
-    ctx: &ExecContext<'_>,
-    stats: &mut RunStats,
-    metrics: &mut OpMetrics,
-) -> Result<Table> {
-    let outer_table = execute_node(&node.outer, ctx, stats, metrics)?;
-    let left_strings = outer_table
-        .column_by_name(&node.left_column)
-        .map_err(CoreError::from)?
-        .as_utf8()?;
-
-    // Materialise the inner subplan (if any) *before* snapshotting the cache
-    // counters: a nested join or embed inside it accounts for its own model
-    // calls, and this join's delta must not double-count them.
-    let materialized_inner = match &node.inner {
-        InnerInput::Plan(inner) => Some(execute_node(inner, ctx, stats, metrics)?),
-        InnerInput::Indexed(_) => None,
-    };
-
-    let cache = ctx.embeddings.cache(&node.model, ctx.registry)?;
-    // All of this join's embedding goes through a run-local counting view,
-    // so the reported stats are exact per-run deltas even while other
-    // executions share (and race on) the same cache.
-    let run = RunEmbedder::new(cache.as_ref());
-
-    let (result, right_view) = match (&node.op, &node.inner) {
-        (PhysicalJoinOp::Index(config), InnerInput::Indexed(indexed)) => {
-            // epoch first, then the table read: a re-registration landing
-            // between the two is detected at publication time, so an index
-            // built from the rows snapshotted here can never be cached past
-            // an invalidation of its own table or model
-            let epoch = ctx.indexes.publication_epoch(&indexed.key);
-            let base = ctx
-                .catalog
-                .table(&indexed.key.table)
-                .map_err(CoreError::from)?;
-            let inner_strings = base
-                .column_by_name(&indexed.key.column)
-                .map_err(CoreError::from)?
-                .as_utf8()?;
-            let join = IndexJoin::new(*config);
-            // tracked variant: evictions this call performed are attributed
-            // to this run, not diffed off the shared manager's global
-            // counter; single-flight means a losing racer pays no embedding
-            // or build cost here at all
-            let (index, built, evicted) =
-                ctx.indexes
-                    .get_or_build_tracked_from(epoch, &indexed.key, || {
-                        let matrix = embed_all(&run, inner_strings)?;
-                        join.build_index(&matrix)
-                    })?;
-            if built {
-                stats.index_builds += 1;
-            } else {
-                stats.index_reuses += 1;
-            }
-            stats.index_evictions += evicted;
-
-            let mut inner_filter: Option<SelectionBitmap> = None;
-            for expr in &indexed.filters {
-                let bitmap = evaluate_predicate(expr, &base).map_err(CoreError::from)?;
-                inner_filter = Some(match inner_filter {
-                    None => bitmap,
-                    Some(acc) => acc.and(&bitmap).map_err(CoreError::from)?,
-                });
-            }
-
-            let outer_matrix = embed_all(&run, left_strings)?;
-            let result = join.probe_join(
-                &outer_matrix,
-                &index,
-                node.predicate,
-                None,
-                inner_filter.as_ref(),
-            )?;
-            let right_view = match &indexed.projection {
-                Some(columns) => {
-                    let names: Vec<&str> = columns.iter().map(|c| c.as_str()).collect();
-                    base.project(&names).map_err(CoreError::from)?
-                }
-                None => base.as_ref().clone(),
-            };
-            (result, right_view)
-        }
-        (op, InnerInput::Plan(_)) => {
-            let inner_table = materialized_inner.expect("materialised above");
-            let right_strings = inner_table
-                .column_by_name(&node.right_column)
-                .map_err(CoreError::from)?
-                .as_utf8()?;
-            let model: &dyn Embedder = &run;
-            let result = match op {
-                PhysicalJoinOp::NaiveNlj => {
-                    NaiveNlJoin::new().join(model, left_strings, right_strings, node.predicate)?
-                }
-                PhysicalJoinOp::PrefetchNlj(config) => PrefetchNlJoin::new(*config).join(
-                    model,
-                    left_strings,
-                    right_strings,
-                    node.predicate,
-                )?,
-                PhysicalJoinOp::Tensor(config) => TensorJoin::new(*config).join(
-                    model,
-                    left_strings,
-                    right_strings,
-                    node.predicate,
-                )?,
-                PhysicalJoinOp::Index(config) => {
-                    stats.index_builds += 1;
-                    IndexJoin::new(*config).join(
-                        model,
-                        left_strings,
-                        right_strings,
-                        node.predicate,
-                    )?
-                }
-            };
-            (result, inner_table)
-        }
-        (op, InnerInput::Indexed(_)) => {
-            return Err(CoreError::InvalidInput(format!(
-                "planner bug: {} cannot consume a persistent-index inner input",
-                op.name()
-            )))
-        }
-    };
-
-    let delta = run.stats();
-    stats.embedding_stats.model_calls += delta.model_calls;
-    stats.embedding_stats.cache_hits += delta.cache_hits;
-
-    let mut join_stats = result.stats;
-    join_stats.model_calls = delta.model_calls;
-    stats.join_stats = join_stats;
-    stats.access_path = Some(node.access_path);
-    stats.matched_pairs = result.len();
-
-    materialize_output(&outer_table, &right_view, &result)
-}
-
-/// Builds the join output table: `l_*` columns, `r_*` columns, `similarity`.
-pub(crate) fn materialize_output(
-    left: &Table,
-    right: &Table,
-    result: &JoinResult,
-) -> Result<Table> {
-    let pairs = result.sorted_pairs();
-    let left_indices: Vec<usize> = pairs.iter().map(|p| p.left).collect();
-    let right_indices: Vec<usize> = pairs.iter().map(|p| p.right).collect();
-    let scores: Vec<f64> = pairs.iter().map(|p| p.score as f64).collect();
-    join_output(
-        left.take(&left_indices).map_err(CoreError::from)?,
-        right.take(&right_indices).map_err(CoreError::from)?,
-        scores,
-    )
-}
-
-/// Assembles the join output from the matched rows of each side (row `i` of
-/// `left`, of `right` and of `scores` is the `i`-th pair): the sides' columns
-/// are moved, not copied, under `l_` / `r_` names, then `similarity`.
-pub(crate) fn join_output(left: Table, right: Table, scores: Vec<f64>) -> Result<Table> {
-    let mut fields: Vec<Field> = Vec::new();
-    let mut columns: Vec<Column> = Vec::new();
-    for (prefix, side) in [("l_", left), ("r_", right)] {
-        let (schema, side_columns) = side.into_parts();
-        for field in schema.fields() {
-            fields.push(Field::new(
-                format!("{prefix}{}", field.name),
-                field.data_type,
-            ));
-        }
-        columns.extend(side_columns);
-    }
-    fields.push(Field::new("similarity", cej_storage::DataType::Float64));
-    columns.push(Column::Float64(scores));
-
-    let schema = Schema::new(fields).map_err(CoreError::from)?;
-    Table::new(schema, columns).map_err(CoreError::from)
 }
 
 #[cfg(test)]

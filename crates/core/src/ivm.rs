@@ -9,20 +9,25 @@
 //! The propagation rules are the classic Δ-substitution of incremental view
 //! maintenance, specialised to the fact that exactly **one** base table
 //! mutates per delta (so at every binary operator at most one side carries
-//! a delta):
+//! a delta).  This module owns the Δ-rules, the linearity conditions that
+//! force a refresh, and the per-node memos — but no operator body: every
+//! delta-sized execution goes through the interpreter's own stage and join
+//! functions ([`crate::batch_exec`]), the code a full run executes, so the
+//! two cannot drift apart.
 //!
-//! * `Filter` / `Project` / `Embed` / `Rename` are linear: apply the same
-//!   operator to the added and removed rows independently.
+//! * `Filter` / `Project` / `Embed` / `Rename` are linear: push the added
+//!   and the removed rows through the same stage independently.
 //! * `HashJoin` with a probe-side (left) delta probes the **live build-side
 //!   hash map** the engine memoises per node — only the delta rows are
 //!   probed, never the full probe input.  A build-side delta joins the delta
 //!   against the probe input and extends the memoised build map in place
 //!   (append-only deltas) or drops it (deletes).
-//! * A context-enhanced join with an **outer** delta re-runs the join kernel
-//!   over just the delta rows against the unchanged inner — exact for every
-//!   operator and both predicates, because all four kernels compute each
-//!   outer row's matches independently of other outer rows (and the index
-//!   path probes the *same* persistent graph a full re-run would).
+//! * A context-enhanced join with an **outer** delta runs the interpreter's
+//!   join over just the delta rows against the unchanged (memoised) inner —
+//!   exact for every operator and both predicates, because all four kernels
+//!   compute each outer row's matches independently of other outer rows
+//!   (and the index path probes the *same* persistent graph a full re-run
+//!   would).
 //! * A context-enhanced join with an **inner** delta is linear only for
 //!   threshold predicates under exact scan kernels; top-k predicates,
 //!   approximate index probes, and persistent-index inners are non-linear in
@@ -40,21 +45,15 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cej_embedding::Embedder;
-use cej_relational::eval::evaluate_predicate;
 use cej_relational::SimilarityPredicate;
-use cej_storage::{Column, SelectionBitmap, Table};
+use cej_storage::{Column, Table};
 use parking_lot::{Mutex, RwLock};
 
+use crate::batch_exec::{join_tables, stage_over_table};
 use crate::error::CoreError;
-use crate::executor::{materialize_output, ExecContext, RunEmbedder};
-use crate::join::embed_all;
-use crate::join::hash_join::{rename_columns, HashSide};
-use crate::join::index_join::IndexJoin;
-use crate::join::naive_nlj::NaiveNlJoin;
-use crate::join::prefetch_nlj::PrefetchNlJoin;
-use crate::join::tensor_join::TensorJoin;
-use crate::physical_plan::{IndexedInner, InnerInput, JoinNode, PhysicalJoinOp, PhysicalPlan};
+use crate::executor::ExecContext;
+use crate::join::hash_join::HashSide;
+use crate::physical_plan::{InnerInput, PhysicalJoinOp, PhysicalPlan};
 use crate::prepared::PreparedQuery;
 use crate::Result;
 
@@ -134,7 +133,7 @@ enum NodeMemo {
     /// The live build side of a hash join (key map plus materialised rows).
     HashBuild(HashSide),
     /// The materialised inner input of a scan-kernel ejoin.
-    InnerTable(Table),
+    InnerTable(Arc<Table>),
 }
 
 /// The delta-propagation engine of one standing query: pushes a
@@ -205,62 +204,17 @@ fn propagate_node(
                 removed: change.removed.clone(),
             }))
         }
-        PhysicalPlan::Filter {
-            predicate, input, ..
-        } => {
-            let delta = match propagate_node(input, ctx, change, memos, cursor)? {
-                Propagation::Delta(d) => d,
-                refresh => return Ok(refresh),
-            };
-            let filter_side = |side: &Table| -> Result<Table> {
-                let selection = evaluate_predicate(predicate, side).map_err(CoreError::from)?;
-                side.filter(&selection).map_err(CoreError::from)
-            };
-            Ok(Propagation::Delta(DeltaBatch {
-                added: filter_side(&delta.added)?,
-                removed: filter_side(&delta.removed)?,
-            }))
-        }
-        PhysicalPlan::Project { columns, input, .. } => {
-            let delta = match propagate_node(input, ctx, change, memos, cursor)? {
-                Propagation::Delta(d) => d,
-                refresh => return Ok(refresh),
-            };
-            let names: Vec<&str> = columns.iter().map(|c| c.as_str()).collect();
-            Ok(Propagation::Delta(DeltaBatch {
-                added: delta.added.project(&names).map_err(CoreError::from)?,
-                removed: delta.removed.project(&names).map_err(CoreError::from)?,
-            }))
-        }
-        PhysicalPlan::Embed { spec, input, .. } => {
-            let delta = match propagate_node(input, ctx, change, memos, cursor)? {
-                Propagation::Delta(d) => d,
-                refresh => return Ok(refresh),
-            };
-            let cache = ctx.embeddings.cache(&spec.model, ctx.registry)?;
-            let run = RunEmbedder::new(cache.as_ref());
-            let embed_side = |side: &Table| -> Result<Table> {
-                let strings = side
-                    .column_by_name(&spec.input_column)
-                    .map_err(CoreError::from)?
-                    .as_utf8()?;
-                let matrix = embed_all(&run, strings)?;
-                side.with_column(&spec.output_column, Column::Vector(matrix))
-                    .map_err(CoreError::from)
-            };
-            Ok(Propagation::Delta(DeltaBatch {
-                added: embed_side(&delta.added)?,
-                removed: embed_side(&delta.removed)?,
-            }))
-        }
-        PhysicalPlan::Rename { columns, input, .. } => {
+        PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::Embed { input, .. }
+        | PhysicalPlan::Rename { input, .. } => {
             let delta = match propagate_node(input, ctx, change, memos, cursor)? {
                 Propagation::Delta(d) => d,
                 refresh => return Ok(refresh),
             };
             Ok(Propagation::Delta(DeltaBatch {
-                added: rename_columns(&delta.added, columns)?,
-                removed: rename_columns(&delta.removed, columns)?,
+                added: stage_over_table(plan, delta.added, ctx)?,
+                removed: stage_over_table(plan, delta.removed, ctx)?,
             }))
         }
         PhysicalPlan::HashJoin(node) => {
@@ -335,30 +289,29 @@ fn propagate_node(
                     Propagation::Delta(d) => d,
                     refresh => return Ok(refresh),
                 };
-                match &node.inner {
-                    InnerInput::Indexed(ii) => {
-                        *cursor += 0; // indexed inners hold no operators
-                        Ok(Propagation::Delta(DeltaBatch {
-                            added: indexed_ejoin(node, ii, &delta.added, ctx)?,
-                            removed: indexed_ejoin(node, ii, &delta.removed, ctx)?,
-                        }))
-                    }
+                let (added, removed) = (Arc::new(delta.added), Arc::new(delta.removed));
+                // Join only the delta rows against the unchanged inner: the
+                // resident persistent index, or the memoised inner input.
+                let inner_table = match &node.inner {
+                    InnerInput::Indexed(_) => None,
                     InnerInput::Plan(inner) => {
                         *cursor += inner.operator_count();
                         if let Entry::Vacant(slot) = memos.entry(id) {
-                            slot.insert(NodeMemo::InnerTable(inner.execute(ctx)?.table));
+                            let table = Arc::new(inner.execute(ctx)?.table);
+                            slot.insert(NodeMemo::InnerTable(table));
                         }
                         let Some(NodeMemo::InnerTable(inner_table)) = memos.get(&id) else {
                             return Err(CoreError::InvalidInput(
                                 "ivm memo kind mismatch at an ejoin".into(),
                             ));
                         };
-                        Ok(Propagation::Delta(DeltaBatch {
-                            added: scan_ejoin(node, &delta.added, inner_table, ctx)?,
-                            removed: scan_ejoin(node, &delta.removed, inner_table, ctx)?,
-                        }))
+                        Some(inner_table)
                     }
-                }
+                };
+                Ok(Propagation::Delta(DeltaBatch {
+                    added: join_tables(node, &added, inner_table, ctx)?,
+                    removed: join_tables(node, &removed, inner_table, ctx)?,
+                }))
             } else {
                 // Inner delta: linear only for per-pair (threshold)
                 // predicates under exact scan kernels.
@@ -383,13 +336,15 @@ fn propagate_node(
                     Propagation::Delta(d) => d,
                     refresh => return Ok(refresh),
                 };
-                let outer_full = node.outer.execute(ctx)?.table;
-                let added = scan_ejoin(node, &outer_full, &delta.added, ctx)?;
-                let removed = scan_ejoin(node, &outer_full, &delta.removed, ctx)?;
+                let outer_full = Arc::new(node.outer.execute(ctx)?.table);
+                let (delta_added, delta_removed) = (Arc::new(delta.added), Arc::new(delta.removed));
+                let added = join_tables(node, &outer_full, Some(&delta_added), ctx)?;
+                let removed = join_tables(node, &outer_full, Some(&delta_removed), ctx)?;
                 if let Some(NodeMemo::InnerTable(inner_table)) = memos.get_mut(&id) {
-                    if delta.removed.num_rows() == 0 {
-                        *inner_table =
-                            Table::concat(&[inner_table, &delta.added]).map_err(CoreError::from)?;
+                    if delta_removed.num_rows() == 0 {
+                        *inner_table = Arc::new(
+                            Table::concat(&[inner_table, &delta_added]).map_err(CoreError::from)?,
+                        );
                     } else {
                         memos.remove(&id);
                     }
@@ -398,106 +353,6 @@ fn propagate_node(
             }
         }
     }
-}
-
-/// Runs `node`'s join kernel over an explicit (outer, inner) table pair —
-/// the delta-sized execution of a scan-kernel ejoin.
-fn scan_ejoin(
-    node: &JoinNode,
-    outer: &Table,
-    inner: &Table,
-    ctx: &ExecContext<'_>,
-) -> Result<Table> {
-    let left_strings = outer
-        .column_by_name(&node.left_column)
-        .map_err(CoreError::from)?
-        .as_utf8()?;
-    let right_strings = inner
-        .column_by_name(&node.right_column)
-        .map_err(CoreError::from)?
-        .as_utf8()?;
-    let cache = ctx.embeddings.cache(&node.model, ctx.registry)?;
-    let run = RunEmbedder::new(cache.as_ref());
-    let model: &dyn Embedder = &run;
-    let result = match &node.op {
-        PhysicalJoinOp::NaiveNlj => {
-            NaiveNlJoin::new().join(model, left_strings, right_strings, node.predicate)?
-        }
-        PhysicalJoinOp::PrefetchNlj(config) => {
-            PrefetchNlJoin::new(*config).join(model, left_strings, right_strings, node.predicate)?
-        }
-        PhysicalJoinOp::Tensor(config) => {
-            TensorJoin::new(*config).join(model, left_strings, right_strings, node.predicate)?
-        }
-        PhysicalJoinOp::Index(config) => {
-            IndexJoin::new(*config).join(model, left_strings, right_strings, node.predicate)?
-        }
-    };
-    materialize_output(outer, inner, &result)
-}
-
-/// Probes the persistent index of an indexed ejoin with just the rows of
-/// `outer` — exact because each probe row's matches depend only on the
-/// (unchanged) graph, and the engine resolves the *same* resident index a
-/// full re-run would.
-fn indexed_ejoin(
-    node: &JoinNode,
-    indexed: &IndexedInner,
-    outer: &Table,
-    ctx: &ExecContext<'_>,
-) -> Result<Table> {
-    let PhysicalJoinOp::Index(config) = &node.op else {
-        return Err(CoreError::InvalidInput(format!(
-            "planner bug: {} cannot consume a persistent-index inner input",
-            node.op.name()
-        )));
-    };
-    let epoch = ctx.indexes.publication_epoch(&indexed.key);
-    let base = ctx
-        .catalog
-        .table(&indexed.key.table)
-        .map_err(CoreError::from)?;
-    let inner_strings = base
-        .column_by_name(&indexed.key.column)
-        .map_err(CoreError::from)?
-        .as_utf8()?;
-    let join = IndexJoin::new(*config);
-    let cache = ctx.embeddings.cache(&node.model, ctx.registry)?;
-    let run = RunEmbedder::new(cache.as_ref());
-    let (index, _, _) = ctx
-        .indexes
-        .get_or_build_tracked_from(epoch, &indexed.key, || {
-            let matrix = embed_all(&run, inner_strings)?;
-            join.build_index(&matrix)
-        })?;
-    let mut inner_filter: Option<SelectionBitmap> = None;
-    for expr in &indexed.filters {
-        let bitmap = evaluate_predicate(expr, &base).map_err(CoreError::from)?;
-        inner_filter = Some(match inner_filter {
-            None => bitmap,
-            Some(acc) => acc.and(&bitmap).map_err(CoreError::from)?,
-        });
-    }
-    let outer_strings = outer
-        .column_by_name(&node.left_column)
-        .map_err(CoreError::from)?
-        .as_utf8()?;
-    let outer_matrix = embed_all(&run, outer_strings)?;
-    let result = join.probe_join(
-        &outer_matrix,
-        &index,
-        node.predicate,
-        None,
-        inner_filter.as_ref(),
-    )?;
-    let right_view = match &indexed.projection {
-        Some(columns) => {
-            let names: Vec<&str> = columns.iter().map(|c| c.as_str()).collect();
-            base.project(&names).map_err(CoreError::from)?
-        }
-        None => base.as_ref().clone(),
-    };
-    materialize_output(outer, &right_view, &result)
 }
 
 /// Canonical byte keys for every row of a table, packed into one flat

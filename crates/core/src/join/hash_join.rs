@@ -6,13 +6,12 @@
 //! expressed and *reordered* by the Selinger-style join-order optimizer in
 //! `cej-relational`.
 //!
-//! Both executors share this implementation: the right input is drained once
-//! into a [`HashSide`] (key → row indices, in right-row order), then the left
-//! input probes it — all rows at once in the row executor, batch-at-a-time in
-//! the vectorized executor.  Matches are emitted ordered by probe row first
-//! and build row second, which is what makes the output deterministic and
-//! byte-identical across executors, batch sizes, and join orders (after the
-//! compensating `Rename` restores the written column order).
+//! The right input is drained once into a [`HashSide`] (key → row indices,
+//! in right-row order), then the left input probes it, one morsel at a time.
+//! Matches are emitted ordered by probe row first and build row second,
+//! which is what makes the output deterministic and byte-identical across
+//! morsel sizes, thread budgets, and join orders (after the compensating
+//! `Rename` restores the written column order).
 //!
 //! ## Partitioned parallel build
 //!
@@ -30,7 +29,7 @@
 use std::collections::HashMap;
 
 use cej_exec::ExecPool;
-use cej_storage::{Column, Field, Schema, Table};
+use cej_storage::{Column, Schema, Table};
 
 use crate::error::CoreError;
 use crate::Result;
@@ -239,21 +238,6 @@ pub(crate) fn concat_sides(left: &Table, right: &Table) -> Result<Table> {
     Table::new(schema, columns).map_err(CoreError::from)
 }
 
-/// Executes a `Rename` operator: selects `from` columns in order and emits
-/// them under their `to` names — projection, renaming, and reordering in one
-/// column-copying step.
-pub(crate) fn rename_columns(table: &Table, columns: &[(String, String)]) -> Result<Table> {
-    let mut fields = Vec::with_capacity(columns.len());
-    let mut cols = Vec::with_capacity(columns.len());
-    for (from, to) in columns {
-        let field = table.schema().field(from).map_err(CoreError::from)?;
-        fields.push(Field::new(to, field.data_type));
-        cols.push(table.column_by_name(from).map_err(CoreError::from)?.clone());
-    }
-    let schema = Schema::new(fields).map_err(CoreError::from)?;
-    Table::new(schema, cols).map_err(CoreError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,26 +392,5 @@ mod tests {
             .build()
             .unwrap();
         assert!(HashSide::build(t, "score").is_err());
-    }
-
-    #[test]
-    fn rename_selects_reorders_and_renames() {
-        let out = rename_columns(
-            &fact(),
-            &[
-                ("caption".to_string(), "text".to_string()),
-                ("fk".to_string(), "fk".to_string()),
-            ],
-        )
-        .unwrap();
-        let names: Vec<&str> = out
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(names, vec!["text", "fk"]);
-        assert_eq!(out.num_rows(), 4);
-        assert!(rename_columns(&fact(), &[("ghost".to_string(), "g".to_string())]).is_err());
     }
 }

@@ -60,7 +60,6 @@ pub mod result;
 pub mod session;
 
 pub use access_path::{AccessPath, AccessPathAdvisor, AccessPathQuery};
-pub use batch_exec::ExecMode;
 pub use builder::{sim_gte, top_k, QueryBuilder};
 pub use cost::{CostModel, CostParameters};
 pub use error::CoreError;

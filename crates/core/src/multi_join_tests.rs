@@ -1,5 +1,5 @@
 //! End-to-end tests for N-table queries: join-order invariance across
-//! logically equivalent plans and executors, the redesigned builder API,
+//! logically equivalent plans and morsel sizes, the redesigned builder API,
 //! naming-rule errors, and targeted threshold rebinding.
 
 use crate::builder::sim_gte;
@@ -7,7 +7,6 @@ use crate::error::CoreError;
 use crate::physical_plan::{q_error, InnerInput, PhysicalPlan};
 use crate::planner::Planner;
 use crate::session::{ContextJoinSession, JoinStrategy};
-use crate::ExecMode;
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_relational::{col, lit_i64, LogicalPlan, RelationalError, SimilarityPredicate};
 use cej_storage::{Table, TableBuilder};
@@ -122,7 +121,7 @@ fn canonical(table: &Table) -> Vec<String> {
     rows
 }
 
-fn run_mode(s: &ContextJoinSession, plan: &LogicalPlan, mode: ExecMode) -> Table {
+fn run_morsels(s: &ContextJoinSession, plan: &LogicalPlan, morsel_rows: usize) -> Table {
     let prepared = s.prepare(plan).unwrap();
     let ctx = crate::executor::ExecContext {
         catalog: s.catalog(),
@@ -133,7 +132,7 @@ fn run_mode(s: &ContextJoinSession, plan: &LogicalPlan, mode: ExecMode) -> Table
     };
     prepared
         .physical_plan()
-        .execute_with(&ctx, mode)
+        .execute_with(&ctx, morsel_rows)
         .unwrap()
         .table
 }
@@ -203,19 +202,34 @@ fn equivalent_plans() -> Vec<LogicalPlan> {
     ]
 }
 
+/// Both modes of cutting the work: one whole-table morsel per operator, and
+/// 3-row morsels.
 #[test]
 fn all_join_orders_produce_identical_results_in_both_exec_modes() {
     let s = star_session();
     let mut reference: Option<Vec<String>> = None;
     for (i, plan) in equivalent_plans().into_iter().enumerate() {
-        for (mode, label) in [
-            (ExecMode::Row, "row"),
-            (ExecMode::Batch { batch_rows: 3 }, "batch"),
-        ] {
-            let rows = canonical(&run_mode(&s, &plan, mode));
+        for (morsel_rows, label) in [(usize::MAX, "whole table"), (3, "3-row morsels")] {
+            let table = run_morsels(&s, &plan, morsel_rows);
+            let rows = canonical(&table);
             assert!(!rows.is_empty(), "plan {i} ({label}) returned no rows");
             match &reference {
-                None => reference = Some(rows),
+                None => {
+                    // the one canonical result is the written query's answer:
+                    // the DP rewrite checked as an equivalence, once
+                    let tables = ["orders", "customers", "regions", "products"]
+                        .map(|name| (name, s.catalog().table(name).unwrap()));
+                    let tables = tables
+                        .each_ref()
+                        .map(|(name, table)| (*name, table.as_ref()));
+                    let oracle = cej_oracle::Oracle {
+                        tables: &tables,
+                        models: &[("fasttext", &model())],
+                        exact: true,
+                    };
+                    oracle.expect(&plan).unwrap().check(&table).unwrap();
+                    reference = Some(rows);
+                }
                 Some(expected) => {
                     assert_eq!(&rows, expected, "plan {i} ({label}) diverged");
                 }
@@ -401,7 +415,7 @@ fn filtered_join_orders_stay_identical() {
     let mut reference: Option<Vec<String>> = None;
     for (i, plan) in equivalent_plans().into_iter().enumerate() {
         let filtered = plan.select(col("l_total").gt_eq(lit_i64(100)));
-        let rows = canonical(&run_mode(&s, &filtered, ExecMode::default()));
+        let rows = canonical(&run_morsels(&s, &filtered, cej_storage::DEFAULT_BATCH_ROWS));
         assert!(!rows.is_empty(), "plan {i} returned no rows");
         match &reference {
             None => reference = Some(rows),

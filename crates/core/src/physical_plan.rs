@@ -141,8 +141,8 @@ pub struct JoinNode {
 /// side); the *left* input probes it.  Output columns are the concatenation
 /// of both inputs' columns with their names preserved (the planner rejects
 /// plans where the two sides share a column name), and matches are emitted
-/// in probe-row-then-build-row order — deterministic and identical across
-/// the row and batch executors.
+/// in probe-row-then-build-row order — deterministic and identical at every
+/// morsel size and thread budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HashJoinNode {
     /// The left (probe) input.

@@ -30,7 +30,6 @@ use cej_obs::{AttrValue, SpanId, Trace};
 use cej_relational::physical::ModelRegistry;
 use cej_relational::{LogicalPlan, SimilarityPredicate};
 
-use crate::batch_exec::ExecMode;
 use crate::error::CoreError;
 use crate::executor::{ExecContext, ExecOutcome};
 use crate::ivm::IvmPolicy;
@@ -194,7 +193,7 @@ impl<'s> PreparedQuery<'s> {
     /// # Errors
     /// Propagates the same errors as [`PreparedQuery::run`].
     pub fn run_with_pool(&self, pool: cej_exec::ExecPool) -> Result<ExecutionReport> {
-        self.run_traced_with(&Trace::disabled(), pool, ExecMode::default())
+        self.run_traced_with(&Trace::disabled(), pool)
     }
 
     /// [`PreparedQuery::run`] recording into a caller-provided
@@ -210,12 +209,10 @@ impl<'s> PreparedQuery<'s> {
     /// # Errors
     /// Propagates the same errors as [`PreparedQuery::run`].
     pub fn run_traced(&self, trace: &Trace) -> Result<ExecutionReport> {
-        self.run_traced_with(trace, *cej_exec::ExecPool::global(), ExecMode::default())
+        self.run_traced_with(trace, *cej_exec::ExecPool::global())
     }
 
-    /// [`PreparedQuery::run_traced`] with an explicit pool budget and
-    /// [`ExecMode`] — how tests assert span-tree shape under both the row
-    /// and the batch executor.
+    /// [`PreparedQuery::run_traced`] with an explicit pool budget.
     ///
     /// # Errors
     /// Propagates the same errors as [`PreparedQuery::run`].
@@ -223,7 +220,6 @@ impl<'s> PreparedQuery<'s> {
         &self,
         trace: &Trace,
         pool: cej_exec::ExecPool,
-        mode: ExecMode,
     ) -> Result<ExecutionReport> {
         let ctx = ExecContext {
             catalog: self.session.catalog(),
@@ -233,7 +229,7 @@ impl<'s> PreparedQuery<'s> {
             pool,
         };
         let started = std::time::Instant::now();
-        let outcome = self.physical.execute_with(&ctx, mode)?;
+        let outcome = self.physical.execute(&ctx)?;
         let elapsed_us = started.elapsed().as_micros() as u64;
         let trace_id = if trace.is_sampled() {
             self.annotate_trace(trace, &outcome, elapsed_us);

@@ -101,15 +101,15 @@ pub struct ExecutionReport {
     /// plan renders in — the "actual" column of `explain_analyze()`.
     pub operator_rows: Vec<u64>,
     /// Measured wall time of every physical operator in microseconds, same
-    /// pre-order as `operator_rows`.  Times are *inclusive* of input pulls,
-    /// and operators fused into one morsel-parallel chain all report the
-    /// chain's wall time.  Timing only — excluded from the byte-identity
-    /// contract across executors, thread budgets, and batch sizes.
+    /// pre-order as `operator_rows`.  Times are *inclusive* of the inputs',
+    /// and the stages fused into one morsel chain (and the scan under them)
+    /// all report the chain's wall time.  Timing only — excluded from the
+    /// byte-identity contract across thread budgets and morsel sizes.
     pub operator_micros: Vec<u64>,
-    /// Morsels (selection-vector batches) each physical operator processed,
-    /// same pre-order as `operator_rows`.  The row executor reports 1 per
-    /// operator; the batch executor reports the batch/morsel count.  Like
-    /// timing, excluded from the byte-identity contract.
+    /// Morsels (selections over a base table) each physical operator
+    /// processed — for a join, emitted — same pre-order as `operator_rows`:
+    /// `ceil(rows / DEFAULT_BATCH_ROWS)`, at least 1.  Like timing, excluded
+    /// from the byte-identity contract.
     pub operator_morsels: Vec<u64>,
     /// Persistent worker-pool activity observed across this run (tasks
     /// executed, steals, injector submissions, queue depth) — the scheduler

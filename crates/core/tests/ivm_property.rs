@@ -2,8 +2,8 @@
 //! `APPEND` / `DELETE` / `UPSERT` deltas against both sides of a
 //! hash-join + ejoin plan must leave every standing query's maintained
 //! result **byte-identical** (canonicalised multiset) to a full re-run of
-//! the same plan — under all four physical join strategies and both
-//! executors (row and vectorized batch, at awkward batch sizes).
+//! the same plan — under all four physical join strategies and at the
+//! whole-table morsel as well as awkward morsel sizes.
 //!
 //! This is the end-to-end exactness contract of `cej_core::ivm`: whether a
 //! delta took the propagation fast path, fell back to a refresh, or hit
@@ -11,7 +11,7 @@
 //! what re-planning and re-executing would produce.
 
 use cej_core::{
-    ContextJoinSession, Delta, ExecContext, ExecMode, IndexJoinConfig, IvmPolicy, JoinStrategy,
+    ContextJoinSession, Delta, ExecContext, IndexJoinConfig, IvmPolicy, JoinStrategy,
     MaintainedResult, NljConfig, ScalarValue, StandingQuery, TensorJoinConfig,
 };
 use cej_embedding::{FastTextConfig, FastTextModel};
@@ -207,8 +207,8 @@ fn plan(predicate: SimilarityPredicate) -> LogicalPlan {
     )
 }
 
-/// Full re-run of the plan under an explicit executor mode.
-fn rerun(s: &ContextJoinSession, query: &LogicalPlan, mode: ExecMode) -> Table {
+/// Full re-run of the plan in morsels of `morsel_rows` rows.
+fn rerun(s: &ContextJoinSession, query: &LogicalPlan, morsel_rows: usize) -> Table {
     let prepared = s.prepare(query).unwrap();
     let ctx = ExecContext {
         catalog: s.catalog(),
@@ -219,7 +219,7 @@ fn rerun(s: &ContextJoinSession, query: &LogicalPlan, mode: ExecMode) -> Table {
     };
     prepared
         .physical_plan()
-        .execute_with(&ctx, mode)
+        .execute_with(&ctx, morsel_rows)
         .unwrap()
         .table
 }
@@ -242,16 +242,12 @@ fn check_in_sync(
     query: &LogicalPlan,
     context: &str,
 ) -> Result<(), TestCaseError> {
-    for (mode, mode_name) in [
-        (ExecMode::Row, "row"),
-        (ExecMode::Batch { batch_rows: 3 }, "batch3"),
-        (ExecMode::Batch { batch_rows: 7 }, "batch7"),
-    ] {
-        let full = MaintainedResult::new(rerun(s, query, mode));
+    for morsel_rows in [usize::MAX, 3, 7] {
+        let full = MaintainedResult::new(rerun(s, query, morsel_rows));
         prop_assert!(
             q.checksum() == full.checksum(),
-            "maintained result diverged from {} re-run {}: {} maintained rows vs {} full rows",
-            mode_name,
+            "maintained result diverged from the {}-row-morsel re-run {}: {} maintained rows vs {} full rows",
+            morsel_rows,
             context,
             q.snapshot().map(|t| t.num_rows()).unwrap_or(0),
             full.rows()
@@ -265,7 +261,7 @@ proptest! {
 
     /// One random delta stream per case, replayed under every join
     /// strategy; after every delta the maintained multiset must equal a
-    /// full re-run under both executors.
+    /// full re-run at every morsel size.
     #[test]
     fn maintained_results_are_byte_identical_to_full_reruns(
         seed in 0u64..1_000_000,

@@ -56,5 +56,9 @@ pub use tokenizer::Tokenizer;
 pub use train::{train_on_corpus, TrainingConfig};
 pub use vocab::Vocabulary;
 
+// What [`Embedder::embed`] returns, so an implementor need not depend on
+// `cej-vector` to name it.
+pub use cej_vector::Vector;
+
 /// Result alias for the embedding substrate.
 pub type Result<T> = std::result::Result<T, EmbeddingError>;

@@ -43,7 +43,7 @@ pub fn evaluate_predicate(expr: &Expr, table: &Table) -> Result<SelectionBitmap>
 /// Identical to [`evaluate_predicate`] over the selected lanes.
 pub fn evaluate_predicate_select(expr: &Expr, table: &Table, sel: &[u32]) -> Result<Vec<u32>> {
     if sel.is_empty() {
-        // row path over an empty upstream table evaluates nothing
+        // nothing is evaluated over an empty selection
         return Ok(Vec::new());
     }
     match expr {
@@ -68,7 +68,7 @@ pub fn evaluate_predicate_select(expr: &Expr, table: &Table, sel: &[u32]) -> Res
 /// Vectorised `column <op> literal` comparison for totally-ordered column
 /// types.  Returns `None` when the shape or types don't qualify, so the
 /// caller falls back to row-wise evaluation (which reports the same errors
-/// as the row path).
+/// as [`evaluate_predicate`]).
 fn compare_fast_path(
     name: &str,
     op: CompareOp,
@@ -88,7 +88,7 @@ fn compare_fast_path(
     match (column, rhs) {
         (Column::Int64(values), ScalarValue::Int64(x)) => Some(filter_cmp(values, sel, cmp, *x)),
         (Column::Date(values), ScalarValue::Date(x)) => Some(filter_cmp(values, sel, cmp, *x)),
-        // floats use `unwrap_or(Equal)` NaN semantics in the row path, and
+        // floats use `unwrap_or(Equal)` NaN semantics row-wise, and
         // other type pairings may be errors — let row-wise handle them
         _ => None,
     }

@@ -1,157 +1,14 @@
-//! Per-query latency accounting.
+//! The percentile formula the server's latency reporting and the repo
+//! benchmark's client-side percentiles share.
 //!
-//! Every executed query (`RUN` / `PROBE` / `ANALYZE`) records its service
-//! time here; `STATS` and the load-generator reports read the percentile
-//! summary.  Samples land in a log-bucketed [`cej_obs::Histogram`]
-//! (16 sub-buckets per octave): memory is bounded by the fixed bucket
-//! table no matter how long the server runs, a summary is one array walk
-//! instead of a 65k-sample sort, and — unlike the sliding ring this
-//! replaced — percentiles cover the full recorded history with no
-//! recency bias.  Reported quantiles are *exact-enough*: the bucket lower
-//! bound, at most one bucket width (≈4.4%) below the true sample, exact
-//! for sub-32µs samples and for the tracked maximum.
-
-use cej_obs::Histogram;
-
-/// Percentile summary over the recorded samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LatencySummary {
-    /// Number of samples recorded since the last reset.
-    pub count: usize,
-    /// Median service time in microseconds.
-    pub p50_us: u64,
-    /// 95th percentile in microseconds.
-    pub p95_us: u64,
-    /// 99th percentile in microseconds.
-    pub p99_us: u64,
-    /// Worst observed service time in microseconds.
-    pub max_us: u64,
-    /// Mean service time in microseconds.
-    pub mean_us: u64,
-}
-
-/// A concurrent recorder of service times (see module docs).  Cloning
-/// shares the underlying histogram cells — how the serving layer registers
-/// the same data under `METRICS`.
-#[derive(Clone, Debug, Default)]
-pub struct LatencyRecorder {
-    histogram: Histogram,
-}
+//! Per-query service times themselves live in a log-bucketed
+//! [`cej_obs::Histogram`] the server registers as `cej_query_latency_us`
+//! (16 sub-buckets per octave: bounded memory, quantiles over the full
+//! history, at most one ≈4.4% bucket width below the true sample).
 
 /// Index of the `q`-quantile in a sorted sample of `len` values
 /// (nearest-rank, clamped).  Shared with the load generator's client-side
 /// percentiles so server- and bench-reported numbers use one formula.
 pub fn nearest_rank(len: usize, q: f64) -> usize {
     ((len as f64 * q).ceil() as usize).clamp(1, len) - 1
-}
-
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying histogram handle (shares the cells) — what the
-    /// serving layer registers into its metrics registry.
-    pub fn histogram(&self) -> Histogram {
-        self.histogram.clone()
-    }
-
-    /// Records one service time in microseconds.  Lock-free.
-    pub fn record_us(&self, micros: u64) {
-        self.histogram.observe(micros);
-    }
-
-    /// Drops all samples (the load generator resets between client counts).
-    pub fn reset(&self) {
-        self.histogram.reset();
-    }
-
-    /// The percentile summary over everything recorded since the last
-    /// reset.
-    pub fn summary(&self) -> LatencySummary {
-        let count = self.histogram.count();
-        if count == 0 {
-            return LatencySummary::default();
-        }
-        LatencySummary {
-            count: count as usize,
-            p50_us: self.histogram.quantile(0.50),
-            p95_us: self.histogram.quantile(0.95),
-            p99_us: self.histogram.quantile(0.99),
-            max_us: self.histogram.max(),
-            mean_us: self.histogram.mean(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_recorder_summarises_to_zeros() {
-        assert_eq!(LatencyRecorder::new().summary(), LatencySummary::default());
-    }
-
-    #[test]
-    fn percentiles_over_a_known_distribution() {
-        let recorder = LatencyRecorder::new();
-        for v in 1..=100u64 {
-            recorder.record_us(v);
-        }
-        let s = recorder.summary();
-        assert_eq!(s.count, 100);
-        // 50 sits exactly on a bucket boundary; 95 and 99 report their
-        // bucket's lower bound, within one ≈4.4% bucket width below
-        assert_eq!(s.p50_us, 50);
-        assert!((91..=95).contains(&s.p95_us), "p95={}", s.p95_us);
-        assert!((95..=99).contains(&s.p99_us), "p99={}", s.p99_us);
-        assert_eq!(s.max_us, 100);
-        assert_eq!(s.mean_us, 50);
-        recorder.reset();
-        assert_eq!(recorder.summary().count, 0);
-    }
-
-    #[test]
-    fn single_sample() {
-        let recorder = LatencyRecorder::new();
-        recorder.record_us(42);
-        let s = recorder.summary();
-        assert_eq!((s.p50_us, s.p95_us, s.p99_us, s.max_us), (42, 42, 42, 42));
-    }
-
-    #[test]
-    fn quantiles_never_exceed_the_tracked_maximum() {
-        let recorder = LatencyRecorder::new();
-        for _ in 0..10_000 {
-            recorder.record_us(1_000_000);
-        }
-        for _ in 0..10_000 {
-            recorder.record_us(1);
-        }
-        let s = recorder.summary();
-        assert_eq!(s.count, 20_000, "full history, no sliding window");
-        assert!(s.p99_us <= s.max_us);
-        assert_eq!(s.max_us, 1_000_000);
-        assert_eq!(s.p50_us, 1, "half the samples are 1µs");
-    }
-
-    #[test]
-    fn concurrent_recording() {
-        let recorder = std::sync::Arc::new(LatencyRecorder::new());
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let recorder = recorder.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..250 {
-                    recorder.record_us(t * 1000 + i);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(recorder.summary().count, 1000);
-    }
 }

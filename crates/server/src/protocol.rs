@@ -26,14 +26,10 @@
 //! APPLY <table> UPSERT <key-column> <row>[;<row>]…
 //! ```
 //!
-//! plus the legacy statement kinds, kept for pre-N-table clients (each is a
-//! special case of `QUERY` — the README's "Query API" section documents the
-//! mapping):
+//! plus the probe template (one ad-hoc string per `PROBE` request against a
+//! registered table):
 //!
 //! ```text
-//! PREPARE <id> SCAN <table> [WHERE <col> <op> <value>]...
-//! PREPARE <id> JOIN <lt>.<lcol> <rt>.<rcol> MODEL <model> (TOPK <k> | SIM <t>)
-//!         [LWHERE <col> <op> <value>] [RWHERE <col> <op> <value>]
 //! PREPARE <id> PROBE <rt>.<rcol> MODEL <model> TOPK <k>
 //! ```
 //!
@@ -192,36 +188,6 @@ pub enum StatementSpec {
         /// scan.
         filters: Vec<(String, WhereClause)>,
     },
-    /// Legacy `SCAN <table> [WHERE …]…` — equivalent to
-    /// `QUERY <table> [WHERE <table>.<col> …]…`; kept for pre-N-table
-    /// clients.
-    Scan {
-        /// Scanned table.
-        table: String,
-        /// Conjunctive filters, applied in order.
-        filters: Vec<WhereClause>,
-    },
-    /// Legacy `JOIN …` — a context-enhanced join between two registered
-    /// tables; equivalent to `QUERY <lt> EJOIN <rt> ON <lc>~<rc> MODEL …`
-    /// with per-table `WHERE` clauses.  Kept for pre-N-table clients.
-    Join {
-        /// Outer table.
-        left_table: String,
-        /// Outer join column.
-        left_column: String,
-        /// Inner table.
-        right_table: String,
-        /// Inner join column.
-        right_column: String,
-        /// Embedding model name.
-        model: String,
-        /// Similarity predicate.
-        predicate: SimilarityPredicate,
-        /// Optional filter on the outer table.
-        left_where: Option<WhereClause>,
-        /// Optional filter on the inner table.
-        right_where: Option<WhereClause>,
-    },
     /// `PROBE …` — a template joining one ad-hoc probe string (supplied per
     /// `PROBE <id> <text>` request) against a registered table.
     ProbeTemplate {
@@ -280,40 +246,6 @@ impl StatementSpec {
                     );
                 }
                 Ok(plan)
-            }
-            StatementSpec::Scan { table, filters } => {
-                let mut plan = LogicalPlan::scan(table);
-                for clause in filters {
-                    plan = plan.select(clause.to_expr()?);
-                }
-                Ok(plan)
-            }
-            StatementSpec::Join {
-                left_table,
-                left_column,
-                right_table,
-                right_column,
-                model,
-                predicate,
-                left_where,
-                right_where,
-            } => {
-                let mut left = LogicalPlan::scan(left_table);
-                if let Some(clause) = left_where {
-                    left = left.select(clause.to_expr()?);
-                }
-                let mut right = LogicalPlan::scan(right_table);
-                if let Some(clause) = right_where {
-                    right = right.select(clause.to_expr()?);
-                }
-                Ok(LogicalPlan::e_join(
-                    left,
-                    right,
-                    left_column,
-                    right_column,
-                    model,
-                    *predicate,
-                ))
             }
             StatementSpec::ProbeTemplate {
                 right_table,
@@ -455,18 +387,6 @@ fn table_column(token: &str) -> Result<(String, String), String> {
     match token.split_once('.') {
         Some((t, c)) if !t.is_empty() && !c.is_empty() => Ok((t.to_string(), c.to_string())),
         _ => Err(format!("expected <table>.<column>, got `{token}`")),
-    }
-}
-
-/// Parses trailing `WHERE`-style clauses (`keyword col op value` triples).
-fn parse_clause(tokens: &[&str]) -> Result<WhereClause, String> {
-    match tokens {
-        [column, op, value, ..] => Ok(WhereClause {
-            column: (*column).to_string(),
-            op: (*op).to_string(),
-            value: (*value).to_string(),
-        }),
-        _ => Err("filter clause needs <col> <op> <value>".to_string()),
     }
 }
 
@@ -623,7 +543,7 @@ impl Command {
 
     fn parse_prepare(rest: &[&str]) -> Result<Command, String> {
         let [id, kind, tail @ ..] = rest else {
-            return Err("PREPARE takes <id> <QUERY|SCAN|JOIN|PROBE> …".to_string());
+            return Err("PREPARE takes <id> <QUERY|PROBE> …".to_string());
         };
         let id = (*id).to_string();
         match *kind {
@@ -635,80 +555,6 @@ impl Command {
                 Ok(Command::Prepare {
                     id,
                     spec: Box::new(spec),
-                })
-            }
-            "SCAN" => {
-                let [table, clauses @ ..] = tail else {
-                    return Err("PREPARE … SCAN takes <table>".to_string());
-                };
-                let mut filters = Vec::new();
-                let mut cursor = clauses;
-                while !cursor.is_empty() {
-                    let [keyword, rest @ ..] = cursor else { break };
-                    if *keyword != "WHERE" {
-                        return Err(format!("expected WHERE, got `{keyword}`"));
-                    }
-                    filters.push(parse_clause(rest)?);
-                    cursor = &rest[3.min(rest.len())..];
-                }
-                Ok(Command::Prepare {
-                    id,
-                    spec: Box::new(StatementSpec::Scan {
-                        table: (*table).to_string(),
-                        filters,
-                    }),
-                })
-            }
-            "JOIN" => {
-                let [left, right, model_kw, model, pred_kw, pred_val, clauses @ ..] = tail else {
-                    return Err(
-                        "PREPARE … JOIN takes <lt>.<lc> <rt>.<rc> MODEL <m> (TOPK <k> | SIM <t>)"
-                            .to_string(),
-                    );
-                };
-                if *model_kw != "MODEL" {
-                    return Err(format!("expected MODEL, got `{model_kw}`"));
-                }
-                let (left_table, left_column) = table_column(left)?;
-                let (right_table, right_column) = table_column(right)?;
-                let predicate = match *pred_kw {
-                    "TOPK" => SimilarityPredicate::TopK(
-                        pred_val
-                            .parse()
-                            .map_err(|_| format!("bad k `{pred_val}`"))?,
-                    ),
-                    "SIM" => SimilarityPredicate::Threshold(
-                        pred_val
-                            .parse()
-                            .map_err(|_| format!("bad threshold `{pred_val}`"))?,
-                    ),
-                    other => return Err(format!("expected TOPK or SIM, got `{other}`")),
-                };
-                let mut left_where = None;
-                let mut right_where = None;
-                let mut cursor = clauses;
-                while !cursor.is_empty() {
-                    let [keyword, rest @ ..] = cursor else { break };
-                    let clause = parse_clause(rest)?;
-                    match *keyword {
-                        "LWHERE" => left_where = Some(clause),
-                        "RWHERE" => right_where = Some(clause),
-                        other => return Err(format!("expected LWHERE/RWHERE, got `{other}`")),
-                    }
-                    cursor = &rest[3.min(rest.len())..];
-                }
-                Ok(Command::Prepare {
-                    id,
-                    spec: Box::new(StatementSpec::Join {
-                        left_table,
-                        left_column,
-                        right_table,
-                        right_column,
-                        model: (*model).to_string(),
-                        predicate,
-                        left_where,
-                        right_where,
-                    }),
                 })
             }
             "PROBE" => {
@@ -1158,73 +1004,41 @@ mod tests {
     }
 
     #[test]
-    fn parses_prepare_scan_with_filters() {
-        let cmd =
-            Command::parse("PREPARE s1 SCAN photos WHERE year >= 2023 WHERE id < 10").unwrap();
-        let Command::Prepare { id, spec } = cmd else {
-            panic!("expected prepare");
-        };
-        assert_eq!(id, "s1");
-        let StatementSpec::Scan { table, filters } = *spec else {
-            panic!("expected scan");
-        };
-        assert_eq!(table, "photos");
-        assert_eq!(filters.len(), 2);
-        assert_eq!(filters[0].op, ">=");
-        assert_eq!(filters[1].value, "10");
-        // lowers to a plan
-        let plan = StatementSpec::Scan { table, filters }
-            .to_plan(None)
-            .unwrap();
-        assert!(matches!(
-            plan,
-            cej_relational::LogicalPlan::Selection { .. }
-        ));
-    }
-
-    #[test]
     fn parses_prepare_join_variants() {
         let cmd = Command::parse(
-            "PREPARE j1 JOIN photos.caption products.title MODEL ft TOPK 3 \
-             LWHERE year >= 2023 RWHERE price < 100",
+            "PREPARE j1 QUERY photos EJOIN products ON caption~title MODEL ft TOPK 3 \
+             WHERE photos.year >= 2023 WHERE products.price < 100",
         )
         .unwrap();
         let Command::Prepare { spec, .. } = cmd else {
             panic!()
         };
-        let StatementSpec::Join {
-            left_table,
-            right_column,
-            predicate,
-            left_where,
-            right_where,
+        let StatementSpec::Query {
+            base,
+            ejoins,
+            filters,
             ..
         } = spec.as_ref()
         else {
             panic!()
         };
-        assert_eq!(left_table, "photos");
-        assert_eq!(right_column, "title");
-        assert_eq!(*predicate, SimilarityPredicate::TopK(3));
-        assert!(left_where.is_some());
-        assert_eq!(right_where.as_ref().unwrap().column, "price");
+        assert_eq!(base, "photos");
+        assert_eq!(ejoins[0].right_column, "title");
+        assert_eq!(ejoins[0].predicate, SimilarityPredicate::TopK(3));
+        assert_eq!(filters[0].0, "photos");
+        assert_eq!(filters[1].1.column, "price");
         assert!(spec.to_plan(None).is_ok());
 
-        let sim = Command::parse("PREPARE j2 JOIN a.x b.y MODEL m SIM 0.85").unwrap();
-        let Command::Prepare { spec, .. } = sim else {
-            panic!()
-        };
-        assert!(matches!(
-            *spec,
-            StatementSpec::Join {
-                predicate: SimilarityPredicate::Threshold(t),
-                ..
-            } if (t - 0.85).abs() < 1e-6
-        ));
-
-        assert!(Command::parse("PREPARE j3 JOIN a.x b.y MODEL m TOPK nope").is_err());
-        assert!(Command::parse("PREPARE j4 JOIN ax b.y MODEL m TOPK 1").is_err());
-        assert!(Command::parse("PREPARE j5 JOIN a.x b.y MODLE m TOPK 1").is_err());
+        assert!(Command::parse("PREPARE j3 QUERY a EJOIN b ON x~y MODEL m TOPK nope").is_err());
+        assert!(Command::parse("PREPARE j5 QUERY a EJOIN b ON x~y MODLE m TOPK 1").is_err());
+        // the pre-`QUERY` statement kinds are gone, with a typed error
+        for gone in [
+            "PREPARE s1 SCAN photos WHERE year >= 2023",
+            "PREPARE j1 JOIN photos.caption products.title MODEL ft TOPK 3",
+        ] {
+            let err = Command::parse(gone).unwrap_err();
+            assert!(err.starts_with("unknown statement kind"), "{err}");
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Client one: prepare once, run many (warm runs pay zero model calls).
     let mut client = Client::connect(server.local_addr())?;
-    client.request("PREPARE match JOIN photos.caption products.title MODEL ft TOPK 1")?;
+    client.request("PREPARE match QUERY photos EJOIN products ON caption~title MODEL ft TOPK 1")?;
     for round in 1..=3 {
         if let Response::Rows { lines, checksum } = client.request("RUN match")? {
             println!(
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Client two: a threshold join, re-bound without replanning.
     let mut binder = Client::connect(server.local_addr())?;
-    binder.request("PREPARE sim JOIN photos.caption products.title MODEL ft SIM 0.9")?;
+    binder.request("PREPARE sim QUERY photos EJOIN products ON caption~title MODEL ft SIM 0.9")?;
     binder.request("BIND sim simlo 0.3")?;
     for id in ["sim", "simlo"] {
         if let Response::Rows { lines, .. } = binder.request(&format!("RUN {id}"))? {

@@ -13,7 +13,8 @@
 
 use cej_core::ivm::MaintainedResult;
 use cej_core::{
-    ContextJoinSession, Delta, ExecutionReport, JoinStrategy, ScalarValue, TensorJoinConfig,
+    ContextJoinSession, Delta, ExecutionReport, IndexJoinConfig, JoinStrategy, ScalarValue,
+    TensorJoinConfig,
 };
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_relational::{col, lit_i64, LogicalPlan, SimilarityPredicate};
@@ -190,6 +191,48 @@ fn a_stale_statement_run_first_after_a_model_swap_leaves_the_shared_cache_alone(
     let after = run(&live);
     assert_eq!(after.table, expected.table);
     assert_eq!(after.embedding_stats, expected.embedding_stats);
+}
+
+#[test]
+fn a_stale_index_statement_run_first_after_a_model_swap_keeps_its_graph_private() {
+    let index = JoinStrategy::Index(IndexJoinConfig {
+        params: cej_index::HnswParams::tiny(),
+        range_probe_k: 8,
+    });
+    let mut live = base_session();
+    live.with_strategy(index);
+    let held = live.prepare(&plan()).expect("prepare").detach();
+    let old = held.run().expect("held run");
+    assert_eq!(live.index_manager().stats().resident, 1);
+
+    live.register_model("ft", model(7));
+    assert_eq!(
+        live.index_manager().stats().resident,
+        0,
+        "dropped by the swap"
+    );
+    // the stale statement is the first to need the graph after the swap: it
+    // builds one from its old model's vectors, for itself alone
+    let stale = held.run().expect("stale run");
+    assert_eq!(stale.table, old.table);
+    assert_eq!(stale.index_builds, 1);
+    assert_eq!(
+        live.index_manager().stats().resident,
+        0,
+        "a graph of the old model's vectors must not be published under the model's name"
+    );
+
+    let mut fresh = base_session();
+    fresh.with_strategy(index);
+    fresh.register_model("ft", model(7));
+    let expected = run(&fresh);
+    assert_ne!(expected.table, old.table, "the two models must disagree");
+    let after = run(&live);
+    assert_eq!(after.table, expected.table);
+    assert_eq!(after.index_builds, 1, "the fresh statement builds its own");
+    // ...and the stale one keeps its answer next to the published graph
+    assert_eq!(held.run().expect("stale run").table, old.table);
+    assert_eq!(live.index_manager().stats().resident, 1);
 }
 
 #[test]

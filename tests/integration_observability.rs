@@ -1,11 +1,9 @@
 //! Integration tests for the observability substrate: span-tree shape of a
-//! traced multi-join query under both executors, byte-identity of traced
+//! traced multi-join query at every thread budget, byte-identity of traced
 //! vs untraced execution across all four join strategies, registry
 //! concurrency through the public API, and slow-query capture.
 
-use cej_core::{
-    ContextJoinSession, ExecMode, IndexJoinConfig, JoinStrategy, NljConfig, TensorJoinConfig,
-};
+use cej_core::{ContextJoinSession, IndexJoinConfig, JoinStrategy, NljConfig, TensorJoinConfig};
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
 use cej_obs::Trace;
@@ -86,10 +84,13 @@ fn multi_join_plan() -> LogicalPlan {
 fn traced_multi_join_records_a_complete_span_tree_under_both_executors() {
     let s = star_session();
     let prepared = s.prepare(&multi_join_plan()).expect("prepare");
-    for mode in [ExecMode::Row, ExecMode::Batch { batch_rows: 4 }] {
+    // both ways `cej-exec` runs the interpreter's morsels: inline at a budget
+    // of one thread, on the work-stealing scheduler above it (every table
+    // here fits one morsel, so this is the whole-table cut)
+    for threads in [1usize, 2] {
         let trace = Trace::forced("integration multi-join");
         let report = prepared
-            .run_traced_with(&trace, cej_exec::ExecPool::new(2), mode)
+            .run_traced_with(&trace, cej_exec::ExecPool::new(threads))
             .expect("traced run");
         assert!(report.table.num_rows() > 0, "query produced no rows");
         let trace_id = trace.finish().expect("forced trace has an id");
@@ -106,7 +107,7 @@ fn traced_multi_join_records_a_complete_span_tree_under_both_executors() {
                 .position(|s| s.name == name)
                 .unwrap_or_else(|| {
                     panic!(
-                        "span `{name}` missing under {mode:?}; got {:?}",
+                        "span `{name}` missing at {threads} thread(s); got {:?}",
                         finished
                             .spans
                             .iter()
@@ -196,11 +197,7 @@ fn slow_query_threshold_captures_untraced_runs() {
     cej_obs::set_slow_query_ms(Some(0));
     let before = cej_obs::slow_query_count();
     let report = prepared
-        .run_traced_with(
-            &Trace::disabled(),
-            cej_exec::ExecPool::new(1),
-            ExecMode::default(),
-        )
+        .run_traced_with(&Trace::disabled(), cej_exec::ExecPool::new(1))
         .expect("untraced run");
     cej_obs::set_slow_query_ms(None);
     assert!(
@@ -289,11 +286,11 @@ proptest! {
         let prepared = s.prepare(&plan).expect("prepare");
         let pool = cej_exec::ExecPool::new(2);
         let untraced = prepared
-            .run_traced_with(&Trace::disabled(), pool, ExecMode::default())
+            .run_traced_with(&Trace::disabled(), pool)
             .expect("untraced run");
         let trace = Trace::forced("byte-identity probe");
         let traced = prepared
-            .run_traced_with(&trace, pool, ExecMode::default())
+            .run_traced_with(&trace, pool)
             .expect("traced run");
         trace.finish();
 

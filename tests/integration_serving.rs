@@ -55,7 +55,7 @@ fn prepare_run_explain_bind_over_tcp() {
     assert_eq!(client.request("PING").unwrap(), Response::Ok("pong".into()));
     assert!(matches!(
         client
-            .request("PREPARE j1 JOIN r.word s.word MODEL ft TOPK 2")
+            .request("PREPARE j1 QUERY r EJOIN s ON word~word MODEL ft TOPK 2")
             .unwrap(),
         Response::Ok(_)
     ));
@@ -99,7 +99,7 @@ fn prepare_run_explain_bind_over_tcp() {
     // a threshold statement can be re-bound without replanning
     assert!(matches!(
         client
-            .request("PREPARE t1 JOIN r.word s.word MODEL ft SIM 0.9")
+            .request("PREPARE t1 QUERY r EJOIN s ON word~word MODEL ft SIM 0.9")
             .unwrap(),
         Response::Ok(_)
     ));
@@ -129,14 +129,14 @@ fn prepare_run_explain_bind_over_tcp() {
     ));
     assert!(matches!(
         client
-            .request("PREPARE bad JOIN r.nope s.word MODEL ft TOPK 1")
+            .request("PREPARE bad QUERY r EJOIN s ON nope~word MODEL ft TOPK 1")
             .unwrap(),
         Response::Err(_),
     ));
     assert_eq!(client.request("QUIT").unwrap(), Response::Ok("bye".into()));
 
     // per-query latency was recorded
-    assert!(server.latency().count >= 4);
+    assert!(server.latency().count() >= 4);
     server.shutdown();
 }
 
@@ -177,7 +177,7 @@ fn concurrent_clients_share_the_session_and_agree() {
         handles.push(std::thread::spawn(move || {
             let mut client = Client::connect(addr).unwrap();
             client
-                .request("PREPARE j JOIN r.word s.word MODEL ft TOPK 2")
+                .request("PREPARE j QUERY r EJOIN s ON word~word MODEL ft TOPK 2")
                 .unwrap();
             let mut checksums = Vec::new();
             for _ in 0..5 {
@@ -269,11 +269,11 @@ fn admission_gate_rejects_overload_with_busy() {
 
     let mut blocker = Client::connect(addr).unwrap();
     blocker
-        .request("PREPARE slow JOIN r.word s.word MODEL gated TOPK 4")
+        .request("PREPARE slow QUERY r EJOIN s ON word~word MODEL gated TOPK 4")
         .unwrap();
     let mut prober = Client::connect(addr).unwrap();
     prober
-        .request("PREPARE q JOIN r.word s.word MODEL ft TOPK 1")
+        .request("PREPARE q QUERY r EJOIN s ON word~word MODEL ft TOPK 1")
         .unwrap();
 
     let holder = std::thread::spawn(move || blocker.request("RUN slow").unwrap());
@@ -309,7 +309,7 @@ fn stats_reports_server_and_pool_state() {
     let mut server = start_server();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client
-        .request("PREPARE j JOIN r.word s.word MODEL ft TOPK 1")
+        .request("PREPARE j QUERY r EJOIN s ON word~word MODEL ft TOPK 1")
         .unwrap();
     client.request("RUN j").unwrap();
     let Response::Ok(stats) = client.request("STATS").unwrap() else {
@@ -335,7 +335,7 @@ fn graceful_shutdown_joins_all_threads() {
     let addr = server.local_addr();
     let mut client = Client::connect(addr).unwrap();
     client
-        .request("PREPARE j JOIN r.word s.word MODEL ft TOPK 1")
+        .request("PREPARE j QUERY r EJOIN s ON word~word MODEL ft TOPK 1")
         .unwrap();
     client.request("RUN j").unwrap();
     // shutdown with the client still connected: the server must not hang

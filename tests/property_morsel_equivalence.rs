@@ -1,43 +1,50 @@
-//! Property test: the vectorized batch executor is byte-identical to the
-//! row-at-a-time reference executor — at every thread budget.
+//! Property test: how the interpreter cuts its work changes nothing.
 //!
 //! For randomly sized workloads, random relational filter predicates, all
-//! four join strategies, and batch sizes straddling the table sizes
-//! (1, 7, 1024), executing the *same* physical plan under
-//! [`ExecMode::Row`] and [`ExecMode::Batch`] must produce the same output
-//! table (rows, order, and similarity scores bit-for-bit), the same
-//! per-operator row actuals, and the same matched-pair count.
-//!
-//! The sweep runs every batch configuration under worker-pool budgets of
+//! four join strategies, and morsel sizes straddling the table sizes
+//! (1, 7, 1024), executing the *same* physical plan must produce the same
+//! output table (rows, order, and similarity scores bit-for-bit), the same
+//! per-operator row actuals, and the same matched-pair count as the
+//! **whole-table morsel at one thread** — the materialise-everything
+//! execution of the same code.  Every cut runs under worker-pool budgets of
 //! 1, 2, and 4 threads (explicit [`cej_exec::ExecPool`]s, so one process
-//! covers all budgets regardless of `CEJ_THREADS`): morsel-driven parallel
-//! execution must not change a single byte relative to the serial pull
-//! loop, only timing.
+//! covers all budgets regardless of `CEJ_THREADS`).
+//!
+//! Byte-identity alone would let every cut be wrong together, so the
+//! baseline is also held to `cej-oracle` — nested loops over the
+//! unoptimised logical plan, sharing no code with the engine: exactly for
+//! the three exact strategies, for soundness under the approximate index.
 //!
 //! A second deterministic sweep pins the *embedding* side of the contract:
-//! the batch executor embeds base-table columns by row id (slot maps) and
-//! keeps a join's inner side a selection, the row executor embeds strings —
-//! and both must report the same table **and** the same
-//! `ExecutionReport::embedding_stats`, on the first (cold) and the second
-//! (warm) run, whether the inner side is unfiltered, filtered, projected or
-//! renamed.
+//! the interpreter embeds base-table columns by row id (slot maps) and keeps
+//! a join's inner side a selection — and must report the table **and** the
+//! `ExecutionReport::embedding_stats` that embedding every string through
+//! the cache reports (one model call per distinct string cold, none warm),
+//! on the first (cold) and the second (warm) run, whether the inner side is
+//! unfiltered, filtered, projected or renamed.
 //!
 //! A deterministic tensor-join sweep adds the cardinalities the random cases
 //! rarely hit together: outer sizes ≡ 1, 2, 3 (mod 4) and odd inner sizes, so
-//! that the whole-table GEMM of the row executor and the 1/7/1024-row morsels
-//! of the batch executor all put pairs on both sides of the AVX2 kernel's
-//! 4 × 2 register-block edges — a score must not depend on which side.
+//! that the whole-table GEMM and the 1/7/1024-row morsels all put pairs on
+//! both sides of the AVX2 kernel's 4 × 2 register-block edges — a score must
+//! not depend on which side.
+
+use std::collections::HashSet;
 
 use cej_core::{
-    ContextJoinSession, ExecContext, ExecMode, IndexJoinConfig, InnerInput, JoinStrategy,
-    NljConfig, PhysicalJoinOp, TensorJoinConfig,
+    ContextJoinSession, ExecContext, IndexJoinConfig, InnerInput, JoinStrategy, NljConfig,
+    PhysicalJoinOp, TensorJoinConfig,
 };
 use cej_embedding::{EmbeddingStats, FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
+use cej_oracle::Oracle;
 use cej_relational::{col, lit_i64, LogicalPlan, SimilarityPredicate};
 use cej_storage::Table;
 use cej_workload::{JoinWorkload, RelationSpec};
 use proptest::prelude::*;
+
+/// The baseline cut: one morsel per operator, whatever the table size.
+const WHOLE_TABLE: usize = usize::MAX;
 
 fn session(outer_rows: usize, inner_rows: usize, strategy: JoinStrategy) -> ContextJoinSession {
     let workload = JoinWorkload::generate(
@@ -73,13 +80,13 @@ fn strategy_for(idx: usize) -> JoinStrategy {
     }
 }
 
-/// Executes the session's physical plan for `plan` under `mode` with an
-/// explicit worker-pool budget, returning everything the equivalence
-/// property compares.
-fn run_mode(
+/// Executes the session's physical plan for `plan` in `morsel_rows`-sized
+/// morsels with an explicit worker-pool budget, returning everything the
+/// equivalence property compares.
+fn run_cut(
     s: &ContextJoinSession,
     plan: &LogicalPlan,
-    mode: ExecMode,
+    morsel_rows: usize,
     threads: usize,
 ) -> (Table, Vec<u64>, usize) {
     let prepared = s.prepare(plan).expect("prepare");
@@ -93,21 +100,95 @@ fn run_mode(
     };
     let out = prepared
         .physical_plan()
-        .execute_with(&ctx, mode)
+        .execute_with(&ctx, morsel_rows)
         .expect("execute");
     (out.table, out.operator_rows, out.stats.matched_pairs)
 }
 
-/// Runs `plan` twice on a **fresh** session — so the first run is cold for
-/// this executor, whatever ran before — returning table and embedding
-/// counters of both runs, and the number of slot maps the session ended up
-/// with next to the number of scanned join columns a batch run embeds by row
-/// (the outer one, and the inner one unless a persistent index stands in for
-/// it: index builds embed through strings).
+/// Holds `table` — the engine's answer to `plan` over the session's `r` and
+/// `s` — to the oracle's: exactly, or for soundness when the strategy is the
+/// approximate index join.
+fn check_against_oracle(s: &ContextJoinSession, plan: &LogicalPlan, exact: bool, table: &Table) {
+    let (r, inner) = (s.catalog().table("r"), s.catalog().table("s"));
+    let (r, inner) = (r.expect("r"), inner.expect("s"));
+    let model = s.model_registry().model("ft").ok();
+    let models = model.as_ref().map(|model| ("ft", model.as_ref()));
+    let oracle = Oracle {
+        tables: &[("r", &r), ("s", &inner)],
+        models: models.as_slice(),
+        exact,
+    };
+    let expected = oracle.expect(plan).expect("oracle evaluates the plan");
+    if let Err(why) = expected.check(table) {
+        panic!("oracle (exact: {exact}) rejects the engine's answer to {plan:?}: {why}");
+    }
+}
+
+/// What embedding every requested string through the cache reports for the
+/// cold and the warm run of `plan` on a fresh `session(9, 33, strategy)`, in
+/// closed form from the inputs: every request is one lookup, and the first
+/// lookup of a string is a model call.
+fn by_string_stats(
+    strategy: JoinStrategy,
+    plan: &LogicalPlan,
+    filtered: bool,
+) -> [EmbeddingStats; 2] {
+    let s = session(9, 33, strategy);
+    let prepared = s.prepare(plan).expect("prepare");
+    let join = prepared.physical_plan().join_nodes()[0];
+    let indexed = matches!(join.inner, InnerInput::Indexed(_));
+    let (r, inner) = (s.catalog().table("r"), s.catalog().table("s"));
+    let (r, inner) = (r.expect("r"), inner.expect("s"));
+    fn words(table: &Table) -> &[String] {
+        let column = table.column_by_name("word").expect("word column");
+        column.as_utf8().expect("strings")
+    }
+    let (outer, inner_words) = (words(&r), words(&inner));
+    let filter = inner.column_by_name("filter").and_then(|c| c.as_int64());
+    let admitted: Vec<&String> = inner_words
+        .iter()
+        .zip(filter.expect("filter"))
+        .filter(|(_, f)| !filtered || **f < 40)
+        .map(|(word, _)| word)
+        .collect();
+    // a persistent index is built once, over the whole column
+    let embedded_inner: Vec<&String> = if indexed {
+        inner_words.iter().collect()
+    } else {
+        admitted.clone()
+    };
+    let distinct: HashSet<&String> = outer.iter().chain(embedded_inner).collect();
+    let (n_outer, n_inner) = (outer.len() as u64, admitted.len() as u64);
+    let (cold_requests, warm_requests) = match (&join.op, indexed) {
+        // both strings of every pair
+        (PhysicalJoinOp::NaiveNlj, _) => (2 * n_outer * n_inner, 2 * n_outer * n_inner),
+        // the build embeds the column; a warm run only its probes
+        (_, true) => (n_outer + inner_words.len() as u64, n_outer),
+        (_, false) => (n_outer + n_inner, n_outer + n_inner),
+    };
+    let model_calls = distinct.len() as u64;
+    [
+        EmbeddingStats {
+            model_calls,
+            cache_hits: cold_requests - model_calls,
+        },
+        EmbeddingStats {
+            model_calls: 0,
+            cache_hits: warm_requests,
+        },
+    ]
+}
+
+/// Runs `plan` twice on a **fresh** session — so the first run is cold,
+/// whatever ran before — returning table and embedding counters of both
+/// runs, and the number of slot maps the session ended up with next to the
+/// number of scanned join columns a run embeds by row (the outer one, and
+/// the inner one unless a persistent index stands in for it: index builds
+/// embed through strings).
 fn cold_then_warm(
     strategy: JoinStrategy,
     plan: &LogicalPlan,
-    mode: ExecMode,
+    morsel_rows: usize,
     threads: usize,
 ) -> ([(Table, EmbeddingStats); 2], (usize, usize)) {
     let s = session(9, 33, strategy);
@@ -130,7 +211,7 @@ fn cold_then_warm(
     let run = || {
         let out = prepared
             .physical_plan()
-            .execute_with(&ctx, mode)
+            .execute_with(&ctx, morsel_rows)
             .expect("execute");
         (out.table, out.stats.embedding_stats)
     };
@@ -168,7 +249,7 @@ fn embedding_by_row_matches_embedding_by_string_cold_and_warm() {
                 "ft",
                 predicate,
             );
-            // the optimizer must leave the shape for the executor to see
+            // the optimizer must leave the shape for the interpreter to see
             // (a persistent-index inner carries its projection in the probe)
             let explain = session(9, 33, strategy).explain(&plan).expect("plan");
             match shape {
@@ -176,19 +257,19 @@ fn embedding_by_row_matches_embedding_by_string_cold_and_warm() {
                 "renamed" => assert!(explain.contains("Rename"), "{explain}"),
                 _ => {}
             }
-            let (by_string, (row_maps, _)) = cold_then_warm(strategy, &plan, ExecMode::Row, 1);
-            assert_eq!(row_maps, 0, "the row executor embeds strings");
-            let [(_, cold), (_, warm)] = &by_string;
+            let by_string = by_string_stats(strategy, &plan, shape != "unfiltered");
+            let (baseline, _) = cold_then_warm(strategy, &plan, WHOLE_TABLE, 1);
+            let [(_, cold), (_, warm)] = &baseline;
             assert!(cold.model_calls > 0, "{shape}: the first run is cold");
             assert_eq!(warm.model_calls, 0, "{shape}: the second run is warm");
-            assert!(warm.cache_hits > 0);
-            for batch_rows in [1usize, 7, 1024] {
+            assert_eq!([*cold, *warm], by_string, "{shape} {strategy:?}");
+            for morsel_rows in [WHOLE_TABLE, 1, 7, 1024] {
                 for threads in [1usize, 2] {
                     let (by_row, (maps, expected_maps)) =
-                        cold_then_warm(strategy, &plan, ExecMode::Batch { batch_rows }, threads);
+                        cold_then_warm(strategy, &plan, morsel_rows, threads);
                     let what =
-                        format!("{shape} {strategy:?} batch_rows {batch_rows} threads {threads}");
-                    assert_eq!(by_string, by_row, "{what}");
+                        format!("{shape} {strategy:?} morsel_rows {morsel_rows} threads {threads}");
+                    assert_eq!(baseline, by_row, "{what}");
                     assert_eq!(maps, expected_maps, "{what}");
                 }
             }
@@ -219,18 +300,18 @@ fn tensor_join_scores_do_not_depend_on_register_block_edges() {
                 "ft",
                 predicate,
             );
-            let (row_table, row_actuals, row_pairs) = run_mode(&s, &plan, ExecMode::Row, 1);
-            assert!(row_pairs > 0, "the sweep must compare actual scores");
-            for batch_rows in [1usize, 7, 1024] {
+            let (whole_table, whole_actuals, whole_pairs) = run_cut(&s, &plan, WHOLE_TABLE, 1);
+            assert!(whole_pairs > 0, "the sweep must compare actual scores");
+            check_against_oracle(&s, &plan, true, &whole_table);
+            for morsel_rows in [1usize, 7, 1024] {
                 for threads in [1usize, 2] {
-                    let (batch_table, batch_actuals, batch_pairs) =
-                        run_mode(&s, &plan, ExecMode::Batch { batch_rows }, threads);
+                    let (table, actuals, pairs) = run_cut(&s, &plan, morsel_rows, threads);
                     let what = format!(
-                        "{outer_rows}x{inner_rows} {predicate:?} batch_rows {batch_rows} threads {threads}"
+                        "{outer_rows}x{inner_rows} {predicate:?} morsel_rows {morsel_rows} threads {threads}"
                     );
-                    assert_eq!(row_table, batch_table, "{what}");
-                    assert_eq!(row_actuals, batch_actuals, "{what}");
-                    assert_eq!(row_pairs, batch_pairs, "{what}");
+                    assert_eq!(whole_table, table, "{what}");
+                    assert_eq!(whole_actuals, actuals, "{what}");
+                    assert_eq!(whole_pairs, pairs, "{what}");
                 }
             }
         }
@@ -241,7 +322,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn batch_executor_matches_row_executor_at_every_thread_budget(
+    fn every_cut_matches_the_whole_table_morsel_and_the_oracle(
         outer_rows in 1usize..10,
         inner_rows in 1usize..40,
         strategy_idx in 0usize..4,
@@ -249,10 +330,11 @@ proptest! {
         use_topk in any::<bool>(),
         k in 1usize..4,
         threshold in -0.5f32..0.9,
-        batch_idx in 0usize..3,
+        morsel_idx in 0usize..3,
     ) {
         let s = session(outer_rows, inner_rows, strategy_for(strategy_idx));
-        let predicate = if use_topk {
+        // the naive NLJ only takes thresholds
+        let predicate = if use_topk && strategy_idx != 0 {
             SimilarityPredicate::TopK(k)
         } else {
             SimilarityPredicate::Threshold(threshold)
@@ -265,21 +347,21 @@ proptest! {
             "ft",
             predicate,
         );
-        let batch_rows = [1usize, 7, 1024][batch_idx];
+        let morsel_rows = [1usize, 7, 1024][morsel_idx];
 
-        let (row_table, row_actuals, row_pairs) = run_mode(&s, &plan, ExecMode::Row, 1);
+        let (whole_table, whole_actuals, whole_pairs) = run_cut(&s, &plan, WHOLE_TABLE, 1);
+        check_against_oracle(&s, &plan, strategy_idx < 3, &whole_table);
 
         // every (thread budget × morsel size) combination must reproduce the
-        // row executor bit for bit — morsel parallelism is pure speed
+        // whole-table morsel bit for bit — how the work is cut is pure speed
         for threads in [1usize, 2, 4] {
-            let (batch_table, batch_actuals, batch_pairs) =
-                run_mode(&s, &plan, ExecMode::Batch { batch_rows }, threads);
+            let (table, actuals, pairs) = run_cut(&s, &plan, morsel_rows, threads);
 
             // Bitwise table equality: same rows in the same order, similarity
             // scores (Float64 column) identical to the last bit.
-            prop_assert_eq!(&row_table, &batch_table);
-            prop_assert_eq!(&row_actuals, &batch_actuals);
-            prop_assert_eq!(row_pairs, batch_pairs);
+            prop_assert_eq!(&whole_table, &table);
+            prop_assert_eq!(&whole_actuals, &actuals);
+            prop_assert_eq!(whole_pairs, pairs);
         }
     }
 
@@ -291,7 +373,7 @@ proptest! {
     fn parallel_hash_join_matches_serial_including_skew(
         rows in 1usize..30,
         skewed in any::<bool>(),
-        batch_idx in 0usize..3,
+        morsel_idx in 0usize..3,
     ) {
         let key = |i: usize| if skewed { 7 } else { (i % 5) as i64 };
         let outer = cej_storage::TableBuilder::new()
@@ -317,15 +399,15 @@ proptest! {
             "filter",
             "rfilter",
         );
-        let batch_rows = [1usize, 7, 1024][batch_idx];
+        let morsel_rows = [1usize, 7, 1024][morsel_idx];
 
-        let (row_table, row_actuals, row_pairs) = run_mode(&s, &plan, ExecMode::Row, 1);
+        let (whole_table, whole_actuals, whole_pairs) = run_cut(&s, &plan, WHOLE_TABLE, 1);
+        check_against_oracle(&s, &plan, true, &whole_table);
         for threads in [1usize, 2, 4] {
-            let (batch_table, batch_actuals, batch_pairs) =
-                run_mode(&s, &plan, ExecMode::Batch { batch_rows }, threads);
-            prop_assert_eq!(&row_table, &batch_table);
-            prop_assert_eq!(&row_actuals, &batch_actuals);
-            prop_assert_eq!(row_pairs, batch_pairs);
+            let (table, actuals, pairs) = run_cut(&s, &plan, morsel_rows, threads);
+            prop_assert_eq!(&whole_table, &table);
+            prop_assert_eq!(&whole_actuals, &actuals);
+            prop_assert_eq!(whole_pairs, pairs);
         }
     }
 }
