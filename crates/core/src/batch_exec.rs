@@ -7,8 +7,9 @@
 //!
 //! A plan is a chain of *stages* (`Filter | Project | Embed | Rename`) above
 //! a *source* (a table scan, a context-enhanced join or a hash join).  One
-//! call of the interpreter peels the stages, resolves the source to an
-//! `Arc<Table>` (recursing into a join's inputs), cuts it into
+//! call of the interpreter peels the stages, resolves the source to its
+//! row segments (a catalog table's published [`Segment`]s, or the one table
+//! a join produced, recursing into its inputs), cuts each into
 //! `morsel_rows`-sized selections and maps the whole stage chain over them
 //! on the context's [`cej_exec::ExecPool`] — inline at a budget of one
 //! thread, on the work-stealing workers above it.  The code is the same at
@@ -16,7 +17,11 @@
 //! materialise-everything execution model, a morsel of one row is
 //! tuple-at-a-time.
 //!
-//! * A scan's morsels are zero-copy windows over the catalog snapshot.
+//! * A scan's morsels are zero-copy windows over the segments of the
+//!   catalog's published table version, the window's *live* rows as the
+//!   initial selection: a table that deltas have deleted from is just a
+//!   pre-filtered scan, and one that was appended to is a few more morsels
+//!   over another base.
 //! * `Filter` refines the selection vector
 //!   ([`cej_relational::eval::evaluate_predicate_select`], with the
 //!   `filter_cmp` kernel fast path) — survivors are *marked*, never copied.
@@ -36,7 +41,8 @@
 //!   of either side are finally copied out of the base tables.  A warm run
 //!   over a filtered inner table therefore hashes no string and copies no
 //!   unmatched row.  Inputs that are not one window over one base (an inner
-//!   that is itself a join, per-morsel `Embed` outputs) are materialised and
+//!   that is itself a join, per-morsel `Embed` outputs, a scan of a table
+//!   several segments long) are materialised — their selected rows only — and
 //!   embedded through the strings — over the same arena, so the vectors are
 //!   the same bits either way.
 //! * The relational hash join builds its partitioned table across workers
@@ -67,7 +73,7 @@ use cej_relational::{
     eval::{evaluate_predicate, evaluate_predicate_select},
     EmbedSpec, Expr,
 };
-use cej_storage::{Column, DataType, Field, Schema, SelectionBitmap, StorageError, Table};
+use cej_storage::{Column, DataType, Field, Schema, Segment, SelectionBitmap, StorageError, Table};
 use cej_vector::norm::normalize_matrix_rows_with;
 use cej_vector::Matrix;
 
@@ -424,29 +430,42 @@ impl Interpreter<'_, '_> {
         }
         // `stages` is top-down, and so are their slots: `slot`, `slot + 1`, …
         let source_slot = slot + stages.len();
-        let (base, catalog_base) = match source {
-            PhysicalPlan::TableScan { table, .. } => (
-                self.ctx.catalog.table(table).map_err(CoreError::from)?,
-                true,
-            ),
-            PhysicalPlan::Join(node) => (Arc::new(self.ejoin(node, source_slot)?), false),
-            PhysicalPlan::HashJoin(node) => (Arc::new(self.hash_join(node, source_slot)?), false),
+        let (segments, catalog_base) = match source {
+            PhysicalPlan::TableScan { table, .. } => {
+                let version = self.ctx.catalog.table_version(table);
+                (version.map_err(CoreError::from)?.segments().to_vec(), true)
+            }
+            PhysicalPlan::Join(node) => {
+                let joined = Arc::new(self.ejoin(node, source_slot)?);
+                (vec![Segment::whole(joined)], false)
+            }
+            PhysicalPlan::HashJoin(node) => {
+                let joined = Arc::new(self.hash_join(node, source_slot)?);
+                (vec![Segment::whole(joined)], false)
+            }
             _ => unreachable!("stages were peeled above"),
         };
         let source_micros = start.elapsed().as_micros() as u64;
 
-        let rows = base.num_rows();
-        // an empty source still emits its one (empty) morsel
-        let morsels: Vec<Range<u32>> = (0..rows.max(1))
-            .step_by(self.morsel_rows)
-            .map(|s| s as u32..s.saturating_add(self.morsel_rows).min(rows) as u32)
+        let rows: usize = segments.iter().map(Segment::live_rows).sum();
+        let morsel_rows = self.morsel_rows;
+        // an empty segment still emits its one (empty) morsel
+        let morsels: Vec<(&Segment, Range<u32>)> = segments
+            .iter()
+            .flat_map(|segment| {
+                let rows = segment.rows().num_rows();
+                (0..rows.max(1)).step_by(morsel_rows).map(move |s| {
+                    let end = s.saturating_add(morsel_rows).min(rows);
+                    (segment, s as u32..end as u32)
+                })
+            })
             .collect();
         let ctx = self.ctx;
         let chained = ctx.pool.parallel_map(
             &morsels,
-            |range| -> Result<(ExecBatch, Vec<u64>, EmbeddingStats)> {
-                let sel = range.clone().collect();
-                let mut batch = ExecBatch::window(base.clone(), sel, catalog_base);
+            |(segment, range)| -> Result<(ExecBatch, Vec<u64>, EmbeddingStats)> {
+                let sel = segment.live_in(range.clone());
+                let mut batch = ExecBatch::window(segment.rows().clone(), sel, catalog_base);
                 // per-stage output lanes, bottom-up, and the model access paid
                 let mut lanes = Vec::with_capacity(stages.len());
                 let mut embedded = EmbeddingStats::default();
@@ -589,6 +608,36 @@ fn join_sides(
     let embed = |side: &ExecBatch, column: (usize, &[String])| {
         embed_lanes(side, column, &node.model, &cache, &run, ctx)
     };
+
+    if outer.iter().all(|batch| batch.sel.is_empty()) {
+        // Nothing to probe with — an IVM delta whose rows all failed the
+        // filter below, the empty `removed` side of an append: the inner
+        // side is not embedded, normalised or looked up in an index.  Only
+        // its shape is needed, and the checks a probing run makes.
+        for batch in &outer {
+            string_column(batch, &node.left_column)?;
+        }
+        let inner_side = match &node.inner {
+            InnerInput::Plan(_) => {
+                let side = inner.expect("a planned inner input is collected by the caller");
+                string_column(&side, &node.right_column)?;
+                check_predicate(&node.predicate)?;
+                side
+            }
+            InnerInput::Indexed(indexed) => {
+                // any segment carries the schema; none is compacted for it
+                let version = ctx.catalog.table_version(&indexed.key.table);
+                let version = version.map_err(CoreError::from)?;
+                let side = ExecBatch::window(version.segments()[0].rows().clone(), vec![], true);
+                match &indexed.projection {
+                    Some(columns) => project_batch(side, columns)?,
+                    None => side,
+                }
+            }
+        };
+        stats.access_path = Some(node.access_path);
+        return materialize_pairs(&join_side(outer)?, &inner_side, &JoinResult::default());
+    }
 
     let (probe, inner_side) = match (&node.op, &node.inner) {
         (PhysicalJoinOp::Index(config), InnerInput::Indexed(indexed)) => {

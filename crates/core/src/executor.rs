@@ -175,7 +175,7 @@ impl Embedder for RunEmbedder<'_> {
 }
 
 /// The remembered `row → slot` assignment of one string column of one table
-/// snapshot against one model's cache: which arena row holds the embedding of
+/// segment against one model's cache: which arena row holds the embedding of
 /// the string in row *r*.
 ///
 /// Filled lazily, for exactly the lanes runs select (a pre-filtered row that
@@ -274,11 +274,13 @@ impl ModelEntry {
 /// it is dropped when the model is re-registered.
 ///
 /// Beside each cache the pool keeps the [`ColumnSlots`] of the base-table
-/// columns that were embedded through it.  A map is tied to one table
-/// *allocation*: a new table version, a re-registered table or a delta all
-/// publish a new `Arc<Table>`, which simply has no map yet, and maps whose
-/// table is gone are swept whenever a new one is inserted — so the maps are
-/// bounded by the live tables, with no budget to tune.
+/// columns that were embedded through it.  A map is tied to one *allocation*
+/// of rows — one segment of a published table version.  A delta shares the
+/// segments it leaves alone (a delete only swaps their live mask), so their
+/// maps stay in use; the segment an append or a merge adds, like a
+/// re-registered table, simply has no map yet, and maps whose rows are gone
+/// are swept whenever a new one is inserted — so the maps are bounded by the
+/// live segments, with no budget to tune.
 #[derive(Default)]
 pub struct EmbeddingCachePool {
     caches: RwLock<HashMap<String, ModelEntry>>,
@@ -412,7 +414,7 @@ impl EmbeddingCachePool {
             .sum()
     }
 
-    /// Number of slot maps held: one per (table snapshot, column, model)
+    /// Number of slot maps held: one per (table segment, column, model)
     /// that was embedded by row, including maps of dropped tables not yet
     /// swept by the next insertion.
     pub fn slot_maps(&self) -> usize {
@@ -647,6 +649,48 @@ mod tests {
         f.embeddings.clear();
         assert_eq!(f.embeddings.stats().model_calls, 0);
         assert!(format!("{:?}", f.embeddings).contains("EmbeddingCachePool"));
+    }
+
+    #[test]
+    fn an_append_keeps_the_base_segments_slot_map() {
+        let f = Fixture::new();
+        let plan = LogicalPlan::e_join(
+            LogicalPlan::scan("photos"),
+            LogicalPlan::scan("photos"),
+            "caption",
+            "caption",
+            "fasttext",
+            cej_relational::SimilarityPredicate::TopK(1),
+        );
+        f.run(&plan).unwrap();
+        let cache = f.embeddings.cache("fasttext", &f.registry).unwrap();
+        let base = f.catalog.table("photos").unwrap();
+        let slots = |table| f.embeddings.column_slots("fasttext", &cache, table, 1);
+        let before = slots(&base).unwrap();
+        assert_eq!(f.embeddings.slot_maps(), 1);
+
+        let sunset = TableBuilder::new()
+            .int64("id", vec![4])
+            .utf8("caption", vec!["sunset".into()])
+            .build()
+            .unwrap();
+        let (head, _) = f
+            .catalog
+            .apply_delta("photos", &cej_storage::Delta::Append(sunset))
+            .unwrap();
+        // the registered rows are still what a scan reads first...
+        assert_eq!(head.segments().len(), 2);
+        assert!(Arc::ptr_eq(head.segments()[0].rows(), &base));
+        let out = f.run(&plan).unwrap();
+        assert_eq!(out.table.num_rows(), 4);
+        // ...so only the appended string is new to the model, the base rows
+        // are served from the map the first run filled, and the one map
+        // added belongs to the appended segment
+        assert_eq!(out.stats.embedding_stats.model_calls, 1);
+        assert!(Arc::ptr_eq(&before, &slots(&base).unwrap()));
+        assert_eq!(f.embeddings.slot_maps(), 2);
+        let known = before.lookup(cache.generation(), &[0, 1, 2]);
+        assert!(known.iter().all(|&slot| slot != UNRESOLVED_SLOT));
     }
 
     #[test]

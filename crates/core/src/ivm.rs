@@ -342,9 +342,9 @@ fn propagate_node(
                 let removed = join_tables(node, &outer_full, Some(&delta_removed), ctx)?;
                 if let Some(NodeMemo::InnerTable(inner_table)) = memos.get_mut(&id) {
                     if delta_removed.num_rows() == 0 {
-                        *inner_table = Arc::new(
-                            Table::concat(&[inner_table, &delta_added]).map_err(CoreError::from)?,
-                        );
+                        Arc::make_mut(inner_table)
+                            .extend(&delta_added)
+                            .map_err(CoreError::from)?;
                     } else {
                         memos.remove(&id);
                     }
@@ -518,63 +518,120 @@ pub(crate) fn diff_tables(old: &Table, new: &Table) -> Result<DeltaBatch> {
     })
 }
 
-/// The maintained result of a standing query: a row multiset carried as a
-/// table, patched in place by result deltas.
+/// The maintained result of a standing query: a row multiset that takes a
+/// result delta in O(delta).
+///
+/// Rows are appended in place and removed by *marking*: the first removal
+/// builds a `canonical row key → positions` multimap over the rows (later
+/// deltas patch it), a removed row's position joins the dead set, and the
+/// dead rows are dropped in one pass once they outnumber the live ones.
 #[derive(Debug, Clone)]
 pub struct MaintainedResult {
+    /// Every row added and not yet compacted away, in insertion order.
     table: Table,
+    /// Parallel to `table`'s rows: removed, waiting for the next compaction.
+    dead: Vec<bool>,
+    dead_rows: usize,
+    /// The live positions of every distinct row, ascending.  `None` until a
+    /// removal needs it, and again after a compaction moved the positions.
+    positions: Option<HashMap<Box<[u8]>, Vec<u32>>>,
 }
 
 impl MaintainedResult {
     /// Seeds the maintained result from a full run.
     pub fn new(table: Table) -> Self {
-        Self { table }
-    }
-
-    /// The maintained rows (insertion order — use
-    /// [`MaintainedResult::canonical`] for a comparable ordering).
-    pub fn table(&self) -> &Table {
-        &self.table
+        Self {
+            dead: vec![false; table.num_rows()],
+            table,
+            dead_rows: 0,
+            positions: None,
+        }
     }
 
     /// Number of maintained rows.
     pub fn rows(&self) -> usize {
-        self.table.num_rows()
+        self.table.num_rows() - self.dead_rows
     }
 
-    /// Patches the multiset with a result delta.
+    /// Positions of the live rows in `table`, ascending.
+    fn live(&self) -> Vec<u32> {
+        let rows = 0..self.table.num_rows() as u32;
+        rows.filter(|&row| !self.dead[row as usize]).collect()
+    }
+
+    /// The maintained rows in insertion order, as an owned table (use
+    /// [`MaintainedResult::canonical`] for a comparable ordering).
+    ///
+    /// # Errors
+    /// Propagates storage errors from the gather.
+    pub fn to_table(&self) -> Result<Table> {
+        if self.dead_rows == 0 {
+            return Ok(self.table.clone());
+        }
+        self.table.gather(&self.live()).map_err(CoreError::from)
+    }
+
+    /// Patches the multiset with a result delta: all of it, or — on
+    /// divergence — none of it.
     ///
     /// # Errors
     /// Returns an error when a removed row is not present — the signal that
     /// maintenance diverged and the standing query must refresh.
     pub fn apply(&mut self, delta: &DeltaBatch) -> Result<()> {
-        if delta.removed.num_rows() > 0 {
-            let removed_keys = row_keys(&delta.removed);
-            let mut pending: HashMap<&[u8], usize> = HashMap::with_capacity(removed_keys.len());
-            for key in removed_keys.iter() {
-                *pending.entry(key).or_insert(0) += 1;
-            }
-            let own_keys = row_keys(&self.table);
-            let mut keep = Vec::with_capacity(self.table.num_rows());
-            let mut outstanding = removed_keys.len();
-            for (i, key) in own_keys.iter().enumerate() {
-                match pending.get_mut(key) {
-                    Some(count) if *count > 0 => {
-                        *count -= 1;
-                        outstanding -= 1;
+        let removed = row_keys(&delta.removed);
+        let mut wanted: HashMap<&[u8], usize> = HashMap::with_capacity(removed.len());
+        for key in removed.iter() {
+            *wanted.entry(key).or_insert(0) += 1;
+        }
+        if !wanted.is_empty() {
+            let (table, dead) = (&self.table, &self.dead);
+            let positions = self.positions.get_or_insert_with(|| {
+                let mut positions: HashMap<Box<[u8]>, Vec<u32>> = HashMap::new();
+                for (row, key) in row_keys(table).iter().enumerate() {
+                    if !dead[row] {
+                        positions.entry(key.into()).or_default().push(row as u32);
                     }
-                    _ => keep.push(i),
                 }
-            }
+                positions
+            });
+            let held = |key: &[u8]| positions.get(key).map_or(0, Vec::len);
+            let outstanding: usize = wanted
+                .iter()
+                .map(|(key, count)| count.saturating_sub(held(key)))
+                .sum();
             if outstanding > 0 {
                 return Err(CoreError::InvalidInput(format!(
                     "ivm divergence: {outstanding} removed row(s) not in the maintained result"
                 )));
             }
-            self.table = self.table.take(&keep).map_err(CoreError::from)?;
         }
+        // rows the delta adds are not candidates for what it removes: they
+        // join the multimap only after the removals were matched
+        let first_added = self.table.num_rows() as u32;
         if delta.added.num_rows() > 0 {
-            self.table = Table::concat(&[&self.table, &delta.added]).map_err(CoreError::from)?;
+            self.table.extend(&delta.added).map_err(CoreError::from)?;
+        }
+        self.dead.resize(self.table.num_rows(), false);
+        if let Some(positions) = &mut self.positions {
+            for (key, count) in wanted {
+                let held = positions.get_mut(key).expect("matched above");
+                for row in held.drain(..count) {
+                    self.dead[row as usize] = true;
+                }
+                if held.is_empty() {
+                    positions.remove(key);
+                }
+            }
+            for (row, key) in (first_added..).zip(row_keys(&delta.added).iter()) {
+                positions.entry(key.into()).or_default().push(row);
+            }
+        }
+        self.dead_rows += removed.len();
+        if self.dead_rows * 2 > self.table.num_rows() {
+            self.table = self.to_table()?;
+            self.dead = vec![false; self.table.num_rows()];
+            self.dead_rows = 0;
+            self.positions = None;
         }
         Ok(())
     }
@@ -583,16 +640,17 @@ impl MaintainedResult {
     /// multiset-equal results render byte-identically.
     pub fn canonical(&self) -> Result<Table> {
         let keys = row_keys(&self.table);
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        order.sort_by(|&a, &b| keys.key(a).cmp(keys.key(b)));
-        self.table.take(&order).map_err(CoreError::from)
+        let mut order = self.live();
+        order.sort_by(|&a, &b| keys.key(a as usize).cmp(keys.key(b as usize)));
+        self.table.gather(&order).map_err(CoreError::from)
     }
 
     /// FNV-1a checksum of the canonical row encoding — equal exactly when
     /// the maintained multisets are equal.
     pub fn checksum(&self) -> u64 {
         let keys = row_keys(&self.table);
-        let mut sorted: Vec<&[u8]> = keys.iter().collect();
+        let live = self.live();
+        let mut sorted: Vec<&[u8]> = live.iter().map(|&row| keys.key(row as usize)).collect();
         sorted.sort_unstable();
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for key in sorted {
@@ -702,7 +760,7 @@ impl StandingInner {
 
     fn refresh_locked(&self, state: &mut StandingState) -> Result<DeltaBatch> {
         let report = self.prepared.run()?;
-        let delta = diff_tables(state.maintained.table(), &report.table)?;
+        let delta = diff_tables(&state.maintained.to_table()?, &report.table)?;
         state.maintained = MaintainedResult::new(report.table);
         state.refreshes += 1;
         self.engine.clear();
@@ -722,13 +780,8 @@ impl StandingInner {
             return Ok(ChangeOutcome::Unaffected);
         }
         let mut state = self.state.lock();
-        let base_rows = self
-            .prepared
-            .exec_session()
-            .catalog()
-            .table(&change.table)
-            .map(|t| t.num_rows())
-            .unwrap_or(0);
+        let catalog = self.prepared.exec_session().catalog();
+        let base_rows = catalog.row_count(&change.table).unwrap_or(0);
         let oversized =
             change.rows() as f64 > self.policy.refresh_fraction * base_rows.max(1) as f64;
         let registry = self.prepared.exec_registry();
@@ -814,10 +867,9 @@ impl StandingQuery {
         if state.overflowed {
             state.overflowed = false;
             state.mailbox.clear();
-            let snapshot = state
-                .maintained
-                .canonical()
-                .unwrap_or_else(|_| state.maintained.table().clone());
+            let maintained = &state.maintained;
+            let snapshot = maintained.canonical().or_else(|_| maintained.to_table());
+            let snapshot = snapshot.ok()?;
             let empty = snapshot.take(&[]).ok()?;
             return Some(ResultDelta {
                 version: 0,
@@ -1486,6 +1538,173 @@ mod tests {
                 .unwrap(),
         );
         assert_eq!(x.checksum(), y.checksum());
+    }
+
+    /// The implementation this module had before removals were marked: every
+    /// patch re-keys the whole result and rebuilds it.  Kept as the reference
+    /// [`MaintainedResult`] must agree with bit for bit.
+    struct RebuiltResult {
+        table: Table,
+    }
+
+    impl RebuiltResult {
+        fn apply(&mut self, delta: &DeltaBatch) -> Result<()> {
+            if delta.removed.num_rows() > 0 {
+                let removed_keys = row_keys(&delta.removed);
+                let mut pending: HashMap<&[u8], usize> = HashMap::new();
+                for key in removed_keys.iter() {
+                    *pending.entry(key).or_insert(0) += 1;
+                }
+                let own_keys = row_keys(&self.table);
+                let mut keep = Vec::with_capacity(self.table.num_rows());
+                let mut outstanding = removed_keys.len();
+                for (i, key) in own_keys.iter().enumerate() {
+                    match pending.get_mut(key) {
+                        Some(count) if *count > 0 => {
+                            *count -= 1;
+                            outstanding -= 1;
+                        }
+                        _ => keep.push(i),
+                    }
+                }
+                if outstanding > 0 {
+                    return Err(CoreError::InvalidInput("ivm divergence".into()));
+                }
+                self.table = self.table.take(&keep).map_err(CoreError::from)?;
+            }
+            if delta.added.num_rows() > 0 {
+                self.table =
+                    Table::concat(&[&self.table, &delta.added]).map_err(CoreError::from)?;
+            }
+            Ok(())
+        }
+
+        fn canonical(&self) -> Table {
+            let keys = row_keys(&self.table);
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by(|&a, &b| keys.key(a).cmp(keys.key(b)));
+            self.table.take(&order).unwrap()
+        }
+
+        fn checksum(&self) -> u64 {
+            let keys = row_keys(&self.table);
+            let mut sorted: Vec<&[u8]> = keys.iter().collect();
+            sorted.sort_unstable();
+            sorted
+                .into_iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |hash, key| fnv1a(key, hash))
+        }
+    }
+
+    #[test]
+    fn maintained_result_agrees_with_the_rebuilding_reference_bit_for_bit() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        // five distinct rows, so the multiset is mostly duplicates
+        let mut draw = |rows: usize| {
+            let ids: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..5)).collect();
+            let captions: Vec<String> = ids.iter().map(|id| format!("row {id}")).collect();
+            let captions: Vec<&str> = captions.iter().map(String::as_str).collect();
+            photos(&ids, &captions)
+        };
+        let seed = draw(40);
+        let mut reference = RebuiltResult {
+            table: seed.clone(),
+        };
+        let mut maintained = MaintainedResult::new(seed);
+        let (mut compactions, mut divergences) = (0, 0);
+        for step in 0..300usize {
+            // remove rows that are there (the oldest few, duplicates and all)
+            // and, now and then, one that is not
+            let held = reference.table.num_rows();
+            let mut removed = reference
+                .table
+                .take(&[0, 1, 2][..held.min(step % 4)])
+                .unwrap();
+            if step % 9 == 8 {
+                removed = Table::concat(&[&removed, &photos(&[99], &["absent"])]).unwrap();
+            }
+            let added = draw(if held < 12 { 30 } else { step % 3 });
+            let delta = DeltaBatch { added, removed };
+            let stored = maintained.table.num_rows();
+            let outcome = maintained.apply(&delta);
+            assert_eq!(outcome.is_ok(), reference.apply(&delta).is_ok(), "{step}");
+            divergences += usize::from(outcome.is_err());
+            compactions += usize::from(maintained.table.num_rows() < stored);
+            assert_eq!(maintained.rows(), reference.table.num_rows(), "{step}");
+            assert_eq!(maintained.checksum(), reference.checksum(), "{step}");
+            assert_eq!(maintained.canonical().unwrap(), reference.canonical());
+            assert_eq!(maintained.to_table().unwrap(), reference.table, "{step}");
+        }
+        assert!(compactions > 2, "the dead set was never compacted");
+        assert!(divergences > 20, "divergence was never exercised");
+    }
+
+    #[test]
+    fn duplicate_rows_are_removed_one_at_a_time() {
+        let one = || DeltaBatch {
+            added: photos(&[], &[]),
+            removed: photos(&[1], &["a"]),
+        };
+        let mut maintained = MaintainedResult::new(photos(&[1, 2, 1, 1], &["a", "b", "a", "a"]));
+        for left in [3, 2, 1] {
+            maintained.apply(&one()).unwrap();
+            assert_eq!(maintained.rows(), left);
+        }
+        let last = MaintainedResult::new(photos(&[2], &["b"])).checksum();
+        assert_eq!(maintained.checksum(), last);
+        // the fourth copy never existed: divergence, and nothing changes
+        assert!(maintained.apply(&one()).is_err());
+        assert_eq!(maintained.checksum(), last);
+        // a delta cannot remove the very row it adds
+        let both = DeltaBatch {
+            added: photos(&[1], &["a"]),
+            removed: photos(&[1], &["a"]),
+        };
+        assert!(maintained.apply(&both).is_err());
+        assert_eq!((maintained.rows(), maintained.checksum()), (1, last));
+    }
+
+    #[test]
+    fn a_delta_filtered_to_nothing_never_reaches_the_inner_side() {
+        for strategy in [
+            JoinStrategy::Tensor(crate::join::tensor_join::TensorJoinConfig::default()),
+            JoinStrategy::Index(IndexJoinConfig {
+                params: cej_index::HnswParams::tiny(),
+                range_probe_k: 8,
+            }),
+        ] {
+            let mut s = session();
+            s.with_strategy(strategy);
+            let plan = LogicalPlan::e_join(
+                LogicalPlan::scan("photos").select(col("photo_id").gt(lit_i64(100))),
+                LogicalPlan::scan("products"),
+                "caption",
+                "title",
+                "fasttext",
+                SimilarityPredicate::TopK(1),
+            );
+            let policy = IvmPolicy {
+                refresh_fraction: f64::INFINITY,
+                ..IvmPolicy::default()
+            };
+            let q = s.prepare(&plan).unwrap().subscribe_with(policy).unwrap();
+            let requests = || s.embedding_caches().stats().total_requests();
+            let (before, lookups) = (requests(), s.index_manager().stats());
+            // every appended row fails `photo_id > 100`: the ejoin sees an
+            // empty outer delta in both directions
+            let report = s
+                .apply_delta(
+                    "photos",
+                    &Delta::Append(photos(&[5, 6], &["sunset", "harbor"])),
+                )
+                .unwrap();
+            assert_eq!((report.propagated, report.refreshed), (1, 0));
+            assert_eq!(requests(), before, "{strategy:?}: nothing was embedded");
+            assert_eq!(s.index_manager().stats(), lookups, "{strategy:?}");
+            assert!(q.poll().is_none(), "an empty result delta queues no frame");
+            assert_in_sync(&s, &q, &plan);
+        }
     }
 
     #[test]

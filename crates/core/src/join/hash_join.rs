@@ -191,6 +191,7 @@ impl HashSide {
     pub(crate) fn extend_build(&mut self, rows: &Table, column: &str) -> Result<()> {
         let keys = key_column(rows, column)?;
         let base = self.table.num_rows();
+        self.table.extend(rows).map_err(CoreError::from)?;
         let single = self.partitions.len() == 1;
         let mask = self.mask;
         for (i, k) in keys.into_iter().enumerate() {
@@ -201,7 +202,6 @@ impl HashSide {
             };
             self.partitions[pid].entry(k).or_default().push(base + i);
         }
-        self.table = Table::concat(&[&self.table, rows]).map_err(CoreError::from)?;
         Ok(())
     }
 

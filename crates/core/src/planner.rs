@@ -106,11 +106,7 @@ impl Planner {
         let access = self.advisor.cost_model.params.access_cost;
         match plan {
             LogicalPlan::Scan { table } => {
-                let schema = catalog
-                    .table(table)
-                    .map_err(CoreError::from)?
-                    .schema()
-                    .clone();
+                let schema = catalog.schema(table).map_err(CoreError::from)?;
                 let stats = catalog.stats(table).map_err(CoreError::from)?;
                 let rows = stats.row_count as f64;
                 Ok(Lowered {

@@ -415,8 +415,10 @@ impl ContextJoinSession {
     /// Applies a batch mutation to a registered table and drives the whole
     /// incremental-maintenance pipeline:
     ///
-    /// 1. the catalog publishes a new [`cej_storage::TableVersion`] (and
-    ///    folds the change into the table's statistics incrementally);
+    /// 1. the catalog publishes a new [`cej_storage::TableVersion`] that
+    ///    shares every row segment the delta left alone — appended rows are
+    ///    one more segment, removed rows are masked — and folds the change
+    ///    into the table's statistics incrementally;
     /// 2. resident HNSW indexes over the table are **extended in place**
     ///    for append-only deltas (new vectors inserted into a clone of the
     ///    persistent graph, atomically swapped in) or invalidated when rows

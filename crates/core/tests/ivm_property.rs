@@ -3,7 +3,10 @@
 //! hash-join + ejoin plan must leave every standing query's maintained
 //! result **byte-identical** (canonicalised multiset) to a full re-run of
 //! the same plan — under all four physical join strategies and at the
-//! whole-table morsel as well as awkward morsel sizes.
+//! whole-table morsel as well as awkward morsel sizes.  Every stream ends
+//! with a bulk delete and a run of one-row appends, so the base tables the
+//! re-runs scan have been through a half-dead segment rewrite and a tail
+//! merge, whatever the random part did.
 //!
 //! This is the end-to-end exactness contract of `cej_core::ivm`: whether a
 //! delta took the propagation fast path, fell back to a refresh, or hit
@@ -152,6 +155,45 @@ fn gen_delta(rng: &mut StdRng, mirror: &mut Mirror) -> (&'static str, Delta) {
     (table, delta)
 }
 
+/// The fixed close of every stream: four photos arrive (so some are live
+/// whatever the random part deleted), more than half of the live photos go
+/// in one delete — some segment of `photos` is then more than half dead and
+/// is rewritten — and three one-row appends follow, the second of which (at
+/// the latest) merges with the first.
+fn closing_deltas(rng: &mut StdRng, mirror: &mut Mirror) -> Vec<(&'static str, Delta)> {
+    let mut append = |rows: usize, mirror: &mut Mirror| {
+        let ids: Vec<i64> = (mirror.next_photo..).take(rows).collect();
+        mirror.next_photo += rows as i64;
+        mirror.photo_ids.extend(&ids);
+        let owners: Vec<i64> = ids.iter().map(|_| rng.gen_range(1..=3) * 100).collect();
+        let captions: Vec<String> = ids.iter().map(|_| phrase(rng)).collect();
+        (
+            "photos",
+            Delta::Append(photos_rows(&ids, &owners, &captions)),
+        )
+    };
+    let mut deltas = vec![append(4, mirror)];
+    let victims: Vec<i64> = mirror.photo_ids[..mirror.photo_ids.len() / 2 + 1].to_vec();
+    mirror.photo_ids.retain(|id| !victims.contains(id));
+    deltas.push((
+        "photos",
+        Delta::DeleteByKey {
+            key_column: "id".to_string(),
+            keys: victims.into_iter().map(ScalarValue::Int64).collect(),
+        },
+    ));
+    deltas.extend((0..3).map(|_| append(1, mirror)));
+    deltas
+}
+
+/// Rows `photos` holds in storage, dead ones included, and its segment count.
+fn photos_layout(s: &ContextJoinSession) -> (usize, usize) {
+    let version = s.catalog().table_version("photos").unwrap();
+    let segments = version.segments();
+    let stored = segments.iter().map(|seg| seg.rows().num_rows()).sum();
+    (stored, segments.len())
+}
+
 /// Builds one session (fixed seed tables, fresh caches and indexes) under
 /// the given strategy, so every strategy maintains against its own
 /// persistent-index state.
@@ -283,8 +325,10 @@ proptest! {
             next_product: 6,
         };
         let table_rng_seed = rng.gen::<u64>();
-        let stream: Vec<(&str, Delta)> =
+        let mut stream: Vec<(&str, Delta)> =
             (0..6).map(|_| gen_delta(&mut rng, &mut mirror)).collect();
+        let bulk_delete = stream.len() + 1;
+        stream.extend(closing_deltas(&mut rng, &mut mirror));
 
         for (strategy, strategy_name) in strategies() {
             // the naive E-NLJ rejects top-k predicates by design
@@ -310,8 +354,24 @@ proptest! {
                 })
                 .unwrap();
             check_in_sync(&q, &s, &query, &format!("(seed {seed}, {strategy_name}, seeded)"))?;
+            let mut layout = photos_layout(&s);
             for (step, (table, delta)) in stream.iter().enumerate() {
+                if step == bulk_delete || step == bulk_delete + 1 {
+                    layout = photos_layout(&s);
+                }
                 s.apply_delta(table, delta).unwrap();
+                if step == bulk_delete {
+                    prop_assert!(
+                        photos_layout(&s).0 < layout.0,
+                        "no segment was rewritten under {}", strategy_name
+                    );
+                }
+                if step + 1 == stream.len() {
+                    prop_assert!(
+                        photos_layout(&s).1 < layout.1 + 3,
+                        "the appended tail never merged under {}", strategy_name
+                    );
+                }
                 check_in_sync(
                     &q,
                     &s,

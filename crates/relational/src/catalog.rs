@@ -8,10 +8,18 @@
 //! the planner's estimates), so a prepared query keeps the cardinalities it
 //! was costed with even while new registrations refresh the catalog.
 //!
+//! What the catalog publishes per table is a [`TableVersion`]: a list of
+//! immutable row segments that a [`Delta`] extends or masks instead of
+//! copying.  Scans read the segments ([`Catalog::table_version`]); consumers
+//! that need one contiguous table ask [`Catalog::table`], which compacts on
+//! first request and is the registered `Arc` itself for a table no delta has
+//! touched; consumers that only ask *about* a table ([`Catalog::schema`],
+//! [`Catalog::row_count`]) never make it compact.
+//!
 //! ## Concurrency
 //!
 //! The catalog is internally synchronised (a `parking_lot` RwLock over the
-//! name → table map), so a server can share one catalog between many
+//! name → version map), so a server can share one catalog between many
 //! connection threads: registrations take `&self`, lookups return
 //! `Arc`-shared snapshots, and a query that resolved its tables keeps them
 //! alive regardless of concurrent re-registrations.  Each lookup is
@@ -22,7 +30,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cej_storage::{AppliedDelta, Delta, Table, TableStats, TableVersion};
+use cej_storage::{AppliedDelta, Delta, Schema, Table, TableStats, TableVersion};
 use parking_lot::RwLock;
 
 use crate::error::RelationalError;
@@ -32,7 +40,6 @@ use crate::Result;
 /// never observe a table paired with another registration's statistics.
 #[derive(Debug, Default, Clone)]
 struct CatalogMaps {
-    tables: HashMap<String, Arc<Table>>,
     stats: HashMap<String, Arc<TableStats>>,
     versions: HashMap<String, Arc<TableVersion>>,
 }
@@ -77,14 +84,15 @@ impl Catalog {
         let mut maps = self.maps.write();
         maps.stats.insert(name.to_string(), stats);
         maps.versions
-            .insert(name.to_string(), TableVersion::initial(table.clone()));
-        maps.tables.insert(name.to_string(), table);
+            .insert(name.to_string(), TableVersion::initial(table));
     }
 
     /// Applies a [`Delta`] to a registered table, atomically publishing the
-    /// new snapshot, an incrementally maintained statistics view, and the
-    /// advanced [`TableVersion`] head.  Returns the new head and the exact
-    /// added/removed row multisets for delta propagation.
+    /// advanced [`TableVersion`] head and an incrementally maintained
+    /// statistics view.  Returns the new head and the exact added/removed
+    /// row multisets for delta propagation.  The new head shares every
+    /// segment the delta left alone, so this costs the delta plus one pass
+    /// over the key column — not a copy of the table.
     ///
     /// The delta is computed outside the lock against a version snapshot and
     /// published only if the head has not moved (compare-and-swap with
@@ -126,8 +134,6 @@ impl Catalog {
                 // while we were computing — redo against the new head
                 continue;
             }
-            maps.tables
-                .insert(name.to_string(), new_head.table().clone());
             if let Some(s) = new_stats {
                 maps.stats.insert(name.to_string(), s);
             }
@@ -136,8 +142,8 @@ impl Catalog {
         }
     }
 
-    /// The current version number of a table's delta chain (0 at
-    /// registration, +1 per applied delta).
+    /// The current version number of a table (0 at registration, +1 per
+    /// applied delta).
     ///
     /// # Errors
     /// Returns [`RelationalError::UnknownTable`] when absent.
@@ -145,7 +151,8 @@ impl Catalog {
         Ok(self.table_version(name)?.version())
     }
 
-    /// The head of a table's [`TableVersion`] chain.
+    /// The published [`TableVersion`] of a table: what a scan reads, segment
+    /// by segment.
     ///
     /// # Errors
     /// Returns [`RelationalError::UnknownTable`] when absent.
@@ -180,15 +187,15 @@ impl Catalog {
     /// # Errors
     /// Returns [`RelationalError::UnknownTable`] when absent.
     pub fn analyze(&self, name: &str) -> Result<Arc<TableStats>> {
-        let table = self.table(name)?;
-        let stats = Arc::new(table.analyze());
+        let head = self.table_version(name)?;
+        let stats = Arc::new(head.table().analyze());
         let mut maps = self.maps.write();
-        // only publish if the analyzed snapshot is still the registered
-        // table — a concurrent re-registration's fresh stats must win
+        // only publish if the analyzed snapshot is still the published
+        // version — a concurrent re-registration's fresh stats must win
         if maps
-            .tables
+            .versions
             .get(name)
-            .is_some_and(|current| Arc::ptr_eq(current, &table))
+            .is_some_and(|current| Arc::ptr_eq(current, &head))
         {
             maps.stats.insert(name.to_string(), stats.clone());
         }
@@ -201,41 +208,56 @@ impl Catalog {
     pub fn unregister(&self, name: &str) -> bool {
         let mut maps = self.maps.write();
         maps.stats.remove(name);
-        maps.versions.remove(name);
-        maps.tables.remove(name).is_some()
+        maps.versions.remove(name).is_some()
     }
 
-    /// Looks up a table.
+    /// Looks up a table as one contiguous [`Table`]
+    /// ([`TableVersion::table`]): the registered `Arc` itself until a delta
+    /// touches the table, a compaction of the published version afterwards —
+    /// built by the first caller, outside the catalog lock, and kept until
+    /// the next delta.
     ///
     /// # Errors
     /// Returns [`RelationalError::UnknownTable`] when absent.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
-        self.maps
-            .read()
-            .tables
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RelationalError::UnknownTable(name.to_string()))
+        Ok(self.table_version(name)?.table())
+    }
+
+    /// The schema of a table.
+    ///
+    /// # Errors
+    /// Returns [`RelationalError::UnknownTable`] when absent.
+    pub fn schema(&self, name: &str) -> Result<Schema> {
+        Ok(self.table_version(name)?.schema().clone())
+    }
+
+    /// The number of (live) rows of a table as published right now — exact,
+    /// where [`Catalog::stats`] carries the incrementally maintained view.
+    ///
+    /// # Errors
+    /// Returns [`RelationalError::UnknownTable`] when absent.
+    pub fn row_count(&self, name: &str) -> Result<usize> {
+        Ok(self.table_version(name)?.num_rows())
     }
 
     /// Whether a table with this name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.maps.read().tables.contains_key(name)
+        self.maps.read().versions.contains_key(name)
     }
 
     /// Names of all registered tables (unsorted).
     pub fn table_names(&self) -> Vec<String> {
-        self.maps.read().tables.keys().cloned().collect()
+        self.maps.read().versions.keys().cloned().collect()
     }
 
     /// Number of registered tables.
     pub fn len(&self) -> usize {
-        self.maps.read().tables.len()
+        self.maps.read().versions.len()
     }
 
     /// `true` when no tables are registered.
     pub fn is_empty(&self) -> bool {
-        self.maps.read().tables.is_empty()
+        self.maps.read().versions.is_empty()
     }
 }
 
@@ -370,6 +392,16 @@ mod tests {
         assert_eq!(head.version(), 1);
         assert_eq!(applied.added.num_rows(), 10);
         assert_eq!(c.version("t").unwrap(), 1);
+        // asking about the table does not make it compact: the published
+        // version still is the registered rows plus the appended segment
+        assert_eq!(c.row_count("t").unwrap(), 110);
+        assert_eq!(c.schema("t").unwrap(), *snapshot.schema());
+        assert!(c.schema("missing").is_err() && c.row_count("missing").is_err());
+        let (again, _) = c
+            .apply_delta("t", &Delta::Append(snapshot.gather(&[]).unwrap()))
+            .unwrap();
+        assert_eq!(again.segments().len(), 2);
+        assert!(Arc::ptr_eq(again.segments()[0].rows(), &snapshot));
         assert_eq!(c.table("t").unwrap().num_rows(), 110);
         // stats were maintained incrementally, not re-analyzed
         let stats = c.stats("t").unwrap();
@@ -390,10 +422,10 @@ mod tests {
         assert_eq!(applied.removed.num_rows(), 55);
         assert_eq!(c.table("t").unwrap().num_rows(), 55);
         assert_eq!(c.stats("t").unwrap().row_count, 55);
-        assert_eq!(c.version("t").unwrap(), 2);
+        assert_eq!(c.version("t").unwrap(), 3);
 
         assert!(c.apply_delta("missing", &Delta::Append(table())).is_err());
-        // re-registration resets the chain
+        // re-registration starts over at version 0
         c.register("t", table());
         assert_eq!(c.version("t").unwrap(), 0);
         assert!(!c.unregister("gone"));

@@ -22,6 +22,7 @@
 //! paper's core contribution) live in `cej-core`, which consumes the plans
 //! produced here.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

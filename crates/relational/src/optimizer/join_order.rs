@@ -62,8 +62,8 @@ fn threshold_fraction(t: f32) -> f64 {
 pub fn physical_output_columns(plan: &LogicalPlan, catalog: &Catalog) -> Result<Vec<String>> {
     match plan {
         LogicalPlan::Scan { table } => {
-            let t = catalog.table(table)?;
-            Ok(t.schema().fields().iter().map(|f| f.name.clone()).collect())
+            let schema = catalog.schema(table)?;
+            Ok(schema.fields().iter().map(|f| f.name.clone()).collect())
         }
         LogicalPlan::Selection { input, .. } => physical_output_columns(input, catalog),
         LogicalPlan::Projection { columns, .. } => Ok(columns.clone()),
@@ -110,7 +110,7 @@ pub(crate) fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
         LogicalPlan::Scan { table } => catalog
             .stats(table)
             .map(|s| s.row_count as f64)
-            .or_else(|_| catalog.table(table).map(|t| t.num_rows() as f64))
+            .or_else(|_| catalog.row_count(table).map(|rows| rows as f64))
             .unwrap_or(1000.0),
         LogicalPlan::Selection { predicate, input } => {
             let base = estimate_rows(input, catalog);

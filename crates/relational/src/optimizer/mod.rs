@@ -45,8 +45,8 @@ pub trait OptimizerRule {
 pub fn output_columns(plan: &LogicalPlan, catalog: &Catalog) -> Result<Vec<String>> {
     match plan {
         LogicalPlan::Scan { table } => {
-            let t = catalog.table(table)?;
-            Ok(t.schema().fields().iter().map(|f| f.name.clone()).collect())
+            let schema = catalog.schema(table)?;
+            Ok(schema.fields().iter().map(|f| f.name.clone()).collect())
         }
         LogicalPlan::Selection { input, .. } => output_columns(input, catalog),
         LogicalPlan::Projection { columns, .. } => Ok(columns.clone()),

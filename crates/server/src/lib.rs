@@ -918,8 +918,8 @@ fn dispatch(
             // span has nowhere to land, so the wrapper gets a disabled one
             let trace = Trace::disabled();
             admit_and_time(shared, &trace, || {
-                let schema = match session.catalog().table(&table) {
-                    Ok(t) => t.schema().clone(),
+                let schema = match session.catalog().schema(&table) {
+                    Ok(schema) => schema,
                     Err(e) => return format!("ERR {e}\n"),
                 };
                 let delta = match build_delta(&spec, &schema) {

@@ -204,47 +204,15 @@ impl Column {
                 });
             }
         }
-        // Exact-capacity outputs: a concatenated table is often kept (every
-        // applied delta publishes one), so growth slack would stay resident.
+        // Exact-capacity outputs: a concatenated table is often kept (merged
+        // segments, compacted snapshots), so growth slack would stay resident.
         let total: usize = parts.iter().map(|p| p.len()).sum();
-        Ok(match first {
-            Column::Int64(_) => {
-                let mut out = Vec::with_capacity(total);
-                for part in parts {
-                    out.extend_from_slice(part.as_int64().expect("checked"));
-                }
-                Column::Int64(out)
-            }
-            Column::Float64(_) => {
-                let mut out = Vec::with_capacity(total);
-                for part in parts {
-                    out.extend_from_slice(part.as_float64().expect("checked"));
-                }
-                Column::Float64(out)
-            }
-            Column::Utf8(_) => {
-                let mut out = Vec::with_capacity(total);
-                for part in parts {
-                    out.extend_from_slice(part.as_utf8().expect("checked"));
-                }
-                Column::Utf8(out)
-            }
-            Column::Date(_) => {
-                let mut out = Vec::with_capacity(total);
-                for part in parts {
-                    out.extend_from_slice(part.as_date().expect("checked"));
-                }
-                Column::Date(out)
-            }
-            Column::Bool(_) => {
-                let mut out = Vec::with_capacity(total);
-                for part in parts {
-                    if let Column::Bool(v) = part {
-                        out.extend_from_slice(v);
-                    }
-                }
-                Column::Bool(out)
-            }
+        let mut out = match first {
+            Column::Int64(_) => Column::Int64(Vec::with_capacity(total)),
+            Column::Float64(_) => Column::Float64(Vec::with_capacity(total)),
+            Column::Utf8(_) => Column::Utf8(Vec::with_capacity(total)),
+            Column::Date(_) => Column::Date(Vec::with_capacity(total)),
+            Column::Bool(_) => Column::Bool(Vec::with_capacity(total)),
             Column::Vector(first_m) => {
                 let cols = parts
                     .iter()
@@ -260,13 +228,51 @@ impl Column {
                         data.extend_from_slice(m.as_slice());
                     }
                 }
-                let rows = total;
-                Column::Vector(
-                    Matrix::from_flat(rows, cols, data)
+                return Ok(Column::Vector(
+                    Matrix::from_flat(total, cols, data)
                         .map_err(|e| StorageError::InvalidArgument(e.to_string()))?,
-                )
+                ));
             }
-        })
+        };
+        for part in parts {
+            out.extend(part)?;
+        }
+        Ok(out)
+    }
+
+    /// Appends the rows of `other` in place — how a maintained result or a
+    /// live hash-join build side takes a delta without being rebuilt.
+    ///
+    /// # Errors
+    /// Returns [`StorageError::TypeMismatch`] when the types disagree
+    /// (including vector dimensionality, except that an empty vector column
+    /// adopts the dimension of the rows it is given).
+    pub fn extend(&mut self, other: &Column) -> Result<()> {
+        match (&mut *self, other) {
+            (Column::Int64(a), Column::Int64(b)) => a.extend_from_slice(b),
+            (Column::Float64(a), Column::Float64(b)) => a.extend_from_slice(b),
+            (Column::Utf8(a), Column::Utf8(b)) => a.extend_from_slice(b),
+            (Column::Date(a), Column::Date(b)) => a.extend_from_slice(b),
+            (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(b),
+            (Column::Vector(a), Column::Vector(b)) if a.is_empty() || b.is_empty() => {
+                if a.is_empty() {
+                    *a = b.clone();
+                }
+            }
+            (Column::Vector(a), Column::Vector(b)) if a.cols() == b.cols() => {
+                for row in 0..b.rows() {
+                    a.push_row(b.row(row).expect("row in range"))
+                        .expect("widths checked above");
+                }
+            }
+            _ => {
+                return Err(StorageError::TypeMismatch {
+                    expected: self.data_type().to_string(),
+                    actual: other.data_type().to_string(),
+                })
+            }
+        }
+        Ok(())
     }
 
     /// Borrows the strings of a `Utf8` column.
@@ -468,6 +474,23 @@ mod tests {
         }
         assert!(Column::concat(&[]).is_err());
         assert!(Column::concat(&[&Column::Int64(vec![1]), &utf8_col()]).is_err());
+    }
+
+    #[test]
+    fn extend_appends_in_place_and_checks_types() {
+        let mut c = utf8_col();
+        c.extend(&Column::Utf8(vec!["d".into()])).unwrap();
+        assert_eq!(c.as_utf8().unwrap(), &["a", "b", "c", "d"]);
+        assert!(c.extend(&Column::Int64(vec![1])).is_err());
+        assert_eq!(c.len(), 4, "a rejected extend leaves the column alone");
+        // an empty vector column adopts the width it is given, then holds it
+        let mut v = Column::Vector(Matrix::zeros(0, 0));
+        v.extend(&Column::Vector(Matrix::zeros(2, 3))).unwrap();
+        v.extend(&Column::Vector(Matrix::zeros(0, 9))).unwrap();
+        v.extend(&Column::Vector(Matrix::zeros(1, 3))).unwrap();
+        assert_eq!(v.data_type(), DataType::Vector(3));
+        assert_eq!(v.len(), 3);
+        assert!(v.extend(&Column::Vector(Matrix::zeros(1, 4))).is_err());
     }
 
     #[test]

@@ -20,8 +20,11 @@
 //!   predicates below the embedding operator (the paper's pre-filtering).
 //! * [`BatchView`] — zero-copy column batches (window + selection vector)
 //!   exchanged by the vectorised executor (MonetDB/X100 style).
+//! * [`Delta`] / [`TableVersion`] / [`Segment`] — batch mutations, and the
+//!   immutable, segment-sharing table versions they produce.
 //! * [`builder`] — convenient typed table construction.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
@@ -42,7 +45,7 @@ pub use bitmap::SelectionBitmap;
 pub use builder::TableBuilder;
 pub use column::Column;
 pub use datatype::DataType;
-pub use delta::{AppliedDelta, Delta, TableVersion, MAX_VERSION_CHAIN};
+pub use delta::{AppliedDelta, Delta, Segment, TableVersion};
 pub use error::StorageError;
 pub use scalar::ScalarValue;
 pub use schema::{Field, Schema};

@@ -216,6 +216,27 @@ impl Table {
         })
     }
 
+    /// Appends the rows of `other` in place: O(`other`), where
+    /// [`Table::concat`] copies both sides.
+    ///
+    /// # Errors
+    /// Returns [`StorageError::TypeMismatch`] when the schemas disagree; the
+    /// table is untouched then.
+    pub fn extend(&mut self, other: &Table) -> Result<()> {
+        if other.schema != self.schema {
+            return Err(StorageError::TypeMismatch {
+                expected: format!("{:?}", self.schema),
+                actual: format!("{:?}", other.schema),
+            });
+        }
+        // equal schemas mean equal column types, vector widths included
+        for (column, more) in self.columns.iter_mut().zip(&other.columns) {
+            column.extend(more)?;
+        }
+        self.rows += other.rows;
+        Ok(())
+    }
+
     /// Runs the `ANALYZE` pass: per-column row/null counts, distinct counts,
     /// min/max, equi-depth histograms, and average string lengths (see
     /// [`crate::stats`]).  The result is a point-in-time snapshot — callers
@@ -387,6 +408,16 @@ mod tests {
         assert!(Table::concat(&[&t, &other]).is_err());
         // single part is a plain clone
         assert_eq!(Table::concat(&[&t]).unwrap(), t);
+    }
+
+    #[test]
+    fn extend_appends_rows_in_place() {
+        let t = sample();
+        let mut grown = t.gather(&[0]).unwrap();
+        grown.extend(&t.gather(&[1, 2]).unwrap()).unwrap();
+        assert_eq!(grown, t);
+        assert!(grown.extend(&t.project(&["id"]).unwrap()).is_err());
+        assert_eq!(grown, t, "a rejected extend leaves the table alone");
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! compute — a remembered `row → slot` assignment may speed a run up, never
 //! change it.
 //!
-//! A slot map belongs to one table *allocation* and one cache *generation*:
-//! deltas and re-registrations publish a new `Arc<Table>` (no map yet),
-//! model re-registration drops the cache together with its maps, and
-//! `clear_cache` moves the generation.  The tests drive each of those through
+//! A slot map belongs to one *allocation* of rows — a segment of a table
+//! version — and one cache *generation*: a delta keeps the segments it does
+//! not rewrite (and their maps) and adds or merges others (no map yet), a
+//! re-registration publishes a new table, model re-registration drops the
+//! cache together with its maps, and `clear_cache` moves the generation.  The tests drive each of those through
 //! the public session API and compare against a fresh session; the last one
 //! checks that maps of dropped tables do not accumulate.
 
@@ -309,8 +310,8 @@ fn slot_maps_are_swept_when_their_tables_are_dropped() {
         s.prepare(&scratch).expect("prepare").run().expect("run");
         assert!(s.unregister_table(&name));
     }
-    // every delta publishes a new snapshot of `s`; the version chain keeps a
-    // bounded number of predecessors alive
+    // every delta publishes a new version of `s`, whose merged tail segments
+    // come and go
     for i in 0..12i64 {
         s.apply_delta("s", &Delta::Append(rows(2_000 + i, 1, 0)))
             .expect("append");

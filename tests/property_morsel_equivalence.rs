@@ -23,6 +23,10 @@
 //! on the first (cold) and the second (warm) run, whether the inner side is
 //! unfiltered, filtered, projected or renamed.
 //!
+//! A third sweep pins the *storage* side: a table that deltas have cut into
+//! several segments and deleted from — what a scan reads after `APPLY`s — must
+//! answer every plan shape exactly as its compaction does, at every cut.
+//!
 //! A deterministic tensor-join sweep adds the cardinalities the random cases
 //! rarely hit together: outer sizes ≡ 1, 2, 3 (mod 4) and odd inner sizes, so
 //! that the whole-table GEMM and the 1/7/1024-row morsels all put pairs on
@@ -39,7 +43,7 @@ use cej_embedding::{EmbeddingStats, FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
 use cej_oracle::Oracle;
 use cej_relational::{col, lit_i64, LogicalPlan, SimilarityPredicate};
-use cej_storage::Table;
+use cej_storage::{Column, Delta, ScalarValue, Table};
 use cej_workload::{JoinWorkload, RelationSpec};
 use proptest::prelude::*;
 
@@ -52,9 +56,13 @@ fn session(outer_rows: usize, inner_rows: usize, strategy: JoinStrategy) -> Cont
         RelationSpec::with_rows(inner_rows),
         11,
     );
+    session_over(workload.outer, workload.inner, strategy)
+}
+
+fn session_over(r: Table, inner: Table, strategy: JoinStrategy) -> ContextJoinSession {
     let mut s = ContextJoinSession::new();
-    s.register_table("r", workload.outer.clone());
-    s.register_table("s", workload.inner.clone());
+    s.register_table("r", r);
+    s.register_table("s", inner);
     s.register_model(
         "ft",
         FastTextModel::new(FastTextConfig {
@@ -271,6 +279,116 @@ fn embedding_by_row_matches_embedding_by_string_cold_and_warm() {
                         format!("{shape} {strategy:?} morsel_rows {morsel_rows} threads {threads}");
                     assert_eq!(baseline, by_row, "{what}");
                     assert_eq!(maps, expected_maps, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// `session(20, 40, strategy)` after deltas against both tables: appends
+/// (new segments), deletes and upserts that reach into the registered rows
+/// and into the appended ones (tombstones in both).
+fn segmented_session(strategy: JoinStrategy) -> ContextJoinSession {
+    let s = session(20, 40, strategy);
+    // fresh rows: another seed's words, ids from `first` up
+    let fresh = |rows: usize, seed: u64, first: i64| {
+        let spec = RelationSpec::with_rows(rows);
+        let table = JoinWorkload::generate(spec, spec, seed).outer;
+        let mut columns = table.columns().to_vec();
+        columns[table.schema().index_of("id").expect("id column")] =
+            Column::Int64((first..first + rows as i64).collect());
+        Table::new(table.schema().clone(), columns).expect("re-keyed rows")
+    };
+    let delete = |ids: &[i64]| Delta::DeleteByKey {
+        key_column: "id".into(),
+        keys: ids.iter().copied().map(ScalarValue::Int64).collect(),
+    };
+    let upsert = |rows: Table| Delta::Upsert {
+        key_column: "id".into(),
+        rows,
+    };
+    let deltas = [
+        ("r", Delta::Append(fresh(6, 21, 100))),
+        ("r", delete(&[1, 4, 7, 102])),
+        ("r", upsert(fresh(2, 22, 104))),
+        ("s", Delta::Append(fresh(12, 23, 100))),
+        ("s", upsert(fresh(3, 24, 5))),
+        ("s", delete(&[0, 2, 30, 31, 101, 110])),
+    ];
+    for (table, delta) in &deltas {
+        s.apply_delta(table, delta).expect("delta applies");
+    }
+    s
+}
+
+#[test]
+fn a_segmented_tombstoned_table_reads_like_its_compaction() {
+    for strategy_idx in 0..4 {
+        let strategy = strategy_for(strategy_idx);
+        let live = segmented_session(strategy);
+        for table in ["r", "s"] {
+            let version = live.catalog().table_version(table).expect(table);
+            let segments = version.segments();
+            assert!(segments.len() > 1, "{table}: {} segment(s)", segments.len());
+            let tombstoned = |seg: &cej_storage::Segment| seg.live_rows() < seg.rows().num_rows();
+            assert!(segments.iter().any(tombstoned), "{table}");
+        }
+        let contiguous = |table: &str| live.catalog().table(table).expect("table");
+        let compacted = session_over(
+            contiguous("r").as_ref().clone(),
+            contiguous("s").as_ref().clone(),
+            strategy,
+        );
+        let filtered = || LogicalPlan::scan("s").select(col("filter").lt(lit_i64(60)));
+        // the naive NLJ only takes thresholds
+        let predicate = if strategy_idx == 0 {
+            SimilarityPredicate::Threshold(0.1)
+        } else {
+            SimilarityPredicate::TopK(2)
+        };
+        let renamed = [
+            ("id", "s_id"),
+            ("word", "s_word"),
+            ("filter", "s_filter"),
+            ("date", "s_date"),
+        ];
+        let plans = [
+            ("scan", LogicalPlan::scan("r")),
+            ("filter", filtered()),
+            (
+                "ejoin",
+                LogicalPlan::e_join(
+                    LogicalPlan::scan("r"),
+                    filtered(),
+                    "word",
+                    "word",
+                    "ft",
+                    predicate,
+                ),
+            ),
+            (
+                "hash join",
+                LogicalPlan::join(
+                    LogicalPlan::scan("r"),
+                    filtered().rename(&renamed),
+                    "filter",
+                    "s_filter",
+                ),
+            ),
+        ];
+        for (shape, plan) in &plans {
+            let expected = run_cut(&compacted, plan, WHOLE_TABLE, 1);
+            assert!(expected.0.num_rows() > 0, "{shape} must compare rows");
+            check_against_oracle(&compacted, plan, strategy_idx < 3, &expected.0);
+            for morsel_rows in [WHOLE_TABLE, 1, 7, 1024] {
+                for threads in [1usize, 2] {
+                    let what =
+                        format!("{shape} {strategy:?} morsel_rows {morsel_rows} threads {threads}");
+                    assert_eq!(
+                        run_cut(&live, plan, morsel_rows, threads),
+                        expected,
+                        "{what}"
+                    );
                 }
             }
         }
