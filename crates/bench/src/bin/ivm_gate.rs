@@ -26,6 +26,8 @@
 //! `CEJ_SCALE=0.05 CEJ_REPORT=ci/ivm_baseline.json cargo run --release
 //! -p cej-bench --bin ivm_gate`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 

@@ -11,6 +11,8 @@
 //! size input.  Every entry prints rows and asserts nothing — whether a
 //! change made the system faster is decided by `benchmark/`, not here.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use cej_bench::experiments::{self, PerElementRow, DIM};

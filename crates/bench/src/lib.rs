@@ -23,6 +23,7 @@
 //! [`experiments::scan_vs_probe`]); [`report`] emits the machine-readable
 //! JSON summary `ivm_gate` writes and reads back.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

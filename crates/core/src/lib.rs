@@ -39,6 +39,7 @@
 //!   wrapper and [`session::ContextJoinSession::query`] offers a fluent
 //!   [`builder::QueryBuilder`] so plans need not be hand-assembled.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

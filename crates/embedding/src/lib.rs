@@ -34,6 +34,7 @@
 //! * [`cost`] — an optional simulated per-call model latency, standing in for
 //!   expensive deep models or paid embedding APIs.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

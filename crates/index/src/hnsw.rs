@@ -30,12 +30,24 @@
 //! (Malkov & Yashunin, Algorithm 4); graph quality is validated in tests by
 //! measuring recall against the exact [`crate::BruteForce`] baseline, and
 //! batched construction is validated against sequential construction.
+//!
+//! ## Distance
+//!
+//! A cosine index uses the identity the tensor join is built on,
+//! `cos(a, b) = â · b̂` (paper Section IV-C): [`HnswIndex::build`] and
+//! [`HnswIndex::extend`] unit-normalise each stored row once, a search
+//! normalises its probe once, and every graph comparison — build and
+//! search alike — is then one [`Metric::InnerProduct`] dot product instead
+//! of [`cej_vector::cosine_similarity`]'s two norms and a divide.  Rows and
+//! probes are normalised by the tensor join's own kernel and scored by the
+//! same 8-lane dot product as its GEMM, so an index-join score carries the
+//! tensor join's bits for the same pair.
 
 use std::collections::BinaryHeap;
 
 use cej_exec::ExecPool;
 use cej_storage::SelectionBitmap;
-use cej_vector::{Matrix, Metric, TopK, TopKEntry};
+use cej_vector::{normalize, normalize_matrix_rows, Matrix, Metric, TopK, TopKEntry};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,6 +104,15 @@ fn batch_window(threads: usize, avg_layer0_degree: impl FnOnce() -> f64, m0: usi
     by_threads
         .min(by_density)
         .clamp(MAX_BATCH, MAX_BATCH_CEILING)
+}
+
+/// The metric the graph compares with: a cosine index holds unit rows and
+/// searches with a unit probe, where cosine is the inner product.
+fn graph_metric(metric: Metric) -> Metric {
+    match metric {
+        Metric::Cosine => Metric::InnerProduct,
+        other => other,
+    }
 }
 
 /// Per-probe cost counters.
@@ -154,13 +175,15 @@ impl VisitScratch {
     }
 }
 
-/// Reusable per-worker search state: the epoch-stamped visited set plus a
+/// Reusable per-worker search state: the epoch-stamped visited set, a
 /// buffer the adjacency source copies neighbour ids into (so locks are
-/// released before any similarity is computed).
+/// released before any similarity is computed), and the unit-normalised
+/// copy of a cosine probe.
 #[derive(Debug)]
 struct SearchScratch {
     visited: VisitScratch,
     links: Vec<u32>,
+    unit_query: Vec<f32>,
 }
 
 impl SearchScratch {
@@ -168,6 +191,7 @@ impl SearchScratch {
         SearchScratch {
             visited: VisitScratch::new(n),
             links: Vec::new(),
+            unit_query: Vec::new(),
         }
     }
 
@@ -410,7 +434,7 @@ impl<A: AdjacencySource> Searcher<'_, A> {
             stats.nodes_visited += 1;
             self.adj
                 .copy_neighbors(current.id, layer, &mut scratch.links);
-            let SearchScratch { visited, links } = scratch;
+            let SearchScratch { visited, links, .. } = scratch;
             for &n in links.iter() {
                 let n = n as usize;
                 if !visited.first_visit(n) {
@@ -448,10 +472,14 @@ struct GraphBuilder<'a> {
 }
 
 impl GraphBuilder<'_> {
+    fn metric(&self) -> Metric {
+        graph_metric(self.params.metric)
+    }
+
     fn searcher(&self) -> Searcher<'_, LockedAdjacency> {
         Searcher {
             vectors: self.vectors,
-            metric: self.params.metric,
+            metric: self.metric(),
             adj: self.adj,
         }
     }
@@ -520,6 +548,7 @@ impl GraphBuilder<'_> {
     /// survive.  Remaining slots are filled with the best skipped candidates
     /// (the `keepPrunedConnections` variant of the original algorithm).
     fn select_neighbors_heuristic(&self, candidates: &[TopKEntry], max: usize) -> Vec<u32> {
+        let metric = self.metric();
         let mut kept: Vec<u32> = Vec::with_capacity(max);
         let mut skipped: Vec<u32> = Vec::new();
         for cand in candidates {
@@ -528,7 +557,7 @@ impl GraphBuilder<'_> {
             }
             let cand_vec = self.vectors.row(cand.id).expect("candidate in range");
             let diverse = kept.iter().all(|&k| {
-                let to_kept = self.params.metric.similarity(
+                let to_kept = metric.similarity(
                     cand_vec,
                     self.vectors.row(k as usize).expect("kept in range"),
                 );
@@ -582,14 +611,13 @@ impl GraphBuilder<'_> {
     /// diversity heuristic.
     fn pruned_list(&self, node: usize, list: &[u32], bound: usize) -> Vec<u32> {
         let node_vec = self.vectors.row(node).expect("row exists");
+        let metric = self.metric();
         let mut scored: Vec<TopKEntry> = list
             .iter()
             .map(|&n| {
                 TopKEntry::new(
                     n as usize,
-                    self.params
-                        .metric
-                        .similarity(node_vec, self.vectors.row(n as usize).expect("in range")),
+                    metric.similarity(node_vec, self.vectors.row(n as usize).expect("in range")),
                 )
             })
             .collect();
@@ -748,6 +776,7 @@ pub struct SearchResult {
 #[derive(Debug, Clone)]
 pub struct HnswIndex {
     params: HnswParams,
+    /// The indexed rows; unit-normalised for a cosine index.
     vectors: Matrix,
     /// `neighbors[node][layer]` is the adjacency list of `node` at `layer`
     /// (present for layers `0..=level(node)`).
@@ -755,6 +784,17 @@ pub struct HnswIndex {
     levels: Vec<usize>,
     entry_point: usize,
     max_level: usize,
+    /// [`HnswIndex::memory_bytes`], computed once when the graph is built.
+    memory_bytes: usize,
+}
+
+/// Footprint of an index's vectors, adjacency lists and level table.
+fn footprint(vectors: &Matrix, neighbors: &[Vec<Vec<u32>>], levels: &[usize]) -> usize {
+    let adjacency: usize = neighbors
+        .iter()
+        .map(|per_layer| per_layer.iter().map(|l| l.len() * 4).sum::<usize>())
+        .sum();
+    vectors.bytes() + adjacency + std::mem::size_of_val(levels)
 }
 
 impl HnswIndex {
@@ -773,12 +813,17 @@ impl HnswIndex {
     /// A single-thread pool runs the classic sequential insertion; a
     /// multi-thread pool runs the batched parallel construction (see the
     /// module docs).  Either way the build is deterministic for a given
-    /// seed and pool size class.
+    /// seed and pool size class.  A cosine index stores its rows
+    /// unit-normalised (see the module docs).
     ///
     /// # Errors
     /// Returns [`IndexError::EmptyIndex`] for an empty input and
     /// [`IndexError::InvalidParameter`] for degenerate parameters.
-    pub fn build_with_pool(vectors: Matrix, params: HnswParams, pool: &ExecPool) -> Result<Self> {
+    pub fn build_with_pool(
+        mut vectors: Matrix,
+        params: HnswParams,
+        pool: &ExecPool,
+    ) -> Result<Self> {
         if vectors.rows() == 0 {
             return Err(IndexError::EmptyIndex);
         }
@@ -787,6 +832,9 @@ impl HnswIndex {
                 "degenerate HNSW parameters: M={}, M0={}, efC={}",
                 params.m, params.m0, params.ef_construction
             )));
+        }
+        if params.metric == Metric::Cosine {
+            normalize_matrix_rows(&mut vectors);
         }
         let n = vectors.rows();
         // Levels come from the same seeded RNG stream for every build mode,
@@ -816,14 +864,36 @@ impl HnswIndex {
         };
         builder.final_prune(pool);
 
-        Ok(HnswIndex {
+        Ok(Self::assemble(
             params,
             vectors,
-            neighbors: adj.into_lists(),
+            adj,
             levels,
             entry_point,
             max_level,
-        })
+        ))
+    }
+
+    /// Freezes a finished build into an index, sizing it once.
+    fn assemble(
+        params: HnswParams,
+        vectors: Matrix,
+        adj: LockedAdjacency,
+        levels: Vec<usize>,
+        entry_point: usize,
+        max_level: usize,
+    ) -> Self {
+        let neighbors = adj.into_lists();
+        let memory_bytes = footprint(&vectors, &neighbors, &levels);
+        HnswIndex {
+            params,
+            vectors,
+            neighbors,
+            levels,
+            entry_point,
+            max_level,
+            memory_bytes,
+        }
     }
 
     /// Extends the index with additional vectors, returning a new index
@@ -875,6 +945,12 @@ impl HnswIndex {
                 .push_row(added.row(r).expect("row in range"))
                 .expect("dimensions checked above");
         }
+        if self.params.metric == Metric::Cosine {
+            // only the appended rows: the stored ones are unit already
+            for r in old_n..n {
+                normalize(vectors.row_mut(r).expect("row in range"));
+            }
+        }
 
         // Re-materialise the committed graph behind per-node locks so the
         // shared build machinery (plan / commit / connect / prune) applies.
@@ -912,14 +988,14 @@ impl HnswIndex {
         // the result.
         builder.final_prune(ExecPool::global());
 
-        Ok(HnswIndex {
-            params: self.params,
+        Ok(Self::assemble(
+            self.params,
             vectors,
-            neighbors: adj.into_lists(),
+            adj,
             levels,
-            entry_point: entry,
+            entry,
             max_level,
-        })
+        ))
     }
 
     /// Number of indexed vectors.
@@ -948,14 +1024,9 @@ impl HnswIndex {
     }
 
     /// Approximate memory footprint of the graph structure in bytes
-    /// (vectors + adjacency lists).
+    /// (vectors + adjacency lists), measured once at build time.
     pub fn memory_bytes(&self) -> usize {
-        let adjacency: usize = self
-            .neighbors
-            .iter()
-            .map(|per_layer| per_layer.iter().map(|l| l.len() * 4).sum::<usize>())
-            .sum();
-        self.vectors.bytes() + adjacency + self.levels.len() * std::mem::size_of::<usize>()
+        self.memory_bytes
     }
 
     /// Top-k probe with optional relational pre-filter.
@@ -992,11 +1063,23 @@ impl HnswIndex {
             }
         }
         with_query_scratch(self.len(), |scratch| {
-            self.search_inner(query, k, filter, scratch)
+            if self.params.metric != Metric::Cosine {
+                return self.search_inner(query, k, filter, scratch);
+            }
+            // Normalise the probe once into the scratch's reused buffer; it
+            // is lent out for the walk so the scratch stays borrowable.
+            let mut unit = std::mem::take(&mut scratch.unit_query);
+            unit.clear();
+            unit.extend_from_slice(query);
+            normalize(&mut unit);
+            let result = self.search_inner(&unit, k, filter, scratch);
+            scratch.unit_query = unit;
+            result
         })
     }
 
-    /// The probe body, run with a borrowed (thread-reused) scratch.
+    /// The probe body, run with a borrowed (thread-reused) scratch and a
+    /// probe already in the graph's metric space.
     fn search_inner(
         &self,
         query: &[f32],
@@ -1006,7 +1089,7 @@ impl HnswIndex {
     ) -> Result<SearchResult> {
         let searcher = Searcher {
             vectors: &self.vectors,
-            metric: self.params.metric,
+            metric: graph_metric(self.params.metric),
             adj: &self.neighbors,
         };
         let mut stats = ProbeStats::default();
@@ -1300,6 +1383,114 @@ mod tests {
                 nodes_visited: 9
             }
         );
+    }
+
+    /// `m` with every value multiplied by `factor`.
+    fn scaled(m: &Matrix, factor: f32) -> Matrix {
+        let data = m.as_slice().iter().map(|v| v * factor).collect();
+        Matrix::from_flat(m.rows(), m.cols(), data).unwrap()
+    }
+
+    /// `(id, score bits)` of a top-`k` probe, best first.
+    fn hits(idx: &HnswIndex, query: &[f32], k: usize) -> Vec<(usize, u32)> {
+        let res = idx.search(query, k, None).unwrap();
+        res.neighbors
+            .iter()
+            .map(|e| (e.id, e.score.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn power_of_two_scaling_changes_no_id_and_no_score_bit() {
+        // Scaling by 2^p scales the norm by exactly 2^p, so the unit rows
+        // (and with them the graph and every score) are the same bits.
+        let vectors = clustered(4, 40, 12, 37);
+        let base = HnswIndex::build(vectors.clone(), HnswParams::tiny()).unwrap();
+        for factor in [8.0f32, 0.125] {
+            let idx = HnswIndex::build(scaled(&vectors, factor), HnswParams::tiny()).unwrap();
+            assert_eq!(idx.neighbors, base.neighbors, "x{factor}: graph changed");
+            for probe in [0usize, 41, 99, 158] {
+                let q = vectors.row(probe).unwrap();
+                let q_scaled: Vec<f32> = q.iter().map(|v| v * factor).collect();
+                assert_eq!(hits(&idx, &q_scaled, 5), hits(&base, q, 5), "x{factor}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_rows_and_zero_probes_score_exactly_zero() {
+        // cosine_similarity's zero-norm contract: 0.0, never NaN
+        let mut vectors = clustered(2, 10, 8, 41);
+        for _ in 0..3 {
+            vectors.push_row(&[0.0; 8]).unwrap();
+        }
+        let idx = HnswIndex::build(vectors.clone(), HnswParams::tiny()).unwrap();
+        let zero_probe = idx.search(&[0.0; 8], vectors.rows(), None).unwrap();
+        assert!(!zero_probe.neighbors.is_empty());
+        for e in &zero_probe.neighbors {
+            assert_eq!(e.score.to_bits(), 0.0f32.to_bits(), "row {}", e.id);
+        }
+        for probe in 0..20 {
+            let res = idx
+                .search(vectors.row(probe).unwrap(), vectors.rows(), None)
+                .unwrap();
+            assert_eq!(res.neighbors[0].id, probe);
+            for e in res.neighbors.iter().filter(|e| e.id >= 20) {
+                assert_eq!(e.score.to_bits(), 0.0f32.to_bits(), "zero row {}", e.id);
+            }
+            assert!(res.neighbors.iter().all(|e| !e.score.is_nan()));
+        }
+    }
+
+    #[test]
+    fn extend_normalises_the_appended_rows() {
+        let vectors = clustered(4, 40, 12, 47);
+        let (head, tail) = split_rows(&vectors, 120);
+        let base = HnswIndex::build(head, HnswParams::tiny().with_ef_search(64)).unwrap();
+        let mut unit = tail.clone();
+        normalize_matrix_rows(&mut unit);
+        let from_unit = base.extend(&unit).unwrap();
+        // Off the unit sphere by a power of two: exactly the same bits.
+        let from_scaled = base.extend(&scaled(&unit, 4.0)).unwrap();
+        assert_eq!(from_scaled.neighbors, from_unit.neighbors);
+        // Off by arbitrary per-row factors: the appended rows are normalised
+        // once here and twice in `from_unit`, which may move a last bit.
+        let mut raw = tail.clone();
+        for r in 0..raw.rows() {
+            let factor = 0.3 + r as f32 * 0.37;
+            raw.row_mut(r)
+                .unwrap()
+                .iter_mut()
+                .for_each(|v| *v *= factor);
+        }
+        let from_raw = base.extend(&raw).unwrap();
+        for probe in [0usize, 77, 120, 139, 159] {
+            let q = vectors.row(probe).unwrap();
+            assert_eq!(hits(&from_scaled, q, 5), hits(&from_unit, q, 5));
+            let got = from_raw.search(q, 5, None).unwrap().neighbors;
+            let want = from_unit.search(q, 5, None).unwrap().neighbors;
+            assert_eq!(
+                got.iter().map(|e| e.id).collect::<Vec<_>>(),
+                want.iter().map(|e| e.id).collect::<Vec<_>>(),
+                "probe {probe}"
+            );
+            for (g, w) in got.iter().zip(&want) {
+                assert!((g.score - w.score).abs() <= 1e-6, "probe {probe}");
+            }
+        }
+    }
+
+    #[test]
+    fn memory_bytes_is_the_footprint_of_the_finished_graph() {
+        let vectors = clustered(3, 30, 8, 53);
+        let (head, tail) = split_rows(&vectors, 60);
+        let built = HnswIndex::build(head, HnswParams::tiny()).unwrap();
+        let grown = built.extend(&tail).unwrap();
+        for idx in [&built, &grown] {
+            let expected = footprint(&idx.vectors, &idx.neighbors, &idx.levels);
+            assert_eq!(idx.memory_bytes(), expected);
+        }
+        assert!(grown.memory_bytes() > built.memory_bytes());
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //!
 //! [`BruteForce`] provides the exact baseline used to measure recall.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

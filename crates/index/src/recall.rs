@@ -1,10 +1,10 @@
 //! Recall measurement against the exact baseline.
 //!
-//! Every place that validates graph quality — unit tests, the workspace
-//! integration tests, the `hnsw_build` benchmark — asks the same question:
-//! *of the exact top-k neighbours, how many does the index recover?*  This
-//! module is the single definition of that metric, so tests and benchmarks
-//! cannot silently drift apart.
+//! Every place that validates graph quality — the unit tests and the
+//! workspace integration tests — asks the same question: *of the exact
+//! top-k neighbours, how many does the index recover?*  This module is the
+//! single definition of that metric, so the tests cannot silently drift
+//! apart.
 
 use cej_vector::Matrix;
 
@@ -15,8 +15,8 @@ use crate::Result;
 /// Average top-`k` recall of `index` over the rows of `queries`, measured
 /// against an exact [`BruteForce`] scan of `corpus` (the indexed vectors).
 ///
-/// Returns a value in `[0, 1]`; an empty query matrix yields `0 / 0 = 0`
-/// avoided by the max-1 guard (defined as recall 0).
+/// Returns a value in `[0, 1]`.  An empty query matrix has no true
+/// neighbours to recover and is defined as recall 0 (not `0 / 0`).
 ///
 /// # Errors
 /// Propagates search errors (dimension mismatches, `k == 0`).

@@ -27,6 +27,7 @@
 //! queries slower than `CEJ_SLOW_QUERY_MS` are force-captured into the
 //! slow-query log regardless of the `CEJ_TRACE_SAMPLE` sampling policy.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -20,6 +20,8 @@
 //! borderline pairs feeding the inner side of a further top-k join, where
 //! the check may reject a right answer.  No tier-1 plan has that shape.
 
+#![forbid(unsafe_code)]
+
 use cej_embedding::Embedder;
 use cej_relational::{CompareOp, Expr, LogicalPlan, SimilarityPredicate};
 use cej_storage::{ScalarValue, Table};

@@ -60,6 +60,7 @@
 //! crossing `CEJ_SLOW_QUERY_MS`); `TRACE LAST`, `TRACE <id>`, and
 //! `TRACE SLOW` render captured span trees over the wire.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -13,6 +13,8 @@
 //! $ printf 'PREPARE j1 QUERY r EJOIN s ON word~word MODEL ft TOPK 2\nRUN j1\nQUIT\n' | nc 127.0.0.1 7878
 //! ```
 
+#![forbid(unsafe_code)]
+
 use cej_core::ContextJoinSession;
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_server::{Server, ServerConfig};

@@ -17,7 +17,8 @@ pub enum Metric {
     #[default]
     Cosine,
     /// Raw inner product (higher is more similar).  Equivalent to cosine on
-    /// pre-normalised inputs — the equivalence the tensor join exploits.
+    /// pre-normalised inputs — the equivalence the tensor join exploits, and
+    /// the one a cosine HNSW index compares its unit rows and probes by.
     InnerProduct,
     /// Euclidean (L2) distance (lower is more similar).
     Euclidean,

@@ -23,6 +23,7 @@
 //! Every generator is deterministic given a seed, mirroring the paper's
 //! "same random number generator seed for reproducibility".
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -102,40 +102,36 @@ fn filtered_scan_estimates_meet_the_q_error_bar() {
     let skewed = with_zipf_column(&s.catalog().table("s").expect("inner table"), 99);
     s.register_table("z", skewed);
 
-    // cuts across the uniform column, each held to the bar on its own ...
-    let uniform = [10, 30, 60, 90].map(|cut| col("filter").lt(lit_i64(cut)));
-    // ... and the skew cases: head and tail equality, head and tail ranges,
-    // a conjunction across both distributions
+    // cuts across the uniform column, each held to the bar ...
+    let uniform = [10, 30, 60, 90].map(|cut| (col("filter").lt(lit_i64(cut)), 2.0));
+    // ... and the skew cases — head and tail equality, head and tail ranges,
+    // a conjunction across both distributions — each to its own ceiling,
+    // 0.08-0.15 above the q-error it measures on this seeded data (in
+    // order: 1.050, 1.149, 1.014, 1.023, 1.120), so one skew estimate
+    // going wrong fails the test on its own
     let skew = [
-        col("zipf").eq(lit_i64(0)),
-        col("zipf").eq(lit_i64(40)),
-        col("zipf").lt(lit_i64(5)),
-        col("zipf").gt_eq(lit_i64(10)),
-        col("filter")
-            .lt(lit_i64(50))
-            .and(col("zipf").lt(lit_i64(10))),
+        (col("zipf").eq(lit_i64(0)), 1.15),
+        (col("zipf").eq(lit_i64(40)), 1.3),
+        (col("zipf").lt(lit_i64(5)), 1.1),
+        (col("zipf").gt_eq(lit_i64(10)), 1.1),
+        (
+            col("filter")
+                .lt(lit_i64(50))
+                .and(col("zipf").lt(lit_i64(10))),
+            1.25,
+        ),
     ];
-    let mut q_errors = Vec::new();
-    for (i, predicate) in uniform.iter().chain(&skew).enumerate() {
+    for (predicate, ceiling) in uniform.iter().chain(&skew) {
         let plan = LogicalPlan::scan("z").select(predicate.clone());
         let prepared = s.prepare(&plan).expect("prepare");
         let est = prepared.physical_plan().estimate().rows;
         let actual = prepared.run().expect("run").table.num_rows() as f64;
         let q = q_error(est, actual);
         assert!(
-            q <= 2.0 || i >= uniform.len(),
-            "{predicate}: q-error {q:.3} (est {est:.1}, actual {actual}) exceeds 2.0"
+            q <= *ceiling,
+            "{predicate}: q-error {q:.3} (est {est:.1}, actual {actual}) exceeds {ceiling}"
         );
-        q_errors.push(q);
     }
-    // over the whole sweep the bar is on the median: single tail values of a
-    // skewed column may be off by more, the typical predicate may not
-    q_errors.sort_by(f64::total_cmp);
-    let median = q_errors[q_errors.len() / 2];
-    assert!(
-        median <= 2.0,
-        "median q-error {median:.3} over {q_errors:?} exceeds 2.0"
-    );
 }
 
 #[test]

@@ -57,6 +57,52 @@ fn index_join_recall_against_exact_tensor_join() {
 }
 
 #[test]
+fn index_join_scores_equal_the_tensor_joins_bit_for_bit() {
+    // Both joins score a pair as the 8-lane dot product of the two rows
+    // unit-normalised by the same kernel (`cos(a, b) = â · b̂`), so wherever
+    // they agree on a pair they must agree on its score to the last bit.
+    let (inner, _) = clustered_matrix(2_000, 64, 20, 0.05, 1);
+    let outer = inner.row_slice(0, 64).unwrap();
+    let index_join = IndexJoin::new(IndexJoinConfig::low_recall());
+    let index = index_join.build_index(&inner).unwrap();
+    let tensor = TensorJoin::new(TensorJoinConfig::default());
+    for predicate in [
+        SimilarityPredicate::TopK(5),
+        SimilarityPredicate::Threshold(0.9),
+    ] {
+        let exact: std::collections::HashMap<(usize, usize), f32> = tensor
+            .join_matrices(&outer, &inner, predicate)
+            .unwrap()
+            .pairs
+            .iter()
+            .map(|p| ((p.left, p.right), p.score))
+            .collect();
+        let probed = index_join
+            .probe_join(&outer, &index, predicate, None, None)
+            .unwrap();
+        let mut shared = 0;
+        for p in &probed.pairs {
+            if let Some(score) = exact.get(&(p.left, p.right)) {
+                shared += 1;
+                assert_eq!(
+                    p.score.to_bits(),
+                    score.to_bits(),
+                    "{predicate:?} pair ({}, {}): index {} vs tensor {score}",
+                    p.left,
+                    p.right,
+                    p.score
+                );
+            }
+        }
+        assert!(
+            shared >= probed.pairs.len() * 4 / 5,
+            "{predicate:?}: only {shared} of {} probed pairs are exact matches",
+            probed.pairs.len()
+        );
+    }
+}
+
+#[test]
 fn higher_recall_parameters_do_not_hurt_recall() {
     let (inner, _) = clustered_matrix(1_500, 24, 15, 0.05, 3);
     let (outer, _) = clustered_matrix(40, 24, 15, 0.05, 4);
