@@ -22,9 +22,14 @@
 //!   initial selection: a table that deltas have deleted from is just a
 //!   pre-filtered scan, and one that was appended to is a few more morsels
 //!   over another base.
-//! * `Filter` refines the selection vector
-//!   ([`cej_relational::eval::evaluate_predicate_select`], with the
-//!   `filter_cmp` kernel fast path) — survivors are *marked*, never copied.
+//! * `Filter` refines the selection vector — survivors are *marked*, never
+//!   copied.  A morsel's bottom `Filter` reads the window in order
+//!   ([`cej_relational::eval::evaluate_predicate_window`]) when no delete
+//!   reached into the morsel's rows ([`Segment::all_live_in`]), so its
+//!   survivors are the morsel's first selection and the window's rows are
+//!   never listed; every other one reads through the selection
+//!   ([`cej_relational::eval::evaluate_predicate_select`]).  Both send
+//!   `column <op> literal` to the `cej-vector` filter kernels.
 //! * `Project` and `Rename` are metadata-only: they narrow, reorder and
 //!   rename the visible-column set.
 //! * `Embed` embeds only the selected lanes, in one call per morsel — by
@@ -70,7 +75,7 @@ use std::time::Instant;
 use cej_embedding::EmbeddingStats;
 use cej_index::HnswIndex;
 use cej_relational::{
-    eval::{evaluate_predicate, evaluate_predicate_select},
+    eval::{evaluate_predicate, evaluate_predicate_select, evaluate_predicate_window},
     EmbedSpec, Expr,
 };
 use cej_storage::{Column, DataType, Field, Schema, Segment, SelectionBitmap, StorageError, Table};
@@ -464,12 +469,26 @@ impl Interpreter<'_, '_> {
         let chained = ctx.pool.parallel_map(
             &morsels,
             |(segment, range)| -> Result<(ExecBatch, Vec<u64>, EmbeddingStats)> {
-                let sel = segment.live_in(range.clone());
-                let mut batch = ExecBatch::window(segment.rows().clone(), sel, catalog_base);
+                let base = segment.rows().clone();
+                let mut pending = stages.iter().rev();
                 // per-stage output lanes, bottom-up, and the model access paid
                 let mut lanes = Vec::with_capacity(stages.len());
                 let mut embedded = EmbeddingStats::default();
-                for stage in stages.iter().rev() {
+                let mut batch = match stages.last() {
+                    // a bottom `Filter` over rows no delete reached into
+                    // compares the window's column slices in order: the
+                    // window's rows are never listed
+                    Some(PhysicalPlan::Filter { predicate, .. })
+                        if segment.all_live_in(range.clone()) =>
+                    {
+                        pending.next();
+                        let sel = evaluate_predicate_window(predicate, &base, range.clone())?;
+                        lanes.push(sel.len() as u64);
+                        ExecBatch::window(base, sel, catalog_base)
+                    }
+                    _ => ExecBatch::window(base, segment.live_in(range.clone()), catalog_base),
+                };
+                for stage in pending {
                     let (out, delta) = apply_stage(stage, batch, ctx)?;
                     embedded.model_calls += delta.model_calls;
                     embedded.cache_hits += delta.cache_hits;

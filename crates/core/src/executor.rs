@@ -487,7 +487,8 @@ pub struct ExecOutcome {
     /// contracts.
     pub operator_micros: Vec<u64>,
     /// Morsels processed per operator, same slot order — how finely the
-    /// operator's work was split for the worker pool.
+    /// operator's work was split for the worker pool, and how many times it
+    /// paid a morsel's fixed cost (see `ExecutionReport::operator_morsels`).
     pub operator_morsels: Vec<u64>,
 }
 

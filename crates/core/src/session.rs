@@ -107,9 +107,14 @@ pub struct ExecutionReport {
     /// byte-identity contract across thread budgets and morsel sizes.
     pub operator_micros: Vec<u64>,
     /// Morsels (selections over a base table) each physical operator
-    /// processed — for a join, emitted — same pre-order as `operator_rows`:
-    /// `ceil(rows / DEFAULT_BATCH_ROWS)`, at least 1.  Like timing, excluded
-    /// from the byte-identity contract.
+    /// processed — for a join, the morsels its output was cut into — same
+    /// pre-order as `operator_rows`.  A source counts `ceil(rows /
+    /// DEFAULT_BATCH_ROWS)`, at least 1, per segment it reads (a scanned
+    /// table version's segments, dead rows included; a join's one output),
+    /// and every stage above it counts the same.  A morsel is the unit of
+    /// per-task fixed cost (see [`cej_storage::DEFAULT_BATCH_ROWS`]), so this
+    /// is how many times the run paid it.  Like timing, excluded from the
+    /// byte-identity contract.
     pub operator_morsels: Vec<u64>,
     /// Persistent worker-pool activity observed across this run (tasks
     /// executed, steals, injector submissions, queue depth) — the scheduler

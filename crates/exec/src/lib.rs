@@ -46,6 +46,7 @@
 //! own `threads` knob build a local pool via [`ExecPool::new`].
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(clippy::all)]
 
 pub mod scheduler;

@@ -132,11 +132,18 @@ struct BatchCore {
     done_cv: Condvar,
 }
 
-// SAFETY: `ctx` is only dereferenced under the claim protocol described in
-// the module docs, while the submitting call (which owns the referent) is
-// still blocked in `run_batch`; the remaining fields are ordinary sync
-// primitives.
+// SAFETY: moving a `BatchCore` to another thread (a token's `Arc` is
+// dropped wherever it was last held) moves plain data: `ctx` is an address
+// that thread only dereferences under the claim protocol of the module
+// docs, while the submitting call that owns the referent is still blocked
+// in `run_batch`; `run` is a function pointer, the panic payload is `Send`,
+// and the atomics, mutexes and condvar are `Send`.
 unsafe impl Send for BatchCore {}
+// SAFETY: participants share `&BatchCore` and may run `(run)(ctx, i)`
+// concurrently, which calls the closure through a shared reference from
+// several threads: `run_batch` requires `F: Sync`, and the claim protocol
+// keeps the closure alive for every such call.  Every other field is an
+// atomic, a mutex or a condvar, or is never written after construction.
 unsafe impl Sync for BatchCore {}
 
 impl BatchCore {
@@ -524,6 +531,8 @@ impl Scheduler {
         if tasks == 0 {
             return;
         }
+        /// # Safety
+        /// `ctx` must point to a live `F`.
         unsafe fn trampoline<F: Fn(usize) + Sync>(ctx: *const (), i: usize) {
             (*(ctx as *const F))(i);
         }

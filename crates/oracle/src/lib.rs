@@ -317,6 +317,16 @@ impl Expected {
 
     /// Holds an engine table to the contract, as a multiset of rows.
     ///
+    /// A NaN score — a NaN in some embedding — is outside the contract, as
+    /// it is for the engine's `cej_vector::TopK::push` and `push_row`.  A
+    /// NaN compares neither below nor above a bar, so its pair is judged
+    /// borderline under a threshold; under top-k it breaks the order the
+    /// oracle's best-first list is kept in, and which rows the oracle then
+    /// calls certain, borderline or best is unspecified (deterministic, but
+    /// not "the k best").  A NaN `Float64` cell never matches another cell.
+    /// After a NaN, `check` may reject a right answer and accept a wrong
+    /// one.
+    ///
     /// # Errors
     /// Says which row is wrong, missing or surplus.
     pub fn check(&self, engine: &Table) -> Answer<()> {

@@ -1,80 +1,145 @@
 //! Predicate evaluation over tables.
 //!
-//! Evaluation is row-at-a-time over columnar data — adequate for the
-//! experiment scales here, where predicate evaluation is never the
-//! bottleneck (the paper's bottleneck analysis is entirely about model calls
-//! and vector arithmetic).
+//! One evaluator, two entry points: a **window** of contiguous rows
+//! ([`evaluate_predicate_window`]; [`evaluate_predicate`] is the window of
+//! every row) and a **selection** of rows ([`evaluate_predicate_select`]).
+//! Both return the surviving rows in order, and both share every path:
+//!
+//! * `column <op> literal` over an `Int64` or `Date` column goes to the
+//!   `cej-vector` filter kernels — [`filter_cmp_window`] reads a window's
+//!   column slice in order, [`filter_cmp`] reads through a selection;
+//! * `a AND b` evaluates `b` on `a`'s survivors only;
+//! * everything else (floats, whose NaN compares equal here, strings,
+//!   booleans, `OR`, `NOT`) is evaluated row by row.
+//!
+//! A scan pre-filter runs here once per morsel, ahead of the context-enhanced
+//! join, and the interpreter gives it the window whenever no delete reached
+//! into the morsel's rows: a filter pays a compare per row and the
+//! compaction of its survivors, never a branch per row.
 
-use cej_storage::{Column, ScalarValue, SelectionBitmap, Table};
-use cej_vector::{filter_cmp, CmpOp};
+use std::ops::Range;
+
+use cej_storage::{Column, ScalarValue, SelectionBitmap, StorageError, Table};
+use cej_vector::{filter_cmp, filter_cmp_window, CmpOp};
 
 use crate::error::RelationalError;
 use crate::expr::{CompareOp, Expr};
 use crate::Result;
 
 /// Evaluates a boolean predicate against every row of `table`, producing a
-/// selection bitmap.
+/// selection bitmap: the window of all rows.
 ///
 /// # Errors
 /// Returns [`RelationalError::UnknownColumn`] for unresolved column
 /// references and [`RelationalError::TypeError`] for non-boolean expressions
-/// or incompatible comparisons.
+/// or incompatible comparisons — the error evaluating the whole expression
+/// row after row meets first.  Nothing is evaluated over an empty table, so
+/// it never fails.
 pub fn evaluate_predicate(expr: &Expr, table: &Table) -> Result<SelectionBitmap> {
-    let mut bits = Vec::with_capacity(table.num_rows());
-    for row in 0..table.num_rows() {
-        bits.push(evaluate_bool(expr, table, row)?);
+    let rows = table.num_rows();
+    let end = u32::try_from(rows).map_err(|_| {
+        RelationalError::from(StorageError::InvalidArgument(format!(
+            "{rows} rows exceed u32 row ids"
+        )))
+    })?;
+    let mut bits = vec![false; rows];
+    for row in evaluate_predicate_window(expr, table, 0..end)? {
+        bits[row as usize] = true;
     }
     Ok(SelectionBitmap::from_bools(bits))
 }
 
+/// Evaluates a boolean predicate over the contiguous rows `rows` of
+/// `table`, returning the survivors, ascending.
+///
+/// # Errors
+/// [`evaluate_predicate`]'s errors over those rows, and
+/// [`StorageError::RowOutOfBounds`] for a non-empty window that reaches
+/// past the table's end.
+pub fn evaluate_predicate_window(expr: &Expr, table: &Table, rows: Range<u32>) -> Result<Vec<u32>> {
+    if rows.is_empty() {
+        // nothing is evaluated over an empty input
+        return Ok(Vec::new());
+    }
+    if rows.end as usize > table.num_rows() {
+        return Err(StorageError::RowOutOfBounds {
+            row: rows.end as usize - 1,
+            rows: table.num_rows(),
+        }
+        .into());
+    }
+    evaluate(expr, table, &Lanes::Window(rows))
+}
+
 /// Evaluates a boolean predicate over the lanes named by a selection vector,
-/// returning the surviving lanes (a refined selection vector, in order).
+/// returning the surviving lanes (a refined selection vector, in `sel`'s
+/// order, repeats included).
 ///
 /// This is the vectorised executor's `Filter` path: instead of materialising
 /// the upstream rows and re-scanning them, the predicate is applied directly
-/// to the base table restricted to the still-selected lanes.  Simple
-/// `column <op> literal` comparisons over totally-ordered types are
-/// dispatched to the SIMD-friendly [`filter_cmp`] kernel; everything else
-/// (including floats, whose row-path semantics treat NaN as equal) falls back
-/// to the same row-at-a-time evaluation as [`evaluate_predicate`], so both
-/// paths agree bit-for-bit on survivors and on error behaviour.
+/// to the base table restricted to the still-selected lanes.
 ///
 /// # Errors
 /// Identical to [`evaluate_predicate`] over the selected lanes.
 pub fn evaluate_predicate_select(expr: &Expr, table: &Table, sel: &[u32]) -> Result<Vec<u32>> {
     if sel.is_empty() {
-        // nothing is evaluated over an empty selection
+        // nothing is evaluated over an empty input
         return Ok(Vec::new());
     }
+    evaluate(expr, table, &Lanes::Select(sel))
+}
+
+/// The rows one evaluation visits, in order.
+enum Lanes<'a> {
+    /// Every row of a range that lies inside the table.
+    Window(Range<u32>),
+    /// The rows a selection vector names, repeats included.
+    Select(&'a [u32]),
+}
+
+/// Both entry points' body, over non-empty lanes.
+///
+/// The vectorised path fails exactly where row-at-a-time evaluation does
+/// (a column has one type, so whether a sub-expression fails does not
+/// depend on the row), but a conjunction visits its arms in another order:
+/// when two sub-expressions fail differently it may meet the other error
+/// first.  So an error is re-derived row by row, which reports the one
+/// row-at-a-time evaluation meets.  Errors are rare; the re-run costs
+/// nothing on the path that succeeds.
+fn evaluate(expr: &Expr, table: &Table, lanes: &Lanes<'_>) -> Result<Vec<u32>> {
+    vectorised(expr, table, lanes).or_else(|_| evaluate_rowwise(expr, table, lanes))
+}
+
+/// [`evaluate`] before an error is re-derived row by row.
+fn vectorised(expr: &Expr, table: &Table, lanes: &Lanes<'_>) -> Result<Vec<u32>> {
     match expr {
         // `a AND b`: evaluate `b` only on `a`'s survivors — exactly the row
-        // path's short-circuit `&&` semantics.
+        // path's short-circuit `&&` semantics
         Expr::And(a, b) => {
-            let first = evaluate_predicate_select(a, table, sel)?;
-            evaluate_predicate_select(b, table, &first)
+            let first = vectorised(a, table, lanes)?;
+            vectorised(b, table, &Lanes::Select(&first))
         }
         Expr::Compare { left, op, right } => {
             if let (Expr::Column(name), Expr::Literal(rv)) = (left.as_ref(), right.as_ref()) {
-                if let Some(out) = compare_fast_path(name, *op, rv, table, sel) {
+                if let Some(out) = compare_fast_path(name, *op, rv, table, lanes) {
                     return Ok(out);
                 }
             }
-            evaluate_rowwise_select(expr, table, sel)
+            evaluate_rowwise(expr, table, lanes)
         }
-        _ => evaluate_rowwise_select(expr, table, sel),
+        _ => evaluate_rowwise(expr, table, lanes),
     }
 }
 
 /// Vectorised `column <op> literal` comparison for totally-ordered column
 /// types.  Returns `None` when the shape or types don't qualify, so the
-/// caller falls back to row-wise evaluation (which reports the same errors
-/// as [`evaluate_predicate`]).
+/// caller falls back to row-wise evaluation (which reports the errors).
 fn compare_fast_path(
     name: &str,
     op: CompareOp,
     rhs: &ScalarValue,
     table: &Table,
-    sel: &[u32],
+    lanes: &Lanes<'_>,
 ) -> Option<Vec<u32>> {
     let column = table.column_by_name(name).ok()?;
     let cmp = match op {
@@ -86,21 +151,37 @@ fn compare_fast_path(
         CompareOp::GtEq => CmpOp::GtEq,
     };
     match (column, rhs) {
-        (Column::Int64(values), ScalarValue::Int64(x)) => Some(filter_cmp(values, sel, cmp, *x)),
-        (Column::Date(values), ScalarValue::Date(x)) => Some(filter_cmp(values, sel, cmp, *x)),
+        (Column::Int64(values), ScalarValue::Int64(x)) => Some(kernel(values, lanes, cmp, *x)),
+        (Column::Date(values), ScalarValue::Date(x)) => Some(kernel(values, lanes, cmp, *x)),
         // floats use `unwrap_or(Equal)` NaN semantics row-wise, and
         // other type pairings may be errors — let row-wise handle them
         _ => None,
     }
 }
 
-/// Row-at-a-time fallback for [`evaluate_predicate_select`].
-fn evaluate_rowwise_select(expr: &Expr, table: &Table, sel: &[u32]) -> Result<Vec<u32>> {
-    let mut out = Vec::new();
-    for &lane in sel {
-        if evaluate_bool(expr, table, lane as usize)? {
-            out.push(lane);
+/// The filter kernel for the lanes' shape.
+fn kernel<T: PartialOrd + Copy>(values: &[T], lanes: &Lanes<'_>, op: CmpOp, rhs: T) -> Vec<u32> {
+    match lanes {
+        Lanes::Window(rows) => {
+            let window = &values[rows.start as usize..rows.end as usize];
+            filter_cmp_window(window, rows.start, op, rhs)
         }
+        Lanes::Select(sel) => filter_cmp(values, sel, op, rhs),
+    }
+}
+
+/// Row-at-a-time evaluation of the whole expression over the lanes.
+fn evaluate_rowwise(expr: &Expr, table: &Table, lanes: &Lanes<'_>) -> Result<Vec<u32>> {
+    let mut out = Vec::new();
+    let mut keep = |row: u32| -> Result<()> {
+        if evaluate_bool(expr, table, row as usize)? {
+            out.push(row);
+        }
+        Ok(())
+    };
+    match lanes {
+        Lanes::Window(rows) => rows.clone().try_for_each(&mut keep)?,
+        Lanes::Select(sel) => sel.iter().try_for_each(|&row| keep(row))?,
     }
     Ok(out)
 }
@@ -342,5 +423,145 @@ mod tests {
         assert!(
             evaluate_predicate_select(&col("taken").gt(lit_i64(0)), &t, &all_lanes(&t)).is_err()
         );
+    }
+
+    /// The row-at-a-time bitmap loop `evaluate_predicate` once was: the
+    /// whole expression on each row in turn, the first error wins.  The
+    /// reference the one evaluator is held to.
+    fn row_at_a_time(expr: &Expr, table: &Table) -> Result<SelectionBitmap> {
+        let mut bits = Vec::with_capacity(table.num_rows());
+        for row in 0..table.num_rows() {
+            bits.push(evaluate_bool(expr, table, row)?);
+        }
+        Ok(SelectionBitmap::from_bools(bits))
+    }
+
+    /// [`row_at_a_time`] over the rows `rows` of `table` (a gathered copy),
+    /// its survivors named by their rows in `table`.
+    fn reference_over(expr: &Expr, table: &Table, rows: &[u32]) -> Result<Vec<u32>> {
+        let gathered = table.gather(rows).unwrap();
+        let bitmap = row_at_a_time(expr, &gathered)?;
+        Ok(bitmap.iter_selected().map(|i| rows[i]).collect())
+    }
+
+    /// 19 rows, so a window holds two 8-lane groups and a tail; a NaN score.
+    fn wide_table() -> Table {
+        let n = 19;
+        TableBuilder::new()
+            .int64("id", (0..n).map(|i| (i * 7) % 5).collect())
+            .utf8("word", (0..n).map(|i| format!("w{}", i % 3)).collect())
+            .date("taken", (0..n).map(|i| 100 * (i as i32 % 4)).collect())
+            .bool("flag", (0..n).map(|i| i % 2 == 0).collect())
+            .float64(
+                "score",
+                (0..n)
+                    .map(|i| if i == 5 { f64::NAN } else { i as f64 / 10.0 })
+                    .collect(),
+            )
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn one_evaluator_matches_the_row_at_a_time_loop_errors_included() {
+        let date = |d| crate::expr::lit(ScalarValue::Date(d));
+        let float = crate::expr::lit_f64;
+        let boolean = |b| crate::expr::lit(ScalarValue::Bool(b));
+        let missing = || col("missing").gt(lit_i64(1));
+        let preds = [
+            // the compare fast path, both types, every operator
+            col("id").eq(lit_i64(2)),
+            col("id").not_eq(lit_i64(2)),
+            col("id").lt(lit_i64(2)),
+            col("id").lt_eq(lit_i64(2)),
+            col("id").gt(lit_i64(2)),
+            col("id").gt_eq(lit_i64(2)),
+            col("taken").eq(date(200)),
+            col("taken").gt_eq(date(200)),
+            // conjunctions: the right arm sees the left arm's survivors
+            col("id").lt(lit_i64(3)).and(col("taken").gt(date(0))),
+            col("id")
+                .gt(lit_i64(0))
+                .and(col("flag").eq(boolean(true)))
+                .and(col("word").eq(lit_str("w1"))),
+            // a false arm hides an unknown column; a leading one fails
+            boolean(false).and(missing()),
+            col("id").gt(lit_i64(100)).and(missing()),
+            missing().and(col("id").gt(lit_i64(0))),
+            col("id").gt(lit_i64(2)).and(missing()),
+            // OR and NOT
+            col("id").eq(lit_i64(1)).or(col("id").eq(lit_i64(4))),
+            col("id").lt(lit_i64(100)).or(missing()),
+            col("id").lt(lit_i64(2)).or(missing()),
+            col("flag").not(),
+            col("id").gt(lit_i64(2)).not(),
+            // Float64 with a NaN row: NaN compares equal row-wise
+            col("score").gt(float(0.5)),
+            col("score").eq(float(1.0)),
+            col("score").not_eq(float(1.0)),
+            col("score").lt_eq(float(0.3)).and(col("id").gt(lit_i64(0))),
+            // type mismatches
+            col("word").gt(lit_i64(1)),
+            col("taken").gt_eq(lit_i64(0)),
+            col("score").lt(lit_i64(1)),
+            col("id").gt(float(1.0)),
+            col("id"),
+            lit_i64(1),
+            col("id").gt(lit_i64(0)).and(col("word").gt(lit_i64(1))),
+            // two arms failing differently: row by row the right arm's type
+            // error comes first (row 0 passes the left arm), the left arm's
+            // unknown column only on row 1
+            col("id")
+                .lt(lit_i64(1))
+                .or(missing())
+                .and(col("word").gt(lit_i64(1))),
+        ];
+        let wide = wide_table();
+        let empty = wide.gather(&[]).unwrap();
+        for pred in &preds {
+            for t in [&wide, &table(), &empty] {
+                let n = t.num_rows() as u32;
+                assert_eq!(
+                    evaluate_predicate(pred, t),
+                    row_at_a_time(pred, t),
+                    "{pred} over {n} rows"
+                );
+                let windows = [0..n, 1..n, 1..n.min(10), n.min(3)..n.min(3)];
+                for rows in windows {
+                    let lanes: Vec<u32> = rows.clone().collect();
+                    let expected = reference_over(pred, t, &lanes);
+                    let got = evaluate_predicate_window(pred, t, rows.clone());
+                    assert_eq!(got, expected, "{pred} window {rows:?}");
+                    let got = evaluate_predicate_select(pred, t, &lanes);
+                    assert_eq!(got, expected, "{pred} selection {rows:?}");
+                }
+                if n > 3 {
+                    // unsorted, with repeats: order and repeats are kept
+                    let sel = [3, 0, 3, 1];
+                    let got = evaluate_predicate_select(pred, t, &sel);
+                    assert_eq!(got, reference_over(pred, t, &sel), "{pred} {sel:?}");
+                }
+            }
+        }
+        // the pair of differing errors really differs between the arms
+        let split = preds.last().unwrap();
+        assert!(matches!(
+            evaluate_predicate(split, &wide),
+            Err(RelationalError::TypeError(_))
+        ));
+    }
+
+    #[test]
+    fn a_window_past_the_end_is_an_error_and_an_empty_one_is_not() {
+        let t = table();
+        let pred = col("id").gt(lit_i64(0));
+        assert!(matches!(
+            evaluate_predicate_window(&pred, &t, 2..5),
+            Err(RelationalError::Storage(
+                StorageError::RowOutOfBounds { .. }
+            ))
+        ));
+        assert_eq!(evaluate_predicate_window(&pred, &t, 9..9), Ok(vec![]));
+        assert_eq!(evaluate_predicate_window(&pred, &t, 2..4), Ok(vec![2, 3]));
     }
 }

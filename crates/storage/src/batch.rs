@@ -16,10 +16,24 @@ use crate::Result;
 
 /// Default number of rows per batch handed between operators.
 ///
-/// 1024 rows keeps a batch's working set inside the L1/L2 caches for typical
-/// schemas while amortising per-batch dispatch overhead, matching the
-/// X100-recommended vector length.
-pub const DEFAULT_BATCH_ROWS: usize = 1024;
+/// A morsel is the unit of per-task fixed cost, not of cache residency: a
+/// filter over a morsel streams one column once, whatever its length, and
+/// what a morsel pays besides is a live-row vector, a filter dispatch, a
+/// scheduler task and, under a hash join, a gathered probe table and one
+/// part of the final concatenation.  At 1,024 rows that fixed cost (≈ 3 µs)
+/// dominated a selective scan: the benchmark's `serve_live` query
+/// `live JOIN dim … WHERE live.slot = 7`, its slowest, cut 200 k rows into
+/// 196 morsels to find 200 survivors.  A sweep of `serve_live`'s
+/// `op_p95_ms` over morsel sizes (median of 3 runs, seed 20240513, a
+/// 2-vCPU x86-64 Xeon with AVX2 and AVX-512) read 1.14 ms at 1,024 rows,
+/// 0.76 ms at 4,096, 0.61 ms at 16,384 and 0.67 ms at 65,536, so the size
+/// sits at the minimum.  A morsel is also the grain of parallel work, so a
+/// source under this many rows is one task at any thread budget.  With the
+/// benchmark rebuilt for two worker threads, 16,384 rows still beat 1,024
+/// on `serve_live` (`op_p95_ms` 0.79 → 0.65 ms) and `adhoc_cold` and tie on
+/// `scan_join_warm` (median of 10 runs each side).  Results do not depend
+/// on it.
+pub const DEFAULT_BATCH_ROWS: usize = 16_384;
 
 /// A zero-copy view over a subset of a table's rows and columns.
 ///

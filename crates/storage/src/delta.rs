@@ -339,6 +339,20 @@ impl Segment {
         self.live_rows
     }
 
+    /// Whether every row of `range` is a live row of [`Segment::rows`] —
+    /// whether [`Segment::live_in`] would return all of it — answered
+    /// without listing one.
+    pub fn all_live_in(&self, range: Range<u32>) -> bool {
+        let rows = range.start as usize..range.end as usize;
+        match &self.live {
+            None => rows.end <= self.rows.num_rows(),
+            Some(live) => live
+                .as_bools()
+                .get(rows)
+                .is_some_and(|bits| !bits.contains(&false)),
+        }
+    }
+
     /// The live rows among `range` of [`Segment::rows`], ascending — a
     /// scan's initial selection over that window.
     pub fn live_in(&self, range: Range<u32>) -> Vec<u32> {
@@ -686,6 +700,13 @@ mod tests {
         assert_eq!(segment.live_in(5..8), vec![5, 6, 7], "a whole window");
         assert_eq!(segment.live_in(3..5), Vec::<u32>::new(), "a dead one");
         assert_eq!(segment.live_in(8..99), vec![8, 9], "clamped to the rows");
+        assert!(segment.all_live_in(5..8) && segment.all_live_in(0..3));
+        assert!(!segment.all_live_in(2..6) && !segment.all_live_in(3..5));
+        assert!(
+            !segment.all_live_in(8..99),
+            "rows past the end are not live"
+        );
+        assert!(v0.segments()[0].all_live_in(0..10) && !v0.segments()[0].all_live_in(8..11));
         assert_eq!(ids(&v1.table()), &[0, 1, 2, 5, 6, 7, 8, 9]);
         assert!(
             Arc::ptr_eq(&v1.table(), &v1.table()),

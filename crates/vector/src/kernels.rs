@@ -241,42 +241,117 @@ impl CmpOp {
     }
 }
 
+/// Expands to a `match` on `$op` whose every arm calls `$kernel($args…,
+/// holds)` with `holds` the arm's own comparison closure against `$rhs`:
+/// the operator is matched once per call, and each arm's loop is compiled
+/// for one operator, with no branch on it per lane.
+macro_rules! per_op {
+    ($op:expr, $rhs:expr, $kernel:ident($($arg:expr),*)) => {{
+        let rhs = $rhs;
+        match $op {
+            CmpOp::Eq => $kernel($($arg,)* |v| v == rhs),
+            CmpOp::NotEq => $kernel($($arg,)* |v| v != rhs),
+            CmpOp::Lt => $kernel($($arg,)* |v| v < rhs),
+            CmpOp::LtEq => $kernel($($arg,)* |v| v <= rhs),
+            CmpOp::Gt => $kernel($($arg,)* |v| v > rhs),
+            CmpOp::GtEq => $kernel($($arg,)* |v| v >= rhs),
+        }
+    }};
+}
+
 /// Selection-vector filter: compacts the lanes of `sel` whose value passes
-/// `value <op> rhs` into a fresh selection vector.
+/// `value <op> rhs` into a fresh selection vector, in `sel`'s order, repeats
+/// included.
 ///
 /// `sel` holds row offsets into `values`; only selected lanes are compared,
 /// so a filter above a filter touches survivors only — the vectorised
-/// executor's "mark, don't copy" contract.
+/// executor's "mark, don't copy" contract.  A contiguous window of rows has
+/// [`filter_cmp_window`], which reads the column in order instead of
+/// through the selection.
 ///
 /// The selection vector is walked in 8-lane groups: the comparisons of a
-/// group are evaluated branch-free into a mask, and only then are the
-/// surviving lanes compacted — the classic SIMD predicate-then-compress
-/// shape.  Compaction preserves lane order.
+/// group are evaluated branch-free into a bit mask, and only its set bits
+/// are visited, so a group of failing lanes costs its compare and nothing
+/// more.
 ///
 /// # Panics
-/// Debug-asserts that every selected lane is in bounds; release builds
-/// panic on out-of-bounds lanes via the slice index.
+/// Panics on a selected lane that is out of bounds for `values`.
 #[inline]
 pub fn filter_cmp<T: PartialOrd + Copy>(values: &[T], sel: &[u32], op: CmpOp, rhs: T) -> Vec<u32> {
-    const W: usize = UNROLL_LANES;
+    per_op!(op, rhs, select_lanes(values, sel))
+}
+
+/// Window filter: the rows `first_row..first_row + values.len()` whose value
+/// passes `value <op> rhs`, ascending, where `values` is that window of the
+/// column.  The same survivors as [`filter_cmp`] over the window's rows as a
+/// selection, without reading one: the slice is compared in order, eight
+/// lanes to a bit mask, and compacted as [`filter_cmp`] compacts.
+///
+/// # Panics
+/// Panics when a row id of the window does not fit in `u32`.
+#[inline]
+pub fn filter_cmp_window<T: PartialOrd + Copy>(
+    values: &[T],
+    first_row: u32,
+    op: CmpOp,
+    rhs: T,
+) -> Vec<u32> {
+    let fits = u32::try_from(values.len()).is_ok_and(|len| first_row.checked_add(len).is_some());
+    assert!(fits, "window rows must fit in u32");
+    per_op!(op, rhs, window_lanes(values, first_row))
+}
+
+/// Appends `row(lane)` for every lane set in `bits`, in lane order, visiting
+/// only the set bits as [`crate::topk::scan_at_least`] does: a group of
+/// failing lanes costs its compare and nothing more.
+#[inline(always)]
+fn push_set_lanes(out: &mut Vec<u32>, mut bits: u32, row: impl Fn(usize) -> u32) {
+    while bits != 0 {
+        let lane = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        out.push(row(lane));
+    }
+}
+
+/// [`filter_cmp`]'s loop for one operator.
+#[inline(always)]
+fn select_lanes<T: Copy>(values: &[T], sel: &[u32], holds: impl Fn(T) -> bool) -> Vec<u32> {
     let mut out = Vec::with_capacity(sel.len());
-    let mut chunks = sel.chunks_exact(W);
-    for lanes in &mut chunks {
-        // Compare pass: no branches, so the W comparisons vectorise.
-        let mut mask = [false; W];
-        for i in 0..W {
-            mask[i] = op.holds(&values[lanes[i] as usize], &rhs);
+    let mut groups = sel.chunks_exact(UNROLL_LANES);
+    for group in &mut groups {
+        let group: &[u32; UNROLL_LANES] = group.try_into().expect("chunks_exact(8) yields 8");
+        let mut bits = 0u32;
+        for (lane, &row) in group.iter().enumerate() {
+            bits |= u32::from(holds(values[row as usize])) << lane;
         }
-        // Compact pass: survivors keep their lane order.
-        for i in 0..W {
-            if mask[i] {
-                out.push(lanes[i]);
-            }
+        push_set_lanes(&mut out, bits, |lane| group[lane]);
+    }
+    for &row in groups.remainder() {
+        if holds(values[row as usize]) {
+            out.push(row);
         }
     }
-    for &lane in chunks.remainder() {
-        if op.holds(&values[lane as usize], &rhs) {
-            out.push(lane);
+    out
+}
+
+/// [`filter_cmp_window`]'s loop for one operator.
+#[inline(always)]
+fn window_lanes<T: Copy>(values: &[T], first_row: u32, holds: impl Fn(T) -> bool) -> Vec<u32> {
+    let mut out = Vec::with_capacity(values.len());
+    let mut groups = values.chunks_exact(UNROLL_LANES);
+    let mut first = first_row;
+    for group in &mut groups {
+        let group: &[T; UNROLL_LANES] = group.try_into().expect("chunks_exact(8) yields 8");
+        let mut bits = 0u32;
+        for (lane, &value) in group.iter().enumerate() {
+            bits |= u32::from(holds(value)) << lane;
+        }
+        push_set_lanes(&mut out, bits, |lane| first + lane as u32);
+        first += UNROLL_LANES as u32;
+    }
+    for (lane, &value) in groups.remainder().iter().enumerate() {
+        if holds(value) {
+            out.push(first + lane as u32);
         }
     }
     out

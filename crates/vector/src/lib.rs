@@ -50,7 +50,7 @@ pub mod vector;
 pub use distance::{cosine_distance, cosine_similarity, dot, euclidean_distance, Metric};
 pub use error::VectorError;
 pub use gemm::{GemmConfig, SimilarityMatrix};
-pub use kernels::{dot_lanes, dot_select, filter_cmp, CmpOp, Kernel, SimdIsa};
+pub use kernels::{dot_lanes, dot_select, filter_cmp, filter_cmp_window, CmpOp, Kernel, SimdIsa};
 pub use matrix::Matrix;
 pub use norm::{l2_norm, normalize, normalize_matrix_rows};
 pub use partition::{BlockPartition, BufferBudget};

@@ -42,7 +42,7 @@ use cej_core::{
 use cej_embedding::{EmbeddingStats, FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
 use cej_oracle::Oracle;
-use cej_relational::{col, lit_i64, LogicalPlan, SimilarityPredicate};
+use cej_relational::{col, lit, lit_i64, LogicalPlan, SimilarityPredicate};
 use cej_storage::{Column, Delta, ScalarValue, Table};
 use cej_workload::{JoinWorkload, RelationSpec};
 use proptest::prelude::*;
@@ -340,6 +340,12 @@ fn a_segmented_tombstoned_table_reads_like_its_compaction() {
             strategy,
         );
         let filtered = || LogicalPlan::scan("s").select(col("filter").lt(lit_i64(60)));
+        // a date the live rows hold, so an equality keeps some of them
+        let s = contiguous("s");
+        let s_dates = s.column_by_name("date").and_then(|c| c.as_date());
+        let mut s_dates = s_dates.expect("s.date is a Date column").to_vec();
+        s_dates.sort_unstable();
+        let day = lit(ScalarValue::Date(s_dates[s_dates.len() / 2]));
         // the naive NLJ only takes thresholds
         let predicate = if strategy_idx == 0 {
             SimilarityPredicate::Threshold(0.1)
@@ -355,6 +361,17 @@ fn a_segmented_tombstoned_table_reads_like_its_compaction() {
         let plans = [
             ("scan", LogicalPlan::scan("r")),
             ("filter", filtered()),
+            // the filter kernels' `AND` and `Date` arms, over windows that
+            // some deletes reached into and some did not
+            (
+                "filter and date",
+                LogicalPlan::scan("s").select(
+                    col("filter")
+                        .lt(lit_i64(60))
+                        .and(col("date").gt_eq(day.clone())),
+                ),
+            ),
+            ("date", LogicalPlan::scan("s").select(col("date").eq(day))),
             (
                 "ejoin",
                 LogicalPlan::e_join(
