@@ -185,7 +185,7 @@ fn fig10() {
         (scaled(500), scaled(4_000)),
         (scaled(2_000), scaled(2_000)),
     ];
-    let rows = experiments::fig10_input_sizes(&sizes, DIM, 1);
+    let rows = experiments::fig10_input_sizes(&sizes, DIM);
     let printable: Vec<Vec<String>> = rows
         .iter()
         .map(|(label, ops, ordered, unordered)| {

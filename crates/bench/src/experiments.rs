@@ -8,7 +8,8 @@
 use std::time::Duration;
 
 use cej_core::{
-    CostModel, IndexJoin, IndexJoinConfig, NljConfig, PrefetchNlJoin, TensorJoin, TensorJoinConfig,
+    CostModel, IndexJoin, IndexJoinConfig, JoinPair, JoinResult, NljConfig, PrefetchNlJoin,
+    TensorJoin, TensorJoinConfig,
 };
 use cej_embedding::{
     train_on_corpus, CachedEmbedder, Embedder, FastTextConfig, FastTextModel, TrainingConfig,
@@ -16,7 +17,10 @@ use cej_embedding::{
 use cej_index::HnswParams;
 use cej_relational::SimilarityPredicate;
 use cej_storage::SelectionBitmap;
-use cej_vector::{BufferBudget, Kernel, Matrix};
+use cej_vector::{
+    gemm::block_into, norm::normalize_matrix_rows_with, topk::scan_at_least, BufferBudget,
+    GemmConfig, Kernel, Matrix,
+};
 use cej_workload::{uniform_matrix, CorpusGenerator, WordGenerator};
 
 use crate::harness::{fmt_ms, fmt_ns_per, time_once};
@@ -101,6 +105,14 @@ pub struct Fig08Row {
     pub prefetch_model_calls: u64,
 }
 
+/// The prefetch step over strings: every tuple embedded once, its row
+/// unit-normalised with `kernel` — the input the matrix-level joins take.
+fn embed_normalized(model: &dyn Embedder, strings: &[String], kernel: Kernel) -> Matrix {
+    let mut matrix = model.embed_batch(strings);
+    normalize_matrix_rows_with(&mut matrix, kernel);
+    matrix
+}
+
 /// Naive E-NLJ with a selectable kernel: embeds *inside* the pair loop.
 fn naive_nlj_with_kernel(
     model: &dyn Embedder,
@@ -171,27 +183,18 @@ pub fn fig08_nlj_logical_physical(sizes: &[(usize, usize)], dim: usize) -> Vec<F
                 })
                 .expect("valid config"),
             );
-            let (_, prefetch_no_simd) = time_once(|| {
-                prefetch_scalar
-                    .join(
-                        &cached,
-                        &left,
-                        &right,
-                        SimilarityPredicate::Threshold(threshold),
-                    )
-                    .expect("join succeeds")
-            });
+            let prefetch = |join: &PrefetchNlJoin, model: &dyn Embedder| {
+                let kernel = join.config().kernel;
+                join.join(
+                    &embed_normalized(model, &left, kernel),
+                    &embed_normalized(model, &right, kernel),
+                    SimilarityPredicate::Threshold(threshold),
+                )
+                .expect("join succeeds")
+            };
+            let (_, prefetch_no_simd) = time_once(|| prefetch(&prefetch_scalar, &cached));
             let prefetch_model_calls = cached.stats().model_calls;
-            let (_, prefetch_simd) = time_once(|| {
-                prefetch_simd_op
-                    .join(
-                        &model,
-                        &left,
-                        &right,
-                        SimilarityPredicate::Threshold(threshold),
-                    )
-                    .expect("join succeeds")
-            });
+            let (_, prefetch_simd) = time_once(|| prefetch(&prefetch_simd_op, &model));
 
             Fig08Row {
                 sizes: format!("{r} x {s}"),
@@ -229,9 +232,8 @@ pub fn fig09_thread_scalability(
                     .with_threads(t)
                     .with_kernel(Kernel::Scalar),
             );
-            let (_, simd) = time_once(|| simd_op.join_matrices(&left, &right, predicate).unwrap());
-            let (_, no_simd) =
-                time_once(|| scalar_op.join_matrices(&left, &right, predicate).unwrap());
+            let (_, simd) = time_once(|| simd_op.join(&left, &right, predicate).unwrap());
+            let (_, no_simd) = time_once(|| scalar_op.join(&left, &right, predicate).unwrap());
             (t, simd, no_simd)
         })
         .collect()
@@ -241,36 +243,42 @@ pub fn fig09_thread_scalability(
 // Figure 10 — optimised NLJ across input-size combinations
 // ---------------------------------------------------------------------------
 
-/// Runs the Figure 10 experiment: for each `(|R|, |S|)` pair report the
-/// optimised NLJ time with the loop-order heuristic on and off, plus the
-/// number of pair comparisons (the "operations" grouping of the figure).
+/// Figure 10's "as-given order" series: the prefetch NLJ's threshold pair
+/// loop with `left` always on the outer loop, whichever side is smaller
+/// ([`PrefetchNlJoin::join`] keeps the smaller one inner).  Serial, like the
+/// one-thread join it is compared with.
+fn nlj_as_given_order(left: &Matrix, right: &Matrix, threshold: f32) -> Vec<JoinPair> {
+    let mut pairs = Vec::new();
+    for i in 0..left.rows() {
+        let outer_row = left.row(i).expect("left row in range");
+        for j in 0..right.rows() {
+            let score = Kernel::Unrolled.dot(outer_row, right.row(j).expect("right row in range"));
+            if score >= threshold {
+                pairs.push(JoinPair::new(i, j, score));
+            }
+        }
+    }
+    pairs
+}
+
+/// Runs the Figure 10 experiment on one thread: for each `(|R|, |S|)` pair
+/// report the optimised NLJ time with the loop-order heuristic (the
+/// operator) and with the order as given, plus the number of pair
+/// comparisons (the "operations" grouping of the figure).
 pub fn fig10_input_sizes(
     sizes: &[(usize, usize)],
     dim: usize,
-    threads: usize,
 ) -> Vec<(String, u64, Duration, Duration)> {
+    let threshold = 0.9;
+    let join = PrefetchNlJoin::new(NljConfig::default().with_threads(1));
     sizes
         .iter()
         .map(|&(r, s)| {
             let left = uniform_matrix(r, dim, 3, true);
             let right = uniform_matrix(s, dim, 4, true);
-            let predicate = SimilarityPredicate::Threshold(0.9);
-            let with_heuristic = PrefetchNlJoin::new(NljConfig::default().with_threads(threads));
-            let without_heuristic = PrefetchNlJoin::new(
-                NljConfig::default()
-                    .with_threads(threads)
-                    .without_loop_order_heuristic(),
-            );
-            let (_, ordered) = time_once(|| {
-                with_heuristic
-                    .join_matrices(&left, &right, predicate)
-                    .unwrap()
-            });
-            let (_, unordered) = time_once(|| {
-                without_heuristic
-                    .join_matrices(&left, &right, predicate)
-                    .unwrap()
-            });
+            let predicate = SimilarityPredicate::Threshold(threshold);
+            let (_, ordered) = time_once(|| join.join(&left, &right, predicate).unwrap());
+            let (_, unordered) = time_once(|| nlj_as_given_order(&left, &right, threshold));
             (
                 format!("{r} x {s}"),
                 (r as u64) * (s as u64),
@@ -311,20 +319,48 @@ pub fn fig11_nlj_vs_tensor(fp32_ops: &[usize], dims: &[usize]) -> Vec<PerElement
         let nlj = PrefetchNlJoin::new(NljConfig::default());
         let tensor = TensorJoin::new(TensorJoinConfig::default());
         let predicate = SimilarityPredicate::Threshold(0.99);
-        let (_, a) = time_once(|| nlj.join_matrices(left, right, predicate).unwrap());
-        let (_, b) = time_once(|| tensor.join_matrices(left, right, predicate).unwrap());
+        let (_, a) = time_once(|| nlj.join(left, right, predicate).unwrap());
+        let (_, b) = time_once(|| tensor.join(left, right, predicate).unwrap());
         (a, b)
     })
+}
+
+/// Figure 12's "Tensor-Non-Batched" series: the inner relation one vector
+/// at a time through the same GEMM kernel (degenerate 1-row blocks), so the
+/// only difference from [`TensorJoin::join`] is the lost reuse of the inner
+/// block.  Threshold predicates, like the figure.
+fn tensor_join_per_vector(left: &Matrix, right: &Matrix, threshold: f32) -> JoinResult {
+    let gemm = GemmConfig::default();
+    let mut scores = vec![0.0f32; left.rows()];
+    let mut result = JoinResult::default();
+    for j in 0..right.rows() {
+        let inner_row = right.row(j).expect("right row in range");
+        block_into(
+            left.as_slice(),
+            inner_row,
+            left.rows(),
+            1,
+            left.cols(),
+            &gemm,
+            &mut scores,
+        );
+        result.stats.blocks_computed += 1;
+        scan_at_least(&scores, threshold, |i, score| {
+            result.pairs.push(JoinPair::new(i, j, score));
+            threshold
+        });
+    }
+    result
 }
 
 /// Figure 12: fully-batched vs non-batched tensor formulation.
 pub fn fig12_batched_vs_non_batched(fp32_ops: &[usize], dims: &[usize]) -> Vec<PerElementRow> {
     per_element_experiment(fp32_ops, dims, |left, right| {
         let batched = TensorJoin::new(TensorJoinConfig::default());
-        let non_batched = TensorJoin::new(TensorJoinConfig::default().without_inner_batching());
-        let predicate = SimilarityPredicate::Threshold(0.99);
-        let (_, a) = time_once(|| batched.join_matrices(left, right, predicate).unwrap());
-        let (_, b) = time_once(|| non_batched.join_matrices(left, right, predicate).unwrap());
+        let threshold = 0.99;
+        let predicate = SimilarityPredicate::Threshold(threshold);
+        let (_, a) = time_once(|| batched.join(left, right, predicate).unwrap());
+        let (_, b) = time_once(|| tensor_join_per_vector(left, right, threshold));
         (a, b)
     })
 }
@@ -377,10 +413,8 @@ pub fn fig13_batch_size_impact(n: usize, dim: usize, batches: &[(usize, usize)])
     let predicate = SimilarityPredicate::Threshold(0.95);
     let unbatched =
         TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::unlimited()));
-    let (base_result, base_time) =
-        time_once(|| unbatched.join_matrices(&left, &right, predicate).unwrap());
-    let base_block_bytes =
-        (base_result.stats.peak_buffer_bytes - left.bytes() - right.bytes()).max(1);
+    let (base_result, base_time) = time_once(|| unbatched.join(&left, &right, predicate).unwrap());
+    let base_block_bytes = base_result.stats.peak_buffer_bytes.max(1);
 
     let mut rows = vec![Fig13Row {
         batch: format!("{n} x {n} (No Batch)"),
@@ -390,8 +424,8 @@ pub fn fig13_batch_size_impact(n: usize, dim: usize, batches: &[(usize, usize)])
     for &(outer, inner) in batches {
         let budget = BufferBudget::from_bytes(outer * inner * std::mem::size_of::<f32>());
         let op = TensorJoin::new(TensorJoinConfig::default().with_budget(budget));
-        let (result, elapsed) = time_once(|| op.join_matrices(&left, &right, predicate).unwrap());
-        let block_bytes = (result.stats.peak_buffer_bytes - left.bytes() - right.bytes()).max(1);
+        let (result, elapsed) = time_once(|| op.join(&left, &right, predicate).unwrap());
+        let block_bytes = result.stats.peak_buffer_bytes.max(1);
         rows.push(Fig13Row {
             batch: format!("{outer} x {inner}"),
             relative_slowdown: elapsed.as_secs_f64() / base_time.as_secs_f64(),
@@ -420,9 +454,8 @@ pub fn fig14_tensor_vs_nlj(
             let predicate = SimilarityPredicate::Threshold(0.95);
             let tensor = TensorJoin::new(TensorJoinConfig::default().with_threads(threads));
             let nlj = PrefetchNlJoin::new(NljConfig::default().with_threads(threads));
-            let (_, tensor_time) =
-                time_once(|| tensor.join_matrices(&left, &right, predicate).unwrap());
-            let (_, nlj_time) = time_once(|| nlj.join_matrices(&left, &right, predicate).unwrap());
+            let (_, tensor_time) = time_once(|| tensor.join(&left, &right, predicate).unwrap());
+            let (_, nlj_time) = time_once(|| nlj.join(&left, &right, predicate).unwrap());
             (format!("{r} x {s}"), tensor_time, nlj_time)
         })
         .collect()
@@ -504,34 +537,27 @@ pub fn scan_vs_probe(
         .map(|&sel| {
             let bitmap = selectivity_bitmap(inner_rows, sel);
 
-            let (_, tensor_time) = time_once(|| {
-                tensor
-                    .join_matrices_filtered(&outer, &inner, predicate, None, Some(&bitmap))
-                    .unwrap()
-            });
-            // "-filter cost": the inner relation is compacted before timing.
-            let compacted = {
-                let mut m = Matrix::zeros(0, dim);
-                for i in bitmap.iter_selected() {
-                    m.push_row(inner.row(i).unwrap()).unwrap();
-                }
-                m
+            // The scan pre-filters: only the selected inner rows are scored.
+            let compact = || {
+                let selected: Vec<u32> = bitmap.iter_selected().map(|i| i as u32).collect();
+                inner
+                    .gather_rows(&selected)
+                    .expect("selected rows in range")
             };
-            let (_, tensor_minus_filter) = time_once(|| {
-                if compacted.rows() > 0 {
-                    tensor.join_matrices(&outer, &compacted, predicate).unwrap()
-                } else {
-                    Default::default()
-                }
-            });
+            let (_, tensor_time) =
+                time_once(|| tensor.join(&outer, &compact(), predicate).unwrap());
+            // "-filter cost": the inner relation is compacted before timing.
+            let compacted = compact();
+            let (_, tensor_minus_filter) =
+                time_once(|| tensor.join(&outer, &compacted, predicate).unwrap());
             let (_, lo) = time_once(|| {
                 lo_join
-                    .probe_join(&outer, &lo_index, predicate, None, Some(&bitmap))
+                    .probe(&outer, &lo_index, predicate, Some(&bitmap))
                     .unwrap()
             });
             let (_, hi) = time_once(|| {
                 hi_join
-                    .probe_join(&outer, &hi_index, predicate, None, Some(&bitmap))
+                    .probe(&outer, &hi_index, predicate, Some(&bitmap))
                     .unwrap()
             });
             ScanVsProbeRow {
@@ -598,7 +624,11 @@ pub fn costmodel_validation(sizes: &[(usize, usize)]) -> Vec<(String, u64, u64, 
                 .expect("join succeeds");
             let cached = CachedEmbedder::new(model);
             TensorJoin::new(TensorJoinConfig::default())
-                .join(&cached, &left, &right, SimilarityPredicate::Threshold(0.99))
+                .join(
+                    &embed_normalized(&cached, &left, Kernel::Unrolled),
+                    &embed_normalized(&cached, &right, Kernel::Unrolled),
+                    SimilarityPredicate::Threshold(0.99),
+                )
                 .expect("join succeeds");
             (
                 format!("{r} x {s}"),
@@ -651,7 +681,7 @@ mod tests {
     fn fig09_and_fig10_smoke() {
         let scal = fig09_thread_scalability(16, 8, &[1, 2]);
         assert_eq!(scal.len(), 2);
-        let sizes = fig10_input_sizes(&[(8, 16), (16, 8)], 8, 1);
+        let sizes = fig10_input_sizes(&[(8, 16), (16, 8)], 8);
         assert_eq!(sizes.len(), 2);
         assert_eq!(sizes[0].1, 128);
     }
@@ -667,6 +697,45 @@ mod tests {
         assert!(rows[1].ram_reduction >= 1.0);
         let rows = fig14_tensor_vs_nlj(&[(16, 16)], 8, 1);
         assert_eq!(rows.len(), 1);
+    }
+
+    #[test]
+    fn fig10_as_given_order_returns_the_operators_pairs() {
+        // both orientations: the operator swaps loops only when the right
+        // side is the larger one, and must still name (left, right)
+        let join = PrefetchNlJoin::new(NljConfig::default().with_threads(1));
+        for (r, s) in [(3, 50), (50, 3), (20, 20)] {
+            let left = uniform_matrix(r, 8, 5, true);
+            let right = uniform_matrix(s, 8, 6, true);
+            let operator = join
+                .join(&left, &right, SimilarityPredicate::Threshold(0.3))
+                .unwrap();
+            let as_given = JoinResult {
+                pairs: nlj_as_given_order(&left, &right, 0.3),
+                ..JoinResult::default()
+            };
+            assert!(!as_given.is_empty());
+            assert!(as_given.pairs.iter().all(|p| p.left < r && p.right < s));
+            assert_eq!(
+                as_given.sorted_pairs(),
+                operator.sorted_pairs(),
+                "{r} x {s}"
+            );
+        }
+    }
+
+    #[test]
+    fn fig12_per_vector_inner_returns_the_batched_pairs_in_more_blocks() {
+        let left = uniform_matrix(20, 16, 9, true);
+        let right = uniform_matrix(30, 16, 10, true);
+        let batched = TensorJoin::new(TensorJoinConfig::default())
+            .join(&left, &right, SimilarityPredicate::Threshold(0.15))
+            .unwrap();
+        let per_vector = tensor_join_per_vector(&left, &right, 0.15);
+        assert!(!per_vector.is_empty());
+        assert_eq!(per_vector.sorted_pairs(), batched.sorted_pairs());
+        assert_eq!(per_vector.stats.blocks_computed, 30);
+        assert!(batched.stats.blocks_computed < 30);
     }
 
     #[test]

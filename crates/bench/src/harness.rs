@@ -14,13 +14,6 @@ pub fn time_once<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// Times `runs` invocations of `f` and returns the median duration.
-pub fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
-    let mut samples: Vec<Duration> = (0..runs.max(1)).map(|_| time_once(&mut f).1).collect();
-    samples.sort();
-    samples[samples.len() / 2]
-}
-
 /// Formats a duration in milliseconds with one decimal.
 pub fn fmt_ms(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64() * 1e3)
@@ -88,17 +81,6 @@ mod tests {
         let (v, d) = time_once(|| 21 * 2);
         assert_eq!(v, 42);
         assert!(d.as_nanos() > 0 || d.as_nanos() == 0);
-    }
-
-    #[test]
-    fn time_median_runs_requested_times() {
-        let mut count = 0;
-        let _ = time_median(5, || count += 1);
-        assert_eq!(count, 5);
-        // zero runs clamps to one
-        let mut count2 = 0;
-        let _ = time_median(0, || count2 += 1);
-        assert_eq!(count2, 1);
     }
 
     #[test]

@@ -38,12 +38,12 @@
 //!   [`crate::executor::ColumnSlots`]), through the strings otherwise.
 //! * Joins keep **both inputs as selections** until the pairs are known
 //!   (late materialisation).  The inner input is collected, not gathered:
-//!   its join column is embedded by row (and for the tensor join normalised)
-//!   once, every outer morsel is scored against it
-//!   ([`TensorJoin::join_prenormalized`], HNSW `probe_join`, or the NLJ
-//!   variants), pair offsets — positions in each side's selection — are
-//!   remapped by the morsel's cumulative offset, and only the matched rows
-//!   of either side are finally copied out of the base tables.  A warm run
+//!   its join column is embedded by row (and for the prefetch NLJ and the
+//!   tensor join normalised) once, every outer morsel is scored against it
+//!   through its operator's one entry point ([`crate::join`]), pair
+//!   offsets — positions in each side's selection — are remapped by the
+//!   morsel's cumulative offset, and only the matched rows of either side
+//!   are finally copied out of the base tables.  A warm run
 //!   over a filtered inner table therefore hashes no string and copies no
 //!   unmatched row.  Inputs that are not one window over one base (an inner
 //!   that is itself a join, per-morsel `Embed` outputs, a scan of a table
@@ -80,7 +80,7 @@ use cej_relational::{
 };
 use cej_storage::{Column, DataType, Field, Schema, Segment, SelectionBitmap, StorageError, Table};
 use cej_vector::norm::normalize_matrix_rows_with;
-use cej_vector::Matrix;
+use cej_vector::{Kernel, Matrix};
 
 use crate::error::CoreError;
 use crate::executor::{ExecContext, ExecOutcome, RunEmbedder, RunStats, SharedCache};
@@ -571,7 +571,7 @@ enum Probe {
     },
     Prefetch {
         join: PrefetchNlJoin,
-        inner: Matrix,
+        inner_norm: Matrix,
     },
     Tensor {
         join: TensorJoin,
@@ -591,6 +591,14 @@ fn merge_stats(acc: &mut JoinStats, part: &JoinStats) {
     acc.blocks_computed += part.blocks_computed;
     acc.probe_stats.merge(&part.probe_stats);
     acc.peak_buffer_bytes = acc.peak_buffer_bytes.max(part.peak_buffer_bytes);
+}
+
+/// Unit-normalises the rows of an embedded side: the input of the prefetch
+/// NLJ and the tensor join, prepared once for an inner side and once per
+/// outer morsel.
+fn normalized(mut embedded: Matrix, kernel: Kernel) -> Matrix {
+    normalize_matrix_rows_with(&mut embedded, kernel);
+    embedded
 }
 
 /// The selected lanes of a string column as owned strings (the naive NLJ
@@ -733,20 +741,16 @@ fn join_sides(
                 PhysicalJoinOp::NaiveNlj => Probe::Naive {
                     right: gather_strings(column.1, &side.sel),
                 },
+                // the inner side is normalised exactly once; every outer
+                // morsel reuses it
                 PhysicalJoinOp::PrefetchNlj(config) => Probe::Prefetch {
                     join: PrefetchNlJoin::new(*config),
-                    inner: embed(&side, column),
+                    inner_norm: normalized(embed(&side, column), config.kernel),
                 },
-                PhysicalJoinOp::Tensor(config) => {
-                    // the inner side is normalised exactly once; every outer
-                    // morsel reuses it through `join_prenormalized`
-                    let mut inner_norm = embed(&side, column);
-                    normalize_matrix_rows_with(&mut inner_norm, config.kernel);
-                    Probe::Tensor {
-                        join: TensorJoin::new(*config),
-                        inner_norm,
-                    }
-                }
+                PhysicalJoinOp::Tensor(config) => Probe::Tensor {
+                    join: TensorJoin::new(*config),
+                    inner_norm: normalized(embed(&side, column), config.kernel),
+                },
                 PhysicalJoinOp::Index(config) => {
                     stats.index_builds += 1;
                     let join = IndexJoin::new(*config);
@@ -784,23 +788,22 @@ fn join_sides(
                     let left = gather_strings(column.1, &batch.sel);
                     NaiveNlJoin::new().join(&run, &left, right, node.predicate)?
                 }
-                Probe::Prefetch { join, inner } => {
-                    join.join_matrices(&embed(batch, column), inner, node.predicate)?
+                Probe::Prefetch { join, inner_norm } => {
+                    let left_norm = normalized(embed(batch, column), join.config().kernel);
+                    join.join(&left_norm, inner_norm, node.predicate)?
                 }
                 Probe::Tensor { join, inner_norm } => {
-                    let mut left_norm = embed(batch, column);
-                    normalize_matrix_rows_with(&mut left_norm, join.config().kernel);
-                    join.join_prenormalized(&left_norm, inner_norm, node.predicate)?
+                    let left_norm = normalized(embed(batch, column), join.config().kernel);
+                    join.join(&left_norm, inner_norm, node.predicate)?
                 }
                 Probe::Hnsw {
                     join,
                     index,
                     inner_filter,
-                } => join.probe_join(
+                } => join.probe(
                     &embed(batch, column),
                     index,
                     node.predicate,
-                    None,
                     inner_filter.as_ref(),
                 )?,
             };

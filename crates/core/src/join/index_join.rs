@@ -17,7 +17,6 @@
 
 use std::time::Instant;
 
-use cej_embedding::Embedder;
 use cej_index::{HnswIndex, HnswParams};
 use cej_relational::SimilarityPredicate;
 use cej_storage::SelectionBitmap;
@@ -27,7 +26,7 @@ use crate::error::CoreError;
 use crate::result::{JoinPair, JoinResult, JoinStats};
 use crate::Result;
 
-use super::{check_joinable, check_predicate, embed_all};
+use super::check_predicate;
 
 /// Configuration of the index join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,55 +99,23 @@ impl IndexJoin {
         HnswIndex::build(inner.clone(), self.config.params).map_err(CoreError::from)
     }
 
-    /// Joins two string inputs end-to-end: embeds both sides, builds the
-    /// index on the inner side, probes once per outer tuple.
-    ///
-    /// # Errors
-    /// Propagates embedding, build, and probe errors.
-    pub fn join(
-        &self,
-        model: &dyn Embedder,
-        left: &[String],
-        right: &[String],
-        predicate: SimilarityPredicate,
-    ) -> Result<JoinResult> {
-        check_predicate(&predicate)?;
-        let start = Instant::now();
-        let left_matrix = embed_all(model, left)?;
-        let right_matrix = embed_all(model, right)?;
-        check_joinable(&left_matrix, &right_matrix)?;
-        let index = self.build_index(&right_matrix)?;
-        let mut result = self.probe_join(&left_matrix, &index, predicate, None, None)?;
-        result.stats.model_calls = (left.len() + right.len()) as u64;
-        result.stats.elapsed = start.elapsed();
-        Ok(result)
-    }
-
     /// Joins a matrix of outer embeddings against a pre-built index, with
-    /// optional pre-filters on either side.  Outer pair offsets refer to the
-    /// original outer row numbering; inner offsets refer to the index's row
-    /// numbering (which is the inner relation's original numbering).
+    /// an optional pre-filter on the inner side.  A pre-filter on the outer
+    /// side is the caller's selection: it passes only the selected rows, so
+    /// an excluded tuple issues no probe.  Outer pair offsets refer to the
+    /// given outer rows; inner offsets refer to the index's row numbering
+    /// (which is the inner relation's original numbering).
     ///
     /// # Errors
-    /// Propagates probe errors (dimension mismatch, bad filter lengths).
-    pub fn probe_join(
+    /// Propagates probe errors (dimension mismatch, bad filter length).
+    pub fn probe(
         &self,
         outer: &Matrix,
         index: &HnswIndex,
         predicate: SimilarityPredicate,
-        outer_filter: Option<&SelectionBitmap>,
         inner_filter: Option<&SelectionBitmap>,
     ) -> Result<JoinResult> {
         check_predicate(&predicate)?;
-        if let Some(f) = outer_filter {
-            if f.len() != outer.rows() {
-                return Err(CoreError::InvalidInput(format!(
-                    "outer filter length {} does not match outer rows {}",
-                    f.len(),
-                    outer.rows()
-                )));
-            }
-        }
         let start = Instant::now();
         let (k, threshold) = match predicate {
             SimilarityPredicate::TopK(k) => (k, None),
@@ -157,11 +124,6 @@ impl IndexJoin {
         let mut stats = JoinStats::default();
         let mut pairs = Vec::new();
         for row in 0..outer.rows() {
-            if let Some(f) = outer_filter {
-                if !f.is_selected(row) {
-                    continue;
-                }
-            }
             let query = outer.row(row).map_err(CoreError::from)?;
             let search = index
                 .search(query, k, inner_filter)
@@ -194,22 +156,10 @@ impl Default for IndexJoin {
 mod tests {
     use super::*;
     use crate::join::tensor_join::{TensorJoin, TensorJoinConfig};
-    use cej_embedding::{FastTextConfig, FastTextModel};
+    use crate::join::tests::{run_string_join, string_pairs};
+    use crate::session::JoinStrategy;
     use cej_vector::normalize_matrix_rows;
     use cej_workload::clustered_matrix;
-
-    fn model() -> FastTextModel {
-        FastTextModel::new(FastTextConfig {
-            dim: 16,
-            buckets: 1000,
-            ..FastTextConfig::default()
-        })
-        .unwrap()
-    }
-
-    fn strings(words: &[&str]) -> Vec<String> {
-        words.iter().map(|w| w.to_string()).collect()
-    }
 
     fn test_config() -> IndexJoinConfig {
         IndexJoinConfig {
@@ -225,7 +175,7 @@ mod tests {
         let join = IndexJoin::new(test_config());
         let index = join.build_index(&vectors).unwrap();
         let result = join
-            .probe_join(&outer, &index, SimilarityPredicate::TopK(5), None, None)
+            .probe(&outer, &index, SimilarityPredicate::TopK(5), None)
             .unwrap();
         assert_eq!(result.len(), 20 * 5);
         // the overwhelming majority of retrieved neighbours share the probe's cluster
@@ -245,13 +195,7 @@ mod tests {
         let join = IndexJoin::new(test_config());
         let index = join.build_index(&vectors).unwrap();
         let result = join
-            .probe_join(
-                &outer,
-                &index,
-                SimilarityPredicate::Threshold(0.95),
-                None,
-                None,
-            )
+            .probe(&outer, &index, SimilarityPredicate::Threshold(0.95), None)
             .unwrap();
         assert!(result.pairs.iter().all(|p| p.score >= 0.95));
         // a range predicate can never return more than range_probe_k per outer row
@@ -267,14 +211,14 @@ mod tests {
         let join = IndexJoin::new(test_config());
         let index = join.build_index(&vectors).unwrap();
         let approx = join
-            .probe_join(&outer, &index, SimilarityPredicate::TopK(3), None, None)
+            .probe(&outer, &index, SimilarityPredicate::TopK(3), None)
             .unwrap();
         let mut outer_n = outer.clone();
         let mut vectors_n = vectors.clone();
         normalize_matrix_rows(&mut outer_n);
         normalize_matrix_rows(&mut vectors_n);
         let exact = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&outer_n, &vectors_n, SimilarityPredicate::TopK(3))
+            .join(&outer_n, &vectors_n, SimilarityPredicate::TopK(3))
             .unwrap();
         let exact_set: std::collections::HashSet<(usize, usize)> =
             exact.pair_indices().into_iter().collect();
@@ -289,25 +233,21 @@ mod tests {
 
     #[test]
     fn outer_filter_skips_probes_entirely() {
+        // an outer pre-filter is the caller's selection: only the selected
+        // rows are passed, so only they are probed
         let (vectors, _) = clustered_matrix(100, 16, 4, 0.05, 9);
         let (outer, _) = clustered_matrix(10, 16, 4, 0.05, 9);
         let join = IndexJoin::new(test_config());
         let index = join.build_index(&vectors).unwrap();
-        let filter = SelectionBitmap::from_indices(10, &[0, 1]);
+        let selected = outer.gather_rows(&[0, 1]).unwrap();
         let result = join
-            .probe_join(
-                &outer,
-                &index,
-                SimilarityPredicate::TopK(2),
-                Some(&filter),
-                None,
-            )
+            .probe(&selected, &index, SimilarityPredicate::TopK(2), None)
             .unwrap();
         assert_eq!(result.len(), 4);
         assert!(result.pairs.iter().all(|p| p.left < 2));
         // only two probes were issued
         let unfiltered = join
-            .probe_join(&outer, &index, SimilarityPredicate::TopK(2), None, None)
+            .probe(&outer, &index, SimilarityPredicate::TopK(2), None)
             .unwrap();
         assert!(
             result.stats.probe_stats.nodes_visited < unfiltered.stats.probe_stats.nodes_visited
@@ -322,18 +262,17 @@ mod tests {
         let index = join.build_index(&vectors).unwrap();
         let inner_filter = SelectionBitmap::from_indices(100, &(0..30).collect::<Vec<_>>());
         let result = join
-            .probe_join(
+            .probe(
                 &outer,
                 &index,
                 SimilarityPredicate::TopK(3),
-                None,
                 Some(&inner_filter),
             )
             .unwrap();
         assert!(result.pairs.iter().all(|p| p.right < 30));
         // traversal cost is not reduced proportionally to the 70% exclusion
         let unfiltered = join
-            .probe_join(&outer, &index, SimilarityPredicate::TopK(3), None, None)
+            .probe(&outer, &index, SimilarityPredicate::TopK(3), None)
             .unwrap();
         assert!(
             result.stats.probe_stats.distance_computations
@@ -343,17 +282,19 @@ mod tests {
 
     #[test]
     fn end_to_end_string_join() {
-        let join = IndexJoin::new(test_config());
-        let left = strings(&["barbecue", "database"]);
-        let right = strings(&["barbecues", "databases", "laptop", "vacation", "dbms"]);
-        let result = join
-            .join(&model(), &left, &right, SimilarityPredicate::TopK(1))
-            .unwrap();
-        assert_eq!(result.len(), 2);
-        assert_eq!(result.stats.model_calls, 7);
+        let report = run_string_join(
+            JoinStrategy::Index(test_config()),
+            &["barbecue", "database"],
+            &["barbecues", "databases", "laptop", "vacation", "dbms"],
+            SimilarityPredicate::TopK(1),
+        );
+        assert_eq!(report.table.num_rows(), 2);
+        assert_eq!(report.embedding_stats.model_calls, 7);
+        assert_eq!(report.index_builds, 1);
         // barbecue -> barbecues, database -> databases
-        assert!(result.pair_indices().contains(&(0, 0)));
-        assert!(result.pair_indices().contains(&(1, 1)));
+        let pairs = string_pairs(&report.table);
+        assert!(pairs.contains(&("barbecue".into(), "barbecues".into())));
+        assert!(pairs.contains(&("database".into(), "databases".into())));
     }
 
     #[test]
@@ -362,25 +303,19 @@ mod tests {
         let (vectors, _) = clustered_matrix(20, 16, 2, 0.05, 13);
         let index = join.build_index(&vectors).unwrap();
         let (outer, _) = clustered_matrix(5, 16, 2, 0.05, 13);
-        // bad outer filter length
+        // bad inner filter length
         let bad = SelectionBitmap::all(3);
         assert!(join
-            .probe_join(
-                &outer,
-                &index,
-                SimilarityPredicate::TopK(1),
-                Some(&bad),
-                None
-            )
+            .probe(&outer, &index, SimilarityPredicate::TopK(1), Some(&bad))
             .is_err());
         // invalid predicate
         assert!(join
-            .probe_join(&outer, &index, SimilarityPredicate::TopK(0), None, None)
+            .probe(&outer, &index, SimilarityPredicate::TopK(0), None)
             .is_err());
         // dimension mismatch
         let (wrong_dim, _) = clustered_matrix(5, 8, 2, 0.05, 13);
         assert!(join
-            .probe_join(&wrong_dim, &index, SimilarityPredicate::TopK(1), None, None)
+            .probe(&wrong_dim, &index, SimilarityPredicate::TopK(1), None)
             .is_err());
         // empty inner relation cannot be indexed
         assert!(join.build_index(&Matrix::zeros(0, 16)).is_err());

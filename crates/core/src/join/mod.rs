@@ -2,19 +2,33 @@
 //!
 //! All operators implement the same logical operation — find pairs of tuples
 //! whose embeddings satisfy a similarity predicate — but with very different
-//! cost profiles, mirroring the paper's step-by-step optimisation narrative:
+//! cost profiles, mirroring the paper's step-by-step optimisation narrative.
+//! Each exposes exactly one way to run it, the call the morsel interpreter
+//! ([`crate::batch_exec`]) makes:
 //!
-//! 1. [`naive_nlj::NaiveNlJoin`] — the straightforward extension of a
-//!    nested-loop join: embed *inside* the pair loop (quadratic model cost).
-//! 2. [`prefetch_nlj::PrefetchNlJoin`] — the logical optimisation: embed each
-//!    tuple exactly once, then run a (parallel, optionally SIMD) pair-wise
-//!    NLJ over the vectors.
-//! 3. [`tensor_join::TensorJoin`] — the physical optimisation: reformulate
-//!    the pair-wise comparison as blocked matrix multiplication with
-//!    mini-batching under an explicit memory budget.
-//! 4. [`index_join::IndexJoin`] — the vector-database alternative: build an
-//!    HNSW index on the inner relation and answer the join with top-k probes
-//!    under relational pre-filtering.
+//! 1. [`naive_nlj::NaiveNlJoin::join`]`(model, left, right, predicate)` —
+//!    the straightforward extension of a nested-loop join: it takes strings
+//!    and embeds *inside* the pair loop (quadratic model cost).
+//! 2. [`prefetch_nlj::PrefetchNlJoin::join`]`(left_norm, right_norm,
+//!    predicate)` — the logical optimisation: every tuple is embedded once
+//!    before the join, which runs a (parallel, optionally SIMD) pair-wise
+//!    NLJ over the row-normalised vectors.
+//! 3. [`tensor_join::TensorJoin::join`]`(left_norm, right_norm, predicate)`
+//!    — the physical optimisation: the pair-wise comparison as blocked
+//!    matrix multiplication with mini-batching under an explicit memory
+//!    budget.
+//! 4. [`index_join::IndexJoin::probe`]`(outer, &index, predicate,
+//!    inner_filter)` over an index from [`index_join::IndexJoin::build_index`]
+//!    — the vector-database alternative: top-k HNSW probes under relational
+//!    pre-filtering of the inner side.
+//!
+//! The matrix-level operators take *row-normalised* embeddings (cosine =
+//! dot product), so the interpreter normalises an inner side once and every
+//! outer morsel reuses it.  Relational pre-filters reach an operator as the
+//! selected rows only (the index's inner side excepted, whose graph spans
+//! the whole table).  The paper's figure-only variants — Figure 10's fixed
+//! loop order, Figure 12's one-vector-at-a-time inner — are the experiments'
+//! own loops in `cej-bench`.
 //!
 //! [`hash_join`] is deliberately *not* on that list: it is the ordinary
 //! relational hash equi-join that glues N-table queries together around the
@@ -34,7 +48,7 @@ use crate::error::CoreError;
 use crate::Result;
 
 /// Embeds a slice of strings into a row-per-string matrix, validating that
-/// the model produced the expected dimensionality.
+/// the model produced one row per string (the index build's input).
 pub(crate) fn embed_all(model: &dyn Embedder, strings: &[String]) -> Result<Matrix> {
     let matrix = model.embed_batch(strings);
     if matrix.rows() != strings.len() {
@@ -80,9 +94,13 @@ pub(crate) fn check_predicate(predicate: &SimilarityPredicate) -> Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cej_embedding::{FastTextConfig, FastTextModel};
+
+    use crate::session::{ContextJoinSession, ExecutionReport, JoinStrategy};
+    use cej_relational::LogicalPlan;
+    use cej_storage::{Table, TableBuilder};
 
     fn model() -> FastTextModel {
         FastTextModel::new(FastTextConfig {
@@ -91,6 +109,54 @@ mod tests {
             ..FastTextConfig::default()
         })
         .unwrap()
+    }
+
+    /// Joins two string lists through a session under a forced strategy:
+    /// tables `l` and `r` with one `word` column each, a 16-D model.
+    pub(crate) fn run_string_join(
+        strategy: JoinStrategy,
+        left: &[&str],
+        right: &[&str],
+        predicate: SimilarityPredicate,
+    ) -> ExecutionReport {
+        let table = |words: &[&str]| {
+            TableBuilder::new()
+                .utf8("word", words.iter().map(|w| w.to_string()).collect())
+                .build()
+                .unwrap()
+        };
+        let mut s = ContextJoinSession::new();
+        s.register_table("l", table(left));
+        s.register_table("r", table(right));
+        let model = FastTextModel::new(FastTextConfig {
+            dim: 16,
+            buckets: 1000,
+            ..FastTextConfig::default()
+        })
+        .unwrap();
+        s.register_model("m", model);
+        s.with_strategy(strategy);
+        let plan = LogicalPlan::e_join(
+            LogicalPlan::scan("l"),
+            LogicalPlan::scan("r"),
+            "word",
+            "word",
+            "m",
+            predicate,
+        );
+        s.execute(&plan).unwrap()
+    }
+
+    /// The `(l_word, r_word)` pairs of a string join's output, sorted.
+    pub(crate) fn string_pairs(table: &Table) -> Vec<(String, String)> {
+        let column = |name| table.column_by_name(name).unwrap().as_utf8().unwrap();
+        let mut pairs: Vec<(String, String)> = column("l_word")
+            .iter()
+            .cloned()
+            .zip(column("r_word").iter().cloned())
+            .collect();
+        pairs.sort();
+        pairs
     }
 
     #[test]

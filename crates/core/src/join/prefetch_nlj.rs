@@ -4,6 +4,9 @@
 //!
 //! * **Logical** (Section IV-A): every tuple is embedded exactly once before
 //!   the pair loop (`(|R| + |S|) · M` model cost instead of `|R| · |S| · M`).
+//!   The operator therefore takes embedded, row-normalised matrices: the
+//!   caller embeds (and normalises) each side once, and the interpreter
+//!   prepares the inner side once for all outer morsels.
 //! * **Physical** (Section V-A): the pair loop runs data-parallel over
 //!   partitions of the outer relation, dispatches its inner dot products
 //!   through a scalar or auto-vectorising kernel (the SIMD / NO-SIMD axis),
@@ -12,18 +15,14 @@
 
 use std::time::Instant;
 
-use cej_embedding::Embedder;
 use cej_exec::ExecPool;
 use cej_relational::SimilarityPredicate;
-use cej_vector::{norm::normalize_matrix_rows_with, Kernel, Matrix, TopK};
+use cej_vector::{Kernel, Matrix, TopK};
 
 use crate::result::{JoinPair, JoinResult, JoinStats};
 use crate::Result;
 
-use super::{check_joinable, check_predicate, embed_all};
-
-// Re-export used by callers configuring kernels.
-pub use cej_vector::kernels::UNROLL_LANES;
+use super::{check_joinable, check_predicate};
 
 /// Configuration of the prefetch NLJ operator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,9 +33,6 @@ pub struct NljConfig {
     /// shared execution layer's thread budget (`CEJ_THREADS`, or the
     /// machine's available parallelism).
     pub threads: usize,
-    /// Whether to apply the "smaller relation as inner loop" heuristic
-    /// automatically (Figure 10's ordering effect).
-    pub auto_loop_order: bool,
 }
 
 impl Default for NljConfig {
@@ -44,7 +40,6 @@ impl Default for NljConfig {
         Self {
             kernel: Kernel::Unrolled,
             threads: cej_exec::default_threads(),
-            auto_loop_order: true,
         }
     }
 }
@@ -59,13 +54,6 @@ impl NljConfig {
     /// Sets the worker thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Disables the loop-order heuristic (used by the Figure 10 experiment to
-    /// measure the effect of a bad ordering).
-    pub fn without_loop_order_heuristic(mut self) -> Self {
-        self.auto_loop_order = false;
         self
     }
 }
@@ -87,80 +75,44 @@ impl PrefetchNlJoin {
         &self.config
     }
 
-    /// Joins two string inputs: embeds each tuple once (prefetch), then runs
-    /// the parallel pair-wise NLJ over the embedding matrices.
+    /// Joins two embedded inputs whose rows are **unit-normalised** (so the
+    /// cosine similarity is the dot product), one embedding per row.
+    ///
+    /// Threshold joins keep the smaller relation on the inner loop so its
+    /// vectors stay cache-resident across outer iterations; the produced
+    /// pairs are swapped back, so offsets always name `(left, right)`.  A
+    /// top-k predicate is defined per *left* row, so it never swaps.
     ///
     /// # Errors
-    /// Propagates embedding and predicate validation errors.
+    /// Returns [`crate::CoreError::InvalidInput`] for dimension mismatches
+    /// or degenerate predicates.
     pub fn join(
         &self,
-        model: &dyn Embedder,
-        left: &[String],
-        right: &[String],
+        left_norm: &Matrix,
+        right_norm: &Matrix,
         predicate: SimilarityPredicate,
     ) -> Result<JoinResult> {
         check_predicate(&predicate)?;
+        check_joinable(left_norm, right_norm)?;
         let start = Instant::now();
-        let left_matrix = embed_all(model, left)?;
-        let right_matrix = embed_all(model, right)?;
-        let mut result = self.join_matrices(&left_matrix, &right_matrix, predicate)?;
-        result.stats.model_calls = (left.len() + right.len()) as u64;
-        result.stats.elapsed = start.elapsed();
-        Ok(result)
-    }
 
-    /// Joins two already-embedded inputs (one embedding per row).
-    ///
-    /// Embeddings are normalised internally so cosine similarity reduces to a
-    /// dot product, matching the other operators.
-    ///
-    /// # Errors
-    /// Returns [`crate::CoreError::InvalidInput`] for dimension mismatches.
-    pub fn join_matrices(
-        &self,
-        left: &Matrix,
-        right: &Matrix,
-        predicate: SimilarityPredicate,
-    ) -> Result<JoinResult> {
-        check_predicate(&predicate)?;
-        check_joinable(left, right)?;
-        let start = Instant::now();
-        let kernel = self.config.kernel;
-
-        let mut left_norm = left.clone();
-        let mut right_norm = right.clone();
-        normalize_matrix_rows_with(&mut left_norm, kernel);
-        normalize_matrix_rows_with(&mut right_norm, kernel);
-
-        // Loop-order heuristic: keep the smaller relation on the inner loop
-        // so its vectors stay cache-resident across outer iterations.  When
-        // we swap, the produced pair offsets are swapped back before
-        // returning.
-        let swap = self.config.auto_loop_order
-            && matches!(predicate, SimilarityPredicate::Threshold(_))
+        let swap = matches!(predicate, SimilarityPredicate::Threshold(_))
             && right_norm.rows() > left_norm.rows();
         let (outer, inner) = if swap {
-            (&right_norm, &left_norm)
+            (right_norm, left_norm)
         } else {
-            (&left_norm, &right_norm)
+            (left_norm, right_norm)
         };
-
-        let mut pairs = self.pairwise_loop(outer, inner, predicate, kernel);
+        let mut pairs = self.pairwise_loop(outer, inner, predicate);
         if swap {
-            // A top-k predicate is defined per *left* row; when the loop
-            // order was swapped the semantics would change, so the swap is
-            // only applied for threshold predicates.
             for p in &mut pairs {
                 std::mem::swap(&mut p.left, &mut p.right);
             }
         }
 
         let stats = JoinStats {
-            model_calls: 0,
-            pairs_compared: left.rows() as u64 * right.rows() as u64,
-            peak_buffer_bytes: left_norm.bytes()
-                + right_norm.bytes()
-                + pairs.len() * std::mem::size_of::<JoinPair>(),
+            pairs_compared: left_norm.rows() as u64 * right_norm.rows() as u64,
+            peak_buffer_bytes: pairs.len() * std::mem::size_of::<JoinPair>(),
             elapsed: start.elapsed(),
             ..JoinStats::default()
         };
@@ -168,7 +120,8 @@ impl PrefetchNlJoin {
     }
 
     /// The parallel pair-wise loop.  For top-k predicates the loop order is
-    /// never swapped (see `join_matrices`), so `outer` rows are left rows.
+    /// never swapped (see [`PrefetchNlJoin::join`]), so `outer` rows are
+    /// left rows.
     ///
     /// Outer rows are chunked onto the shared worker pool; chunk results are
     /// concatenated in row order, so the produced pair order is identical
@@ -178,8 +131,8 @@ impl PrefetchNlJoin {
         outer: &Matrix,
         inner: &Matrix,
         predicate: SimilarityPredicate,
-        kernel: Kernel,
     ) -> Vec<JoinPair> {
+        let kernel = self.config.kernel;
         let pool = ExecPool::new(self.config.threads);
         pool.parallel_chunks(outer.rows(), |rows| {
             Self::pairwise_range(outer, inner, rows.start, rows.end, predicate, kernel)
@@ -225,60 +178,39 @@ impl PrefetchNlJoin {
     }
 }
 
-/// When a top-k predicate is used the loop-order heuristic is disabled; this
-/// helper makes that policy explicit for the planner.
-pub fn effective_config(config: NljConfig, predicate: &SimilarityPredicate) -> NljConfig {
-    match predicate {
-        SimilarityPredicate::TopK(_) => NljConfig {
-            auto_loop_order: false,
-            ..config
-        },
-        SimilarityPredicate::Threshold(_) => config,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::naive_nlj::NaiveNlJoin;
-    use cej_embedding::{CachedEmbedder, FastTextConfig, FastTextModel};
+    use crate::join::tests::{run_string_join, string_pairs};
+    use crate::session::JoinStrategy;
     use cej_workload::uniform_matrix;
-
-    fn model() -> FastTextModel {
-        FastTextModel::new(FastTextConfig {
-            dim: 16,
-            buckets: 1000,
-            ..FastTextConfig::default()
-        })
-        .unwrap()
-    }
-
-    fn strings(words: &[&str]) -> Vec<String> {
-        words.iter().map(|w| w.to_string()).collect()
-    }
 
     #[test]
     fn matches_naive_join_output() {
-        let left = strings(&["barbecue", "database", "laptop"]);
-        let right = strings(&["barbecues", "databases", "laptops", "barbecue"]);
-        let naive = NaiveNlJoin::new()
-            .join(&model(), &left, &right, SimilarityPredicate::Threshold(0.7))
-            .unwrap();
-        let prefetch = PrefetchNlJoin::new(NljConfig::default())
-            .join(&model(), &left, &right, SimilarityPredicate::Threshold(0.7))
-            .unwrap();
-        assert_eq!(naive.pair_indices(), prefetch.pair_indices());
+        let left = ["barbecue", "database", "laptop"];
+        let right = ["barbecues", "databases", "laptops", "barbecue"];
+        let predicate = SimilarityPredicate::Threshold(0.7);
+        let naive = run_string_join(JoinStrategy::NaiveNlj, &left, &right, predicate);
+        let prefetch = run_string_join(
+            JoinStrategy::PrefetchNlj(NljConfig::default()),
+            &left,
+            &right,
+            predicate,
+        );
+        assert_eq!(string_pairs(&naive.table), string_pairs(&prefetch.table));
+        assert!(naive.table.num_rows() > 0);
     }
 
     #[test]
     fn model_call_count_is_linear() {
-        let counted = CachedEmbedder::new(model());
-        let left = strings(&["a", "b", "c"]);
-        let right = strings(&["x", "y"]);
-        PrefetchNlJoin::new(NljConfig::default())
-            .join(&counted, &left, &right, SimilarityPredicate::Threshold(0.5))
-            .unwrap();
-        assert_eq!(counted.stats().model_calls, 5);
+        let report = run_string_join(
+            JoinStrategy::PrefetchNlj(NljConfig::default()),
+            &["a", "b", "c"],
+            &["x", "y"],
+            SimilarityPredicate::Threshold(0.5),
+        );
+        assert_eq!(report.embedding_stats.model_calls, 5);
+        assert_eq!(report.join_stats.model_calls, 5);
     }
 
     #[test]
@@ -286,10 +218,10 @@ mod tests {
         let left = uniform_matrix(20, 32, 1, true);
         let right = uniform_matrix(30, 32, 2, true);
         let simd = PrefetchNlJoin::new(NljConfig::default().with_kernel(Kernel::Unrolled))
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(0.2))
+            .join(&left, &right, SimilarityPredicate::Threshold(0.2))
             .unwrap();
         let scalar = PrefetchNlJoin::new(NljConfig::default().with_kernel(Kernel::Scalar))
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(0.2))
+            .join(&left, &right, SimilarityPredicate::Threshold(0.2))
             .unwrap();
         assert_eq!(simd.pair_indices(), scalar.pair_indices());
     }
@@ -299,39 +231,23 @@ mod tests {
         let left = uniform_matrix(37, 16, 3, true);
         let right = uniform_matrix(23, 16, 4, true);
         let single = PrefetchNlJoin::new(NljConfig::default().with_threads(1))
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(0.1))
+            .join(&left, &right, SimilarityPredicate::Threshold(0.1))
             .unwrap();
         let multi = PrefetchNlJoin::new(NljConfig::default().with_threads(4))
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(0.1))
+            .join(&left, &right, SimilarityPredicate::Threshold(0.1))
             .unwrap();
         assert_eq!(single.pair_indices(), multi.pair_indices());
     }
 
     #[test]
-    fn loop_order_heuristic_preserves_pair_orientation() {
-        // right much larger than left: the heuristic swaps loops internally
-        // but the reported (left, right) offsets must stay correct.
-        let left = uniform_matrix(3, 8, 5, true);
-        let right = uniform_matrix(50, 8, 6, true);
-        let with_heuristic = PrefetchNlJoin::new(NljConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(0.3))
-            .unwrap();
-        let without = PrefetchNlJoin::new(NljConfig::default().without_loop_order_heuristic())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(0.3))
-            .unwrap();
-        assert_eq!(with_heuristic.pair_indices(), without.pair_indices());
-        for (l, _r) in with_heuristic.pair_indices() {
-            assert!(l < 3, "left offsets must index the left relation");
-        }
-    }
-
-    #[test]
     fn topk_returns_k_pairs_per_left_row() {
+        // the right side is the larger one: a swapped loop order would
+        // return k pairs per *right* row
         let left = uniform_matrix(5, 16, 7, true);
         let right = uniform_matrix(40, 16, 8, true);
         let k = 3;
         let result = PrefetchNlJoin::new(NljConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::TopK(k))
+            .join(&left, &right, SimilarityPredicate::TopK(k))
             .unwrap();
         assert_eq!(result.len(), 5 * k);
         for l in 0..5 {
@@ -360,35 +276,24 @@ mod tests {
         let left = uniform_matrix(2, 8, 1, true);
         let right = uniform_matrix(2, 16, 1, true);
         assert!(PrefetchNlJoin::new(NljConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(0.5))
+            .join(&left, &right, SimilarityPredicate::Threshold(0.5))
             .is_err());
     }
 
     #[test]
     fn stats_are_populated() {
-        let left = strings(&["alpha", "beta"]);
-        let right = strings(&["gamma"]);
+        let left = uniform_matrix(2, 8, 9, true);
+        let right = uniform_matrix(1, 8, 10, true);
         let result = PrefetchNlJoin::new(NljConfig::default())
-            .join(
-                &model(),
-                &left,
-                &right,
-                SimilarityPredicate::Threshold(-1.0),
-            )
+            .join(&left, &right, SimilarityPredicate::Threshold(-1.5))
             .unwrap();
-        assert_eq!(result.stats.model_calls, 3);
+        // the operator never calls the model: its inputs are embedded
+        assert_eq!(result.stats.model_calls, 0);
         assert_eq!(result.stats.pairs_compared, 2);
-        assert!(result.stats.peak_buffer_bytes > 0);
+        assert_eq!(
+            result.stats.peak_buffer_bytes,
+            2 * std::mem::size_of::<JoinPair>()
+        );
         assert!(result.stats.elapsed.as_nanos() > 0);
-    }
-
-    #[test]
-    fn effective_config_disables_swap_for_topk() {
-        let cfg = NljConfig::default();
-        assert!(cfg.auto_loop_order);
-        let eff = effective_config(cfg, &SimilarityPredicate::TopK(2));
-        assert!(!eff.auto_loop_order);
-        let eff = effective_config(cfg, &SimilarityPredicate::Threshold(0.5));
-        assert!(eff.auto_loop_order);
     }
 }

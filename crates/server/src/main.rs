@@ -48,7 +48,8 @@ fn main() {
     let server = Server::start(session, config).expect("bind");
     println!(
         "cej-server listening on {} (tables: r={} rows, s={} rows; model: ft; \
-         commands: PREPARE/BIND/RUN/PROBE/EXPLAIN/ANALYZE/STATS/PING/QUIT)",
+         commands: PREPARE/BIND/RUN/PROBE/EXPLAIN/ANALYZE/STATS/METRICS/TRACE/\
+         SUBSCRIBE/UNSUBSCRIBE/APPLY/PING/QUIT)",
         server.local_addr(),
         workload.outer.num_rows(),
         workload.inner.num_rows(),

@@ -4,8 +4,9 @@
 //! A batch of probe vectors joins a large reference collection while a
 //! relational predicate on the reference side sweeps from 10 % to 100 %
 //! selectivity.  At each point the example measures the pre-filtered tensor
-//! scan and the pre-filtered HNSW index probe, and shows what the cost-based
-//! advisor would have chosen.
+//! scan (it gathers the selected reference rows, then scores only those) and
+//! the pre-filtered HNSW index probe (the filter travels with the probe),
+//! and shows what the cost-based advisor would have chosen.
 //!
 //! Run with:
 //! ```sh
@@ -34,6 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 1;
     println!("inner {inner_rows} x outer {outer_rows} (CEJ_SCALE-adjusted)");
 
+    // both sides unit-normalised: cosine similarity is their dot product
     let (inner, _) = clustered_matrix(inner_rows, dim, 64, 0.05, 3);
     let outer = uniform_matrix(outer_rows, dim, 4, true);
     // The relational filter column of the inner relation: uniform [0, 100).
@@ -57,23 +59,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SelectionBitmap::from_bools(filter_col.iter().map(|&v| v < selectivity).collect());
 
         let start = Instant::now();
-        let scan = tensor.join_matrices_filtered(
+        let selected: Vec<u32> = bitmap.iter_selected().map(|i| i as u32).collect();
+        let scan = tensor.join(
             &outer,
-            &inner,
+            &inner.gather_rows(&selected)?,
             SimilarityPredicate::TopK(k),
-            None,
-            Some(&bitmap),
         )?;
         let scan_time = start.elapsed();
 
         let start = Instant::now();
-        let probed = index_join.probe_join(
-            &outer,
-            &index,
-            SimilarityPredicate::TopK(k),
-            None,
-            Some(&bitmap),
-        )?;
+        let probed =
+            index_join.probe(&outer, &index, SimilarityPredicate::TopK(k), Some(&bitmap))?;
         let probe_time = start.elapsed();
 
         let query = AccessPathQuery {

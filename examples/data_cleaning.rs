@@ -11,9 +11,10 @@
 //! cargo run --release --example data_cleaning
 //! ```
 
-use cej_core::{NljConfig, PrefetchNlJoin};
+use cej_core::{top_k, ContextJoinSession, JoinStrategy, NljConfig};
 use cej_embedding::{train_on_corpus, FastTextConfig, FastTextModel, TrainingConfig};
-use cej_relational::SimilarityPredicate;
+use cej_relational::LogicalPlan;
+use cej_storage::TableBuilder;
 use cej_workload::{CorpusGenerator, WordGenerator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,31 +41,60 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    can measure how well the join cleans the data.
     let (dirty_feed, truth) = words.sample_strings(&clusters, 60);
 
-    // 4. Context-enhanced join: dirty feed ⋈ catalogue, top-1 per entry.
-    let join = PrefetchNlJoin::new(NljConfig::default().with_threads(2));
-    let result = join.join(
-        &model,
-        &dirty_feed,
-        &catalogue,
-        SimilarityPredicate::TopK(1),
-    )?;
+    // 4. Context-enhanced join: dirty feed ⋈ catalogue, top-1 per entry,
+    //    as a query with the prefetch NLJ forced (each distinct string is
+    //    embedded once, then the pair loop runs over the vectors).
+    let cluster_ids = |ids: Vec<usize>| ids.into_iter().map(|c| c as i64).collect();
+    let mut session = ContextJoinSession::new();
+    session.register_table(
+        "feed",
+        TableBuilder::new()
+            .utf8("entry", dirty_feed)
+            .int64("cluster", cluster_ids(truth))
+            .build()?,
+    );
+    session.register_table(
+        "catalogue",
+        TableBuilder::new()
+            .utf8("name", catalogue)
+            .int64("cluster", cluster_ids((0..clusters.len()).collect()))
+            .build()?,
+    );
+    session.register_model("ft", model);
+    session.with_strategy(JoinStrategy::PrefetchNlj(
+        NljConfig::default().with_threads(2),
+    ));
+    let report = session.execute(&LogicalPlan::e_join(
+        LogicalPlan::scan("feed"),
+        LogicalPlan::scan("catalogue"),
+        "entry",
+        "name",
+        "ft",
+        top_k(1),
+    ))?;
 
     // 5. Report the cleaned assignments and the accuracy against ground truth.
+    let table = &report.table;
+    let entries = table.column_by_name("l_entry")?.as_utf8()?;
+    let names = table.column_by_name("r_name")?.as_utf8()?;
+    let truth = table.column_by_name("l_cluster")?.as_int64()?;
+    let assigned = table.column_by_name("r_cluster")?.as_int64()?;
+    let scores = table.column_by_name("similarity")?.as_float64()?;
     let mut correct = 0usize;
     println!(
         "\n{:<18} -> {:<14} {:>6}",
         "dirty entry", "canonical", "sim"
     );
     println!("{}", "-".repeat(44));
-    for pair in &result.pairs {
-        let ok = pair.right == truth[pair.left];
+    for row in 0..table.num_rows() {
+        let ok = assigned[row] == truth[row];
         correct += usize::from(ok);
-        if pair.left < 15 {
+        if row < 15 {
             println!(
                 "{:<18} -> {:<14} {:>6.3} {}",
-                dirty_feed[pair.left],
-                catalogue[pair.right],
-                pair.score,
+                entries[row],
+                names[row],
+                scores[row],
                 if ok { "" } else { "  (MISMATCH)" }
             );
         }
@@ -72,10 +102,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", "-".repeat(44));
     println!(
         "cleaned {} entries, {} correct ({:.1}%), {} model calls",
-        result.len(),
+        table.num_rows(),
         correct,
-        100.0 * correct as f64 / result.len() as f64,
-        result.stats.model_calls,
+        100.0 * correct as f64 / table.num_rows() as f64,
+        report.embedding_stats.model_calls,
     );
     Ok(())
 }

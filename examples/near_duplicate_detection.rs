@@ -31,6 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // distribution.
     let reference_rows = scaled(20_000);
     let incoming_rows = scaled(200);
+    // (clustered_matrix rows are unit-normalised: cosine = dot product)
     let (reference, _) = clustered_matrix(reference_rows, 64, 50, 0.05, 1);
     let (incoming, _) = clustered_matrix(incoming_rows, 64, 50, 0.05, 2);
     let k = 3;
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Run both physical operators and compare.
     let start = Instant::now();
-    let scan = TensorJoin::new(TensorJoinConfig::default()).join_matrices(
+    let scan = TensorJoin::new(TensorJoinConfig::default()).join(
         &incoming,
         &reference,
         SimilarityPredicate::TopK(k),
@@ -69,8 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let index = index_join.build_index(&reference)?;
     let build_time = build_start.elapsed();
     let probe_start = Instant::now();
-    let probed =
-        index_join.probe_join(&incoming, &index, SimilarityPredicate::TopK(k), None, None)?;
+    let probed = index_join.probe(&incoming, &index, SimilarityPredicate::TopK(k), None)?;
     let probe_time = probe_start.elapsed();
 
     // 3. Recall of the approximate index join against the exact scan.

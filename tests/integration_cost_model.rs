@@ -4,13 +4,13 @@
 //! operator behaviour.
 
 use cej_core::{
-    AccessPathAdvisor, AccessPathQuery, CostModel, NaiveNlJoin, NljConfig, PrefetchNlJoin,
-    TensorJoin, TensorJoinConfig,
+    AccessPathAdvisor, AccessPathQuery, ContextJoinSession, CostModel, JoinStrategy, NaiveNlJoin,
+    NljConfig, TensorJoin, TensorJoinConfig,
 };
-use cej_embedding::{CachedEmbedder, FastTextConfig, FastTextModel};
-use cej_relational::SimilarityPredicate;
-use cej_storage::SelectionBitmap;
-use cej_vector::BufferBudget;
+use cej_embedding::{CachedEmbedder, Embedder, FastTextConfig, FastTextModel};
+use cej_relational::{LogicalPlan, SimilarityPredicate};
+use cej_storage::TableBuilder;
+use cej_vector::{normalize_matrix_rows, BufferBudget};
 use cej_workload::{uniform_matrix, JoinWorkload, RelationSpec};
 
 fn model() -> FastTextModel {
@@ -48,34 +48,35 @@ fn naive_join_model_calls_match_quadratic_formula() {
 
 #[test]
 fn prefetch_join_model_calls_match_linear_formula() {
+    // both prefetch formulations, run as a query: the session embeds each
+    // distinct tuple once, whichever operator then joins the vectors
+    let table = |words: Vec<String>| TableBuilder::new().utf8("word", words).build().unwrap();
     for (r, s) in [(3usize, 4usize), (10, 7), (1, 20)] {
-        let counted = CachedEmbedder::new(model());
-        PrefetchNlJoin::new(NljConfig::default())
-            .join(
-                &counted,
-                &strings(r, "l"),
-                &strings(s, "r"),
-                SimilarityPredicate::Threshold(0.9),
-            )
-            .unwrap();
-        assert_eq!(
-            counted.stats().model_calls,
-            CostModel::prefetch_model_calls(r, s)
-        );
-
-        let counted_tensor = CachedEmbedder::new(model());
-        TensorJoin::new(TensorJoinConfig::default())
-            .join(
-                &counted_tensor,
-                &strings(r, "l"),
-                &strings(s, "r"),
-                SimilarityPredicate::Threshold(0.9),
-            )
-            .unwrap();
-        assert_eq!(
-            counted_tensor.stats().model_calls,
-            CostModel::prefetch_model_calls(r, s)
-        );
+        for strategy in [
+            JoinStrategy::PrefetchNlj(NljConfig::default()),
+            JoinStrategy::Tensor(TensorJoinConfig::default()),
+        ] {
+            let mut session = ContextJoinSession::new();
+            session.register_table("l", table(strings(r, "l")));
+            session.register_table("r", table(strings(s, "r")));
+            session.register_model("m", model());
+            session.with_strategy(strategy);
+            let report = session
+                .execute(&LogicalPlan::e_join(
+                    LogicalPlan::scan("l"),
+                    LogicalPlan::scan("r"),
+                    "word",
+                    "word",
+                    "m",
+                    SimilarityPredicate::Threshold(0.9),
+                ))
+                .unwrap();
+            assert_eq!(
+                report.embedding_stats.model_calls,
+                CostModel::prefetch_model_calls(r, s),
+                "{strategy:?}"
+            );
+        }
     }
 }
 
@@ -131,8 +132,18 @@ fn tensor_join_work_counter_matches_cardinality_product() {
         .as_utf8()
         .unwrap()
         .to_vec();
+    let m = model();
+    let embed = |strings: &[String]| {
+        let mut matrix = m.embed_batch(strings);
+        normalize_matrix_rows(&mut matrix);
+        matrix
+    };
     let result = TensorJoin::new(TensorJoinConfig::default())
-        .join(&model(), &left, &right, SimilarityPredicate::Threshold(0.9))
+        .join(
+            &embed(&left),
+            &embed(&right),
+            SimilarityPredicate::Threshold(0.9),
+        )
         .unwrap();
     assert_eq!(result.stats.pairs_compared, 18 * 27);
 }
@@ -144,16 +155,15 @@ fn scan_work_scales_with_selectivity_probe_style_does_not() {
     let left = uniform_matrix(20, 16, 1, true);
     let right = uniform_matrix(500, 16, 2, true);
     let full = TensorJoin::new(TensorJoinConfig::default())
-        .join_matrices(&left, &right, SimilarityPredicate::TopK(1))
+        .join(&left, &right, SimilarityPredicate::TopK(1))
         .unwrap();
-    let bitmap = SelectionBitmap::from_indices(500, &(0..100).collect::<Vec<_>>());
+    // a pre-filter selecting a fifth of the inner rows hands the scan
+    // only those
     let fifth = TensorJoin::new(TensorJoinConfig::default())
-        .join_matrices_filtered(
+        .join(
             &left,
-            &right,
+            &right.row_slice(0, 100).unwrap(),
             SimilarityPredicate::TopK(1),
-            None,
-            Some(&bitmap),
         )
         .unwrap();
     assert_eq!(full.stats.pairs_compared, 20 * 500);
@@ -197,24 +207,20 @@ fn advisor_decisions_match_measured_work_ordering() {
 #[test]
 fn buffer_budget_bounds_measured_intermediate_state() {
     // Figure 13's memory accounting: the reported peak intermediate buffer
-    // must respect the configured budget (plus the unavoidable input
-    // matrices themselves).
+    // (the score block, not the inputs) must respect the configured budget.
     let left = uniform_matrix(200, 32, 5, true);
     let right = uniform_matrix(300, 32, 6, true);
-    let inputs_bytes = left.bytes() + right.bytes();
 
     let unlimited =
         TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::unlimited()))
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(0.5))
+            .join(&left, &right, SimilarityPredicate::Threshold(0.5))
             .unwrap();
     let budget = BufferBudget::from_bytes(16 * 1024);
     let bounded = TensorJoin::new(TensorJoinConfig::default().with_budget(budget))
-        .join_matrices(&left, &right, SimilarityPredicate::Threshold(0.5))
+        .join(&left, &right, SimilarityPredicate::Threshold(0.5))
         .unwrap();
 
-    let unlimited_block = unlimited.stats.peak_buffer_bytes - inputs_bytes;
-    let bounded_block = bounded.stats.peak_buffer_bytes - inputs_bytes;
-    assert_eq!(unlimited_block, 200 * 300 * 4);
-    assert!(bounded_block <= budget.bytes);
+    assert_eq!(unlimited.stats.peak_buffer_bytes, 200 * 300 * 4);
+    assert!(bounded.stats.peak_buffer_bytes <= budget.bytes);
     assert!(bounded.stats.blocks_computed > unlimited.stats.blocks_computed);
 }

@@ -18,14 +18,14 @@ fn joins_are_invariant_across_pool_sizes() {
         SimilarityPredicate::TopK(4),
     ] {
         let nlj_serial = PrefetchNlJoin::new(NljConfig::default().with_threads(1))
-            .join_matrices(&left, &right, predicate)
+            .join(&left, &right, predicate)
             .unwrap();
         let tensor_serial = TensorJoin::new(TensorJoinConfig::default().with_threads(1))
-            .join_matrices(&left, &right, predicate)
+            .join(&left, &right, predicate)
             .unwrap();
         for threads in [2, 5, 8] {
             let nlj = PrefetchNlJoin::new(NljConfig::default().with_threads(threads))
-                .join_matrices(&left, &right, predicate)
+                .join(&left, &right, predicate)
                 .unwrap();
             assert_eq!(
                 nlj_serial.pair_indices(),
@@ -33,7 +33,7 @@ fn joins_are_invariant_across_pool_sizes() {
                 "NLJ drifted at {threads} threads"
             );
             let tensor = TensorJoin::new(TensorJoinConfig::default().with_threads(threads))
-                .join_matrices(&left, &right, predicate)
+                .join(&left, &right, predicate)
                 .unwrap();
             assert_eq!(
                 tensor_serial.pair_indices(),

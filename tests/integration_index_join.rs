@@ -6,6 +6,7 @@ use cej_core::{IndexJoin, IndexJoinConfig, TensorJoin, TensorJoinConfig};
 use cej_index::HnswParams;
 use cej_relational::SimilarityPredicate;
 use cej_storage::SelectionBitmap;
+use cej_vector::{normalize_matrix_rows, Matrix};
 use cej_workload::clustered_matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,7 +30,7 @@ fn index_join_recall_against_exact_tensor_join() {
     let k = 5;
 
     let exact = TensorJoin::new(TensorJoinConfig::default())
-        .join_matrices(&outer, &inner, SimilarityPredicate::TopK(k))
+        .join(&outer, &inner, SimilarityPredicate::TopK(k))
         .unwrap();
     let index_join = IndexJoin::new(IndexJoinConfig {
         params: test_params(),
@@ -37,7 +38,7 @@ fn index_join_recall_against_exact_tensor_join() {
     });
     let index = index_join.build_index(&inner).unwrap();
     let approx = index_join
-        .probe_join(&outer, &index, SimilarityPredicate::TopK(k), None, None)
+        .probe(&outer, &index, SimilarityPredicate::TopK(k), None)
         .unwrap();
 
     let exact_set: std::collections::HashSet<(usize, usize)> =
@@ -60,26 +61,32 @@ fn index_join_recall_against_exact_tensor_join() {
 fn index_join_scores_equal_the_tensor_joins_bit_for_bit() {
     // Both joins score a pair as the 8-lane dot product of the two rows
     // unit-normalised by the same kernel (`cos(a, b) = â · b̂`), so wherever
-    // they agree on a pair they must agree on its score to the last bit.
+    // they agree on a pair they must agree on its score to the last bit.  The
+    // index normalises what it is given; the tensor join is given the same
+    // rows normalised by its caller, as the interpreter does.
     let (inner, _) = clustered_matrix(2_000, 64, 20, 0.05, 1);
     let outer = inner.row_slice(0, 64).unwrap();
     let index_join = IndexJoin::new(IndexJoinConfig::low_recall());
     let index = index_join.build_index(&inner).unwrap();
     let tensor = TensorJoin::new(TensorJoinConfig::default());
+    let normalized = |m: &Matrix| {
+        let mut m = m.clone();
+        normalize_matrix_rows(&mut m);
+        m
+    };
+    let (outer_norm, inner_norm) = (normalized(&outer), normalized(&inner));
     for predicate in [
         SimilarityPredicate::TopK(5),
         SimilarityPredicate::Threshold(0.9),
     ] {
         let exact: std::collections::HashMap<(usize, usize), f32> = tensor
-            .join_matrices(&outer, &inner, predicate)
+            .join(&outer_norm, &inner_norm, predicate)
             .unwrap()
             .pairs
             .iter()
             .map(|p| ((p.left, p.right), p.score))
             .collect();
-        let probed = index_join
-            .probe_join(&outer, &index, predicate, None, None)
-            .unwrap();
+        let probed = index_join.probe(&outer, &index, predicate, None).unwrap();
         let mut shared = 0;
         for p in &probed.pairs {
             if let Some(score) = exact.get(&(p.left, p.right)) {
@@ -108,7 +115,7 @@ fn higher_recall_parameters_do_not_hurt_recall() {
     let (outer, _) = clustered_matrix(40, 24, 15, 0.05, 4);
     let k = 3;
     let exact = TensorJoin::new(TensorJoinConfig::default())
-        .join_matrices(&outer, &inner, SimilarityPredicate::TopK(k))
+        .join(&outer, &inner, SimilarityPredicate::TopK(k))
         .unwrap();
     let exact_set: std::collections::HashSet<(usize, usize)> =
         exact.pair_indices().into_iter().collect();
@@ -120,7 +127,7 @@ fn higher_recall_parameters_do_not_hurt_recall() {
         });
         let index = join.build_index(&inner).unwrap();
         let approx = join
-            .probe_join(&outer, &index, SimilarityPredicate::TopK(k), None, None)
+            .probe(&outer, &index, SimilarityPredicate::TopK(k), None)
             .unwrap();
         approx
             .pair_indices()
@@ -175,16 +182,10 @@ fn prefiltering_affects_results_not_probe_cost() {
     let index = index_join.build_index(&inner).unwrap();
 
     let unfiltered = index_join
-        .probe_join(&outer, &index, SimilarityPredicate::TopK(k), None, None)
+        .probe(&outer, &index, SimilarityPredicate::TopK(k), None)
         .unwrap();
     let filtered = index_join
-        .probe_join(
-            &outer,
-            &index,
-            SimilarityPredicate::TopK(k),
-            None,
-            Some(&bitmap),
-        )
+        .probe(&outer, &index, SimilarityPredicate::TopK(k), Some(&bitmap))
         .unwrap();
 
     // results respect the filter
@@ -196,17 +197,17 @@ fn prefiltering_affects_results_not_probe_cost() {
             >= unfiltered.stats.probe_stats.distance_computations / 2
     );
 
+    // the scan is handed the selected rows only
+    let selected: Vec<u32> = bitmap.iter_selected().map(|i| i as u32).collect();
     let scan_filtered = TensorJoin::new(TensorJoinConfig::default())
-        .join_matrices_filtered(
+        .join(
             &outer,
-            &inner,
+            &inner.gather_rows(&selected).unwrap(),
             SimilarityPredicate::TopK(k),
-            None,
-            Some(&bitmap),
         )
         .unwrap();
     let scan_unfiltered = TensorJoin::new(TensorJoinConfig::default())
-        .join_matrices(&outer, &inner, SimilarityPredicate::TopK(k))
+        .join(&outer, &inner, SimilarityPredicate::TopK(k))
         .unwrap();
     let ratio =
         scan_filtered.stats.pairs_compared as f64 / scan_unfiltered.stats.pairs_compared as f64;
@@ -226,16 +227,14 @@ fn range_predicate_on_index_misses_matches_that_scan_finds() {
     let threshold = SimilarityPredicate::Threshold(0.8);
 
     let scan = TensorJoin::new(TensorJoinConfig::default())
-        .join_matrices(&outer, &inner, threshold)
+        .join(&outer, &inner, threshold)
         .unwrap();
     let index_join = IndexJoin::new(IndexJoinConfig {
         params: test_params(),
         range_probe_k: 8,
     });
     let index = index_join.build_index(&inner).unwrap();
-    let probed = index_join
-        .probe_join(&outer, &index, threshold, None, None)
-        .unwrap();
+    let probed = index_join.probe(&outer, &index, threshold, None).unwrap();
 
     // With only 2 clusters and 500 points, far more than 8 tuples exceed the
     // threshold for every probe: the index join is capped at 8 per probe.
@@ -256,18 +255,17 @@ fn outer_prefilter_reduces_probe_count() {
         range_probe_k: 2,
     });
     let index = index_join.build_index(&inner).unwrap();
-    let filter = SelectionBitmap::from_indices(40, &(0..10).collect::<Vec<_>>());
+    // an outer pre-filter is a selection: only its rows are probed
     let filtered = index_join
-        .probe_join(
-            &outer,
+        .probe(
+            &outer.row_slice(0, 10).unwrap(),
             &index,
             SimilarityPredicate::TopK(2),
-            Some(&filter),
             None,
         )
         .unwrap();
     let unfiltered = index_join
-        .probe_join(&outer, &index, SimilarityPredicate::TopK(2), None, None)
+        .probe(&outer, &index, SimilarityPredicate::TopK(2), None)
         .unwrap();
     assert_eq!(filtered.len(), 10 * 2);
     assert!(filtered.stats.probe_stats.nodes_visited < unfiltered.stats.probe_stats.nodes_visited);

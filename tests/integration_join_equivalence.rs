@@ -1,13 +1,13 @@
 //! Cross-operator equivalence: every physical formulation of the
-//! context-enhanced join (naive NLJ, prefetch NLJ, tensor join, batched /
-//! non-batched, single- / multi-threaded, scalar / SIMD kernels) must produce
-//! the same logical result — the paper's optimisations are performance
-//! rewrites, never semantic changes.
+//! context-enhanced join (naive NLJ, prefetch NLJ, tensor join, mini-batched,
+//! single- / multi-threaded, scalar / SIMD kernels) must produce the same
+//! logical result — the paper's optimisations are performance rewrites,
+//! never semantic changes.
 
 use cej_core::{NaiveNlJoin, NljConfig, PrefetchNlJoin, TensorJoin, TensorJoinConfig};
-use cej_embedding::{FastTextConfig, FastTextModel};
+use cej_embedding::{Embedder, FastTextConfig, FastTextModel};
 use cej_relational::SimilarityPredicate;
-use cej_vector::{BufferBudget, Kernel};
+use cej_vector::{normalize_matrix_rows, BufferBudget, Kernel, Matrix};
 use cej_workload::{uniform_matrix, JoinWorkload, RelationSpec};
 
 fn model() -> FastTextModel {
@@ -17,6 +17,13 @@ fn model() -> FastTextModel {
         ..FastTextConfig::default()
     })
     .unwrap()
+}
+
+/// The prefetch step: every string embedded once, rows unit-normalised.
+fn embed_normalized(model: &FastTextModel, strings: &[String]) -> Matrix {
+    let mut matrix = model.embed_batch(strings);
+    normalize_matrix_rows(&mut matrix);
+    matrix
 }
 
 fn workload_strings() -> (Vec<String>, Vec<String>) {
@@ -59,11 +66,12 @@ fn naive_prefetch_and_tensor_agree_on_strings() {
     let naive = NaiveNlJoin::new()
         .join(&m, &left, &right, predicate)
         .unwrap();
+    let (left_norm, right_norm) = (embed_normalized(&m, &left), embed_normalized(&m, &right));
     let prefetch = PrefetchNlJoin::new(NljConfig::default())
-        .join(&m, &left, &right, predicate)
+        .join(&left_norm, &right_norm, predicate)
         .unwrap();
     let tensor = TensorJoin::new(TensorJoinConfig::default())
-        .join(&m, &left, &right, predicate)
+        .join(&left_norm, &right_norm, predicate)
         .unwrap();
 
     assert_eq!(naive.pair_indices(), prefetch.pair_indices());
@@ -79,11 +87,12 @@ fn scores_agree_across_operators_within_float_tolerance() {
     let (left, right) = workload_strings();
     let m = model();
     let predicate = SimilarityPredicate::Threshold(0.75);
+    let (left_norm, right_norm) = (embed_normalized(&m, &left), embed_normalized(&m, &right));
     let prefetch = PrefetchNlJoin::new(NljConfig::default())
-        .join(&m, &left, &right, predicate)
+        .join(&left_norm, &right_norm, predicate)
         .unwrap();
     let tensor = TensorJoin::new(TensorJoinConfig::default())
-        .join(&m, &left, &right, predicate)
+        .join(&left_norm, &right_norm, predicate)
         .unwrap();
     let ps = prefetch.sorted_pairs();
     let ts = tensor.sorted_pairs();
@@ -103,37 +112,33 @@ fn kernel_thread_and_batching_variants_agree_on_matrices() {
     let predicate = SimilarityPredicate::Threshold(0.15);
 
     let reference = PrefetchNlJoin::new(NljConfig::default())
-        .join_matrices(&left, &right, predicate)
+        .join(&left, &right, predicate)
         .unwrap()
         .pair_indices();
 
     let variants: Vec<Vec<(usize, usize)>> = vec![
         PrefetchNlJoin::new(NljConfig::default().with_kernel(Kernel::Scalar))
-            .join_matrices(&left, &right, predicate)
+            .join(&left, &right, predicate)
             .unwrap()
             .pair_indices(),
         PrefetchNlJoin::new(NljConfig::default().with_threads(4))
-            .join_matrices(&left, &right, predicate)
+            .join(&left, &right, predicate)
             .unwrap()
             .pair_indices(),
         TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&left, &right, predicate)
+            .join(&left, &right, predicate)
             .unwrap()
             .pair_indices(),
         TensorJoin::new(TensorJoinConfig::default().with_kernel(Kernel::Scalar))
-            .join_matrices(&left, &right, predicate)
+            .join(&left, &right, predicate)
             .unwrap()
             .pair_indices(),
         TensorJoin::new(TensorJoinConfig::default().with_threads(3))
-            .join_matrices(&left, &right, predicate)
+            .join(&left, &right, predicate)
             .unwrap()
             .pair_indices(),
         TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(512)))
-            .join_matrices(&left, &right, predicate)
-            .unwrap()
-            .pair_indices(),
-        TensorJoin::new(TensorJoinConfig::default().without_inner_batching())
-            .join_matrices(&left, &right, predicate)
+            .join(&left, &right, predicate)
             .unwrap()
             .pair_indices(),
     ];
@@ -149,16 +154,16 @@ fn topk_variants_agree_on_matrices() {
     let predicate = SimilarityPredicate::TopK(4);
 
     let reference = PrefetchNlJoin::new(NljConfig::default())
-        .join_matrices(&left, &right, predicate)
+        .join(&left, &right, predicate)
         .unwrap()
         .pair_indices();
     let tensor_batched = TensorJoin::new(TensorJoinConfig::default())
-        .join_matrices(&left, &right, predicate)
+        .join(&left, &right, predicate)
         .unwrap()
         .pair_indices();
     let tensor_mini =
         TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(4 * 200)))
-            .join_matrices(&left, &right, predicate)
+            .join(&left, &right, predicate)
             .unwrap()
             .pair_indices();
 
@@ -176,11 +181,11 @@ fn threshold_monotonicity_across_operators() {
     for loose_strict in [(0.0f32, 0.3f32), (0.2, 0.5)] {
         let (loose_t, strict_t) = loose_strict;
         let loose = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(loose_t))
+            .join(&left, &right, SimilarityPredicate::Threshold(loose_t))
             .unwrap()
             .pair_indices();
         let strict = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(strict_t))
+            .join(&left, &right, SimilarityPredicate::Threshold(strict_t))
             .unwrap()
             .pair_indices();
         assert!(strict.iter().all(|p| loose.contains(p)));

@@ -7,15 +7,19 @@
 use cej_core::{NljConfig, PrefetchNlJoin, TensorJoin, TensorJoinConfig};
 use cej_relational::SimilarityPredicate;
 use cej_storage::SelectionBitmap;
-use cej_vector::{BufferBudget, Matrix, TopK};
+use cej_vector::{normalize_matrix_rows, BufferBudget, Matrix, TopK};
 use proptest::prelude::*;
 
 /// Strategy: a row-major matrix with `rows` in [1, max_rows], values in
-/// [-1, 1], fixed dimensionality.
+/// [-1, 1] before its rows are unit-normalised (the joins' input), fixed
+/// dimensionality.
 fn matrix_strategy(max_rows: usize, dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_rows).prop_flat_map(move |rows| {
-        proptest::collection::vec(-1.0f32..1.0, rows * dim)
-            .prop_map(move |data| Matrix::from_flat(rows, dim, data).expect("shape consistent"))
+        proptest::collection::vec(-1.0f32..1.0, rows * dim).prop_map(move |data| {
+            let mut m = Matrix::from_flat(rows, dim, data).expect("shape consistent");
+            normalize_matrix_rows(&mut m);
+            m
+        })
     })
 }
 
@@ -29,10 +33,10 @@ proptest! {
         threshold in 0.0f32..0.9,
     ) {
         let nlj = PrefetchNlJoin::new(NljConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(threshold))
+            .join(&left, &right, SimilarityPredicate::Threshold(threshold))
             .unwrap();
         let tensor = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(threshold))
+            .join(&left, &right, SimilarityPredicate::Threshold(threshold))
             .unwrap();
         prop_assert_eq!(nlj.pair_indices(), tensor.pair_indices());
     }
@@ -44,7 +48,7 @@ proptest! {
         k in 1usize..6,
     ) {
         let result = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::TopK(k))
+            .join(&left, &right, SimilarityPredicate::TopK(k))
             .unwrap();
         for l in 0..left.rows() {
             let count = result.pairs.iter().filter(|p| p.left == l).count();
@@ -62,11 +66,11 @@ proptest! {
         delta in 0.05f32..0.5,
     ) {
         let loose = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(t))
+            .join(&left, &right, SimilarityPredicate::Threshold(t))
             .unwrap()
             .pair_indices();
         let strict = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(t + delta))
+            .join(&left, &right, SimilarityPredicate::Threshold(t + delta))
             .unwrap()
             .pair_indices();
         prop_assert!(strict.iter().all(|p| loose.contains(p)));
@@ -82,12 +86,12 @@ proptest! {
         let unbatched = TensorJoin::new(
             TensorJoinConfig::default().with_budget(BufferBudget::unlimited()),
         )
-        .join_matrices(&left, &right, SimilarityPredicate::Threshold(threshold))
+        .join(&left, &right, SimilarityPredicate::Threshold(threshold))
         .unwrap();
         let batched = TensorJoin::new(
             TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(budget_cells * 4)),
         )
-        .join_matrices(&left, &right, SimilarityPredicate::Threshold(threshold))
+        .join(&left, &right, SimilarityPredicate::Threshold(threshold))
         .unwrap();
         prop_assert_eq!(unbatched.pair_indices(), batched.pair_indices());
     }
@@ -101,21 +105,26 @@ proptest! {
     ) {
         let filter = SelectionBitmap::from_bools(left_mask[..left.rows()].to_vec());
         let unfiltered = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(threshold))
+            .join(&left, &right, SimilarityPredicate::Threshold(threshold))
             .unwrap()
             .pair_indices();
-        let filtered = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices_filtered(
-                &left,
+        // the pre-filter reaches the join as the selected rows; offsets map
+        // back through the selection
+        let selected: Vec<u32> = filter.iter_selected().map(|i| i as u32).collect();
+        let filtered: Vec<(usize, usize)> = TensorJoin::new(TensorJoinConfig::default())
+            .join(
+                &left.gather_rows(&selected).unwrap(),
                 &right,
                 SimilarityPredicate::Threshold(threshold),
-                Some(&filter),
-                None,
             )
-            .unwrap();
+            .unwrap()
+            .pair_indices()
+            .into_iter()
+            .map(|(l, r)| (selected[l] as usize, r))
+            .collect();
         // containment + filter respected
-        prop_assert!(filtered.pair_indices().iter().all(|p| unfiltered.contains(p)));
-        prop_assert!(filtered.pairs.iter().all(|p| filter.is_selected(p.left)));
+        prop_assert!(filtered.iter().all(|p| unfiltered.contains(p)));
+        prop_assert!(filtered.iter().all(|&(l, _)| filter.is_selected(l)));
     }
 
     #[test]
@@ -124,7 +133,7 @@ proptest! {
         right in matrix_strategy(8, 8),
     ) {
         let result = TensorJoin::new(TensorJoinConfig::default())
-            .join_matrices(&left, &right, SimilarityPredicate::Threshold(-2.0))
+            .join(&left, &right, SimilarityPredicate::Threshold(-2.0))
             .unwrap();
         // every pair is reported exactly once and cosine scores stay in [-1, 1]
         prop_assert_eq!(result.len(), left.rows() * right.rows());
