@@ -42,12 +42,51 @@
 //! probes are normalised by the tensor join's own kernel and scored by the
 //! same 8-lane dot product as its GEMM, so an index-join score carries the
 //! tensor join's bits for the same pair.
+//!
+//! ## Search
+//!
+//! Probes and construction run one layer-search loop, and it is meant to
+//! cost its dot products and little else:
+//!
+//! * **Keys.**  A candidate is one `u64`: an order-preserving image of its
+//!   score in the high half, the complement of its id in the low half.  A
+//!   larger key is a higher score, then a smaller id.  The frontier is a
+//!   max-heap of keys, so it expands the higher score first, then the
+//!   smaller id; the result heap holds complemented keys, so its root is the
+//!   result evicted first: the lower score, then the larger id.  A full
+//!   result heap admits a candidate only on a strictly higher score and
+//!   overwrites its root in place (one sift).
+//! * **Ties, zeros and NaN.**  `-0.0` and `+0.0` share a key and are ordered
+//!   by id.  Every NaN shares key 0, below `-inf`: a NaN score is kept only
+//!   while the result list is still filling, any number evicts it, and it is
+//!   returned after every number.  A NaN probe scores NaN everywhere, so it
+//!   walks each reachable node at most once and returns the smallest ids it
+//!   kept, the same ones on every call.  Keys order; the scratch keeps each
+//!   scored node's similarity beside them, and that is what is returned, so
+//!   a `-0.0` keeps its sign.
+//! * **Scratch reuse.**  Both heaps, the visited stamps, the per-node scores
+//!   and the buffer one layer's results seed the next from live in a
+//!   per-thread (probes) or per-worker (build) scratch, so no layer
+//!   allocates once the scratch has grown; a layer's results leave the
+//!   heap as plain `u64`s and are put best first by one `sort_unstable`.
+//! * **Visited filter.**  An expanded node's neighbours are filtered without
+//!   a data-dependent branch: each id is written to the next free slot,
+//!   which advances only when the id's stamp is not the current epoch, and
+//!   the id is stamped.  The survivors are then scored in list order.
+//! * **Adjacency.**  A frozen index lends its neighbour lists to the search.
+//!   Only the build graph copies a list out: its per-node mutex must be
+//!   released before any distance is computed, or parallel planners reading
+//!   the same node would queue on it.
+//!
+//! The walk is pinned by the goldens in `hnsw/golden.txt`: per build, a hash
+//! of every adjacency list; per probe, the ids, score bits and
+//! [`ProbeStats`].
 
 use std::collections::BinaryHeap;
 
 use cej_exec::ExecPool;
 use cej_storage::SelectionBitmap;
-use cej_vector::{normalize, normalize_matrix_rows, Matrix, Metric, TopK, TopKEntry};
+use cej_vector::{normalize, normalize_matrix_rows, Matrix, Metric, TopKEntry};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -175,14 +214,66 @@ impl VisitScratch {
     }
 }
 
-/// Reusable per-worker search state: the epoch-stamped visited set, a
-/// buffer the adjacency source copies neighbour ids into (so locks are
-/// released before any similarity is computed), and the unit-normalised
-/// copy of a cosine probe.
+/// Order-preserving 32-bit image of a score: `a > b` exactly when
+/// `score_key(a) > score_key(b)` for non-NaN scores, `-0.0` and `+0.0` share
+/// one key, and every NaN takes key 0, below `-inf`.
+#[inline]
+fn score_key(score: f32) -> u32 {
+    // `-0.0 + 0.0` is `+0.0`, so both zeros take the same key
+    let bits = (score + 0.0).to_bits();
+    let key = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 0x8000_0000
+    };
+    if score.is_nan() {
+        0
+    } else {
+        key
+    }
+}
+
+/// A candidate's 8-byte heap key: [`score_key`] in the high half and the
+/// complement of the id in the low half, so a larger key is a higher score,
+/// then a smaller id.
+#[inline]
+fn pack(score: f32, id: usize) -> u64 {
+    (u64::from(score_key(score)) << 32) | u64::from(!(id as u32))
+}
+
+/// The node id a [`pack`]ed key carries.
+#[inline]
+fn key_id(key: u64) -> usize {
+    !(key as u32) as usize
+}
+
+/// The [`score_key`] half of a [`pack`]ed key.
+#[inline]
+fn key_score(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
+/// Reusable per-worker search state (see the module docs' "Search"
+/// section): the epoch-stamped visited set, the scores of the nodes the
+/// current probe has scored, both candidate heaps, the keys one layer hands
+/// the next, and the unit-normalised copy of a cosine probe.
 #[derive(Debug)]
 struct SearchScratch {
     visited: VisitScratch,
+    /// `scores[id]` is node `id`'s similarity to the current probe, with
+    /// its own bits, for every node the probe has seeded or scored.
+    scores: Vec<f32>,
+    /// Copy buffer for the locked build graph's neighbour lists.
     links: Vec<u32>,
+    /// The not-yet-visited neighbours of the node being expanded.
+    fresh: Vec<u32>,
+    /// Max-heap of keys: the best candidate is expanded first.
+    frontier: BinaryHeap<u64>,
+    /// Max-heap of *complemented* keys: the root is the worst kept result.
+    results: BinaryHeap<u64>,
+    /// The seeds of the next layer search, then its results; keys, best
+    /// first.
+    layer: Vec<u64>,
     unit_query: Vec<f32>,
 }
 
@@ -190,18 +281,39 @@ impl SearchScratch {
     fn new(n: usize) -> Self {
         SearchScratch {
             visited: VisitScratch::new(n),
+            scores: vec![0.0; n],
             links: Vec::new(),
+            fresh: Vec::new(),
+            frontier: BinaryHeap::new(),
+            results: BinaryHeap::new(),
+            layer: Vec::new(),
             unit_query: Vec::new(),
         }
     }
 
-    /// Grows the visited set to cover `n` nodes.  New entries are stamped 0,
-    /// which never equals a live epoch (epochs start at 1), so growing keeps
-    /// every node correctly unvisited.
+    /// Grows the visited set and the scores to cover `n` nodes.  New
+    /// entries are stamped 0, which never equals a live epoch (epochs start
+    /// at 1), so growing keeps every node correctly unvisited.
     fn ensure_capacity(&mut self, n: usize) {
         if self.visited.stamp.len() < n {
             self.visited.stamp.resize(n, 0);
+            self.scores.resize(n, 0.0);
         }
+    }
+
+    /// Makes `id`, already scored, the single seed of the next layer search.
+    fn seed(&mut self, id: usize, score: f32) {
+        self.scores[id] = score;
+        self.layer.clear();
+        self.layer.push(pack(score, id));
+    }
+
+    /// The last layer search's results, best first.
+    fn entries(&self) -> impl Iterator<Item = TopKEntry> + '_ {
+        self.layer.iter().map(|&key| {
+            let id = key_id(key);
+            TopKEntry::new(id, self.scores[id])
+        })
     }
 }
 
@@ -271,45 +383,21 @@ impl ScratchPool {
     }
 }
 
-/// Max-heap ordering for the search frontier: best score first, ties broken
-/// towards the smaller id so traversal order is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct MaxByScore(TopKEntry);
-
-impl Eq for MaxByScore {}
-
-impl Ord for MaxByScore {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .score
-            .partial_cmp(&other.0.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| other.0.id.cmp(&self.0.id))
-    }
-}
-
-impl PartialOrd for MaxByScore {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Read access to a node's adjacency at one layer.
 ///
-/// Query-time search reads the final, unlocked lists; build-time search
-/// reads through the per-node mutexes of the under-construction graph.
-/// Implementors copy into the caller's buffer so no lock is held while
+/// Query-time search borrows the frozen index's own lists; build-time
+/// search reads through the per-node mutexes of the under-construction
+/// graph, which copies into the caller's buffer so no lock is held while
 /// distances are computed.
 trait AdjacencySource {
-    fn copy_neighbors(&self, node: usize, layer: usize, out: &mut Vec<u32>);
+    /// `node`'s neighbours at `layer` (empty above the node's level),
+    /// either borrowed from `self` or copied into `buf`.
+    fn neighbors<'s>(&'s self, node: usize, layer: usize, buf: &'s mut Vec<u32>) -> &'s [u32];
 }
 
 impl AdjacencySource for Vec<Vec<Vec<u32>>> {
-    fn copy_neighbors(&self, node: usize, layer: usize, out: &mut Vec<u32>) {
-        out.clear();
-        if let Some(list) = self[node].get(layer) {
-            out.extend_from_slice(list);
-        }
+    fn neighbors<'s>(&'s self, node: usize, layer: usize, _buf: &'s mut Vec<u32>) -> &'s [u32] {
+        self[node].get(layer).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -336,12 +424,13 @@ impl LockedAdjacency {
 }
 
 impl AdjacencySource for LockedAdjacency {
-    fn copy_neighbors(&self, node: usize, layer: usize, out: &mut Vec<u32>) {
-        out.clear();
+    fn neighbors<'s>(&'s self, node: usize, layer: usize, buf: &'s mut Vec<u32>) -> &'s [u32] {
+        buf.clear();
         let guard = self.lists[node].lock();
         if let Some(list) = guard.get(layer) {
-            out.extend_from_slice(list);
+            buf.extend_from_slice(list);
         }
+        buf
     }
 }
 
@@ -376,9 +465,8 @@ impl<A: AdjacencySource> Searcher<'_, A> {
         loop {
             let mut improved = false;
             stats.nodes_visited += 1;
-            self.adj.copy_neighbors(current, layer, &mut scratch.links);
-            for i in 0..scratch.links.len() {
-                let n = scratch.links[i] as usize;
+            for &n in self.adj.neighbors(current, layer, &mut scratch.links) {
+                let n = n as usize;
                 let score = self.similarity(query, n);
                 stats.distance_computations += 1;
                 if score > current_score {
@@ -393,8 +481,9 @@ impl<A: AdjacencySource> Searcher<'_, A> {
         }
     }
 
-    /// Best-first search at one layer with a candidate list of size `ef`.
-    /// Returns candidates sorted best-first.
+    /// Best-first search at one layer with a candidate list of size `ef`
+    /// (`ef > 0`), seeded with `scratch.layer`'s keys and leaving its
+    /// results there, best first (see the module docs' "Search" section).
     ///
     /// Accepts multiple *pre-scored* entry points: seeding the frontier from
     /// several upper-layer candidates (rather than the single greedy winner)
@@ -406,53 +495,85 @@ impl<A: AdjacencySource> Searcher<'_, A> {
     fn search_layer(
         &self,
         query: &[f32],
-        seeds: &[TopKEntry],
         ef: usize,
         layer: usize,
         scratch: &mut SearchScratch,
         stats: &mut ProbeStats,
-    ) -> Vec<TopKEntry> {
-        scratch.visited.next_epoch();
-        let mut frontier: BinaryHeap<MaxByScore> = BinaryHeap::with_capacity(ef + 1);
-        let mut results = TopK::new(ef);
-        for &seed in seeds {
-            if !scratch.visited.first_visit(seed.id) {
+    ) {
+        let SearchScratch {
+            visited,
+            scores,
+            links,
+            fresh,
+            frontier,
+            results,
+            layer: keys,
+            ..
+        } = scratch;
+        visited.next_epoch();
+        frontier.clear();
+        results.clear();
+        for &seed in keys.iter() {
+            if !visited.first_visit(key_id(seed)) {
                 continue;
             }
-            frontier.push(MaxByScore(seed));
-            results.push(seed.id, seed.score);
+            frontier.push(seed);
+            // a seed displaces the worst result on a larger key (an equal
+            // score with a smaller id is enough); a scored neighbour below
+            // needs a strictly higher score
+            if results.len() < ef {
+                results.push(!seed);
+            } else if let Some(mut worst) = results.peek_mut() {
+                if seed > !*worst {
+                    *worst = !seed;
+                }
+            }
         }
 
-        while let Some(MaxByScore(current)) = frontier.pop() {
+        while let Some(current) = frontier.pop() {
             // Stop when the best remaining candidate cannot improve the
             // worst kept result.
-            if let Some(threshold) = results.threshold() {
-                if current.score < threshold {
-                    break;
-                }
+            if results.len() == ef
+                && key_score(current) < key_score(!*results.peek().expect("ef > 0"))
+            {
+                break;
             }
             stats.nodes_visited += 1;
-            self.adj
-                .copy_neighbors(current.id, layer, &mut scratch.links);
-            let SearchScratch { visited, links, .. } = scratch;
-            for &n in links.iter() {
+            let neighbors = self.adj.neighbors(key_id(current), layer, links);
+            // Branch-free visited filter: every neighbour is written to the
+            // next slot, which only an unvisited one claims.
+            fresh.resize(neighbors.len(), 0);
+            let mut len = 0;
+            for &n in neighbors {
+                let stamp = &mut visited.stamp[n as usize];
+                fresh[len] = n;
+                len += usize::from(*stamp != visited.epoch);
+                *stamp = visited.epoch;
+            }
+            for &n in &fresh[..len] {
                 let n = n as usize;
-                if !visited.first_visit(n) {
-                    continue;
-                }
                 let score = self.similarity(query, n);
                 stats.distance_computations += 1;
-                let admit = match results.threshold() {
-                    Some(t) => score > t,
-                    None => true,
-                };
-                if admit {
-                    frontier.push(MaxByScore(TopKEntry::new(n, score)));
-                    results.push(n, score);
+                scores[n] = score;
+                let key = pack(score, n);
+                if results.len() < ef {
+                    frontier.push(key);
+                    results.push(!key);
+                } else {
+                    let mut worst = results.peek_mut().expect("ef > 0");
+                    if key_score(key) > key_score(!*worst) {
+                        frontier.push(key);
+                        // replaces the root in place: one sift
+                        *worst = !key;
+                    }
                 }
             }
         }
-        results.into_sorted()
+        keys.clear();
+        keys.extend(results.drain());
+        // ascending complements are descending keys: best first
+        keys.sort_unstable();
+        keys.iter_mut().for_each(|key| *key = !*key);
     }
 }
 
@@ -507,15 +628,14 @@ impl GraphBuilder<'_> {
         let level = self.levels[id];
         let mut stats = ProbeStats::default();
 
-        let mut seed = TopKEntry::new(entry, searcher.similarity(query, entry));
+        let mut seed = (entry, searcher.similarity(query, entry));
         stats.distance_computations += 1;
         let mut layer = max_level;
         while layer > level {
-            let (node, score) =
-                searcher.greedy_closest(query, seed.id, seed.score, layer, scratch, &mut stats);
-            seed = TopKEntry::new(node, score);
+            seed = searcher.greedy_closest(query, seed.0, seed.1, layer, scratch, &mut stats);
             layer -= 1;
         }
+        scratch.seed(seed.0, seed.1);
 
         // For each layer at or below the node's level, find efConstruction
         // candidates and connect using the diversity-preserving neighbour
@@ -524,18 +644,19 @@ impl GraphBuilder<'_> {
         // kept links end up inside the node's own cluster.
         let top_layer = level.min(max_level);
         let mut selected = vec![Vec::new(); top_layer + 1];
+        let mut candidates = Vec::new();
         for layer in (0..=top_layer).rev() {
-            let candidates = searcher.search_layer(
+            searcher.search_layer(
                 query,
-                &[seed],
                 self.params.ef_construction,
                 layer,
                 scratch,
                 &mut stats,
             );
-            if let Some(best) = candidates.first() {
-                seed = *best;
-            }
+            candidates.clear();
+            candidates.extend(scratch.entries());
+            // the best candidate alone seeds the next layer down
+            scratch.layer.truncate(1);
             let max_links = self.params.max_neighbors(layer);
             selected[layer] = self.select_neighbors_heuristic(&candidates, max_links);
         }
@@ -621,12 +742,8 @@ impl GraphBuilder<'_> {
                 )
             })
             .collect();
-        scored.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id.cmp(&b.id))
-        });
+        // best first by the search's key: higher score, then smaller id
+        scored.sort_unstable_by_key(|e| std::cmp::Reverse(pack(e.score, e.id)));
         self.select_neighbors_heuristic(&scored, bound)
     }
 
@@ -1036,6 +1153,11 @@ impl HnswIndex {
     /// behaviour of vector databases that the paper evaluates against, where
     /// the relational filter cannot prune the index traversal itself.
     ///
+    /// Neighbours come best first: higher score, then smaller id.  A NaN
+    /// score ranks below every number, so it is returned only when too few
+    /// numbers were kept; a NaN probe never panics or loops and returns the
+    /// same neighbours on every call (module docs, "Search").
+    ///
     /// # Errors
     /// Returns dimension and filter-length errors, and
     /// [`IndexError::InvalidParameter`] for `k == 0`.
@@ -1108,26 +1230,23 @@ impl HnswIndex {
         let beam_width = self.params.beam_for(k);
         let entry_score = searcher.similarity(query, self.entry_point);
         stats.distance_computations += 1;
-        let mut seeds: Vec<TopKEntry> = vec![TopKEntry::new(self.entry_point, entry_score)];
-        let mut layer = self.max_level;
-        while layer > 0 {
-            seeds = searcher.search_layer(query, &seeds, beam_width, layer, scratch, &mut stats);
-            layer -= 1;
+        scratch.seed(self.entry_point, entry_score);
+        for layer in (1..=self.max_level).rev() {
+            searcher.search_layer(query, beam_width, layer, scratch, &mut stats);
         }
-        let candidates = searcher.search_layer(query, &seeds, ef, 0, scratch, &mut stats);
-        let mut kept = TopK::new(k);
-        for c in candidates {
-            let allowed = filter.map(|f| f.is_selected(c.id)).unwrap_or(true);
-            if allowed {
-                kept.push(c.id, c.score);
-            }
-        }
-        Ok(SearchResult {
-            neighbors: kept.into_sorted(),
-            stats,
-        })
+        searcher.search_layer(query, ef, 0, scratch, &mut stats);
+        // the candidates are best first: the first k allowed are the top k
+        let neighbors = scratch
+            .entries()
+            .filter(|c| filter.is_none_or(|f| f.is_selected(c.id)))
+            .take(k)
+            .collect();
+        Ok(SearchResult { neighbors, stats })
     }
 }
+
+#[cfg(test)]
+mod golden;
 
 #[cfg(test)]
 mod tests {
@@ -1607,5 +1726,117 @@ mod tests {
             idx.extend(&Matrix::zeros(2, 4)),
             Err(IndexError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn keys_order_scores_then_ids_and_put_nan_last() {
+        let ascending = [
+            f32::NEG_INFINITY,
+            -1.0,
+            -f32::MIN_POSITIVE,
+            -1e-45,
+            0.0,
+            1e-45,
+            f32::MIN_POSITIVE,
+            0.5,
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        for pair in ascending.windows(2) {
+            assert!(score_key(pair[0]) < score_key(pair[1]), "{pair:?}");
+        }
+        assert_eq!(score_key(-0.0), score_key(0.0));
+        for nan in [f32::NAN, -f32::NAN, f32::from_bits(0x7f80_0001)] {
+            assert_eq!(score_key(nan), 0);
+            assert!(pack(nan, 0) < pack(f32::NEG_INFINITY, u32::MAX as usize));
+        }
+        // equal scores: the smaller id is the larger key
+        assert!(pack(0.5, 3) > pack(0.5, 4));
+        assert!(pack(-0.0, 3) > pack(0.0, 4));
+        assert!(pack(0.0, 3) > pack(-0.0, 4));
+        assert!(pack(0.75, 9) > pack(0.5, 1));
+        for id in [0usize, 1, 77, u32::MAX as usize] {
+            assert_eq!(key_id(pack(0.25, id)), id);
+        }
+    }
+
+    /// `rows` with ten exact duplicates of row 3 appended.
+    fn with_duplicates(rows: &Matrix) -> Matrix {
+        let mut m = rows.clone();
+        let dup = rows.row(3).unwrap().to_vec();
+        for _ in 0..10 {
+            m.push_row(&dup).unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn equal_scores_are_returned_smaller_id_first() {
+        let vectors = with_duplicates(&clustered(3, 30, 8, 59));
+        let idx = HnswIndex::build(vectors.clone(), HnswParams::tiny().with_ef_search(64)).unwrap();
+        let res = idx.search(vectors.row(3).unwrap(), 6, None).unwrap();
+        let ids: Vec<usize> = res.neighbors.iter().map(|e| e.id).collect();
+        assert_eq!(ids, [3, 90, 91, 92, 93, 94]);
+        let bits = res.neighbors[0].score.to_bits();
+        assert!(res.neighbors.iter().all(|e| e.score.to_bits() == bits));
+    }
+
+    #[test]
+    fn minus_zero_scores_tie_by_id_and_keep_their_bits() {
+        // Euclidean similarity is the negated distance: an exact duplicate
+        // of the probe scores -0.0, which orders like +0.0 (the keys test
+        // pins the mixed tie) and is returned with its own sign
+        let vectors = with_duplicates(&clustered(3, 30, 8, 61));
+        let params = HnswParams::tiny()
+            .with_ef_search(64)
+            .with_metric(Metric::Euclidean);
+        let idx = HnswIndex::build(vectors.clone(), params).unwrap();
+        let res = idx.search(vectors.row(3).unwrap(), 4, None).unwrap();
+        let got: Vec<(usize, u32)> = res
+            .neighbors
+            .iter()
+            .map(|e| (e.id, e.score.to_bits()))
+            .collect();
+        let minus_zero = (-0.0f32).to_bits();
+        assert_eq!(
+            got,
+            [
+                (3, minus_zero),
+                (90, minus_zero),
+                (91, minus_zero),
+                (92, minus_zero)
+            ]
+        );
+    }
+
+    #[test]
+    fn nan_probes_and_nan_rows_rank_last_and_repeat_exactly() {
+        let mut vectors = clustered(3, 30, 8, 67);
+        vectors.row_mut(5).unwrap()[2] = f32::NAN;
+        vectors.push_row(&[f32::NAN; 8]).unwrap();
+        for pool in [ExecPool::new(1), ExecPool::new(2)] {
+            let idx =
+                HnswIndex::build_with_pool(vectors.clone(), HnswParams::tiny(), &pool).unwrap();
+            // a NaN row ranks below every number: never returned while
+            // numbers remain
+            for probe in [0usize, 31, 62] {
+                let res = idx.search(vectors.row(probe).unwrap(), 10, None).unwrap();
+                assert_eq!(res.neighbors[0].id, probe);
+                assert!(res.neighbors.iter().all(|e| !e.score.is_nan()));
+            }
+            // every score of a NaN probe is NaN: they tie, so ids ascend;
+            // the walk terminates and repeats exactly
+            let nan_probe = [f32::NAN; 8];
+            let first = idx.search(&nan_probe, 5, None).unwrap();
+            assert_eq!(first.neighbors.len(), 5);
+            assert!(first.neighbors.iter().all(|e| e.score.is_nan()));
+            assert!(first.neighbors.windows(2).all(|w| w[0].id < w[1].id));
+            let again = idx.search(&nan_probe, 5, None).unwrap();
+            assert_eq!(first.stats, again.stats);
+            assert_eq!(
+                first.neighbors.iter().map(|e| e.id).collect::<Vec<_>>(),
+                again.neighbors.iter().map(|e| e.id).collect::<Vec<_>>()
+            );
+        }
     }
 }

@@ -700,53 +700,65 @@ fn parse_predicate(keyword: &str, value: &str) -> Result<SimilarityPredicate, St
 /// one wire format).
 pub use cej_embedding::hasher::fnv1a;
 
-/// Renders one table cell deterministically (`{}` formatting for numbers is
-/// stable across platforms and thread counts).
-fn render_cell(table: &Table, row: usize, column: usize) -> String {
-    let col = &table.columns()[column];
-    if let Ok(values) = col.as_int64() {
-        return values[row].to_string();
+/// Appends one table cell deterministically (`{}` formatting for numbers is
+/// stable across platforms and thread counts).  Tabs, newlines and carriage
+/// returns in strings would break the line framing and become spaces; a
+/// vector renders as `<vec dim>` and a boolean as `<?>`.
+fn render_cell(out: &mut String, column: &Column, row: usize) {
+    use std::fmt::Write;
+    // writing into a `String` cannot fail
+    let _ = match column {
+        Column::Int64(values) => write!(out, "{}", values[row]),
+        Column::Float64(values) => write!(out, "{}", values[row]),
+        Column::Date(values) => write!(out, "{}", values[row]),
+        Column::Vector(matrix) => write!(out, "<vec {}>", matrix.cols()),
+        Column::Bool(_) => out.write_str("<?>"),
+        Column::Utf8(values) => {
+            let mut rest = values[row].as_str();
+            while let Some(at) = rest.find(['\t', '\n', '\r']) {
+                out.push_str(&rest[..at]);
+                out.push(' ');
+                // the three separators are one byte each
+                rest = &rest[at + 1..];
+            }
+            out.write_str(rest)
+        }
+    };
+}
+
+/// Appends the tab-separated column names and a newline.
+fn render_names(out: &mut String, table: &Table) {
+    for (c, field) in table.schema().fields().iter().enumerate() {
+        if c > 0 {
+            out.push('\t');
+        }
+        out.push_str(&field.name);
     }
-    if let Ok(values) = col.as_float64() {
-        return format!("{}", values[row]);
+    out.push('\n');
+}
+
+/// Appends one row's tab-separated cells and a newline.
+fn render_row(out: &mut String, table: &Table, row: usize) {
+    for (c, column) in table.columns().iter().enumerate() {
+        if c > 0 {
+            out.push('\t');
+        }
+        render_cell(out, column, row);
     }
-    if let Ok(values) = col.as_utf8() {
-        // tabs/newlines would break the line framing; escape them
-        return values[row].replace(['\t', '\n', '\r'], " ");
-    }
-    if let Ok(values) = col.as_date() {
-        return values[row].to_string();
-    }
-    if let Ok(matrix) = col.as_vectors() {
-        return format!("<vec {}>", matrix.cols());
-    }
-    "<?>".to_string()
+    out.push('\n');
 }
 
 /// Renders a result table as the `ROWS … END <checksum>` payload.
 pub fn render_table(table: &Table) -> String {
-    let mut payload = String::new();
-    let names: Vec<&str> = table
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| f.name.as_str())
-        .collect();
-    payload.push_str(&names.join("\t"));
-    payload.push('\n');
+    let mut out = format!("ROWS {} {}\n", table.num_rows(), table.num_columns());
+    let payload = out.len();
+    render_names(&mut out, table);
     for row in 0..table.num_rows() {
-        let cells: Vec<String> = (0..table.num_columns())
-            .map(|c| render_cell(table, row, c))
-            .collect();
-        payload.push_str(&cells.join("\t"));
-        payload.push('\n');
+        render_row(&mut out, table, row);
     }
-    let checksum = fnv1a(payload.as_bytes());
-    format!(
-        "ROWS {} {}\n{payload}END {checksum:016x}\n",
-        table.num_rows(),
-        table.num_columns()
-    )
+    let checksum = fnv1a(&out.as_bytes()[payload..]);
+    out.push_str(&format!("END {checksum:016x}\n"));
+    out
 }
 
 /// Types an `APPLY` payload against the target table's schema, producing
@@ -914,23 +926,11 @@ pub fn render_delta_header(subscription: u64, frame: &ResultDelta) -> String {
 /// subscriber.
 pub fn render_delta_body(frame: &ResultDelta) -> String {
     let mut payload = String::new();
-    let names: Vec<&str> = frame
-        .added
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| f.name.as_str())
-        .collect();
-    payload.push_str(&names.join("\t"));
-    payload.push('\n');
+    render_names(&mut payload, &frame.added);
     let mut signed_rows = |table: &Table, sign: char| {
         for row in 0..table.num_rows() {
             payload.push(sign);
-            let cells: Vec<String> = (0..table.num_columns())
-                .map(|c| render_cell(table, row, c))
-                .collect();
-            payload.push_str(&cells.join("\t"));
-            payload.push('\n');
+            render_row(&mut payload, table, row);
         }
     };
     signed_rows(&frame.added, '+');
@@ -1203,6 +1203,76 @@ mod tests {
             render_table(&other).lines().last().unwrap(),
             end,
             "checksums must distinguish different payloads"
+        );
+    }
+
+    /// Every column type, tab/newline/carriage-return escaping and the
+    /// float spellings `{}` gives NaN, ±inf and -0.0.
+    fn every_cell_kind() -> Table {
+        cej_storage::TableBuilder::new()
+            .int64("id", vec![1, -2, i64::MIN, i64::MAX, 0, 42])
+            .float64(
+                "score",
+                vec![
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    -0.0,
+                    0.1,
+                    -1.5e21,
+                ],
+            )
+            .utf8(
+                "word",
+                vec![
+                    "a\tb".into(),
+                    "line\nbreak".into(),
+                    "cr\r\n".into(),
+                    String::new(),
+                    "plain".into(),
+                    "ü ß\t\t".into(),
+                ],
+            )
+            .date("day", vec![0, -1, 19_000, i32::MIN, i32::MAX, 7])
+            .bool("flag", vec![true, false, true, false, true, false])
+            .vectors(
+                "emb",
+                &vec![cej_vector::Vector::new(vec![1.0, 0.0, 0.0]); 6],
+            )
+            .unwrap()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn rendered_bytes_match_the_golden() {
+        let table = every_cell_kind();
+        let rows = "id\tscore\tword\tday\tflag\temb\n\
+            1\tNaN\ta b\t0\t<?>\t<vec 3>\n\
+            -2\tinf\tline break\t-1\t<?>\t<vec 3>\n\
+            -9223372036854775808\t-inf\tcr  \t19000\t<?>\t<vec 3>\n\
+            9223372036854775807\t-0\t\t-2147483648\t<?>\t<vec 3>\n\
+            0\t0.1\tplain\t2147483647\t<?>\t<vec 3>\n\
+            42\t-1500000000000000000000\tü ß  \t7\t<?>\t<vec 3>\n";
+        assert_eq!(
+            render_table(&table),
+            format!("ROWS 6 6\n{rows}END a3787e332221395f\n")
+        );
+        let frame = ResultDelta {
+            version: 3,
+            seq: 9,
+            added: table.take(&[0, 3]).unwrap(),
+            removed: table.take(&[5]).unwrap(),
+            refreshed: false,
+            snapshot: false,
+        };
+        assert_eq!(
+            render_delta_body(&frame),
+            "id\tscore\tword\tday\tflag\temb\n\
+             +1\tNaN\ta b\t0\t<?>\t<vec 3>\n\
+             +9223372036854775807\t-0\t\t-2147483648\t<?>\t<vec 3>\n\
+             -42\t-1500000000000000000000\tü ß  \t7\t<?>\t<vec 3>\n\
+             END b60e7d275e84b114\n"
         );
     }
 
