@@ -589,6 +589,7 @@ enum Probe {
 fn merge_stats(acc: &mut JoinStats, part: &JoinStats) {
     acc.pairs_compared += part.pairs_compared;
     acc.blocks_computed += part.blocks_computed;
+    acc.pairs_rescored += part.pairs_rescored;
     acc.probe_stats.merge(&part.probe_stats);
     acc.peak_buffer_bytes = acc.peak_buffer_bytes.max(part.peak_buffer_bytes);
 }

@@ -44,6 +44,12 @@ pub struct JoinStats {
     pub probe_stats: ProbeStats,
     /// Number of mini-batch block computations performed (tensor join only).
     pub blocks_computed: u64,
+    /// Exact fp32 scores computed (tensor join only): `pairs_compared` on
+    /// the fp32 block path, only the int8 screen's candidates when it ran.
+    /// Whether the screen runs depends on each call's outer rows, so, like
+    /// the operator's morsel count, this depends on where the outer side
+    /// was cut into morsels; the pairs never do.
+    pub pairs_rescored: u64,
 }
 
 /// The outcome of a join operator: matched pairs plus statistics.

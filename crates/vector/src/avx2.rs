@@ -1,5 +1,6 @@
-//! The AVX2 implementation of the 8-lane class — the crate's only
-//! `std::arch` code.
+//! The AVX2 implementation of the 8-lane class — the crate's `std::arch`
+//! code for fp32 scores (the int8 screen's AVX-512 VNNI kernel is
+//! [`crate::vnni`]).
 //!
 //! **What is detected.**  Nothing here runs unless
 //! [`SimdIsa::detect`](crate::kernels::SimdIsa::detect) saw AVX2 on the
@@ -24,6 +25,13 @@
 //! `-C target-cpu=native`), eight lanes wide, reduced in the order of
 //! [`dot_lanes`]`::<8>`: checked-in checksums, IVM fingerprints and golden
 //! values are the same on every machine.
+//!
+//! **Why the int8 screen is not a new rounding class.**  The tensor join's
+//! AVX-512 screen ([`crate::sq8`]) never produces a score anyone sees: its
+//! integer dot products are exact, its approximations only choose which
+//! pairs get an fp32 score, with a proven margin, and every score a join
+//! returns is still [`dot_lanes`]`::<8>`'s — the bits this module's kernel
+//! writes.
 
 use std::arch::x86_64::{
     __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_permute2f128_ps,

@@ -26,8 +26,14 @@
 //! is its portable definition.  The CPU picks, once, which *implementation*
 //! of that class runs ([`SimdIsa::detect`]): on x86-64 with AVX2 the GEMM
 //! uses `std::arch` code that performs the same operations in the same
-//! order on `ymm` registers; everywhere else the portable loops run.  A score therefore never depends on the machine, on
-//! which path computed it, or on any setting — there is no knob.
+//! order on `ymm` registers; everywhere else the portable loops run.  A
+//! score therefore never depends on the machine, on which path computed it,
+//! or on any setting — there is no knob.
+//!
+//! The tensor join's int8 screen ([`crate::sq8`], AVX-512 VNNI) does not add
+//! a class: it decides, with a proven error bound, which pairs need a score
+//! at all, and each pair it lets through is scored by [`dot_lanes`]`::<8>`.
+//! A join's pairs and score bits are the same with or without it.
 
 use serde::{Deserialize, Serialize};
 

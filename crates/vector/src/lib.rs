@@ -25,6 +25,10 @@
 //!   predicates, and the 8-at-a-time score-row harvest under it.
 //! * [`partition`] — block partitioning helpers that derive mini-batch sizes
 //!   from a buffer budget (Section V-B, Figure 7).
+//! * [`sq8`] — the tensor join's int8 screen: per-row scalar quantisation,
+//!   an AVX-512 VNNI approximate-score block with a proven error bound
+//!   against the fp32 score, so the join rescores only pairs that can
+//!   qualify.
 //!
 //! The types here deliberately avoid any dependency on the embedding model or
 //! the relational layer: the paper's core claim is a *separation of concerns*
@@ -43,9 +47,12 @@ pub mod kernels;
 pub mod matrix;
 pub mod norm;
 pub mod partition;
+pub mod sq8;
 pub mod stats;
 pub mod topk;
 pub mod vector;
+#[cfg(target_arch = "x86_64")]
+mod vnni;
 
 pub use distance::{cosine_distance, cosine_similarity, dot, euclidean_distance, Metric};
 pub use error::VectorError;
@@ -54,6 +61,7 @@ pub use kernels::{dot_lanes, dot_select, filter_cmp, filter_cmp_window, CmpOp, K
 pub use matrix::Matrix;
 pub use norm::{l2_norm, normalize, normalize_matrix_rows};
 pub use partition::{BlockPartition, BufferBudget};
+pub use sq8::{Screen, Sq8Inner, Sq8Outer};
 pub use topk::{TopK, TopKEntry};
 pub use vector::Vector;
 

@@ -1,0 +1,231 @@
+//! Property tests of the tensor join's int8 screen (`cej_vector::sq8`).
+//!
+//! * The bound: for random and adversarial rows — spiky rows, components on
+//!   the half-code grid, equal magnitudes, near-duplicate and negated rows,
+//!   mixed magnitudes, rows scaled to the ends of the accepted range, zero
+//!   rows — the 8-lane fp32 score and the approximation of every pair differ
+//!   by at most the outer row's `error_bound`.
+//! * The bits: the approximation every implementation writes is the formula
+//!   spelled out here from scratch — codes `round_ties_even(x · 127 / max)`,
+//!   `I = Σ q_a q_b` in `i32`, `(f32(I) · s_b) · s_a` — for the scalar
+//!   reference on every CPU and for the AVX-512 VNNI kernel where the CPU has
+//!   it, over sub-blocks that start and end inside 16-row panels.
+
+use std::io::Write;
+use std::ops::Range;
+
+use cej_exec::ExecPool;
+use cej_vector::{dot_lanes, Screen, Sq8Inner, Sq8Outer};
+use proptest::prelude::*;
+
+/// Deterministic values in (-1, 1).
+fn uniform(n: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+        })
+        .collect()
+}
+
+/// `rows` rows of `dim` values of one family; `outer` (when given) lets a
+/// family copy or negate outer rows so that scores reach their extremes.
+fn family(kind: usize, rows: usize, dim: usize, seed: u64, outer: Option<&[f32]>) -> Vec<f32> {
+    let mut data = uniform(rows * dim, seed);
+    let noise = uniform(rows * dim, seed ^ 0xabcd);
+    for (r, row) in data.chunks_exact_mut(dim).enumerate() {
+        match kind {
+            // spiky: one dominant component, every other code rounds to 0
+            1 => {
+                row.iter_mut().for_each(|x| *x *= 0.003);
+                row[r % dim] = if r % 2 == 0 { 1.0 } else { -1.0 };
+            }
+            // on the half-code grid: every component is a tie
+            2 => {
+                for (k, x) in row.iter_mut().enumerate() {
+                    *x = ((k * 37 + r) % 254) as f32 - 126.5;
+                }
+                row[0] = 127.0;
+            }
+            // equal magnitudes
+            3 => row.iter_mut().for_each(|x| *x = x.signum() * 0.25),
+            // near-duplicates and negations of outer rows
+            4 => {
+                if let Some(outer) = outer {
+                    let source = &outer[(r % (outer.len() / dim)) * dim..][..dim];
+                    let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
+                    for ((x, s), n) in row.iter_mut().zip(source).zip(&noise[r * dim..]) {
+                        *x = sign * s + 1e-4 * n;
+                    }
+                }
+            }
+            // magnitudes spread over six decades
+            5 => {
+                for (k, x) in row.iter_mut().enumerate() {
+                    *x *= 10f32.powi(-((k + r) as i32 % 7));
+                }
+            }
+            // zero rows among uniform ones
+            6 if r % 3 == 0 => row.fill(0.0),
+            _ => {}
+        }
+    }
+    data
+}
+
+/// The approximate score of one pair, from scratch.
+fn approx_from_scratch(a: &[f32], b: &[f32]) -> f32 {
+    let quantize = |row: &[f32]| -> (f32, Vec<i32>) {
+        let max = row.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+        let inverse = if max == 0.0 { 0.0 } else { 127.0 / max };
+        let codes = row
+            .iter()
+            .map(|x| ((x * inverse).round_ties_even() as i32).clamp(-127, 127));
+        (max / 127.0, codes.collect())
+    };
+    let ((sa, qa), (sb, qb)) = (quantize(a), quantize(b));
+    let dot: i32 = qa.iter().zip(&qb).map(|(x, y)| x * y).sum();
+    (dot as f32 * sb) * sa
+}
+
+/// The scalar reference, and the VNNI kernel where the CPU has it — said
+/// once past the test harness's capture, so a CI log shows which ran.
+fn screens() -> Vec<Screen> {
+    let vnni = Screen::detect();
+    static REPORT: std::sync::Once = std::sync::Once::new();
+    REPORT.call_once(|| {
+        let _ = writeln!(
+            std::io::stderr(),
+            "property_sq8: {}",
+            vnni.map_or("no AVX-512 VNNI on this CPU, reference screen only", |s| s
+                .label())
+        );
+    });
+    std::iter::once(Screen::reference()).chain(vnni).collect()
+}
+
+/// Every screen's block over `a_rows × b_rows` against the formula, bit for
+/// bit, with and without a two-thread pool.
+fn assert_block_bits(
+    a: &[f32],
+    b: &[f32],
+    dim: usize,
+    a_rows: Range<usize>,
+    b_rows: Range<usize>,
+    what: &str,
+) {
+    let (outer_rows, inner_rows) = (a.len() / dim, b.len() / dim);
+    let outer = Sq8Outer::quantize(a, outer_rows, dim).expect("outer in range");
+    let inner = Sq8Inner::quantize(b, inner_rows, dim).expect("inner in range");
+    let width = b_rows.len();
+    let mut expected = vec![0.0f32; a_rows.len() * width];
+    for (i, ar) in a_rows.clone().enumerate() {
+        for (j, br) in b_rows.clone().enumerate() {
+            expected[i * width + j] =
+                approx_from_scratch(&a[ar * dim..(ar + 1) * dim], &b[br * dim..(br + 1) * dim]);
+        }
+    }
+    for screen in screens() {
+        for pool in [None, Some(ExecPool::new(2))] {
+            let mut got = vec![f32::NAN; expected.len()];
+            match &pool {
+                None => screen.block_into(&outer, a_rows.clone(), &inner, b_rows.clone(), &mut got),
+                Some(pool) => screen.block_into_with_pool(
+                    &outer,
+                    a_rows.clone(),
+                    &inner,
+                    b_rows.clone(),
+                    pool,
+                    &mut got,
+                ),
+            }
+            for (at, (g, e)) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    e.to_bits(),
+                    "{what} {}: cell {at} is {g:e}, expected {e:e}",
+                    screen.label()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_screen_writes_the_formulas_bits() {
+    // sub-blocks that start and end inside panels, single rows and columns,
+    // edges of the 4-row register block
+    for dim in [1usize, 3, 4, 5, 16, 63, 64, 65, 100, 130] {
+        let a = uniform(11 * dim, dim as u64);
+        let b = uniform(53 * dim, 1000 + dim as u64);
+        for (a_rows, b_rows) in [
+            (0..11, 0..53),
+            (3..10, 5..37),
+            (4..5, 17..18),
+            (0..8, 32..53),
+            (2..3, 0..16),
+            (5..5, 0..9),
+        ] {
+            let what = format!("dim {dim} rows {a_rows:?} x {b_rows:?}");
+            assert_block_bits(&a, &b, dim, a_rows, b_rows, &what);
+        }
+    }
+}
+
+#[test]
+fn the_largest_integer_dot_product_converts_exactly() {
+    // every code ±127 at the largest dimension: |I| = 1,024 · 127², the
+    // top of the exact-conversion range
+    let dim = cej_vector::sq8::MAX_SCREEN_DIM;
+    let a: Vec<f32> = (0..3 * dim)
+        .map(|k| if k % 5 == 0 { -0.5 } else { 0.5 })
+        .collect();
+    let b: Vec<f32> = (0..20 * dim)
+        .map(|k| if k % 3 == 0 { 2.0 } else { -2.0 })
+        .collect();
+    assert_block_bits(&a, &b, dim, 0..3, 0..20, "max dim");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_bound_holds_for_random_and_adversarial_rows(
+        seed in 0u64..1_000_000,
+        dim in 1usize..140,
+        outer_kind in 0usize..7,
+        inner_kind in 0usize..7,
+        scale_exp in -30i64..31,
+    ) {
+        let scale = 2f32.powi(scale_exp as i32);
+        let mut a = family(outer_kind, 9, dim, seed, None);
+        let mut b = family(inner_kind, 40, dim, seed + 1, Some(&a));
+        a.iter_mut().for_each(|x| *x *= scale);
+        b.iter_mut().for_each(|x| *x *= 1.0 / scale.sqrt());
+        // a row whose maximum fell below 2^-32 is refused (tested in the
+        // unit tests); so are the other side's
+        let (Some(outer), Some(inner)) =
+            (Sq8Outer::quantize(&a, 9, dim), Sq8Inner::quantize(&b, 40, dim))
+        else {
+            return Ok(());
+        };
+        let mut approx = vec![0.0f32; 9 * 40];
+        Screen::reference().block_into(&outer, 0..9, &inner, 0..40, &mut approx);
+        for i in 0..9 {
+            let eps = outer.error_bound(i, &inner);
+            prop_assert!(eps.is_finite() && eps > 0.0);
+            for j in 0..40 {
+                let exact = dot_lanes::<8>(&a[i * dim..(i + 1) * dim], &b[j * dim..(j + 1) * dim]);
+                let diff = (f64::from(exact) - f64::from(approx[i * 40 + j])).abs();
+                prop_assert!(
+                    diff <= f64::from(eps),
+                    "kinds {}/{} dim {} scale 2^{}: |{:e} - {:e}| = {:e} > {:e}",
+                    outer_kind, inner_kind, dim, scale_exp, exact, approx[i * 40 + j], diff, eps
+                );
+            }
+        }
+    }
+}

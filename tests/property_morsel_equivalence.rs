@@ -31,7 +31,9 @@
 //! rarely hit together: outer sizes ≡ 1, 2, 3 (mod 4) and odd inner sizes, so
 //! that the whole-table GEMM and the 1/7/1024-row morsels all put pairs on
 //! both sides of the AVX2 kernel's 4 × 2 register-block edges — a score must
-//! not depend on which side.
+//! not depend on which side.  Another cuts a 60-row outer side into morsels
+//! below and above the int8 screen's crossover: a screened and an
+//! unscreened cut must return the same bytes.
 
 use std::collections::HashSet;
 
@@ -448,6 +450,55 @@ fn tensor_join_scores_do_not_depend_on_register_block_edges() {
                     assert_eq!(whole_actuals, actuals, "{what}");
                     assert_eq!(whole_pairs, pairs, "{what}");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn screened_and_unscreened_cuts_are_byte_identical() {
+    // 60 outer rows: 7-row morsels stay below the tensor join's int8-screen
+    // crossover, a 1,024- or 16,384-row morsel (the whole side) is above it,
+    // so on a CPU with AVX-512 VNNI one cut screens and another does not
+    let s = session(60, 400, JoinStrategy::Tensor(TensorJoinConfig::default()));
+    let vnni = cej_vector::Screen::detect().is_some();
+    for predicate in [
+        SimilarityPredicate::TopK(3),
+        SimilarityPredicate::Threshold(0.5),
+    ] {
+        let plan = LogicalPlan::e_join(
+            LogicalPlan::scan("r"),
+            LogicalPlan::scan("s"),
+            "word",
+            "word",
+            "ft",
+            predicate,
+        );
+        let (whole_table, whole_actuals, whole_pairs) = run_cut(&s, &plan, WHOLE_TABLE, 1);
+        assert!(whole_pairs > 0);
+        check_against_oracle(&s, &plan, true, &whole_table);
+        let prepared = s.prepare(&plan).expect("prepare");
+        let registry = s.model_registry();
+        for morsel_rows in [7usize, 1024, 16_384] {
+            for threads in [1usize, 2] {
+                let ctx = ExecContext {
+                    catalog: s.catalog(),
+                    registry: &registry,
+                    embeddings: s.embedding_caches(),
+                    indexes: s.index_manager(),
+                    pool: cej_exec::ExecPool::new(threads),
+                };
+                let out = prepared
+                    .physical_plan()
+                    .execute_with(&ctx, morsel_rows)
+                    .expect("execute");
+                let what = format!("{predicate:?} morsel_rows {morsel_rows} threads {threads}");
+                assert_eq!(whole_table, out.table, "{what}");
+                assert_eq!(whole_actuals, out.operator_rows, "{what}");
+                assert_eq!(whole_pairs, out.stats.matched_pairs, "{what}");
+                let join = out.stats.join_stats;
+                let screened = join.pairs_rescored < join.pairs_compared;
+                assert_eq!(screened, vnni && morsel_rows > 7, "{what}");
             }
         }
     }
