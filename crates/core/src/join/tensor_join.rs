@@ -22,8 +22,10 @@
 //! `ε_a ≥ |fp32 score − approx|` against every inner row, so:
 //!
 //! * a threshold `t` rescores the pairs with `approx ≥ t − ε_a`;
-//! * top-k rescores the pairs with `approx ≥ τ − 2ε_a`, `τ` the block row's
-//!   k-th best approximation, and — once the row's collector is full — with
+//! * top-k rescores the pairs with `approx ≥ τ − 2ε_a`, `τ` a value `k`
+//!   pairs of the block row reach — for `k ≤ 16` the k-th largest of the 16
+//!   lane maxima the screen reports with the block, above that the row's
+//!   k-th best approximation — and, once the row's collector is full, with
 //!   `approx ≥ kth − ε_a`, `kth` its k-th best exact score.
 //!
 //! A pair left out scores strictly below a value `k` pairs reach (or below
@@ -43,8 +45,11 @@ use std::time::Instant;
 use cej_exec::ExecPool;
 use cej_relational::SimilarityPredicate;
 use cej_vector::{
-    dot_lanes, gemm::block_into_with_pool, topk::scan_at_least, BufferBudget, GemmConfig, Kernel,
-    Matrix, Screen, Sq8Inner, Sq8Outer, TopK,
+    dot_lanes,
+    gemm::block_into_with_pool,
+    sq8::{LaneMaxima, PANEL_ROWS},
+    topk::scan_at_least,
+    BufferBudget, GemmConfig, Kernel, Matrix, Screen, Sq8Inner, Sq8Outer, TopK,
 };
 
 use crate::result::{JoinPair, JoinResult, JoinStats};
@@ -54,25 +59,32 @@ use super::{check_joinable, check_predicate};
 
 /// Outer rows a join call needs before the int8 screen runs.
 ///
-/// The screen quantises the whole inner side on every call (≈ 25–65 ns per
-/// 64-dim row, mostly reading the fp32 rows) before it saves anything, so it
-/// pays off only over enough outer rows.  Screened ÷ fp32 block time of one
-/// `join` call, one thread, unit rows of dim 64, best of 30 (AVX-512 VNNI
-/// Xeon, 2 vCPUs):
+/// The screen quantises the whole inner side on every call (≈ 30–35 ns per
+/// 64-dim row on an idle core, straight into the kernel's panels) before it
+/// saves anything, so it pays off only over enough outer rows.  Screened ÷
+/// fp32 block time of one `join` call, one thread, unit rows of dim 64, best
+/// of 210 (AVX-512 VNNI Xeon, 2 vCPUs):
 ///
 /// | outer rows | 4,000 inner: top-3 / ≥ 0.62 | 19,200 inner: top-3 / ≥ 0.62 |
 /// |---|---|---|
-/// | 1  | 4.80 / 4.54 | 3.92 / 3.79 |
-/// | 8  | 1.57 / 1.53 | 1.56 / 2.16 |
-/// | 12 | 1.15 / 1.03 | 1.23 / 1.05 |
-/// | 16 | 0.95 / 0.84 | 1.02 / 0.93 |
-/// | 24 | 0.79 / 0.67 | 0.91 / 0.74 |
-/// | 32 | 0.54 / 0.57 | 0.79 / 0.63 |
-/// | 96 | 0.54 / 0.36 | 0.49 / 0.39 |
+/// | 1  | 4.15 / 4.23 | 2.99 / 3.10 |
+/// | 8  | 1.23 / 1.23 | 1.35 / 1.27 |
+/// | 12 | 1.42 / 1.60 | 1.01 / 0.96 |
+/// | 16 | 1.42 / 1.40 | 0.81 / 0.80 |
+/// | 24 | 1.09 / 1.13 | 0.70 / 0.62 |
+/// | 32 | 0.56 / 0.49 | 0.57 / 0.56 |
+/// | 96 | 0.37 / 0.30 | 0.38 / 0.37 |
 ///
-/// Break-even is at about 16 rows, where the ratio is within noise of 1;
-/// 24 is the first row count below 1 for both inner sizes and predicates,
-/// so 16-row morsels (a served 16-query `RUN`) keep the fp32 block.
+/// Over 19,200 inner rows break-even is now at about 12 rows (it was 16
+/// before the quantiser wrote panels directly).  The 4,000-row column's
+/// bump at 12–24 rows is the allocator, not the screen: the screen's
+/// buffers cross glibc's mmap threshold there and are page-faulted in on
+/// every call, and the parent commit shows the same bump.  With the
+/// thresholds pinned (`MALLOC_MMAP_THRESHOLD_`, `MALLOC_TRIM_THRESHOLD_`)
+/// that column reads 0.91 / 0.87 at 12 rows, 0.75 / 0.74 at 16 and
+/// 0.62 / 0.58 at 24.  The constant stays 24: below it a served 16-query
+/// `RUN` would execute 512-bit VNNI code it otherwise never runs, a change
+/// to be judged on `serve_live`, not here.
 const SCREEN_MIN_OUTER_ROWS: usize = 24;
 
 /// Configuration of the tensor join.
@@ -245,6 +257,14 @@ impl TensorJoin {
 
         let pool = ExecPool::new(self.config.threads);
         let mut scores = vec![0.0f32; block_cells];
+        // top-k's τ from the screen's lane maxima (k ≤ 16), one entry per
+        // outer row of a block
+        let mut lane_max: Option<Vec<LaneMaxima>> = match (&screened, predicate) {
+            (Some(_), SimilarityPredicate::TopK(k)) if k <= PANEL_ROWS => {
+                Some(vec![LaneMaxima::default(); outer_batch])
+            }
+            _ => None,
+        };
 
         let mut l_start = 0usize;
         while l_start < left.rows() {
@@ -261,6 +281,7 @@ impl TensorJoin {
                 stats.blocks_computed += 1;
                 stats.pairs_rescored += if let Some(screened) = &screened {
                     let (rows, columns) = (l_start..l_end, r_start..r_end);
+                    let mut lane_max = lane_max.as_mut().map(|m| &mut m[..l_rows]);
                     screened.screen.block_into_with_pool(
                         &screened.outer,
                         rows.clone(),
@@ -268,13 +289,14 @@ impl TensorJoin {
                         columns.clone(),
                         &pool,
                         out,
+                        lane_max.as_deref_mut(),
                     );
                     match (predicate, &mut topk_state) {
                         (SimilarityPredicate::Threshold(t), _) => {
                             screened.harvest_threshold(rows, columns, out, t, &mut pairs)
                         }
                         (SimilarityPredicate::TopK(k), Some(state)) => {
-                            screened.harvest_topk(rows, columns, out, k, state)
+                            screened.harvest_topk(rows, columns, out, lane_max.as_deref(), k, state)
                         }
                         _ => unreachable!("top-k state exists iff the predicate is top-k"),
                     }
@@ -393,9 +415,13 @@ impl<'a> Screened<'a> {
     /// Top-k harvest of a screened block.  A pair is pushed unless it is
     /// provably beaten, strictly, by `k` others:
     ///
-    /// * by the block row's `k` best approximations `≥ τ`: their scores are
-    ///   `≥ τ − ε`, so a pair with `approx < τ − 2ε` scores below all of
-    ///   them;
+    /// * by `k` pairs of the block whose approximations are `≥ τ`: their
+    ///   scores are `≥ τ − ε`, so a pair with `approx < τ − 2ε` scores below
+    ///   all of them.  With `lane_max` (`k ≤ 16`), `τ` is the `k`-th
+    ///   largest of the row's lane maxima, which the screen wrote with the
+    ///   block: they belong to distinct inner rows, so `k` pairs reach it,
+    ///   and the approximations are not read a second time.  Without, it is
+    ///   the row's `k`-th best approximation, from a [`TopK`] pass.
     /// * by the collector's `k` kept scores `≥ kth`: a pair with
     ///   `approx < kth − ε` scores below all of them, and its push would be
     ///   refused whatever its id.
@@ -403,29 +429,39 @@ impl<'a> Screened<'a> {
     /// A pair of the final top-k is beaten strictly by fewer than `k`, so it
     /// is always pushed; pushes of other pairs change nothing the collector
     /// returns (it keeps the `k` best by score, then id), so the output is
-    /// the block path's, tie order included.  Returns the number rescored.
+    /// the block path's, tie order included.  The lane maxima's `τ` can lie
+    /// below the `k`-th best approximation, which only rescores more pairs.
+    /// Returns the number rescored.
     fn harvest_topk(
         &self,
         rows: Range<usize>,
         columns: Range<usize>,
         approx: &[f32],
+        lane_max: Option<&[LaneMaxima]>,
         k: usize,
         state: &mut [TopK],
     ) -> u64 {
         let mut rescored = 0;
-        for (l, row) in rows.zip(approx.chunks_exact(columns.len())) {
+        for (i, (l, row)) in rows.zip(approx.chunks_exact(columns.len())).enumerate() {
             let eps = self.bounds[l];
             let collector = &mut state[l];
             let kept_floor = |c: &TopK| {
                 c.threshold()
                     .map_or(f32::NEG_INFINITY, |kth| (kth - eps).next_down())
             };
-            let mut best = TopK::new(k);
-            best.push_row(0, row);
-            let mut floor = best
-                .threshold()
-                .map_or(f32::NEG_INFINITY, |tau| (tau - 2.0 * eps).next_down())
-                .max(kept_floor(collector));
+            let tau = match lane_max {
+                Some(lane_max) => {
+                    let mut maxima = lane_max[i];
+                    maxima.sort_unstable_by(|a, b| b.total_cmp(a));
+                    maxima[k - 1]
+                }
+                None => {
+                    let mut best = TopK::new(k);
+                    best.push_row(0, row);
+                    best.threshold().unwrap_or(f32::NEG_INFINITY)
+                }
+            };
+            let mut floor = (tau - 2.0 * eps).next_down().max(kept_floor(collector));
             scan_at_least(row, floor, |ri, _| {
                 let r = columns.start + ri;
                 collector.push(r, self.rescore(l, r));
@@ -443,7 +479,7 @@ mod tests {
     use std::io::Write;
     use std::time::Duration;
 
-    use cej_vector::normalize_matrix_rows;
+    use cej_vector::{normalize_matrix_rows, SimdIsa};
 
     use super::*;
     use crate::join::prefetch_nlj::{NljConfig, PrefetchNlJoin};
@@ -653,14 +689,16 @@ mod tests {
     fn screens() -> Vec<Screen> {
         let vnni = Screen::detect();
         // written past the test harness's capture, once, so that a CI log
-        // shows whether the kernel was exercised or only the reference
+        // shows whether the kernel was exercised or only the reference, and
+        // which compare the harvests ran
         static REPORT: std::sync::Once = std::sync::Once::new();
         REPORT.call_once(|| {
             let _ = writeln!(
                 std::io::stderr(),
-                "tensor_join screen tests: {}",
+                "tensor_join screen tests: {} (harvest: {})",
                 vnni.map_or("no AVX-512 VNNI on this CPU, reference screen only", |s| s
-                    .label())
+                    .label()),
+                SimdIsa::detect().label()
             );
         });
         std::iter::once(Screen::reference()).chain(vnni).collect()
@@ -757,6 +795,36 @@ mod tests {
                 .collect();
             let tied = k.min(4);
             assert_eq!(ids[..tied], [5, 10, 20, 30][..tied], "k {k}");
+        }
+    }
+
+    #[test]
+    fn topk_from_the_lane_maxima_equals_the_block_path() {
+        // k up to 16 takes τ from the screen's lane maxima, k = 17 keeps the
+        // per-row TopK pass; inner sides with partial panels and blocks cut
+        // inside panels (budgets), near-duplicate inner rows so that the
+        // lane maxima tie and crowd into few lanes
+        let left = uniform_matrix(30, 24, 60, true);
+        let mut right = uniform_matrix(75, 24, 61, true);
+        for r in (3..75).step_by(16) {
+            let copy = left.row(r % 30).unwrap().to_vec();
+            right.row_mut(r).unwrap().copy_from_slice(&copy);
+        }
+        for bytes in [usize::MAX, 4 * 24 * 37, 4 * 30 * 20] {
+            let budget = match bytes {
+                usize::MAX => BufferBudget::unlimited(),
+                bytes => BufferBudget::from_bytes(bytes),
+            };
+            let join = TensorJoin::new(TensorJoinConfig::default().with_budget(budget));
+            for k in [1usize, 3, 16, 17] {
+                let predicate = SimilarityPredicate::TopK(k);
+                let what = format!("budget {bytes}");
+                let (block, screened) = assert_screen_exact(&join, &left, &right, predicate, &what);
+                assert_eq!(block.len(), 30 * k);
+                for result in screened {
+                    assert!(result.stats.pairs_rescored < result.stats.pairs_compared);
+                }
+            }
         }
     }
 

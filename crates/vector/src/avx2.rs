@@ -1,6 +1,7 @@
 //! The AVX2 implementation of the 8-lane class — the crate's `std::arch`
-//! code for fp32 scores (the int8 screen's AVX-512 VNNI kernel is
-//! [`crate::vnni`]).
+//! code for fp32 scores: the GEMM micro-kernel and the harvest compare
+//! under [`scan_at_least`](crate::topk::scan_at_least) (the int8 screen's
+//! AVX-512 code is [`crate::vnni`]).
 //!
 //! **What is detected.**  Nothing here runs unless
 //! [`SimdIsa::detect`](crate::kernels::SimdIsa::detect) saw AVX2 on the
@@ -26,6 +27,16 @@
 //! [`dot_lanes`]`::<8>`: checked-in checksums, IVM fingerprints and golden
 //! values are the same on every machine.
 //!
+//! **Why the harvest compare is `ymm`, not `zmm`.**  A compare decides
+//! nothing about rounding, so 16 lanes (`_mm512_cmp_ps_mask`) would give the
+//! same visits.  It is kept at 8 because it runs on every harvest, the fp32
+//! block path's included: a served 16-row `RUN` executes no other 512-bit
+//! instruction, and a 16-lane prototype cost such runs the CPU's AVX-512
+//! power transitions (throughput −22 to −32 % and `op_p95_ms` ×1.6 in 2 of
+//! 6 `serve_live` runs, `setup_s` +15–27 %) for no gain on the screened
+//! join over the 8-lane compare.  512-bit code runs only where the int8
+//! screen runs.
+//!
 //! **Why the int8 screen is not a new rounding class.**  The tensor join's
 //! AVX-512 screen ([`crate::sq8`]) never produces a score anyone sees: its
 //! integer dot products are exact, its approximations only choose which
@@ -34,12 +45,14 @@
 //! writes.
 
 use std::arch::x86_64::{
-    __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_permute2f128_ps,
-    _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+    __m256, _mm256_add_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_mul_ps,
+    _mm256_permute2f128_ps, _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
+    _mm256_unpackhi_ps, _mm256_unpacklo_ps, _CMP_GE_OQ,
 };
 
 use crate::gemm::tiles;
 use crate::kernels::dot_lanes;
+use crate::topk::scan_groups;
 
 /// A-rows per register block.
 const MR: usize = 4;
@@ -198,4 +211,20 @@ fn sum_lanes_of_8(r: [__m256; 8]) -> __m256 {
         total = _mm256_add_ps(total, *l);
     }
     total
+}
+
+/// [`scan_at_least`](crate::topk::scan_at_least) with each 8-score group
+/// compared by one `vcmpps` and `vmovmskps`.  `_CMP_GE_OQ` is Rust's `>=`:
+/// ordered, so a NaN on either side compares false, and `-0.0 >= 0.0`.  The
+/// set-bit walk, the re-check against the bound in force and the tail are
+/// the portable loop's ([`scan_groups`]), so `visit` gets the same calls in
+/// the same order.
+#[target_feature(enable = "avx2")]
+pub(crate) fn scan_at_least(scores: &[f32], bound: f32, visit: impl FnMut(usize, f32) -> f32) {
+    scan_groups(scores, bound, visit, |group, bound| {
+        // SAFETY: `group` is 8 floats, exactly the 32 bytes the unaligned
+        // load reads.
+        let x = unsafe { _mm256_loadu_ps(group.as_ptr()) };
+        _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(x, _mm256_set1_ps(bound))) as u32
+    });
 }

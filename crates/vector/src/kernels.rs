@@ -26,7 +26,9 @@
 //! is its portable definition.  The CPU picks, once, which *implementation*
 //! of that class runs ([`SimdIsa::detect`]): on x86-64 with AVX2 the GEMM
 //! uses `std::arch` code that performs the same operations in the same
-//! order on `ymm` registers; everywhere else the portable loops run.  A
+//! order on `ymm` registers, and the score harvest
+//! ([`scan_at_least`](crate::topk::scan_at_least)) compares eight scores
+//! per instruction; everywhere else the portable loops run.  A
 //! score therefore never depends on the machine, on which path computed it,
 //! or on any setting — there is no knob.
 //!
@@ -45,8 +47,8 @@ pub const UNROLL_LANES: usize = 8;
 /// same bits (see the module documentation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdIsa {
-    /// `std::arch` AVX2 code for the GEMM micro-kernel (x86-64 CPUs that
-    /// report AVX2).
+    /// `std::arch` AVX2 code for the GEMM micro-kernel and the harvest
+    /// compare (x86-64 CPUs that report AVX2).
     Avx2,
     /// The portable lane-unrolled loops, vectorised by LLVM for whatever the
     /// build targets.

@@ -16,14 +16,23 @@
 //! both divisions and the product in f32), plus its L1 norm `‖x‖₁` (16 f32
 //! lanes summed as a tree) and `Σq`.  A zero row has `s = 0`
 //! and all-zero codes.  Rows are quantised independently, so where a morsel
-//! or a block is cut changes no code.  The codes are stored for the kernel:
+//! or a block is cut changes no code.  The codes are stored for the kernel,
+//! four to a little-endian `u32` word (codes `4g..4g + 4` in word `g`):
 //!
-//! * an outer row ([`Sq8Outer`]) as `u8 = q + 128`, four codes to a `u32`
-//!   word, `d` zero-padded (code 128) to a multiple of 4;
-//! * inner rows ([`Sq8Inner`]) as `i8` in panels of 16 rows, k-major in
-//!   4-byte groups: group `g` of a panel is the 64 bytes `q[row][4g..4g+4]`
-//!   for its 16 rows, which is one `vpdpbusd` operand.  Rows past the end of
-//!   the last panel and `k` past `d` are zero.
+//! * an outer row ([`Sq8Outer`]) as `u8 = q + 128`, `d` padded with code
+//!   128 (`q = 0`) to a multiple of 4;
+//! * inner rows ([`Sq8Inner`]) as `i8` in panels of 16 rows, k-major: group
+//!   `g` of a panel is the 16 words `g` of its rows, 64 bytes, which is one
+//!   `vpdpbusd` operand.  Rows past the end of the last panel and `k` past
+//!   `d` are zero.
+//!
+//! The quantiser works a panel (16 rows) at a time and writes each row's
+//! words straight into their place — the outer row, or the row's lane of
+//! each group of the panel — with no row-major copy of the codes in between.
+//! On a CPU with the screen it runs on `zmm` registers (`crate::vnni`), its
+//! loops compiled for the row's count of 16-float chunks up to `d = 128`;
+//! elsewhere, and as the reference it is tested against, `quantize_row`
+//! runs.  Both write the same bits.
 //!
 //! # The approximation
 //!
@@ -90,12 +99,19 @@ use cej_exec::ExecPool;
 /// that the integer dot product converts to f32 exactly.
 pub const MAX_SCREEN_DIM: usize = 1024;
 
-/// Inner rows per panel — the 16 `i32` lanes of a `zmm` register.
-pub(crate) const PANEL_ROWS: usize = 16;
-/// Codes per group — the 4 bytes `vpdpbusd` multiplies into one lane.
+/// Inner rows per panel — the 16 `i32` lanes of a `zmm` register, and the
+/// lanes of a [`LaneMaxima`].
+pub const PANEL_ROWS: usize = 16;
+/// Codes per group — the 4 bytes `vpdpbusd` multiplies into one lane, kept
+/// as one `u32` word.
 pub(crate) const GROUP: usize = 4;
-/// Bytes of one group of one panel: one `zmm` operand.
-pub(crate) const PANEL_GROUP_BYTES: usize = PANEL_ROWS * GROUP;
+
+/// What [`Screen::block_into`] reports per outer row on request:
+/// lane `j` is the largest approximation over the block's inner rows `b`
+/// with `b % 16 == j` (`-inf` when the block has none).  The lanes belong
+/// to distinct inner rows, so the `k`-th largest of them (`k ≤ 16`) is a
+/// value that `k` distinct pairs of the block reach.
+pub type LaneMaxima = [f32; PANEL_ROWS];
 
 /// Largest row magnitude the screen accepts (`2³²`).
 const MAX_MAGNITUDE: f32 = 4_294_967_296.0;
@@ -111,7 +127,7 @@ pub(crate) const ROUNDING_MAGIC_BITS: i32 = 0x4b40_0000;
 const U: f32 = f32::EPSILON / 2.0;
 
 /// What quantising one row yields besides its codes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct RowCode {
     /// `max|x| / 127`.
     pub(crate) scale: f32,
@@ -187,39 +203,50 @@ pub(crate) fn sum_lanes(mut lanes: [f32; PANEL_ROWS]) -> f32 {
     lanes[0]
 }
 
-/// Quantises `data` with the fastest quantiser this CPU has, 16 rows at a
-/// time: `visit(row, codes, row_code)` for each row, in order, or `None` at
-/// the first batch with a row outside the screen's range.  `codes` is padded
-/// with zeros to whole groups.
-fn quantize_each(
-    data: &[f32],
+/// Where a batch of at most 16 rows writes its code words — word `g` of a
+/// row holds its codes `4g..4g + 4` as little-endian bytes, code 0 past
+/// `dim`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// The outer side: `u8` codes `q + 128`, row `i`'s `groups` words at
+    /// `i * groups`.
+    Rows,
+    /// One inner panel: `i8` codes, word `g` of row `i` at `g * 16 + i`.
+    Panel,
+}
+
+/// Quantises a batch of at most 16 rows of `dim` floats into `words`
+/// (laid out as `layout` says) and `out` — with the AVX-512 quantiser when
+/// `fast` (the caller saw [`Screen::detect`]), otherwise with
+/// [`quantize_row`] — or `None` when a row is outside the screen's range.
+fn quantize_batch(
+    batch: &[f32],
     dim: usize,
-    mut visit: impl FnMut(usize, &[i8], RowCode),
+    layout: Layout,
+    fast: bool,
+    words: &mut [u32],
+    out: &mut [RowCode],
 ) -> Option<()> {
-    let stride = dim.div_ceil(GROUP) * GROUP;
-    let mut codes = vec![0i8; PANEL_ROWS * stride];
-    let empty = RowCode {
-        scale: 0.0,
-        l1: 0.0,
-        sum: 0,
-    };
-    let mut row_codes = [empty; PANEL_ROWS];
-    let fast = Screen::detect().is_some();
-    for (b, batch) in data.chunks(PANEL_ROWS * dim).enumerate() {
-        let out = &mut row_codes[..batch.len() / dim];
-        if fast {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Screen::detect` saw avx512f and avx512bw, the
-            // features the callee is compiled for.
-            unsafe { crate::vnni::quantize_rows(batch, dim, &mut codes, stride, out) }?;
-        } else {
-            let rows = batch.chunks_exact(dim).zip(codes.chunks_exact_mut(stride));
-            for ((row, codes), out) in rows.zip(out.iter_mut()) {
-                *out = quantize_row(row, codes)?;
+    if fast {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `fast` is only set after `Screen::detect` saw avx512f and
+        // avx512bw, the features the callee is compiled for.
+        return unsafe { crate::vnni::quantize_batch(batch, dim, layout, words, out) };
+    }
+    let groups = dim.div_ceil(GROUP);
+    let mut codes = [0i8; MAX_SCREEN_DIM];
+    for (i, (row, out)) in batch.chunks_exact(dim).zip(out).enumerate() {
+        // codes past `dim` are never written: they stay 0
+        *out = quantize_row(row, &mut codes[..dim])?;
+        for (g, group) in codes[..groups * GROUP].chunks_exact(GROUP).enumerate() {
+            let group: [i8; GROUP] = group.try_into().expect("chunks_exact(4) yields 4");
+            let word = u32::from_le_bytes(group.map(|q| q as u8));
+            match layout {
+                // `q + 128` is `q`'s two's-complement byte with the top bit
+                // flipped
+                Layout::Rows => words[i * groups + g] = word ^ 0x8080_8080,
+                Layout::Panel => words[g * PANEL_ROWS + i] = word,
             }
-        }
-        for (i, (codes, row_code)) in codes.chunks_exact(stride).zip(out.iter()).enumerate() {
-            visit(b * PANEL_ROWS + i, codes, *row_code);
         }
     }
     Some(())
@@ -252,27 +279,34 @@ impl Sq8Outer {
     /// # Panics
     /// Panics when `data.len() != rows * dim`.
     pub fn quantize(data: &[f32], rows: usize, dim: usize) -> Option<Self> {
+        Self::quantize_with(data, rows, dim, Screen::detect().is_some())
+    }
+
+    /// [`Sq8Outer::quantize`] with the AVX-512 quantiser (`fast`, which
+    /// the caller has seen [`Screen::detect`] allow) or the portable one.
+    pub(crate) fn quantize_with(data: &[f32], rows: usize, dim: usize, fast: bool) -> Option<Self> {
         if !screenable_dim(rows, dim, data) {
             return None;
         }
         let groups = dim.div_ceil(GROUP);
-        let mut out = Self {
+        let mut codes = vec![0u32; rows * groups];
+        let (mut scales, mut l1) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        let mut row_codes = [RowCode::default(); PANEL_ROWS];
+        let batches = data.chunks(PANEL_ROWS * dim);
+        for (batch, words) in batches.zip(codes.chunks_mut(PANEL_ROWS * groups)) {
+            let out = &mut row_codes[..batch.len() / dim];
+            quantize_batch(batch, dim, Layout::Rows, fast, words, out)?;
+            scales.extend(out.iter().map(|row| row.scale));
+            l1.extend(out.iter().map(|row| row.l1));
+        }
+        Some(Self {
             rows,
             dim,
             groups,
-            codes: Vec::with_capacity(rows * groups),
-            scales: Vec::with_capacity(rows),
-            l1: Vec::with_capacity(rows),
-        };
-        quantize_each(data, dim, |_, codes, row| {
-            // `q + 128` is `q`'s two's-complement byte with the top bit flipped
-            out.codes.extend(codes.chunks_exact(GROUP).map(|g| {
-                u32::from_le_bytes([g[0] as u8, g[1] as u8, g[2] as u8, g[3] as u8]) ^ 0x8080_8080
-            }));
-            out.scales.push(row.scale);
-            out.l1.push(row.l1);
-        })?;
-        Some(out)
+            codes,
+            scales,
+            l1,
+        })
     }
 
     /// `ε` for outer row `row`: `|S − approx| ≤ ε` for this row against
@@ -293,11 +327,13 @@ impl Sq8Outer {
     }
 
     /// The `groups` code words of row `row`.
+    #[inline]
     pub(crate) fn row_codes(&self, row: usize) -> &[u32] {
         &self.codes[row * self.groups..(row + 1) * self.groups]
     }
 
     /// The scale of row `row`.
+    #[inline]
     pub(crate) fn scale(&self, row: usize) -> f32 {
         self.scales[row]
     }
@@ -312,7 +348,7 @@ pub struct Sq8Inner {
     rows: usize,
     dim: usize,
     groups: usize,
-    panels: Vec<i8>,
+    panels: Vec<u32>,
     scales: Vec<f32>,
     bias: Vec<i32>,
     max_scale: f32,
@@ -327,48 +363,66 @@ impl Sq8Inner {
     /// # Panics
     /// Panics when `data.len() != rows * dim`.
     pub fn quantize(data: &[f32], rows: usize, dim: usize) -> Option<Self> {
+        Self::quantize_with(data, rows, dim, Screen::detect().is_some())
+    }
+
+    /// [`Sq8Inner::quantize`] with the AVX-512 quantiser (`fast`, which
+    /// the caller has seen [`Screen::detect`] allow) or the portable one.
+    /// Either writes each batch of 16 rows straight into its panel.
+    pub(crate) fn quantize_with(data: &[f32], rows: usize, dim: usize, fast: bool) -> Option<Self> {
         if !screenable_dim(rows, dim, data) {
             return None;
         }
         let groups = dim.div_ceil(GROUP);
         let padded_rows = rows.div_ceil(PANEL_ROWS) * PANEL_ROWS;
-        let mut out = Self {
+        let mut panels = vec![0u32; padded_rows * groups];
+        let mut scales = vec![0.0; padded_rows];
+        let mut bias = vec![0; padded_rows];
+        let (mut max_scale, mut max_l1) = (0.0f32, 0.0f32);
+        let mut row_codes = [RowCode::default(); PANEL_ROWS];
+        let batches = data.chunks(PANEL_ROWS * dim);
+        for (b, (batch, panel)) in batches
+            .zip(panels.chunks_mut(PANEL_ROWS * groups))
+            .enumerate()
+        {
+            let out = &mut row_codes[..batch.len() / dim];
+            quantize_batch(batch, dim, Layout::Panel, fast, panel, out)?;
+            for (i, row) in out.iter().enumerate() {
+                let r = b * PANEL_ROWS + i;
+                bias[r] = 128 * row.sum;
+                scales[r] = row.scale;
+                max_scale = max_scale.max(row.scale);
+                max_l1 = max_l1.max(row.l1);
+            }
+        }
+        Some(Self {
             rows,
             dim,
             groups,
-            panels: vec![0i8; padded_rows * groups * GROUP],
-            scales: vec![0.0; padded_rows],
-            bias: vec![0; padded_rows],
-            max_scale: 0.0,
-            max_l1: 0.0,
-        };
-        quantize_each(data, dim, |r, codes, row| {
-            let panel = &mut out.panels[r / PANEL_ROWS * groups * PANEL_GROUP_BYTES..];
-            let lane = r % PANEL_ROWS * GROUP;
-            for (g, group) in codes.chunks_exact(GROUP).enumerate() {
-                let at = g * PANEL_GROUP_BYTES + lane;
-                panel[at..at + GROUP].copy_from_slice(group);
-            }
-            out.bias[r] = 128 * row.sum;
-            out.scales[r] = row.scale;
-            out.max_scale = out.max_scale.max(row.scale);
-            out.max_l1 = out.max_l1.max(row.l1);
-        })?;
-        Some(out)
+            panels,
+            scales,
+            bias,
+            max_scale,
+            max_l1,
+        })
     }
 
-    /// The codes of panel `panel` (`groups` groups of 64 bytes).
-    pub(crate) fn panel(&self, panel: usize) -> &[i8] {
-        let len = self.groups * PANEL_GROUP_BYTES;
+    /// The code words of panel `panel`: `groups` groups of 16 words, word
+    /// `i` of a group holding four codes of the panel's row `i`.
+    #[inline]
+    pub(crate) fn panel(&self, panel: usize) -> &[u32] {
+        let len = self.groups * PANEL_ROWS;
         &self.panels[panel * len..(panel + 1) * len]
     }
 
     /// The 16 scales of panel `panel`.
+    #[inline]
     pub(crate) fn panel_scales(&self, panel: usize) -> &[f32] {
         &self.scales[panel * PANEL_ROWS..(panel + 1) * PANEL_ROWS]
     }
 
     /// The 16 `128 · Σq` corrections of panel `panel`.
+    #[inline]
     pub(crate) fn panel_bias(&self, panel: usize) -> &[i32] {
         &self.bias[panel * PANEL_ROWS..(panel + 1) * PANEL_ROWS]
     }
@@ -376,7 +430,7 @@ impl Sq8Inner {
     /// Code `k` of inner row `row`.
     fn code(&self, row: usize, k: usize) -> i8 {
         let panel = self.panel(row / PANEL_ROWS);
-        panel[k / GROUP * PANEL_GROUP_BYTES + row % PANEL_ROWS * GROUP + k % GROUP]
+        panel[k / GROUP * PANEL_ROWS + row % PANEL_ROWS].to_le_bytes()[k % GROUP] as i8
     }
 }
 
@@ -436,11 +490,13 @@ impl Screen {
     /// Writes the approximate score of every pair of outer rows `a_rows`
     /// and inner rows `b_rows` into `out`, row-major
     /// (`a_rows.len() × b_rows.len()`) — the layout of the GEMM's score
-    /// block, so a caller can screen into the same buffer.
+    /// block, so a caller can screen into the same buffer — and, when
+    /// `lane_max` is given (`a_rows.len()` entries), each outer row's
+    /// [`LaneMaxima`] over `b_rows`.
     ///
     /// # Panics
     /// Panics when a range is out of bounds, the sides differ in dimension,
-    /// or `out` has the wrong length.
+    /// or `out` or `lane_max` has the wrong length.
     pub fn block_into(
         &self,
         outer: &Sq8Outer,
@@ -448,11 +504,13 @@ impl Screen {
         inner: &Sq8Inner,
         b_rows: Range<usize>,
         out: &mut [f32],
+        lane_max: Option<&mut [LaneMaxima]>,
     ) {
         assert!(a_rows.start <= a_rows.end && a_rows.end <= outer.rows);
         assert!(b_rows.start <= b_rows.end && b_rows.end <= inner.rows);
         assert_eq!(outer.dim, inner.dim, "both sides must share a dimension");
         assert_eq!(out.len(), a_rows.len() * b_rows.len());
+        assert!(lane_max.as_ref().is_none_or(|m| m.len() == a_rows.len()));
         match self.isa {
             #[cfg(target_arch = "x86_64")]
             ScreenIsa::Avx512Vnni => {
@@ -460,18 +518,20 @@ impl Screen {
                 // `Screen::detect`, after the running CPU reported avx512f,
                 // avx512bw and avx512vnni — the features the callee is
                 // compiled for.
-                unsafe { crate::vnni::block_into(outer, a_rows, inner, b_rows, out) }
+                unsafe { crate::vnni::block_into(outer, a_rows, inner, b_rows, out, lane_max) }
             }
-            ScreenIsa::Reference => reference_block(outer, a_rows, inner, b_rows, out),
+            ScreenIsa::Reference => reference_block(outer, a_rows, inner, b_rows, out, lane_max),
         }
     }
 
     /// [`Screen::block_into`] with the outer rows split across `pool` the
     /// way [`block_into_with_pool`](crate::gemm::block_into_with_pool)
-    /// splits them: each worker fills a disjoint row-aligned slice of `out`.
+    /// splits them: each worker fills a disjoint row-aligned slice of `out`
+    /// and the matching entries of `lane_max`.
     ///
     /// # Panics
     /// As [`Screen::block_into`].
+    #[allow(clippy::too_many_arguments)]
     pub fn block_into_with_pool(
         &self,
         outer: &Sq8Outer,
@@ -480,15 +540,36 @@ impl Screen {
         b_rows: Range<usize>,
         pool: &ExecPool,
         out: &mut [f32],
+        lane_max: Option<&mut [LaneMaxima]>,
     ) {
         if pool.threads() <= 1 || a_rows.len() < 2 {
-            self.block_into(outer, a_rows, inner, b_rows, out);
+            self.block_into(outer, a_rows, inner, b_rows, out, lane_max);
             return;
         }
-        let first = a_rows.start;
-        pool.parallel_fill(out, a_rows.len(), b_rows.len(), |rows, chunk| {
-            let rows = first + rows.start..first + rows.end;
-            self.block_into(outer, rows, inner, b_rows.clone(), chunk);
+        assert_eq!(out.len(), a_rows.len() * b_rows.len());
+        assert!(lane_max.as_ref().is_none_or(|m| m.len() == a_rows.len()));
+        // one part per task, each owning its rows of both outputs
+        let (tasks, width) = (pool.threads().min(a_rows.len()), b_rows.len());
+        let mut parts = Vec::with_capacity(tasks);
+        let (mut out, mut lane_max, mut start) = (out, lane_max, a_rows.start);
+        for t in 0..tasks {
+            let end = a_rows.start + a_rows.len() * (t + 1) / tasks;
+            let (rows_out, rest_out) = out.split_at_mut((end - start) * width);
+            let (rows_max, rest_max) = match lane_max {
+                Some(m) => {
+                    let (rows, rest) = m.split_at_mut(end - start);
+                    (Some(rows), Some(rest))
+                }
+                None => (None, None),
+            };
+            parts.push((start..end, rows_out, rows_max));
+            (out, lane_max, start) = (rest_out, rest_max, end);
+        }
+        pool.parallel_fill(&mut parts, tasks, 1, |_, parts| {
+            for (rows, out, lane_max) in parts {
+                let lane_max = lane_max.as_deref_mut();
+                self.block_into(outer, rows.clone(), inner, b_rows.clone(), out, lane_max);
+            }
         });
     }
 }
@@ -512,11 +593,20 @@ fn reference_block(
     inner: &Sq8Inner,
     b_rows: Range<usize>,
     out: &mut [f32],
+    mut lane_max: Option<&mut [LaneMaxima]>,
 ) {
     let width = b_rows.len();
     for (i, a) in a_rows.enumerate() {
+        let mut max = [f32::NEG_INFINITY; PANEL_ROWS];
         for (j, b) in b_rows.clone().enumerate() {
-            out[i * width + j] = reference_score(outer, a, inner, b);
+            let score = reference_score(outer, a, inner, b);
+            out[i * width + j] = score;
+            // `vmaxps`'s choice: the new score unless the kept one is larger
+            let lane = &mut max[b % PANEL_ROWS];
+            *lane = if *lane > score { *lane } else { score };
+        }
+        if let Some(lane_max) = lane_max.as_deref_mut() {
+            lane_max[i] = max;
         }
     }
 }
@@ -555,61 +645,149 @@ mod tests {
         assert_eq!(outer.l1[0], 1.0 + 0.5 + 0.25 + 0.0 + 1.0 + 0.003);
     }
 
+    /// Every output of both sides, with floats as bits.
+    type SideBits = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>, Vec<i32>, [u32; 2]);
+
+    fn side_bits(outer: &Sq8Outer, inner: &Sq8Inner) -> SideBits {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut outer_floats = bits(&outer.scales);
+        outer_floats.extend(bits(&outer.l1));
+        (
+            outer.codes.clone(),
+            outer_floats,
+            inner.panels.clone(),
+            bits(&inner.scales),
+            inner.bias.clone(),
+            [inner.max_scale.to_bits(), inner.max_l1.to_bits()],
+        )
+    }
+
+    /// Both sides of `data` by the portable quantiser and, where the CPU
+    /// has it, by the AVX-512 one writing words and panels directly: the
+    /// same bits everywhere, or `None` from all four.  Returns the portable
+    /// sides.
+    fn assert_quantisers_agree(
+        data: &[f32],
+        rows: usize,
+        dim: usize,
+        what: &str,
+    ) -> Option<(Sq8Outer, Sq8Inner)> {
+        let outer = Sq8Outer::quantize_with(data, rows, dim, false);
+        let inner = Sq8Inner::quantize_with(data, rows, dim, false);
+        assert_eq!(outer.is_some(), inner.is_some(), "{what}");
+        if Screen::detect().is_some() {
+            let fast_outer = Sq8Outer::quantize_with(data, rows, dim, true);
+            let fast_inner = Sq8Inner::quantize_with(data, rows, dim, true);
+            assert_eq!(fast_outer.is_some(), outer.is_some(), "{what}");
+            assert_eq!(fast_inner.is_some(), inner.is_some(), "{what}");
+            if let (Some(o), Some(i), Some(fo), Some(fi)) = (&outer, &inner, fast_outer, fast_inner)
+            {
+                assert!(side_bits(o, i) == side_bits(&fo, &fi), "{what}");
+            }
+        }
+        outer.zip(inner)
+    }
+
+    /// Uniform rows of `dim` values with, row by row, zero rows, spiky rows
+    /// (one component 1, the rest round to code 0), rows on the half-code
+    /// grid (every component a tie), `-0.0` and subnormal components, and
+    /// rows whose maximum sits exactly on either end of the accepted range.
+    fn hard_rows(rows: usize, dim: usize, seed: u32) -> Vec<f32> {
+        let mut data = floats(rows * dim, seed);
+        for (r, row) in data.chunks_exact_mut(dim).enumerate() {
+            match r % 9 {
+                0 => row.fill(0.0),
+                1 => {
+                    row.iter_mut().for_each(|x| *x *= 0.003);
+                    row[r % dim] = 1.0;
+                }
+                2 => {
+                    for (k, x) in row.iter_mut().enumerate() {
+                        *x = ((k * 37 + r) % 255) as f32 - 127.0 + 0.5;
+                    }
+                }
+                3 => {
+                    for (k, x) in row.iter_mut().enumerate() {
+                        *x = [-0.0, f32::MIN_POSITIVE / 8.0, -1e-40][k % 3];
+                    }
+                    row[0] = -0.75;
+                }
+                4 => {
+                    row.iter_mut().for_each(|x| *x *= 1e9);
+                    row[dim / 2] = MAX_MAGNITUDE;
+                }
+                5 => {
+                    row.iter_mut().for_each(|x| *x *= 1e-12);
+                    row[dim - 1] = -MIN_ROW_MAX;
+                }
+                _ => {}
+            }
+        }
+        data
+    }
+
     #[test]
     fn the_cpus_quantiser_is_the_portable_one_bit_for_bit() {
-        // every dimension up to four chunks, values across the range,
-        // including exact halves of the code grid (ties), zeros and -0.0
-        for dim in 1..=64usize {
-            let mut data = floats(7 * dim, dim as u32);
-            for (i, x) in data.iter_mut().enumerate() {
-                match i % 11 {
-                    0 => *x = 0.0,
-                    1 => *x = -0.0,
-                    2 => *x *= 1e6,
-                    3 => *x = (i % 255) as f32 - 127.0 + 0.5,
-                    _ => {}
-                }
-            }
-            let stride = dim.div_ceil(GROUP) * GROUP;
-            for batch in data.chunks(PANEL_ROWS * dim) {
-                let rows = batch.len() / dim;
-                let mut portable = vec![0i8; rows * stride];
-                let expected: Vec<RowCode> = batch
-                    .chunks_exact(dim)
-                    .zip(portable.chunks_exact_mut(stride))
-                    .map(|(row, codes)| quantize_row(row, codes).unwrap())
-                    .collect();
-                #[cfg(target_arch = "x86_64")]
-                if Screen::detect().is_some() {
-                    let mut fast = vec![0i8; rows * stride];
-                    let mut got = vec![expected[0]; rows];
-                    // SAFETY: `Screen::detect` saw avx512f and avx512bw.
-                    unsafe { crate::vnni::quantize_rows(batch, dim, &mut fast, stride, &mut got) };
-                    assert_eq!(got, expected, "dim {dim}");
-                    assert_eq!(fast, portable, "dim {dim}");
-                }
-                for ((row, codes), row_code) in batch
-                    .chunks_exact(dim)
-                    .zip(portable.chunks_exact(stride))
-                    .zip(&expected)
-                {
-                    let codes = &codes[..dim];
-                    assert_eq!(
-                        row_code.sum,
-                        codes.iter().map(|&q| i32::from(q)).sum::<i32>()
-                    );
-                    if row_code.scale == 0.0 {
+        // every dimension up to five chunks and a few wider ones, batches
+        // with and without a partial panel; the portable codes are the
+        // definition's nearest codes
+        for dim in (1..=80usize).chain([100, 128, 129, 200, 1024]) {
+            for rows in [1usize, 7, 16, 23] {
+                let data = hard_rows(rows, dim, dim as u32);
+                let what = format!("dim {dim} rows {rows}");
+                let (outer, inner) = assert_quantisers_agree(&data, rows, dim, &what).unwrap();
+                for (r, row) in data.chunks_exact(dim).enumerate() {
+                    let codes: Vec<i8> = (0..dim).map(|k| inner.code(r, k)).collect();
+                    let outer_codes = outer.row_codes(r);
+                    for (k, &q) in codes.iter().enumerate() {
+                        let byte = outer_codes[k / GROUP].to_le_bytes()[k % GROUP];
+                        assert_eq!(byte, (q as u8) ^ 0x80, "{what} row {r} code {k}");
+                    }
+                    // the padding: outer code 128 (q = 0), inner code 0
+                    for k in dim..dim.div_ceil(GROUP) * GROUP {
+                        assert_eq!(outer_codes[k / GROUP].to_le_bytes()[k % GROUP], 128);
+                        assert_eq!(inner.code(r, k), 0);
+                    }
+                    let sum: i32 = codes.iter().map(|&q| i32::from(q)).sum();
+                    assert_eq!(inner.bias[r], 128 * sum, "{what} row {r}");
+                    let scale = inner.scales[r];
+                    if scale == 0.0 {
                         assert!(codes.iter().all(|&q| q == 0));
                         continue;
                     }
-                    for (&x, &q) in row.iter().zip(codes) {
-                        let y = x / row_code.scale;
+                    for (&x, &q) in row.iter().zip(&codes) {
+                        let y = x / scale;
                         assert!(
                             (y - f32::from(q)).abs() <= 0.5001,
-                            "{x} -> {q} at scale {}",
-                            row_code.scale
+                            "{x} -> {q} at scale {scale}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panels_written_directly_equal_the_portable_quantiser() {
+        // what a workload quantises: up to 10,080 rows, partial panels at
+        // both ends of the range of row counts, every listed dimension
+        const ROWS: [usize; 5] = [1, 15, 16, 17, 10_080];
+        for dim in [1usize, 7, 15, 16, 17, 32, 63, 64, 65, 100, 128, 1024] {
+            let data = hard_rows(10_080, dim, 7 * dim as u32);
+            for rows in ROWS {
+                let what = format!("dim {dim} rows {rows}");
+                let data = &data[..rows * dim];
+                assert!(assert_quantisers_agree(data, rows, dim, &what).is_some());
+            }
+            // a row just outside either end of the range, first, inside the
+            // second panel or last: `None` from every quantiser
+            for bad in [MAX_MAGNITUDE.next_up(), MIN_ROW_MAX.next_down()] {
+                for at in [0usize, 17, 40] {
+                    let mut data = data[..41 * dim].to_vec();
+                    data[at * dim..(at + 1) * dim].fill(0.0);
+                    data[at * dim + dim / 3] = -bad;
+                    let what = format!("dim {dim} {bad:e} at row {at}");
+                    assert!(assert_quantisers_agree(&data, 41, dim, &what).is_none());
                 }
             }
         }

@@ -7,8 +7,9 @@
 //!
 //! A score row (one outer tuple against a block of inner tuples) is mostly
 //! scores that fail the predicate.  [`scan_at_least`] is the harvest
-//! primitive that skips them eight at a time; [`TopK::push_row`] and the
-//! threshold harvests of the tensor join are built on it.
+//! primitive that skips them eight at a time (an AVX2 compare where the CPU
+//! has it); [`TopK::push_row`] and the threshold harvests of the tensor join
+//! are built on it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -169,19 +170,50 @@ impl TopK {
 /// The row is walked in 8-lane groups: one branch-free compare produces a
 /// bit mask per group and only set bits are visited, so a row of
 /// non-qualifying scores costs a compare per group instead of a branch per
-/// score.  The compare is plain Rust on every CPU, not `std::arch` code: an
-/// AVX2 `cmp_ps`/`movemask` compare moves `scan_join_warm` by less than its
-/// run-to-run spread (`BENCH_14.json`, `harvest_isa_ab`).
+/// score.  The CPU picks the compare once
+/// ([`SimdIsa::detect`](crate::kernels::SimdIsa::detect)): with AVX2
+/// it is one `vcmpps` + `vmovmskps` per group (`crate::avx2`), elsewhere
+/// the portable loop of eight scalar compares; both walk the same set bits
+/// and re-check them against the same bound, so `visit` sees the same
+/// calls.  Every harvest shares it — the fp32 block path's and the int8
+/// screen's, threshold and top-k alike.
 #[inline]
-pub fn scan_at_least(scores: &[f32], mut bound: f32, mut visit: impl FnMut(usize, f32) -> f32) {
+pub fn scan_at_least(scores: &[f32], bound: f32, visit: impl FnMut(usize, f32) -> f32) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::kernels::SimdIsa::detect() == crate::kernels::SimdIsa::Avx2 {
+        // SAFETY: `SimdIsa::detect` returned `Avx2`, i.e. the running CPU
+        // has the feature the callee is compiled for.
+        unsafe { crate::avx2::scan_at_least(scores, bound, visit) };
+        return;
+    }
+    scan_groups(scores, bound, visit, portable_mask);
+}
+
+/// The portable group compare: bit `l` is set iff `group[l] >= bound`.
+#[inline(always)]
+pub(crate) fn portable_mask(group: &[f32; UNROLL_LANES], bound: f32) -> u32 {
+    let mut mask = 0u32;
+    for (lane, &score) in group.iter().enumerate() {
+        mask |= u32::from(score >= bound) << lane;
+    }
+    mask
+}
+
+/// [`scan_at_least`]'s walk with `group_mask` as the compare of an 8-lane
+/// group against the bound in force at the group's start; the tail is
+/// compared score by score.
+#[inline(always)]
+pub(crate) fn scan_groups(
+    scores: &[f32],
+    mut bound: f32,
+    mut visit: impl FnMut(usize, f32) -> f32,
+    group_mask: impl Fn(&[f32; UNROLL_LANES], f32) -> u32,
+) {
     let mut groups = scores.chunks_exact(UNROLL_LANES);
     let mut base = 0usize;
     for group in &mut groups {
         let group: &[f32; UNROLL_LANES] = group.try_into().expect("chunks_exact(8) yields 8");
-        let mut mask = 0u32;
-        for (lane, &score) in group.iter().enumerate() {
-            mask |= u32::from(score >= bound) << lane;
-        }
+        let mut mask = group_mask(group, bound);
         while mask != 0 {
             let lane = mask.trailing_zeros() as usize;
             mask &= mask - 1;
@@ -210,6 +242,8 @@ pub fn top_k<I: IntoIterator<Item = (usize, f32)>>(k: usize, items: I) -> Vec<To
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -348,6 +382,83 @@ mod tests {
             0.5
         });
         assert_eq!(visited, vec![0, 2, 4, 6, 9]);
+    }
+
+    /// A harvest implementation under test.
+    type Harvest = fn(&[f32], f32, &mut dyn FnMut(usize, f32) -> f32);
+
+    /// The harvests this CPU can run: the portable loop everywhere (the
+    /// reference), the AVX2 compare where the CPU has it.
+    fn harvests() -> Vec<(&'static str, Harvest)> {
+        let mut harvests: Vec<(&'static str, Harvest)> =
+            vec![("portable", |s, b, v| scan_groups(s, b, v, portable_mask))];
+        #[cfg(target_arch = "x86_64")]
+        if crate::kernels::SimdIsa::detect() == crate::kernels::SimdIsa::Avx2 {
+            harvests.push(("avx2", |s, b, v| {
+                // SAFETY: `SimdIsa::detect` saw AVX2 on this CPU.
+                unsafe { crate::avx2::scan_at_least(s, b, v) }
+            }));
+        }
+        harvests
+    }
+
+    /// Scores and bounds of the harvest property: NaN, ±inf, ±0.0,
+    /// subnormals of either sign and a few normal values, every one of them
+    /// a possible bound, so scores land exactly on it.
+    const PALETTE: [f32; 13] = [
+        f32::NAN,
+        f32::NEG_INFINITY,
+        -1.0,
+        -f32::MIN_POSITIVE / 2.0,
+        -0.0,
+        0.0,
+        1e-45,
+        f32::MIN_POSITIVE / 4.0,
+        f32::MIN_POSITIVE,
+        0.25,
+        0.5,
+        1.0,
+        f32::INFINITY,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_harvest_calls_visit_as_the_portable_loop_does(
+            picks in proptest::collection::vec(0usize..PALETTE.len(), 40),
+            start in 0usize..PALETTE.len(),
+            raises in proptest::collection::vec(0usize..PALETTE.len() + 2, 1..9),
+        ) {
+            // every row length 0..=40, so every tail length occurs with and
+            // without whole groups before it
+            for len in 0..=picks.len() {
+                let scores: Vec<f32> = picks[..len].iter().map(|&p| PALETTE[p]).collect();
+                let mut expected = None;
+                for (name, harvest) in harvests() {
+                    // each visit raises the bound to a palette value or keeps
+                    // it, mid-group as `TopK::push_row` does; `f32::max`
+                    // never lowers it and ignores a NaN
+                    let mut bound = PALETTE[start];
+                    let mut calls = Vec::new();
+                    harvest(&scores, bound, &mut |i, score| {
+                        let raise = raises[calls.len() % raises.len()];
+                        calls.push((i, score.to_bits(), bound.to_bits()));
+                        if let Some(&to) = PALETTE.get(raise) {
+                            bound = bound.max(to);
+                        }
+                        bound
+                    });
+                    prop_assert!(calls.iter().all(|c| !f32::from_bits(c.1).is_nan()));
+                    match &expected {
+                        None => expected = Some(calls),
+                        Some(expected) => {
+                            prop_assert!(&calls == expected, "{} len {}: {:?}", name, len, calls)
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! The AVX-512 implementations of the int8 screen ([`crate::sq8`]): the row
 //! quantiser and the VNNI approximate-score block.
 //!
+//! **The quantiser** takes 16 rows (one inner panel) at a time and writes
+//! each row's codes as `u32` words straight to where the kernel reads them:
+//! a word per four codes, into the outer side's row or into the row's lane
+//! of the panel's 4-code groups.  Its chunk loops are monomorphised for
+//! rows of 1–8 chunks of 16 floats, where the compiler unrolls them.
+//!
 //! **What is detected.**  Nothing here runs unless
 //! [`Screen::detect`](crate::sq8::Screen::detect) saw `avx512f`, `avx512bw`
 //! and `avx512vnni` on the running CPU.  Every function is compiled with
@@ -22,65 +28,193 @@
 //! `_mm512_loadu_si512` and the per-row scales and corrections with
 //! `_mm512_loadu_*`, which have no alignment requirement; each `// SAFETY:`
 //! comment derives that the 64 bytes lie inside a slice from a length check
-//! made in safe code above it.  The quantiser reads a row's tail and writes
-//! its codes with masked loads and stores, which touch only the enabled
-//! lanes; the mask enables exactly the lanes inside the slice.
+//! made in safe code above it.  The quantiser reads a row's tail with masked
+//! loads and the block writes a panel that straddles an end of the inner
+//! range with a compressing masked store; both touch only the enabled
+//! lanes, and the mask enables exactly the lanes inside the slice.  The
+//! quantiser's code words go through bounds-checked slice writes and one
+//! 16-byte store into a 4-word slice.
 
 use std::arch::x86_64::{
-    __m512, __m512i, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_and_si512,
-    _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cvtepi32_ps, _mm512_dpbusd_epi32,
-    _mm512_loadu_epi32, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_mask_cvtepi32_storeu_epi8,
-    _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_epu32,
-    _mm512_min_epi32, _mm512_mul_ps, _mm512_reduce_add_epi32, _mm512_reduce_max_epu32,
-    _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512, _mm512_storeu_ps,
-    _mm512_sub_epi32,
+    __m128i, __m512, __m512i, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_and_si512,
+    _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cvtepi32_epi8, _mm512_cvtepi32_ps,
+    _mm512_cvtss_f32, _mm512_dpbusd_epi32, _mm512_loadu_epi32, _mm512_loadu_ps, _mm512_loadu_si512,
+    _mm512_mask_compressstoreu_ps, _mm512_mask_max_ps, _mm512_maskz_loadu_epi32,
+    _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_epu32, _mm512_max_ps, _mm512_min_epi32,
+    _mm512_mul_ps, _mm512_permute_ps, _mm512_reduce_add_epi32, _mm512_reduce_max_epu32,
+    _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512,
+    _mm512_shuffle_f32x4, _mm512_storeu_ps, _mm512_sub_epi32, _mm_extract_epi32, _mm_storeu_si128,
 };
 use std::ops::Range;
 
 use crate::sq8::{
-    row_scalars, sum_lanes, RowCode, Sq8Inner, Sq8Outer, PANEL_GROUP_BYTES, PANEL_ROWS,
+    row_scalars, LaneMaxima, Layout, RowCode, Sq8Inner, Sq8Outer, GROUP, PANEL_ROWS,
     ROUNDING_MAGIC, ROUNDING_MAGIC_BITS,
 };
 
 /// [`quantize_row`](crate::sq8::quantize_row) for each of the rows of
-/// `data` (`dim` floats each, at most 16 rows) on `zmm` registers: row `i`'s
-/// codes go to `codes[i * stride..]`, its [`RowCode`] to `out[i]`.  All rows
-/// are measured before any is coded, so that the rows' latency chains
-/// (maximum, reduction, division) can overlap.
+/// `data` (`dim` floats each, at most 16 rows) on `zmm` registers: row
+/// `i`'s [`RowCode`] goes to `out[i]`, and its codes straight into `words`
+/// as `layout` places them — the outer side's rows or one inner panel —
+/// with no row-major copy of the codes in between.  `None` when a row is
+/// outside the screen's range.
+///
+/// The chunk loops are compiled for the row's count of 16-float chunks
+/// when it is at most 8 (`dim ≤ 128`, every dimension the workloads use),
+/// so the compiler unrolls them; wider rows take the loop with a runtime
+/// bound.  Both are the same code.
+#[target_feature(enable = "avx512f,avx512bw")]
+pub(crate) fn quantize_batch(
+    data: &[f32],
+    dim: usize,
+    layout: Layout,
+    words: &mut [u32],
+    out: &mut [RowCode],
+) -> Option<()> {
+    macro_rules! by_chunks {
+        ($panel:literal) => {
+            match dim.div_ceil(PANEL_ROWS) {
+                1 => batch::<1, $panel>(data, dim, words, out),
+                2 => batch::<2, $panel>(data, dim, words, out),
+                3 => batch::<3, $panel>(data, dim, words, out),
+                4 => batch::<4, $panel>(data, dim, words, out),
+                5 => batch::<5, $panel>(data, dim, words, out),
+                6 => batch::<6, $panel>(data, dim, words, out),
+                7 => batch::<7, $panel>(data, dim, words, out),
+                8 => batch::<8, $panel>(data, dim, words, out),
+                _ => batch::<0, $panel>(data, dim, words, out),
+            }
+        };
+    }
+    match layout {
+        Layout::Rows => by_chunks!(false),
+        Layout::Panel => by_chunks!(true),
+    }
+}
+
+/// [`quantize_batch`] for rows of `C` chunks (`C == 0`: any count) into
+/// one panel (`PANEL`) or the outer side's rows.  All rows are measured
+/// before any is coded, so that the rows' latency chains (maximum,
+/// reduction, division) can overlap.
 ///
 /// Values are taken 16 at a time, with masked loads for a row's tail (a
 /// masked-off lane reads as +0.0, which changes neither the maximum, the L1
-/// lanes nor `Σq`): the same integer maximum, the same scalars, the same
-/// multiply and add per code, the same 16 L1 lanes and their sum — the
-/// portable function's bits.
+/// lanes nor `Σq`, and codes to 0): the same integer maximum, the same
+/// scalars, the same multiply and add per code, the same 16 L1 lanes and
+/// the same tree over them — the portable function's bits.
+#[inline]
 #[target_feature(enable = "avx512f,avx512bw")]
-pub(crate) fn quantize_rows(
+fn batch<const C: usize, const PANEL: bool>(
     data: &[f32],
     dim: usize,
-    codes: &mut [i8],
-    stride: usize,
+    words: &mut [u32],
     out: &mut [RowCode],
 ) -> Option<()> {
     let rows = data.len() / dim;
-    // Memory safety of the masked stores below rests on these.
+    let groups = dim.div_ceil(GROUP);
     assert!(rows <= PANEL_ROWS && out.len() == rows && data.len() == rows * dim);
-    assert!(stride >= dim && codes.len() >= rows * stride);
     let mut maxima = [0u32; PANEL_ROWS];
-    let mut lanes = [[0.0f32; PANEL_ROWS]; PANEL_ROWS];
+    let mut l1 = [0.0f32; PANEL_ROWS];
     for (i, row) in data.chunks_exact(dim).enumerate() {
-        (maxima[i], lanes[i]) = measure(row);
+        (maxima[i], l1[i]) = measure::<C>(row);
     }
     let mut inverse = [0.0f32; PANEL_ROWS];
     for i in 0..rows {
         let (scale, inv) = row_scalars(maxima[i])?;
         inverse[i] = inv;
         out[i].scale = scale;
-        out[i].l1 = sum_lanes(lanes[i]);
+        out[i].l1 = l1[i];
     }
+    let (magic, magic_bits) = (
+        _mm512_set1_ps(ROUNDING_MAGIC),
+        _mm512_set1_epi32(ROUNDING_MAGIC_BITS),
+    );
+    let (top, bottom) = (_mm512_set1_epi32(127), _mm512_set1_epi32(-127));
+    // the outer side stores `q + 128`, which `vpmovdb` truncates to its byte
+    let offset = _mm512_set1_epi32(if PANEL { 0 } else { 128 });
     for (i, row) in data.chunks_exact(dim).enumerate() {
-        out[i].sum = code(row, inverse[i], &mut codes[i * stride..i * stride + dim]);
+        let inverse = _mm512_set1_ps(inverse[i]);
+        let mut sum = _mm512_setzero_si512();
+        for c in 0..chunk_count::<C>(row.len()) {
+            // SAFETY: as in `measure`: only lanes inside `row` are read.
+            let x = unsafe {
+                _mm512_maskz_loadu_ps(chunk_mask(row.len(), c), row.as_ptr().add(c * PANEL_ROWS))
+            };
+            let rounded = _mm512_castps_si512(_mm512_add_ps(_mm512_mul_ps(x, inverse), magic));
+            let q = _mm512_sub_epi32(rounded, magic_bits);
+            let q = _mm512_max_epi32(_mm512_min_epi32(q, top), bottom);
+            sum = _mm512_add_epi32(sum, q);
+            let bytes = _mm512_cvtepi32_epi8(_mm512_add_epi32(q, offset));
+            // chunk `c` holds groups `4c..4c + 4`, the last ones past `dim`
+            let (first, live) = (c * GROUP, (groups - c * GROUP).min(GROUP));
+            if PANEL {
+                put_panel(words, first * PANEL_ROWS + i, live, bytes);
+            } else {
+                put_row(&mut words[i * groups + first..][..live], bytes);
+            }
+        }
+        out[i].sum = _mm512_reduce_add_epi32(sum);
     }
     Some(())
+}
+
+/// Writes the first `live` of the four code words in `bytes` to
+/// `panel[at]`, `panel[at + 16]`, … — the word's group in its row's lane.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn put_panel(panel: &mut [u32], at: usize, live: usize, bytes: __m128i) {
+    let words = [
+        _mm_extract_epi32::<0>(bytes),
+        _mm_extract_epi32::<1>(bytes),
+        _mm_extract_epi32::<2>(bytes),
+        _mm_extract_epi32::<3>(bytes),
+    ];
+    if live == GROUP {
+        let dst = &mut panel[at..at + 3 * PANEL_ROWS + 1];
+        for (j, &word) in words.iter().enumerate() {
+            dst[j * PANEL_ROWS] = word as u32;
+        }
+    } else {
+        for (j, &word) in words.iter().enumerate().take(live) {
+            panel[at + j * PANEL_ROWS] = word as u32;
+        }
+    }
+}
+
+/// Writes the first `dst.len()` (at most four) code words in `bytes` to
+/// `dst`, consecutive words of one outer row.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn put_row(dst: &mut [u32], bytes: __m128i) {
+    if dst.len() == GROUP {
+        // SAFETY: `dst` is 4 words, exactly the 16 bytes the unaligned
+        // store writes.
+        unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), bytes) };
+    } else {
+        let mut words = [0u32; GROUP];
+        // SAFETY: `words` is 16 bytes, exactly what the unaligned store
+        // writes.
+        unsafe { _mm_storeu_si128(words.as_mut_ptr().cast(), bytes) };
+        let live = dst.len();
+        dst.copy_from_slice(&words[..live]);
+    }
+}
+
+/// The number of 16-float chunks of a `len`-float row, which `C` must be
+/// when it is not 0: the masks of the loops below are derived from `len`,
+/// and only for this count do they stay inside the row.
+#[inline(always)]
+fn chunk_count<const C: usize>(len: usize) -> usize {
+    let chunks = len.div_ceil(PANEL_ROWS);
+    assert!(
+        C == 0 || C == chunks,
+        "compiled for {C} chunks, row has {chunks}"
+    );
+    if C == 0 {
+        chunks
+    } else {
+        C
+    }
 }
 
 /// The lanes of chunk `c` (16 values) of a `len`-value row that lie inside it.
@@ -90,15 +224,17 @@ fn chunk_mask(len: usize, c: usize) -> __mmask16 {
     (u32::MAX >> (32 - live)) as __mmask16
 }
 
-/// A row's largest magnitude bits and its 16 L1 lanes.
+/// A row's largest magnitude bits and its L1 norm (16 lanes, summed as
+/// [`sum_lanes`](crate::sq8::sum_lanes) does).
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw")]
-fn measure(row: &[f32]) -> (u32, [f32; PANEL_ROWS]) {
+fn measure<const C: usize>(row: &[f32]) -> (u32, f32) {
     let magnitude = _mm512_set1_epi32(0x7fff_ffff);
     let (mut max, mut l1) = (_mm512_setzero_si512(), _mm512_setzero_ps());
-    for c in 0..row.len().div_ceil(PANEL_ROWS) {
-        // SAFETY: `c * 16 < row.len()`, and the mask enables exactly the
-        // lanes `c * 16 + l < row.len()`: no byte outside `row` is read.
+    for c in 0..chunk_count::<C>(row.len()) {
+        // SAFETY: `c * 16 < row.len()` (`chunk_count`), and the mask
+        // enables exactly the lanes `c * 16 + l < row.len()`: no byte
+        // outside `row` is read.
         let x = unsafe {
             _mm512_maskz_loadu_epi32(
                 chunk_mask(row.len(), c),
@@ -109,38 +245,20 @@ fn measure(row: &[f32]) -> (u32, [f32; PANEL_ROWS]) {
         max = _mm512_max_epu32(max, bits);
         l1 = _mm512_add_ps(l1, _mm512_castsi512_ps(bits));
     }
-    let mut lanes = [0.0f32; PANEL_ROWS];
-    // SAFETY: `lanes` is 16 floats, exactly the 64 bytes the store writes.
-    unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), l1) };
-    (_mm512_reduce_max_epu32(max), lanes)
+    (_mm512_reduce_max_epu32(max), sum_lanes(l1))
 }
 
-/// Writes the codes of `row` into `codes` (as long as `row`) and returns
-/// their sum.
+/// [`sum_lanes`](crate::sq8::sum_lanes) in registers: lane `i` plus lane
+/// `i + 8`, then `i + 4`, `i + 2`, `i + 1` — the same additions of the same
+/// operands, in the same order.
 #[inline]
-#[target_feature(enable = "avx512f,avx512bw")]
-fn code(row: &[f32], inverse: f32, codes: &mut [i8]) -> i32 {
-    assert_eq!(codes.len(), row.len());
-    let (inverse, magic) = (_mm512_set1_ps(inverse), _mm512_set1_ps(ROUNDING_MAGIC));
-    let magic_bits = _mm512_set1_epi32(ROUNDING_MAGIC_BITS);
-    let (top, bottom) = (_mm512_set1_epi32(127), _mm512_set1_epi32(-127));
-    let mut sum = _mm512_setzero_si512();
-    for c in 0..row.len().div_ceil(PANEL_ROWS) {
-        let mask = chunk_mask(row.len(), c);
-        // SAFETY: as in `measure`: only lanes inside `row` are read.
-        let x = unsafe { _mm512_maskz_loadu_ps(mask, row.as_ptr().add(c * PANEL_ROWS)) };
-        let rounded = _mm512_castps_si512(_mm512_add_ps(_mm512_mul_ps(x, inverse), magic));
-        let q = _mm512_sub_epi32(rounded, magic_bits);
-        let q = _mm512_max_epi32(_mm512_min_epi32(q, top), bottom);
-        sum = _mm512_add_epi32(sum, q);
-        // SAFETY: the mask enables exactly the lanes `c * 16 + l <
-        // row.len() == codes.len()` (asserted above): no byte outside
-        // `codes` is written.
-        unsafe {
-            _mm512_mask_cvtepi32_storeu_epi8(codes.as_mut_ptr().add(c * PANEL_ROWS), mask, q)
-        };
-    }
-    _mm512_reduce_add_epi32(sum)
+#[target_feature(enable = "avx512f")]
+fn sum_lanes(lanes: __m512) -> f32 {
+    let s = _mm512_add_ps(lanes, _mm512_shuffle_f32x4::<0b11_10_11_10>(lanes, lanes));
+    let s = _mm512_add_ps(s, _mm512_shuffle_f32x4::<0b01_01_01_01>(s, s));
+    let s = _mm512_add_ps(s, _mm512_permute_ps::<0b11_10_11_10>(s));
+    let s = _mm512_add_ps(s, _mm512_permute_ps::<0b01_01_01_01>(s));
+    _mm512_cvtss_f32(s)
 }
 
 /// Outer rows per register block.
@@ -154,9 +272,11 @@ const TILE_BYTES: usize = 32 * 1024;
 /// registers: outer rows in blocks of [`MR`] against [`NR`] panels at a
 /// time (8 accumulators, 6 loads per 8 `vpdpbusd`), edges with smaller
 /// blocks.  Panels that straddle either end of `b_rows` are computed whole
-/// and only their lanes inside the range are written.
+/// and only their lanes inside the range are written and, when `lane_max`
+/// is given, folded into the lane maxima.
 ///
-/// The caller has checked the ranges, the dimension and `out`'s length.
+/// The caller has checked the ranges, the dimension and the lengths of
+/// `out` and `lane_max`.
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
 pub(crate) fn block_into(
     outer: &Sq8Outer,
@@ -164,85 +284,184 @@ pub(crate) fn block_into(
     inner: &Sq8Inner,
     b_rows: Range<usize>,
     out: &mut [f32],
+    lane_max: Option<&mut [LaneMaxima]>,
 ) {
+    let maxima = lane_max.is_some();
+    let lane_max = lane_max.unwrap_or_default();
+    lane_max.fill([f32::NEG_INFINITY; PANEL_ROWS]);
     if a_rows.is_empty() || b_rows.is_empty() {
         return;
     }
     let panels = b_rows.start / PANEL_ROWS..b_rows.end.div_ceil(PANEL_ROWS);
     // Panel tiles of about 32 KiB stay in L1 while every outer row passes
     // over them.
-    let tile = (TILE_BYTES / inner.panel(0).len()).max(NR);
+    let tile = (TILE_BYTES / std::mem::size_of_val(inner.panel(0))).max(NR);
+    let mut block = Block {
+        outer,
+        inner,
+        a_rows: &a_rows,
+        b_rows: &b_rows,
+        out,
+        lane_max,
+    };
     for first in panels.clone().step_by(tile) {
         let tile = first..(first + tile).min(panels.end);
-        let mut ar = a_rows.start;
-        while ar + MR <= a_rows.end {
-            row_block::<MR>(outer, ar, inner, tile.clone(), &a_rows, &b_rows, out);
-            ar += MR;
-        }
-        while ar < a_rows.end {
-            row_block::<1>(outer, ar, inner, tile.clone(), &a_rows, &b_rows, out);
-            ar += 1;
+        // the maxima cost the epilogue a few µops per panel and row, so
+        // only a block that reports them pays for them
+        if maxima {
+            block.tile::<true>(tile);
+        } else {
+            block.tile::<false>(tile);
         }
     }
 }
 
-/// Outer rows `ar..ar + M` against every panel of `panels`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-fn row_block<const M: usize>(
-    outer: &Sq8Outer,
-    ar: usize,
-    inner: &Sq8Inner,
-    panels: Range<usize>,
-    a_rows: &Range<usize>,
-    b_rows: &Range<usize>,
-    out: &mut [f32],
-) {
-    let mut codes: [&[u32]; M] = [&[]; M];
-    for (i, codes) in codes.iter_mut().enumerate() {
-        *codes = outer.row_codes(ar + i);
+/// One [`block_into`] call: its operands and its outputs (`lane_max` is
+/// empty when the caller did not ask for the maxima).
+struct Block<'a> {
+    outer: &'a Sq8Outer,
+    inner: &'a Sq8Inner,
+    a_rows: &'a Range<usize>,
+    b_rows: &'a Range<usize>,
+    out: &'a mut [f32],
+    lane_max: &'a mut [LaneMaxima],
+}
+
+impl Block<'_> {
+    /// Every outer row against the panels of one cache tile, [`MR`] rows
+    /// at a time; `MAX`: raise the lane maxima.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn tile<const MAX: bool>(&mut self, panels: Range<usize>) {
+        let mut ar = self.a_rows.start;
+        while ar + MR <= self.a_rows.end {
+            self.rows::<MR, MAX>(ar, panels.clone());
+            ar += MR;
+        }
+        while ar < self.a_rows.end {
+            self.rows::<1, MAX>(ar, panels.clone());
+            ar += 1;
+        }
     }
-    let first_row = ar - a_rows.start;
-    let mut p = panels.start;
-    while p + NR <= panels.end {
-        let acc = dot_block::<M, NR>(codes, [inner.panel(p), inner.panel(p + 1)]);
-        for (j, panel) in (p..p + NR).enumerate() {
-            for (i, acc) in acc.iter().enumerate() {
-                let scores = approx(acc[j], outer.scale(ar + i), inner, panel);
-                store(scores, first_row + i, panel, b_rows, out);
+
+    /// Outer rows `ar..ar + M` against every panel of `panels`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn rows<const M: usize, const MAX: bool>(&mut self, ar: usize, panels: Range<usize>) {
+        let (outer, inner) = (self.outer, self.inner);
+        let first_row = ar - self.a_rows.start;
+        let mut codes: [&[u32]; M] = [&[]; M];
+        let mut s_a = [_mm512_setzero_ps(); M];
+        let mut maxima = [_mm512_setzero_ps(); M];
+        for i in 0..M {
+            codes[i] = outer.row_codes(ar + i);
+            s_a[i] = _mm512_set1_ps(outer.scale(ar + i));
+            if MAX {
+                // SAFETY: a `LaneMaxima` is 16 floats, exactly the 64 bytes
+                // the unaligned load reads.
+                maxima[i] = unsafe { _mm512_loadu_ps(self.lane_max[first_row + i].as_ptr()) };
             }
         }
-        p += NR;
+        let mut p = panels.start;
+        while p + NR <= panels.end {
+            let acc = dot_block::<M, NR>(codes, [inner.panel(p), inner.panel(p + 1)]);
+            for (j, panel) in (p..p + NR).enumerate() {
+                self.panel::<M, MAX>(panel, first_row, s_a, |i| acc[i][j], &mut maxima);
+            }
+            p += NR;
+        }
+        if p < panels.end {
+            let acc = dot_block::<M, 1>(codes, [inner.panel(p)]);
+            self.panel::<M, MAX>(p, first_row, s_a, |i| acc[i][0], &mut maxima);
+        }
+        if MAX {
+            for (i, max) in maxima.iter().enumerate() {
+                // SAFETY: as for the load above.
+                unsafe { _mm512_storeu_ps(self.lane_max[first_row + i].as_mut_ptr(), *max) };
+            }
+        }
     }
-    if p < panels.end {
-        let acc = dot_block::<M, 1>(codes, [inner.panel(p)]);
-        for (i, acc) in acc.iter().enumerate() {
-            let scores = approx(acc[0], outer.scale(ar + i), inner, p);
-            store(scores, first_row + i, p, b_rows, out);
+
+    /// Turns the `M` rows' accumulators `acc(i)` against panel `panel` into
+    /// approximations, `(f32(acc − 128 Σq_b) · s_b) · s_a`, stores the
+    /// lanes that fall inside `b_rows` into rows `first_row + i` of the
+    /// row-major `out` (`b_rows.len()` columns) and, with `MAX`, raises
+    /// `maxima[i]` to them (`vmaxps` keeps the score on a tie, as the
+    /// reference does).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn panel<const M: usize, const MAX: bool>(
+        &mut self,
+        panel: usize,
+        first_row: usize,
+        s_a: [__m512; M],
+        acc: impl Fn(usize) -> __m512i,
+        maxima: &mut [__m512; M],
+    ) {
+        let (bias, scales) = (self.inner.panel_bias(panel), self.inner.panel_scales(panel));
+        assert!(bias.len() == PANEL_ROWS && scales.len() == PANEL_ROWS);
+        // SAFETY: both slices hold exactly 16 four-byte values (asserted
+        // above), the 64 bytes each unaligned load reads.
+        let (bias, scales) = unsafe {
+            (
+                _mm512_loadu_epi32(bias.as_ptr()),
+                _mm512_loadu_ps(scales.as_ptr()),
+            )
+        };
+        // the panel's columns inside `b_rows`: `lo..hi` of its 16 lanes
+        let first = panel * PANEL_ROWS;
+        let lo = first.max(self.b_rows.start) - first;
+        let hi = (first + PANEL_ROWS).min(self.b_rows.end) - first;
+        let width = self.b_rows.len();
+        let column = first + lo - self.b_rows.start;
+        for i in 0..M {
+            let dot = _mm512_cvtepi32_ps(_mm512_sub_epi32(acc(i), bias));
+            let scores = _mm512_mul_ps(_mm512_mul_ps(dot, scales), s_a[i]);
+            let at = (first_row + i) * width + column;
+            let dst = &mut self.out[at..at + (hi - lo)];
+            if dst.len() == PANEL_ROWS {
+                // SAFETY: `dst` is 16 floats, exactly the 64 bytes the
+                // unaligned store writes.
+                unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), scores) };
+                if MAX {
+                    maxima[i] = _mm512_max_ps(maxima[i], scores);
+                }
+            } else {
+                let live = ((1u32 << hi) - (1u32 << lo)) as __mmask16;
+                // SAFETY: the compressing store writes the `live` lanes —
+                // there are `hi - lo == dst.len()` of them — to consecutive
+                // floats from `dst`'s start: no byte outside `dst` is
+                // written.
+                unsafe { _mm512_mask_compressstoreu_ps(dst.as_mut_ptr().cast(), live, scores) };
+                if MAX {
+                    maxima[i] = _mm512_mask_max_ps(maxima[i], live, maxima[i], scores);
+                }
+            }
         }
     }
 }
 
 /// The register block: for each of the `M` outer rows (code words `codes`)
-/// and each of the `N` panels, the 16 lanes `Σ (q_a + 128) q_b`.
+/// and each of the `N` panels (`groups` groups of 16 code words each), the
+/// 16 lanes `Σ (q_a + 128) q_b`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
 fn dot_block<const M: usize, const N: usize>(
     codes: [&[u32]; M],
-    panels: [&[i8]; N],
+    panels: [&[u32]; N],
 ) -> [[__m512i; N]; M] {
     let groups = codes[0].len();
     // Memory safety of the loads below rests on these lengths.
     assert!(codes.iter().all(|c| c.len() == groups));
-    assert!(panels.iter().all(|p| p.len() == groups * PANEL_GROUP_BYTES));
+    assert!(panels.iter().all(|p| p.len() == groups * PANEL_ROWS));
     let mut acc = [[_mm512_setzero_si512(); N]; M];
     for g in 0..groups {
         let mut b = [_mm512_setzero_si512(); N];
         for (b, panel) in b.iter_mut().zip(panels) {
-            // SAFETY: `g < groups`, so the 64 bytes at `g * 64` end at most
-            // at `groups * 64`, the length of every panel slice asserted
+            // SAFETY: `g < groups`, so the 16 words at `g * 16` end at most
+            // at `groups * 16`, the length of every panel slice asserted
             // above; `_mm512_loadu_si512` has no alignment requirement.
-            *b = unsafe { _mm512_loadu_si512(panel.as_ptr().add(g * PANEL_GROUP_BYTES).cast()) };
+            *b = unsafe { _mm512_loadu_si512(panel.as_ptr().add(g * PANEL_ROWS).cast()) };
         }
         for (acc, codes) in acc.iter_mut().zip(codes) {
             let a = _mm512_set1_epi32(codes[g] as i32);
@@ -252,46 +471,4 @@ fn dot_block<const M: usize, const N: usize>(
         }
     }
     acc
-}
-
-/// `(f32(acc − 128 Σq_b) · s_b) · s_a` for an outer row of scale `s_a` and
-/// the 16 rows of panel `panel`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-fn approx(acc: __m512i, s_a: f32, inner: &Sq8Inner, panel: usize) -> __m512 {
-    let (bias, scales) = (inner.panel_bias(panel), inner.panel_scales(panel));
-    assert!(bias.len() == PANEL_ROWS && scales.len() == PANEL_ROWS);
-    // SAFETY: both slices hold exactly 16 four-byte values (asserted above),
-    // the 64 bytes each unaligned load reads.
-    let (bias, scales) = unsafe {
-        (
-            _mm512_loadu_epi32(bias.as_ptr()),
-            _mm512_loadu_ps(scales.as_ptr()),
-        )
-    };
-    let dot = _mm512_cvtepi32_ps(_mm512_sub_epi32(acc, bias));
-    _mm512_mul_ps(_mm512_mul_ps(dot, scales), _mm512_set1_ps(s_a))
-}
-
-/// Stores the lanes of panel `panel` that fall inside `b_rows` into row
-/// `row` of the row-major `out` (`b_rows.len()` columns).
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-fn store(scores: __m512, row: usize, panel: usize, b_rows: &Range<usize>, out: &mut [f32]) {
-    let first = panel * PANEL_ROWS;
-    let lo = first.max(b_rows.start);
-    let hi = (first + PANEL_ROWS).min(b_rows.end);
-    let at = row * b_rows.len() + lo - b_rows.start;
-    let dst = &mut out[at..at + (hi - lo)];
-    if dst.len() == PANEL_ROWS {
-        // SAFETY: `dst` is 16 floats, exactly the 64 bytes the unaligned
-        // store writes.
-        unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), scores) };
-    } else {
-        let mut lanes = [0.0f32; PANEL_ROWS];
-        // SAFETY: `lanes` is 16 floats, exactly the 64 bytes the unaligned
-        // store writes.
-        unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), scores) };
-        dst.copy_from_slice(&lanes[lo - first..hi - first]);
-    }
 }

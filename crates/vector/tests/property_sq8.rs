@@ -10,11 +10,16 @@
 //!   `I = Σ q_a q_b` in `i32`, `(f32(I) · s_b) · s_a` — for the scalar
 //!   reference on every CPU and for the AVX-512 VNNI kernel where the CPU has
 //!   it, over sub-blocks that start and end inside 16-row panels.
+//! * The lane maxima: each outer row's 16 lane maxima every implementation
+//!   reports are the largest formula approximations over the block's inner
+//!   rows of each residue mod 16 (`-inf` where the block has none), on the
+//!   same sub-blocks — so the VNNI kernel's equal the reference's.
 
 use std::io::Write;
 use std::ops::Range;
 
 use cej_exec::ExecPool;
+use cej_vector::sq8::LaneMaxima;
 use cej_vector::{dot_lanes, Screen, Sq8Inner, Sq8Outer};
 use proptest::prelude::*;
 
@@ -107,8 +112,8 @@ fn screens() -> Vec<Screen> {
     std::iter::once(Screen::reference()).chain(vnni).collect()
 }
 
-/// Every screen's block over `a_rows × b_rows` against the formula, bit for
-/// bit, with and without a two-thread pool.
+/// Every screen's block and lane maxima over `a_rows × b_rows` against the
+/// formula, bit for bit, with and without a two-thread pool.
 fn assert_block_bits(
     a: &[f32],
     b: &[f32],
@@ -122,17 +127,31 @@ fn assert_block_bits(
     let inner = Sq8Inner::quantize(b, inner_rows, dim).expect("inner in range");
     let width = b_rows.len();
     let mut expected = vec![0.0f32; a_rows.len() * width];
+    let mut expected_max = vec![[f32::NEG_INFINITY; 16]; a_rows.len()];
     for (i, ar) in a_rows.clone().enumerate() {
         for (j, br) in b_rows.clone().enumerate() {
-            expected[i * width + j] =
+            let score =
                 approx_from_scratch(&a[ar * dim..(ar + 1) * dim], &b[br * dim..(br + 1) * dim]);
+            expected[i * width + j] = score;
+            let lane = &mut expected_max[i][br % 16];
+            *lane = lane.max(score);
         }
     }
+    let max_bits =
+        |m: &[LaneMaxima]| -> Vec<u32> { m.iter().flatten().map(|x| x.to_bits()).collect() };
     for screen in screens() {
         for pool in [None, Some(ExecPool::new(2))] {
             let mut got = vec![f32::NAN; expected.len()];
+            let mut got_max = vec![[f32::NAN; 16]; a_rows.len()];
             match &pool {
-                None => screen.block_into(&outer, a_rows.clone(), &inner, b_rows.clone(), &mut got),
+                None => screen.block_into(
+                    &outer,
+                    a_rows.clone(),
+                    &inner,
+                    b_rows.clone(),
+                    &mut got,
+                    Some(&mut got_max),
+                ),
                 Some(pool) => screen.block_into_with_pool(
                     &outer,
                     a_rows.clone(),
@@ -140,8 +159,43 @@ fn assert_block_bits(
                     b_rows.clone(),
                     pool,
                     &mut got,
+                    Some(&mut got_max),
                 ),
             }
+            // the block without maxima is the same block
+            let mut without = vec![f32::NAN; expected.len()];
+            match &pool {
+                None => screen.block_into(
+                    &outer,
+                    a_rows.clone(),
+                    &inner,
+                    b_rows.clone(),
+                    &mut without,
+                    None,
+                ),
+                Some(pool) => screen.block_into_with_pool(
+                    &outer,
+                    a_rows.clone(),
+                    &inner,
+                    b_rows.clone(),
+                    pool,
+                    &mut without,
+                    None,
+                ),
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(
+                bits(&without),
+                bits(&got),
+                "{what} {}: without maxima",
+                screen.label()
+            );
+            assert_eq!(
+                max_bits(&got_max),
+                max_bits(&expected_max),
+                "{what} {}: lane maxima",
+                screen.label()
+            );
             for (at, (g, e)) in got.iter().zip(&expected).enumerate() {
                 assert_eq!(
                     g.to_bits(),
@@ -157,8 +211,9 @@ fn assert_block_bits(
 #[test]
 fn every_screen_writes_the_formulas_bits() {
     // sub-blocks that start and end inside panels, single rows and columns,
-    // edges of the 4-row register block
-    for dim in [1usize, 3, 4, 5, 16, 63, 64, 65, 100, 130] {
+    // edges of the 4-row register block; at dim 1,024 a cache tile is two
+    // panels, so the lane maxima are carried across tiles
+    for dim in [1usize, 3, 4, 5, 16, 63, 64, 65, 100, 130, 1024] {
         let a = uniform(11 * dim, dim as u64);
         let b = uniform(53 * dim, 1000 + dim as u64);
         for (a_rows, b_rows) in [
@@ -213,7 +268,8 @@ proptest! {
             return Ok(());
         };
         let mut approx = vec![0.0f32; 9 * 40];
-        Screen::reference().block_into(&outer, 0..9, &inner, 0..40, &mut approx);
+        let mut lane_max = [[0.0f32; 16]; 9];
+        Screen::reference().block_into(&outer, 0..9, &inner, 0..40, &mut approx, Some(&mut lane_max));
         for i in 0..9 {
             let eps = outer.error_bound(i, &inner);
             prop_assert!(eps.is_finite() && eps > 0.0);
