@@ -39,8 +39,13 @@
 //! * Joins keep **both inputs as selections** until the pairs are known
 //!   (late materialisation).  The inner input is collected, not gathered:
 //!   its join column is embedded by row (and for the prefetch NLJ and the
-//!   tensor join normalised) once, every outer morsel is scored against it
-//!   through its operator's one entry point ([`crate::join`]), pair
+//!   tensor join normalised, in the same pass that copies each row out of
+//!   the arena) once, every outer morsel is scored against it through its
+//!   operator's one entry point ([`crate::join`]).  A tensor join whose
+//!   morsels screen and whose inner side windows a catalog table resolves
+//!   only the side's slots and assembles the screen's codes from those the
+//!   session keeps per slot, coding never-seen slots once; it builds an
+//!   fp32 copy of the side only for morsels that take the block path.  Pair
 //!   offsets — positions in each side's selection — are remapped by the
 //!   morsel's cumulative offset, and only the matched rows of either side
 //!   are finally copied out of the base tables.  A warm run
@@ -72,6 +77,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
+use cej_embedding::Embedder;
 use cej_embedding::EmbeddingStats;
 use cej_index::HnswIndex;
 use cej_relational::{
@@ -79,16 +85,17 @@ use cej_relational::{
     EmbedSpec, Expr,
 };
 use cej_storage::{Column, DataType, Field, Schema, Segment, SelectionBitmap, StorageError, Table};
-use cej_vector::norm::normalize_matrix_rows_with;
-use cej_vector::{Kernel, Matrix};
+use cej_vector::{Kernel, Matrix, Sq8Inner};
 
 use crate::error::CoreError;
-use crate::executor::{ExecContext, ExecOutcome, RunEmbedder, RunStats, SharedCache};
+use crate::executor::{
+    gather_vectors, ExecContext, ExecOutcome, RunEmbedder, RunStats, SharedCache,
+};
 use crate::join::hash_join::HashSide;
 use crate::join::index_join::IndexJoin;
 use crate::join::naive_nlj::NaiveNlJoin;
 use crate::join::prefetch_nlj::PrefetchNlJoin;
-use crate::join::tensor_join::TensorJoin;
+use crate::join::tensor_join::{PreparedInner, TensorJoin, UnitRows};
 use crate::join::{check_predicate, embed_all};
 use crate::physical_plan::{HashJoinNode, InnerInput, JoinNode, PhysicalJoinOp, PhysicalPlan};
 use crate::result::{JoinPair, JoinResult, JoinStats};
@@ -159,7 +166,8 @@ fn string_column<'b>(batch: &'b ExecBatch, name: &str) -> Result<(usize, &'b [St
 
 /// Embeds the selected lanes of a batch's string column (base position
 /// `pos`): by remembered slot when the base is a catalog snapshot, through
-/// the strings otherwise.
+/// the strings otherwise — unit-normalised with `unit`'s kernel in the same
+/// pass when given.
 fn embed_lanes(
     batch: &ExecBatch,
     (pos, strings): (usize, &[String]),
@@ -167,13 +175,25 @@ fn embed_lanes(
     cache: &Arc<SharedCache>,
     run: &RunEmbedder<'_>,
     ctx: &ExecContext<'_>,
+    unit: Option<Kernel>,
 ) -> Matrix {
-    let slots = if batch.catalog_base {
+    let slots = column_slots(batch, pos, model, cache, ctx);
+    run.embed_rows(strings, &batch.sel, slots.as_deref(), unit)
+}
+
+/// The slot map of a batch's column when its base is a catalog snapshot.
+fn column_slots(
+    batch: &ExecBatch,
+    pos: usize,
+    model: &str,
+    cache: &Arc<SharedCache>,
+    ctx: &ExecContext<'_>,
+) -> Option<Arc<crate::executor::ColumnSlots>> {
+    if batch.catalog_base {
         ctx.embeddings.column_slots(model, cache, &batch.base, pos)
     } else {
         None
-    };
-    run.embed_rows(strings, &batch.sel, slots.as_deref())
+    }
 }
 
 /// The `Filter` operator's per-morsel body: the refined selection.
@@ -255,7 +275,7 @@ fn embed_one_batch(
     let cache = ctx.embeddings.cache(&spec.model, ctx.registry)?;
     let run = RunEmbedder::new(cache.as_ref());
     let column = string_column(batch, &spec.input_column)?;
-    let matrix = embed_lanes(batch, column, &spec.model, &cache, &run, ctx);
+    let matrix = embed_lanes(batch, column, &spec.model, &cache, &run, ctx, None);
     let delta = run.stats();
     let gathered = gather_batch(batch)?;
     let out = gathered
@@ -565,7 +585,7 @@ impl Interpreter<'_, '_> {
 
 /// The per-morsel probe strategy of a join: everything inner-side is
 /// prepared once, then reused by every outer morsel.
-enum Probe {
+enum Probe<'p> {
     Naive {
         right: Vec<String>,
     },
@@ -575,7 +595,7 @@ enum Probe {
     },
     Tensor {
         join: TensorJoin,
-        inner_norm: Matrix,
+        inner: PreparedInner<'p>,
     },
     Hnsw {
         join: IndexJoin,
@@ -590,16 +610,109 @@ fn merge_stats(acc: &mut JoinStats, part: &JoinStats) {
     acc.pairs_compared += part.pairs_compared;
     acc.blocks_computed += part.blocks_computed;
     acc.pairs_rescored += part.pairs_rescored;
+    acc.inner_rows_quantized += part.inner_rows_quantized;
     acc.probe_stats.merge(&part.probe_stats);
     acc.peak_buffer_bytes = acc.peak_buffer_bytes.max(part.peak_buffer_bytes);
 }
 
-/// Unit-normalises the rows of an embedded side: the input of the prefetch
-/// NLJ and the tensor join, prepared once for an inner side and once per
-/// outer morsel.
-fn normalized(mut embedded: Matrix, kernel: Kernel) -> Matrix {
-    normalize_matrix_rows_with(&mut embedded, kernel);
-    embedded
+/// A prepared tensor inner side's rows read back by slot: the arena row
+/// times the factor its unit row was normalised with — the bits of the
+/// normalised row, with no fp32 copy of the side kept.
+struct SlotRows<'a> {
+    cache: &'a SharedCache,
+    generation: u64,
+    slots: Vec<u32>,
+    factors: Vec<f32>,
+    /// The side's column and selection, for a row whose slot went stale.
+    strings: &'a [String],
+    sel: &'a [u32],
+}
+
+impl UnitRows for SlotRows<'_> {
+    fn unit_rows(&self, rows: &[usize], out: &mut Vec<f32>) {
+        out.clear();
+        let slots = rows.iter().map(|&row| self.slots[row]);
+        if !self.cache.extend_slots(self.generation, slots, out) {
+            // the cache was cleared since the side was prepared: the model
+            // is deterministic, so its vectors have the arena rows' bits
+            for &row in rows {
+                let text = &self.strings[self.sel[row] as usize];
+                out.extend_from_slice(self.cache.inner().embed(text).as_slice());
+            }
+        }
+        let dim = self.cache.dim().max(1);
+        for (&row, out) in rows.iter().zip(out.chunks_exact_mut(dim)) {
+            let factor = self.factors[row];
+            for x in out.iter_mut() {
+                *x *= factor;
+            }
+        }
+    }
+}
+
+/// Prepares a tensor join's inner side once for all of its outer morsels:
+/// the screen's codes if some morsel screens, the unit rows as a matrix if
+/// some morsel takes the fp32 block path.  A side that windows a catalog
+/// table takes its codes from the per-slot store ([`SlotCodes`]), coding
+/// only slots no run coded before, and keeps no fp32 copy unless a morsel
+/// needs one; any other side is embedded, normalised and, if needed,
+/// quantised here, once.  Returns the side and the inner rows quantised.
+///
+/// [`SlotCodes`]: crate::executor::SlotCodes
+#[allow(clippy::too_many_arguments)]
+fn prepare_tensor_inner<'a>(
+    join: &TensorJoin,
+    node: &JoinNode,
+    side: &'a ExecBatch,
+    (pos, strings): (usize, &'a [String]),
+    outer: &[ExecBatch],
+    cache: &'a Arc<SharedCache>,
+    run: &RunEmbedder<'_>,
+    ctx: &ExecContext<'_>,
+) -> (PreparedInner<'a>, u64) {
+    let (rows, kernel) = (side.sel.len(), join.config().kernel);
+    let (mut screened, mut unscreened) = (false, false);
+    for morsel in outer.iter().map(|batch| batch.sel.len()).filter(|&n| n > 0) {
+        if join.screens(morsel, rows, node.predicate) {
+            screened = true;
+        } else {
+            unscreened = true;
+        }
+    }
+    let memo = column_slots(side, pos, &node.model, cache, ctx);
+    let store = screened
+        .then(|| ctx.embeddings.slot_codes(&node.model, cache))
+        .flatten()
+        .filter(|store| store.screenable());
+    if let (Some(memo), Some(store)) = (&memo, store) {
+        let (generation, slots, coded, dense) =
+            run.with_slots(strings, &side.sel, Some(memo), |generation, slots| {
+                let coded = store.side(cache, generation, slots)?;
+                let dense = if unscreened || coded.codes.is_none() {
+                    Some(gather_vectors(cache, generation, slots, Some(kernel))?)
+                } else {
+                    None
+                };
+                Some((generation, slots.to_vec(), coded, dense))
+            });
+        let source = SlotRows {
+            cache,
+            generation,
+            slots,
+            factors: coded.factors,
+            strings,
+            sel: &side.sel,
+        };
+        let prepared =
+            PreparedInner::from_source(rows, cache.dim(), coded.codes, dense, Box::new(source));
+        return (prepared, coded.quantized);
+    }
+    let dense = run.embed_rows(strings, &side.sel, memo.as_deref(), Some(kernel));
+    let codes = screened
+        .then(|| Sq8Inner::quantize(dense.as_slice(), dense.rows(), dense.cols()))
+        .flatten();
+    let quantized = if screened { rows as u64 } else { 0 };
+    (PreparedInner::from_rows(dense, codes), quantized)
 }
 
 /// The selected lanes of a string column as owned strings (the naive NLJ
@@ -633,8 +746,8 @@ fn join_sides(
     // so the reported stats are exact per-run deltas even while other
     // executions share (and race on) the same cache.
     let run = RunEmbedder::new(cache.as_ref());
-    let embed = |side: &ExecBatch, column: (usize, &[String])| {
-        embed_lanes(side, column, &node.model, &cache, &run, ctx)
+    let embed = |side: &ExecBatch, column: (usize, &[String]), unit: Option<Kernel>| {
+        embed_lanes(side, column, &node.model, &cache, &run, ctx, unit)
     };
 
     if outer.iter().all(|batch| batch.sel.is_empty()) {
@@ -667,7 +780,10 @@ fn join_sides(
         return materialize_pairs(&join_side(outer)?, &inner_side, &JoinResult::default());
     }
 
-    let (probe, inner_side) = match (&node.op, &node.inner) {
+    // the inner side: the planned input, or the indexed table's rows
+    let mut indexed_side = None;
+    let mut inner_rows_quantized = 0;
+    let probe = match (&node.op, &node.inner) {
         (PhysicalJoinOp::Index(config), InnerInput::Indexed(indexed)) => {
             // epoch first, then the table read: a re-registration landing
             // between the two is detected at publication time, so an index
@@ -725,45 +841,47 @@ fn join_sides(
             if let Some(columns) = &indexed.projection {
                 side = project_batch(side, columns)?;
             }
-            (
-                Probe::Hnsw {
-                    join,
-                    index,
-                    inner_filter,
-                },
-                side,
-            )
+            indexed_side = Some(side);
+            Probe::Hnsw {
+                join,
+                index,
+                inner_filter,
+            }
         }
         (op, InnerInput::Plan(_)) => {
-            let side = inner.expect("a planned inner input is collected by the caller");
-            let column = string_column(&side, &node.right_column)?;
+            let side = inner
+                .as_ref()
+                .expect("a planned inner input is collected by the caller");
+            let column = string_column(side, &node.right_column)?;
             check_predicate(&node.predicate)?;
-            let probe = match op {
+            match op {
                 PhysicalJoinOp::NaiveNlj => Probe::Naive {
                     right: gather_strings(column.1, &side.sel),
                 },
-                // the inner side is normalised exactly once; every outer
-                // morsel reuses it
+                // the inner side is embedded and normalised exactly once;
+                // every outer morsel reuses it
                 PhysicalJoinOp::PrefetchNlj(config) => Probe::Prefetch {
                     join: PrefetchNlJoin::new(*config),
-                    inner_norm: normalized(embed(&side, column), config.kernel),
+                    inner_norm: embed(side, column, Some(config.kernel)),
                 },
-                PhysicalJoinOp::Tensor(config) => Probe::Tensor {
-                    join: TensorJoin::new(*config),
-                    inner_norm: normalized(embed(&side, column), config.kernel),
-                },
+                PhysicalJoinOp::Tensor(config) => {
+                    let join = TensorJoin::new(*config);
+                    let (inner, quantized) =
+                        prepare_tensor_inner(&join, node, side, column, &outer, &cache, &run, ctx);
+                    inner_rows_quantized = quantized;
+                    Probe::Tensor { join, inner }
+                }
                 PhysicalJoinOp::Index(config) => {
                     stats.index_builds += 1;
                     let join = IndexJoin::new(*config);
-                    let index = Arc::new(join.build_index(&embed(&side, column))?);
+                    let index = Arc::new(join.build_index(&embed(side, column, None))?);
                     Probe::Hnsw {
                         join,
                         index,
                         inner_filter: None,
                     }
                 }
-            };
-            (probe, side)
+            }
         }
         (op, InnerInput::Indexed(_)) => {
             return Err(CoreError::InvalidInput(format!(
@@ -790,19 +908,19 @@ fn join_sides(
                     NaiveNlJoin::new().join(&run, &left, right, node.predicate)?
                 }
                 Probe::Prefetch { join, inner_norm } => {
-                    let left_norm = normalized(embed(batch, column), join.config().kernel);
+                    let left_norm = embed(batch, column, Some(join.config().kernel));
                     join.join(&left_norm, inner_norm, node.predicate)?
                 }
-                Probe::Tensor { join, inner_norm } => {
-                    let left_norm = normalized(embed(batch, column), join.config().kernel);
-                    join.join(&left_norm, inner_norm, node.predicate)?
+                Probe::Tensor { join, inner } => {
+                    let left_norm = embed(batch, column, Some(join.config().kernel));
+                    join.join(&left_norm, inner, node.predicate)?
                 }
                 Probe::Hnsw {
                     join,
                     index,
                     inner_filter,
                 } => join.probe(
-                    &embed(batch, column),
+                    &embed(batch, column, None),
                     index,
                     node.predicate,
                     inner_filter.as_ref(),
@@ -827,6 +945,7 @@ fn join_sides(
         offset += batch.sel.len();
     }
 
+    join_stats.inner_rows_quantized += inner_rows_quantized;
     let delta = run.stats();
     stats.embedding_stats.model_calls += delta.model_calls;
     stats.embedding_stats.cache_hits += delta.cache_hits;
@@ -841,6 +960,11 @@ fn join_sides(
         pairs,
         stats: join_stats,
     };
+    // the prepared probe may borrow the planned inner input
+    drop(probe);
+    let inner_side = indexed_side
+        .or(inner)
+        .expect("the inner side is planned or indexed");
     materialize_pairs(&join_side(outer)?, &inner_side, &result)
 }
 
@@ -936,8 +1060,86 @@ pub(crate) fn join_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::EmbeddingCachePool;
     use crate::physical_plan::PlanEstimate;
+    use cej_embedding::{FastTextConfig, FastTextModel};
+    use cej_relational::physical::ModelRegistry;
     use cej_storage::TableBuilder;
+    use cej_vector::norm::{normalize_matrix_rows_with, normalize_with};
+
+    /// Vectors that are not unit rows: scaled by the input's length plus
+    /// one, so normalising them changes their bits.
+    struct Scaled(FastTextModel);
+
+    impl Embedder for Scaled {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn embed(&self, input: &str) -> cej_vector::Vector {
+            let mut v = self.0.embed(input);
+            v.scale(1.0 + input.len() as f32);
+            v
+        }
+    }
+
+    #[test]
+    fn slot_rows_read_back_the_unit_rows_also_after_a_clear() {
+        let mut registry = ModelRegistry::new();
+        let config = FastTextConfig {
+            dim: 16,
+            buckets: 1000,
+            ..FastTextConfig::default()
+        };
+        let model = Scaled(FastTextModel::new(config).unwrap());
+        registry.register("ft", Arc::new(model));
+        let pool = EmbeddingCachePool::new();
+        let cache = pool.cache("ft", &registry).unwrap();
+        // a repeated string and the empty one (a zero vector, factor 1)
+        let strings: Vec<String> = ["grill", "bbq party", "", "grill"]
+            .iter()
+            .map(|w| w.to_string())
+            .collect();
+        let resolved = cache.resolve(&strings).unwrap();
+        let mut unit = cache
+            .gather_slots(resolved.generation, &resolved.slots)
+            .unwrap();
+        let mut expected = unit.clone();
+        normalize_matrix_rows_with(&mut expected, Kernel::Unrolled);
+        let factors: Vec<f32> = unit
+            .as_mut_slice()
+            .chunks_exact_mut(16)
+            .map(|row| normalize_with(row, Kernel::Unrolled))
+            .collect();
+        assert_eq!(factors[2], 1.0);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(unit.as_slice()), bits(expected.as_slice()));
+        let raw = cache
+            .gather_slots(resolved.generation, &resolved.slots)
+            .unwrap();
+        assert_ne!(bits(raw.as_slice()), bits(expected.as_slice()));
+        let sel: Vec<u32> = (0..4).collect();
+        let rows = SlotRows {
+            cache: &cache,
+            generation: resolved.generation,
+            slots: resolved.slots,
+            factors,
+            strings: &strings,
+            sel: &sel,
+        };
+        for clear in [false, true] {
+            if clear {
+                // the slots go stale: the rows are embedded again
+                cache.clear_cache();
+            }
+            let mut out = vec![f32::NAN; 5];
+            rows.unit_rows(&[3, 2, 0], &mut out);
+            let want: Vec<u32> = [3, 2, 0]
+                .iter()
+                .flat_map(|&r| bits(expected.row(r).unwrap()))
+                .collect();
+            assert_eq!(bits(&out), want, "cleared: {clear}");
+        }
+    }
 
     #[test]
     fn rename_selects_reorders_and_renames() {

@@ -12,7 +12,10 @@
 //!   re-pay zero model calls for already-embedded strings — and, beside each
 //!   cache, one row → slot map per scanned string column
 //!   ([`ColumnSlots`]), so warm runs fetch a tuple's vector by row id
-//!   instead of hashing its string again;
+//!   instead of hashing its string again, and the int8 screen's code of
+//!   every slot's unit row (`SlotCodes`), so a warm screened tensor join
+//!   assembles its inner side from codes instead of gathering, normalising
+//!   and quantising it again;
 //! * [`crate::index_manager::IndexManager`] — persistent HNSW indexes keyed
 //!   by `(table, column, model, params)`, so warm index-join runs perform no
 //!   HNSW construction at all.
@@ -24,7 +27,9 @@
 use cej_embedding::{CachedEmbedder, Embedder, EmbeddingStats, UNRESOLVED_SLOT};
 use cej_relational::{physical::ModelRegistry, Catalog};
 use cej_storage::{Table, DEFAULT_BATCH_ROWS};
-use cej_vector::{Matrix, Vector};
+use cej_vector::norm::normalize_with;
+use cej_vector::sq8::{quantize_rows, row_code_len, MAX_SCREEN_DIM};
+use cej_vector::{Kernel, Matrix, Sq8Inner, Vector};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,62 +99,382 @@ impl<'r> RunEmbedder<'r> {
     }
 
     /// Embeds rows `sel` of a string column, one matrix row per lane in
-    /// `sel` order.
+    /// `sel` order — each row unit-normalised with `unit`'s kernel when
+    /// given, in the same pass that copies it out of the arena.
     ///
     /// With the column's slot map, rows the map already knows are fetched by
     /// slot — no string is touched — and only the others are resolved
-    /// through their strings, once, and remembered.  Without one this is the
-    /// string path over borrowed `&str`s.  Both read the same arena, so the
-    /// vectors are the same bits, and both count the same way: the first
+    /// through their strings, once, and remembered.  Without one the strings
+    /// are resolved, borrowed from the column.  Both read the same arena, so
+    /// the vectors are the same bits, and both count the same way: the first
     /// touch of a never-seen string is a model call, every other lane a hit.
     pub(crate) fn embed_rows(
         &self,
         column: &[String],
         sel: &[u32],
         slots: Option<&ColumnSlots>,
+        unit: Option<Kernel>,
     ) -> Matrix {
-        let text = |row: u32| column[row as usize].as_str();
-        let Some(memo) = slots else {
-            let strings: Vec<&str> = sel.iter().map(|&row| text(row)).collect();
-            let (matrix, delta) = self.cache.embed_strs_counted(&strings);
-            self.record(delta);
-            return matrix;
-        };
+        self.with_slots(column, sel, slots, |generation, slots| {
+            gather_vectors(self.cache, generation, slots, unit)
+        })
+    }
+
+    /// Calls `with(generation, slots)` with the slots of rows `sel` (by the
+    /// column's slot map `memo` where it knows them, through the strings
+    /// otherwise) until it succeeds — `None` means the cache generation
+    /// moved underneath it, and the slots are resolved again, paying only
+    /// for strings nobody has resolved since — then counts the run's model
+    /// calls and hits the way [`RunEmbedder::embed_rows`] does.
+    pub(crate) fn with_slots<T>(
+        &self,
+        column: &[String],
+        sel: &[u32],
+        memo: Option<&ColumnSlots>,
+        mut with: impl FnMut(u64, &[u32]) -> Option<T>,
+    ) -> T {
         let mut model_calls = 0;
         loop {
             // a cleared cache moves the generation: everything this
             // iteration learnt is then stale and it starts over
-            let generation = self.cache.generation();
-            let mut slots = memo.lookup(generation, sel);
-            let unresolved: Vec<usize> = (0..sel.len())
-                .filter(|&lane| slots[lane] == UNRESOLVED_SLOT)
-                .collect();
-            if !unresolved.is_empty() {
-                let strings: Vec<&str> = unresolved.iter().map(|&lane| text(sel[lane])).collect();
-                let resolved = self
-                    .cache
-                    .resolve(&strings)
-                    .expect("the pool hands out caching wrappers");
-                model_calls += resolved.model_calls;
-                if resolved.generation != generation {
-                    continue;
-                }
-                for (&lane, &slot) in unresolved.iter().zip(&resolved.slots) {
-                    slots[lane] = slot;
-                }
-                let rows = unresolved.iter().map(|&lane| sel[lane]);
-                memo.remember(generation, rows.zip(resolved.slots));
-            }
-            if let Some(matrix) = self.cache.gather_slots(generation, &slots) {
+            let Some((generation, slots)) = self.try_slots(column, sel, memo, &mut model_calls)
+            else {
+                continue;
+            };
+            if let Some(out) = with(generation, &slots) {
                 let cache_hits = (sel.len() as u64).saturating_sub(model_calls);
                 self.cache.add_hits(cache_hits);
                 self.record(EmbeddingStats {
                     model_calls,
                     cache_hits,
                 });
-                return matrix;
+                return out;
             }
         }
+    }
+
+    /// One attempt of [`RunEmbedder::with_slots`] at the slots of `sel`
+    /// under one generation, adding the model calls it paid to
+    /// `model_calls`; `None` when the generation moved meanwhile.
+    fn try_slots(
+        &self,
+        column: &[String],
+        sel: &[u32],
+        memo: Option<&ColumnSlots>,
+        model_calls: &mut u64,
+    ) -> Option<(u64, Vec<u32>)> {
+        let text = |row: u32| column[row as usize].as_str();
+        let resolve = |strings: &[&str]| {
+            self.cache
+                .resolve(strings)
+                .expect("the pool hands out caching wrappers")
+        };
+        let Some(memo) = memo else {
+            let strings: Vec<&str> = sel.iter().map(|&row| text(row)).collect();
+            let resolved = resolve(&strings);
+            *model_calls += resolved.model_calls;
+            return Some((resolved.generation, resolved.slots));
+        };
+        let generation = self.cache.generation();
+        let mut slots = memo.lookup(generation, sel);
+        let unresolved: Vec<usize> = (0..sel.len())
+            .filter(|&lane| slots[lane] == UNRESOLVED_SLOT)
+            .collect();
+        if !unresolved.is_empty() {
+            let strings: Vec<&str> = unresolved.iter().map(|&lane| text(sel[lane])).collect();
+            let resolved = resolve(&strings);
+            *model_calls += resolved.model_calls;
+            if resolved.generation != generation {
+                return None;
+            }
+            for (&lane, &slot) in unresolved.iter().zip(&resolved.slots) {
+                slots[lane] = slot;
+            }
+            let rows = unresolved.iter().map(|&lane| sel[lane]);
+            memo.remember(generation, rows.zip(resolved.slots));
+        }
+        Some((generation, slots))
+    }
+}
+
+/// Rows copied out of the arena per read of the cache: a block of a few
+/// KiB, normalised while it is still in L1, with the memo's lock released
+/// between blocks.
+const GATHER_BLOCK_ROWS: usize = 64;
+
+/// The vectors of `slots` as a matrix, each row unit-normalised with
+/// `unit`'s kernel when given — one pass: every block of
+/// [`GATHER_BLOCK_ROWS`] rows is normalised right after it is copied out,
+/// with no lock held.  The same bits as `gather_slots` followed by
+/// [`cej_vector::norm::normalize_matrix_rows_with`].  `None` when
+/// `generation` is no longer current.
+pub(crate) fn gather_vectors(
+    cache: &SharedCache,
+    generation: u64,
+    slots: &[u32],
+    unit: Option<Kernel>,
+) -> Option<Matrix> {
+    let dim = cache.dim();
+    let mut data = Vec::with_capacity(slots.len() * dim);
+    for block in slots.chunks(GATHER_BLOCK_ROWS) {
+        let start = data.len();
+        if !cache.extend_slots(generation, block.iter().copied(), &mut data) {
+            return None;
+        }
+        if let Some(kernel) = unit {
+            for row in data[start..].chunks_exact_mut(dim.max(1)) {
+                normalize_with(row, kernel);
+            }
+        }
+    }
+    Some(Matrix::from_flat(slots.len(), dim, data).expect("one row per slot"))
+}
+
+/// Slots per chunk of a [`SlotCodes`] store (like the arena's chunks).
+const CODE_CHUNK_SLOTS: usize = 1024;
+
+/// What a [`SlotCodes`] store knows about one slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CodeState {
+    /// Not coded under the store's generation yet.
+    Uncoded,
+    /// The unit row is outside the screen's range: a side holding the slot
+    /// takes the fp32 block path.
+    Refused,
+    /// Coded: the slot's record holds its code.
+    Coded,
+}
+
+/// One chunk of [`CODE_CHUNK_SLOTS`] slots: what is known about each, and
+/// a record per slot — its code in the per-row form of
+/// [`cej_vector::sq8`], then the factor that normalises its arena row
+/// (`1 / ‖x‖`, 1 for a zero row) as f32 bits.
+#[derive(Clone)]
+struct CodeChunk {
+    states: Box<[CodeState]>,
+    records: Box<[u32]>,
+}
+
+/// The codes of one generation, shared by the runs that read them.  A
+/// writer changes the store's table in place when no run holds it, and
+/// copies what it changes (a chunk at a time) when one does.
+#[derive(Clone)]
+struct CodeTable {
+    generation: u64,
+    chunks: Vec<Arc<CodeChunk>>,
+}
+
+/// A slot's chunk and its position in the chunk.
+fn locate(slot: u32) -> (usize, usize) {
+    (
+        slot as usize / CODE_CHUNK_SLOTS,
+        slot as usize % CODE_CHUNK_SLOTS,
+    )
+}
+
+impl CodeTable {
+    fn empty(generation: u64) -> Self {
+        Self {
+            generation,
+            chunks: Vec::new(),
+        }
+    }
+
+    fn state(&self, slot: u32) -> CodeState {
+        let (chunk, at) = locate(slot);
+        self.chunks
+            .get(chunk)
+            .map_or(CodeState::Uncoded, |chunk| chunk.states[at])
+    }
+
+    /// The record of a coded slot, `stride` words.
+    fn record(&self, slot: u32, stride: usize) -> &[u32] {
+        let (chunk, at) = locate(slot);
+        &self.chunks[chunk].records[at * stride..(at + 1) * stride]
+    }
+
+    /// Keeps `code` (empty for a refused slot) and `factor` for `slot`.
+    fn set(&mut self, slot: u32, stride: usize, code: &[u32], factor: f32) {
+        let (chunk, at) = locate(slot);
+        while self.chunks.len() <= chunk {
+            self.chunks.push(Arc::new(CodeChunk {
+                states: vec![CodeState::Uncoded; CODE_CHUNK_SLOTS].into_boxed_slice(),
+                records: vec![0; CODE_CHUNK_SLOTS * stride].into_boxed_slice(),
+            }));
+        }
+        let chunk = Arc::make_mut(&mut self.chunks[chunk]);
+        if code.is_empty() {
+            chunk.states[at] = CodeState::Refused;
+            return;
+        }
+        let record = &mut chunk.records[at * stride..(at + 1) * stride];
+        record[..code.len()].copy_from_slice(code);
+        record[code.len()] = factor.to_bits();
+        chunk.states[at] = CodeState::Coded;
+    }
+}
+
+/// The int8 screen codes of one model's embedding slots: each slot's unit
+/// row (normalised with the `Unrolled` kernel, the one kernel that screens)
+/// quantised once, in the per-row form of [`cej_vector::sq8`], so a
+/// screened tensor join assembles its inner side from them instead of
+/// gathering, normalising and quantising the rows on every run.
+///
+/// Kept beside the slot maps in the pool's entry for the model and under
+/// the same rules: dropped with the entry when the model is re-registered,
+/// reset when the cache's generation moves, never used for a private cache.
+/// Chunks of [`CODE_CHUNK_SLOTS`] slots are allocated whole and never
+/// resized — per slot ⌈d/4⌉ code words, the scale, `‖x‖₁`, `Σq`, the
+/// normalising factor and a state byte, 81 bytes at d = 64 — so growth has
+/// no doubling spike.  Readers take a snapshot (an `Arc`) and read it
+/// without a lock; no lock is held across a kernel call or a call into the
+/// cache.
+pub(crate) struct SlotCodes {
+    dim: usize,
+    table: RwLock<Arc<CodeTable>>,
+}
+
+/// An inner side's codes, as [`SlotCodes::side`] assembles them.
+pub(crate) struct CodedSide {
+    /// The screen's inner side, `None` when a slot's unit row is refused.
+    pub(crate) codes: Option<Sq8Inner>,
+    /// Per lane, the factor that normalises the lane's arena row (empty
+    /// when `codes` is `None`).
+    pub(crate) factors: Vec<f32>,
+    /// Slots this call coded: the distinct slots no run had coded before.
+    pub(crate) quantized: u64,
+}
+
+impl SlotCodes {
+    fn new(dim: usize) -> Self {
+        Self {
+            dim,
+            table: RwLock::new(Arc::new(CodeTable::empty(0))),
+        }
+    }
+
+    /// Whether the screen can code rows of this store's dimension.
+    pub(crate) fn screenable(&self) -> bool {
+        (1..=MAX_SCREEN_DIM).contains(&self.dim)
+    }
+
+    /// Words per slot record: the code, then the factor.
+    fn stride(&self) -> usize {
+        row_code_len(self.dim) + 1
+    }
+
+    /// The table of `generation`, empty when the store holds another one.
+    fn snapshot(&self, generation: u64) -> Arc<CodeTable> {
+        let table = self.table.read().clone();
+        if table.generation == generation {
+            table
+        } else {
+            Arc::new(CodeTable::empty(generation))
+        }
+    }
+
+    /// The inner side of the (possibly repeating) `slots`, resolved under
+    /// `generation`: slots never coded are gathered from `cache`,
+    /// normalised and quantised once, then every lane's code is packed into
+    /// panels.  `None` when the generation moved before the codes were
+    /// kept — the caller resolves its slots again.
+    pub(crate) fn side(
+        &self,
+        cache: &SharedCache,
+        generation: u64,
+        slots: &[u32],
+    ) -> Option<CodedSide> {
+        if cache.generation() != generation {
+            return None;
+        }
+        let (len, stride) = (row_code_len(self.dim), self.stride());
+        let (mut missing, mut refused) = (Vec::new(), false);
+        let seen = self.snapshot(generation);
+        for &slot in slots {
+            match seen.state(slot) {
+                CodeState::Uncoded => missing.push(slot),
+                CodeState::Refused => refused = true,
+                CodeState::Coded => {}
+            }
+        }
+        missing.sort_unstable();
+        missing.dedup();
+        let table = if missing.is_empty() {
+            seen
+        } else {
+            // a run holding the table would make the insert copy chunks
+            drop(seen);
+            let mut unit = gather_vectors(cache, generation, &missing, None)?;
+            let factors: Vec<f32> = unit
+                .as_mut_slice()
+                .chunks_exact_mut(self.dim)
+                .map(|row| normalize_with(row, Kernel::Unrolled))
+                .collect();
+            let mut codes = vec![0u32; missing.len() * len];
+            let mut accepted = vec![false; missing.len()];
+            quantize_rows(unit.as_slice(), self.dim, &mut codes, &mut accepted);
+            refused |= accepted.contains(&false);
+            let coded = codes.chunks_exact(len).zip(accepted).zip(factors);
+            let coded = coded.map(|((code, ok), factor)| (if ok { code } else { &[] }, factor));
+            self.insert(generation, missing.iter().copied().zip(coded))?
+        };
+        let quantized = missing.len() as u64;
+        if refused {
+            return Some(CodedSide {
+                codes: None,
+                factors: Vec::new(),
+                quantized,
+            });
+        }
+        let mut factors = Vec::with_capacity(slots.len());
+        let rows = slots.iter().map(|&slot| {
+            let record = table.record(slot, stride);
+            factors.push(f32::from_bits(record[len]));
+            &record[..len]
+        });
+        let codes = Sq8Inner::from_codes(self.dim, rows);
+        Some(CodedSide {
+            codes,
+            factors,
+            quantized,
+        })
+    }
+
+    /// Keeps codes (empty for a refused row) and factors computed under
+    /// `generation` and returns the table that holds them — the store's
+    /// own, changed in place unless a run holds it — or `None` when a newer
+    /// generation owns the store (the codes are then of a cleared cache's
+    /// slots, and dropped).
+    fn insert<'w>(
+        &self,
+        generation: u64,
+        coded: impl Iterator<Item = (u32, (&'w [u32], f32))>,
+    ) -> Option<Arc<CodeTable>> {
+        let stride = self.stride();
+        let mut store = self.table.write();
+        if store.generation > generation {
+            return None;
+        }
+        if store.generation < generation {
+            *store = Arc::new(CodeTable::empty(generation));
+        }
+        let table = Arc::make_mut(&mut store);
+        for (slot, (code, factor)) in coded {
+            table.set(slot, stride, code, factor);
+        }
+        Some(store.clone())
+    }
+
+    /// Slots coded (or refused) in the table the store holds.
+    fn coded_slots(&self) -> usize {
+        let table = self.table.read();
+        let chunks = table.chunks.iter();
+        chunks
+            .map(|chunk| {
+                let states = chunk.states.iter();
+                states.filter(|state| **state != CodeState::Uncoded).count()
+            })
+            .sum()
     }
 }
 
@@ -235,18 +560,22 @@ impl ColumnSlots {
 
 /// What the pool keeps per model: the shared cache and, beside it, the slot
 /// maps of the columns embedded through it, keyed by (table allocation
-/// address, column position).  Dropping the entry drops both, so a
-/// re-registered model can never be served slots of its predecessor's arena.
+/// address, column position), and the screen codes of its slots.  Dropping
+/// the entry drops all three, so a re-registered model can never be served
+/// slots — or codes — of its predecessor's arena.
 struct ModelEntry {
     cache: Arc<SharedCache>,
     columns: HashMap<(usize, usize), Arc<ColumnSlots>>,
+    codes: Arc<SlotCodes>,
 }
 
 impl ModelEntry {
     fn new(model: Arc<dyn Embedder>) -> Self {
+        let dim = model.dim();
         ModelEntry {
             cache: Arc::new(CachedEmbedder::new(SharedEmbedder(model))),
             columns: HashMap::new(),
+            codes: Arc::new(SlotCodes::new(dim)),
         }
     }
 
@@ -273,7 +602,9 @@ impl ModelEntry {
 /// prepared query), which is what makes warm executions free of model calls;
 /// it is dropped when the model is re-registered.
 ///
-/// Beside each cache the pool keeps the [`ColumnSlots`] of the base-table
+/// Beside each cache the pool keeps the int8 screen codes of its slots
+/// (`SlotCodes`: each slot's unit row quantised once, reset when the
+/// cache's generation moves) and the [`ColumnSlots`] of the base-table
 /// columns that were embedded through it.  A map is tied to one *allocation*
 /// of rows — one segment of a published table version.  A delta shares the
 /// segments it leaves alone (a delete only swaps their live mask), so their
@@ -374,8 +705,27 @@ impl EmbeddingCachePool {
         Some(slots.clone())
     }
 
-    /// Makes `model` the pool's model behind `name`, with an empty cache and
-    /// no slot maps (used when the model is re-registered: memoised vectors
+    /// The screen codes of `model`'s slots.  `None` when `cache` is not the
+    /// pool's cache for `model` (a private cache's slots index another
+    /// arena) — the caller then quantises its rows itself.
+    pub(crate) fn slot_codes(
+        &self,
+        model: &str,
+        cache: &Arc<SharedCache>,
+    ) -> Option<Arc<SlotCodes>> {
+        let read = self.caches.read();
+        let entry = read.get(model)?;
+        entry.shares(cache).then(|| entry.codes.clone())
+    }
+
+    /// Embedding slots whose screen codes the pool keeps, over every model.
+    pub fn coded_slots(&self) -> usize {
+        let read = self.caches.read();
+        read.values().map(|entry| entry.codes.coded_slots()).sum()
+    }
+
+    /// Makes `model` the pool's model behind `name`, with an empty cache, no
+    /// slot maps and no codes (used when the model is re-registered: memoised vectors
     /// came from the old model).  The pool has to be *told* the new model —
     /// were the entry only dropped, the first run to ask would decide whose
     /// vectors everyone shares, and that run may hold a stale registry.
@@ -385,8 +735,9 @@ impl EmbeddingCachePool {
             .insert(name.to_string(), ModelEntry::new(model));
     }
 
-    /// Empties every cache and drops its slot maps; each entry keeps its
-    /// model, for the reason [`EmbeddingCachePool::replace`] gives.
+    /// Empties every cache and drops its slot maps and codes; each entry
+    /// keeps its model, for the reason [`EmbeddingCachePool::replace`]
+    /// gives.
     pub fn clear(&self) {
         for entry in self.caches.write().values_mut() {
             *entry = ModelEntry::new(entry.cache.inner().0.clone());
@@ -692,6 +1043,112 @@ mod tests {
         assert_eq!(f.embeddings.slot_maps(), 2);
         let known = before.lookup(cache.generation(), &[0, 1, 2]);
         assert!(known.iter().all(|&slot| slot != UNRESOLVED_SLOT));
+    }
+
+    #[test]
+    fn slot_codes_are_the_quantisers_codes_and_follow_the_caches_rules() {
+        let (pool, registry) = skewed_pool();
+        let cache = pool.cache("skewed", &registry).unwrap();
+        let store = pool.slot_codes("skewed", &cache).unwrap();
+        let words: Vec<String> = ["grill", "bbq", "grill", "", "dbms"]
+            .iter()
+            .map(|w| w.to_string())
+            .collect();
+        let resolved = cache.resolve(&words).unwrap();
+        let side = store.side(&cache, resolved.generation, &resolved.slots);
+        let side = side.expect("current generation");
+        // four distinct strings, coded once; the side is the quantiser's
+        // over the unit rows, repeats included
+        assert_eq!(side.quantized, 4);
+        assert_eq!(pool.coded_slots(), 4);
+        let raw = cache
+            .gather_slots(resolved.generation, &resolved.slots)
+            .unwrap();
+        let mut unit = raw.clone();
+        cej_vector::norm::normalize_matrix_rows_with(&mut unit, Kernel::Unrolled);
+        let expected = Sq8Inner::quantize(unit.as_slice(), 5, 16).unwrap();
+        assert!(side.codes.as_ref() == Some(&expected));
+        // the factors turn the arena rows back into the unit rows' bits
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (lane, &factor) in side.factors.iter().enumerate() {
+            let row: Vec<f32> = raw.row(lane).unwrap().iter().map(|x| x * factor).collect();
+            assert_eq!(bits(&row), bits(unit.row(lane).unwrap()), "lane {lane}");
+        }
+        assert_ne!(bits(raw.as_slice()), bits(unit.as_slice()));
+        let again = store.side(&cache, resolved.generation, &resolved.slots);
+        assert_eq!(again.expect("current").quantized, 0);
+
+        // a moved generation: old slots are refused, new ones coded afresh
+        cache.clear_cache();
+        assert!(store
+            .side(&cache, resolved.generation, &resolved.slots)
+            .is_none());
+        let fresh = cache.resolve(&words).unwrap();
+        let side = store.side(&cache, fresh.generation, &fresh.slots).unwrap();
+        assert_eq!(side.quantized, 4);
+        assert!(side.codes.as_ref() == Some(&expected));
+
+        // a private cache has none; a re-registered model drops them
+        let model = registry.model("skewed").unwrap();
+        let private = Arc::new(CachedEmbedder::new(SharedEmbedder(model.clone())));
+        assert!(pool.slot_codes("skewed", &private).is_none());
+        pool.replace("skewed", model);
+        assert_eq!(pool.coded_slots(), 0);
+        assert!(pool.slot_codes("skewed", &cache).is_none());
+    }
+
+    /// The fixture's model with vectors that are not unit rows — scaled by
+    /// the input's length plus one, so normalising them changes their bits
+    /// — and the vector of "spike" outside the screen's range.
+    struct Skewed(FastTextModel);
+
+    impl Embedder for Skewed {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn embed(&self, input: &str) -> Vector {
+            let mut v = self.0.embed(input);
+            v.scale(1.0 + input.len() as f32);
+            if input == "spike" {
+                v.as_mut_slice()[3] = f32::INFINITY;
+            }
+            v
+        }
+    }
+
+    /// A pool over [`Skewed`] under the name "skewed", and its registry.
+    fn skewed_pool() -> (EmbeddingCachePool, ModelRegistry) {
+        let mut registry = ModelRegistry::new();
+        let model = FastTextModel::new(FastTextConfig {
+            dim: 16,
+            buckets: 1000,
+            ..FastTextConfig::default()
+        })
+        .unwrap();
+        registry.register("skewed", Arc::new(Skewed(model)));
+        (EmbeddingCachePool::new(), registry)
+    }
+
+    #[test]
+    fn a_refused_slot_is_remembered_and_its_side_takes_the_block_path() {
+        let (pool, registry) = skewed_pool();
+        let cache = pool.cache("skewed", &registry).unwrap();
+        let store = pool.slot_codes("skewed", &cache).unwrap();
+        let words = ["grill", "spike", "bbq"];
+        let resolved = cache.resolve(&words).unwrap();
+        let (generation, slots) = (resolved.generation, &resolved.slots);
+        let side = store.side(&cache, generation, slots).unwrap();
+        assert!(side.codes.is_none());
+        assert_eq!(side.quantized, 3);
+        // remembered: nothing is coded again, and the side stays refused
+        let again = store.side(&cache, generation, slots).unwrap();
+        assert!(again.codes.is_none());
+        assert_eq!(again.quantized, 0);
+        // a side without the slot is screened from the kept codes
+        let clean = store.side(&cache, generation, &[slots[0], slots[2]]);
+        let clean = clean.unwrap();
+        assert!(clean.codes.is_some());
+        assert_eq!(clean.quantized, 0);
     }
 
     #[test]

@@ -13,17 +13,18 @@
 //!    predicate)` — the logical optimisation: every tuple is embedded once
 //!    before the join, which runs a (parallel, optionally SIMD) pair-wise
 //!    NLJ over the row-normalised vectors.
-//! 3. [`tensor_join::TensorJoin::join`]`(left_norm, right_norm, predicate)`
-//!    — the physical optimisation: the pair-wise comparison as blocked
-//!    matrix multiplication with mini-batching under an explicit memory
-//!    budget.
+//! 3. [`tensor_join::TensorJoin::join`]`(left_norm, inner, predicate)` —
+//!    the physical optimisation: the pair-wise comparison as blocked matrix
+//!    multiplication with mini-batching under an explicit memory budget.
+//!    The inner side is a row-normalised matrix or a side the interpreter
+//!    prepared once for all outer morsels ([`tensor_join::TensorInner`]).
 //! 4. [`index_join::IndexJoin::probe`]`(outer, &index, predicate,
 //!    inner_filter)` over an index from [`index_join::IndexJoin::build_index`]
 //!    — the vector-database alternative: top-k HNSW probes under relational
 //!    pre-filtering of the inner side.
 //!
 //! The matrix-level operators take *row-normalised* embeddings (cosine =
-//! dot product), so the interpreter normalises an inner side once and every
+//! dot product), so the interpreter prepares an inner side once and every
 //! outer morsel reuses it.  Relational pre-filters reach an operator as the
 //! selected rows only (the index's inner side excepted, whose graph spans
 //! the whole table).  The paper's figure-only variants — Figure 10's fixed
@@ -62,12 +63,10 @@ pub(crate) fn embed_all(model: &dyn Embedder, strings: &[String]) -> Result<Matr
 }
 
 /// Validates that two embedded inputs are joinable (same dimensionality).
-pub(crate) fn check_joinable(left: &Matrix, right: &Matrix) -> Result<()> {
-    if left.cols() != right.cols() {
+pub(crate) fn check_joinable(left_dim: usize, right_dim: usize) -> Result<()> {
+    if left_dim != right_dim {
         return Err(CoreError::InvalidInput(format!(
-            "embedding dimensionality mismatch: left {} vs right {}",
-            left.cols(),
-            right.cols()
+            "embedding dimensionality mismatch: left {left_dim} vs right {right_dim}"
         )));
     }
     Ok(())
@@ -171,8 +170,9 @@ pub(crate) mod tests {
 
     #[test]
     fn check_joinable_rejects_dim_mismatch() {
-        assert!(check_joinable(&Matrix::zeros(2, 4), &Matrix::zeros(3, 4)).is_ok());
-        assert!(check_joinable(&Matrix::zeros(2, 4), &Matrix::zeros(3, 5)).is_err());
+        let (two, three) = (Matrix::zeros(2, 4), Matrix::zeros(3, 5));
+        assert!(check_joinable(two.cols(), 4).is_ok());
+        assert!(check_joinable(two.cols(), three.cols()).is_err());
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl PrefetchNlJoin {
         predicate: SimilarityPredicate,
     ) -> Result<JoinResult> {
         check_predicate(&predicate)?;
-        check_joinable(left_norm, right_norm)?;
+        check_joinable(left_norm.cols(), right_norm.cols())?;
         let start = Instant::now();
 
         let swap = matches!(predicate, SimilarityPredicate::Threshold(_))

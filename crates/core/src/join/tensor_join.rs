@@ -16,10 +16,17 @@
 //!
 //! Nearly every pair of a selective join fails its predicate, so on a CPU
 //! with AVX-512 VNNI the block is first filled with *approximate* scores
-//! ([`cej_vector::sq8`]: both sides quantised to int8 per row, the inner
-//! side once per call, each outer morsel per call) and only pairs that can
-//! qualify get an fp32 score.  Each outer row `a` carries a proven bound
-//! `ε_a ≥ |fp32 score − approx|` against every inner row, so:
+//! ([`cej_vector::sq8`]: both sides quantised to int8 per row) and only
+//! pairs that can qualify get an fp32 score.  Each outer morsel is
+//! quantised by its call.  The inner side is quantised by the call when it
+//! is handed over as rows; the interpreter instead prepares it once per
+//! join ([`PreparedInner`]), and for a side that windows a catalog table it
+//! assembles the codes from those the session keeps per embedding slot —
+//! each slot's unit row is quantised once, by the first run that needs it
+//! ([`JoinStats::inner_rows_quantized`]) — and keeps no fp32 copy of the
+//! side: a candidate's row is read back from the embedding arena by slot
+//! and normalised again, to the same bits.  Each outer row `a` carries a
+//! proven bound `ε_a ≥ |fp32 score − approx|` against every inner row, so:
 //!
 //! * a threshold `t` rescores the pairs with `approx ≥ t − ε_a`;
 //! * top-k rescores the pairs with `approx ≥ τ − 2ε_a`, `τ` a value `k`
@@ -39,6 +46,7 @@
 //! and on finite rows in its magnitude range; otherwise the fp32 block path
 //! runs exactly as it did without a screen.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -59,32 +67,32 @@ use super::{check_joinable, check_predicate};
 
 /// Outer rows a join call needs before the int8 screen runs.
 ///
-/// The screen quantises the whole inner side on every call (≈ 30–35 ns per
-/// 64-dim row on an idle core, straight into the kernel's panels) before it
-/// saves anything, so it pays off only over enough outer rows.  Screened ÷
-/// fp32 block time of one `join` call, one thread, unit rows of dim 64, best
-/// of 210 (AVX-512 VNNI Xeon, 2 vCPUs):
+/// The constant was measured when every screened call quantised its whole
+/// inner side first (≈ 30–35 ns per 64-dim row): over 19,200 inner rows
+/// the screen broke even at about 12 outer rows and won by 0.70 / 0.62
+/// (top-3 / ≥ 0.62) at 24.  A call that still does — a side handed over as
+/// rows, the first run over slots nobody coded yet — is priced by that
+/// measurement.  A warm interpreter run takes the inner side's codes from
+/// the per-slot store instead and pays only its outer rows' quantiser, the
+/// block and the harvest.  Screened (stored codes, each block's distinct
+/// candidate rows read back once, no fp32 inner copy) ÷ fp32 block time of
+/// one join call, one thread, unit rows of dim 64, best of 210 (AVX-512
+/// VNNI Xeon, 2 vCPUs, a noisy shared host):
 ///
 /// | outer rows | 4,000 inner: top-3 / ≥ 0.62 | 19,200 inner: top-3 / ≥ 0.62 |
 /// |---|---|---|
-/// | 1  | 4.15 / 4.23 | 2.99 / 3.10 |
-/// | 8  | 1.23 / 1.23 | 1.35 / 1.27 |
-/// | 12 | 1.42 / 1.60 | 1.01 / 0.96 |
-/// | 16 | 1.42 / 1.40 | 0.81 / 0.80 |
-/// | 24 | 1.09 / 1.13 | 0.70 / 0.62 |
-/// | 32 | 0.56 / 0.49 | 0.57 / 0.56 |
-/// | 96 | 0.37 / 0.30 | 0.38 / 0.37 |
+/// | 1  | 0.40 / 0.39 | 0.32 / 0.30 |
+/// | 8  | 0.50 / 0.40 | 0.31 / 0.28 |
+/// | 12 | 0.30 / 0.25 | 0.28 / 0.26 |
+/// | 16 | 0.30 / 0.24 | 0.29 / 0.25 |
+/// | 24 | 0.29 / 0.23 | 0.30 / 0.24 |
+/// | 32 | 0.31 / 0.23 | 0.32 / 0.29 |
+/// | 96 | 0.31 / 0.24 | 0.33 / 0.28 |
 ///
-/// Over 19,200 inner rows break-even is now at about 12 rows (it was 16
-/// before the quantiser wrote panels directly).  The 4,000-row column's
-/// bump at 12–24 rows is the allocator, not the screen: the screen's
-/// buffers cross glibc's mmap threshold there and are page-faulted in on
-/// every call, and the parent commit shows the same bump.  With the
-/// thresholds pinned (`MALLOC_MMAP_THRESHOLD_`, `MALLOC_TRIM_THRESHOLD_`)
-/// that column reads 0.91 / 0.87 at 12 rows, 0.75 / 0.74 at 16 and
-/// 0.62 / 0.58 at 24.  The constant stays 24: below it a served 16-query
-/// `RUN` would execute 512-bit VNNI code it otherwise never runs, a change
-/// to be judged on `serve_live`, not here.
+/// With stored codes the screen wins from one outer row on.  The constant
+/// stays 24: below it a served 16-query `RUN` would execute 512-bit VNNI
+/// code it otherwise never runs, a change to be judged on `serve_live`, not
+/// here.
 const SCREEN_MIN_OUTER_ROWS: usize = 24;
 
 /// Configuration of the tensor join.
@@ -139,6 +147,102 @@ pub struct TensorJoin {
     config: TensorJoinConfig,
 }
 
+/// The inner side of a [`TensorJoin::join`] call.
+#[derive(Clone, Copy)]
+pub enum TensorInner<'a> {
+    /// Unit-normalised rows: a screened call quantises them itself.
+    Rows(&'a Matrix),
+    /// A side prepared once for many calls — the interpreter prepares one
+    /// per join and scores every outer morsel against it.
+    Prepared(&'a PreparedInner<'a>),
+}
+
+impl<'a> From<&'a Matrix> for TensorInner<'a> {
+    fn from(rows: &'a Matrix) -> Self {
+        TensorInner::Rows(rows)
+    }
+}
+
+impl<'a> From<&'a PreparedInner<'a>> for TensorInner<'a> {
+    fn from(side: &'a PreparedInner<'a>) -> Self {
+        TensorInner::Prepared(side)
+    }
+}
+
+/// Where a screened rescore reads inner unit rows when the prepared side
+/// keeps no fp32 copy of its rows.
+pub(crate) trait UnitRows: Sync {
+    /// Replaces the contents of `out` with inner rows `rows`,
+    /// unit-normalised — the bits
+    /// [`cej_vector::norm::normalize_matrix_rows_with`] gives them under
+    /// the `Unrolled` kernel — one after another.
+    fn unit_rows(&self, rows: &[usize], out: &mut Vec<f32>);
+}
+
+/// An inner side prepared once and shared by every call of one join: the
+/// screen's codes when some call screens, the unit rows as a matrix when
+/// some call takes the fp32 block path — and, when the side keeps codes
+/// but no matrix, the source a screened rescore reads a candidate's row
+/// from.
+pub struct PreparedInner<'a> {
+    rows: usize,
+    dim: usize,
+    /// The unit rows, when some call takes the fp32 block path.
+    dense: Option<Matrix>,
+    /// The screen's inner side; `None` when no call screens or a row is
+    /// outside the screen's range.
+    codes: Option<Sq8Inner>,
+    /// Unit rows by position, for a side without `dense`.
+    source: Option<Box<dyn UnitRows + 'a>>,
+}
+
+impl<'a> PreparedInner<'a> {
+    /// A side of unit rows, with the codes quantised from them when some
+    /// call screens.
+    pub(crate) fn from_rows(dense: Matrix, codes: Option<Sq8Inner>) -> Self {
+        Self {
+            rows: dense.rows(),
+            dim: dense.cols(),
+            dense: Some(dense),
+            codes,
+            source: None,
+        }
+    }
+
+    /// A side of `rows` rows of dimension `dim` whose rows `source` reads,
+    /// with the unit rows as a matrix when some call takes the block path.
+    pub(crate) fn from_source(
+        rows: usize,
+        dim: usize,
+        codes: Option<Sq8Inner>,
+        dense: Option<Matrix>,
+        source: Box<dyn UnitRows + 'a>,
+    ) -> Self {
+        Self {
+            rows,
+            dim,
+            dense,
+            codes,
+            source: Some(source),
+        }
+    }
+
+    /// The unit rows as a matrix: the side's own, or gathered for this call
+    /// (a call that falls back to the block path on a side prepared for
+    /// the screen alone — an outer row the screen refuses).
+    fn dense(&self) -> Cow<'_, Matrix> {
+        match (&self.dense, &self.source) {
+            (Some(dense), _) => Cow::Borrowed(dense),
+            (None, Some(source)) => {
+                let mut data = Vec::new();
+                source.unit_rows(&(0..self.rows).collect::<Vec<_>>(), &mut data);
+                Cow::Owned(Matrix::from_flat(self.rows, self.dim, data).expect("rows x dim"))
+            }
+            (None, None) => unreachable!("a prepared side has rows or a source"),
+        }
+    }
+}
+
 impl TensorJoin {
     /// Creates the operator with the given configuration.
     pub fn new(config: TensorJoinConfig) -> Self {
@@ -151,28 +255,44 @@ impl TensorJoin {
     }
 
     /// Joins two embedded inputs whose rows are **unit-normalised** (so the
-    /// cosine similarity is the dot product).
+    /// cosine similarity is the dot product): the outer rows `left_norm`
+    /// against an inner side given as rows (a `&Matrix`) or prepared once
+    /// for many calls ([`TensorInner`]).
     ///
-    /// The interpreter normalises the inner side once and every outer morsel
-    /// reuses it.  Pair offsets refer to the row numbering of the given
-    /// matrices, and `peak_buffer_bytes` is the score block — the operator's
-    /// own intermediate state, not its inputs.  With the `Unrolled` kernel,
-    /// at least `SCREEN_MIN_OUTER_ROWS` outer rows, a predicate that does
-    /// not admit every pair and a CPU with AVX-512 VNNI, the int8 screen
-    /// decides which pairs get an fp32 score (module documentation); the
-    /// result is the same either way.
+    /// The interpreter prepares the inner side once per join and every
+    /// outer morsel reuses it.  Pair offsets refer to the row numbering of
+    /// the given sides, and `peak_buffer_bytes` is the score block — the
+    /// operator's own intermediate state, not its inputs.  With the
+    /// `Unrolled` kernel, at least `SCREEN_MIN_OUTER_ROWS` outer rows, a
+    /// predicate that does not admit every pair and a CPU with AVX-512 VNNI,
+    /// the int8 screen decides which pairs get an fp32 score (module
+    /// documentation); the result is the same either way.
     ///
     /// # Errors
     /// Returns [`crate::error::CoreError::InvalidInput`] for dimension
     /// mismatches or degenerate predicates.
-    pub fn join(
+    pub fn join<'a>(
         &self,
         left_norm: &Matrix,
-        right_norm: &Matrix,
+        inner: impl Into<TensorInner<'a>>,
         predicate: SimilarityPredicate,
     ) -> Result<JoinResult> {
-        let screen = self.screen_for(left_norm.rows(), right_norm.rows(), predicate);
-        self.join_with(left_norm, right_norm, predicate, screen)
+        let inner = inner.into();
+        let screen = self.screen_for(left_norm.rows(), inner.rows(), predicate);
+        self.join_with(left_norm, inner, predicate, screen)
+    }
+
+    /// Whether a call over `outer_rows` outer rows and `inner_rows` inner
+    /// rows runs the int8 screen (on sides it can bound) — what the
+    /// interpreter asks of each outer morsel before preparing the inner
+    /// side.
+    pub(crate) fn screens(
+        &self,
+        outer_rows: usize,
+        inner_rows: usize,
+        predicate: SimilarityPredicate,
+    ) -> bool {
+        self.screen_for(outer_rows, inner_rows, predicate).is_some()
     }
 
     /// The screen [`TensorJoin::join`] runs for these shapes, if any: never
@@ -205,25 +325,36 @@ impl TensorJoin {
     /// the fp32 block path).  A side with a row the screen cannot bound
     /// (not finite, or out of its magnitude range) takes the block path
     /// whatever is passed.
-    fn join_with(
+    fn join_with<'a>(
         &self,
         left_norm: &Matrix,
-        right_norm: &Matrix,
+        inner: impl Into<TensorInner<'a>>,
         predicate: SimilarityPredicate,
         screen: Option<Screen>,
     ) -> Result<JoinResult> {
+        let inner = inner.into();
         check_predicate(&predicate)?;
-        check_joinable(left_norm, right_norm)?;
+        check_joinable(left_norm.cols(), inner.dim())?;
         let start = Instant::now();
         let mut stats = JoinStats {
-            pairs_compared: left_norm.rows() as u64 * right_norm.rows() as u64,
+            pairs_compared: left_norm.rows() as u64 * inner.rows() as u64,
             ..JoinStats::default()
         };
-        let pairs = if left_norm.rows() == 0 || right_norm.rows() == 0 {
+        let pairs = if left_norm.rows() == 0 || inner.rows() == 0 {
             Vec::new()
         } else {
-            let screened = screen.and_then(|screen| Screened::new(screen, left_norm, right_norm));
-            self.blocked_join(left_norm, right_norm, predicate, screened, &mut stats)
+            let screened =
+                screen.and_then(|screen| Screened::new(screen, left_norm, inner, &mut stats));
+            let right = match (&screened, inner) {
+                (Some(_), _) => None,
+                (None, TensorInner::Rows(rows)) => Some(Cow::Borrowed(rows)),
+                (None, TensorInner::Prepared(side)) => Some(side.dense()),
+            };
+            let inner_rows = inner.rows();
+            let right = right.as_deref();
+            self.blocked_join(
+                left_norm, right, inner_rows, predicate, screened, &mut stats,
+            )
         };
         stats.elapsed = start.elapsed();
         Ok(JoinResult { pairs, stats })
@@ -231,23 +362,26 @@ impl TensorJoin {
 
     /// Mini-batched blocked join: both inputs are partitioned along tuple
     /// boundaries so each score block fits the buffer budget.  The block
-    /// holds fp32 scores, or the screen's approximations when `screened` is
-    /// set.
+    /// holds fp32 scores of `left` against the `right_rows` rows of
+    /// `right`, or the screen's approximations when `screened` is set (and
+    /// `right` is not needed).
     fn blocked_join(
         &self,
         left: &Matrix,
-        right: &Matrix,
+        right: Option<&Matrix>,
+        right_rows: usize,
         predicate: SimilarityPredicate,
         screened: Option<Screened<'_>>,
         stats: &mut JoinStats,
     ) -> Vec<JoinPair> {
-        let (outer_batch, inner_batch) = self.config.budget.batch_shape(left.rows(), right.rows());
+        let left_rows = left.rows();
+        let (outer_batch, inner_batch) = self.config.budget.batch_shape(left_rows, right_rows);
         let dim = left.cols();
         let gemm = GemmConfig::with_kernel(self.config.kernel);
 
         // Per-left-row top-k state (threshold joins collect directly).
         let mut topk_state: Option<Vec<TopK>> = match predicate {
-            SimilarityPredicate::TopK(k) => Some((0..left.rows()).map(|_| TopK::new(k)).collect()),
+            SimilarityPredicate::TopK(k) => Some((0..left_rows).map(|_| TopK::new(k)).collect()),
             SimilarityPredicate::Threshold(_) => None,
         };
         let mut pairs: Vec<JoinPair> = Vec::new();
@@ -267,15 +401,15 @@ impl TensorJoin {
         };
 
         let mut l_start = 0usize;
-        while l_start < left.rows() {
-            let l_end = (l_start + outer_batch).min(left.rows());
+        while l_start < left_rows {
+            let l_end = (l_start + outer_batch).min(left_rows);
             let l_rows = l_end - l_start;
             let l_block = left
                 .rows_as_slice(l_start, l_end)
                 .expect("left block in range");
             let mut r_start = 0usize;
-            while r_start < right.rows() {
-                let r_end = (r_start + inner_batch).min(right.rows());
+            while r_start < right_rows {
+                let r_end = (r_start + inner_batch).min(right_rows);
                 let r_rows = r_end - r_start;
                 let out = &mut scores[..l_rows * r_rows];
                 stats.blocks_computed += 1;
@@ -301,6 +435,7 @@ impl TensorJoin {
                         _ => unreachable!("top-k state exists iff the predicate is top-k"),
                     }
                 } else {
+                    let right = right.expect("the block path has the inner rows");
                     let r_block = right
                         .rows_as_slice(r_start, r_end)
                         .expect("right block in range");
@@ -340,45 +475,132 @@ impl TensorJoin {
     }
 }
 
-/// The int8 screen of one join call: both sides quantised (the inner side
-/// once per call, whatever the budget's blocks), each outer row's error
-/// bound, and the fp32 rows candidates are rescored from.
+impl TensorInner<'_> {
+    fn rows(&self) -> usize {
+        match self {
+            TensorInner::Rows(rows) => rows.rows(),
+            TensorInner::Prepared(side) => side.rows,
+        }
+    }
+
+    fn dim(&self) -> usize {
+        match self {
+            TensorInner::Rows(rows) => rows.cols(),
+            TensorInner::Prepared(side) => side.dim,
+        }
+    }
+}
+
+/// The int8 screen of one join call: the outer side quantised, the inner
+/// side's codes (quantised by this call for rows, the prepared side's
+/// otherwise), each outer row's error bound, and the fp32 rows candidates
+/// are rescored from.
 struct Screened<'a> {
     screen: Screen,
     outer: Sq8Outer,
-    inner: Sq8Inner,
+    inner: Cow<'a, Sq8Inner>,
     /// `ε` per outer row: `|fp32 score − approx| ≤ ε` against every inner row.
     bounds: Vec<f32>,
     left: &'a Matrix,
-    right: &'a Matrix,
+    /// The inner unit rows, when the side keeps them as a matrix.
+    right: Option<&'a Matrix>,
+    /// Otherwise, where a candidate's inner row is read from.
+    source: Option<&'a dyn UnitRows>,
 }
 
 impl<'a> Screened<'a> {
-    /// `None` when either side has a row the screen cannot bound.
-    fn new(screen: Screen, left: &'a Matrix, right: &'a Matrix) -> Option<Self> {
+    /// `None` when either side has a row the screen cannot bound.  Counts
+    /// the inner rows this call quantises into `stats`.
+    fn new(
+        screen: Screen,
+        left: &'a Matrix,
+        inner: TensorInner<'a>,
+        stats: &mut JoinStats,
+    ) -> Option<Self> {
         let outer = Sq8Outer::quantize(left.as_slice(), left.rows(), left.cols())?;
-        let inner = Sq8Inner::quantize(right.as_slice(), right.rows(), right.cols())?;
+        let (codes, right, source) = match inner {
+            TensorInner::Rows(right) => {
+                stats.inner_rows_quantized += right.rows() as u64;
+                let codes = Sq8Inner::quantize(right.as_slice(), right.rows(), right.cols())?;
+                (Cow::Owned(codes), Some(right), None)
+            }
+            TensorInner::Prepared(side) => (
+                Cow::Borrowed(side.codes.as_ref()?),
+                side.dense.as_ref(),
+                side.source.as_deref(),
+            ),
+        };
         let bounds = (0..left.rows())
-            .map(|row| outer.error_bound(row, &inner))
+            .map(|row| outer.error_bound(row, &codes))
             .collect();
         Some(Self {
             screen,
             outer,
-            inner,
+            inner: codes,
             bounds,
             left,
             right,
+            source,
         })
     }
 
-    /// The fp32 score of a pair: the bits the GEMM writes for it.
-    fn rescore(&self, l: usize, r: usize) -> f32 {
+    /// Collects the candidates of every outer row of a block — row `i`'s
+    /// columns whose approximation reaches `floors[i]`, in ascending order
+    /// — and, when the side keeps no matrix, reads each distinct candidate
+    /// row once, in one call to its source.
+    fn candidates(
+        &self,
+        columns: &Range<usize>,
+        approx: &[f32],
+        floors: &[f32],
+        candidates: &mut Candidates,
+    ) {
+        let Candidates {
+            inner,
+            ends,
+            fetched,
+            at,
+            rows,
+        } = candidates;
+        inner.clear();
+        ends.clear();
+        for (row, &floor) in approx.chunks_exact(columns.len()).zip(floors) {
+            scan_at_least(row, floor, |i, _| {
+                inner.push(columns.start + i);
+                floor
+            });
+            ends.push(inner.len());
+        }
+        if let (None, Some(source)) = (self.right, self.source) {
+            // each column's position in `fetched`, first come first placed
+            let mut position = vec![usize::MAX; columns.len()];
+            fetched.clear();
+            at.clear();
+            for &r in inner.iter() {
+                let slot = &mut position[r - columns.start];
+                if *slot == usize::MAX {
+                    *slot = fetched.len();
+                    fetched.push(r);
+                }
+                at.push(*slot);
+            }
+            source.unit_rows(fetched, rows);
+        }
+    }
+
+    /// The fp32 score of outer row `l` and candidate `j` (inner row `r`):
+    /// the bits the GEMM writes for the pair.
+    fn rescore(&self, l: usize, r: usize, candidates: &Candidates, j: usize) -> f32 {
         let dim = self.left.cols();
-        let (left, right) = (self.left.as_slice(), self.right.as_slice());
-        dot_lanes::<8>(
-            &left[l * dim..(l + 1) * dim],
-            &right[r * dim..(r + 1) * dim],
-        )
+        let left = &self.left.as_slice()[l * dim..(l + 1) * dim];
+        let inner = match self.right {
+            Some(right) => &right.as_slice()[r * dim..(r + 1) * dim],
+            None => {
+                let row = candidates.at[j];
+                &candidates.rows[row * dim..(row + 1) * dim]
+            }
+        };
+        dot_lanes::<8>(left, inner)
     }
 
     /// Threshold harvest of a screened block (`approx`, one row per outer
@@ -394,22 +616,24 @@ impl<'a> Screened<'a> {
         t: f32,
         pairs: &mut Vec<JoinPair>,
     ) -> u64 {
-        let mut rescored = 0;
-        for (l, row) in rows.zip(approx.chunks_exact(columns.len())) {
-            // `next_down` makes the f32 difference a lower bound of the
-            // real `t − ε`
-            let floor = (t - self.bounds[l]).next_down();
-            scan_at_least(row, floor, |ri, _| {
-                let r = columns.start + ri;
-                let score = self.rescore(l, r);
-                rescored += 1;
+        // `next_down` makes the f32 difference a lower bound of the real
+        // `t − ε`
+        let floors: Vec<f32> = rows
+            .clone()
+            .map(|l| (t - self.bounds[l]).next_down())
+            .collect();
+        let mut candidates = Candidates::default();
+        self.candidates(&columns, approx, &floors, &mut candidates);
+        for (i, l) in rows.enumerate() {
+            for j in candidates.span(i) {
+                let r = candidates.inner[j];
+                let score = self.rescore(l, r, &candidates, j);
                 if score >= t {
                     pairs.push(JoinPair::new(l, r, score));
                 }
-                floor
-            });
+            }
         }
-        rescored
+        candidates.inner.len() as u64
     }
 
     /// Top-k harvest of a screened block.  A pair is pushed unless it is
@@ -431,7 +655,12 @@ impl<'a> Screened<'a> {
     /// returns (it keeps the `k` best by score, then id), so the output is
     /// the block path's, tie order included.  The lane maxima's `τ` can lie
     /// below the `k`-th best approximation, which only rescores more pairs.
-    /// Returns the number rescored.
+    ///
+    /// A row's floor only rises while its pairs are pushed, so the pairs
+    /// reaching the floor it starts from — the candidates, collected for
+    /// the whole block first — include every pair a scan under the rising
+    /// floor visits; walking them in order and skipping those below the
+    /// floor in force is that scan.  Returns the number rescored.
     fn harvest_topk(
         &self,
         rows: Range<usize>,
@@ -441,36 +670,76 @@ impl<'a> Screened<'a> {
         k: usize,
         state: &mut [TopK],
     ) -> u64 {
+        let kept_floor = |c: &TopK, eps: f32| {
+            c.threshold()
+                .map_or(f32::NEG_INFINITY, |kth| (kth - eps).next_down())
+        };
+        let width = columns.len();
+        let floors: Vec<f32> = rows
+            .clone()
+            .zip(approx.chunks_exact(width))
+            .enumerate()
+            .map(|(i, (l, row))| {
+                let tau = match lane_max {
+                    Some(lane_max) => {
+                        // the k-th largest in the total order: what a
+                        // descending sort puts at `k - 1`
+                        let mut maxima = lane_max[i];
+                        *maxima
+                            .select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a))
+                            .1
+                    }
+                    None => {
+                        let mut best = TopK::new(k);
+                        best.push_row(0, row);
+                        best.threshold().unwrap_or(f32::NEG_INFINITY)
+                    }
+                };
+                let eps = self.bounds[l];
+                (tau - 2.0 * eps)
+                    .next_down()
+                    .max(kept_floor(&state[l], eps))
+            })
+            .collect();
+        let mut candidates = Candidates::default();
+        self.candidates(&columns, approx, &floors, &mut candidates);
         let mut rescored = 0;
-        for (i, (l, row)) in rows.zip(approx.chunks_exact(columns.len())).enumerate() {
-            let eps = self.bounds[l];
-            let collector = &mut state[l];
-            let kept_floor = |c: &TopK| {
-                c.threshold()
-                    .map_or(f32::NEG_INFINITY, |kth| (kth - eps).next_down())
-            };
-            let tau = match lane_max {
-                Some(lane_max) => {
-                    let mut maxima = lane_max[i];
-                    maxima.sort_unstable_by(|a, b| b.total_cmp(a));
-                    maxima[k - 1]
+        for (i, (l, row)) in rows.zip(approx.chunks_exact(width)).enumerate() {
+            let (eps, collector, mut floor) = (self.bounds[l], &mut state[l], floors[i]);
+            for j in candidates.span(i) {
+                let r = candidates.inner[j];
+                if row[r - columns.start] >= floor {
+                    collector.push(r, self.rescore(l, r, &candidates, j));
+                    rescored += 1;
+                    floor = floor.max(kept_floor(collector, eps));
                 }
-                None => {
-                    let mut best = TopK::new(k);
-                    best.push_row(0, row);
-                    best.threshold().unwrap_or(f32::NEG_INFINITY)
-                }
-            };
-            let mut floor = (tau - 2.0 * eps).next_down().max(kept_floor(collector));
-            scan_at_least(row, floor, |ri, _| {
-                let r = columns.start + ri;
-                collector.push(r, self.rescore(l, r));
-                rescored += 1;
-                floor = floor.max(kept_floor(collector));
-                floor
-            });
+            }
         }
         rescored
+    }
+}
+
+/// The pairs of a block's outer rows a harvest may rescore and, fetched
+/// for a side without a matrix, the unit rows they need.
+#[derive(Default)]
+struct Candidates {
+    /// Candidate inner rows, outer row by outer row, each ascending.
+    inner: Vec<usize>,
+    /// Where each outer row's candidates end in `inner`.
+    ends: Vec<usize>,
+    /// The distinct candidate rows, whose unit rows `rows` holds in that
+    /// order.
+    fetched: Vec<usize>,
+    /// Per candidate, its row's position in `fetched`.
+    at: Vec<usize>,
+    rows: Vec<f32>,
+}
+
+impl Candidates {
+    /// The positions in `inner` of outer row `i`'s candidates.
+    fn span(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start..self.ends[i]
     }
 }
 
@@ -738,11 +1007,16 @@ mod tests {
                 assert_eq!(pair_bits(&result), pair_bits(&block), "{what}");
                 let without = |s: JoinStats| JoinStats {
                     pairs_rescored: 0,
+                    inner_rows_quantized: 0,
                     elapsed: Duration::ZERO,
                     ..s
                 };
                 assert_eq!(without(result.stats), without(block.stats), "{what}");
                 assert!(result.stats.pairs_rescored <= result.stats.pairs_compared);
+                // a side handed over as rows is quantised by the call,
+                // unless the outer side was refused first
+                let quantized = result.stats.inner_rows_quantized;
+                assert!([0, right.rows() as u64].contains(&quantized), "{what}");
                 result
             })
             .collect();
@@ -795,6 +1069,91 @@ mod tests {
                 .collect();
             let tied = k.min(4);
             assert_eq!(ids[..tied], [5, 10, 20, 30][..tied], "k {k}");
+        }
+    }
+
+    #[test]
+    fn the_block_harvest_rescores_what_a_one_pass_scan_rescores() {
+        // the harvest collects a block's candidates before rescoring any;
+        // a scan that rescores as it goes, under each row's rising floor,
+        // must make the same pushes — so the same pairs_rescored
+        let left = uniform_matrix(40, 24, 64, true);
+        let mut right = uniform_matrix(90, 24, 65, true);
+        for r in (5..90).step_by(11) {
+            let copy = left.row(r % 40).unwrap().to_vec();
+            right.row_mut(r).unwrap().copy_from_slice(&copy);
+        }
+        for screen in screens() {
+            let mut stats = JoinStats::default();
+            let screened = Screened::new(screen, &left, (&right).into(), &mut stats).unwrap();
+            let mut approx = vec![0.0f32; 40 * 90];
+            let mut lane_max = vec![LaneMaxima::default(); 40];
+            let (inner, rows, columns) = (screened.inner.as_ref(), 0..40, 0..90);
+            screen.block_into(
+                &screened.outer,
+                rows.clone(),
+                inner,
+                columns.clone(),
+                &mut approx,
+                Some(&mut lane_max),
+            );
+            let rescore =
+                |l: usize, r: usize| dot_lanes::<8>(left.row(l).unwrap(), right.row(r).unwrap());
+            for k in [1usize, 3, 16, 17] {
+                let maxima = (k <= PANEL_ROWS).then_some(lane_max.as_slice());
+                let mut state: Vec<TopK> = (0..40).map(|_| TopK::new(k)).collect();
+                let got = screened.harvest_topk(
+                    rows.clone(),
+                    columns.clone(),
+                    &approx,
+                    maxima,
+                    k,
+                    &mut state,
+                );
+                // the one-pass reference
+                let mut reference: Vec<TopK> = (0..40).map(|_| TopK::new(k)).collect();
+                let mut expected = 0;
+                for (l, row) in approx.chunks_exact(90).enumerate() {
+                    let eps = screened.bounds[l];
+                    let tau = match maxima {
+                        Some(m) => {
+                            let mut sorted = m[l];
+                            sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+                            sorted[k - 1]
+                        }
+                        None => {
+                            let mut best = TopK::new(k);
+                            best.push_row(0, row);
+                            best.threshold().unwrap_or(f32::NEG_INFINITY)
+                        }
+                    };
+                    let collector = &mut reference[l];
+                    let kept = |c: &TopK| {
+                        c.threshold()
+                            .map_or(f32::NEG_INFINITY, |kth| (kth - eps).next_down())
+                    };
+                    let mut floor = (tau - 2.0 * eps).next_down().max(kept(collector));
+                    scan_at_least(row, floor, |r, _| {
+                        collector.push(r, rescore(l, r));
+                        expected += 1;
+                        floor = floor.max(kept(collector));
+                        floor
+                    });
+                }
+                let what = format!("{} k {k}", screen.label());
+                assert_eq!(got, expected, "{what}");
+                let entries = |s: Vec<TopK>| -> Vec<Vec<(usize, u32)>> {
+                    s.into_iter()
+                        .map(|c| {
+                            c.into_sorted()
+                                .iter()
+                                .map(|e| (e.id, e.score.to_bits()))
+                                .collect()
+                        })
+                        .collect()
+                };
+                assert_eq!(entries(state), entries(reference), "{what}");
+            }
         }
     }
 
@@ -942,6 +1301,66 @@ mod tests {
                     assert_screen_exact(&join, &left, &right, predicate, "bad rows");
                 for result in screened {
                     assert_eq!(result.stats.pairs_rescored, result.stats.pairs_compared);
+                }
+            }
+        }
+    }
+
+    /// Unit rows read back one by one, the way a side kept as codes reads
+    /// a candidate's row from the embedding arena.
+    struct RowsByIndex(Matrix);
+
+    impl UnitRows for RowsByIndex {
+        fn unit_rows(&self, rows: &[usize], out: &mut Vec<f32>) {
+            out.clear();
+            for &row in rows {
+                out.extend_from_slice(self.0.row(row).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn a_prepared_side_equals_the_side_given_as_rows() {
+        // codes only (rescores read the source), codes and rows, rows only;
+        // an outer side the screen refuses falls back to the block path over
+        // rows gathered from the source
+        let right = uniform_matrix(70, 24, 62, true);
+        let codes = || Sq8Inner::quantize(right.as_slice(), 70, 24);
+        let source = || Box::new(RowsByIndex(right.clone()));
+        let sides = [
+            PreparedInner::from_source(70, 24, codes(), None, source()),
+            PreparedInner::from_source(70, 24, codes(), Some(right.clone()), source()),
+            PreparedInner::from_rows(right.clone(), codes()),
+            PreparedInner::from_rows(right.clone(), None),
+        ];
+        let mut bad = uniform_matrix(30, 24, 63, true);
+        bad.row_mut(4).unwrap()[2] = f32::NAN;
+        for left in [uniform_matrix(30, 24, 63, true), bad] {
+            for budget in [
+                BufferBudget::unlimited(),
+                BufferBudget::from_bytes(4 * 30 * 20),
+            ] {
+                let join = TensorJoin::new(TensorJoinConfig::default().with_budget(budget));
+                for predicate in both_predicates(3, 0.3) {
+                    let (block, _) = assert_screen_exact(&join, &left, &right, predicate, "rows");
+                    let work = |s: JoinStats| JoinStats {
+                        elapsed: Duration::ZERO,
+                        inner_rows_quantized: 0,
+                        ..s
+                    };
+                    for screen in screens().into_iter().map(Some).chain([None]) {
+                        let rows = join.join_with(&left, &right, predicate, screen).unwrap();
+                        for (i, side) in sides.iter().enumerate() {
+                            let result = join.join_with(&left, side, predicate, screen).unwrap();
+                            let what = format!("side {i} {predicate:?} {screen:?}");
+                            assert_eq!(pair_bits(&result), pair_bits(&block), "{what}");
+                            // the same rescores as the side handed over as
+                            // rows; a side without codes takes the block path
+                            let expected = if i < 3 { &rows } else { &block };
+                            assert_eq!(work(result.stats), work(expected.stats), "{what}");
+                            assert_eq!(result.stats.inner_rows_quantized, 0, "{what}");
+                        }
+                    }
                 }
             }
         }

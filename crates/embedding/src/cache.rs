@@ -29,7 +29,8 @@
 //!   rows out in one preallocated pass ([`CachedEmbedder::gather_slots`]);
 //! * a caller that remembers which slot belongs to which tuple — the
 //!   session's per-column slot maps in `cej-core` — skips the hashing on every
-//!   later run and calls `gather_slots` directly.  That is prefetching taken
+//!   later run and calls `gather_slots` (or [`CachedEmbedder::extend_slots`],
+//!   into a buffer of its own) directly.  That is prefetching taken
 //!   to its conclusion: `E(·)` is paid once per tuple, not once per run.
 //!
 //! [`CachedEmbedder::clear_cache`] starts a new generation; slots resolved
@@ -382,16 +383,39 @@ impl<E: Embedder> CachedEmbedder<E> {
     /// Panics on a slot [`CachedEmbedder::resolve`] did not return under
     /// `generation`.
     pub fn gather_slots(&self, generation: u64, slots: &[u32]) -> Option<Matrix> {
-        let read = self.cache.as_ref()?.read();
+        let mut data = Vec::with_capacity(slots.len() * self.dim());
+        self.extend_slots(generation, slots.iter().copied(), &mut data)
+            .then(|| Matrix::from_flat(slots.len(), self.dim(), data).expect("one row per slot"))
+    }
+
+    /// Appends the vectors of `slots` to `out`, one row of
+    /// [`Embedder::dim`] floats per slot in the given order, under one read
+    /// of the memo — what [`CachedEmbedder::gather_slots`] does into a
+    /// matrix of its own, for a caller that owns the destination (a block
+    /// of rows it then normalises, the rows of a few candidates it
+    /// rescores).  `false`, with `out` untouched, when `generation` is no
+    /// longer current, and for uncached wrappers.
+    ///
+    /// # Panics
+    /// Panics on a slot [`CachedEmbedder::resolve`] did not return under
+    /// `generation`.
+    pub fn extend_slots(
+        &self,
+        generation: u64,
+        slots: impl IntoIterator<Item = u32>,
+        out: &mut Vec<f32>,
+    ) -> bool {
+        let Some(memo) = &self.cache else {
+            return false;
+        };
+        let read = memo.read();
         if read.generation != generation {
-            return None;
+            return false;
         }
-        let dim = read.arena.dim();
-        let mut data = Vec::with_capacity(slots.len() * dim);
-        for &slot in slots {
-            data.extend_from_slice(read.arena.row(slot));
+        for slot in slots {
+            out.extend_from_slice(read.arena.row(slot));
         }
-        Some(Matrix::from_flat(slots.len(), dim, data).expect("one row per slot"))
+        true
     }
 
     /// Embeds one input and reports whether a *real* model invocation was

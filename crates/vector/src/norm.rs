@@ -21,15 +21,23 @@ pub fn normalize(a: &mut [f32]) {
     normalize_with(a, Kernel::Unrolled);
 }
 
-/// Normalises a slice in place using an explicit kernel.
+/// Normalises a slice in place using an explicit kernel, the way
+/// [`normalize_matrix_rows_with`] normalises each row, and returns the
+/// factor every value was multiplied by: `1 / ‖a‖`, or 1 for a slice left
+/// untouched (a zero norm).  Multiplying the original values by the factor
+/// again reproduces the normalised bits, so a caller can keep the factor
+/// instead of the normalised copy.
 #[inline]
-pub fn normalize_with(a: &mut [f32], kernel: Kernel) {
+pub fn normalize_with(a: &mut [f32], kernel: Kernel) -> f32 {
     let n = kernel.l2_norm(a);
     if n > 0.0 {
         let inv = 1.0 / n;
         for v in a.iter_mut() {
             *v *= inv;
         }
+        inv
+    } else {
+        1.0
     }
 }
 

@@ -24,15 +24,25 @@
 //! * inner rows ([`Sq8Inner`]) as `i8` in panels of 16 rows, k-major: group
 //!   `g` of a panel is the 16 words `g` of its rows, 64 bytes, which is one
 //!   `vpdpbusd` operand.  Rows past the end of the last panel and `k` past
-//!   `d` are zero.
+//!   `d` are zero;
+//! * an inner row kept between joins ([`quantize_rows`], the *per-row
+//!   form*) as its `⌈d/4⌉` `i8` code words followed by its scale, `‖x‖₁`
+//!   and `Σq` ([`row_code_len`] words in all).  A caller that embeds the
+//!   same rows in many joins — the interpreter keeps one per embedding
+//!   slot — quantises each row once and builds every join's inner side
+//!   from the kept codes with [`Sq8Inner::from_codes`], in any order and
+//!   with repeats: the same panels, scales and maxima
+//!   [`Sq8Inner::quantize`] computes from those rows.  The assembly is a
+//!   16 × 16 word transpose per panel and 16 groups (on `zmm` registers
+//!   where the CPU has the screen).
 //!
 //! The quantiser works a panel (16 rows) at a time and writes each row's
-//! words straight into their place — the outer row, or the row's lane of
-//! each group of the panel — with no row-major copy of the codes in between.
-//! On a CPU with the screen it runs on `zmm` registers (`crate::vnni`), its
-//! loops compiled for the row's count of 16-float chunks up to `d = 128`;
-//! elsewhere, and as the reference it is tested against, `quantize_row`
-//! runs.  Both write the same bits.
+//! words straight into their place — the outer row, the per-row form, or
+//! the row's lane of each group of the panel — with no row-major copy of
+//! the codes in between.  On a CPU with the screen it runs on `zmm`
+//! registers (`crate::vnni`), its loops compiled for the row's count of
+//! 16-float chunks up to `d = 128`; elsewhere, and as the reference it is
+//! tested against, `quantize_row` runs.  Both write the same bits.
 //!
 //! # The approximation
 //!
@@ -211,6 +221,9 @@ pub(crate) enum Layout {
     /// The outer side: `u8` codes `q + 128`, row `i`'s `groups` words at
     /// `i * groups`.
     Rows,
+    /// The per-row form an inner row is kept in: `i8` codes, row `i`'s
+    /// `groups` words at `i * groups`.
+    Codes,
     /// One inner panel: `i8` codes, word `g` of row `i` at `g * 16 + i`.
     Panel,
 }
@@ -245,6 +258,7 @@ fn quantize_batch(
                 // `q + 128` is `q`'s two's-complement byte with the top bit
                 // flipped
                 Layout::Rows => words[i * groups + g] = word ^ 0x8080_8080,
+                Layout::Codes => words[i * groups + g] = word,
                 Layout::Panel => words[g * PANEL_ROWS + i] = word,
             }
         }
@@ -256,6 +270,69 @@ fn quantize_batch(
 fn screenable_dim(rows: usize, dim: usize, data: &[f32]) -> bool {
     assert_eq!(data.len(), rows * dim, "data must hold rows * dim floats");
     (1..=MAX_SCREEN_DIM).contains(&dim)
+}
+
+/// Words of one row in the per-row form ([`quantize_rows`]) at dimension
+/// `dim`: its `⌈dim / 4⌉` code words, then its scale, `‖x‖₁` (both as f32
+/// bits) and `Σq`.
+pub fn row_code_len(dim: usize) -> usize {
+    dim.div_ceil(GROUP) + 3
+}
+
+/// Quantises row-major rows of `dim` floats into the per-row form an inner
+/// row can be kept in between joins: row `i`'s [`row_code_len`] words at
+/// `codes[i * row_code_len(dim)..]`, and in `accepted[i]` whether the row
+/// is inside the screen's range (a refused row's words are unspecified).
+/// The codes are those [`Sq8Inner::quantize`] packs, bit for bit, so
+/// [`Sq8Inner::from_codes`] over them rebuilds its panels.
+///
+/// # Panics
+/// Panics when `dim` is 0 or above [`MAX_SCREEN_DIM`], or the lengths of
+/// `data`, `codes` and `accepted` disagree.
+pub fn quantize_rows(data: &[f32], dim: usize, codes: &mut [u32], accepted: &mut [bool]) {
+    quantize_rows_with(data, dim, codes, accepted, Screen::detect().is_some());
+}
+
+/// [`quantize_rows`] with the AVX-512 quantiser (`fast`, which the caller
+/// has seen [`Screen::detect`] allow) or the portable one.
+pub(crate) fn quantize_rows_with(
+    data: &[f32],
+    dim: usize,
+    codes: &mut [u32],
+    accepted: &mut [bool],
+    fast: bool,
+) {
+    assert!(screenable_dim(accepted.len(), dim, data), "dimension {dim}");
+    let (groups, len) = (dim.div_ceil(GROUP), row_code_len(dim));
+    assert_eq!(codes.len(), accepted.len() * len, "words per row");
+    let mut words = vec![0u32; PANEL_ROWS * groups];
+    let mut out = [RowCode::default(); PANEL_ROWS];
+    let batches = data
+        .chunks(PANEL_ROWS * dim)
+        .zip(codes.chunks_mut(PANEL_ROWS * len));
+    for ((batch, codes), accepted) in batches.zip(accepted.chunks_mut(PANEL_ROWS)) {
+        let rows = accepted.len();
+        let (words, out) = (&mut words[..rows * groups], &mut out[..rows]);
+        if quantize_batch(batch, dim, Layout::Codes, fast, words, out).is_some() {
+            accepted.fill(true);
+        } else {
+            // a row of the batch is refused: code the batch row by row
+            let one = batch.chunks_exact(dim).zip(words.chunks_exact_mut(groups));
+            for (i, (row, words)) in one.enumerate() {
+                let out = &mut out[i..=i];
+                accepted[i] = quantize_batch(row, dim, Layout::Codes, fast, words, out).is_some();
+            }
+        }
+        let rows = codes.chunks_exact_mut(len).zip(words.chunks_exact(groups));
+        for ((code, words), row) in rows.zip(out.iter()) {
+            code[..groups].copy_from_slice(words);
+            code[groups..].copy_from_slice(&[
+                row.scale.to_bits(),
+                row.l1.to_bits(),
+                row.sum as u32,
+            ]);
+        }
+    }
 }
 
 /// The outer side of the screen: one row of `u8` codes (`q + 128`) per
@@ -407,6 +484,88 @@ impl Sq8Inner {
         })
     }
 
+    /// Packs rows kept in the per-row form ([`quantize_rows`]) into panels,
+    /// one inner row per item in the order given — a row may come more than
+    /// once — with [`Sq8Inner::quantize`]'s outputs, bit for bit, for the
+    /// rows the codes were quantised from.  `None` when `dim` is 0 or above
+    /// [`MAX_SCREEN_DIM`].  On a CPU with the screen each panel is a 16 × 16
+    /// word transpose on `zmm` registers.
+    ///
+    /// The error bound of the screen holds for codes `quantize_rows` wrote
+    /// for accepted rows; other words make a side whose screen may drop
+    /// qualifying pairs.
+    ///
+    /// # Panics
+    /// Panics when a row does not hold [`row_code_len`]`(dim)` words, or the
+    /// iterator yields a different number of rows than its length.
+    pub fn from_codes<'a, I>(dim: usize, rows: I) -> Option<Self>
+    where
+        I: IntoIterator<Item = &'a [u32]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        Self::from_codes_with(
+            Screen::detect().unwrap_or_else(Screen::reference),
+            dim,
+            rows,
+        )
+    }
+
+    /// [`Sq8Inner::from_codes`] with `screen`'s assembly: the AVX-512
+    /// transpose for the VNNI kernel, the portable loop for the reference.
+    /// Both write the same panels.
+    ///
+    /// # Panics
+    /// As [`Sq8Inner::from_codes`].
+    pub fn from_codes_with<'a, I>(screen: Screen, dim: usize, rows: I) -> Option<Self>
+    where
+        I: IntoIterator<Item = &'a [u32]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        if !(1..=MAX_SCREEN_DIM).contains(&dim) {
+            return None;
+        }
+        let mut items = rows.into_iter();
+        let rows = items.len();
+        let (groups, len) = (dim.div_ceil(GROUP), row_code_len(dim));
+        let padded_rows = rows.div_ceil(PANEL_ROWS) * PANEL_ROWS;
+        let mut panels = vec![0u32; padded_rows * groups];
+        let mut scales = vec![0.0; padded_rows];
+        let mut bias = vec![0; padded_rows];
+        let (mut max_scale, mut max_l1) = (0.0f32, 0.0f32);
+        for (p, panel) in panels.chunks_exact_mut(PANEL_ROWS * groups).enumerate() {
+            let mut words: [&[u32]; PANEL_ROWS] = [&[]; PANEL_ROWS];
+            let mut live = 0;
+            for (word, code) in words.iter_mut().zip(items.by_ref().take(PANEL_ROWS)) {
+                assert_eq!(code.len(), len, "a row of dimension {dim}");
+                let (code_words, scalars) = code.split_at(groups);
+                let (scale, l1) = (f32::from_bits(scalars[0]), f32::from_bits(scalars[1]));
+                *word = code_words;
+                let r = p * PANEL_ROWS + live;
+                bias[r] = 128 * scalars[2] as i32;
+                scales[r] = scale;
+                max_scale = max_scale.max(scale);
+                max_l1 = max_l1.max(l1);
+                live += 1;
+            }
+            assert!(
+                live == PANEL_ROWS.min(rows - p * PANEL_ROWS),
+                "the iterator ended early"
+            );
+            screen.transpose_panel(&words[..live], groups, panel);
+        }
+        assert!(items.next().is_none(), "the iterator outlasted its length");
+        Some(Self {
+            rows,
+            dim,
+            groups,
+            panels,
+            scales,
+            bias,
+            max_scale,
+            max_l1,
+        })
+    }
+
     /// The code words of panel `panel`: `groups` groups of 16 words, word
     /// `i` of a group holding four codes of the panel's row `i`.
     #[inline]
@@ -484,6 +643,27 @@ impl Screen {
             #[cfg(target_arch = "x86_64")]
             ScreenIsa::Avx512Vnni => "avx512-vnni",
             ScreenIsa::Reference => "reference",
+        }
+    }
+
+    /// Writes the per-row code words of up to 16 rows (`groups` each) into
+    /// their lanes of a zeroed panel: word `g` of row `i` to
+    /// `panel[g * 16 + i]`.
+    fn transpose_panel(&self, rows: &[&[u32]], groups: usize, panel: &mut [u32]) {
+        assert!(rows.len() <= PANEL_ROWS && panel.len() == groups * PANEL_ROWS);
+        assert!(rows.iter().all(|row| row.len() == groups));
+        match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `Screen::block_into`: `Avx512Vnni` is proof of
+            // the features the callee is compiled for.
+            ScreenIsa::Avx512Vnni => unsafe { crate::vnni::transpose_panel(rows, groups, panel) },
+            ScreenIsa::Reference => {
+                for (i, row) in rows.iter().enumerate() {
+                    for (g, &word) in row.iter().enumerate() {
+                        panel[g * PANEL_ROWS + i] = word;
+                    }
+                }
+            }
         }
     }
 
@@ -675,7 +855,20 @@ mod tests {
         let outer = Sq8Outer::quantize_with(data, rows, dim, false);
         let inner = Sq8Inner::quantize_with(data, rows, dim, false);
         assert_eq!(outer.is_some(), inner.is_some(), "{what}");
+        // the per-row form: the same words from either quantiser, refused
+        // rows excepted
+        let per_row = |fast| {
+            let mut codes = vec![0u32; rows * row_code_len(dim)];
+            let mut accepted = vec![false; rows];
+            quantize_rows_with(data, dim, &mut codes, &mut accepted, fast);
+            let codes = codes.chunks_exact(row_code_len(dim)).zip(&accepted);
+            let kept = codes.filter(|(_, ok)| **ok).map(|(code, _)| code.to_vec());
+            (kept.collect::<Vec<_>>(), accepted.iter().all(|ok| *ok))
+        };
+        let (portable_rows, all_accepted) = per_row(false);
+        assert_eq!(all_accepted, inner.is_some(), "{what}");
         if Screen::detect().is_some() {
+            assert!(per_row(true) == (portable_rows, all_accepted), "{what}");
             let fast_outer = Sq8Outer::quantize_with(data, rows, dim, true);
             let fast_inner = Sq8Inner::quantize_with(data, rows, dim, true);
             assert_eq!(fast_outer.is_some(), outer.is_some(), "{what}");

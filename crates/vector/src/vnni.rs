@@ -3,9 +3,14 @@
 //!
 //! **The quantiser** takes 16 rows (one inner panel) at a time and writes
 //! each row's codes as `u32` words straight to where the kernel reads them:
-//! a word per four codes, into the outer side's row or into the row's lane
-//! of the panel's 4-code groups.  Its chunk loops are monomorphised for
-//! rows of 1–8 chunks of 16 floats, where the compiler unrolls them.
+//! a word per four codes, into the outer side's row, the per-row form an
+//! inner row is kept in, or the row's lane of the panel's 4-code groups.
+//! Its chunk loops are monomorphised for rows of 1–8 chunks of 16 floats,
+//! where the compiler unrolls them.
+//!
+//! **The panel assembly** builds an inner panel from 16 rows kept in the
+//! per-row form: a 16 × 16 transpose of `u32` words (32-bit and 64-bit
+//! interleaves, then two rounds of 128-bit lane shuffles) per 16 groups.
 //!
 //! **What is detected.**  Nothing here runs unless
 //! [`Screen::detect`](crate::sq8::Screen::detect) saw `avx512f`, `avx512bw`
@@ -33,7 +38,8 @@
 //! range with a compressing masked store; both touch only the enabled
 //! lanes, and the mask enables exactly the lanes inside the slice.  The
 //! quantiser's code words go through bounds-checked slice writes and one
-//! 16-byte store into a 4-word slice.
+//! 16-byte store into a 4-word slice; the assembly reads each row's words
+//! with masked loads and stores whole 16-word groups into slices of 16.
 
 use std::arch::x86_64::{
     __m128i, __m512, __m512i, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_and_si512,
@@ -43,7 +49,9 @@ use std::arch::x86_64::{
     _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_epu32, _mm512_max_ps, _mm512_min_epi32,
     _mm512_mul_ps, _mm512_permute_ps, _mm512_reduce_add_epi32, _mm512_reduce_max_epu32,
     _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512,
-    _mm512_shuffle_f32x4, _mm512_storeu_ps, _mm512_sub_epi32, _mm_extract_epi32, _mm_storeu_si128,
+    _mm512_shuffle_f32x4, _mm512_shuffle_i32x4, _mm512_storeu_ps, _mm512_storeu_si512,
+    _mm512_sub_epi32, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpacklo_epi32,
+    _mm512_unpacklo_epi64, _mm_extract_epi32, _mm_storeu_si128,
 };
 use std::ops::Range;
 
@@ -72,28 +80,31 @@ pub(crate) fn quantize_batch(
     out: &mut [RowCode],
 ) -> Option<()> {
     macro_rules! by_chunks {
-        ($panel:literal) => {
+        ($panel:literal, $offset:literal) => {
             match dim.div_ceil(PANEL_ROWS) {
-                1 => batch::<1, $panel>(data, dim, words, out),
-                2 => batch::<2, $panel>(data, dim, words, out),
-                3 => batch::<3, $panel>(data, dim, words, out),
-                4 => batch::<4, $panel>(data, dim, words, out),
-                5 => batch::<5, $panel>(data, dim, words, out),
-                6 => batch::<6, $panel>(data, dim, words, out),
-                7 => batch::<7, $panel>(data, dim, words, out),
-                8 => batch::<8, $panel>(data, dim, words, out),
-                _ => batch::<0, $panel>(data, dim, words, out),
+                1 => batch::<1, $panel>(data, dim, $offset, words, out),
+                2 => batch::<2, $panel>(data, dim, $offset, words, out),
+                3 => batch::<3, $panel>(data, dim, $offset, words, out),
+                4 => batch::<4, $panel>(data, dim, $offset, words, out),
+                5 => batch::<5, $panel>(data, dim, $offset, words, out),
+                6 => batch::<6, $panel>(data, dim, $offset, words, out),
+                7 => batch::<7, $panel>(data, dim, $offset, words, out),
+                8 => batch::<8, $panel>(data, dim, $offset, words, out),
+                _ => batch::<0, $panel>(data, dim, $offset, words, out),
             }
         };
     }
+    // the outer side stores `q + 128`, which `vpmovdb` truncates to its byte
     match layout {
-        Layout::Rows => by_chunks!(false),
-        Layout::Panel => by_chunks!(true),
+        Layout::Rows => by_chunks!(false, 128),
+        Layout::Codes => by_chunks!(false, 0),
+        Layout::Panel => by_chunks!(true, 0),
     }
 }
 
 /// [`quantize_batch`] for rows of `C` chunks (`C == 0`: any count) into
-/// one panel (`PANEL`) or the outer side's rows.  All rows are measured
+/// one panel (`PANEL`) or rows of words (`offset` added to each code: 128
+/// for the outer side, 0 for the per-row form).  All rows are measured
 /// before any is coded, so that the rows' latency chains (maximum,
 /// reduction, division) can overlap.
 ///
@@ -107,6 +118,7 @@ pub(crate) fn quantize_batch(
 fn batch<const C: usize, const PANEL: bool>(
     data: &[f32],
     dim: usize,
+    offset: i32,
     words: &mut [u32],
     out: &mut [RowCode],
 ) -> Option<()> {
@@ -130,8 +142,7 @@ fn batch<const C: usize, const PANEL: bool>(
         _mm512_set1_epi32(ROUNDING_MAGIC_BITS),
     );
     let (top, bottom) = (_mm512_set1_epi32(127), _mm512_set1_epi32(-127));
-    // the outer side stores `q + 128`, which `vpmovdb` truncates to its byte
-    let offset = _mm512_set1_epi32(if PANEL { 0 } else { 128 });
+    let offset = _mm512_set1_epi32(offset);
     for (i, row) in data.chunks_exact(dim).enumerate() {
         let inverse = _mm512_set1_ps(inverse[i]);
         let mut sum = _mm512_setzero_si512();
@@ -259,6 +270,84 @@ fn sum_lanes(lanes: __m512) -> f32 {
     let s = _mm512_add_ps(s, _mm512_permute_ps::<0b11_10_11_10>(s));
     let s = _mm512_add_ps(s, _mm512_permute_ps::<0b01_01_01_01>(s));
     _mm512_cvtss_f32(s)
+}
+
+/// [`Sq8Inner::from_codes`](crate::sq8::Sq8Inner::from_codes)'s panel
+/// assembly: the `groups` code words of each of `rows` (at most 16) go to
+/// their lane of `panel` (word `g` of row `i` to `panel[g * 16 + i]`), 16
+/// groups at a time as a 16 × 16 transpose of `u32` words in registers.
+/// Lanes of rows past `rows.len()` are written as zero.
+///
+/// The caller has checked that every row holds `groups` words and that
+/// `panel` holds `groups * 16`.
+#[target_feature(enable = "avx512f")]
+pub(crate) fn transpose_panel(rows: &[&[u32]], groups: usize, panel: &mut [u32]) {
+    // missing rows read as zero rows, so that every block has 16 loads
+    let mut all: [&[u32]; PANEL_ROWS] = [&ZERO_ROW[..groups]; PANEL_ROWS];
+    all[..rows.len()].copy_from_slice(rows);
+    for first in (0..groups).step_by(PANEL_ROWS) {
+        let live = (groups - first).min(PANEL_ROWS);
+        let mask = (u32::MAX >> (32 - live)) as __mmask16;
+        let r: [__m512i; PANEL_ROWS] = std::array::from_fn(|i| {
+            let words = &all[i][first..first + live];
+            // SAFETY: the mask enables exactly the first `live` lanes, and
+            // `words` holds `live` words: no byte outside it is read.
+            unsafe { _mm512_maskz_loadu_epi32(mask, words.as_ptr().cast()) }
+        });
+        let columns = transpose16(r);
+        for (g, column) in columns.iter().enumerate().take(live) {
+            let dst = &mut panel[(first + g) * PANEL_ROWS..][..PANEL_ROWS];
+            // SAFETY: `dst` is 16 words, exactly the 64 bytes the unaligned
+            // store writes.
+            unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), *column) };
+        }
+    }
+}
+
+/// Words for the rows a partial panel lacks: the longest row of codes.
+static ZERO_ROW: [u32; crate::sq8::MAX_SCREEN_DIM / GROUP] =
+    [0; crate::sq8::MAX_SCREEN_DIM / GROUP];
+
+/// A 16 × 16 transpose of `u32` words: word `j` of register `i` becomes
+/// word `i` of register `j`.  After the 32- and 64-bit interleaves, `u[4k +
+/// c]` holds in its 128-bit lane `l` word `4l + c` of rows `4k..4k + 4`;
+/// a 4 × 4 transpose of 128-bit lanes per `c` then gathers word `4l + c`
+/// of all 16 rows, rows `4k..4k + 4` in lane `k`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn transpose16(r: [__m512i; PANEL_ROWS]) -> [__m512i; PANEL_ROWS] {
+    let t: [__m512i; PANEL_ROWS] = std::array::from_fn(|i| {
+        let (a, b) = (r[i & !1], r[i | 1]);
+        if i % 2 == 0 {
+            _mm512_unpacklo_epi32(a, b)
+        } else {
+            _mm512_unpackhi_epi32(a, b)
+        }
+    });
+    let u: [__m512i; PANEL_ROWS] = std::array::from_fn(|i| {
+        // rows 4k..4k + 4: t[4k], t[4k + 2] hold words 4l, 4l + 1 of
+        // them, t[4k + 1], t[4k + 3] words 4l + 2, 4l + 3
+        let (k, c) = (i / 4, i % 4);
+        let (a, b) = (t[4 * k + c / 2], t[4 * k + 2 + c / 2]);
+        if c % 2 == 0 {
+            _mm512_unpacklo_epi64(a, b)
+        } else {
+            _mm512_unpackhi_epi64(a, b)
+        }
+    });
+    let mut columns = [_mm512_setzero_si512(); PANEL_ROWS];
+    for c in 0..GROUP {
+        let (a, b, x, y) = (u[c], u[4 + c], u[8 + c], u[12 + c]);
+        let ab_low = _mm512_shuffle_i32x4::<0x44>(a, b);
+        let ab_high = _mm512_shuffle_i32x4::<0xee>(a, b);
+        let xy_low = _mm512_shuffle_i32x4::<0x44>(x, y);
+        let xy_high = _mm512_shuffle_i32x4::<0xee>(x, y);
+        columns[c] = _mm512_shuffle_i32x4::<0x88>(ab_low, xy_low);
+        columns[4 + c] = _mm512_shuffle_i32x4::<0xdd>(ab_low, xy_low);
+        columns[8 + c] = _mm512_shuffle_i32x4::<0x88>(ab_high, xy_high);
+        columns[12 + c] = _mm512_shuffle_i32x4::<0xdd>(ab_high, xy_high);
+    }
+    columns
 }
 
 /// Outer rows per register block.

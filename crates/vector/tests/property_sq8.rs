@@ -14,12 +14,16 @@
 //!   reports are the largest formula approximations over the block's inner
 //!   rows of each residue mod 16 (`-inf` where the block has none), on the
 //!   same sub-blocks — so the VNNI kernel's equal the reference's.
+//! * The per-row form: an inner side assembled from rows quantised one by
+//!   one and kept (`quantize_rows`, `Sq8Inner::from_codes`) — in any order,
+//!   with repeats — is the side `Sq8Inner::quantize` packs from the same
+//!   rows, with either screen's assembly.
 
 use std::io::Write;
 use std::ops::Range;
 
 use cej_exec::ExecPool;
-use cej_vector::sq8::LaneMaxima;
+use cej_vector::sq8::{quantize_rows, row_code_len, LaneMaxima};
 use cej_vector::{dot_lanes, Screen, Sq8Inner, Sq8Outer};
 use proptest::prelude::*;
 
@@ -242,6 +246,86 @@ fn the_largest_integer_dot_product_converts_exactly() {
         .map(|k| if k % 3 == 0 { 2.0 } else { -2.0 })
         .collect();
     assert_block_bits(&a, &b, dim, 0..3, 0..20, "max dim");
+}
+
+/// `rows` rows kept in the per-row form: `row_code_len(dim)` words per row,
+/// and whether each row was accepted.
+fn per_row(data: &[f32], rows: usize, dim: usize) -> (Vec<u32>, Vec<bool>) {
+    let mut codes = vec![0u32; rows * row_code_len(dim)];
+    let mut accepted = vec![false; rows];
+    quantize_rows(data, dim, &mut codes, &mut accepted);
+    (codes, accepted)
+}
+
+/// Asserts that the side each screen assembles from the kept rows `sel`
+/// (`kept`: every row's code) is the side the quantiser packs from those
+/// rows gathered, bit for bit.  Every float of a side is a scale or an L1
+/// norm — never NaN, never `-0.0` — so equal floats are equal bits; small
+/// sides also compare their `Debug` text, which spells out every value.
+fn assert_assembly(data: &[f32], dim: usize, kept: &[u32], sel: &[usize], what: &str) {
+    let len = row_code_len(dim);
+    let mut gathered = Vec::with_capacity(sel.len() * dim);
+    for &s in sel {
+        gathered.extend_from_slice(&data[s * dim..(s + 1) * dim]);
+    }
+    let expected = Sq8Inner::quantize(&gathered, sel.len(), dim).expect("rows in range");
+    for screen in screens() {
+        let rows = sel.iter().map(|&s| &kept[s * len..(s + 1) * len]);
+        let assembled = Sq8Inner::from_codes_with(screen, dim, rows).expect("dimension in range");
+        assert!(assembled == expected, "{what} {}", screen.label());
+        if sel.len() * len <= 1 << 14 {
+            assert_eq!(
+                format!("{assembled:?}"),
+                format!("{expected:?}"),
+                "{what} {}",
+                screen.label()
+            );
+        }
+    }
+}
+
+#[test]
+fn panels_assembled_from_per_row_codes_equal_the_quantisers() {
+    const ROWS: [usize; 5] = [1, 15, 16, 17, 10_080];
+    for dim in [1usize, 7, 15, 16, 17, 63, 64, 65, 100, 128, 129, 1024] {
+        // uniform rows, every third a zero row, every fifth a spiky one;
+        // rows are coded independently, so the codes of the first `rows`
+        // are the first `rows` codes
+        let mut data = family(6, 10_080, dim, dim as u64, None);
+        for (r, row) in data.chunks_exact_mut(dim).enumerate().step_by(5) {
+            row.iter_mut().for_each(|x| *x *= 0.003);
+            row[r % dim] = -1.0;
+        }
+        let (kept, accepted) = per_row(&data, 10_080, dim);
+        assert!(accepted.iter().all(|ok| *ok), "dim {dim}");
+        for rows in ROWS {
+            // the kept rows in order, a permutation with repeats (rows that
+            // share a string share a slot), and one slot in every lane
+            let in_order: Vec<usize> = (0..rows).collect();
+            let mixed: Vec<usize> = (0..rows).map(|i| (i * 7919 + 13) % rows).collect();
+            let what = format!("dim {dim} rows {rows}");
+            assert_assembly(&data, dim, &kept, &in_order, &what);
+            assert_assembly(&data, dim, &kept, &mixed, &format!("{what} permuted"));
+            let one = vec![rows / 2; rows];
+            assert_assembly(&data, dim, &kept, &one, &format!("{what} repeated"));
+        }
+        // a refused row is not accepted — the block path, as the
+        // quantiser's `None` for any side holding it — and its neighbours
+        // are coded as if it were not there
+        let mut bad = data[..40 * dim].to_vec();
+        bad[17 * dim + dim / 2] = f32::NAN;
+        bad[33 * dim] = 1e10;
+        let (codes, accepted) = per_row(&bad, 40, dim);
+        for (r, ok) in accepted.iter().enumerate() {
+            assert_eq!(!ok, r == 17 || r == 33, "dim {dim} row {r}");
+        }
+        assert!(Sq8Inner::quantize(&bad, 40, dim).is_none());
+        let len = row_code_len(dim);
+        for r in (0..40).filter(|r| *r != 17 && *r != 33) {
+            let at = r * len..(r + 1) * len;
+            assert_eq!(codes[at.clone()], kept[at], "dim {dim} row {r}");
+        }
+    }
 }
 
 proptest! {

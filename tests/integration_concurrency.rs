@@ -1,11 +1,18 @@
 //! Integration tests of the concurrent serving contract on a shared
 //! session: many threads running prepared queries against the same state
 //! must observe exactly one index build per cold key, no eviction of in-use
-//! entries, isolated per-run reports, and byte-identical results.
+//! entries, isolated per-run reports, and byte-identical results — also
+//! while another thread clears the embedding cache and re-registers the
+//! model under screened tensor joins that read the codes kept per slot.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
-use cej_core::{ContextJoinSession, IndexJoinConfig, JoinStrategy, PreparedQuery};
+use cej_core::{
+    ContextJoinSession, ExecutionReport, IndexJoinConfig, JoinStrategy, PreparedQuery,
+    TensorJoinConfig,
+};
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
 use cej_relational::{LogicalPlan, SimilarityPredicate};
@@ -200,4 +207,82 @@ fn in_use_index_survives_concurrent_eviction_pressure() {
     assert_eq!(report.index_reuses, 1);
     drop(held);
     drop(prepared);
+}
+
+/// The similarity column's bits, row by row.
+fn score_bits(report: &ExecutionReport) -> Vec<u64> {
+    let column = report.table.column_by_name("similarity").unwrap();
+    column
+        .as_float64()
+        .unwrap()
+        .iter()
+        .map(|s| s.to_bits())
+        .collect()
+}
+
+#[test]
+fn screened_runs_equal_a_serial_run_while_caches_clear_and_models_swap() {
+    // 24 outer rows: the screen's crossover, so every tensor join screens
+    // (on a CPU with AVX-512 VNNI) from the codes the pool keeps per slot
+    let mut session = shared_session();
+    session.with_strategy(JoinStrategy::Tensor(TensorJoinConfig::default()));
+    let session = session;
+    let serial = session.execute(&join_plan()).unwrap();
+    let expected = (serial.table.clone(), score_bits(&serial));
+    // held across the swaps: it keeps the model it was planned with
+    let held = session.prepare(&join_plan()).unwrap().detach();
+
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let mutator = scope.spawn(|| {
+                let mut handle = session.clone();
+                for i in 0..24 {
+                    if i % 3 == 2 {
+                        // the same model again: the pool drops its cache,
+                        // slot maps and codes with the entry
+                        handle.register_model("ft", model());
+                    } else {
+                        let cache = session.embedding_caches();
+                        let cache = cache.cache("ft", &session.model_registry()).unwrap();
+                        cache.clear_cache();
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+            let runners: Vec<_> = (0..3)
+                .map(|t| {
+                    let (session, held, stop) = (&session, &held, &stop);
+                    scope.spawn(move || {
+                        let mut runs = Vec::new();
+                        while runs.len() < 6 || !stop.load(Ordering::Relaxed) {
+                            let report = if (runs.len() + t) % 2 == 0 {
+                                session.execute(&join_plan()).unwrap()
+                            } else {
+                                held.run().unwrap()
+                            };
+                            runs.push((report.table.clone(), score_bits(&report)));
+                        }
+                        runs
+                    })
+                })
+                .collect();
+            mutator.join().unwrap();
+            let runs: Vec<_> = runners
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect();
+            done.send(runs).unwrap();
+        });
+    });
+    let runs = finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("screened runs and cache invalidations must not deadlock");
+    worker.join().unwrap();
+    assert!(runs.len() >= 18);
+    for (i, run) in runs.iter().enumerate() {
+        assert!(*run == expected, "run {i} differs from the serial run");
+    }
 }

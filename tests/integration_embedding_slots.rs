@@ -11,11 +11,19 @@
 //! cache together with its maps, and `clear_cache` moves the generation.  The tests drive each of those through
 //! the public session API and compare against a fresh session; the last one
 //! checks that maps of dropped tables do not accumulate.
+//!
+//! The int8 screen codes the pool keeps per slot follow the same rules
+//! (dropped with the model's entry, reset with the generation): a screened
+//! statement — an outer side above the screen's crossover — is held to a
+//! fresh session's pairs, score bits, `JoinStats` and embedding counts
+//! after every step, and its first runs report exactly the slots they code.
+
+use std::time::Duration;
 
 use cej_core::ivm::MaintainedResult;
 use cej_core::{
-    ContextJoinSession, Delta, ExecutionReport, IndexJoinConfig, JoinStrategy, ScalarValue,
-    TensorJoinConfig,
+    ContextJoinSession, Delta, ExecutionReport, IndexJoinConfig, JoinStats, JoinStrategy,
+    ScalarValue, TensorJoinConfig,
 };
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_relational::{col, lit_i64, LogicalPlan, SimilarityPredicate};
@@ -323,4 +331,171 @@ fn slot_maps_are_swept_when_their_tables_are_dropped() {
     // ...leaves exactly the live (table, column, model) triples: r.word and
     // the new s.word — no scratch table, no superseded version of `s`
     assert_eq!(s.embedding_caches().slot_maps(), 2);
+}
+
+/// The session of [`base_session`] plus `q`, an outer table of 30 rows: at
+/// least the screen's crossover (24 outer rows), so a tensor join from `q`
+/// screens on a CPU with AVX-512 VNNI.
+fn screened_session() -> ContextJoinSession {
+    let mut s = base_session();
+    s.register_table("q", rows(200, 30, 6));
+    s
+}
+
+fn screened_plan(cut: i64, predicate: SimilarityPredicate) -> LogicalPlan {
+    LogicalPlan::e_join(
+        LogicalPlan::scan("q"),
+        LogicalPlan::scan("s").select(col("filter").lt(lit_i64(cut))),
+        "word",
+        "word",
+        "ft",
+        predicate,
+    )
+}
+
+fn run_plan(s: &ContextJoinSession, plan: &LogicalPlan) -> ExecutionReport {
+    s.prepare(plan).expect("prepare").run().expect("run")
+}
+
+/// The join's statistics without its timing.
+fn untimed(stats: JoinStats) -> JoinStats {
+    JoinStats {
+        elapsed: Duration::ZERO,
+        ..stats
+    }
+}
+
+/// The similarity column's bits, row by row.
+fn score_bits(report: &ExecutionReport) -> Vec<u64> {
+    let column = report.table.column_by_name("similarity").expect("scores");
+    let scores = column.as_float64().expect("f64 scores");
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+/// Asserts that two runs agree in everything but timing.
+fn assert_same_run(got: &ExecutionReport, expected: &ExecutionReport, what: &str) {
+    assert_eq!(got.table, expected.table, "{what}");
+    assert_eq!(score_bits(got), score_bits(expected), "{what}");
+    assert_eq!(
+        untimed(got.join_stats),
+        untimed(expected.join_stats),
+        "{what}"
+    );
+    assert_eq!(got.embedding_stats, expected.embedding_stats, "{what}");
+}
+
+#[test]
+fn a_screened_warm_statement_after_any_invalidation_equals_a_fresh_session() {
+    let vnni = cej_vector::Screen::detect().is_some();
+    for predicate in [
+        SimilarityPredicate::TopK(2),
+        SimilarityPredicate::Threshold(0.6),
+    ] {
+        let plan = screened_plan(6, predicate);
+        let mut live = screened_session();
+        let first = run_plan(&live, &plan);
+        let warm = run_plan(&live, &plan);
+        assert_eq!(warm.embedding_stats.model_calls, 0);
+        assert_eq!(
+            warm.join_stats.inner_rows_quantized, 0,
+            "warm: nothing coded"
+        );
+        let join = warm.join_stats;
+        assert_eq!(
+            join.pairs_rescored < join.pairs_compared,
+            vnni,
+            "{predicate:?}"
+        );
+        assert_eq!(score_bits(&first), score_bits(&warm));
+        let held = live.prepare(&plan).expect("prepare").detach();
+
+        let steps = steps();
+        for upto in 1..=steps.len() {
+            let (what, step) = &steps[upto - 1];
+            let what = format!("{predicate:?} after {what}");
+            apply(&mut live, step);
+            let mut fresh = screened_session();
+            for (_, earlier) in &steps[..upto] {
+                apply(&mut fresh, earlier);
+            }
+            let fresh_first = run_plan(&fresh, &plan);
+            let expected = run_plan(&fresh, &plan);
+            let after = match step {
+                Step::RegisterModel(_) => run_plan(&live, &plan),
+                _ => held.run().expect("held run"),
+            };
+            assert_eq!(after.table, expected.table, "{what}");
+            assert_eq!(score_bits(&after), score_bits(&expected), "{what}");
+            // the warm run reads every inner lane from stored codes, as the
+            // fresh session's second run does
+            let again = run_plan(&live, &plan);
+            assert_same_run(&again, &expected, &what);
+            assert_eq!(score_bits(&fresh_first), score_bits(&expected), "{what}");
+        }
+    }
+}
+
+#[test]
+fn first_runs_code_exactly_their_new_slots_and_warm_runs_none() {
+    let vnni = cej_vector::Screen::detect().is_some();
+    let s = screened_session();
+    let inner = s.catalog().table("s").expect("s");
+    let words = inner
+        .column_by_name("word")
+        .expect("word")
+        .as_utf8()
+        .expect("utf8");
+    let filter = inner.column_by_name("filter").expect("filter");
+    let filter = filter.as_int64().expect("i64");
+    // the distinct strings of the rows `filter < cut` selects
+    let distinct = |cut: i64| {
+        let mut selected: Vec<&String> = (0..words.len())
+            .filter(|&i| filter[i] < cut)
+            .map(|i| &words[i])
+            .collect();
+        let rows = selected.len();
+        selected.sort();
+        selected.dedup();
+        (rows, selected.len() as u64)
+    };
+    let (rows, half) = distinct(3);
+    // rows share strings: the side holds the same slot more than once
+    assert!(half < rows as u64, "{rows} rows, {half} strings");
+    let top = SimilarityPredicate::TopK(3);
+    let first = run_plan(&s, &screened_plan(3, top));
+    let expected = |n: u64| if vnni { n } else { 0 };
+    assert_eq!(first.join_stats.inner_rows_quantized, expected(half));
+    assert_eq!(s.embedding_caches().coded_slots() as u64, expected(half));
+    let warm = run_plan(&s, &screened_plan(3, top));
+    assert_eq!(warm.join_stats.inner_rows_quantized, 0);
+
+    // a wider cut: about half of its slots are new, only those are coded
+    let (_, all) = distinct(6);
+    let wider = run_plan(&s, &screened_plan(6, top));
+    assert_eq!(wider.join_stats.inner_rows_quantized, expected(all - half));
+    assert_eq!(s.embedding_caches().coded_slots() as u64, expected(all));
+    let mut fresh = screened_session();
+    let fresh_wider = run_plan(&fresh, &screened_plan(6, top));
+    assert_eq!(fresh_wider.join_stats.inner_rows_quantized, expected(all));
+    assert_eq!(wider.table, fresh_wider.table);
+    assert_eq!(score_bits(&wider), score_bits(&fresh_wider));
+    // the same work, but for what the live session's cache already held
+    let work = |stats: JoinStats| {
+        untimed(JoinStats {
+            inner_rows_quantized: 0,
+            model_calls: 0,
+            ..stats
+        })
+    };
+    assert_eq!(work(wider.join_stats), work(fresh_wider.join_stats));
+    assert_eq!(
+        wider.embedding_stats.total_requests(),
+        fresh_wider.embedding_stats.total_requests()
+    );
+    let warm = run_plan(&s, &screened_plan(6, top));
+    assert_eq!(warm.join_stats.inner_rows_quantized, 0);
+
+    // a re-registered model drops the codes with its cache
+    fresh.register_model("ft", model(9));
+    assert_eq!(fresh.embedding_caches().coded_slots(), 0);
 }

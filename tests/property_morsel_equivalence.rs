@@ -459,7 +459,9 @@ fn tensor_join_scores_do_not_depend_on_register_block_edges() {
 fn screened_and_unscreened_cuts_are_byte_identical() {
     // 60 outer rows: 7-row morsels stay below the tensor join's int8-screen
     // crossover, a 1,024- or 16,384-row morsel (the whole side) is above it,
-    // so on a CPU with AVX-512 VNNI one cut screens and another does not
+    // so on a CPU with AVX-512 VNNI one cut screens and another does not;
+    // 24-row morsels (24/24/12) screen two morsels and score the third on
+    // the fp32 block path, against one inner side prepared for both
     let s = session(60, 400, JoinStrategy::Tensor(TensorJoinConfig::default()));
     let vnni = cej_vector::Screen::detect().is_some();
     for predicate in [
@@ -479,7 +481,7 @@ fn screened_and_unscreened_cuts_are_byte_identical() {
         check_against_oracle(&s, &plan, true, &whole_table);
         let prepared = s.prepare(&plan).expect("prepare");
         let registry = s.model_registry();
-        for morsel_rows in [7usize, 1024, 16_384] {
+        for morsel_rows in [7usize, 24, 1024, 16_384] {
             for threads in [1usize, 2] {
                 let ctx = ExecContext {
                     catalog: s.catalog(),
@@ -499,7 +501,32 @@ fn screened_and_unscreened_cuts_are_byte_identical() {
                 let join = out.stats.join_stats;
                 let screened = join.pairs_rescored < join.pairs_compared;
                 assert_eq!(screened, vnni && morsel_rows > 7, "{what}");
+                // the whole-table run coded every inner slot already
+                assert_eq!(join.inner_rows_quantized, 0, "{what}");
             }
+        }
+        // the mixed cut as a session's first run: the side is coded while
+        // it is prepared, and one morsel still takes the block path
+        for threads in [1usize, 2] {
+            let fresh = session(60, 400, JoinStrategy::Tensor(TensorJoinConfig::default()));
+            let prepared = fresh.prepare(&plan).expect("prepare");
+            let registry = fresh.model_registry();
+            let ctx = ExecContext {
+                catalog: fresh.catalog(),
+                registry: &registry,
+                embeddings: fresh.embedding_caches(),
+                indexes: fresh.index_manager(),
+                pool: cej_exec::ExecPool::new(threads),
+            };
+            let out = prepared
+                .physical_plan()
+                .execute_with(&ctx, 24)
+                .expect("execute");
+            let what = format!("{predicate:?} first run, 24-row morsels, threads {threads}");
+            assert_eq!(whole_table, out.table, "{what}");
+            let coded = fresh.embedding_caches().coded_slots() as u64;
+            assert_eq!(out.stats.join_stats.inner_rows_quantized, coded, "{what}");
+            assert_eq!(coded > 0, vnni, "{what}");
         }
     }
 }
