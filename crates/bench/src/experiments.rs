@@ -14,6 +14,7 @@ use cej_core::{
 use cej_embedding::{
     train_on_corpus, CachedEmbedder, Embedder, FastTextConfig, FastTextModel, TrainingConfig,
 };
+use cej_exec::ExecPool;
 use cej_index::HnswParams;
 use cej_relational::SimilarityPredicate;
 use cej_storage::SelectionBitmap;
@@ -28,6 +29,20 @@ use crate::harness::{fmt_ms, fmt_ns_per, time_once};
 /// Default embedding dimensionality used by the experiments (the paper's
 /// 100-D FastText embeddings).
 pub const DIM: usize = 100;
+
+/// One whole-input tensor join on `pool`: the inner side prepared for the
+/// outer rows, then joined — timed together, as one operator call.
+fn tensor_join(
+    join: &TensorJoin,
+    outer: &Matrix,
+    inner: &Matrix,
+    predicate: SimilarityPredicate,
+    pool: &ExecPool,
+) -> JoinResult {
+    let side = join.prepare(inner, outer.rows(), predicate);
+    join.join(outer, &side, predicate, pool)
+        .expect("join succeeds")
+}
 
 fn words(n: usize, prefix: &str) -> Vec<String> {
     (0..n).map(|i| format!("{prefix}word{i}")).collect()
@@ -189,6 +204,7 @@ pub fn fig08_nlj_logical_physical(sizes: &[(usize, usize)], dim: usize) -> Vec<F
                     &embed_normalized(model, &left, kernel),
                     &embed_normalized(model, &right, kernel),
                     SimilarityPredicate::Threshold(threshold),
+                    ExecPool::global(),
                 )
                 .expect("join succeeds")
             };
@@ -226,14 +242,12 @@ pub fn fig09_thread_scalability(
     threads
         .iter()
         .map(|&t| {
-            let simd_op = PrefetchNlJoin::new(NljConfig::default().with_threads(t));
-            let scalar_op = PrefetchNlJoin::new(
-                NljConfig::default()
-                    .with_threads(t)
-                    .with_kernel(Kernel::Scalar),
-            );
-            let (_, simd) = time_once(|| simd_op.join(&left, &right, predicate).unwrap());
-            let (_, no_simd) = time_once(|| scalar_op.join(&left, &right, predicate).unwrap());
+            let pool = ExecPool::new(t);
+            let simd_op = PrefetchNlJoin::new(NljConfig::default());
+            let scalar_op = PrefetchNlJoin::new(NljConfig::default().with_kernel(Kernel::Scalar));
+            let (_, simd) = time_once(|| simd_op.join(&left, &right, predicate, &pool).unwrap());
+            let (_, no_simd) =
+                time_once(|| scalar_op.join(&left, &right, predicate, &pool).unwrap());
             (t, simd, no_simd)
         })
         .collect()
@@ -270,14 +284,14 @@ pub fn fig10_input_sizes(
     dim: usize,
 ) -> Vec<(String, u64, Duration, Duration)> {
     let threshold = 0.9;
-    let join = PrefetchNlJoin::new(NljConfig::default().with_threads(1));
+    let (join, pool) = (PrefetchNlJoin::new(NljConfig::default()), ExecPool::new(1));
     sizes
         .iter()
         .map(|&(r, s)| {
             let left = uniform_matrix(r, dim, 3, true);
             let right = uniform_matrix(s, dim, 4, true);
             let predicate = SimilarityPredicate::Threshold(threshold);
-            let (_, ordered) = time_once(|| join.join(&left, &right, predicate).unwrap());
+            let (_, ordered) = time_once(|| join.join(&left, &right, predicate, &pool).unwrap());
             let (_, unordered) = time_once(|| nlj_as_given_order(&left, &right, threshold));
             (
                 format!("{r} x {s}"),
@@ -319,8 +333,9 @@ pub fn fig11_nlj_vs_tensor(fp32_ops: &[usize], dims: &[usize]) -> Vec<PerElement
         let nlj = PrefetchNlJoin::new(NljConfig::default());
         let tensor = TensorJoin::new(TensorJoinConfig::default());
         let predicate = SimilarityPredicate::Threshold(0.99);
-        let (_, a) = time_once(|| nlj.join(left, right, predicate).unwrap());
-        let (_, b) = time_once(|| tensor.join(left, right, predicate).unwrap());
+        let pool = ExecPool::global();
+        let (_, a) = time_once(|| nlj.join(left, right, predicate, pool).unwrap());
+        let (_, b) = time_once(|| tensor_join(&tensor, left, right, predicate, pool));
         (a, b)
     })
 }
@@ -359,7 +374,8 @@ pub fn fig12_batched_vs_non_batched(fp32_ops: &[usize], dims: &[usize]) -> Vec<P
         let batched = TensorJoin::new(TensorJoinConfig::default());
         let threshold = 0.99;
         let predicate = SimilarityPredicate::Threshold(threshold);
-        let (_, a) = time_once(|| batched.join(left, right, predicate).unwrap());
+        let (_, a) =
+            time_once(|| tensor_join(&batched, left, right, predicate, ExecPool::global()));
         let (_, b) = time_once(|| tensor_join_per_vector(left, right, threshold));
         (a, b)
     })
@@ -413,7 +429,9 @@ pub fn fig13_batch_size_impact(n: usize, dim: usize, batches: &[(usize, usize)])
     let predicate = SimilarityPredicate::Threshold(0.95);
     let unbatched =
         TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::unlimited()));
-    let (base_result, base_time) = time_once(|| unbatched.join(&left, &right, predicate).unwrap());
+    let pool = ExecPool::global();
+    let (base_result, base_time) =
+        time_once(|| tensor_join(&unbatched, &left, &right, predicate, pool));
     let base_block_bytes = base_result.stats.peak_buffer_bytes.max(1);
 
     let mut rows = vec![Fig13Row {
@@ -424,7 +442,7 @@ pub fn fig13_batch_size_impact(n: usize, dim: usize, batches: &[(usize, usize)])
     for &(outer, inner) in batches {
         let budget = BufferBudget::from_bytes(outer * inner * std::mem::size_of::<f32>());
         let op = TensorJoin::new(TensorJoinConfig::default().with_budget(budget));
-        let (result, elapsed) = time_once(|| op.join(&left, &right, predicate).unwrap());
+        let (result, elapsed) = time_once(|| tensor_join(&op, &left, &right, predicate, pool));
         let block_bytes = result.stats.peak_buffer_bytes.max(1);
         rows.push(Fig13Row {
             batch: format!("{outer} x {inner}"),
@@ -452,10 +470,12 @@ pub fn fig14_tensor_vs_nlj(
             let left = uniform_matrix(r, dim, 9, true);
             let right = uniform_matrix(s, dim, 10, true);
             let predicate = SimilarityPredicate::Threshold(0.95);
-            let tensor = TensorJoin::new(TensorJoinConfig::default().with_threads(threads));
-            let nlj = PrefetchNlJoin::new(NljConfig::default().with_threads(threads));
-            let (_, tensor_time) = time_once(|| tensor.join(&left, &right, predicate).unwrap());
-            let (_, nlj_time) = time_once(|| nlj.join(&left, &right, predicate).unwrap());
+            let pool = ExecPool::new(threads);
+            let tensor = TensorJoin::new(TensorJoinConfig::default());
+            let nlj = PrefetchNlJoin::new(NljConfig::default());
+            let (_, tensor_time) =
+                time_once(|| tensor_join(&tensor, &left, &right, predicate, &pool));
+            let (_, nlj_time) = time_once(|| nlj.join(&left, &right, predicate, &pool).unwrap());
             (format!("{r} x {s}"), tensor_time, nlj_time)
         })
         .collect()
@@ -544,12 +564,13 @@ pub fn scan_vs_probe(
                     .gather_rows(&selected)
                     .expect("selected rows in range")
             };
+            let pool = ExecPool::global();
             let (_, tensor_time) =
-                time_once(|| tensor.join(&outer, &compact(), predicate).unwrap());
+                time_once(|| tensor_join(&tensor, &outer, &compact(), predicate, pool));
             // "-filter cost": the inner relation is compacted before timing.
             let compacted = compact();
             let (_, tensor_minus_filter) =
-                time_once(|| tensor.join(&outer, &compacted, predicate).unwrap());
+                time_once(|| tensor_join(&tensor, &outer, &compacted, predicate, pool));
             let (_, lo) = time_once(|| {
                 lo_join
                     .probe(&outer, &lo_index, predicate, Some(&bitmap))
@@ -623,13 +644,13 @@ pub fn costmodel_validation(sizes: &[(usize, usize)]) -> Vec<(String, u64, u64, 
                 )
                 .expect("join succeeds");
             let cached = CachedEmbedder::new(model);
-            TensorJoin::new(TensorJoinConfig::default())
-                .join(
-                    &embed_normalized(&cached, &left, Kernel::Unrolled),
-                    &embed_normalized(&cached, &right, Kernel::Unrolled),
-                    SimilarityPredicate::Threshold(0.99),
-                )
-                .expect("join succeeds");
+            tensor_join(
+                &TensorJoin::default(),
+                &embed_normalized(&cached, &left, Kernel::Unrolled),
+                &embed_normalized(&cached, &right, Kernel::Unrolled),
+                SimilarityPredicate::Threshold(0.99),
+                ExecPool::global(),
+            );
             (
                 format!("{r} x {s}"),
                 uncached.stats().model_calls,
@@ -703,12 +724,13 @@ mod tests {
     fn fig10_as_given_order_returns_the_operators_pairs() {
         // both orientations: the operator swaps loops only when the right
         // side is the larger one, and must still name (left, right)
-        let join = PrefetchNlJoin::new(NljConfig::default().with_threads(1));
+        let join = PrefetchNlJoin::new(NljConfig::default());
         for (r, s) in [(3, 50), (50, 3), (20, 20)] {
             let left = uniform_matrix(r, 8, 5, true);
             let right = uniform_matrix(s, 8, 6, true);
+            let predicate = SimilarityPredicate::Threshold(0.3);
             let operator = join
-                .join(&left, &right, SimilarityPredicate::Threshold(0.3))
+                .join(&left, &right, predicate, &ExecPool::new(1))
                 .unwrap();
             let as_given = JoinResult {
                 pairs: nlj_as_given_order(&left, &right, 0.3),
@@ -728,9 +750,14 @@ mod tests {
     fn fig12_per_vector_inner_returns_the_batched_pairs_in_more_blocks() {
         let left = uniform_matrix(20, 16, 9, true);
         let right = uniform_matrix(30, 16, 10, true);
-        let batched = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(0.15))
-            .unwrap();
+        let predicate = SimilarityPredicate::Threshold(0.15);
+        let batched = tensor_join(
+            &TensorJoin::default(),
+            &left,
+            &right,
+            predicate,
+            ExecPool::global(),
+        );
         let per_vector = tensor_join_per_vector(&left, &right, 0.15);
         assert!(!per_vector.is_empty());
         assert_eq!(per_vector.sorted_pairs(), batched.sorted_pairs());

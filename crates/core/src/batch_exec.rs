@@ -73,6 +73,7 @@
 //! `tests/property_morsel_equivalence.rs` holds the engine to that, and the
 //! whole-table morsel to `cej-oracle`, which shares no code with it.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,17 +86,15 @@ use cej_relational::{
     EmbedSpec, Expr,
 };
 use cej_storage::{Column, DataType, Field, Schema, Segment, SelectionBitmap, StorageError, Table};
-use cej_vector::{Kernel, Matrix, Sq8Inner};
+use cej_vector::{Kernel, Matrix};
 
 use crate::error::CoreError;
-use crate::executor::{
-    gather_vectors, ExecContext, ExecOutcome, RunEmbedder, RunStats, SharedCache,
-};
+use crate::executor::{ExecContext, ExecOutcome, RunEmbedder, RunStats, SharedCache};
 use crate::join::hash_join::HashSide;
 use crate::join::index_join::IndexJoin;
 use crate::join::naive_nlj::NaiveNlJoin;
 use crate::join::prefetch_nlj::PrefetchNlJoin;
-use crate::join::tensor_join::{PreparedInner, TensorJoin, UnitRows};
+use crate::join::tensor_join::{PreparedInner, StoredCodes, TensorJoin, UnitRows};
 use crate::join::{check_predicate, embed_all};
 use crate::physical_plan::{HashJoinNode, InnerInput, JoinNode, PhysicalJoinOp, PhysicalPlan};
 use crate::result::{JoinPair, JoinResult, JoinStats};
@@ -610,7 +609,6 @@ fn merge_stats(acc: &mut JoinStats, part: &JoinStats) {
     acc.pairs_compared += part.pairs_compared;
     acc.blocks_computed += part.blocks_computed;
     acc.pairs_rescored += part.pairs_rescored;
-    acc.inner_rows_quantized += part.inner_rows_quantized;
     acc.probe_stats.merge(&part.probe_stats);
     acc.peak_buffer_bytes = acc.peak_buffer_bytes.max(part.peak_buffer_bytes);
 }
@@ -650,13 +648,12 @@ impl UnitRows for SlotRows<'_> {
     }
 }
 
-/// Prepares a tensor join's inner side once for all of its outer morsels:
-/// the screen's codes if some morsel screens, the unit rows as a matrix if
-/// some morsel takes the fp32 block path.  A side that windows a catalog
-/// table takes its codes from the per-slot store ([`SlotCodes`]), coding
-/// only slots no run coded before, and keeps no fp32 copy unless a morsel
-/// needs one; any other side is embedded, normalised and, if needed,
-/// quantised here, once.  Returns the side and the inner rows quantised.
+/// Supplies a tensor join's inner side to [`TensorJoin::prepare_with`],
+/// once for all of its outer morsels: a side that windows a catalog table
+/// can take its codes from the per-slot store ([`SlotCodes`]) — only slots
+/// no run coded before are coded — and reads its unit rows back by slot;
+/// any side can be embedded and normalised as a matrix.  The join decides
+/// which it asks for.
 ///
 /// [`SlotCodes`]: crate::executor::SlotCodes
 #[allow(clippy::too_many_arguments)]
@@ -669,33 +666,17 @@ fn prepare_tensor_inner<'a>(
     cache: &'a Arc<SharedCache>,
     run: &RunEmbedder<'_>,
     ctx: &ExecContext<'_>,
-) -> (PreparedInner<'a>, u64) {
-    let (rows, kernel) = (side.sel.len(), join.config().kernel);
-    let (mut screened, mut unscreened) = (false, false);
-    for morsel in outer.iter().map(|batch| batch.sel.len()).filter(|&n| n > 0) {
-        if join.screens(morsel, rows, node.predicate) {
-            screened = true;
-        } else {
-            unscreened = true;
-        }
-    }
+) -> PreparedInner<'a> {
     let memo = column_slots(side, pos, &node.model, cache, ctx);
-    let store = screened
-        .then(|| ctx.embeddings.slot_codes(&node.model, cache))
-        .flatten()
-        .filter(|store| store.screenable());
-    if let (Some(memo), Some(store)) = (&memo, store) {
-        let (generation, slots, coded, dense) =
+    let stored = || {
+        let memo = memo.as_deref()?;
+        let store = ctx.embeddings.slot_codes(&node.model, cache)?;
+        let (generation, slots, coded) =
             run.with_slots(strings, &side.sel, Some(memo), |generation, slots| {
                 let coded = store.side(cache, generation, slots)?;
-                let dense = if unscreened || coded.codes.is_none() {
-                    Some(gather_vectors(cache, generation, slots, Some(kernel))?)
-                } else {
-                    None
-                };
-                Some((generation, slots.to_vec(), coded, dense))
+                Some((generation, slots.to_vec(), coded))
             });
-        let source = SlotRows {
+        let rows = SlotRows {
             cache,
             generation,
             slots,
@@ -703,16 +684,20 @@ fn prepare_tensor_inner<'a>(
             strings,
             sel: &side.sel,
         };
-        let prepared =
-            PreparedInner::from_source(rows, cache.dim(), coded.codes, dense, Box::new(source));
-        return (prepared, coded.quantized);
-    }
-    let dense = run.embed_rows(strings, &side.sel, memo.as_deref(), Some(kernel));
-    let codes = screened
-        .then(|| Sq8Inner::quantize(dense.as_slice(), dense.rows(), dense.cols()))
-        .flatten();
-    let quantized = if screened { rows as u64 } else { 0 };
-    (PreparedInner::from_rows(dense, codes), quantized)
+        Some(StoredCodes {
+            codes: coded.codes,
+            quantized: coded.quantized,
+            rows: Box::new(rows),
+        })
+    };
+    let kernel = join.config().kernel;
+    let unit_rows = || {
+        let rows = run.embed_rows(strings, &side.sel, memo.as_deref(), Some(kernel));
+        Cow::Owned(rows)
+    };
+    let outer_rows = outer.iter().map(|batch| batch.sel.len()).max().unwrap_or(0);
+    let (rows, dim) = (side.sel.len(), cache.dim());
+    join.prepare_with(rows, dim, outer_rows, node.predicate, stored, unit_rows)
 }
 
 /// The selected lanes of a string column as owned strings (the naive NLJ
@@ -866,9 +851,9 @@ fn join_sides(
                 },
                 PhysicalJoinOp::Tensor(config) => {
                     let join = TensorJoin::new(*config);
-                    let (inner, quantized) =
+                    let inner =
                         prepare_tensor_inner(&join, node, side, column, &outer, &cache, &run, ctx);
-                    inner_rows_quantized = quantized;
+                    inner_rows_quantized = inner.rows_quantized();
                     Probe::Tensor { join, inner }
                 }
                 PhysicalJoinOp::Index(config) => {
@@ -909,11 +894,11 @@ fn join_sides(
                 }
                 Probe::Prefetch { join, inner_norm } => {
                     let left_norm = embed(batch, column, Some(join.config().kernel));
-                    join.join(&left_norm, inner_norm, node.predicate)?
+                    join.join(&left_norm, inner_norm, node.predicate, &ctx.pool)?
                 }
                 Probe::Tensor { join, inner } => {
                     let left_norm = embed(batch, column, Some(join.config().kernel));
-                    join.join(&left_norm, inner, node.predicate)?
+                    join.join(&left_norm, inner, node.predicate, &ctx.pool)?
                 }
                 Probe::Hnsw {
                     join,
@@ -945,7 +930,7 @@ fn join_sides(
         offset += batch.sel.len();
     }
 
-    join_stats.inner_rows_quantized += inner_rows_quantized;
+    join_stats.inner_rows_quantized = inner_rows_quantized;
     let delta = run.stats();
     stats.embedding_stats.model_calls += delta.model_calls;
     stats.embedding_stats.cache_hits += delta.cache_hits;

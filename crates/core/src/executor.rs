@@ -28,7 +28,7 @@ use cej_embedding::{CachedEmbedder, Embedder, EmbeddingStats, UNRESOLVED_SLOT};
 use cej_relational::{physical::ModelRegistry, Catalog};
 use cej_storage::{Table, DEFAULT_BATCH_ROWS};
 use cej_vector::norm::normalize_with;
-use cej_vector::sq8::{quantize_rows, row_code_len, MAX_SCREEN_DIM};
+use cej_vector::sq8::{quantize_rows, row_code_len};
 use cej_vector::{Kernel, Matrix, Sq8Inner, Vector};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -287,7 +287,7 @@ impl CodeTable {
             .map_or(CodeState::Uncoded, |chunk| chunk.states[at])
     }
 
-    /// The record of a coded slot, `stride` words.
+    /// The record of a coded or refused slot, `stride` words.
     fn record(&self, slot: u32, stride: usize) -> &[u32] {
         let (chunk, at) = locate(slot);
         &self.chunks[chunk].records[at * stride..(at + 1) * stride]
@@ -303,14 +303,17 @@ impl CodeTable {
             }));
         }
         let chunk = Arc::make_mut(&mut self.chunks[chunk]);
-        if code.is_empty() {
-            chunk.states[at] = CodeState::Refused;
-            return;
-        }
         let record = &mut chunk.records[at * stride..(at + 1) * stride];
-        record[..code.len()].copy_from_slice(code);
-        record[code.len()] = factor.to_bits();
-        chunk.states[at] = CodeState::Coded;
+        let (factor_bits, words) = record
+            .split_last_mut()
+            .expect("a record ends in the factor");
+        *factor_bits = factor.to_bits();
+        chunk.states[at] = if code.is_empty() {
+            CodeState::Refused
+        } else {
+            words.copy_from_slice(code);
+            CodeState::Coded
+        };
     }
 }
 
@@ -338,8 +341,7 @@ pub(crate) struct SlotCodes {
 pub(crate) struct CodedSide {
     /// The screen's inner side, `None` when a slot's unit row is refused.
     pub(crate) codes: Option<Sq8Inner>,
-    /// Per lane, the factor that normalises the lane's arena row (empty
-    /// when `codes` is `None`).
+    /// Per lane, the factor that normalises the lane's arena row.
     pub(crate) factors: Vec<f32>,
     /// Slots this call coded: the distinct slots no run had coded before.
     pub(crate) quantized: u64,
@@ -351,11 +353,6 @@ impl SlotCodes {
             dim,
             table: RwLock::new(Arc::new(CodeTable::empty(0))),
         }
-    }
-
-    /// Whether the screen can code rows of this store's dimension.
-    pub(crate) fn screenable(&self) -> bool {
-        (1..=MAX_SCREEN_DIM).contains(&self.dim)
     }
 
     /// Words per slot record: the code, then the factor.
@@ -418,25 +415,24 @@ impl SlotCodes {
             let coded = coded.map(|((code, ok), factor)| (if ok { code } else { &[] }, factor));
             self.insert(generation, missing.iter().copied().zip(coded))?
         };
-        let quantized = missing.len() as u64;
-        if refused {
-            return Some(CodedSide {
-                codes: None,
-                factors: Vec::new(),
-                quantized,
-            });
-        }
         let mut factors = Vec::with_capacity(slots.len());
         let rows = slots.iter().map(|&slot| {
             let record = table.record(slot, stride);
             factors.push(f32::from_bits(record[len]));
             &record[..len]
         });
-        let codes = Sq8Inner::from_codes(self.dim, rows);
+        let codes = if refused {
+            // no panels, but every lane's factor: the side reads its rows
+            // back by slot for the block path
+            rows.for_each(drop);
+            None
+        } else {
+            Sq8Inner::from_codes(self.dim, rows)
+        };
         Some(CodedSide {
             codes,
             factors,
-            quantized,
+            quantized: missing.len() as u64,
         })
     }
 
@@ -789,10 +785,12 @@ pub struct ExecContext<'s> {
     pub embeddings: &'s EmbeddingCachePool,
     /// Shared persistent HNSW indexes.
     pub indexes: &'s crate::index_manager::IndexManager,
-    /// Worker-pool budget for intra-query parallelism (morsel-driven batch
-    /// pipelines, partitioned hash joins, parallel GEMM).  Defaults to the
-    /// process-wide `CEJ_THREADS` budget; tests override it to sweep thread
-    /// counts in-process.
+    /// Worker-pool budget for intra-query parallelism: morsel-driven batch
+    /// pipelines, partitioned hash joins, the prefetch NLJ's pair loop and
+    /// the tensor join's GEMM and int8 screen — everything a run executes
+    /// but HNSW construction ([`crate::IndexJoin::build_index`]).  Defaults
+    /// to the process-wide `CEJ_THREADS` budget; tests override it to sweep
+    /// thread counts in-process.
     pub pool: cej_exec::ExecPool,
 }
 
@@ -1099,7 +1097,8 @@ mod tests {
 
     /// The fixture's model with vectors that are not unit rows — scaled by
     /// the input's length plus one, so normalising them changes their bits
-    /// — and the vector of "spike" outside the screen's range.
+    /// — and the vectors of "spike" (an infinite component) and "hole" (a
+    /// NaN one) outside the screen's range.
     struct Skewed(FastTextModel);
 
     impl Embedder for Skewed {
@@ -1109,8 +1108,10 @@ mod tests {
         fn embed(&self, input: &str) -> Vector {
             let mut v = self.0.embed(input);
             v.scale(1.0 + input.len() as f32);
-            if input == "spike" {
-                v.as_mut_slice()[3] = f32::INFINITY;
+            match input {
+                "spike" => v.as_mut_slice()[3] = f32::INFINITY,
+                "hole" => v.as_mut_slice()[5] = f32::NAN,
+                _ => {}
             }
             v
         }
@@ -1144,6 +1145,22 @@ mod tests {
         let again = store.side(&cache, generation, slots).unwrap();
         assert!(again.codes.is_none());
         assert_eq!(again.quantized, 0);
+        // a refused side still reads its rows back by slot, for the block
+        // path: every lane's factor, a refused one's too, turns its arena
+        // row into the unit row's bits ("hole" is refused with factor 1,
+        // "spike" with factor 0)
+        let hole = cache.resolve(&["grill", "spike", "hole"]).unwrap();
+        let holed = store.side(&cache, generation, &hole.slots).unwrap();
+        assert!(holed.codes.is_none());
+        let raw = cache.gather_slots(generation, &hole.slots).unwrap();
+        let mut unit = raw.clone();
+        cej_vector::norm::normalize_matrix_rows_with(&mut unit, Kernel::Unrolled);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(holed.factors.len(), 3);
+        for (lane, &factor) in holed.factors.iter().enumerate() {
+            let row: Vec<f32> = raw.row(lane).unwrap().iter().map(|x| x * factor).collect();
+            assert_eq!(bits(&row), bits(unit.row(lane).unwrap()), "lane {lane}");
+        }
         // a side without the slot is screened from the kept codes
         let clean = store.side(&cache, generation, &[slots[0], slots[2]]);
         let clean = clean.unwrap();

@@ -93,6 +93,12 @@ impl IndexJoin {
     /// separately so benchmarks can exclude (or measure) build time, as the
     /// paper does.
     ///
+    /// Construction runs on the process-wide pool
+    /// ([`cej_exec::ExecPool::global`]), not on the pool of the run that
+    /// asks: the graph depends on the build's budget (sequential insertion
+    /// at one thread, batched above), and an index the
+    /// [`crate::IndexManager`] caches must not depend on which run built it.
+    ///
     /// # Errors
     /// Propagates index construction errors.
     pub fn build_index(&self, inner: &Matrix) -> Result<HnswIndex> {
@@ -155,7 +161,7 @@ impl Default for IndexJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::tensor_join::{TensorJoin, TensorJoinConfig};
+    use crate::join::tensor_join::TensorJoin;
     use crate::join::tests::{run_string_join, string_pairs};
     use crate::session::JoinStrategy;
     use cej_vector::normalize_matrix_rows;
@@ -217,8 +223,10 @@ mod tests {
         let mut vectors_n = vectors.clone();
         normalize_matrix_rows(&mut outer_n);
         normalize_matrix_rows(&mut vectors_n);
-        let exact = TensorJoin::new(TensorJoinConfig::default())
-            .join(&outer_n, &vectors_n, SimilarityPredicate::TopK(3))
+        let (tensor, predicate) = (TensorJoin::default(), SimilarityPredicate::TopK(3));
+        let inner = tensor.prepare(&vectors_n, outer_n.rows(), predicate);
+        let exact = tensor
+            .join(&outer_n, &inner, predicate, cej_exec::ExecPool::global())
             .unwrap();
         let exact_set: std::collections::HashSet<(usize, usize)> =
             exact.pair_indices().into_iter().collect();

@@ -10,14 +10,14 @@
 //!    the straightforward extension of a nested-loop join: it takes strings
 //!    and embeds *inside* the pair loop (quadratic model cost).
 //! 2. [`prefetch_nlj::PrefetchNlJoin::join`]`(left_norm, right_norm,
-//!    predicate)` — the logical optimisation: every tuple is embedded once
-//!    before the join, which runs a (parallel, optionally SIMD) pair-wise
-//!    NLJ over the row-normalised vectors.
-//! 3. [`tensor_join::TensorJoin::join`]`(left_norm, inner, predicate)` —
-//!    the physical optimisation: the pair-wise comparison as blocked matrix
-//!    multiplication with mini-batching under an explicit memory budget.
-//!    The inner side is a row-normalised matrix or a side the interpreter
-//!    prepared once for all outer morsels ([`tensor_join::TensorInner`]).
+//!    predicate, pool)` — the logical optimisation: every tuple is embedded
+//!    once before the join, which runs a (parallel, optionally SIMD)
+//!    pair-wise NLJ over the row-normalised vectors.
+//! 3. [`tensor_join::TensorJoin::join`]`(left_norm, &inner, predicate,
+//!    pool)` — the physical optimisation: the pair-wise comparison as
+//!    blocked matrix multiplication with mini-batching under an explicit
+//!    memory budget.  The inner side is prepared once for all outer morsels
+//!    ([`tensor_join::TensorJoin::prepare`]).
 //! 4. [`index_join::IndexJoin::probe`]`(outer, &index, predicate,
 //!    inner_filter)` over an index from [`index_join::IndexJoin::build_index`]
 //!    — the vector-database alternative: top-k HNSW probes under relational
@@ -25,7 +25,9 @@
 //!
 //! The matrix-level operators take *row-normalised* embeddings (cosine =
 //! dot product), so the interpreter prepares an inner side once and every
-//! outer morsel reuses it.  Relational pre-filters reach an operator as the
+//! outer morsel reuses it.  The two scan joins run on the pool they are
+//! handed — the interpreter's [`crate::ExecContext::pool`], one thread
+//! budget per run.  Relational pre-filters reach an operator as the
 //! selected rows only (the index's inner side excepted, whose graph spans
 //! the whole table).  The paper's figure-only variants — Figure 10's fixed
 //! loop order, Figure 12's one-vector-at-a-time inner — are the experiments'

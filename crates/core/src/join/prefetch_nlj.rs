@@ -29,17 +29,12 @@ use super::{check_joinable, check_predicate};
 pub struct NljConfig {
     /// Compute kernel (SIMD-style unrolled or scalar).
     pub kernel: Kernel,
-    /// Number of worker threads over the outer relation.  Defaults to the
-    /// shared execution layer's thread budget (`CEJ_THREADS`, or the
-    /// machine's available parallelism).
-    pub threads: usize,
 }
 
 impl Default for NljConfig {
     fn default() -> Self {
         Self {
             kernel: Kernel::Unrolled,
-            threads: cej_exec::default_threads(),
         }
     }
 }
@@ -48,12 +43,6 @@ impl NljConfig {
     /// Sets the kernel.
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Sets the worker thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 }
@@ -76,7 +65,8 @@ impl PrefetchNlJoin {
     }
 
     /// Joins two embedded inputs whose rows are **unit-normalised** (so the
-    /// cosine similarity is the dot product), one embedding per row.
+    /// cosine similarity is the dot product), one embedding per row, on
+    /// `pool`.
     ///
     /// Threshold joins keep the smaller relation on the inner loop so its
     /// vectors stay cache-resident across outer iterations; the produced
@@ -91,6 +81,7 @@ impl PrefetchNlJoin {
         left_norm: &Matrix,
         right_norm: &Matrix,
         predicate: SimilarityPredicate,
+        pool: &ExecPool,
     ) -> Result<JoinResult> {
         check_predicate(&predicate)?;
         check_joinable(left_norm.cols(), right_norm.cols())?;
@@ -103,7 +94,7 @@ impl PrefetchNlJoin {
         } else {
             (left_norm, right_norm)
         };
-        let mut pairs = self.pairwise_loop(outer, inner, predicate);
+        let mut pairs = self.pairwise_loop(outer, inner, predicate, pool);
         if swap {
             for p in &mut pairs {
                 std::mem::swap(&mut p.left, &mut p.right);
@@ -123,17 +114,17 @@ impl PrefetchNlJoin {
     /// never swapped (see [`PrefetchNlJoin::join`]), so `outer` rows are
     /// left rows.
     ///
-    /// Outer rows are chunked onto the shared worker pool; chunk results are
-    /// concatenated in row order, so the produced pair order is identical
-    /// for every thread count.
+    /// Outer rows are chunked onto `pool`; chunk results are concatenated
+    /// in row order, so the produced pair order is identical for every
+    /// thread budget.
     fn pairwise_loop(
         &self,
         outer: &Matrix,
         inner: &Matrix,
         predicate: SimilarityPredicate,
+        pool: &ExecPool,
     ) -> Vec<JoinPair> {
         let kernel = self.config.kernel;
-        let pool = ExecPool::new(self.config.threads);
         pool.parallel_chunks(outer.rows(), |rows| {
             Self::pairwise_range(outer, inner, rows.start, rows.end, predicate, kernel)
         })
@@ -163,7 +154,8 @@ impl PrefetchNlJoin {
                     }
                 }
                 SimilarityPredicate::TopK(k) => {
-                    let mut topk = TopK::new(k);
+                    // it can keep no more pairs than there are inner rows
+                    let mut topk = TopK::new(k.min(inner.rows()));
                     for j in 0..inner.rows() {
                         let score = kernel.dot(outer_row, inner.row(j).expect("inner row"));
                         topk.push(j, score);
@@ -218,10 +210,20 @@ mod tests {
         let left = uniform_matrix(20, 32, 1, true);
         let right = uniform_matrix(30, 32, 2, true);
         let simd = PrefetchNlJoin::new(NljConfig::default().with_kernel(Kernel::Unrolled))
-            .join(&left, &right, SimilarityPredicate::Threshold(0.2))
+            .join(
+                &left,
+                &right,
+                SimilarityPredicate::Threshold(0.2),
+                ExecPool::global(),
+            )
             .unwrap();
         let scalar = PrefetchNlJoin::new(NljConfig::default().with_kernel(Kernel::Scalar))
-            .join(&left, &right, SimilarityPredicate::Threshold(0.2))
+            .join(
+                &left,
+                &right,
+                SimilarityPredicate::Threshold(0.2),
+                ExecPool::global(),
+            )
             .unwrap();
         assert_eq!(simd.pair_indices(), scalar.pair_indices());
     }
@@ -230,11 +232,13 @@ mod tests {
     fn multi_threaded_matches_single_threaded() {
         let left = uniform_matrix(37, 16, 3, true);
         let right = uniform_matrix(23, 16, 4, true);
-        let single = PrefetchNlJoin::new(NljConfig::default().with_threads(1))
-            .join(&left, &right, SimilarityPredicate::Threshold(0.1))
+        let join = PrefetchNlJoin::new(NljConfig::default());
+        let predicate = SimilarityPredicate::Threshold(0.1);
+        let single = join
+            .join(&left, &right, predicate, &ExecPool::new(1))
             .unwrap();
-        let multi = PrefetchNlJoin::new(NljConfig::default().with_threads(4))
-            .join(&left, &right, SimilarityPredicate::Threshold(0.1))
+        let multi = join
+            .join(&left, &right, predicate, &ExecPool::new(4))
             .unwrap();
         assert_eq!(single.pair_indices(), multi.pair_indices());
     }
@@ -247,7 +251,12 @@ mod tests {
         let right = uniform_matrix(40, 16, 8, true);
         let k = 3;
         let result = PrefetchNlJoin::new(NljConfig::default())
-            .join(&left, &right, SimilarityPredicate::TopK(k))
+            .join(
+                &left,
+                &right,
+                SimilarityPredicate::TopK(k),
+                ExecPool::global(),
+            )
             .unwrap();
         assert_eq!(result.len(), 5 * k);
         for l in 0..5 {
@@ -276,7 +285,12 @@ mod tests {
         let left = uniform_matrix(2, 8, 1, true);
         let right = uniform_matrix(2, 16, 1, true);
         assert!(PrefetchNlJoin::new(NljConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(0.5))
+            .join(
+                &left,
+                &right,
+                SimilarityPredicate::Threshold(0.5),
+                ExecPool::global()
+            )
             .is_err());
     }
 
@@ -285,7 +299,12 @@ mod tests {
         let left = uniform_matrix(2, 8, 9, true);
         let right = uniform_matrix(1, 8, 10, true);
         let result = PrefetchNlJoin::new(NljConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(-1.5))
+            .join(
+                &left,
+                &right,
+                SimilarityPredicate::Threshold(-1.5),
+                ExecPool::global(),
+            )
             .unwrap();
         // the operator never calls the model: its inputs are embedded
         assert_eq!(result.stats.model_calls, 0);

@@ -18,15 +18,18 @@
 //! with AVX-512 VNNI the block is first filled with *approximate* scores
 //! ([`cej_vector::sq8`]: both sides quantised to int8 per row) and only
 //! pairs that can qualify get an fp32 score.  Each outer morsel is
-//! quantised by its call.  The inner side is quantised by the call when it
-//! is handed over as rows; the interpreter instead prepares it once per
-//! join ([`PreparedInner`]), and for a side that windows a catalog table it
-//! assembles the codes from those the session keeps per embedding slot —
-//! each slot's unit row is quantised once, by the first run that needs it
-//! ([`JoinStats::inner_rows_quantized`]) — and keeps no fp32 copy of the
-//! side: a candidate's row is read back from the embedding arena by slot
-//! and normalised again, to the same bits.  Each outer row `a` carries a
-//! proven bound `ε_a ≥ |fp32 score − approx|` against every inner row, so:
+//! quantised by its call.  The inner side is prepared once per join
+//! ([`TensorJoin::prepare`]), which alone decides whether it needs codes —
+//! whether some call of the join screens.  It quantises them then, or, for
+//! a side that windows a catalog table, assembles them from those the
+//! session keeps per embedding slot: each slot's unit row is quantised
+//! once, by the first run that needs it
+//! ([`PreparedInner::rows_quantized`]).  Such a side keeps no fp32 copy of
+//! its rows: a candidate's row is read back from the embedding arena by
+//! slot and normalised again, to the same bits, and the whole side is
+//! gathered only if a call takes the block path, once per join.  Each
+//! outer row `a` carries a proven bound `ε_a ≥ |fp32 score − approx|`
+//! against every inner row, so:
 //!
 //! * a threshold `t` rescores the pairs with `approx ≥ t − ε_a`;
 //! * top-k rescores the pairs with `approx ≥ τ − 2ε_a`, `τ` a value `k`
@@ -48,6 +51,7 @@
 
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use cej_exec::ExecPool;
@@ -55,7 +59,7 @@ use cej_relational::SimilarityPredicate;
 use cej_vector::{
     dot_lanes,
     gemm::block_into_with_pool,
-    sq8::{LaneMaxima, PANEL_ROWS},
+    sq8::{LaneMaxima, MAX_SCREEN_DIM, PANEL_ROWS},
     topk::scan_at_least,
     BufferBudget, GemmConfig, Kernel, Matrix, Screen, Sq8Inner, Sq8Outer, TopK,
 };
@@ -70,8 +74,8 @@ use super::{check_joinable, check_predicate};
 /// The constant was measured when every screened call quantised its whole
 /// inner side first (≈ 30–35 ns per 64-dim row): over 19,200 inner rows
 /// the screen broke even at about 12 outer rows and won by 0.70 / 0.62
-/// (top-3 / ≥ 0.62) at 24.  A call that still does — a side handed over as
-/// rows, the first run over slots nobody coded yet — is priced by that
+/// (top-3 / ≥ 0.62) at 24.  A join that still does — a side prepared from
+/// a matrix, the first run over slots nobody coded yet — is priced by that
 /// measurement.  A warm interpreter run takes the inner side's codes from
 /// the per-slot store instead and pays only its outer rows' quantiser, the
 /// block and the harvest.  Screened (stored codes, each block's distinct
@@ -103,10 +107,6 @@ pub struct TensorJoinConfig {
     /// CPU has AVX-512 VNNI (module documentation) — same pairs, same score
     /// bits; `Scalar` (the paper's NO-SIMD axis) never screens.
     pub kernel: Kernel,
-    /// Worker threads (parallel over outer-row blocks).  Defaults to the
-    /// shared execution layer's thread budget (`CEJ_THREADS`, or the
-    /// machine's available parallelism).
-    pub threads: usize,
     /// Buffer budget for the intermediate score block.
     pub budget: BufferBudget,
 }
@@ -115,7 +115,6 @@ impl Default for TensorJoinConfig {
     fn default() -> Self {
         Self {
             kernel: Kernel::Unrolled,
-            threads: cej_exec::default_threads(),
             budget: BufferBudget::from_mib(64),
         }
     }
@@ -125,12 +124,6 @@ impl TensorJoinConfig {
     /// Sets the kernel.
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Sets the worker thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -147,99 +140,108 @@ pub struct TensorJoin {
     config: TensorJoinConfig,
 }
 
-/// The inner side of a [`TensorJoin::join`] call.
-#[derive(Clone, Copy)]
-pub enum TensorInner<'a> {
-    /// Unit-normalised rows: a screened call quantises them itself.
-    Rows(&'a Matrix),
-    /// A side prepared once for many calls — the interpreter prepares one
-    /// per join and scores every outer morsel against it.
-    Prepared(&'a PreparedInner<'a>),
-}
-
-impl<'a> From<&'a Matrix> for TensorInner<'a> {
-    fn from(rows: &'a Matrix) -> Self {
-        TensorInner::Rows(rows)
-    }
-}
-
-impl<'a> From<&'a PreparedInner<'a>> for TensorInner<'a> {
-    fn from(side: &'a PreparedInner<'a>) -> Self {
-        TensorInner::Prepared(side)
-    }
-}
-
-/// Where a screened rescore reads inner unit rows when the prepared side
-/// keeps no fp32 copy of its rows.
+/// Where an inner side's unit rows are read from by position.
 pub(crate) trait UnitRows: Sync {
     /// Replaces the contents of `out` with inner rows `rows`,
     /// unit-normalised — the bits
     /// [`cej_vector::norm::normalize_matrix_rows_with`] gives them under
     /// the `Unrolled` kernel — one after another.
     fn unit_rows(&self, rows: &[usize], out: &mut Vec<f32>);
+
+    /// The rows as a matrix, when the source holds them as one.
+    fn matrix(&self) -> Option<&Matrix> {
+        None
+    }
 }
 
-/// An inner side prepared once and shared by every call of one join: the
-/// screen's codes when some call screens, the unit rows as a matrix when
-/// some call takes the fp32 block path — and, when the side keeps codes
-/// but no matrix, the source a screened rescore reads a candidate's row
-/// from.
+impl UnitRows for Cow<'_, Matrix> {
+    fn unit_rows(&self, rows: &[usize], out: &mut Vec<f32>) {
+        out.clear();
+        for &row in rows {
+            out.extend_from_slice(self.row(row).expect("inner row in range"));
+        }
+    }
+
+    fn matrix(&self) -> Option<&Matrix> {
+        Some(self)
+    }
+}
+
+/// An inner side's codes as a per-slot store supplies them to
+/// [`TensorJoin::prepare_with`]: the codes (`None` when a row is outside
+/// the screen's range), the rows coded to assemble them, and where the
+/// side's unit rows are read back.
+pub(crate) struct StoredCodes<'a> {
+    pub(crate) codes: Option<Sq8Inner>,
+    pub(crate) quantized: u64,
+    pub(crate) rows: Box<dyn UnitRows + 'a>,
+}
+
+/// An inner side prepared once ([`TensorJoin::prepare`]) and scored by
+/// every call of one join: the screen's codes when some call screens, and
+/// one source of its unit rows.  A screened call reads its candidates'
+/// rows from the source; a call on the fp32 block path reads the source's
+/// matrix — a side read back by position (embedding slots) gathers one the
+/// first time a call needs it and keeps it for the rest of the join.
 pub struct PreparedInner<'a> {
     rows: usize,
     dim: usize,
-    /// The unit rows, when some call takes the fp32 block path.
-    dense: Option<Matrix>,
     /// The screen's inner side; `None` when no call screens or a row is
     /// outside the screen's range.
     codes: Option<Sq8Inner>,
-    /// Unit rows by position, for a side without `dense`.
-    source: Option<Box<dyn UnitRows + 'a>>,
+    source: Box<dyn UnitRows + 'a>,
+    /// The source's rows gathered into a matrix, when it holds none.
+    gathered: OnceLock<Matrix>,
+    /// Inner rows quantised preparing the side.
+    quantized: u64,
 }
 
 impl<'a> PreparedInner<'a> {
     /// A side of unit rows, with the codes quantised from them when some
     /// call screens.
-    pub(crate) fn from_rows(dense: Matrix, codes: Option<Sq8Inner>) -> Self {
-        Self {
-            rows: dense.rows(),
-            dim: dense.cols(),
-            dense: Some(dense),
-            codes,
-            source: None,
-        }
+    fn from_matrix(rows: Cow<'a, Matrix>, screens: bool) -> Self {
+        let codes = screens
+            .then(|| Sq8Inner::quantize(rows.as_slice(), rows.rows(), rows.cols()))
+            .flatten();
+        let quantized = if screens { rows.rows() as u64 } else { 0 };
+        Self::new(rows.rows(), rows.cols(), codes, Box::new(rows), quantized)
     }
 
-    /// A side of `rows` rows of dimension `dim` whose rows `source` reads,
-    /// with the unit rows as a matrix when some call takes the block path.
-    pub(crate) fn from_source(
+    fn new(
         rows: usize,
         dim: usize,
         codes: Option<Sq8Inner>,
-        dense: Option<Matrix>,
         source: Box<dyn UnitRows + 'a>,
+        quantized: u64,
     ) -> Self {
         Self {
             rows,
             dim,
-            dense,
             codes,
-            source: Some(source),
+            source,
+            gathered: OnceLock::new(),
+            quantized,
         }
     }
 
-    /// The unit rows as a matrix: the side's own, or gathered for this call
-    /// (a call that falls back to the block path on a side prepared for
-    /// the screen alone — an outer row the screen refuses).
-    fn dense(&self) -> Cow<'_, Matrix> {
-        match (&self.dense, &self.source) {
-            (Some(dense), _) => Cow::Borrowed(dense),
-            (None, Some(source)) => {
+    /// Inner rows the int8 screen quantised preparing this side: all of
+    /// them for a side prepared from a matrix that some call screens, only
+    /// the embedding slots never coded before for one assembled from stored
+    /// codes, 0 when no call screens.
+    pub fn rows_quantized(&self) -> u64 {
+        self.quantized
+    }
+
+    /// The unit rows as a matrix, for a call on the fp32 block path.
+    fn matrix(&self) -> &Matrix {
+        self.source.matrix().unwrap_or_else(|| {
+            self.gathered.get_or_init(|| {
                 let mut data = Vec::new();
-                source.unit_rows(&(0..self.rows).collect::<Vec<_>>(), &mut data);
-                Cow::Owned(Matrix::from_flat(self.rows, self.dim, data).expect("rows x dim"))
-            }
-            (None, None) => unreachable!("a prepared side has rows or a source"),
-        }
+                let all: Vec<usize> = (0..self.rows).collect();
+                self.source.unit_rows(&all, &mut data);
+                Matrix::from_flat(self.rows, self.dim, data).expect("rows x dim")
+            })
+        })
     }
 }
 
@@ -254,10 +256,47 @@ impl TensorJoin {
         &self.config
     }
 
-    /// Joins two embedded inputs whose rows are **unit-normalised** (so the
-    /// cosine similarity is the dot product): the outer rows `left_norm`
-    /// against an inner side given as rows (a `&Matrix`) or prepared once
-    /// for many calls ([`TensorInner`]).
+    /// Prepares an inner side of **unit-normalised** rows for calls of
+    /// [`TensorJoin::join`] with at most `outer_rows` outer rows each: the
+    /// rows are quantised here, once, when such a call screens.
+    pub fn prepare<'a>(
+        &self,
+        inner: &'a Matrix,
+        outer_rows: usize,
+        predicate: SimilarityPredicate,
+    ) -> PreparedInner<'a> {
+        let (rows, dim) = (inner.rows(), inner.cols());
+        let unit_rows = || Cow::Borrowed(inner);
+        self.prepare_with(rows, dim, outer_rows, predicate, || None, unit_rows)
+    }
+
+    /// [`TensorJoin::prepare`] for an inner side of `rows` rows of
+    /// dimension `dim` whose codes a per-slot store may keep: `stored`
+    /// supplies them (`None` when no store keeps this side's), asked only
+    /// when some call screens and the screen can code the dimension;
+    /// otherwise the side is `unit_rows`, quantised here when some call
+    /// screens.
+    pub(crate) fn prepare_with<'a>(
+        &self,
+        rows: usize,
+        dim: usize,
+        outer_rows: usize,
+        predicate: SimilarityPredicate,
+        stored: impl FnOnce() -> Option<StoredCodes<'a>>,
+        unit_rows: impl FnOnce() -> Cow<'a, Matrix>,
+    ) -> PreparedInner<'a> {
+        let screens = self.screen_for(outer_rows, rows, predicate).is_some();
+        if screens && (1..=MAX_SCREEN_DIM).contains(&dim) {
+            if let Some(side) = stored() {
+                return PreparedInner::new(rows, dim, side.codes, side.rows, side.quantized);
+            }
+        }
+        PreparedInner::from_matrix(unit_rows(), screens)
+    }
+
+    /// Joins the outer rows `left_norm` against a prepared inner side, both
+    /// **unit-normalised** (so the cosine similarity is the dot product),
+    /// on `pool`.
     ///
     /// The interpreter prepares the inner side once per join and every
     /// outer morsel reuses it.  Pair offsets refer to the row numbering of
@@ -271,28 +310,15 @@ impl TensorJoin {
     /// # Errors
     /// Returns [`crate::error::CoreError::InvalidInput`] for dimension
     /// mismatches or degenerate predicates.
-    pub fn join<'a>(
+    pub fn join(
         &self,
         left_norm: &Matrix,
-        inner: impl Into<TensorInner<'a>>,
+        inner: &PreparedInner<'_>,
         predicate: SimilarityPredicate,
+        pool: &ExecPool,
     ) -> Result<JoinResult> {
-        let inner = inner.into();
-        let screen = self.screen_for(left_norm.rows(), inner.rows(), predicate);
-        self.join_with(left_norm, inner, predicate, screen)
-    }
-
-    /// Whether a call over `outer_rows` outer rows and `inner_rows` inner
-    /// rows runs the int8 screen (on sides it can bound) — what the
-    /// interpreter asks of each outer morsel before preparing the inner
-    /// side.
-    pub(crate) fn screens(
-        &self,
-        outer_rows: usize,
-        inner_rows: usize,
-        predicate: SimilarityPredicate,
-    ) -> bool {
-        self.screen_for(outer_rows, inner_rows, predicate).is_some()
+        let screen = self.screen_for(left_norm.rows(), inner.rows, predicate);
+        self.join_with(left_norm, inner, predicate, screen, pool)
     }
 
     /// The screen [`TensorJoin::join`] runs for these shapes, if any: never
@@ -322,39 +348,29 @@ impl TensorJoin {
     }
 
     /// [`TensorJoin::join`] with the screen chosen by the caller (`None`:
-    /// the fp32 block path).  A side with a row the screen cannot bound
-    /// (not finite, or out of its magnitude range) takes the block path
-    /// whatever is passed.
-    fn join_with<'a>(
+    /// the fp32 block path).  A side without codes, or an outer row the
+    /// screen cannot bound (not finite, or out of its magnitude range),
+    /// takes the block path whatever is passed.
+    fn join_with(
         &self,
         left_norm: &Matrix,
-        inner: impl Into<TensorInner<'a>>,
+        inner: &PreparedInner<'_>,
         predicate: SimilarityPredicate,
         screen: Option<Screen>,
+        pool: &ExecPool,
     ) -> Result<JoinResult> {
-        let inner = inner.into();
         check_predicate(&predicate)?;
-        check_joinable(left_norm.cols(), inner.dim())?;
+        check_joinable(left_norm.cols(), inner.dim)?;
         let start = Instant::now();
         let mut stats = JoinStats {
-            pairs_compared: left_norm.rows() as u64 * inner.rows() as u64,
+            pairs_compared: left_norm.rows() as u64 * inner.rows as u64,
             ..JoinStats::default()
         };
-        let pairs = if left_norm.rows() == 0 || inner.rows() == 0 {
+        let pairs = if left_norm.rows() == 0 || inner.rows == 0 {
             Vec::new()
         } else {
-            let screened =
-                screen.and_then(|screen| Screened::new(screen, left_norm, inner, &mut stats));
-            let right = match (&screened, inner) {
-                (Some(_), _) => None,
-                (None, TensorInner::Rows(rows)) => Some(Cow::Borrowed(rows)),
-                (None, TensorInner::Prepared(side)) => Some(side.dense()),
-            };
-            let inner_rows = inner.rows();
-            let right = right.as_deref();
-            self.blocked_join(
-                left_norm, right, inner_rows, predicate, screened, &mut stats,
-            )
+            let screened = screen.and_then(|screen| Screened::new(screen, left_norm, inner));
+            self.blocked_join(left_norm, inner, predicate, screened, pool, &mut stats)
         };
         stats.elapsed = start.elapsed();
         Ok(JoinResult { pairs, stats })
@@ -362,26 +378,30 @@ impl TensorJoin {
 
     /// Mini-batched blocked join: both inputs are partitioned along tuple
     /// boundaries so each score block fits the buffer budget.  The block
-    /// holds fp32 scores of `left` against the `right_rows` rows of
-    /// `right`, or the screen's approximations when `screened` is set (and
-    /// `right` is not needed).
+    /// holds fp32 scores of `left` against the inner side's matrix, or the
+    /// screen's approximations when `screened` is set.
     fn blocked_join(
         &self,
         left: &Matrix,
-        right: Option<&Matrix>,
-        right_rows: usize,
+        inner: &PreparedInner<'_>,
         predicate: SimilarityPredicate,
         screened: Option<Screened<'_>>,
+        pool: &ExecPool,
         stats: &mut JoinStats,
     ) -> Vec<JoinPair> {
-        let left_rows = left.rows();
+        let (left_rows, right_rows) = (left.rows(), inner.rows);
         let (outer_batch, inner_batch) = self.config.budget.batch_shape(left_rows, right_rows);
         let dim = left.cols();
         let gemm = GemmConfig::with_kernel(self.config.kernel);
 
-        // Per-left-row top-k state (threshold joins collect directly).
+        // Per-left-row top-k state (threshold joins collect directly),
+        // sized for the pairs a row can keep: no more than the inner rows
         let mut topk_state: Option<Vec<TopK>> = match predicate {
-            SimilarityPredicate::TopK(k) => Some((0..left_rows).map(|_| TopK::new(k)).collect()),
+            SimilarityPredicate::TopK(k) => Some(
+                (0..left_rows)
+                    .map(|_| TopK::new(k.min(right_rows)))
+                    .collect(),
+            ),
             SimilarityPredicate::Threshold(_) => None,
         };
         let mut pairs: Vec<JoinPair> = Vec::new();
@@ -389,7 +409,6 @@ impl TensorJoin {
         let block_cells = outer_batch * inner_batch;
         stats.peak_buffer_bytes = BufferBudget::block_bytes(outer_batch, inner_batch);
 
-        let pool = ExecPool::new(self.config.threads);
         let mut scores = vec![0.0f32; block_cells];
         // top-k's τ from the screen's lane maxima (k ≤ 16), one entry per
         // outer row of a block
@@ -419,9 +438,9 @@ impl TensorJoin {
                     screened.screen.block_into_with_pool(
                         &screened.outer,
                         rows.clone(),
-                        &screened.inner,
+                        screened.inner,
                         columns.clone(),
-                        &pool,
+                        pool,
                         out,
                         lane_max.as_deref_mut(),
                     );
@@ -435,11 +454,11 @@ impl TensorJoin {
                         _ => unreachable!("top-k state exists iff the predicate is top-k"),
                     }
                 } else {
-                    let right = right.expect("the block path has the inner rows");
-                    let r_block = right
+                    let r_block = inner
+                        .matrix()
                         .rows_as_slice(r_start, r_end)
                         .expect("right block in range");
-                    block_into_with_pool(l_block, r_block, l_rows, r_rows, dim, &gemm, &pool, out);
+                    block_into_with_pool(l_block, r_block, l_rows, r_rows, dim, &gemm, pool, out);
                     // Harvest the block: either threshold pairs or top-k updates.
                     match (&predicate, &mut topk_state) {
                         (SimilarityPredicate::Threshold(t), _) => {
@@ -475,63 +494,27 @@ impl TensorJoin {
     }
 }
 
-impl TensorInner<'_> {
-    fn rows(&self) -> usize {
-        match self {
-            TensorInner::Rows(rows) => rows.rows(),
-            TensorInner::Prepared(side) => side.rows,
-        }
-    }
-
-    fn dim(&self) -> usize {
-        match self {
-            TensorInner::Rows(rows) => rows.cols(),
-            TensorInner::Prepared(side) => side.dim,
-        }
-    }
-}
-
 /// The int8 screen of one join call: the outer side quantised, the inner
-/// side's codes (quantised by this call for rows, the prepared side's
-/// otherwise), each outer row's error bound, and the fp32 rows candidates
-/// are rescored from.
+/// side's codes, each outer row's error bound, and where candidates' unit
+/// rows are read for their fp32 score.
 struct Screened<'a> {
     screen: Screen,
     outer: Sq8Outer,
-    inner: Cow<'a, Sq8Inner>,
+    inner: &'a Sq8Inner,
     /// `ε` per outer row: `|fp32 score − approx| ≤ ε` against every inner row.
     bounds: Vec<f32>,
     left: &'a Matrix,
-    /// The inner unit rows, when the side keeps them as a matrix.
-    right: Option<&'a Matrix>,
-    /// Otherwise, where a candidate's inner row is read from.
-    source: Option<&'a dyn UnitRows>,
+    source: &'a dyn UnitRows,
 }
 
 impl<'a> Screened<'a> {
-    /// `None` when either side has a row the screen cannot bound.  Counts
-    /// the inner rows this call quantises into `stats`.
-    fn new(
-        screen: Screen,
-        left: &'a Matrix,
-        inner: TensorInner<'a>,
-        stats: &mut JoinStats,
-    ) -> Option<Self> {
+    /// `None` when the inner side has no codes or the outer side has a row
+    /// the screen cannot bound.
+    fn new(screen: Screen, left: &'a Matrix, inner: &'a PreparedInner<'_>) -> Option<Self> {
+        let codes = inner.codes.as_ref()?;
         let outer = Sq8Outer::quantize(left.as_slice(), left.rows(), left.cols())?;
-        let (codes, right, source) = match inner {
-            TensorInner::Rows(right) => {
-                stats.inner_rows_quantized += right.rows() as u64;
-                let codes = Sq8Inner::quantize(right.as_slice(), right.rows(), right.cols())?;
-                (Cow::Owned(codes), Some(right), None)
-            }
-            TensorInner::Prepared(side) => (
-                Cow::Borrowed(side.codes.as_ref()?),
-                side.dense.as_ref(),
-                side.source.as_deref(),
-            ),
-        };
         let bounds = (0..left.rows())
-            .map(|row| outer.error_bound(row, &codes))
+            .map(|row| outer.error_bound(row, codes))
             .collect();
         Some(Self {
             screen,
@@ -539,15 +522,14 @@ impl<'a> Screened<'a> {
             inner: codes,
             bounds,
             left,
-            right,
-            source,
+            source: inner.source.as_ref(),
         })
     }
 
     /// Collects the candidates of every outer row of a block — row `i`'s
     /// columns whose approximation reaches `floors[i]`, in ascending order
-    /// — and, when the side keeps no matrix, reads each distinct candidate
-    /// row once, in one call to its source.
+    /// — and reads each distinct candidate row once, in one call to the
+    /// side's source.
     fn candidates(
         &self,
         columns: &Range<usize>,
@@ -571,36 +553,28 @@ impl<'a> Screened<'a> {
             });
             ends.push(inner.len());
         }
-        if let (None, Some(source)) = (self.right, self.source) {
-            // each column's position in `fetched`, first come first placed
-            let mut position = vec![usize::MAX; columns.len()];
-            fetched.clear();
-            at.clear();
-            for &r in inner.iter() {
-                let slot = &mut position[r - columns.start];
-                if *slot == usize::MAX {
-                    *slot = fetched.len();
-                    fetched.push(r);
-                }
-                at.push(*slot);
+        // each column's position in `fetched`, first come first placed
+        let mut position = vec![usize::MAX; columns.len()];
+        fetched.clear();
+        at.clear();
+        for &r in inner.iter() {
+            let slot = &mut position[r - columns.start];
+            if *slot == usize::MAX {
+                *slot = fetched.len();
+                fetched.push(r);
             }
-            source.unit_rows(fetched, rows);
+            at.push(*slot);
         }
+        self.source.unit_rows(fetched, rows);
     }
 
-    /// The fp32 score of outer row `l` and candidate `j` (inner row `r`):
-    /// the bits the GEMM writes for the pair.
-    fn rescore(&self, l: usize, r: usize, candidates: &Candidates, j: usize) -> f32 {
+    /// The fp32 score of outer row `l` and candidate `j`: the bits the GEMM
+    /// writes for the pair.
+    fn rescore(&self, l: usize, candidates: &Candidates, j: usize) -> f32 {
         let dim = self.left.cols();
         let left = &self.left.as_slice()[l * dim..(l + 1) * dim];
-        let inner = match self.right {
-            Some(right) => &right.as_slice()[r * dim..(r + 1) * dim],
-            None => {
-                let row = candidates.at[j];
-                &candidates.rows[row * dim..(row + 1) * dim]
-            }
-        };
-        dot_lanes::<8>(left, inner)
+        let row = candidates.at[j];
+        dot_lanes::<8>(left, &candidates.rows[row * dim..(row + 1) * dim])
     }
 
     /// Threshold harvest of a screened block (`approx`, one row per outer
@@ -627,7 +601,7 @@ impl<'a> Screened<'a> {
         for (i, l) in rows.enumerate() {
             for j in candidates.span(i) {
                 let r = candidates.inner[j];
-                let score = self.rescore(l, r, &candidates, j);
+                let score = self.rescore(l, &candidates, j);
                 if score >= t {
                     pairs.push(JoinPair::new(l, r, score));
                 }
@@ -709,7 +683,7 @@ impl<'a> Screened<'a> {
             for j in candidates.span(i) {
                 let r = candidates.inner[j];
                 if row[r - columns.start] >= floor {
-                    collector.push(r, self.rescore(l, r, &candidates, j));
+                    collector.push(r, self.rescore(l, &candidates, j));
                     rescored += 1;
                     floor = floor.max(kept_floor(collector, eps));
                 }
@@ -719,8 +693,8 @@ impl<'a> Screened<'a> {
     }
 }
 
-/// The pairs of a block's outer rows a harvest may rescore and, fetched
-/// for a side without a matrix, the unit rows they need.
+/// The pairs of a block's outer rows a harvest may rescore and the unit
+/// rows they need.
 #[derive(Default)]
 struct Candidates {
     /// Candidate inner rows, outer row by outer row, each ascending.
@@ -746,6 +720,8 @@ impl Candidates {
 #[cfg(test)]
 mod tests {
     use std::io::Write;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
 
     use cej_vector::{normalize_matrix_rows, SimdIsa};
@@ -756,16 +732,43 @@ mod tests {
     use crate::session::JoinStrategy;
     use cej_workload::uniform_matrix;
 
+    /// `join` of `left` against `right` prepared for it, on `pool`.
+    fn run_on(
+        join: &TensorJoin,
+        left: &Matrix,
+        right: &Matrix,
+        predicate: SimilarityPredicate,
+        pool: &ExecPool,
+    ) -> Result<JoinResult> {
+        let side = join.prepare(right, left.rows(), predicate);
+        join.join(left, &side, predicate, pool)
+    }
+
+    /// [`run_on`] the process-wide pool.
+    fn run(
+        join: &TensorJoin,
+        left: &Matrix,
+        right: &Matrix,
+        predicate: SimilarityPredicate,
+    ) -> Result<JoinResult> {
+        run_on(join, left, right, predicate, ExecPool::global())
+    }
+
+    /// `right` prepared with its codes whatever the shapes, so that a test
+    /// can force a screen on any CPU.
+    fn coded(right: &Matrix) -> PreparedInner<'_> {
+        PreparedInner::from_matrix(Cow::Borrowed(right), true)
+    }
+
     #[test]
     fn matches_prefetch_nlj_threshold() {
         let left = uniform_matrix(25, 24, 1, true);
         let right = uniform_matrix(33, 24, 2, true);
+        let predicate = SimilarityPredicate::Threshold(0.2);
         let nlj = PrefetchNlJoin::new(NljConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(0.2))
+            .join(&left, &right, predicate, ExecPool::global())
             .unwrap();
-        let tensor = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(0.2))
-            .unwrap();
+        let tensor = run(&TensorJoin::default(), &left, &right, predicate).unwrap();
         assert_eq!(nlj.pair_indices(), tensor.pair_indices());
     }
 
@@ -773,12 +776,11 @@ mod tests {
     fn matches_prefetch_nlj_topk() {
         let left = uniform_matrix(10, 16, 3, true);
         let right = uniform_matrix(50, 16, 4, true);
+        let predicate = SimilarityPredicate::TopK(5);
         let nlj = PrefetchNlJoin::new(NljConfig::default())
-            .join(&left, &right, SimilarityPredicate::TopK(5))
+            .join(&left, &right, predicate, ExecPool::global())
             .unwrap();
-        let tensor = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::TopK(5))
-            .unwrap();
+        let tensor = run(&TensorJoin::default(), &left, &right, predicate).unwrap();
         assert_eq!(nlj.pair_indices(), tensor.pair_indices());
     }
 
@@ -786,15 +788,11 @@ mod tests {
     fn mini_batching_does_not_change_results() {
         let left = uniform_matrix(40, 16, 5, true);
         let right = uniform_matrix(60, 16, 6, true);
-        let unbatched =
-            TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::unlimited()))
-                .join(&left, &right, SimilarityPredicate::Threshold(0.1))
-                .unwrap();
-        let batched = TensorJoin::new(
-            TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(4 * 128)),
-        )
-        .join(&left, &right, SimilarityPredicate::Threshold(0.1))
-        .unwrap();
+        let predicate = SimilarityPredicate::Threshold(0.1);
+        let unbatched = TensorJoinConfig::default().with_budget(BufferBudget::unlimited());
+        let unbatched = run(&TensorJoin::new(unbatched), &left, &right, predicate).unwrap();
+        let batched = TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(4 * 128));
+        let batched = run(&TensorJoin::new(batched), &left, &right, predicate).unwrap();
         assert_eq!(unbatched.pair_indices(), batched.pair_indices());
         assert!(batched.stats.blocks_computed > unbatched.stats.blocks_computed);
         assert!(batched.stats.peak_buffer_bytes < unbatched.stats.peak_buffer_bytes);
@@ -804,15 +802,11 @@ mod tests {
     fn mini_batching_with_topk_is_correct() {
         let left = uniform_matrix(12, 16, 7, true);
         let right = uniform_matrix(45, 16, 8, true);
-        let unbatched =
-            TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::unlimited()))
-                .join(&left, &right, SimilarityPredicate::TopK(3))
-                .unwrap();
-        let batched = TensorJoin::new(
-            TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(4 * 64)),
-        )
-        .join(&left, &right, SimilarityPredicate::TopK(3))
-        .unwrap();
+        let predicate = SimilarityPredicate::TopK(3);
+        let unbatched = TensorJoinConfig::default().with_budget(BufferBudget::unlimited());
+        let unbatched = run(&TensorJoin::new(unbatched), &left, &right, predicate).unwrap();
+        let batched = TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(4 * 64));
+        let batched = run(&TensorJoin::new(batched), &left, &right, predicate).unwrap();
         assert_eq!(unbatched.pair_indices(), batched.pair_indices());
     }
 
@@ -820,12 +814,9 @@ mod tests {
     fn multi_threaded_matches_single_threaded() {
         let left = uniform_matrix(64, 16, 11, true);
         let right = uniform_matrix(48, 16, 12, true);
-        let single = TensorJoin::new(TensorJoinConfig::default().with_threads(1))
-            .join(&left, &right, SimilarityPredicate::Threshold(0.1))
-            .unwrap();
-        let multi = TensorJoin::new(TensorJoinConfig::default().with_threads(4))
-            .join(&left, &right, SimilarityPredicate::Threshold(0.1))
-            .unwrap();
+        let (join, predicate) = (TensorJoin::default(), SimilarityPredicate::Threshold(0.1));
+        let single = run_on(&join, &left, &right, predicate, &ExecPool::new(1)).unwrap();
+        let multi = run_on(&join, &left, &right, predicate, &ExecPool::new(4)).unwrap();
         assert_eq!(single.pair_indices(), multi.pair_indices());
     }
 
@@ -838,13 +829,13 @@ mod tests {
         let (left_sel, right_sel) = ([2u32, 5, 7], [0u32, 9]);
         let join = TensorJoin::new(TensorJoinConfig::default());
         let everything = SimilarityPredicate::Threshold(-1.5);
-        let result = join
-            .join(
-                &left.gather_rows(&left_sel).unwrap(),
-                &right.gather_rows(&right_sel).unwrap(),
-                everything,
-            )
-            .unwrap();
+        let result = run(
+            &join,
+            &left.gather_rows(&left_sel).unwrap(),
+            &right.gather_rows(&right_sel).unwrap(),
+            everything,
+        )
+        .unwrap();
         // only the selected pairs are scored ...
         assert_eq!(result.len(), 3 * 2);
         assert_eq!(result.stats.pairs_compared, 6);
@@ -857,8 +848,7 @@ mod tests {
                 JoinPair::new(l as usize, r as usize, p.score)
             })
             .collect();
-        let expected: Vec<JoinPair> = join
-            .join(&left, &right, everything)
+        let expected: Vec<JoinPair> = run(&join, &left, &right, everything)
             .unwrap()
             .sorted_pairs()
             .into_iter()
@@ -874,9 +864,8 @@ mod tests {
         // a side whose filter selects nothing reaches the join as no rows
         let left = uniform_matrix(5, 8, 15, true).gather_rows(&[]).unwrap();
         let right = uniform_matrix(5, 8, 16, true);
-        let result = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(0.0))
-            .unwrap();
+        let predicate = SimilarityPredicate::Threshold(0.0);
+        let result = run(&TensorJoin::default(), &left, &right, predicate).unwrap();
         assert!(result.is_empty());
         assert_eq!(result.stats.pairs_compared, 0);
         assert_eq!(result.stats.blocks_computed, 0);
@@ -902,12 +891,10 @@ mod tests {
     fn scalar_kernel_agrees_with_unrolled() {
         let left = uniform_matrix(15, 32, 19, true);
         let right = uniform_matrix(17, 32, 20, true);
-        let a = TensorJoin::new(TensorJoinConfig::default().with_kernel(Kernel::Scalar))
-            .join(&left, &right, SimilarityPredicate::Threshold(0.2))
-            .unwrap();
-        let b = TensorJoin::new(TensorJoinConfig::default().with_kernel(Kernel::Unrolled))
-            .join(&left, &right, SimilarityPredicate::Threshold(0.2))
-            .unwrap();
+        let predicate = SimilarityPredicate::Threshold(0.2);
+        let join = |kernel| TensorJoin::new(TensorJoinConfig::default().with_kernel(kernel));
+        let a = run(&join(Kernel::Scalar), &left, &right, predicate).unwrap();
+        let b = run(&join(Kernel::Unrolled), &left, &right, predicate).unwrap();
         assert_eq!(a.pair_indices(), b.pair_indices());
     }
 
@@ -919,17 +906,18 @@ mod tests {
         let left = uniform_matrix(23, 16, 23, true);
         let right = uniform_matrix(31, 16, 24, true);
         let join = TensorJoin::new(TensorJoinConfig::default());
+        let pool = ExecPool::global();
         for predicate in [
             SimilarityPredicate::Threshold(0.2),
             SimilarityPredicate::TopK(4),
         ] {
-            let whole = join.join(&left, &right, predicate).unwrap();
+            let side = join.prepare(&right, left.rows(), predicate);
+            let whole = join.join(&left, &side, predicate, pool).unwrap();
             let mut sliced = Vec::new();
             for start in (0..left.rows()).step_by(7) {
                 let end = (start + 7).min(left.rows());
-                let part = join
-                    .join(&left.row_slice(start, end).unwrap(), &right, predicate)
-                    .unwrap();
+                let part = left.row_slice(start, end).unwrap();
+                let part = join.join(&part, &side, predicate, pool).unwrap();
                 sliced.extend(
                     part.pairs
                         .iter()
@@ -948,9 +936,8 @@ mod tests {
     fn dimension_mismatch_rejected() {
         let left = uniform_matrix(4, 8, 21, true);
         let right = uniform_matrix(4, 12, 22, true);
-        assert!(TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(0.5))
-            .is_err());
+        let predicate = SimilarityPredicate::Threshold(0.5);
+        assert!(run(&TensorJoin::default(), &left, &right, predicate).is_err());
     }
 
     /// The screens a test can run here: the scalar integer reference
@@ -992,7 +979,10 @@ mod tests {
         predicate: SimilarityPredicate,
         what: &str,
     ) -> (JoinResult, Vec<JoinResult>) {
-        let block = join.join_with(left, right, predicate, None).unwrap();
+        let (side, pool) = (coded(right), ExecPool::global());
+        // the side is quantised once, by its preparation
+        assert_eq!(side.rows_quantized(), right.rows() as u64, "{what}");
+        let block = join.join_with(left, &side, predicate, None, pool).unwrap();
         assert_eq!(
             block.stats.pairs_rescored, block.stats.pairs_compared,
             "{what}"
@@ -1001,22 +991,17 @@ mod tests {
             .into_iter()
             .map(|screen| {
                 let result = join
-                    .join_with(left, right, predicate, Some(screen))
+                    .join_with(left, &side, predicate, Some(screen), pool)
                     .unwrap();
                 let what = format!("{what} {predicate:?} screen {}", screen.label());
                 assert_eq!(pair_bits(&result), pair_bits(&block), "{what}");
                 let without = |s: JoinStats| JoinStats {
                     pairs_rescored: 0,
-                    inner_rows_quantized: 0,
                     elapsed: Duration::ZERO,
                     ..s
                 };
                 assert_eq!(without(result.stats), without(block.stats), "{what}");
                 assert!(result.stats.pairs_rescored <= result.stats.pairs_compared);
-                // a side handed over as rows is quantised by the call,
-                // unless the outer side was refused first
-                let quantized = result.stats.inner_rows_quantized;
-                assert!([0, right.rows() as u64].contains(&quantized), "{what}");
                 result
             })
             .collect();
@@ -1083,12 +1068,12 @@ mod tests {
             let copy = left.row(r % 40).unwrap().to_vec();
             right.row_mut(r).unwrap().copy_from_slice(&copy);
         }
+        let side = coded(&right);
         for screen in screens() {
-            let mut stats = JoinStats::default();
-            let screened = Screened::new(screen, &left, (&right).into(), &mut stats).unwrap();
+            let screened = Screened::new(screen, &left, &side).unwrap();
             let mut approx = vec![0.0f32; 40 * 90];
             let mut lane_max = vec![LaneMaxima::default(); 40];
-            let (inner, rows, columns) = (screened.inner.as_ref(), 0..40, 0..90);
+            let (inner, rows, columns) = (screened.inner, 0..40, 0..90);
             screen.block_into(
                 &screened.outer,
                 rows.clone(),
@@ -1192,9 +1177,8 @@ mod tests {
         let left = uniform_matrix(26, 24, 44, true);
         let right = uniform_matrix(40, 24, 45, true);
         let join = TensorJoin::new(TensorJoinConfig::default());
-        let all = join
-            .join_with(&left, &right, SimilarityPredicate::Threshold(-1.5), None)
-            .unwrap();
+        let everything = SimilarityPredicate::Threshold(-1.5);
+        let all = run(&join, &left, &right, everything).unwrap();
         let mut scores: Vec<f32> = all.pairs.iter().map(|p| p.score).collect();
         scores.sort_by(f32::total_cmp);
         for &score in scores.iter().rev().step_by(97).take(8) {
@@ -1307,11 +1291,15 @@ mod tests {
     }
 
     /// Unit rows read back one by one, the way a side kept as codes reads
-    /// a candidate's row from the embedding arena.
-    struct RowsByIndex(Matrix);
+    /// a candidate's row from the embedding arena, counting the reads of
+    /// the whole side.
+    struct RowsByIndex(Matrix, Arc<AtomicUsize>);
 
     impl UnitRows for RowsByIndex {
         fn unit_rows(&self, rows: &[usize], out: &mut Vec<f32>) {
+            if rows.len() == self.0.rows() {
+                self.1.fetch_add(1, Ordering::Relaxed);
+            }
             out.clear();
             for &row in rows {
                 out.extend_from_slice(self.0.row(row).unwrap());
@@ -1321,17 +1309,23 @@ mod tests {
 
     #[test]
     fn a_prepared_side_equals_the_side_given_as_rows() {
-        // codes only (rescores read the source), codes and rows, rows only;
-        // an outer side the screen refuses falls back to the block path over
-        // rows gathered from the source
+        // the side prepared from rows (a matrix source, quantised by its
+        // preparation) against: codes read back by row, with their matrix
+        // gathered once the first call takes the block path (codes only,
+        // then codes and matrix); rows without codes (a side no call
+        // screens); rows read back by row without codes (a refused side).
+        // An outer side the screen refuses falls back to the block path.
         let right = uniform_matrix(70, 24, 62, true);
         let codes = || Sq8Inner::quantize(right.as_slice(), 70, 24);
-        let source = || Box::new(RowsByIndex(right.clone()));
+        let gathers = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+        let by_row = |gathers: &Arc<AtomicUsize>| {
+            Box::new(RowsByIndex(right.clone(), gathers.clone())) as Box<dyn UnitRows>
+        };
+        let rows = coded(&right);
         let sides = [
-            PreparedInner::from_source(70, 24, codes(), None, source()),
-            PreparedInner::from_source(70, 24, codes(), Some(right.clone()), source()),
-            PreparedInner::from_rows(right.clone(), codes()),
-            PreparedInner::from_rows(right.clone(), None),
+            PreparedInner::new(70, 24, codes(), by_row(&gathers[0]), 0),
+            PreparedInner::from_matrix(Cow::Borrowed(&right), false),
+            PreparedInner::new(70, 24, None, by_row(&gathers[1]), 0),
         ];
         let mut bad = uniform_matrix(30, 24, 63, true);
         bad.row_mut(4).unwrap()[2] = f32::NAN;
@@ -1345,24 +1339,32 @@ mod tests {
                     let (block, _) = assert_screen_exact(&join, &left, &right, predicate, "rows");
                     let work = |s: JoinStats| JoinStats {
                         elapsed: Duration::ZERO,
-                        inner_rows_quantized: 0,
                         ..s
                     };
-                    for screen in screens().into_iter().map(Some).chain([None]) {
-                        let rows = join.join_with(&left, &right, predicate, screen).unwrap();
-                        for (i, side) in sides.iter().enumerate() {
-                            let result = join.join_with(&left, side, predicate, screen).unwrap();
-                            let what = format!("side {i} {predicate:?} {screen:?}");
-                            assert_eq!(pair_bits(&result), pair_bits(&block), "{what}");
-                            // the same rescores as the side handed over as
-                            // rows; a side without codes takes the block path
-                            let expected = if i < 3 { &rows } else { &block };
-                            assert_eq!(work(result.stats), work(expected.stats), "{what}");
-                            assert_eq!(result.stats.inner_rows_quantized, 0, "{what}");
+                    for pool in [ExecPool::new(1), ExecPool::new(2)] {
+                        for screen in screens().into_iter().map(Some).chain([None]) {
+                            let expected = join.join_with(&left, &rows, predicate, screen, &pool);
+                            let expected = expected.unwrap();
+                            for (i, side) in sides.iter().enumerate() {
+                                let result = join.join_with(&left, side, predicate, screen, &pool);
+                                let result = result.unwrap();
+                                let what = format!("side {i} {predicate:?} {screen:?} {pool:?}");
+                                assert_eq!(pair_bits(&result), pair_bits(&block), "{what}");
+                                // the same rescores as the side prepared
+                                // from rows; a side without codes takes the
+                                // block path
+                                let expected = if i == 0 { &expected } else { &block };
+                                assert_eq!(work(result.stats), work(expected.stats), "{what}");
+                            }
                         }
                     }
                 }
             }
+        }
+        // a side read back by row gathers its matrix once, for the first
+        // call on the block path, however many calls follow
+        for gathers in gathers {
+            assert_eq!(gathers.load(Ordering::Relaxed), 1);
         }
     }
 
@@ -1375,8 +1377,10 @@ mod tests {
         for outer in [SCREEN_MIN_OUTER_ROWS - 1, SCREEN_MIN_OUTER_ROWS] {
             let left = uniform_matrix(outer, 16, 56, true);
             for predicate in both_predicates(3, 0.5) {
-                let result = join.join(&left, &right, predicate).unwrap();
-                let block = join.join_with(&left, &right, predicate, None).unwrap();
+                let result = run(&join, &left, &right, predicate).unwrap();
+                let block =
+                    join.join_with(&left, &coded(&right), predicate, None, ExecPool::global());
+                let block = block.unwrap();
                 assert_eq!(pair_bits(&result), pair_bits(&block));
                 let screened = result.stats.pairs_rescored < result.stats.pairs_compared;
                 assert_eq!(
@@ -1385,7 +1389,7 @@ mod tests {
                     "{outer} rows"
                 );
                 // the NO-SIMD kernel never screens
-                let result = scalar.join(&left, &right, predicate).unwrap();
+                let result = run(&scalar, &left, &right, predicate).unwrap();
                 assert_eq!(result.stats.pairs_rescored, result.stats.pairs_compared);
             }
             // predicates that admit every pair are not screened
@@ -1393,7 +1397,7 @@ mod tests {
                 SimilarityPredicate::TopK(300),
                 SimilarityPredicate::Threshold(-1.0),
             ] {
-                let result = join.join(&left, &right, predicate).unwrap();
+                let result = run(&join, &left, &right, predicate).unwrap();
                 assert_eq!(result.stats.pairs_rescored, result.stats.pairs_compared);
             }
         }
@@ -1406,14 +1410,15 @@ mod tests {
         let left = uniform_matrix(96, 64, 57, true);
         let right = uniform_matrix(9_600, 64, 58, true);
         let screen = *screens().last().expect("the reference always exists");
+        let (join, side) = (TensorJoin::default(), coded(&right));
         for predicate in both_predicates(3, 0.45) {
             let mut counts = Vec::new();
             for threads in [1usize, 2, 1, 2] {
-                let join = TensorJoin::new(TensorJoinConfig::default().with_threads(threads));
-                let block = join.join_with(&left, &right, predicate, None).unwrap();
-                let result = join
-                    .join_with(&left, &right, predicate, Some(screen))
-                    .unwrap();
+                let pool = ExecPool::new(threads);
+                let block = join.join_with(&left, &side, predicate, None, &pool);
+                let block = block.unwrap();
+                let result = join.join_with(&left, &side, predicate, Some(screen), &pool);
+                let result = result.unwrap();
                 assert!(!block.is_empty());
                 assert_eq!(pair_bits(&result), pair_bits(&block), "{predicate:?}");
                 let stats = result.stats;

@@ -73,7 +73,7 @@ pub use ivm::{
 pub use join::index_join::{IndexJoin, IndexJoinConfig};
 pub use join::naive_nlj::NaiveNlJoin;
 pub use join::prefetch_nlj::{NljConfig, PrefetchNlJoin};
-pub use join::tensor_join::{TensorJoin, TensorJoinConfig};
+pub use join::tensor_join::{PreparedInner, TensorJoin, TensorJoinConfig};
 pub use physical_plan::{
     q_error, IndexedInner, InnerInput, JoinNode, PhysicalJoinOp, PhysicalPlan, PlanEstimate,
 };

@@ -50,11 +50,12 @@ pub struct JoinStats {
     /// the operator's morsel count, this depends on where the outer side
     /// was cut into morsels; the pairs never do.
     pub pairs_rescored: u64,
-    /// Inner rows the int8 screen quantised (tensor join only): every inner
-    /// row of a screened call that was handed its inner side as a matrix;
-    /// the whole side once per join when the interpreter prepares it from
-    /// a matrix; and only the embedding slots never coded before when it
-    /// builds the side from the codes it keeps per slot — 0 on a warm run.
+    /// Inner rows the int8 screen quantised preparing a tensor join's
+    /// inner side, once per join ([`crate::PreparedInner::rows_quantized`],
+    /// which the interpreter reports here; a join call quantises none): the
+    /// whole side when it is prepared from a matrix, only the embedding
+    /// slots never coded before when it is assembled from the codes the
+    /// session keeps per slot — 0 on a warm run.
     pub inner_rows_quantized: u64,
 }
 

@@ -42,8 +42,9 @@
 //! ## Configuration
 //!
 //! [`ExecPool::global`] reads the `CEJ_THREADS` environment variable once
-//! (defaulting to the machine's available parallelism); operators with their
-//! own `threads` knob build a local pool via [`ExecPool::new`].
+//! (defaulting to the machine's available parallelism); a caller with
+//! another budget builds a pool via [`ExecPool::new`] and hands it to the
+//! operators it runs.
 
 #![deny(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -98,8 +99,8 @@ pub fn default_threads() -> usize {
 /// A worker pool with a fixed thread budget.
 ///
 /// Creating a pool is free — a pool is only a *budget* over the shared
-/// persistent [`Scheduler`], so it can live in a config struct or be built
-/// on the fly from an operator's `threads` knob.  A parallel call runs on
+/// persistent [`Scheduler`], so it can live in a context struct or be built
+/// on the fly for one call.  A parallel call runs on
 /// the calling thread plus up to `threads - 1` scheduler workers; nothing
 /// is spawned per call and nothing keeps running between calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -58,6 +58,11 @@ impl PartialOrd for MinByScore {
     }
 }
 
+/// Entries a [`TopK`] reserves up front at most; a larger `k` grows the
+/// heap as entries arrive, so a collector never reserves more than its
+/// caller can fill (1 MiB of entries).
+const MAX_RESERVED: usize = 1 << 16;
+
 /// Bounded collector retaining the `k` highest-scoring entries.
 #[derive(Debug, Clone)]
 pub struct TopK {
@@ -67,11 +72,12 @@ pub struct TopK {
 
 impl TopK {
     /// Creates a collector for the best `k` entries.  `k == 0` collects
-    /// nothing.
+    /// nothing; any `k` is accepted, and at most [`MAX_RESERVED`] entries
+    /// are reserved up front.
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(MAX_RESERVED) + 1),
         }
     }
 
@@ -245,6 +251,19 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+
+    #[test]
+    fn an_unbounded_k_reserves_a_bounded_heap_and_keeps_everything() {
+        let mut all = TopK::new(usize::MAX);
+        assert!(all.heap.capacity() <= MAX_RESERVED + 1);
+        for id in 0..3 * MAX_RESERVED {
+            all.push(id, (id % 7) as f32);
+        }
+        assert_eq!(all.threshold(), None);
+        let kept = all.into_sorted();
+        assert_eq!(kept.len(), 3 * MAX_RESERVED);
+        assert_eq!((kept[0].id, kept[0].score), (6, 6.0));
+    }
 
     #[test]
     fn keeps_best_k() {

@@ -21,6 +21,7 @@ use std::time::Instant;
 use cej_core::{
     AccessPathAdvisor, AccessPathQuery, IndexJoin, IndexJoinConfig, TensorJoin, TensorJoinConfig,
 };
+use cej_exec::ExecPool;
 use cej_index::HnswParams;
 use cej_relational::SimilarityPredicate;
 use cej_storage::SelectionBitmap;
@@ -60,11 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let start = Instant::now();
         let selected: Vec<u32> = bitmap.iter_selected().map(|i| i as u32).collect();
-        let scan = tensor.join(
-            &outer,
-            &inner.gather_rows(&selected)?,
-            SimilarityPredicate::TopK(k),
-        )?;
+        let predicate = SimilarityPredicate::TopK(k);
+        let selected = inner.gather_rows(&selected)?;
+        let prepared = tensor.prepare(&selected, outer.rows(), predicate);
+        let scan = tensor.join(&outer, &prepared, predicate, ExecPool::global())?;
         let scan_time = start.elapsed();
 
         let start = Instant::now();

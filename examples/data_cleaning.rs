@@ -61,9 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?,
     );
     session.register_model("ft", model);
-    session.with_strategy(JoinStrategy::PrefetchNlj(
-        NljConfig::default().with_threads(2),
-    ));
+    session.with_strategy(JoinStrategy::PrefetchNlj(NljConfig::default()));
     let report = session.execute(&LogicalPlan::e_join(
         LogicalPlan::scan("feed"),
         LogicalPlan::scan("catalogue"),

@@ -19,8 +19,8 @@ use std::time::Instant;
 
 use cej_core::{
     AccessPath, AccessPathAdvisor, AccessPathQuery, IndexJoin, IndexJoinConfig, TensorJoin,
-    TensorJoinConfig,
 };
+use cej_exec::ExecPool;
 use cej_index::HnswParams;
 use cej_relational::SimilarityPredicate;
 use cej_workload::{clustered_matrix, scaled};
@@ -55,11 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Run both physical operators and compare.
     let start = Instant::now();
-    let scan = TensorJoin::new(TensorJoinConfig::default()).join(
-        &incoming,
-        &reference,
-        SimilarityPredicate::TopK(k),
-    )?;
+    let (tensor, predicate) = (TensorJoin::default(), SimilarityPredicate::TopK(k));
+    let prepared = tensor.prepare(&reference, incoming.rows(), predicate);
+    let scan = tensor.join(&incoming, &prepared, predicate, ExecPool::global())?;
     let scan_time = start.elapsed();
 
     let index_join = IndexJoin::new(IndexJoinConfig {

@@ -4,14 +4,27 @@
 //! operator behaviour.
 
 use cej_core::{
-    AccessPathAdvisor, AccessPathQuery, ContextJoinSession, CostModel, JoinStrategy, NaiveNlJoin,
-    NljConfig, TensorJoin, TensorJoinConfig,
+    AccessPathAdvisor, AccessPathQuery, ContextJoinSession, CostModel, JoinResult, JoinStrategy,
+    NaiveNlJoin, NljConfig, TensorJoin, TensorJoinConfig,
 };
 use cej_embedding::{CachedEmbedder, Embedder, FastTextConfig, FastTextModel};
+use cej_exec::ExecPool;
 use cej_relational::{LogicalPlan, SimilarityPredicate};
 use cej_storage::TableBuilder;
-use cej_vector::{normalize_matrix_rows, BufferBudget};
+use cej_vector::{normalize_matrix_rows, BufferBudget, Matrix};
 use cej_workload::{uniform_matrix, JoinWorkload, RelationSpec};
+
+/// A whole-input tensor join: `right` prepared for `left`, on the
+/// process-wide pool.
+fn tensor_join(
+    join: TensorJoin,
+    left: &Matrix,
+    right: &Matrix,
+    predicate: SimilarityPredicate,
+) -> cej_core::Result<JoinResult> {
+    let inner = join.prepare(right, left.rows(), predicate);
+    join.join(left, &inner, predicate, ExecPool::global())
+}
 
 fn model() -> FastTextModel {
     FastTextModel::new(FastTextConfig {
@@ -138,13 +151,13 @@ fn tensor_join_work_counter_matches_cardinality_product() {
         normalize_matrix_rows(&mut matrix);
         matrix
     };
-    let result = TensorJoin::new(TensorJoinConfig::default())
-        .join(
-            &embed(&left),
-            &embed(&right),
-            SimilarityPredicate::Threshold(0.9),
-        )
-        .unwrap();
+    let result = tensor_join(
+        TensorJoin::default(),
+        &embed(&left),
+        &embed(&right),
+        SimilarityPredicate::Threshold(0.9),
+    )
+    .unwrap();
     assert_eq!(result.stats.pairs_compared, 18 * 27);
 }
 
@@ -154,18 +167,22 @@ fn scan_work_scales_with_selectivity_probe_style_does_not() {
     // tensor join's own counters.
     let left = uniform_matrix(20, 16, 1, true);
     let right = uniform_matrix(500, 16, 2, true);
-    let full = TensorJoin::new(TensorJoinConfig::default())
-        .join(&left, &right, SimilarityPredicate::TopK(1))
-        .unwrap();
+    let full = tensor_join(
+        TensorJoin::default(),
+        &left,
+        &right,
+        SimilarityPredicate::TopK(1),
+    )
+    .unwrap();
     // a pre-filter selecting a fifth of the inner rows hands the scan
     // only those
-    let fifth = TensorJoin::new(TensorJoinConfig::default())
-        .join(
-            &left,
-            &right.row_slice(0, 100).unwrap(),
-            SimilarityPredicate::TopK(1),
-        )
-        .unwrap();
+    let fifth = tensor_join(
+        TensorJoin::default(),
+        &left,
+        &right.row_slice(0, 100).unwrap(),
+        SimilarityPredicate::TopK(1),
+    )
+    .unwrap();
     assert_eq!(full.stats.pairs_compared, 20 * 500);
     assert_eq!(fifth.stats.pairs_compared, 20 * 100);
 }
@@ -211,14 +228,21 @@ fn buffer_budget_bounds_measured_intermediate_state() {
     let left = uniform_matrix(200, 32, 5, true);
     let right = uniform_matrix(300, 32, 6, true);
 
-    let unlimited =
-        TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::unlimited()))
-            .join(&left, &right, SimilarityPredicate::Threshold(0.5))
-            .unwrap();
+    let unlimited = tensor_join(
+        TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::unlimited())),
+        &left,
+        &right,
+        SimilarityPredicate::Threshold(0.5),
+    )
+    .unwrap();
     let budget = BufferBudget::from_bytes(16 * 1024);
-    let bounded = TensorJoin::new(TensorJoinConfig::default().with_budget(budget))
-        .join(&left, &right, SimilarityPredicate::Threshold(0.5))
-        .unwrap();
+    let bounded = tensor_join(
+        TensorJoin::new(TensorJoinConfig::default().with_budget(budget)),
+        &left,
+        &right,
+        SimilarityPredicate::Threshold(0.5),
+    )
+    .unwrap();
 
     assert_eq!(unlimited.stats.peak_buffer_bytes, 200 * 300 * 4);
     assert!(bounded.stats.peak_buffer_bytes <= budget.bytes);

@@ -3,6 +3,7 @@
 
 use cej_core::{ContextJoinSession, JoinStrategy, NljConfig, TensorJoinConfig};
 use cej_embedding::{train_on_corpus, FastTextConfig, FastTextModel, TrainingConfig};
+use cej_exec::ExecPool;
 use cej_relational::{col, lit_i64, LogicalPlan, SimilarityPredicate};
 use cej_workload::{CorpusGenerator, JoinWorkload, RelationSpec, WordGenerator};
 
@@ -134,15 +135,22 @@ fn strategies_produce_identical_threshold_results_end_to_end() {
         threshold,
     );
     let mut results = Vec::new();
-    for strategy in [
-        JoinStrategy::PrefetchNlj(NljConfig::default()),
-        JoinStrategy::PrefetchNlj(NljConfig::default().with_threads(3)),
-        JoinStrategy::Tensor(TensorJoinConfig::default()),
-        JoinStrategy::Tensor(TensorJoinConfig::default().with_threads(2)),
+    let global = *ExecPool::global();
+    for (strategy, pool) in [
+        (JoinStrategy::PrefetchNlj(NljConfig::default()), global),
+        (
+            JoinStrategy::PrefetchNlj(NljConfig::default()),
+            ExecPool::new(3),
+        ),
+        (JoinStrategy::Tensor(TensorJoinConfig::default()), global),
+        (
+            JoinStrategy::Tensor(TensorJoinConfig::default()),
+            ExecPool::new(2),
+        ),
     ] {
         let mut session = session_with(&w, trained_model(42));
         session.with_strategy(strategy);
-        let report = session.execute(&plan).unwrap();
+        let report = session.prepare(&plan).unwrap().run_with_pool(pool).unwrap();
         let mut rows: Vec<(i64, i64)> = report
             .table
             .column_by_name("l_id")

@@ -3,7 +3,7 @@
 //! results, and the batched parallel HNSW construction must be search-
 //! equivalent (within tolerance) to the classic sequential build.
 
-use cej_core::{NljConfig, PrefetchNlJoin, TensorJoin, TensorJoinConfig};
+use cej_core::{PrefetchNlJoin, TensorJoin};
 use cej_exec::ExecPool;
 use cej_index::{self_probe_recall, HnswIndex, HnswParams};
 use cej_relational::SimilarityPredicate;
@@ -13,31 +13,25 @@ use cej_workload::clustered_matrix;
 fn joins_are_invariant_across_pool_sizes() {
     let (left, _) = clustered_matrix(90, 24, 6, 0.1, 41);
     let (right, _) = clustered_matrix(130, 24, 6, 0.1, 42);
+    let (nlj, tensor) = (PrefetchNlJoin::default(), TensorJoin::default());
     for predicate in [
         SimilarityPredicate::Threshold(0.9),
         SimilarityPredicate::TopK(4),
     ] {
-        let nlj_serial = PrefetchNlJoin::new(NljConfig::default().with_threads(1))
-            .join(&left, &right, predicate)
-            .unwrap();
-        let tensor_serial = TensorJoin::new(TensorJoinConfig::default().with_threads(1))
-            .join(&left, &right, predicate)
-            .unwrap();
+        let inner = tensor.prepare(&right, left.rows(), predicate);
+        let serial = ExecPool::new(1);
+        let nlj_serial = nlj.join(&left, &right, predicate, &serial).unwrap();
+        let tensor_serial = tensor.join(&left, &inner, predicate, &serial).unwrap();
         for threads in [2, 5, 8] {
-            let nlj = PrefetchNlJoin::new(NljConfig::default().with_threads(threads))
-                .join(&left, &right, predicate)
-                .unwrap();
+            let pool = ExecPool::new(threads);
+            let nlj_pooled = nlj.join(&left, &right, predicate, &pool).unwrap();
             assert_eq!(
-                nlj_serial.pair_indices(),
-                nlj.pair_indices(),
+                nlj_serial.pairs, nlj_pooled.pairs,
                 "NLJ drifted at {threads} threads"
             );
-            let tensor = TensorJoin::new(TensorJoinConfig::default().with_threads(threads))
-                .join(&left, &right, predicate)
-                .unwrap();
+            let tensor_pooled = tensor.join(&left, &inner, predicate, &pool).unwrap();
             assert_eq!(
-                tensor_serial.pair_indices(),
-                tensor.pair_indices(),
+                tensor_serial.pairs, tensor_pooled.pairs,
                 "tensor join drifted at {threads} threads"
             );
         }

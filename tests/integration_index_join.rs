@@ -2,7 +2,8 @@
 //! operators: recall, pre-filtering semantics, and the qualitative behaviours
 //! behind Table I and Figures 15-17.
 
-use cej_core::{IndexJoin, IndexJoinConfig, TensorJoin, TensorJoinConfig};
+use cej_core::{IndexJoin, IndexJoinConfig, JoinResult, TensorJoin, TensorJoinConfig};
+use cej_exec::ExecPool;
 use cej_index::HnswParams;
 use cej_relational::SimilarityPredicate;
 use cej_storage::SelectionBitmap;
@@ -10,6 +11,18 @@ use cej_vector::{normalize_matrix_rows, Matrix};
 use cej_workload::clustered_matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A whole-input tensor join: `right` prepared for `left`, on the
+/// process-wide pool.
+fn tensor_join(
+    join: TensorJoin,
+    left: &Matrix,
+    right: &Matrix,
+    predicate: SimilarityPredicate,
+) -> cej_core::Result<JoinResult> {
+    let inner = join.prepare(right, left.rows(), predicate);
+    join.join(left, &inner, predicate, ExecPool::global())
+}
 
 fn test_params() -> HnswParams {
     HnswParams {
@@ -29,9 +42,13 @@ fn index_join_recall_against_exact_tensor_join() {
     let outer = inner.row_slice(0, 50).unwrap();
     let k = 5;
 
-    let exact = TensorJoin::new(TensorJoinConfig::default())
-        .join(&outer, &inner, SimilarityPredicate::TopK(k))
-        .unwrap();
+    let exact = tensor_join(
+        TensorJoin::default(),
+        &outer,
+        &inner,
+        SimilarityPredicate::TopK(k),
+    )
+    .unwrap();
     let index_join = IndexJoin::new(IndexJoinConfig {
         params: test_params(),
         range_probe_k: k,
@@ -79,13 +96,13 @@ fn index_join_scores_equal_the_tensor_joins_bit_for_bit() {
         SimilarityPredicate::TopK(5),
         SimilarityPredicate::Threshold(0.9),
     ] {
-        let exact: std::collections::HashMap<(usize, usize), f32> = tensor
-            .join(&outer_norm, &inner_norm, predicate)
-            .unwrap()
-            .pairs
-            .iter()
-            .map(|p| ((p.left, p.right), p.score))
-            .collect();
+        let exact: std::collections::HashMap<(usize, usize), f32> =
+            tensor_join(tensor, &outer_norm, &inner_norm, predicate)
+                .unwrap()
+                .pairs
+                .iter()
+                .map(|p| ((p.left, p.right), p.score))
+                .collect();
         let probed = index_join.probe(&outer, &index, predicate, None).unwrap();
         let mut shared = 0;
         for p in &probed.pairs {
@@ -114,9 +131,13 @@ fn higher_recall_parameters_do_not_hurt_recall() {
     let (inner, _) = clustered_matrix(1_500, 24, 15, 0.05, 3);
     let (outer, _) = clustered_matrix(40, 24, 15, 0.05, 4);
     let k = 3;
-    let exact = TensorJoin::new(TensorJoinConfig::default())
-        .join(&outer, &inner, SimilarityPredicate::TopK(k))
-        .unwrap();
+    let exact = tensor_join(
+        TensorJoin::default(),
+        &outer,
+        &inner,
+        SimilarityPredicate::TopK(k),
+    )
+    .unwrap();
     let exact_set: std::collections::HashSet<(usize, usize)> =
         exact.pair_indices().into_iter().collect();
 
@@ -199,16 +220,20 @@ fn prefiltering_affects_results_not_probe_cost() {
 
     // the scan is handed the selected rows only
     let selected: Vec<u32> = bitmap.iter_selected().map(|i| i as u32).collect();
-    let scan_filtered = TensorJoin::new(TensorJoinConfig::default())
-        .join(
-            &outer,
-            &inner.gather_rows(&selected).unwrap(),
-            SimilarityPredicate::TopK(k),
-        )
-        .unwrap();
-    let scan_unfiltered = TensorJoin::new(TensorJoinConfig::default())
-        .join(&outer, &inner, SimilarityPredicate::TopK(k))
-        .unwrap();
+    let scan_filtered = tensor_join(
+        TensorJoin::default(),
+        &outer,
+        &inner.gather_rows(&selected).unwrap(),
+        SimilarityPredicate::TopK(k),
+    )
+    .unwrap();
+    let scan_unfiltered = tensor_join(
+        TensorJoin::default(),
+        &outer,
+        &inner,
+        SimilarityPredicate::TopK(k),
+    )
+    .unwrap();
     let ratio =
         scan_filtered.stats.pairs_compared as f64 / scan_unfiltered.stats.pairs_compared as f64;
     assert!(
@@ -226,9 +251,7 @@ fn range_predicate_on_index_misses_matches_that_scan_finds() {
     let outer = inner.row_slice(0, 5).unwrap();
     let threshold = SimilarityPredicate::Threshold(0.8);
 
-    let scan = TensorJoin::new(TensorJoinConfig::default())
-        .join(&outer, &inner, threshold)
-        .unwrap();
+    let scan = tensor_join(TensorJoin::default(), &outer, &inner, threshold).unwrap();
     let index_join = IndexJoin::new(IndexJoinConfig {
         params: test_params(),
         range_probe_k: 8,

@@ -4,11 +4,24 @@
 //! logical result — the paper's optimisations are performance rewrites,
 //! never semantic changes.
 
-use cej_core::{NaiveNlJoin, NljConfig, PrefetchNlJoin, TensorJoin, TensorJoinConfig};
+use cej_core::{JoinResult, NaiveNlJoin, NljConfig, PrefetchNlJoin, TensorJoin, TensorJoinConfig};
 use cej_embedding::{Embedder, FastTextConfig, FastTextModel};
+use cej_exec::ExecPool;
 use cej_relational::SimilarityPredicate;
 use cej_vector::{normalize_matrix_rows, BufferBudget, Kernel, Matrix};
 use cej_workload::{uniform_matrix, JoinWorkload, RelationSpec};
+
+/// A whole-input tensor join: `right` prepared for `left`, on the
+/// process-wide pool.
+fn tensor_join(
+    join: TensorJoin,
+    left: &Matrix,
+    right: &Matrix,
+    predicate: SimilarityPredicate,
+) -> cej_core::Result<JoinResult> {
+    let inner = join.prepare(right, left.rows(), predicate);
+    join.join(left, &inner, predicate, ExecPool::global())
+}
 
 fn model() -> FastTextModel {
     FastTextModel::new(FastTextConfig {
@@ -68,11 +81,9 @@ fn naive_prefetch_and_tensor_agree_on_strings() {
         .unwrap();
     let (left_norm, right_norm) = (embed_normalized(&m, &left), embed_normalized(&m, &right));
     let prefetch = PrefetchNlJoin::new(NljConfig::default())
-        .join(&left_norm, &right_norm, predicate)
+        .join(&left_norm, &right_norm, predicate, ExecPool::global())
         .unwrap();
-    let tensor = TensorJoin::new(TensorJoinConfig::default())
-        .join(&left_norm, &right_norm, predicate)
-        .unwrap();
+    let tensor = tensor_join(TensorJoin::default(), &left_norm, &right_norm, predicate).unwrap();
 
     assert_eq!(naive.pair_indices(), prefetch.pair_indices());
     assert_eq!(naive.pair_indices(), tensor.pair_indices());
@@ -89,11 +100,9 @@ fn scores_agree_across_operators_within_float_tolerance() {
     let predicate = SimilarityPredicate::Threshold(0.75);
     let (left_norm, right_norm) = (embed_normalized(&m, &left), embed_normalized(&m, &right));
     let prefetch = PrefetchNlJoin::new(NljConfig::default())
-        .join(&left_norm, &right_norm, predicate)
+        .join(&left_norm, &right_norm, predicate, ExecPool::global())
         .unwrap();
-    let tensor = TensorJoin::new(TensorJoinConfig::default())
-        .join(&left_norm, &right_norm, predicate)
-        .unwrap();
+    let tensor = tensor_join(TensorJoin::default(), &left_norm, &right_norm, predicate).unwrap();
     let ps = prefetch.sorted_pairs();
     let ts = tensor.sorted_pairs();
     assert_eq!(ps.len(), ts.len());
@@ -112,35 +121,45 @@ fn kernel_thread_and_batching_variants_agree_on_matrices() {
     let predicate = SimilarityPredicate::Threshold(0.15);
 
     let reference = PrefetchNlJoin::new(NljConfig::default())
-        .join(&left, &right, predicate)
+        .join(&left, &right, predicate, ExecPool::global())
         .unwrap()
         .pair_indices();
 
     let variants: Vec<Vec<(usize, usize)>> = vec![
         PrefetchNlJoin::new(NljConfig::default().with_kernel(Kernel::Scalar))
-            .join(&left, &right, predicate)
+            .join(&left, &right, predicate, ExecPool::global())
             .unwrap()
             .pair_indices(),
-        PrefetchNlJoin::new(NljConfig::default().with_threads(4))
-            .join(&left, &right, predicate)
+        PrefetchNlJoin::new(NljConfig::default())
+            .join(&left, &right, predicate, &ExecPool::new(4))
             .unwrap()
             .pair_indices(),
-        TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, predicate)
+        tensor_join(TensorJoin::default(), &left, &right, predicate)
             .unwrap()
             .pair_indices(),
-        TensorJoin::new(TensorJoinConfig::default().with_kernel(Kernel::Scalar))
-            .join(&left, &right, predicate)
-            .unwrap()
-            .pair_indices(),
-        TensorJoin::new(TensorJoinConfig::default().with_threads(3))
-            .join(&left, &right, predicate)
-            .unwrap()
-            .pair_indices(),
-        TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(512)))
-            .join(&left, &right, predicate)
-            .unwrap()
-            .pair_indices(),
+        tensor_join(
+            TensorJoin::new(TensorJoinConfig::default().with_kernel(Kernel::Scalar)),
+            &left,
+            &right,
+            predicate,
+        )
+        .unwrap()
+        .pair_indices(),
+        {
+            let join = TensorJoin::default();
+            let inner = join.prepare(&right, left.rows(), predicate);
+            join.join(&left, &inner, predicate, &ExecPool::new(3))
+                .unwrap()
+                .pair_indices()
+        },
+        tensor_join(
+            TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(512))),
+            &left,
+            &right,
+            predicate,
+        )
+        .unwrap()
+        .pair_indices(),
     ];
     for (i, v) in variants.iter().enumerate() {
         assert_eq!(v, &reference, "variant {i} diverged from the reference NLJ");
@@ -154,18 +173,20 @@ fn topk_variants_agree_on_matrices() {
     let predicate = SimilarityPredicate::TopK(4);
 
     let reference = PrefetchNlJoin::new(NljConfig::default())
-        .join(&left, &right, predicate)
+        .join(&left, &right, predicate, ExecPool::global())
         .unwrap()
         .pair_indices();
-    let tensor_batched = TensorJoin::new(TensorJoinConfig::default())
-        .join(&left, &right, predicate)
+    let tensor_batched = tensor_join(TensorJoin::default(), &left, &right, predicate)
         .unwrap()
         .pair_indices();
-    let tensor_mini =
-        TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(4 * 200)))
-            .join(&left, &right, predicate)
-            .unwrap()
-            .pair_indices();
+    let tensor_mini = tensor_join(
+        TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(4 * 200))),
+        &left,
+        &right,
+        predicate,
+    )
+    .unwrap()
+    .pair_indices();
 
     assert_eq!(reference, tensor_batched);
     assert_eq!(reference, tensor_mini);
@@ -180,14 +201,22 @@ fn threshold_monotonicity_across_operators() {
     let right = uniform_matrix(30, 24, 42, true);
     for loose_strict in [(0.0f32, 0.3f32), (0.2, 0.5)] {
         let (loose_t, strict_t) = loose_strict;
-        let loose = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(loose_t))
-            .unwrap()
-            .pair_indices();
-        let strict = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(strict_t))
-            .unwrap()
-            .pair_indices();
+        let loose = tensor_join(
+            TensorJoin::default(),
+            &left,
+            &right,
+            SimilarityPredicate::Threshold(loose_t),
+        )
+        .unwrap()
+        .pair_indices();
+        let strict = tensor_join(
+            TensorJoin::default(),
+            &left,
+            &right,
+            SimilarityPredicate::Threshold(strict_t),
+        )
+        .unwrap()
+        .pair_indices();
         assert!(strict.iter().all(|p| loose.contains(p)));
         assert!(strict.len() <= loose.len());
     }

@@ -141,6 +141,31 @@ fn prepare_run_explain_bind_over_tcp() {
 }
 
 #[test]
+fn a_top_k_beyond_the_inner_side_returns_it_whole_and_the_server_lives() {
+    // a collector sized by the requested k would ask for 16 TB (10^12) or
+    // overflow (usize::MAX); each RUN must instead answer every inner row
+    // per outer row, as TOPK <inner rows> does
+    let mut server = start_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut run = |k: &str| {
+        let prepare = format!("PREPARE k{k} QUERY r EJOIN s ON word~word MODEL ft TOPK {k}");
+        assert!(matches!(client.request(&prepare).unwrap(), Response::Ok(_)));
+        let Response::Rows { lines, checksum } = client.request(&format!("RUN k{k}")).unwrap()
+        else {
+            panic!("expected rows for TOPK {k}");
+        };
+        (lines, checksum)
+    };
+    let whole = run("60");
+    assert_eq!(whole.0.len() - 1, 20 * 60, "every pair of 20 x 60 rows");
+    for k in ["1000000000000", &usize::MAX.to_string()] {
+        assert_eq!(run(k), whole, "TOPK {k}");
+    }
+    assert_eq!(client.request("PING").unwrap(), Response::Ok("pong".into()));
+    server.shutdown();
+}
+
+#[test]
 fn probe_template_joins_adhoc_text() {
     let mut server = start_server();
     let mut client = Client::connect(server.local_addr()).unwrap();

@@ -4,11 +4,24 @@
 //! operator equivalence, top-k cardinality bounds, threshold monotonicity,
 //! batching invariance, and pre-filter containment.
 
-use cej_core::{NljConfig, PrefetchNlJoin, TensorJoin, TensorJoinConfig};
+use cej_core::{JoinResult, NljConfig, PrefetchNlJoin, TensorJoin, TensorJoinConfig};
+use cej_exec::ExecPool;
 use cej_relational::SimilarityPredicate;
 use cej_storage::SelectionBitmap;
 use cej_vector::{normalize_matrix_rows, BufferBudget, Matrix, TopK};
 use proptest::prelude::*;
+
+/// A whole-input tensor join: `right` prepared for `left`, on the
+/// process-wide pool.
+fn tensor_join(
+    join: TensorJoin,
+    left: &Matrix,
+    right: &Matrix,
+    predicate: SimilarityPredicate,
+) -> cej_core::Result<JoinResult> {
+    let inner = join.prepare(right, left.rows(), predicate);
+    join.join(left, &inner, predicate, ExecPool::global())
+}
 
 /// Strategy: a row-major matrix with `rows` in [1, max_rows], values in
 /// [-1, 1] before its rows are unit-normalised (the joins' input), fixed
@@ -33,10 +46,9 @@ proptest! {
         threshold in 0.0f32..0.9,
     ) {
         let nlj = PrefetchNlJoin::new(NljConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(threshold))
+            .join(&left, &right, SimilarityPredicate::Threshold(threshold), ExecPool::global())
             .unwrap();
-        let tensor = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(threshold))
+        let tensor = tensor_join(TensorJoin::default(), &left, &right, SimilarityPredicate::Threshold(threshold))
             .unwrap();
         prop_assert_eq!(nlj.pair_indices(), tensor.pair_indices());
     }
@@ -47,8 +59,7 @@ proptest! {
         right in matrix_strategy(20, 6),
         k in 1usize..6,
     ) {
-        let result = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::TopK(k))
+        let result = tensor_join(TensorJoin::default(), &left, &right, SimilarityPredicate::TopK(k))
             .unwrap();
         for l in 0..left.rows() {
             let count = result.pairs.iter().filter(|p| p.left == l).count();
@@ -65,12 +76,10 @@ proptest! {
         t in 0.0f32..0.5,
         delta in 0.05f32..0.5,
     ) {
-        let loose = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(t))
+        let loose = tensor_join(TensorJoin::default(), &left, &right, SimilarityPredicate::Threshold(t))
             .unwrap()
             .pair_indices();
-        let strict = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(t + delta))
+        let strict = tensor_join(TensorJoin::default(), &left, &right, SimilarityPredicate::Threshold(t + delta))
             .unwrap()
             .pair_indices();
         prop_assert!(strict.iter().all(|p| loose.contains(p)));
@@ -83,15 +92,13 @@ proptest! {
         budget_cells in 1usize..64,
         threshold in 0.0f32..0.8,
     ) {
-        let unbatched = TensorJoin::new(
+        let unbatched = tensor_join(TensorJoin::new(
             TensorJoinConfig::default().with_budget(BufferBudget::unlimited()),
-        )
-        .join(&left, &right, SimilarityPredicate::Threshold(threshold))
+        ), &left, &right, SimilarityPredicate::Threshold(threshold))
         .unwrap();
-        let batched = TensorJoin::new(
+        let batched = tensor_join(TensorJoin::new(
             TensorJoinConfig::default().with_budget(BufferBudget::from_bytes(budget_cells * 4)),
-        )
-        .join(&left, &right, SimilarityPredicate::Threshold(threshold))
+        ), &left, &right, SimilarityPredicate::Threshold(threshold))
         .unwrap();
         prop_assert_eq!(unbatched.pair_indices(), batched.pair_indices());
     }
@@ -104,19 +111,15 @@ proptest! {
         threshold in 0.0f32..0.6,
     ) {
         let filter = SelectionBitmap::from_bools(left_mask[..left.rows()].to_vec());
-        let unfiltered = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(threshold))
+        let unfiltered = tensor_join(TensorJoin::default(), &left, &right, SimilarityPredicate::Threshold(threshold))
             .unwrap()
             .pair_indices();
         // the pre-filter reaches the join as the selected rows; offsets map
         // back through the selection
         let selected: Vec<u32> = filter.iter_selected().map(|i| i as u32).collect();
-        let filtered: Vec<(usize, usize)> = TensorJoin::new(TensorJoinConfig::default())
-            .join(
-                &left.gather_rows(&selected).unwrap(),
+        let filtered: Vec<(usize, usize)> = tensor_join(TensorJoin::default(), &left.gather_rows(&selected).unwrap(),
                 &right,
-                SimilarityPredicate::Threshold(threshold),
-            )
+                SimilarityPredicate::Threshold(threshold))
             .unwrap()
             .pair_indices()
             .into_iter()
@@ -132,8 +135,7 @@ proptest! {
         left in matrix_strategy(8, 8),
         right in matrix_strategy(8, 8),
     ) {
-        let result = TensorJoin::new(TensorJoinConfig::default())
-            .join(&left, &right, SimilarityPredicate::Threshold(-2.0))
+        let result = tensor_join(TensorJoin::default(), &left, &right, SimilarityPredicate::Threshold(-2.0))
             .unwrap();
         // every pair is reported exactly once and cosine scores stay in [-1, 1]
         prop_assert_eq!(result.len(), left.rows() * right.rows());
