@@ -32,7 +32,8 @@ use crate::cost::CostModel;
 pub enum AccessPath {
     /// Exhaustive scan with the tensor join (with relational pre-filtering).
     TensorScan,
-    /// HNSW index probes (with relational post-filtering of results).
+    /// HNSW index probes, the relational filter applied inside the walk (or,
+    /// when few rows pass it, an exact scan of those rows).
     IndexProbe,
 }
 

@@ -55,6 +55,14 @@
 //!   several segments long) are materialised — their selected rows only — and
 //!   embedded through the strings — over the same arena, so the vectors are
 //!   the same bits either way.
+//! * A persistent-index join evaluates its probe filter once per run and
+//!   counts the survivors.  Few survivors — fewer than a filtered walk would
+//!   score ([`IndexJoin::scans_survivors`]) — are scanned exactly by the
+//!   tensor join over a window of the base table selecting them, prepared
+//!   like any tensor join's inner side; otherwise every outer row walks the
+//!   graph, a filter passing every row dropped first.  The choice reads
+//!   only the filter and the index, so it is the same for every cut and
+//!   every IVM delta.
 //! * The relational hash join builds its partitioned table across workers
 //!   ([`HashSide::build_with_pool`]) and probes the left morsels against it.
 //!
@@ -83,7 +91,7 @@ use cej_embedding::EmbeddingStats;
 use cej_index::HnswIndex;
 use cej_relational::{
     eval::{evaluate_predicate, evaluate_predicate_select, evaluate_predicate_window},
-    EmbedSpec, Expr,
+    EmbedSpec, Expr, SimilarityPredicate,
 };
 use cej_storage::{Column, DataType, Field, Schema, Segment, SelectionBitmap, StorageError, Table};
 use cej_vector::{Kernel, Matrix};
@@ -97,7 +105,7 @@ use crate::join::prefetch_nlj::PrefetchNlJoin;
 use crate::join::tensor_join::{PreparedInner, StoredCodes, TensorJoin, UnitRows};
 use crate::join::{check_predicate, embed_all};
 use crate::physical_plan::{HashJoinNode, InnerInput, JoinNode, PhysicalJoinOp, PhysicalPlan};
-use crate::result::{JoinPair, JoinResult, JoinStats};
+use crate::result::{IndexPath, IndexRoute, JoinPair, JoinResult, JoinStats};
 use crate::Result;
 
 /// A morsel in flight: a selection vector plus a visible-column set over a
@@ -601,6 +609,15 @@ enum Probe<'p> {
         index: Arc<HnswIndex>,
         inner_filter: Option<SelectionBitmap>,
     },
+    /// A persistent-index join whose probe filter passes few rows: they are
+    /// scanned exactly ([`IndexJoin::scan`]).
+    Survivors {
+        join: IndexJoin,
+        scan: TensorJoin,
+        inner: PreparedInner<'p>,
+    },
+    /// A persistent-index join whose probe filter passes no row.
+    Nothing,
 }
 
 /// Accumulates per-morsel join statistics the way a single whole-input call
@@ -660,6 +677,7 @@ impl UnitRows for SlotRows<'_> {
 fn prepare_tensor_inner<'a>(
     join: &TensorJoin,
     node: &JoinNode,
+    predicate: SimilarityPredicate,
     side: &'a ExecBatch,
     (pos, strings): (usize, &'a [String]),
     outer: &[ExecBatch],
@@ -697,7 +715,7 @@ fn prepare_tensor_inner<'a>(
     };
     let outer_rows = outer.iter().map(|batch| batch.sel.len()).max().unwrap_or(0);
     let (rows, dim) = (side.sel.len(), cache.dim());
-    join.prepare_with(rows, dim, outer_rows, node.predicate, stored, unit_rows)
+    join.prepare_with(rows, dim, outer_rows, predicate, stored, unit_rows)
 }
 
 /// The selected lanes of a string column as owned strings (the naive NLJ
@@ -768,6 +786,7 @@ fn join_sides(
     // the inner side: the planned input, or the indexed table's rows
     let mut indexed_side = None;
     let mut inner_rows_quantized = 0;
+    let mut route = None;
     let probe = match (&node.op, &node.inner) {
         (PhysicalJoinOp::Index(config), InnerInput::Indexed(indexed)) => {
             // epoch first, then the table read: a re-registration landing
@@ -819,18 +838,69 @@ fn join_sides(
                     Some(acc) => acc.and(&bitmap).map_err(CoreError::from)?,
                 });
             }
-            // probe results name base rows: the inner side is the whole
-            // base under the index's projection
-            let rows = base.num_rows() as u32;
-            let mut side = ExecBatch::window(base, (0..rows).collect(), true);
+            // the filter is evaluated once per run and its survivors
+            // counted: that count, not the outer side, picks the path
+            let rows = base.num_rows();
+            let survivors = inner_filter
+                .as_ref()
+                .map_or(rows, SelectionBitmap::count_selected);
+            let path = if join.scans_survivors(survivors, rows) {
+                IndexPath::SurvivorScan
+            } else {
+                IndexPath::Walk
+            };
+            route = Some(IndexRoute {
+                path,
+                survivors,
+                rows,
+            });
+            // pair offsets name positions in the side's selection: the
+            // survivors for a scan, the whole base (the index's numbering)
+            // for a walk
+            let sel: Vec<u32> = match (&inner_filter, path) {
+                (Some(filter), IndexPath::SurvivorScan) => {
+                    filter.iter_selected().map(|row| row as u32).collect()
+                }
+                _ => (0..rows as u32).collect(),
+            };
+            let mut side = ExecBatch::window(base, sel, true);
             if let Some(columns) = &indexed.projection {
                 side = project_batch(side, columns)?;
             }
-            indexed_side = Some(side);
-            Probe::Hnsw {
-                join,
-                index,
-                inner_filter,
+            let side = indexed_side.insert(side);
+            check_predicate(&node.predicate)?;
+            if survivors == 0 {
+                // nothing to return, so nothing is embedded or prepared
+                Probe::Nothing
+            } else if path == IndexPath::SurvivorScan {
+                // the indexed column by base position: the projection may
+                // hide it
+                let pos = side.base.schema().index_of(&indexed.key.column);
+                let pos = pos.map_err(CoreError::from)?;
+                let strings = side.base.column(pos).map_err(CoreError::from)?.as_utf8()?;
+                let scan = TensorJoin::default();
+                let predicate = join.scan_predicate(node.predicate);
+                let inner = prepare_tensor_inner(
+                    &scan,
+                    node,
+                    predicate,
+                    side,
+                    (pos, strings),
+                    &outer,
+                    &cache,
+                    &run,
+                    ctx,
+                );
+                inner_rows_quantized = inner.rows_quantized();
+                Probe::Survivors { join, scan, inner }
+            } else {
+                Probe::Hnsw {
+                    join,
+                    index,
+                    // a filter that passes every row is no filter: the
+                    // unfiltered walk
+                    inner_filter: inner_filter.filter(|_| survivors < rows),
+                }
             }
         }
         (op, InnerInput::Plan(_)) => {
@@ -851,8 +921,10 @@ fn join_sides(
                 },
                 PhysicalJoinOp::Tensor(config) => {
                     let join = TensorJoin::new(*config);
-                    let inner =
-                        prepare_tensor_inner(&join, node, side, column, &outer, &cache, &run, ctx);
+                    let predicate = node.predicate;
+                    let inner = prepare_tensor_inner(
+                        &join, node, predicate, side, column, &outer, &cache, &run, ctx,
+                    );
                     inner_rows_quantized = inner.rows_quantized();
                     Probe::Tensor { join, inner }
                 }
@@ -910,6 +982,11 @@ fn join_sides(
                     node.predicate,
                     inner_filter.as_ref(),
                 )?,
+                Probe::Survivors { join, scan, inner } => {
+                    let left_norm = embed(batch, column, Some(scan.config().kernel));
+                    join.scan(scan, &left_norm, inner, node.predicate, &ctx.pool)?
+                }
+                Probe::Nothing => return Ok(None),
             };
             Ok(Some(result))
         });
@@ -931,6 +1008,7 @@ fn join_sides(
     }
 
     join_stats.inner_rows_quantized = inner_rows_quantized;
+    join_stats.index_route = route;
     let delta = run.stats();
     stats.embedding_stats.model_calls += delta.model_calls;
     stats.embedding_stats.cache_hits += delta.cache_hits;

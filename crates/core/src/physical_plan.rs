@@ -89,10 +89,12 @@ pub enum InnerInput {
 /// Description of a persistent-index inner input.
 ///
 /// The index covers the *full* base-table column; relational filters are
-/// evaluated into a [`cej_storage::SelectionBitmap`] and passed to the probe,
-/// which excludes filtered tuples from the result but not from the graph
-/// traversal — exactly the vector-database pre-filtering semantics the paper
-/// measures (Section IV-B).
+/// evaluated once per run into a [`cej_storage::SelectionBitmap`].  The
+/// probe walks the graph with it, excluding filtered tuples from the result
+/// but not from the traversal — the vector-database pre-filtering semantics
+/// the paper measures (Section IV-B) — unless so few tuples pass that the
+/// interpreter scans them exactly instead
+/// ([`crate::IndexJoin::scans_survivors`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexedInner {
     /// Identity of the shared index in the session's `IndexManager`.

@@ -307,7 +307,9 @@ impl<'s> PreparedQuery<'s> {
     /// run ([`ExecutionReport::operator_rows`]), and each operator carries
     /// its measured wall time in microseconds (inclusive of its inputs;
     /// morsel-parallel fused chains report the chain's wall time on every
-    /// fused operator).
+    /// fused operator).  A persistent-index join adds the path it took, walk
+    /// or survivor scan, with the probe filter's survivors and the indexed
+    /// rows ([`JoinStats::index_route`](crate::JoinStats::index_route)).
     ///
     /// # Errors
     /// Propagates the same errors as [`PreparedQuery::run`].
@@ -326,6 +328,14 @@ impl<'s> PreparedQuery<'s> {
         let mut text = self
             .physical
             .explain_analyze_timed(&report.operator_rows, &report.operator_micros);
+        if let Some(route) = report.join_stats.index_route {
+            text.push_str(&format!(
+                "index join: {} (probe filter passes {} of {} inner rows)\n",
+                route.path.label(),
+                route.survivors,
+                route.rows
+            ));
+        }
         let pool = &report.scheduler;
         text.push_str(&format!(
             "scheduler: tasks={} steals={} injected={} wakeups={} queue_depth={} workers={}\n",

@@ -57,6 +57,43 @@ pub struct JoinStats {
     /// slots never coded before when it is assembled from the codes the
     /// session keeps per slot — 0 on a warm run.
     pub inner_rows_quantized: u64,
+    /// How a persistent-index join answered its probes, with the counts
+    /// that decided it; `None` for every other join.
+    pub index_route: Option<IndexRoute>,
+}
+
+/// The two ways a persistent-index join answers a run's probes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexPath {
+    /// Every outer row probes the HNSW graph, the probe filter acting
+    /// inside the walk.
+    Walk,
+    /// The probe filter's survivors are scanned exactly by the tensor join:
+    /// fewer of them than a filtered walk would score.
+    SurvivorScan,
+}
+
+impl IndexPath {
+    /// Short label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            IndexPath::Walk => "walk",
+            IndexPath::SurvivorScan => "survivor scan",
+        }
+    }
+}
+
+/// The path a persistent-index join took and the counts it was chosen on
+/// ([`crate::IndexJoin::scans_survivors`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexRoute {
+    /// Walk or survivor scan.
+    pub path: IndexPath,
+    /// Inner rows the probe-time filter admits (`S`; every row without a
+    /// filter).
+    pub survivors: usize,
+    /// Rows of the indexed table (`n`).
+    pub rows: usize,
 }
 
 /// The outcome of a join operator: matched pairs plus statistics.

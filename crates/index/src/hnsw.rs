@@ -78,6 +78,21 @@
 //!   released before any distance is computed, or parallel planners reading
 //!   the same node would queue on it.
 //!
+//! ## Filters
+//!
+//! A probe's relational pre-filter acts inside layer 0's walk, the
+//! filter-functor form of filtered HNSW: a scored node enters the frontier
+//! on the unfiltered rule, but only an allowed node enters the result heap,
+//! so `ef` bounds *allowed* results and the stop rule compares against the
+//! worst allowed one.  The walk explores through the rows it may not
+//! return, and it walks further the fewer rows are allowed — roughly the
+//! unfiltered walk's distance computations divided by the pass ratio —
+//! until its list is full or the graph is exhausted.  The upper layers'
+//! descent is not filtered: it only finds where layer 0 starts.  A filter
+//! that allows no row is answered before any walk.  Where few rows pass,
+//! scanning them beats walking to them; that choice is the caller's (the
+//! `cej-core` interpreter makes it per run).
+//!
 //! The walk is pinned by the goldens in `hnsw/golden.txt`: per build, a hash
 //! of every adjacency list; per probe, the ids, score bits and
 //! [`ProbeStats`].
@@ -500,6 +515,23 @@ impl<A: AdjacencySource> Searcher<'_, A> {
         scratch: &mut SearchScratch,
         stats: &mut ProbeStats,
     ) {
+        self.search_layer_admitting(query, ef, layer, scratch, stats, |_| true);
+    }
+
+    /// [`Searcher::search_layer`] whose result heap takes only nodes
+    /// `admit` accepts (module docs, "Filters"): every scored node still
+    /// enters the frontier on the usual rule, so the walk explores through
+    /// the nodes it may not return, and `ef` bounds the admitted results.
+    /// Admitting every node is the unfiltered search, step for step.
+    fn search_layer_admitting(
+        &self,
+        query: &[f32],
+        ef: usize,
+        layer: usize,
+        scratch: &mut SearchScratch,
+        stats: &mut ProbeStats,
+        admit: impl Fn(usize) -> bool,
+    ) {
         let SearchScratch {
             visited,
             scores,
@@ -518,6 +550,9 @@ impl<A: AdjacencySource> Searcher<'_, A> {
                 continue;
             }
             frontier.push(seed);
+            if !admit(key_id(seed)) {
+                continue;
+            }
             // a seed displaces the worst result on a larger key (an equal
             // score with a smaller id is enough); a scored neighbour below
             // needs a strictly higher score
@@ -558,13 +593,17 @@ impl<A: AdjacencySource> Searcher<'_, A> {
                 let key = pack(score, n);
                 if results.len() < ef {
                     frontier.push(key);
-                    results.push(!key);
+                    if admit(n) {
+                        results.push(!key);
+                    }
                 } else {
                     let mut worst = results.peek_mut().expect("ef > 0");
                     if key_score(key) > key_score(!*worst) {
                         frontier.push(key);
-                        // replaces the root in place: one sift
-                        *worst = !key;
+                        if admit(n) {
+                            // replaces the root in place: one sift
+                            *worst = !key;
+                        }
                     }
                 }
             }
@@ -1148,10 +1187,14 @@ impl HnswIndex {
 
     /// Top-k probe with optional relational pre-filter.
     ///
-    /// Filtered-out rows are excluded from the returned neighbours but the
-    /// graph traversal still visits them — this matches the pre-filtering
-    /// behaviour of vector databases that the paper evaluates against, where
-    /// the relational filter cannot prune the index traversal itself.
+    /// The filter acts inside layer 0's walk (module docs, "Filters"): only
+    /// allowed rows enter the result list, while the walk still explores
+    /// through the rows it may not return.  A probe therefore returns the
+    /// top k of the *allowed* rows as the graph finds them — `min(k,
+    /// allowed)` rows whenever the allowed rows are reachable — and the
+    /// fewer rows the filter allows, the further the walk goes to fill its
+    /// list.  A filter that allows no row returns at once: no neighbours and
+    /// no distance computations.
     ///
     /// Neighbours come best first: higher score, then smaller id.  A NaN
     /// score ranks below every number, so it is returned only when too few
@@ -1181,6 +1224,13 @@ impl HnswIndex {
                 return Err(IndexError::FilterLengthMismatch {
                     rows: self.len(),
                     filter: f.len(),
+                });
+            }
+            if f.iter_selected().next().is_none() {
+                // nothing can be returned, so nothing is walked
+                return Ok(SearchResult {
+                    neighbors: Vec::new(),
+                    stats: ProbeStats::default(),
                 });
             }
         }
@@ -1234,13 +1284,13 @@ impl HnswIndex {
         for layer in (1..=self.max_level).rev() {
             searcher.search_layer(query, beam_width, layer, scratch, &mut stats);
         }
-        searcher.search_layer(query, ef, 0, scratch, &mut stats);
-        // the candidates are best first: the first k allowed are the top k
-        let neighbors = scratch
-            .entries()
-            .filter(|c| filter.is_none_or(|f| f.is_selected(c.id)))
-            .take(k)
-            .collect();
+        match filter {
+            None => searcher.search_layer(query, ef, 0, scratch, &mut stats),
+            Some(f) => searcher
+                .search_layer_admitting(query, ef, 0, scratch, &mut stats, |id| f.is_selected(id)),
+        }
+        // the results are allowed and best first: the first k are the top k
+        let neighbors = scratch.entries().take(k).collect();
         Ok(SearchResult { neighbors, stats })
     }
 }
@@ -1470,6 +1520,38 @@ mod tests {
             .search(vectors.row(30).unwrap(), 5, Some(&filter))
             .unwrap();
         assert!(res.neighbors.iter().all(|e| allowed.contains(&e.id)));
+    }
+
+    #[test]
+    fn a_filter_that_allows_nothing_walks_nothing() {
+        let vectors = clustered(3, 20, 8, 9);
+        let idx = HnswIndex::build(vectors.clone(), HnswParams::tiny()).unwrap();
+        let none = SelectionBitmap::none(vectors.rows());
+        let res = idx.search(vectors.row(7).unwrap(), 5, Some(&none)).unwrap();
+        assert!(res.neighbors.is_empty());
+        assert_eq!(res.stats, ProbeStats::default());
+    }
+
+    #[test]
+    fn a_single_allowed_row_is_found_from_anywhere() {
+        // the walk explores through the rows it may not return, so the one
+        // allowed row is reached from every cluster, with its exact score
+        let vectors = clustered(4, 25, 8, 5);
+        let idx = HnswIndex::build(vectors.clone(), HnswParams::tiny()).unwrap();
+        let exact = crate::BruteForce::new(idx.vectors.clone(), Metric::InnerProduct);
+        for allowed in [0usize, 37, 99] {
+            let filter = SelectionBitmap::from_indices(vectors.rows(), &[allowed]);
+            for probe in [3usize, 30, 61, 88] {
+                let query = vectors.row(probe).unwrap();
+                let res = idx.search(query, 5, Some(&filter)).unwrap();
+                let mut unit = query.to_vec();
+                normalize(&mut unit);
+                let want = exact.search(&unit, 5, Some(&filter)).unwrap();
+                assert_eq!(res.neighbors.len(), 1, "allowed {allowed}, probe {probe}");
+                assert_eq!(res.neighbors[0].id, allowed);
+                assert_eq!(res.neighbors[0].score.to_bits(), want[0].score.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //! * **top-k probe semantics**: an index probe must specify `k`, which is
 //!   exactly the flexibility limitation Table I attributes to index joins;
 //! * **relational pre-filtering**: a probe can carry a
-//!   [`cej_storage::SelectionBitmap`]; filtered nodes are excluded from the
-//!   *result* but still traversed, reproducing the cost behaviour the paper
-//!   describes for vector databases ("the result set excludes tuples based on
-//!   the relational condition on the fly while still incurring the traversal
-//!   cost");
+//!   [`cej_storage::SelectionBitmap`]; filtered nodes are still traversed but
+//!   never enter layer 0's result list, so a probe returns the top k of the
+//!   allowed rows and pays the traversal cost the paper describes for vector
+//!   databases ("the result set excludes tuples based on the relational
+//!   condition on the fly while still incurring the traversal cost") — more
+//!   of it the fewer rows pass;
 //! * **probe statistics**: every search reports how many distance
 //!   computations and node visits it performed, so benches can relate probe
 //!   cost to scan cost analytically as well as by wall-clock.

@@ -5,7 +5,7 @@
 
 use cej_core::{
     q_error, sim_gte, AccessPath, AccessPathAdvisor, ContextJoinSession, CoreError, CostModel,
-    CostParameters, IndexJoinConfig, JoinStrategy,
+    CostParameters, IndexJoinConfig, IndexPath, IndexRoute, JoinStrategy, TensorJoinConfig,
 };
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
@@ -333,4 +333,52 @@ fn advisor_tracks_inner_selectivity_through_the_session() {
         high.run().expect("high run").access_path,
         Some(AccessPath::IndexProbe)
     );
+}
+
+#[test]
+fn explain_analyze_shows_the_path_an_index_join_took() {
+    let mut s = session(30, 2_000);
+    s.with_strategy(JoinStrategy::Index(IndexJoinConfig {
+        params: HnswParams::tiny(),
+        range_probe_k: 8,
+    }));
+    let filter = s.catalog().table("s").expect("s");
+    let filter = filter.column_by_name("filter").and_then(|c| c.as_int64());
+    let five_percent = filter.expect("filter").iter().filter(|&&f| f < 5).count();
+    // a 5 % filter's survivors are scanned; one that passes every row is
+    // no filter, and the graph is walked
+    for (cut, path, survivors) in [
+        (5, IndexPath::SurvivorScan, five_percent),
+        (100, IndexPath::Walk, 2_000),
+    ] {
+        let prepared = s
+            .prepare(&filtered_join(cut, SimilarityPredicate::TopK(2)))
+            .expect("prepare");
+        let analyzed = prepared.explain_analyze().expect("explain analyze");
+        let route = IndexRoute {
+            path,
+            survivors,
+            rows: 2_000,
+        };
+        assert_eq!(analyzed.report.join_stats.index_route, Some(route));
+        let line = format!(
+            "index join: {} (probe filter passes {survivors} of 2000 inner rows)",
+            path.label()
+        );
+        assert!(analyzed.text.contains(&line), "{}", analyzed.text);
+        // the walk is what probes the graph
+        let probed = analyzed.report.join_stats.probe_stats.distance_computations > 0;
+        assert_eq!(probed, path == IndexPath::Walk);
+        // both are the planned index-probe access path
+        assert_eq!(analyzed.report.access_path, Some(AccessPath::IndexProbe));
+    }
+    // no other join reports a route
+    s.with_strategy(JoinStrategy::Tensor(TensorJoinConfig::default()));
+    let analyzed = s
+        .prepare(&filtered_join(5, SimilarityPredicate::TopK(2)))
+        .expect("prepare")
+        .explain_analyze()
+        .expect("explain analyze");
+    assert_eq!(analyzed.report.join_stats.index_route, None);
+    assert!(!analyzed.text.contains("index join:"), "{}", analyzed.text);
 }

@@ -33,13 +33,15 @@
 //! both sides of the AVX2 kernel's 4 × 2 register-block edges — a score must
 //! not depend on which side.  Another cuts a 60-row outer side into morsels
 //! below and above the int8 screen's crossover: a screened and an
-//! unscreened cut must return the same bytes.
+//! unscreened cut must return the same bytes.  A persistent-index join whose
+//! probe filter passes few rows scans them once per run, and must return the
+//! whole-table morsel's bytes at cuts of 1, 7 and 32 rows too.
 
 use std::collections::HashSet;
 
 use cej_core::{
-    ContextJoinSession, ExecContext, IndexJoinConfig, InnerInput, JoinStrategy, NljConfig,
-    PhysicalJoinOp, TensorJoinConfig,
+    ContextJoinSession, ExecContext, IndexJoin, IndexJoinConfig, IndexPath, InnerInput,
+    JoinStrategy, NljConfig, PhysicalJoinOp, TensorJoinConfig,
 };
 use cej_embedding::{EmbeddingStats, FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
@@ -137,12 +139,16 @@ fn check_against_oracle(s: &ContextJoinSession, plan: &LogicalPlan, exact: bool,
 /// What embedding every requested string through the cache reports for the
 /// cold and the warm run of `plan` on a fresh `session(9, 33, strategy)`, in
 /// closed form from the inputs: every request is one lookup, and the first
-/// lookup of a string is a model call.
+/// lookup of a string is a model call.  Beside it, the number of scanned
+/// join columns a run embeds by row: the outer one, and the inner one unless
+/// a persistent index stands in for it (index builds embed through strings)
+/// and the run walks it; a run that scans the probe filter's survivors
+/// embeds them by row.
 fn by_string_stats(
     strategy: JoinStrategy,
     plan: &LogicalPlan,
     filtered: bool,
-) -> [EmbeddingStats; 2] {
+) -> ([EmbeddingStats; 2], usize) {
     let s = session(9, 33, strategy);
     let prepared = s.prepare(plan).expect("prepare");
     let join = prepared.physical_plan().join_nodes()[0];
@@ -169,15 +175,21 @@ fn by_string_stats(
     };
     let distinct: HashSet<&String> = outer.iter().chain(embedded_inner).collect();
     let (n_outer, n_inner) = (outer.len() as u64, admitted.len() as u64);
-    let (cold_requests, warm_requests) = match (&join.op, indexed) {
-        // both strings of every pair
-        (PhysicalJoinOp::NaiveNlj, _) => (2 * n_outer * n_inner, 2 * n_outer * n_inner),
-        // the build embeds the column; a warm run only its probes
-        (_, true) => (n_outer + inner_words.len() as u64, n_outer),
-        (_, false) => (n_outer + n_inner, n_outer + n_inner),
+    let (cold_requests, warm_requests, by_row_columns) = match (&join.op, indexed) {
+        // both strings of every pair, inside the pair loop
+        (PhysicalJoinOp::NaiveNlj, _) => (2 * n_outer * n_inner, 2 * n_outer * n_inner, 0),
+        // the build embeds the column; a warm run its probes, and the
+        // filter's survivors when it scans them instead of walking
+        (PhysicalJoinOp::Index(config), true) => {
+            let scans = IndexJoin::new(*config).scans_survivors(admitted.len(), inner_words.len());
+            let survivors = if scans { n_inner } else { 0 };
+            let cold = n_outer + inner_words.len() as u64 + survivors;
+            (cold, n_outer + survivors, 1 + usize::from(scans))
+        }
+        (_, _) => (n_outer + n_inner, n_outer + n_inner, 2),
     };
     let model_calls = distinct.len() as u64;
-    [
+    let stats = [
         EmbeddingStats {
             model_calls,
             cache_hits: cold_requests - model_calls,
@@ -186,30 +198,21 @@ fn by_string_stats(
             model_calls: 0,
             cache_hits: warm_requests,
         },
-    ]
+    ];
+    (stats, by_row_columns)
 }
 
 /// Runs `plan` twice on a **fresh** session — so the first run is cold,
 /// whatever ran before — returning table and embedding counters of both
-/// runs, and the number of slot maps the session ended up with next to the
-/// number of scanned join columns a run embeds by row (the outer one, and
-/// the inner one unless a persistent index stands in for it: index builds
-/// embed through strings).
+/// runs, and the number of slot maps the session ended up with.
 fn cold_then_warm(
     strategy: JoinStrategy,
     plan: &LogicalPlan,
     morsel_rows: usize,
     threads: usize,
-) -> ([(Table, EmbeddingStats); 2], (usize, usize)) {
+) -> ([(Table, EmbeddingStats); 2], usize) {
     let s = session(9, 33, strategy);
     let prepared = s.prepare(plan).expect("prepare");
-    let join = prepared.physical_plan().join_nodes()[0];
-    let by_row_columns = match (&join.op, &join.inner) {
-        // the naive NLJ embeds inside its pair loop, by string
-        (PhysicalJoinOp::NaiveNlj, _) => 0,
-        (_, InnerInput::Indexed(_)) => 1,
-        (_, InnerInput::Plan(_)) => 2,
-    };
     let registry = s.model_registry();
     let ctx = ExecContext {
         catalog: s.catalog(),
@@ -226,7 +229,7 @@ fn cold_then_warm(
         (out.table, out.stats.embedding_stats)
     };
     let runs = [run(), run()];
-    (runs, (s.embedding_caches().slot_maps(), by_row_columns))
+    (runs, s.embedding_caches().slot_maps())
 }
 
 #[test]
@@ -267,7 +270,8 @@ fn embedding_by_row_matches_embedding_by_string_cold_and_warm() {
                 "renamed" => assert!(explain.contains("Rename"), "{explain}"),
                 _ => {}
             }
-            let by_string = by_string_stats(strategy, &plan, shape != "unfiltered");
+            let (by_string, by_row_columns) =
+                by_string_stats(strategy, &plan, shape != "unfiltered");
             let (baseline, _) = cold_then_warm(strategy, &plan, WHOLE_TABLE, 1);
             let [(_, cold), (_, warm)] = &baseline;
             assert!(cold.model_calls > 0, "{shape}: the first run is cold");
@@ -275,12 +279,11 @@ fn embedding_by_row_matches_embedding_by_string_cold_and_warm() {
             assert_eq!([*cold, *warm], by_string, "{shape} {strategy:?}");
             for morsel_rows in [WHOLE_TABLE, 1, 7, 1024] {
                 for threads in [1usize, 2] {
-                    let (by_row, (maps, expected_maps)) =
-                        cold_then_warm(strategy, &plan, morsel_rows, threads);
+                    let (by_row, maps) = cold_then_warm(strategy, &plan, morsel_rows, threads);
                     let what =
                         format!("{shape} {strategy:?} morsel_rows {morsel_rows} threads {threads}");
                     assert_eq!(baseline, by_row, "{what}");
-                    assert_eq!(maps, expected_maps, "{what}");
+                    assert_eq!(maps, by_row_columns, "{what}");
                 }
             }
         }
@@ -409,6 +412,46 @@ fn a_segmented_tombstoned_table_reads_like_its_compaction() {
                         "{what}"
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_selective_index_filter_is_scanned_alike_at_every_cut() {
+    // a persistent-index join whose probe filter passes few rows scans
+    // them: once per run, whatever the outer morsels, so every cut and pool
+    // returns the whole-table morsel's bytes
+    let s = session(40, 200, strategy_for(3));
+    for (predicate, exact) in [
+        (SimilarityPredicate::TopK(2), true),
+        // a threshold takes the top `range_probe_k` first: sound, not exact
+        (SimilarityPredicate::Threshold(0.3), false),
+    ] {
+        let plan = LogicalPlan::e_join(
+            LogicalPlan::scan("r"),
+            LogicalPlan::scan("s").select(col("filter").lt(lit_i64(10))),
+            "word",
+            "word",
+            "ft",
+            predicate,
+        );
+        let report = s.prepare(&plan).expect("prepare").run().expect("run");
+        let route = report
+            .join_stats
+            .index_route
+            .expect("a persistent-index join");
+        assert_eq!(route.path, IndexPath::SurvivorScan, "{route:?}");
+        let (whole_table, whole_actuals, whole_pairs) = run_cut(&s, &plan, WHOLE_TABLE, 1);
+        assert!(whole_pairs > 0);
+        check_against_oracle(&s, &plan, exact, &whole_table);
+        for morsel_rows in [1usize, 7, 32] {
+            for threads in [1usize, 2] {
+                let what = format!("{predicate:?} morsel_rows {morsel_rows} threads {threads}");
+                let (table, actuals, pairs) = run_cut(&s, &plan, morsel_rows, threads);
+                assert_eq!(whole_table, table, "{what}");
+                assert_eq!(whole_actuals, actuals, "{what}");
+                assert_eq!(whole_pairs, pairs, "{what}");
             }
         }
     }
