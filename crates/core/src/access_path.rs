@@ -9,17 +9,23 @@
 //!
 //! * the **scan** (tensor join) pre-filters the inner relation, so its cost
 //!   shrinks linearly with the selectivity;
-//! * the **index probe** cannot prune its graph traversal — pre-filtering only
-//!   drops results — so its cost is flat in the selectivity and grows with
-//!   `k` (and degrades further for range predicates, which it can only answer
-//!   by over-probing with a fixed `k` and post-filtering).
+//! * the **index probe** walks the graph with the filter: in the paper's
+//!   vector databases pre-filtering only drops results, so a probe's cost is
+//!   flat in the selectivity; in this engine the walk admits only passing
+//!   rows into its results and goes further the fewer rows pass, so a probe
+//!   gets *dearer* as the selectivity falls.  Either way its cost grows with
+//!   `k` (and degrades further for range predicates, which it can only
+//!   answer by over-probing with a fixed `k` and post-filtering).
 //!
 //! Consequently the index only wins when the selectivity is *high* (most of
 //! the inner relation qualifies) and `k` is small — the paper reports a
 //! crossover around 20-30 % selectivity for top-1, around 80 % for top-32
 //! with the low-recall index, and essentially never for the high-recall index
-//! or range predicates.  [`AccessPathAdvisor`] encodes exactly that decision
-//! using the closed-form [`CostModel`].
+//! or range predicates.  [`AccessPathAdvisor`] makes that decision at plan
+//! time with the closed-form [`CostModel`], whose probe term is the paper's
+//! flat one.  A plan that chose the index makes it again at run time, with
+//! the filter's exact survivor count and both paths priced in nanoseconds
+//! ([`crate::IndexJoin::route`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +39,8 @@ pub enum AccessPath {
     /// Exhaustive scan with the tensor join (with relational pre-filtering).
     TensorScan,
     /// HNSW index probes, the relational filter applied inside the walk (or,
-    /// when few rows pass it, an exact scan of those rows).
+    /// when scanning the rows that pass it is priced cheaper, an exact scan
+    /// of those rows).
     IndexProbe,
 }
 
@@ -100,8 +107,11 @@ impl AccessPathAdvisor {
     }
 
     /// Estimated cost of the probe path: one graph traversal per probe,
-    /// insensitive to the relational selectivity, scaled by the top-k size
-    /// (and a further penalty for range predicates, which over-probe and
+    /// priced flat in the relational selectivity as the paper's
+    /// post-filtering vector databases pay it (this engine's filtered walk
+    /// gets dearer as fewer rows pass; the run-time route prices that,
+    /// [`crate::IndexJoin::route`]), scaled by the top-k size (and a
+    /// further penalty for range predicates, which over-probe and
     /// post-filter), plus the index build when no index exists.
     pub fn probe_cost(&self, query: &AccessPathQuery) -> f64 {
         let p = &self.cost_model.params;

@@ -56,13 +56,14 @@
 //!   embedded through the strings — over the same arena, so the vectors are
 //!   the same bits either way.
 //! * A persistent-index join evaluates its probe filter once per run and
-//!   counts the survivors.  Few survivors — fewer than a filtered walk would
-//!   score ([`IndexJoin::scans_survivors`]) — are scanned exactly by the
-//!   tensor join over a window of the base table selecting them, prepared
-//!   like any tensor join's inner side; otherwise every outer row walks the
-//!   graph, a filter passing every row dropped first.  The choice reads
-//!   only the filter and the index, so it is the same for every cut and
-//!   every IVM delta.
+//!   counts the survivors — every row when there is no filter.  It prices
+//!   both paths per outer row in nanoseconds ([`IndexJoin::route`]): when
+//!   scanning the survivors is cheaper than walking the graph for them,
+//!   the tensor join scans them exactly over a window of the base table
+//!   selecting them, prepared like any tensor join's inner side;
+//!   otherwise every outer row walks the graph, a filter passing every row
+//!   dropped first.  The choice reads only the filter and the index, so it
+//!   is the same for every cut and every IVM delta.
 //! * The relational hash join builds its partitioned table across workers
 //!   ([`HashSide::build_with_pool`]) and probes the left morsels against it.
 //!
@@ -105,7 +106,7 @@ use crate::join::prefetch_nlj::PrefetchNlJoin;
 use crate::join::tensor_join::{PreparedInner, StoredCodes, TensorJoin, UnitRows};
 use crate::join::{check_predicate, embed_all};
 use crate::physical_plan::{HashJoinNode, InnerInput, JoinNode, PhysicalJoinOp, PhysicalPlan};
-use crate::result::{IndexPath, IndexRoute, JoinPair, JoinResult, JoinStats};
+use crate::result::{IndexPath, JoinPair, JoinResult, JoinStats};
 use crate::Result;
 
 /// A morsel in flight: a selection vector plus a visible-column set over a
@@ -844,16 +845,7 @@ fn join_sides(
             let survivors = inner_filter
                 .as_ref()
                 .map_or(rows, SelectionBitmap::count_selected);
-            let path = if join.scans_survivors(survivors, rows) {
-                IndexPath::SurvivorScan
-            } else {
-                IndexPath::Walk
-            };
-            route = Some(IndexRoute {
-                path,
-                survivors,
-                rows,
-            });
+            let path = route.insert(join.route(survivors, rows)).path;
             // pair offsets name positions in the side's selection: the
             // survivors for a scan, the whole base (the index's numbering)
             // for a walk

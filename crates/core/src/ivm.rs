@@ -1081,6 +1081,7 @@ impl std::fmt::Debug for IvmRuntime {
 mod tests {
     use super::*;
     use crate::join::index_join::IndexJoinConfig;
+    use crate::join::tests::{walking_config, walking_products};
     use crate::session::{ContextJoinSession, JoinStrategy};
     use cej_embedding::{FastTextConfig, FastTextModel};
     use cej_relational::{col, lit_i64, LogicalPlan};
@@ -1374,14 +1375,19 @@ mod tests {
 
     #[test]
     fn indexed_ejoin_outer_delta_probes_the_extended_persistent_graph() {
+        // a catalogue long enough against its narrow graph to be walked
         let mut s = session();
-        s.with_strategy(JoinStrategy::Index(IndexJoinConfig {
-            params: cej_index::HnswParams::tiny(),
-            range_probe_k: 8,
-        }));
+        s.register_table("products", walking_products());
+        s.with_strategy(JoinStrategy::Index(walking_config()));
         let plan = ejoin_plan(SimilarityPredicate::TopK(1));
+        let walks = |s: &ContextJoinSession| {
+            let report = s.prepare(&plan).unwrap().run().unwrap();
+            assert!(report.join_stats.probe_stats.distance_computations > 0);
+            report.join_stats.index_route.map(|r| r.path) == Some(crate::IndexPath::Walk)
+        };
         let q = s.prepare(&plan).unwrap().subscribe().unwrap();
         assert_eq!(s.index_manager().stats().builds, 1);
+        assert!(walks(&s));
 
         // outer append probes the resident graph: no rebuild, no refresh
         s.apply_delta("photos", &Delta::Append(photos(&[5], &["notebook"])))
@@ -1410,6 +1416,7 @@ mod tests {
         );
         assert_eq!(q.stats().refreshes, 1);
         assert_in_sync(&s, &q, &plan);
+        assert!(walks(&s), "the extended graph is walked");
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //! [`IndexJoin::probe`] is that walk alone, and it is what the paper's
 //! figures measure.  The interpreter adds the scan-vs-probe choice the paper
 //! studies (Section IV-B, Figures 15-17) per run, where the filter's
-//! survivors are counted exactly: when fewer rows pass than a filtered walk
-//! would score ([`IndexJoin::scans_survivors`]), it scans them with the
-//! tensor join instead ([`IndexJoin::scan`]) — the exact answer the walk
+//! survivors are counted exactly: it prices a scan of the survivors and a
+//! walk for them in nanoseconds per outer row ([`IndexJoin::route`]), and
+//! when the scan is cheaper — filtered or not — it scans them with the
+//! tensor join instead ([`IndexJoin::scan`]): the exact answer the walk
 //! approximates, with the walk's score bits (module docs of
-//! [`cej_index::HnswIndex`], "Distance").
+//! [`cej_index::HnswIndex`], "Distance").  The walk wins only where the
+//! graph is large against its search width and most rows pass.
 
 use std::cmp::Ordering;
 use std::time::Instant;
@@ -37,7 +39,7 @@ use cej_vector::Matrix;
 
 use crate::error::CoreError;
 use crate::join::tensor_join::{PreparedInner, TensorJoin};
-use crate::result::{JoinPair, JoinResult, JoinStats};
+use crate::result::{IndexPath, IndexRoute, JoinPair, JoinResult, JoinStats};
 use crate::Result;
 
 use super::check_predicate;
@@ -63,24 +65,85 @@ use super::check_predicate;
 /// | `low_recall`, ef 128     | 50,000  | 7,107 | 4,238   | 1.68  |
 ///
 /// (The benchmark's `index_probe` graph, 5,000 text embeddings under
-/// `low_recall`, reads `D` ≈ 1,920, `D / D̂` 0.81.)  At pass ratios 50 /
-/// 20 / 5 / 1 % the same sweep timed the filtered walk against the tensor
-/// join over the survivors (per probe, 32-row outer batches, the side
-/// prepared per batch):
-///
-/// | params, n             | 50 %          | 20 %          | 5 %           | 1 %            |
-/// |-----------------------|---------------|---------------|---------------|----------------|
-/// | `low_recall`, 5,000   | 116 / 5.9 µs  | 203 / 3.2 µs  | 493 / 1.4 µs  | 1,535 / 1.4 µs |
-/// | `low_recall`, 50,000  | 455 / 61 µs*  | 874 / 30 µs   | 2,387 / 5.9 µs| 9,680 / 2.9 µs |
-/// | `low_recall`, 200,000 | 860 / 260 µs* | 2,292 / 101 µs* | 6,091 / 21 µs | 19,084 / 6.4 µs |
-/// | `tiny`, 50,000        | 191 / 72 µs*  | 331 / 30 µs*  | 959 / 8.1 µs  | 3,539 / 2.4 µs |
-///
-/// (walk / scan; `*` marks where the rule keeps the walk.)  The scan won
-/// every cell: the rule prices a screened pair as dearly as a graph
-/// distance, so it errs toward the walk.  Pricing both in time is the cost
-/// model's business; this rule only guarantees that a scan never scores
-/// more rows than the walk it replaces would.
+/// `low_recall`, reads `D` ≈ 1,920, `D / D̂` 0.81.)  A filtered walk that
+/// may return only a fraction `p` of the nodes it scores is priced at `D̂ /
+/// p` distances ([`IndexJoin::route`]); what they cost is
+/// [`WALK_NS_PER_DISTANCE`].
 const WALK_DISTANCES_PER_UNIT: f64 = 3.0;
+
+/// `c_pair`: nanoseconds the survivor scan spends per (outer row, survivor)
+/// pair, the fp32 block path's.
+///
+/// Swept on a 2-vCPU Xeon (AVX-512 VNNI), release build, one thread: `S`
+/// random unit rows (every row of `n`, or a random `p` of them) prepared
+/// once, 128 random unit probes in 32-row batches, top-5; ns per pair as
+/// fp32 block path / int8 screen, the best of three passes:
+///
+/// | dim, n      | 100 %     | 50 %      | 20 %      | 5 %       | 1 %         |
+/// |-------------|-----------|-----------|-----------|-----------|-------------|
+/// | 16, 5,000   | 2.0 / 0.9 | 2.2 / 1.1 | 2.7 / 1.6 | 5.2 / 3.9 | 12.0 / 12.6 |
+/// | 16, 50,000  | 1.8 / 0.9 | 1.9 / 1.0 | 1.9 / 0.9 | 2.1 / 1.1 | 3.5 / 2.1   |
+/// | 16, 200,000 | 2.1 / 0.9 | 1.9 / 0.9 | 1.8 / 0.9 | 1.7 / 0.8 | 2.2 / 1.1   |
+/// | 64, 5,000   | 3.8 / 1.4 | 3.9 / 1.3 | 4.3 / 2.0 | 6.8 / 4.4 | 13.5 / 15.6 |
+/// | 64, 50,000  | 3.9 / 1.1 | 4.1 / 1.1 | 3.5 / 1.1 | 3.9 / 1.3 | 5.4 / 2.7   |
+/// | 64, 200,000 | 5.0 / 1.2 | 4.2 / 1.2 | 4.1 / 1.1 | 3.8 / 1.5 | 5.7 / 1.9   |
+///
+/// The constant is the median fp32 cost at dimension 64 over `S ≥ 2,000`
+/// in two such sweeps (3.5-5.7).  Below a few hundred survivors a call's
+/// fixed cost dominates, but there the walk is dearer by orders of
+/// magnitude.  The screen is 3-4x cheaper wherever it runs; pricing the
+/// block path, which every CPU runs, keeps the route — and with it the
+/// pairs — the same on every CPU, and errs toward the walk.  So does
+/// dimension 16, where a pair is cheaper against a walk distance than at
+/// 64; the route does not read the dimension.
+const SCAN_NS_PER_PAIR: f64 = 4.2;
+
+/// `c_dist(n)`: nanoseconds a walk spends per distance computation on an
+/// `n`-row graph, as `(n, ns)` points.
+///
+/// The same sweep walked each graph with the same probes, filtered to the
+/// same random rows (`efSearch` and `M0` as in [`WALK_DISTANCES_PER_UNIT`]'s
+/// table; best of two passes):
+///
+/// | params, n                    | 100 % | 50 % | 20 % | 5 % | 1 % | dim 16: 100 / 50 % |
+/// |------------------------------|-------|------|------|-----|-----|--------------------|
+/// | `tiny`, 5,000                | 35    | 35   | 38   | 47  | 103 | 27 / 26            |
+/// | m 16, 5,000                  | 39    | 36   | 33   | 56  | 147 | 24 / 24            |
+/// | `low_recall`, 5,000          | 31    | 33   | 41   | 81  | 194 | 23 / 25            |
+/// | `low_recall` ef 128, 5,000   | 33    | 37   | 54   | 132 | 193 | 25 / 28            |
+/// | `tiny`, 50,000               | 96    | 90   | 103  | 118 | 147 | 82 / 55            |
+/// | m 16, 50,000                 | 109   | 102  | 82   | 83  | 149 | 68 / 68            |
+/// | `low_recall`, 50,000         | 81    | 78   | 75   | 83  | 164 | 65 / 75            |
+/// | `low_recall` ef 128, 50,000  | 81    | 75   | 64   | 92  | 239 | 73 / 80            |
+/// | `tiny`, 200,000              | 175   | 173  | 161  | 193 | 212 | 114 / 116          |
+/// | m 16, 200,000                | 151   | 129  | 133  | 186 | 193 | 108 / 111          |
+/// | `low_recall`, 200,000        | 80    | 77   | 87   | 136 | 145 | 70 / 95            |
+/// | `low_recall` ef 128, 200,000 | 71    | 89   | 83   | 113 | 148 | 76 / 102           |
+///
+/// (dimension 64 unless marked.)  A point is the median of its `n`'s 100 %
+/// and 50 % cells at dimension 64: where the walk can win, most rows pass.
+/// A random fetch leaves the cache as `n` grows, so a distance costs ≈ 3x
+/// more at 200,000 rows than at 5,000.  Below 5 % a distance costs more
+/// again, but the walk also scores far fewer than `D̂ / p` rows there
+/// (the whole graph at most), and the scan wins by orders of magnitude
+/// either way.  Against [`SCAN_NS_PER_PAIR`], `low_recall` scans every
+/// run up to ≈ 50,000 rows, filtered or not; its crossover is a pass ratio
+/// of ≈ 66 % at 200,000 rows and ≈ 32 % at 1,000,000.
+const WALK_NS_PER_DISTANCE: [(f64, f64); 3] =
+    [(5_000.0, 35.0), (50_000.0, 86.0), (200_000.0, 109.0)];
+
+/// `c_dist(rows)`: [`WALK_NS_PER_DISTANCE`] interpolated linearly in
+/// `log2 rows`, held at the end points outside the swept range.
+fn walk_ns_per_distance(rows: usize) -> f64 {
+    let points = WALK_NS_PER_DISTANCE.map(|(n, ns)| (n.log2(), ns));
+    let x = (rows.max(2) as f64).log2().clamp(points[0].0, points[2].0);
+    let ((x0, c0), (x1, c1)) = if x <= points[1].0 {
+        (points[0], points[1])
+    } else {
+        (points[1], points[2])
+    };
+    c0 + (c1 - c0) * (x - x0) / (x1 - x0)
+}
 
 /// Configuration of the index join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,19 +231,39 @@ impl IndexJoin {
         WALK_DISTANCES_PER_UNIT * width * (rows.max(2) as f64).log2()
     }
 
-    /// Whether a run whose probe-time filter admits `survivors` of the
-    /// index's `rows` rows scans the survivors instead of walking: a walk
-    /// that may return only a fraction `p = survivors / rows` of the nodes
-    /// it scores scores about `D̂ / p` of them to fill its list (`D̂` the
-    /// distance computations of an unfiltered probe, estimated from `rows`,
-    /// `efSearch` and `M0` with one constant fitted in a sweep), a scan
-    /// exactly `survivors` — so it scans when `survivors² < rows · D̂`.  A
-    /// filter that admits every row is no filter, and such a run walks; one
-    /// that admits none needs neither.  The rule reads neither the outer
-    /// rows nor how they were cut, so a pair's presence depends on neither
-    /// morsels nor deltas.
-    pub fn scans_survivors(&self, survivors: usize, rows: usize) -> bool {
-        survivors < rows && (survivors as f64).powi(2) < rows as f64 * self.walk_distances(rows)
+    /// The path a run whose probe-time filter admits `survivors` (`S`) of
+    /// the index's `rows` (`n`) rows takes, priced per outer row in
+    /// nanoseconds: a scan scores every survivor, `S · c_pair`
+    /// (`SCAN_NS_PER_PAIR`); a walk that may return only a fraction `S /
+    /// n` of the nodes it scores scores about `D̂ · n / S` of them to fill
+    /// its list (`D̂` the distance computations of an unfiltered probe,
+    /// estimated from `n`, `efSearch` and `M0`), at `c_dist(n)` each
+    /// (`WALK_NS_PER_DISTANCE`).  The run scans when the scan is
+    /// cheaper, whether or not a filter dropped a row.  With `S = 0` the
+    /// walk is priced as for one survivor; such a run needs neither path.
+    ///
+    /// Both costs fall out of `S`, `n` and the graph's parameters alone:
+    /// the route reads neither the outer rows nor how they were cut, nor
+    /// the CPU (`c_pair` is the fp32 block path's, which every CPU runs),
+    /// so a pair's presence depends on none of them.  The scan cost grows
+    /// with `S` and the walk's falls, so a run that walks at some `S`
+    /// walks at every larger one.
+    pub fn route(&self, survivors: usize, rows: usize) -> IndexRoute {
+        let scan_ns = (survivors as f64 * SCAN_NS_PER_PAIR).round() as u64;
+        let distances = self.walk_distances(rows) * rows as f64 / survivors.max(1) as f64;
+        let walk_ns = (distances * walk_ns_per_distance(rows)).round() as u64;
+        let path = if scan_ns < walk_ns {
+            IndexPath::SurvivorScan
+        } else {
+            IndexPath::Walk
+        };
+        IndexRoute {
+            path,
+            survivors,
+            rows,
+            scan_ns,
+            walk_ns,
+        }
     }
 
     /// The predicate the survivor scan runs ([`IndexJoin::scan`]): a top-k
@@ -281,7 +364,7 @@ impl Default for IndexJoin {
 mod tests {
     use super::*;
     use crate::join::tensor_join::TensorJoin;
-    use crate::join::tests::{run_string_join, string_pairs};
+    use crate::join::tests::{run_string_join, string_pairs, walking_config, WALKING_ROWS};
     use crate::session::JoinStrategy;
     use cej_vector::normalize_matrix_rows;
     use cej_workload::clustered_matrix;
@@ -455,15 +538,96 @@ mod tests {
         let join = IndexJoin::new(IndexJoinConfig::low_recall());
         let d_hat = join.walk_distances(5_000);
         assert!((1_500.0..3_500.0).contains(&d_hat), "{d_hat}");
-        for survivors in [1, 250, 1_000, 2_500] {
-            assert!(join.scans_survivors(survivors, 5_000), "{survivors}");
+        // so small a graph against its search width scans any filter, and
+        // no filter: every survivor costs less than the walk for it
+        for survivors in 1..=5_000 {
+            let route = join.route(survivors, 5_000);
+            assert_eq!(route.path, IndexPath::SurvivorScan, "{route:?}");
         }
-        // every row, or nearly: the walk
-        assert!(!join.scans_survivors(5_000, 5_000));
-        assert!(!join.scans_survivors(4_999, 5_000));
-        // a small table scans any filter that drops a row, never none
-        assert!(join.scans_survivors(99, 100));
-        assert!(!join.scans_survivors(100, 100));
+        // a small table scans whether a filter drops a row or not
+        for survivors in [99, 100] {
+            assert_eq!(join.route(survivors, 100).path, IndexPath::SurvivorScan);
+        }
+        // a large graph walks when every row passes, and scans one in a
+        // hundred
+        for rows in [200_000, 1_000_000] {
+            assert_eq!(join.route(rows, rows).path, IndexPath::Walk, "{rows}");
+            let route = join.route(rows / 100, rows);
+            assert_eq!(route.path, IndexPath::SurvivorScan, "{route:?}");
+        }
+        // no survivor: priced as one, nothing to walk for
+        let empty = join.route(0, 5_000);
+        assert_eq!((empty.path, empty.scan_ns), (IndexPath::SurvivorScan, 0));
+        assert_eq!(empty.walk_ns, join.route(1, 5_000).walk_ns);
+    }
+
+    #[test]
+    fn the_walking_shape_of_the_session_tests_walks() {
+        // the interpreter's walk arm stays under test through sessions over
+        // this shape: every row passing walks, half of them scan
+        let join = IndexJoin::new(walking_config());
+        let rows = WALKING_ROWS;
+        assert_eq!(join.route(rows, rows).path, IndexPath::Walk);
+        assert_eq!(join.route(rows + 1, rows + 1).path, IndexPath::Walk);
+        assert_eq!(join.route(rows / 2, rows).path, IndexPath::SurvivorScan);
+    }
+
+    #[test]
+    fn the_route_is_monotone_in_the_survivors() {
+        // once a run walks at some S, it walks at every larger S; the scan
+        // is priced up and the walk down as S grows
+        let params = [
+            HnswParams::tiny(),
+            HnswParams::low_recall(),
+            HnswParams::high_recall(),
+            HnswParams::tiny().with_ef_search(4),
+        ];
+        for params in params {
+            let join = IndexJoin::new(IndexJoinConfig {
+                params,
+                range_probe_k: 32,
+            });
+            for rows in [1, 100, 5_000, 200_000, 1_000_000] {
+                let mut walked = None;
+                let mut last = join.route(0, rows);
+                for survivors in 1..=rows {
+                    let route = join.route(survivors, rows);
+                    assert!(route.scan_ns >= last.scan_ns && route.walk_ns <= last.walk_ns);
+                    match (route.path, walked) {
+                        (IndexPath::Walk, None) => walked = Some(survivors),
+                        (IndexPath::SurvivorScan, Some(from)) => {
+                            panic!("{params:?} n {rows}: walks at {from}, scans at {survivors}")
+                        }
+                        _ => {}
+                    }
+                    last = route;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_route_reads_only_survivors_rows_and_graph_parameters() {
+        // the same (S, n, params) is priced the same whatever else the
+        // join is configured with and however often it is asked
+        let a = IndexJoin::new(test_config());
+        let b = IndexJoin::new(test_config().with_range_probe_k(1));
+        for rows in [10, 4_000, 250_000] {
+            for survivors in [0, 1, rows / 3, rows] {
+                let route = a.route(survivors, rows);
+                assert_eq!(route, a.route(survivors, rows));
+                assert_eq!(route, b.route(survivors, rows));
+                assert_eq!((route.survivors, route.rows), (survivors, rows));
+            }
+        }
+        // the search width moves the walk's price, not the scan's
+        let wider = IndexJoin::new(IndexJoinConfig {
+            params: HnswParams::tiny().with_ef_search(128),
+            range_probe_k: 8,
+        });
+        let (narrow, wide) = (a.route(3_000, 40_000), wider.route(3_000, 40_000));
+        assert_eq!(narrow.scan_ns, wide.scan_ns);
+        assert!(narrow.walk_ns < wide.walk_ns);
     }
 
     #[test]

@@ -99,7 +99,9 @@ pub(crate) mod tests {
     use super::*;
     use cej_embedding::{FastTextConfig, FastTextModel};
 
+    use crate::join::index_join::IndexJoinConfig;
     use crate::session::{ContextJoinSession, ExecutionReport, JoinStrategy};
+    use cej_index::HnswParams;
     use cej_relational::LogicalPlan;
     use cej_storage::{Table, TableBuilder};
 
@@ -146,6 +148,47 @@ pub(crate) mod tests {
             predicate,
         );
         s.execute(&plan).unwrap()
+    }
+
+    /// Rows of [`walking_products`]: so many against [`walking_config`]'s
+    /// narrow graph that a run every row passes walks it — the priced walk
+    /// ([`crate::IndexJoin::route`]) undercuts scanning them all.
+    pub(crate) const WALKING_ROWS: usize = 3_000;
+
+    /// An index join over a narrow graph (`efSearch` 8, `M0` 8).
+    pub(crate) fn walking_config() -> IndexJoinConfig {
+        IndexJoinConfig {
+            params: HnswParams {
+                m: 4,
+                m0: 8,
+                ef_construction: 32,
+                ef_search: 8,
+                ..HnswParams::tiny()
+            },
+            range_probe_k: 8,
+        }
+    }
+
+    /// A `products` table (`product_id`, `title`) of [`WALKING_ROWS`] rows:
+    /// "barbecues", "databases" and "notebooks" (ids 10, 20, 30), then
+    /// numbered filler titles.
+    pub(crate) fn walking_products() -> Table {
+        const WORDS: [&str; 8] = [
+            "garden", "tent", "coffee", "river", "piano", "engine", "window", "market",
+        ];
+        let mut ids = vec![10, 20, 30];
+        let mut titles: Vec<String> = ["barbecues", "databases", "notebooks"]
+            .map(String::from)
+            .to_vec();
+        for i in 3..WALKING_ROWS {
+            ids.push(100 + i as i64);
+            titles.push(format!("{} {i}", WORDS[i % WORDS.len()]));
+        }
+        TableBuilder::new()
+            .int64("product_id", ids)
+            .utf8("title", titles)
+            .build()
+            .unwrap()
     }
 
     /// The `(l_word, r_word)` pairs of a string join's output, sorted.

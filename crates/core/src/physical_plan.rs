@@ -90,11 +90,11 @@ pub enum InnerInput {
 ///
 /// The index covers the *full* base-table column; relational filters are
 /// evaluated once per run into a [`cej_storage::SelectionBitmap`].  The
-/// probe walks the graph with it, excluding filtered tuples from the result
-/// but not from the traversal — the vector-database pre-filtering semantics
-/// the paper measures (Section IV-B) — unless so few tuples pass that the
-/// interpreter scans them exactly instead
-/// ([`crate::IndexJoin::scans_survivors`]).
+/// probe walks the graph with it: filtered tuples are never admitted into
+/// the walk's results, though the walk still explores through them, so a
+/// probe returns the top k of the passing tuples — unless scanning the
+/// passing tuples exactly is priced cheaper than walking for them, and the
+/// interpreter scans them instead ([`crate::IndexJoin::route`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexedInner {
     /// Identity of the shared index in the session's `IndexManager`.

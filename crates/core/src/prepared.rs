@@ -308,8 +308,9 @@ impl<'s> PreparedQuery<'s> {
     /// its measured wall time in microseconds (inclusive of its inputs;
     /// morsel-parallel fused chains report the chain's wall time on every
     /// fused operator).  A persistent-index join adds the path it took, walk
-    /// or survivor scan, with the probe filter's survivors and the indexed
-    /// rows ([`JoinStats::index_route`](crate::JoinStats::index_route)).
+    /// or survivor scan, with the probe filter's survivors, the indexed
+    /// rows and both paths' priced costs per probe
+    /// ([`JoinStats::index_route`](crate::JoinStats::index_route)).
     ///
     /// # Errors
     /// Propagates the same errors as [`PreparedQuery::run`].
@@ -330,10 +331,13 @@ impl<'s> PreparedQuery<'s> {
             .explain_analyze_timed(&report.operator_rows, &report.operator_micros);
         if let Some(route) = report.join_stats.index_route {
             text.push_str(&format!(
-                "index join: {} (probe filter passes {} of {} inner rows)\n",
+                "index join: {} (probe filter passes {} of {} inner rows; \
+                 scan ≈ {:.2} µs, walk ≈ {:.2} µs per probe)\n",
                 route.path.label(),
                 route.survivors,
-                route.rows
+                route.rows,
+                route.scan_ns as f64 / 1e3,
+                route.walk_ns as f64 / 1e3
             ));
         }
         let pool = &report.scheduler;

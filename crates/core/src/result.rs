@@ -68,8 +68,9 @@ pub enum IndexPath {
     /// Every outer row probes the HNSW graph, the probe filter acting
     /// inside the walk.
     Walk,
-    /// The probe filter's survivors are scanned exactly by the tensor join:
-    /// fewer of them than a filtered walk would score.
+    /// The probe filter's survivors — every row when there is no filter —
+    /// are scanned exactly by the tensor join: the priced scan was the
+    /// cheaper path ([`crate::IndexJoin::route`]).
     SurvivorScan,
 }
 
@@ -83,8 +84,8 @@ impl IndexPath {
     }
 }
 
-/// The path a persistent-index join took and the counts it was chosen on
-/// ([`crate::IndexJoin::scans_survivors`]).
+/// The path a persistent-index join took, the counts it was chosen on and
+/// what each path was priced at ([`crate::IndexJoin::route`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexRoute {
     /// Walk or survivor scan.
@@ -94,6 +95,10 @@ pub struct IndexRoute {
     pub survivors: usize,
     /// Rows of the indexed table (`n`).
     pub rows: usize,
+    /// The survivor scan's priced cost per outer row, in nanoseconds.
+    pub scan_ns: u64,
+    /// The walk's priced cost per outer row, in nanoseconds.
+    pub walk_ns: u64,
 }
 
 /// The outcome of a join operator: matched pairs plus statistics.

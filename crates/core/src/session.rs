@@ -554,6 +554,7 @@ impl ContextJoinSession {
 mod tests {
     use super::*;
     use crate::builder::{sim_gte, top_k};
+    use crate::join::tests::{walking_config, walking_products};
     use cej_embedding::{FastTextConfig, FastTextModel};
     use cej_relational::{col, lit_i64, SimilarityPredicate};
     use cej_storage::TableBuilder;
@@ -729,13 +730,14 @@ mod tests {
 
     #[test]
     fn index_strategy_executes_and_caches_the_index() {
+        // a catalogue long enough against its narrow graph to be walked
         let mut s = session();
-        s.with_strategy(JoinStrategy::Index(IndexJoinConfig {
-            params: cej_index::HnswParams::tiny(),
-            range_probe_k: 3,
-        }));
+        s.register_table("products", walking_products());
+        s.with_strategy(JoinStrategy::Index(walking_config()));
         let report = s.execute(&join_plan(SimilarityPredicate::TopK(1))).unwrap();
         assert_eq!(report.access_path, Some(AccessPath::IndexProbe));
+        let route = report.join_stats.index_route.map(|r| r.path);
+        assert_eq!(route, Some(crate::IndexPath::Walk));
         assert_eq!(report.table.num_rows(), 4);
         assert!(report.join_stats.probe_stats.distance_computations > 0);
         assert_eq!(report.index_builds, 1);

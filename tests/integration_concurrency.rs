@@ -10,7 +10,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use cej_core::{
-    ContextJoinSession, ExecutionReport, IndexJoinConfig, JoinStrategy, PreparedQuery,
+    ContextJoinSession, ExecutionReport, IndexJoinConfig, IndexPath, JoinStrategy, PreparedQuery,
     TensorJoinConfig,
 };
 use cej_embedding::{FastTextConfig, FastTextModel};
@@ -28,6 +28,36 @@ fn model() -> FastTextModel {
 }
 
 fn shared_session() -> ContextJoinSession {
+    session_over(80)
+}
+
+/// Rows of [`walking_session`]'s inner table: so many against
+/// [`walking_params`]' narrow graph that an index join over all of them
+/// walks it — the priced walk (`IndexJoin::route`) undercuts the scan.
+const WALKING_ROWS: usize = 3_000;
+
+fn walking_params() -> HnswParams {
+    HnswParams {
+        m: 4,
+        m0: 8,
+        ef_construction: 32,
+        ef_search: 8,
+        ..HnswParams::tiny()
+    }
+}
+
+/// [`shared_session`] over a [`WALKING_ROWS`]-row inner table, its index
+/// joins on [`walking_params`].
+fn walking_session() -> ContextJoinSession {
+    let mut session = session_over(WALKING_ROWS);
+    session.with_strategy(JoinStrategy::Index(IndexJoinConfig {
+        params: walking_params(),
+        range_probe_k: 4,
+    }));
+    session
+}
+
+fn session_over(inner_rows: usize) -> ContextJoinSession {
     let workload = JoinWorkload::generate(
         RelationSpec {
             rows: 24,
@@ -35,7 +65,7 @@ fn shared_session() -> ContextJoinSession {
             variants_per_cluster: 4,
         },
         RelationSpec {
-            rows: 80,
+            rows: inner_rows,
             clusters: 4,
             variants_per_cluster: 4,
         },
@@ -84,12 +114,7 @@ fn fingerprint(report: &cej_core::ExecutionReport) -> Fingerprint {
 
 #[test]
 fn concurrent_prepared_runs_share_one_index_build() {
-    let mut session = shared_session();
-    session.with_strategy(JoinStrategy::Index(IndexJoinConfig {
-        params: HnswParams::tiny(),
-        range_probe_k: 4,
-    }));
-    let session = session; // freeze configuration
+    let session = walking_session(); // frozen configuration
 
     const THREADS: usize = 8;
     const RUNS_PER_THREAD: usize = 5;
@@ -104,6 +129,8 @@ fn concurrent_prepared_runs_share_one_index_build() {
             let mut fingerprints = Vec::new();
             for _ in 0..RUNS_PER_THREAD {
                 let report = prepared.run().unwrap();
+                let route = report.join_stats.index_route.map(|r| r.path);
+                assert_eq!(route, Some(IndexPath::Walk));
                 builds += report.index_builds;
                 fingerprints.push(fingerprint(&report));
             }
@@ -181,19 +208,18 @@ fn session_handles_share_state_across_threads() {
 
 #[test]
 fn in_use_index_survives_concurrent_eviction_pressure() {
-    let mut session = shared_session();
-    session.with_strategy(JoinStrategy::Index(IndexJoinConfig {
-        params: HnswParams::tiny(),
-        range_probe_k: 4,
-    }));
-    let session = session;
+    let session = walking_session();
     let prepared = session.prepare(&join_plan()).unwrap();
-    prepared.run().unwrap();
+    let cold = prepared.run().unwrap();
+    assert_eq!(
+        cold.join_stats.index_route.map(|r| r.path),
+        Some(IndexPath::Walk)
+    );
     assert_eq!(session.index_manager().stats().resident, 1);
 
     // hold the resident index in use, then apply crushing budget pressure
     // from another thread: the held entry must survive
-    let key = cej_core::IndexKey::new("s", "word", "ft", HnswParams::tiny());
+    let key = cej_core::IndexKey::new("s", "word", "ft", walking_params());
     let held = session.index_manager().get(&key).expect("index resident");
     session.index_manager().set_budget(Some(1));
     assert_eq!(
@@ -201,10 +227,11 @@ fn in_use_index_survives_concurrent_eviction_pressure() {
         1,
         "in-use entry must not be evicted by the budget"
     );
-    // runs keep reusing it — zero rebuilds under pressure
+    // runs keep reusing it — zero rebuilds under pressure — and walk it
     let report = prepared.run().unwrap();
     assert_eq!(report.index_builds, 0);
     assert_eq!(report.index_reuses, 1);
+    assert!(report.join_stats.probe_stats.distance_computations > 0);
     drop(held);
     drop(prepared);
 }

@@ -5,7 +5,7 @@
 
 use cej_core::{
     q_error, sim_gte, AccessPath, AccessPathAdvisor, ContextJoinSession, CoreError, CostModel,
-    CostParameters, IndexJoinConfig, IndexPath, IndexRoute, JoinStrategy, TensorJoinConfig,
+    CostParameters, IndexJoin, IndexJoinConfig, IndexPath, JoinStrategy, TensorJoinConfig,
 };
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
@@ -337,11 +337,21 @@ fn advisor_tracks_inner_selectivity_through_the_session() {
 
 #[test]
 fn explain_analyze_shows_the_path_an_index_join_took() {
-    let mut s = session(30, 2_000);
-    s.with_strategy(JoinStrategy::Index(IndexJoinConfig {
-        params: HnswParams::tiny(),
+    // 3,000 inner rows against a narrow graph (efSearch 8, M0 8): a run
+    // every row passes is priced cheaper to walk than to scan
+    // (`IndexJoin::route`), one that 5 % pass cheaper to scan
+    let config = IndexJoinConfig {
+        params: HnswParams {
+            m: 4,
+            m0: 8,
+            ef_construction: 32,
+            ef_search: 8,
+            ..HnswParams::tiny()
+        },
         range_probe_k: 8,
-    }));
+    };
+    let mut s = session(30, 3_000);
+    s.with_strategy(JoinStrategy::Index(config));
     let filter = s.catalog().table("s").expect("s");
     let filter = filter.column_by_name("filter").and_then(|c| c.as_int64());
     let five_percent = filter.expect("filter").iter().filter(|&&f| f < 5).count();
@@ -349,21 +359,21 @@ fn explain_analyze_shows_the_path_an_index_join_took() {
     // no filter, and the graph is walked
     for (cut, path, survivors) in [
         (5, IndexPath::SurvivorScan, five_percent),
-        (100, IndexPath::Walk, 2_000),
+        (100, IndexPath::Walk, 3_000),
     ] {
         let prepared = s
             .prepare(&filtered_join(cut, SimilarityPredicate::TopK(2)))
             .expect("prepare");
         let analyzed = prepared.explain_analyze().expect("explain analyze");
-        let route = IndexRoute {
-            path,
-            survivors,
-            rows: 2_000,
-        };
+        let route = IndexJoin::new(config).route(survivors, 3_000);
+        assert_eq!(route.path, path);
         assert_eq!(analyzed.report.join_stats.index_route, Some(route));
         let line = format!(
-            "index join: {} (probe filter passes {survivors} of 2000 inner rows)",
-            path.label()
+            "index join: {} (probe filter passes {survivors} of 3000 inner rows; \
+             scan ≈ {:.2} µs, walk ≈ {:.2} µs per probe)",
+            path.label(),
+            route.scan_ns as f64 / 1e3,
+            route.walk_ns as f64 / 1e3,
         );
         assert!(analyzed.text.contains(&line), "{}", analyzed.text);
         // the walk is what probes the graph
@@ -371,6 +381,13 @@ fn explain_analyze_shows_the_path_an_index_join_took() {
         assert_eq!(probed, path == IndexPath::Walk);
         // both are the planned index-probe access path
         assert_eq!(analyzed.report.access_path, Some(AccessPath::IndexProbe));
+        if path == IndexPath::Walk {
+            // the priced costs, pinned: 3,000 pairs at 4.2 ns against
+            // 3 · √(8 · 8) · log2 3,000 distances at 35 ns
+            let pinned = "index join: walk (probe filter passes 3000 of 3000 inner rows; \
+                          scan ≈ 12.60 µs, walk ≈ 9.70 µs per probe)\n";
+            assert!(analyzed.text.contains(pinned), "{}", analyzed.text);
+        }
     }
     // no other join reports a route
     s.with_strategy(JoinStrategy::Tensor(TensorJoinConfig::default()));

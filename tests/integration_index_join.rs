@@ -4,8 +4,8 @@
 //! interpreter's exact scan of a selective probe filter's survivors.
 
 use cej_core::{
-    ContextJoinSession, ExecutionReport, IndexJoin, IndexJoinConfig, IndexPath, IvmPolicy,
-    JoinResult, JoinStrategy, MaintainedResult, TensorJoin, TensorJoinConfig,
+    ContextJoinSession, ExecutionReport, IndexJoin, IndexJoinConfig, IndexKey, IndexPath,
+    IvmPolicy, JoinResult, JoinStrategy, MaintainedResult, TensorJoin, TensorJoinConfig,
 };
 use cej_embedding::{Embedder, FastTextConfig, FastTextModel};
 use cej_exec::ExecPool;
@@ -422,10 +422,15 @@ fn index_strategy(range_probe_k: usize) -> JoinStrategy {
     })
 }
 
-fn filtered_plan(filter: Expr, predicate: SimilarityPredicate) -> LogicalPlan {
+/// `outer` joined with `inner` under `filter` (`None`: every inner row).
+fn filtered_plan(filter: Option<Expr>, predicate: SimilarityPredicate) -> LogicalPlan {
+    let inner = LogicalPlan::scan("inner");
     LogicalPlan::e_join(
         LogicalPlan::scan("outer"),
-        LogicalPlan::scan("inner").select(filter),
+        match filter {
+            Some(filter) => inner.select(filter),
+            None => inner,
+        },
         "otext",
         "itext",
         "ft",
@@ -497,11 +502,17 @@ fn a_selective_filter_scans_its_survivors_like_the_tensor_join() {
         tagged_session(index_strategy(3)),
         tagged_session(index_strategy(400)),
     );
-    let tag_below = |cut: i64| col("tag").lt(lit_i64(cut));
+    let tag_below = |cut: i64| Some(col("tag").lt(lit_i64(cut)));
     // (filter, survivors, predicate, the brute-force rows it admits)
     type Admit = fn(i64, i64) -> bool;
-    let cases: [(Expr, usize, SimilarityPredicate, Admit); 6] = [
+    let cases: [(Option<Expr>, usize, SimilarityPredicate, Admit); 8] = [
         (tag_below(5), 20, SimilarityPredicate::TopK(3), |t, _| t < 5),
+        // every row passes, or there is no filter: scanning all 400 is
+        // still priced below a walk
+        (tag_below(100), 400, SimilarityPredicate::TopK(3), |_, _| {
+            true
+        }),
+        (None, 400, SimilarityPredicate::TopK(3), |_, _| true),
         // k beyond the survivors: each outer row gets every survivor
         (tag_below(5), 20, SimilarityPredicate::TopK(50), |t, _| {
             t < 5
@@ -516,7 +527,7 @@ fn a_selective_filter_scans_its_survivors_like_the_tensor_join() {
         ),
         // one survivor
         (
-            col("iid").eq(lit_i64(17)),
+            Some(col("iid").eq(lit_i64(17))),
             1,
             SimilarityPredicate::TopK(3),
             |_, i| i == 17,
@@ -565,10 +576,110 @@ fn a_selective_filter_scans_its_survivors_like_the_tensor_join() {
     assert_eq!(scored_pairs(&capped), expected);
 }
 
+/// Rows of [`walking_session`]'s inner table: so many against
+/// [`walking_params`]' narrow graph that a run whose filter passes (nearly)
+/// every row is priced cheaper to walk than to scan (`IndexJoin::route`).
+const WALKING_ROWS: usize = 3_000;
+
+fn walking_params() -> HnswParams {
+    HnswParams {
+        m: 4,
+        m0: 8,
+        ef_construction: 32,
+        ef_search: 8,
+        ..HnswParams::tiny()
+    }
+}
+
+/// [`tables`]' outer table against a [`WALKING_ROWS`]-row inner table
+/// (`tag` = `iid % 100`).
+fn walking_session(strategy: JoinStrategy) -> ContextJoinSession {
+    let (outer, _) = tables();
+    let inner = TableBuilder::new()
+        .int64("iid", (0..WALKING_ROWS as i64).collect())
+        .int64("tag", (0..WALKING_ROWS as i64).map(|i| i % 100).collect())
+        .utf8("itext", phrases(WALKING_ROWS, 34))
+        .build()
+        .unwrap();
+    let mut s = ContextJoinSession::new();
+    s.register_table("outer", outer);
+    s.register_table("inner", inner);
+    s.register_model("ft", model());
+    s.with_strategy(strategy);
+    s
+}
+
+#[test]
+fn one_session_routes_a_statement_family_both_ways() {
+    let config = IndexJoinConfig {
+        params: walking_params(),
+        range_probe_k: 4,
+    };
+    let index = walking_session(JoinStrategy::Index(config));
+    let tensor = walking_session(JoinStrategy::Tensor(TensorJoinConfig::default()));
+    let join = IndexJoin::new(config);
+    let (outer, _) = tables();
+    let model = model();
+    let mut probes = Matrix::zeros(0, MODEL_DIM);
+    for text in outer.column_by_name("otext").unwrap().as_utf8().unwrap() {
+        probes.push_row(model.embed(text).as_slice()).unwrap();
+    }
+    let predicate = SimilarityPredicate::TopK(3);
+    // 100 and 95 % walk, 20 and 5 % scan: the route is priced, not assumed
+    for (cut, path) in [
+        (100, IndexPath::Walk),
+        (95, IndexPath::Walk),
+        (20, IndexPath::SurvivorScan),
+        (5, IndexPath::SurvivorScan),
+    ] {
+        let plan = filtered_plan(Some(col("tag").lt(lit_i64(cut))), predicate);
+        let report = index.prepare(&plan).unwrap().run().unwrap();
+        let survivors = WALKING_ROWS * cut as usize / 100;
+        let route = join.route(survivors, WALKING_ROWS);
+        assert_eq!(route.path, path, "{route:?}");
+        assert_eq!(report.join_stats.index_route, Some(route));
+        match path {
+            // the scan: the tensor join's pairs and score bits
+            IndexPath::SurvivorScan => {
+                assert_eq!(report.join_stats.probe_stats.distance_computations, 0);
+                let scanned = tensor.prepare(&plan).unwrap().run().unwrap();
+                assert_eq!(report.table, scanned.table, "{cut} %");
+                assert_eq!(scored_pairs(&report), scored_pairs(&scanned), "{cut} %");
+            }
+            // the walk: the session's own graph probed by `IndexJoin::probe`
+            // with the filter's bitmap (none when every row passes)
+            IndexPath::Walk => {
+                let key = IndexKey::new("inner", "itext", "ft", walking_params());
+                let graph = index.index_manager().get(&key).expect("resident");
+                let bitmap = SelectionBitmap::from_bools(
+                    (0..WALKING_ROWS)
+                        .map(|i| (i % 100) < cut as usize)
+                        .collect(),
+                );
+                let filter = (survivors < WALKING_ROWS).then_some(&bitmap);
+                let walked = join.probe(&probes, &graph, predicate, filter).unwrap();
+                let expected: Vec<(i64, i64, u32)> = walked
+                    .pairs
+                    .iter()
+                    .map(|p| (p.left as i64, p.right as i64, p.score.to_bits()))
+                    .collect();
+                assert_eq!(expected.len(), 30 * 3);
+                assert_eq!(scored_pairs(&report), expected, "{cut} %");
+                let stats = &report.join_stats.probe_stats;
+                assert!(stats.distance_computations > 0);
+                assert_eq!(*stats, walked.stats.probe_stats, "{cut} %");
+            }
+        }
+    }
+}
+
 #[test]
 fn a_filtered_index_view_is_maintained_like_a_fresh_run() {
     let s = tagged_session(index_strategy(3));
-    let plan = filtered_plan(col("tag").lt(lit_i64(5)), SimilarityPredicate::TopK(2));
+    let plan = filtered_plan(
+        Some(col("tag").lt(lit_i64(5))),
+        SimilarityPredicate::TopK(2),
+    );
     let fresh = || s.prepare(&plan).unwrap().run().unwrap();
     assert_eq!(
         fresh().join_stats.index_route.map(|r| r.path),

@@ -34,8 +34,9 @@
 //! not depend on which side.  Another cuts a 60-row outer side into morsels
 //! below and above the int8 screen's crossover: a screened and an
 //! unscreened cut must return the same bytes.  A persistent-index join whose
-//! probe filter passes few rows scans them once per run, and must return the
-//! whole-table morsel's bytes at cuts of 1, 7 and 32 rows too.
+//! probe filter passes few rows scans them once per run, and one whose rows
+//! nearly all pass walks the graph; either must take the same route and
+//! return the whole-table morsel's bytes at cuts of 1, 7 and 32 rows too.
 
 use std::collections::HashSet;
 
@@ -181,7 +182,8 @@ fn by_string_stats(
         // the build embeds the column; a warm run its probes, and the
         // filter's survivors when it scans them instead of walking
         (PhysicalJoinOp::Index(config), true) => {
-            let scans = IndexJoin::new(*config).scans_survivors(admitted.len(), inner_words.len());
+            let route = IndexJoin::new(*config).route(admitted.len(), inner_words.len());
+            let scans = route.path == IndexPath::SurvivorScan;
             let survivors = if scans { n_inner } else { 0 };
             let cold = n_outer + inner_words.len() as u64 + survivors;
             (cold, n_outer + survivors, 1 + usize::from(scans))
@@ -452,6 +454,78 @@ fn a_selective_index_filter_is_scanned_alike_at_every_cut() {
                 assert_eq!(whole_table, table, "{what}");
                 assert_eq!(whole_actuals, actuals, "{what}");
                 assert_eq!(whole_pairs, pairs, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_index_walk_is_alike_at_every_cut() {
+    // 3,000 inner rows against a narrow graph (efSearch 8, M0 8): every row
+    // passing, or nearly every row, is priced cheaper to walk than to scan
+    // (`IndexJoin::route`), so each outer row walks the graph; the route
+    // reads the survivors, the rows and the graph's parameters only, so it
+    // is the same at every cut and pool, and so are the bytes
+    let config = IndexJoinConfig {
+        params: HnswParams {
+            m: 4,
+            m0: 8,
+            ef_construction: 32,
+            ef_search: 8,
+            ..HnswParams::tiny()
+        },
+        range_probe_k: 3,
+    };
+    let rows = 3_000;
+    let s = session(40, rows, JoinStrategy::Index(config));
+    let inner = s.catalog().table("s").expect("s");
+    let filter = inner.column_by_name("filter").and_then(|c| c.as_int64());
+    let passing = filter.expect("filter").iter().filter(|&&f| f < 97).count();
+    for (inner_side, survivors) in [
+        (LogicalPlan::scan("s"), rows),
+        (
+            LogicalPlan::scan("s").select(col("filter").lt(lit_i64(97))),
+            passing,
+        ),
+    ] {
+        let plan = LogicalPlan::e_join(
+            LogicalPlan::scan("r"),
+            inner_side,
+            "word",
+            "word",
+            "ft",
+            SimilarityPredicate::TopK(2),
+        );
+        let route = IndexJoin::new(config).route(survivors, rows);
+        assert_eq!(route.path, IndexPath::Walk, "{route:?}");
+        let prepared = s.prepare(&plan).expect("prepare");
+        let registry = s.model_registry();
+        let at = |morsel_rows: usize, threads: usize| {
+            let ctx = ExecContext {
+                catalog: s.catalog(),
+                registry: &registry,
+                embeddings: s.embedding_caches(),
+                indexes: s.index_manager(),
+                pool: cej_exec::ExecPool::new(threads),
+            };
+            let out = prepared.physical_plan().execute_with(&ctx, morsel_rows);
+            let out = out.expect("execute");
+            assert!(out.stats.join_stats.probe_stats.distance_computations > 0);
+            let run = (out.table, out.operator_rows, out.stats.matched_pairs);
+            (run, out.stats.join_stats.index_route)
+        };
+        let (whole, whole_route) = at(WHOLE_TABLE, 1);
+        assert_eq!(whole_route, Some(route));
+        assert!(whole.2 > 0);
+        check_against_oracle(&s, &plan, false, &whole.0);
+        for morsel_rows in [1usize, 7, 32] {
+            for threads in [1usize, 2] {
+                let what = format!("{route:?} morsel_rows {morsel_rows} threads {threads}");
+                assert_eq!(
+                    at(morsel_rows, threads),
+                    (whole.clone(), Some(route)),
+                    "{what}"
+                );
             }
         }
     }
