@@ -106,7 +106,7 @@ use crate::join::prefetch_nlj::PrefetchNlJoin;
 use crate::join::tensor_join::{PreparedInner, StoredCodes, TensorJoin, UnitRows};
 use crate::join::{check_predicate, embed_all};
 use crate::physical_plan::{HashJoinNode, InnerInput, JoinNode, PhysicalJoinOp, PhysicalPlan};
-use crate::result::{IndexPath, JoinPair, JoinResult, JoinStats};
+use crate::result::{IndexPath, JoinPair, JoinResult, JoinStats, TensorPath};
 use crate::Result;
 
 /// A morsel in flight: a selection vector plus a visible-column set over a
@@ -627,6 +627,7 @@ fn merge_stats(acc: &mut JoinStats, part: &JoinStats) {
     acc.pairs_compared += part.pairs_compared;
     acc.blocks_computed += part.blocks_computed;
     acc.pairs_rescored += part.pairs_rescored;
+    acc.tensor_path = TensorPath::merge(acc.tensor_path, part.tensor_path);
     acc.probe_stats.merge(&part.probe_stats);
     acc.peak_buffer_bytes = acc.peak_buffer_bytes.max(part.peak_buffer_bytes);
 }
@@ -671,7 +672,7 @@ impl UnitRows for SlotRows<'_> {
 /// can take its codes from the per-slot store ([`SlotCodes`]) — only slots
 /// no run coded before are coded — and reads its unit rows back by slot;
 /// any side can be embedded and normalised as a matrix.  The join decides
-/// which it asks for.
+/// which it asks for, from the outer morsels' rows in all.
 ///
 /// [`SlotCodes`]: crate::executor::SlotCodes
 #[allow(clippy::too_many_arguments)]
@@ -714,7 +715,7 @@ fn prepare_tensor_inner<'a>(
         let rows = run.embed_rows(strings, &side.sel, memo.as_deref(), Some(kernel));
         Cow::Owned(rows)
     };
-    let outer_rows = outer.iter().map(|batch| batch.sel.len()).max().unwrap_or(0);
+    let outer_rows = outer.iter().map(|batch| batch.sel.len()).sum();
     let (rows, dim) = (side.sel.len(), cache.dim());
     join.prepare_with(rows, dim, outer_rows, predicate, stored, unit_rows)
 }
@@ -1100,16 +1101,28 @@ pub(crate) fn stage_over_table(
 }
 
 /// `node`'s join over two already-collected tables (`inner` is `None` when
-/// a persistent index stands in for it) — IVM's delta-sized joins.
+/// a persistent index stands in for it) — IVM's delta-sized joins.  An
+/// inner table IVM keeps across deltas (`inner_kept`) is embedded by slot
+/// like a catalog snapshot, since every delta scans that allocation again:
+/// a tensor join over it reads the screen codes the session keeps per slot.
+/// The join's statistics are merged into `work`.
 pub(crate) fn join_tables(
     node: &JoinNode,
     outer: &Arc<Table>,
     inner: Option<&Arc<Table>>,
+    inner_kept: bool,
     ctx: &ExecContext<'_>,
+    work: &mut JoinStats,
 ) -> Result<Table> {
-    let inner = inner.map(|table| ExecBatch::whole(table.clone()));
+    let inner = inner.map(|table| {
+        let rows = table.num_rows() as u32;
+        ExecBatch::window(table.clone(), (0..rows).collect(), inner_kept)
+    });
     let outer = vec![ExecBatch::whole(outer.clone())];
-    join_sides(node, outer, inner, ctx, &mut RunStats::default())
+    let mut stats = RunStats::default();
+    let table = join_sides(node, outer, inner, ctx, &mut stats)?;
+    merge_stats(work, &stats.join_stats);
+    Ok(table)
 }
 
 #[cfg(test)]

@@ -55,6 +55,7 @@ use crate::executor::ExecContext;
 use crate::join::hash_join::HashSide;
 use crate::physical_plan::{InnerInput, PhysicalJoinOp, PhysicalPlan};
 use crate::prepared::PreparedQuery;
+use crate::result::JoinStats;
 use crate::Result;
 
 /// The change one applied delta made to a base table: the rows that were
@@ -159,7 +160,8 @@ impl DeltaEngine {
 
     /// Pushes `change` through `plan`, returning the exact result delta or
     /// a refresh request when a non-linear operator is hit.  A plan that
-    /// does not read the changed table propagates an empty delta.
+    /// does not read the changed table propagates an empty delta.  The
+    /// delta-sized ejoins add their pair counts to `work`.
     ///
     /// # Errors
     /// Propagates catalog, evaluation, embedding, index, and join errors
@@ -169,6 +171,7 @@ impl DeltaEngine {
         plan: &PhysicalPlan,
         ctx: &ExecContext<'_>,
         change: &TableChange,
+        work: &mut JoinStats,
     ) -> Result<Propagation> {
         if !touches(plan, &change.table) {
             let empty = change.added.take(&[]).map_err(CoreError::from)?;
@@ -179,7 +182,7 @@ impl DeltaEngine {
         }
         let mut memos = self.memos.lock();
         let mut cursor = 0usize;
-        propagate_node(plan, ctx, change, &mut memos, &mut cursor)
+        propagate_node(plan, ctx, change, &mut memos, &mut cursor, work)
     }
 }
 
@@ -193,6 +196,7 @@ fn propagate_node(
     change: &TableChange,
     memos: &mut HashMap<usize, NodeMemo>,
     cursor: &mut usize,
+    work: &mut JoinStats,
 ) -> Result<Propagation> {
     let id = *cursor;
     *cursor += 1;
@@ -208,7 +212,7 @@ fn propagate_node(
         | PhysicalPlan::Project { input, .. }
         | PhysicalPlan::Embed { input, .. }
         | PhysicalPlan::Rename { input, .. } => {
-            let delta = match propagate_node(input, ctx, change, memos, cursor)? {
+            let delta = match propagate_node(input, ctx, change, memos, cursor, work)? {
                 Propagation::Delta(d) => d,
                 refresh => return Ok(refresh),
             };
@@ -226,7 +230,7 @@ fn propagate_node(
                 ));
             }
             if left_touched {
-                let delta = match propagate_node(&node.left, ctx, change, memos, cursor)? {
+                let delta = match propagate_node(&node.left, ctx, change, memos, cursor, work)? {
                     Propagation::Delta(d) => d,
                     refresh => return Ok(refresh),
                 };
@@ -250,7 +254,7 @@ fn propagate_node(
                 }))
             } else {
                 *cursor += node.left.operator_count();
-                let delta = match propagate_node(&node.right, ctx, change, memos, cursor)? {
+                let delta = match propagate_node(&node.right, ctx, change, memos, cursor, work)? {
                     Propagation::Delta(d) => d,
                     refresh => return Ok(refresh),
                 };
@@ -285,7 +289,7 @@ fn propagate_node(
                 ));
             }
             if outer_touched {
-                let delta = match propagate_node(&node.outer, ctx, change, memos, cursor)? {
+                let delta = match propagate_node(&node.outer, ctx, change, memos, cursor, work)? {
                     Propagation::Delta(d) => d,
                     refresh => return Ok(refresh),
                 };
@@ -309,8 +313,8 @@ fn propagate_node(
                     }
                 };
                 Ok(Propagation::Delta(DeltaBatch {
-                    added: join_tables(node, &added, inner_table, ctx)?,
-                    removed: join_tables(node, &removed, inner_table, ctx)?,
+                    added: join_tables(node, &added, inner_table, true, ctx, work)?,
+                    removed: join_tables(node, &removed, inner_table, true, ctx, work)?,
                 }))
             } else {
                 // Inner delta: linear only for per-pair (threshold)
@@ -332,14 +336,15 @@ fn propagate_node(
                     unreachable!("indexed inner handled above");
                 };
                 *cursor += node.outer.operator_count();
-                let delta = match propagate_node(inner, ctx, change, memos, cursor)? {
+                let delta = match propagate_node(inner, ctx, change, memos, cursor, work)? {
                     Propagation::Delta(d) => d,
                     refresh => return Ok(refresh),
                 };
                 let outer_full = Arc::new(node.outer.execute(ctx)?.table);
                 let (delta_added, delta_removed) = (Arc::new(delta.added), Arc::new(delta.removed));
-                let added = join_tables(node, &outer_full, Some(&delta_added), ctx)?;
-                let removed = join_tables(node, &outer_full, Some(&delta_removed), ctx)?;
+                let added = join_tables(node, &outer_full, Some(&delta_added), false, ctx, work)?;
+                let removed =
+                    join_tables(node, &outer_full, Some(&delta_removed), false, ctx, work)?;
                 if let Some(NodeMemo::InnerTable(inner_table)) = memos.get_mut(&id) {
                     if delta_removed.num_rows() == 0 {
                         Arc::make_mut(inner_table)
@@ -717,6 +722,12 @@ pub struct StandingStats {
     pub refreshes: u64,
     /// Frames currently queued in the mailbox.
     pub pending: usize,
+    /// Pairs the propagated deltas' ejoins compared, and of those the
+    /// pairs scored exactly in fp32 (fewer when a tensor join's int8
+    /// screen ran; [`JoinStats::pairs_rescored`]).
+    pub pairs_compared: u64,
+    /// See `pairs_compared`.
+    pub pairs_rescored: u64,
 }
 
 struct StandingState {
@@ -725,6 +736,8 @@ struct StandingState {
     overflowed: bool,
     propagations: u64,
     refreshes: u64,
+    /// The propagated deltas' ejoin work.
+    work: JoinStats,
 }
 
 /// How one standing query absorbed one table change.
@@ -793,10 +806,11 @@ impl StandingInner {
             indexes: session.index_manager(),
             pool: *cej_exec::ExecPool::global(),
         };
+        let mut work = JoinStats::default();
         let propagation = if oversized {
             Propagation::Refresh("delta exceeds the refresh-fraction cost threshold")
         } else {
-            self.engine.propagate(plan, &ctx, change)?
+            self.engine.propagate(plan, &ctx, change, &mut work)?
         };
         let (delta, refreshed) = match propagation {
             Propagation::Delta(delta) => {
@@ -804,6 +818,8 @@ impl StandingInner {
                 // multiset) downgrades to a refresh instead of failing.
                 if state.maintained.apply(&delta).is_ok() {
                     state.propagations += 1;
+                    state.work.pairs_compared += work.pairs_compared;
+                    state.work.pairs_rescored += work.pairs_rescored;
                     (delta, false)
                 } else {
                     (self.refresh_locked(&mut state)?, true)
@@ -923,6 +939,8 @@ impl StandingQuery {
             propagations: state.propagations,
             refreshes: state.refreshes,
             pending: state.mailbox.len(),
+            pairs_compared: state.work.pairs_compared,
+            pairs_rescored: state.work.pairs_rescored,
         }
     }
 }
@@ -961,6 +979,7 @@ pub(crate) fn subscribe(
             overflowed: false,
             propagations: 0,
             refreshes: 0,
+            work: JoinStats::default(),
         }),
     });
     runtime.standing.write().insert(id, inner.clone());

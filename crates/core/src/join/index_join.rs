@@ -96,7 +96,7 @@ const WALK_DISTANCES_PER_UNIT: f64 = 3.0;
 /// pairs — the same on every CPU, and errs toward the walk.  So does
 /// dimension 16, where a pair is cheaper against a walk distance than at
 /// 64; the route does not read the dimension.
-const SCAN_NS_PER_PAIR: f64 = 4.2;
+pub(super) const SCAN_NS_PER_PAIR: f64 = 4.2;
 
 /// `c_dist(n)`: nanoseconds a walk spends per distance computation on an
 /// `n`-row graph, as `(n, ns)` points.

@@ -19,15 +19,17 @@
 //! ([`cej_vector::sq8`]: both sides quantised to int8 per row) and only
 //! pairs that can qualify get an fp32 score.  Each outer morsel is
 //! quantised by its call.  The inner side is prepared once per join
-//! ([`TensorJoin::prepare`]), which alone decides whether it needs codes —
-//! whether some call of the join screens.  It quantises them then, or, for
-//! a side that windows a catalog table, assembles them from those the
-//! session keeps per embedding slot: each slot's unit row is quantised
-//! once, by the first run that needs it
-//! ([`PreparedInner::rows_quantized`]).  Such a side keeps no fp32 copy of
-//! its rows: a candidate's row is read back from the embedding arena by
-//! slot and normalised again, to the same bits, and the whole side is
-//! gathered only if a call takes the block path, once per join.  Each
+//! ([`TensorJoin::prepare`]), which alone decides whether the join screens:
+//! every call follows the side.  A side that windows a catalog table
+//! assembles its codes from those the session keeps per embedding slot —
+//! each slot's unit row is quantised once, by the first run that needs it
+//! ([`PreparedInner::rows_quantized`]) — and screens from the first outer
+//! row.  A side the join must quantise itself screens only when the join
+//! has enough outer rows to pay for that (`QUANTIZE_BREAK_EVEN_OUTER_ROWS`).
+//! A side with stored codes keeps no fp32 copy of its rows: a candidate's
+//! row is read back from the embedding arena by slot and normalised again,
+//! to the same bits, and the whole side is gathered only if a call takes
+//! the block path, once per join.  Each
 //! outer row `a` carries a proven bound `ε_a ≥ |fp32 score − approx|`
 //! against every inner row, so:
 //!
@@ -44,10 +46,9 @@
 //! through the block path's harvest in ascending inner order: the pairs,
 //! their score bits and the tie order are the fp32 block path's.
 //! [`JoinStats::pairs_rescored`] counts the exact scores computed.  The
-//! screen runs only with the `Unrolled` kernel, above a measured crossover
-//! (`SCREEN_MIN_OUTER_ROWS`), for predicates that do not admit every pair,
-//! and on finite rows in its magnitude range; otherwise the fp32 block path
-//! runs exactly as it did without a screen.
+//! screen runs only with the `Unrolled` kernel, for predicates that do not
+//! admit every pair, and on finite rows in its magnitude range; otherwise
+//! the fp32 block path runs exactly as it did without a screen.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -64,40 +65,63 @@ use cej_vector::{
     BufferBudget, GemmConfig, Kernel, Matrix, Screen, Sq8Inner, Sq8Outer, TopK,
 };
 
-use crate::result::{JoinPair, JoinResult, JoinStats};
+use crate::result::{JoinPair, JoinResult, JoinStats, TensorPath};
 use crate::Result;
 
 use super::{check_joinable, check_predicate};
 
-/// Outer rows a join call needs before the int8 screen runs.
+/// Nanoseconds [`Sq8Inner::quantize`] spends per unit inner row of
+/// dimension 64: the median of nine readings (64, 4,000 and 19,200 rows,
+/// three sweeps of the table under [`QUANTIZE_BREAK_EVEN_OUTER_ROWS`];
+/// 31-47 ns).
+const QUANTIZE_NS_PER_ROW: f64 = 36.0;
+
+/// Nanoseconds the fp32 block path spends per pair at dimension 64 — the
+/// price the index join's route gives a scanned pair (its sweep: 3.5-5.7;
+/// the table's sweeps read 3.1-5.9 over 4,000 and 19,200 inner rows and
+/// 16 or more outer rows).
+const BLOCK_NS_PER_PAIR: f64 = super::index_join::SCAN_NS_PER_PAIR;
+
+/// Nanoseconds the int8 screen spends per pair at dimension 64 — block,
+/// candidates and rescore, without quantising the inner side: the median
+/// of the table's sweeps over 4,000 and 19,200 inner rows and 16 or more
+/// outer rows (0.7-2.3; the index join's sweep read 1.1-1.5).
+const SCREEN_NS_PER_PAIR: f64 = 1.4;
+
+/// Outer rows a join needs, over all its calls, before quantising an inner
+/// side that has no stored codes pays for itself: the side costs
+/// [`QUANTIZE_NS_PER_ROW`] per inner row once, and each outer row saves
+/// [`BLOCK_NS_PER_PAIR`] − [`SCREEN_NS_PER_PAIR`] per inner row, so the
+/// price is `36 / (4.2 − 1.4) ≈ 12.9`, rounded up.  A side assembled from
+/// the codes the session keeps per slot pays no quantiser and screens from
+/// the first outer row.
 ///
-/// The constant was measured when every screened call quantised its whole
-/// inner side first (≈ 30–35 ns per 64-dim row): over 19,200 inner rows
-/// the screen broke even at about 12 outer rows and won by 0.70 / 0.62
-/// (top-3 / ≥ 0.62) at 24.  A join that still does — a side prepared from
-/// a matrix, the first run over slots nobody coded yet — is priced by that
-/// measurement.  A warm interpreter run takes the inner side's codes from
-/// the per-slot store instead and pays only its outer rows' quantiser, the
-/// block and the harvest.  Screened (stored codes, each block's distinct
-/// candidate rows read back once, no fp32 inner copy) ÷ fp32 block time of
-/// one join call, one thread, unit rows of dim 64, best of 210 (AVX-512
-/// VNNI Xeon, 2 vCPUs, a noisy shared host):
+/// One join over unit rows of dim 64, one thread, the whole run timed:
+/// stored codes (assembling the panels from per-row codes, the screen,
+/// candidates read back by position and scaled, as the interpreter reads
+/// an embedding slot) ÷ the same side on the fp32 block path (the whole
+/// side read back by position and scaled, then the GEMM) — the rule for
+/// stored codes; and a matrix side quantised by its join and screened ÷
+/// that matrix on the block path — the rule for the rest.  Median of three
+/// sweeps, each reading the lower quartile of 40-200 runs (AVX-512 VNNI
+/// Xeon, 2 vCPUs, a noisy shared host):
 ///
-/// | outer rows | 4,000 inner: top-3 / ≥ 0.62 | 19,200 inner: top-3 / ≥ 0.62 |
-/// |---|---|---|
-/// | 1  | 0.40 / 0.39 | 0.32 / 0.30 |
-/// | 8  | 0.50 / 0.40 | 0.31 / 0.28 |
-/// | 12 | 0.30 / 0.25 | 0.28 / 0.26 |
-/// | 16 | 0.30 / 0.24 | 0.29 / 0.25 |
-/// | 24 | 0.29 / 0.23 | 0.30 / 0.24 |
-/// | 32 | 0.31 / 0.23 | 0.32 / 0.29 |
-/// | 96 | 0.31 / 0.24 | 0.33 / 0.28 |
+/// | outer rows | stored codes: 64 inner, top-3 / ≥ 0.62 | 4,000 inner | 19,200 inner | matrix side: 64 inner | 4,000 inner | 19,200 inner |
+/// |---|---|---|---|---|---|---|
+/// | 1  | 0.84 / 0.63 | 0.34 / 0.34 | 0.30 / 0.29 | 3.09 / 3.23 | 3.26 / 3.17 | 3.09 / 3.10 |
+/// | 4  | 1.15 / 0.61 | 0.36 / 0.32 | 0.30 / 0.28 | 2.38 / 2.24 | 1.92 / 1.91 | 2.22 / 2.18 |
+/// | 16 | 1.08 / 0.50 | 0.30 / 0.26 | 0.31 / 0.27 | 1.40 / 0.99 | 0.69 / 0.65 | 0.87 / 0.85 |
+/// | 24 | 1.09 / 0.47 | 0.29 / 0.24 | 0.27 / 0.28 | 1.19 / 0.79 | 0.57 / 0.51 | 0.63 / 0.66 |
+/// | 96 | 0.93 / 0.40 | 0.19 / 0.15 | 0.21 / 0.15 | 0.96 / 0.47 | 0.38 / 0.31 | 0.38 / 0.34 |
 ///
-/// With stored codes the screen wins from one outer row on.  The constant
-/// stays 24: below it a served 16-query `RUN` would execute 512-bit VNNI
-/// code it otherwise never runs, a change to be judged on `serve_live`, not
-/// here.
-const SCREEN_MIN_OUTER_ROWS: usize = 24;
+/// Stored codes win from one outer row on 4,000 and 19,200 inner rows
+/// (about 3x) and lose only on 64-row top-3 sides, by at most 15 % of a
+/// join that takes 3-20 µs.  A matrix side loses about 3x at one outer row
+/// and wins from 16 on over thousands of inner rows; over 64 a top-3 join
+/// still loses up to 1.4x (a few µs) below 96 outer rows, to per-call costs
+/// the price leaves out.
+const QUANTIZE_BREAK_EVEN_OUTER_ROWS: usize =
+    (QUANTIZE_NS_PER_ROW / (BLOCK_NS_PER_PAIR - SCREEN_NS_PER_PAIR)).ceil() as usize;
 
 /// Configuration of the tensor join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -178,16 +202,19 @@ pub(crate) struct StoredCodes<'a> {
 }
 
 /// An inner side prepared once ([`TensorJoin::prepare`]) and scored by
-/// every call of one join: the screen's codes when some call screens, and
-/// one source of its unit rows.  A screened call reads its candidates'
-/// rows from the source; a call on the fp32 block path reads the source's
-/// matrix — a side read back by position (embedding slots) gathers one the
-/// first time a call needs it and keeps it for the rest of the join.
+/// every call of one join: the screen the calls run and its codes when the
+/// join screens, and one source of its unit rows.  A screened call reads
+/// its candidates' rows from the source; a call on the fp32 block path
+/// reads the source's matrix — a side read back by position (embedding
+/// slots) gathers one the first time a call needs it and keeps it for the
+/// rest of the join.
 pub struct PreparedInner<'a> {
     rows: usize,
     dim: usize,
-    /// The screen's inner side; `None` when no call screens or a row is
-    /// outside the screen's range.
+    /// The screen every call runs; `None` when the join does not screen.
+    screen: Option<Screen>,
+    /// The screen's inner side; `None` when the join does not screen or a
+    /// row is outside the screen's range.
     codes: Option<Sq8Inner>,
     source: Box<dyn UnitRows + 'a>,
     /// The source's rows gathered into a matrix, when it holds none.
@@ -197,19 +224,19 @@ pub struct PreparedInner<'a> {
 }
 
 impl<'a> PreparedInner<'a> {
-    /// A side of unit rows, with the codes quantised from them when some
-    /// call screens.
-    fn from_matrix(rows: Cow<'a, Matrix>, screens: bool) -> Self {
-        let codes = screens
-            .then(|| Sq8Inner::quantize(rows.as_slice(), rows.rows(), rows.cols()))
-            .flatten();
-        let quantized = if screens { rows.rows() as u64 } else { 0 };
-        Self::new(rows.rows(), rows.cols(), codes, Box::new(rows), quantized)
+    /// A side of unit rows, with the codes quantised from them when the
+    /// join runs `screen`.
+    fn from_matrix(rows: Cow<'a, Matrix>, screen: Option<Screen>) -> Self {
+        let (n, dim) = (rows.rows(), rows.cols());
+        let codes = screen.and_then(|_| Sq8Inner::quantize(rows.as_slice(), n, dim));
+        let quantized = if screen.is_some() { n as u64 } else { 0 };
+        Self::new(n, dim, screen, codes, Box::new(rows), quantized)
     }
 
     fn new(
         rows: usize,
         dim: usize,
+        screen: Option<Screen>,
         codes: Option<Sq8Inner>,
         source: Box<dyn UnitRows + 'a>,
         quantized: u64,
@@ -217,6 +244,7 @@ impl<'a> PreparedInner<'a> {
         Self {
             rows,
             dim,
+            screen,
             codes,
             source,
             gathered: OnceLock::new(),
@@ -225,9 +253,9 @@ impl<'a> PreparedInner<'a> {
     }
 
     /// Inner rows the int8 screen quantised preparing this side: all of
-    /// them for a side prepared from a matrix that some call screens, only
+    /// them for a side prepared from a matrix for a join that screens, only
     /// the embedding slots never coded before for one assembled from stored
-    /// codes, 0 when no call screens.
+    /// codes, 0 when the join does not screen.
     pub fn rows_quantized(&self) -> u64 {
         self.quantized
     }
@@ -256,9 +284,11 @@ impl TensorJoin {
         &self.config
     }
 
-    /// Prepares an inner side of **unit-normalised** rows for calls of
-    /// [`TensorJoin::join`] with at most `outer_rows` outer rows each: the
-    /// rows are quantised here, once, when such a call screens.
+    /// Prepares an inner side of **unit-normalised** rows for a join whose
+    /// calls have `outer_rows` outer rows in all.  The join screens when
+    /// the screen can prune pairs (`TensorJoin::screen_for`) and the outer
+    /// rows repay quantising the side, which is done here, once
+    /// (`QUANTIZE_BREAK_EVEN_OUTER_ROWS` prices it).
     pub fn prepare<'a>(
         &self,
         inner: &'a Matrix,
@@ -272,10 +302,10 @@ impl TensorJoin {
 
     /// [`TensorJoin::prepare`] for an inner side of `rows` rows of
     /// dimension `dim` whose codes a per-slot store may keep: `stored`
-    /// supplies them (`None` when no store keeps this side's), asked only
-    /// when some call screens and the screen can code the dimension;
-    /// otherwise the side is `unit_rows`, quantised here when some call
-    /// screens.
+    /// supplies them (`None` when no store keeps this side's), asked when
+    /// the screen can prune pairs and code the dimension.  A side with
+    /// stored codes screens whatever `outer_rows`; otherwise the side is
+    /// `unit_rows`, quantised here when the join's outer rows repay it.
     pub(crate) fn prepare_with<'a>(
         &self,
         rows: usize,
@@ -285,13 +315,15 @@ impl TensorJoin {
         stored: impl FnOnce() -> Option<StoredCodes<'a>>,
         unit_rows: impl FnOnce() -> Cow<'a, Matrix>,
     ) -> PreparedInner<'a> {
-        let screens = self.screen_for(outer_rows, rows, predicate).is_some();
-        if screens && (1..=MAX_SCREEN_DIM).contains(&dim) {
+        let screen = self.screen_for(rows, predicate);
+        if screen.is_some() && (1..=MAX_SCREEN_DIM).contains(&dim) {
             if let Some(side) = stored() {
-                return PreparedInner::new(rows, dim, side.codes, side.rows, side.quantized);
+                let (codes, source) = (side.codes, side.rows);
+                return PreparedInner::new(rows, dim, screen, codes, source, side.quantized);
             }
         }
-        PreparedInner::from_matrix(unit_rows(), screens)
+        let screen = screen.filter(|_| outer_rows >= QUANTIZE_BREAK_EVEN_OUTER_ROWS);
+        PreparedInner::from_matrix(unit_rows(), screen)
     }
 
     /// Joins the outer rows `left_norm` against a prepared inner side, both
@@ -301,11 +333,11 @@ impl TensorJoin {
     /// The interpreter prepares the inner side once per join and every
     /// outer morsel reuses it.  Pair offsets refer to the row numbering of
     /// the given sides, and `peak_buffer_bytes` is the score block — the
-    /// operator's own intermediate state, not its inputs.  With the
-    /// `Unrolled` kernel, at least `SCREEN_MIN_OUTER_ROWS` outer rows, a
-    /// predicate that does not admit every pair and a CPU with AVX-512 VNNI,
-    /// the int8 screen decides which pairs get an fp32 score (module
-    /// documentation); the result is the same either way.
+    /// operator's own intermediate state, not its inputs.  The call takes
+    /// the path the side was prepared for: when the side carries codes and
+    /// the screen can bound every outer row, the int8 screen decides which
+    /// pairs get an fp32 score (module documentation); otherwise the fp32
+    /// block path scores every pair.  The result is the same either way.
     ///
     /// # Errors
     /// Returns [`crate::error::CoreError::InvalidInput`] for dimension
@@ -317,31 +349,22 @@ impl TensorJoin {
         predicate: SimilarityPredicate,
         pool: &ExecPool,
     ) -> Result<JoinResult> {
-        let screen = self.screen_for(left_norm.rows(), inner.rows, predicate);
-        self.join_with(left_norm, inner, predicate, screen, pool)
+        self.join_with(left_norm, inner, predicate, inner.screen, pool)
     }
 
-    /// The screen [`TensorJoin::join`] runs for these shapes, if any: never
-    /// for the `Scalar` kernel (the paper's NO-SIMD axis), below the
-    /// crossover, for a predicate that admits every pair by construction
-    /// (top-k with `k` at least the inner rows; a threshold at or below −1,
-    /// which every pair of unit rows reaches up to rounding) — a screen
-    /// there is paid for and then followed by a full rescore — or on a CPU
-    /// without AVX-512 VNNI.
-    fn screen_for(
-        &self,
-        outer_rows: usize,
-        inner_rows: usize,
-        predicate: SimilarityPredicate,
-    ) -> Option<Screen> {
+    /// The screen a join over `inner_rows` rows can prune pairs with, if
+    /// any: never for the `Scalar` kernel (the paper's NO-SIMD axis), for a
+    /// predicate that admits every pair by construction (top-k with `k` at
+    /// least the inner rows; a threshold at or below −1, which every pair
+    /// of unit rows reaches up to rounding) — a screen there is paid for
+    /// and then followed by a full rescore — or on a CPU without AVX-512
+    /// VNNI.
+    fn screen_for(&self, inner_rows: usize, predicate: SimilarityPredicate) -> Option<Screen> {
         let admits_every_pair = match predicate {
             SimilarityPredicate::TopK(k) => k >= inner_rows,
             SimilarityPredicate::Threshold(t) => t <= -1.0,
         };
-        if self.config.kernel != Kernel::Unrolled
-            || outer_rows < SCREEN_MIN_OUTER_ROWS
-            || admits_every_pair
-        {
+        if self.config.kernel != Kernel::Unrolled || admits_every_pair {
             return None;
         }
         Screen::detect()
@@ -367,9 +390,14 @@ impl TensorJoin {
             ..JoinStats::default()
         };
         let pairs = if left_norm.rows() == 0 || inner.rows == 0 {
+            stats.tensor_path = Some(TensorPath::Fp32Block);
             Vec::new()
         } else {
             let screened = screen.and_then(|screen| Screened::new(screen, left_norm, inner));
+            stats.tensor_path = Some(match screened {
+                Some(_) => TensorPath::Int8Screen,
+                None => TensorPath::Fp32Block,
+            });
             self.blocked_join(left_norm, inner, predicate, screened, pool, &mut stats)
         };
         stats.elapsed = start.elapsed();
@@ -757,7 +785,8 @@ mod tests {
     /// `right` prepared with its codes whatever the shapes, so that a test
     /// can force a screen on any CPU.
     fn coded(right: &Matrix) -> PreparedInner<'_> {
-        PreparedInner::from_matrix(Cow::Borrowed(right), true)
+        let screen = Screen::detect().unwrap_or_else(Screen::reference);
+        PreparedInner::from_matrix(Cow::Borrowed(right), Some(screen))
     }
 
     #[test]
@@ -970,8 +999,8 @@ mod tests {
 
     /// Runs `join` on the fp32 block path and with every screen, asserting
     /// that the pairs, their order and their score bits, and every stat but
-    /// the rescore count are the block path's.  Returns the block path's
-    /// result and the screened results.
+    /// the rescore count and the path are the block path's.  Returns the
+    /// block path's result and the screened results.
     fn assert_screen_exact(
         join: &TensorJoin,
         left: &Matrix,
@@ -997,6 +1026,7 @@ mod tests {
                 assert_eq!(pair_bits(&result), pair_bits(&block), "{what}");
                 let without = |s: JoinStats| JoinStats {
                     pairs_rescored: 0,
+                    tensor_path: None,
                     elapsed: Duration::ZERO,
                     ..s
                 };
@@ -1323,9 +1353,9 @@ mod tests {
         };
         let rows = coded(&right);
         let sides = [
-            PreparedInner::new(70, 24, codes(), by_row(&gathers[0]), 0),
-            PreparedInner::from_matrix(Cow::Borrowed(&right), false),
-            PreparedInner::new(70, 24, None, by_row(&gathers[1]), 0),
+            PreparedInner::new(70, 24, Screen::detect(), codes(), by_row(&gathers[0]), 0),
+            PreparedInner::from_matrix(Cow::Borrowed(&right), None),
+            PreparedInner::new(70, 24, None, None, by_row(&gathers[1]), 0),
         ];
         let mut bad = uniform_matrix(30, 24, 63, true);
         bad.row_mut(4).unwrap()[2] = f32::NAN;
@@ -1370,35 +1400,90 @@ mod tests {
 
     #[test]
     fn the_screen_starts_at_the_crossover() {
+        // a side with stored codes screens from the first outer row; a side
+        // the join quantises itself only from the break-even on; every call
+        // follows its side, whatever its own outer rows
         let right = uniform_matrix(300, 16, 55, true);
         let join = TensorJoin::new(TensorJoinConfig::default());
         let scalar = TensorJoin::new(TensorJoinConfig::default().with_kernel(Kernel::Scalar));
         let vnni = screens().len() > 1;
-        for outer in [SCREEN_MIN_OUTER_ROWS - 1, SCREEN_MIN_OUTER_ROWS] {
+        let stored = |join: &TensorJoin, predicate| {
+            let side = || StoredCodes {
+                codes: Sq8Inner::quantize(right.as_slice(), 300, 16),
+                quantized: 0,
+                rows: Box::new(Cow::Borrowed(&right)),
+            };
+            let rows = || Cow::Borrowed(&right);
+            join.prepare_with(300, 16, 1, predicate, || Some(side()), rows)
+        };
+        let pool = ExecPool::global();
+        let break_even = QUANTIZE_BREAK_EVEN_OUTER_ROWS;
+        for outer in [1, 2, 16, 23, break_even - 1, break_even, 24, 96] {
             let left = uniform_matrix(outer, 16, 56, true);
             for predicate in both_predicates(3, 0.5) {
-                let result = run(&join, &left, &right, predicate).unwrap();
-                let block =
-                    join.join_with(&left, &coded(&right), predicate, None, ExecPool::global());
-                let block = block.unwrap();
-                assert_eq!(pair_bits(&result), pair_bits(&block));
-                let screened = result.stats.pairs_rescored < result.stats.pairs_compared;
-                assert_eq!(
-                    screened,
-                    vnni && outer >= SCREEN_MIN_OUTER_ROWS,
-                    "{outer} rows"
-                );
+                let what = format!("{outer} rows {predicate:?}");
+                // each kernel's fp32 block path
+                let block = |join: &TensorJoin| {
+                    let block = join.join_with(&left, &coded(&right), predicate, None, pool);
+                    let block = block.unwrap();
+                    assert_eq!(block.stats.tensor_path, Some(TensorPath::Fp32Block));
+                    pair_bits(&block)
+                };
+                let (unrolled, no_simd) = (block(&join), block(&scalar));
+                let screened_on = |result: &JoinResult, block: &[(usize, usize, u32)]| {
+                    assert_eq!(pair_bits(result), block, "{what}");
+                    let screened = result.stats.pairs_rescored < result.stats.pairs_compared;
+                    let path = result.stats.tensor_path;
+                    assert_eq!(path == Some(TensorPath::Int8Screen), screened, "{what}");
+                    screened
+                };
+                let screened = |result: &JoinResult| screened_on(result, &unrolled);
+                // stored codes: the side screens at any outer rows
+                let side = stored(&join, predicate);
+                assert_eq!(side.rows_quantized(), 0, "{what}");
+                let result = join.join(&left, &side, predicate, pool).unwrap();
+                assert_eq!(screened(&result), vnni, "stored codes, {what}");
+                // a matrix side: quantised for the join's outer rows when
+                // they reach the break-even, and then screened
+                let side = join.prepare(&right, outer, predicate);
+                let screens = vnni && outer >= break_even;
+                let quantized = if screens { 300 } else { 0 };
+                assert_eq!(side.rows_quantized(), quantized, "{what}");
+                let result = join.join(&left, &side, predicate, pool).unwrap();
+                assert_eq!(screened(&result), screens, "matrix side, {what}");
+                // calls follow the side: a side prepared for 96 outer rows
+                // screens a call of `outer`, one prepared for a single row
+                // does not
+                let many = join.prepare(&right, 96, predicate);
+                let result = join.join(&left, &many, predicate, pool).unwrap();
+                assert_eq!(screened(&result), vnni, "side for 96 rows, {what}");
+                let one = join.prepare(&right, 1, predicate);
+                let result = join.join(&left, &one, predicate, pool).unwrap();
+                assert!(!screened(&result), "side for 1 row, {what}");
                 // the NO-SIMD kernel never screens
                 let result = run(&scalar, &left, &right, predicate).unwrap();
-                assert_eq!(result.stats.pairs_rescored, result.stats.pairs_compared);
+                assert!(!screened_on(&result, &no_simd), "Scalar, {what}");
+                let side = stored(&scalar, predicate);
+                let result = scalar.join(&left, &side, predicate, pool).unwrap();
+                assert!(
+                    !screened_on(&result, &no_simd),
+                    "Scalar stored codes, {what}"
+                );
             }
             // predicates that admit every pair are not screened
             for predicate in [
                 SimilarityPredicate::TopK(300),
                 SimilarityPredicate::Threshold(-1.0),
             ] {
-                let result = run(&join, &left, &right, predicate).unwrap();
-                assert_eq!(result.stats.pairs_rescored, result.stats.pairs_compared);
+                for side in [
+                    stored(&join, predicate),
+                    join.prepare(&right, 96, predicate),
+                ] {
+                    assert_eq!(side.rows_quantized(), 0);
+                    let result = join.join(&left, &side, predicate, pool).unwrap();
+                    assert_eq!(result.stats.pairs_rescored, result.stats.pairs_compared);
+                    assert_eq!(result.stats.tensor_path, Some(TensorPath::Fp32Block));
+                }
             }
         }
     }

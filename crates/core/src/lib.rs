@@ -79,7 +79,7 @@ pub use physical_plan::{
 };
 pub use planner::Planner;
 pub use prepared::{ExplainAnalyze, PreparedQuery};
-pub use result::{IndexPath, IndexRoute, JoinPair, JoinResult, JoinStats};
+pub use result::{IndexPath, IndexRoute, JoinPair, JoinResult, JoinStats, TensorPath};
 pub use session::{ContextJoinSession, DeltaReport, ExecutionReport, JoinStrategy};
 
 // The delta vocabulary of [`ContextJoinSession::apply_delta`], re-exported so

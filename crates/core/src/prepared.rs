@@ -310,7 +310,11 @@ impl<'s> PreparedQuery<'s> {
     /// fused operator).  A persistent-index join adds the path it took, walk
     /// or survivor scan, with the probe filter's survivors, the indexed
     /// rows and both paths' priced costs per probe
-    /// ([`JoinStats::index_route`](crate::JoinStats::index_route)).
+    /// ([`JoinStats::index_route`](crate::JoinStats::index_route)).  A
+    /// tensor join — a survivor scan's included — adds how it scored its
+    /// pairs, int8 screen or fp32 block
+    /// ([`JoinStats::tensor_path`](crate::JoinStats::tensor_path)), with the
+    /// pairs rescored of the pairs compared and the inner rows quantised.
     ///
     /// # Errors
     /// Propagates the same errors as [`PreparedQuery::run`].
@@ -338,6 +342,16 @@ impl<'s> PreparedQuery<'s> {
                 route.rows,
                 route.scan_ns as f64 / 1e3,
                 route.walk_ns as f64 / 1e3
+            ));
+        }
+        let join = &report.join_stats;
+        if let Some(path) = join.tensor_path {
+            text.push_str(&format!(
+                "tensor join: {} ({} of {} pairs rescored; {} inner rows quantised)\n",
+                path.label(),
+                join.pairs_rescored,
+                join.pairs_compared,
+                join.inner_rows_quantized
             ));
         }
         let pool = &report.scheduler;

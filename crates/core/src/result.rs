@@ -46,9 +46,11 @@ pub struct JoinStats {
     pub blocks_computed: u64,
     /// Exact fp32 scores computed (tensor join only): `pairs_compared` on
     /// the fp32 block path, only the int8 screen's candidates when it ran.
-    /// Whether the screen runs depends on each call's outer rows, so, like
-    /// the operator's morsel count, this depends on where the outer side
-    /// was cut into morsels; the pairs never do.
+    /// Whether the screen runs is decided once per join, by its prepared
+    /// inner side; a call whose outer rows the screen cannot bound takes
+    /// the block path, so, like the operator's morsel count, this depends
+    /// on where the outer side was cut into morsels when such a row is
+    /// present; the pairs never do.
     pub pairs_rescored: u64,
     /// Inner rows the int8 screen quantised preparing a tensor join's
     /// inner side, once per join ([`crate::PreparedInner::rows_quantized`],
@@ -60,6 +62,40 @@ pub struct JoinStats {
     /// How a persistent-index join answered its probes, with the counts
     /// that decided it; `None` for every other join.
     pub index_route: Option<IndexRoute>,
+    /// How a tensor join scored its pairs — a survivor scan's included —
+    /// merged over its calls; `None` for every other join.
+    pub tensor_path: Option<TensorPath>,
+}
+
+/// The two ways a tensor join scores its pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TensorPath {
+    /// The int8 screen approximated every pair and only its candidates got
+    /// an fp32 score — in at least one call, when calls are merged.
+    Int8Screen,
+    /// Every pair got an fp32 score from the GEMM.
+    Fp32Block,
+}
+
+impl TensorPath {
+    /// Short label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            TensorPath::Int8Screen => "int8 screen",
+            TensorPath::Fp32Block => "fp32 block",
+        }
+    }
+
+    /// The path of calls `a` and `b` merged: the screen when either
+    /// screened.
+    pub(crate) fn merge(a: Option<Self>, b: Option<Self>) -> Option<Self> {
+        match (a, b) {
+            (Some(TensorPath::Int8Screen), _) | (_, Some(TensorPath::Int8Screen)) => {
+                Some(TensorPath::Int8Screen)
+            }
+            (a, b) => a.or(b),
+        }
+    }
 }
 
 /// The two ways a persistent-index join answers a run's probes.

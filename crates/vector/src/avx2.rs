@@ -30,12 +30,17 @@
 //! **Why the harvest compare is `ymm`, not `zmm`.**  A compare decides
 //! nothing about rounding, so 16 lanes (`_mm512_cmp_ps_mask`) would give the
 //! same visits.  It is kept at 8 because it runs on every harvest, the fp32
-//! block path's included: a served 16-row `RUN` executes no other 512-bit
-//! instruction, and a 16-lane prototype cost such runs the CPU's AVX-512
-//! power transitions (throughput −22 to −32 % and `op_p95_ms` ×1.6 in 2 of
-//! 6 `serve_live` runs, `setup_s` +15–27 %) for no gain on the screened
-//! join over the 8-lane compare.  512-bit code runs only where the int8
-//! screen runs.
+//! block path's included, and that path executes no other 512-bit
+//! instruction: every join on a CPU without AVX-512 VNNI, a join too small
+//! to pay for quantising an inner side that has no stored codes, an outer
+//! morsel the screen refuses.  A 16-lane prototype cost such runs the
+//! CPU's AVX-512 power transitions — measured when a served 16-row `RUN`
+//! still took the block path: throughput −22 to −32 % and `op_p95_ms` ×1.6
+//! in 2 of 6 `serve_live` runs, `setup_s` +15–27 % — and gained nothing on
+//! the screened join over the 8-lane compare.  Served `RUN`s and `PROBE`s
+//! now screen against their inner sides' stored codes, so they do execute
+//! 512-bit code, the screen's; the compare's width was not measured again
+//! there.  512-bit code runs only where the int8 screen runs.
 //!
 //! **Why the int8 screen is not a new rounding class.**  The tensor join's
 //! AVX-512 screen ([`crate::sq8`]) never produces a score anyone sees: its

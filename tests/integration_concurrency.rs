@@ -249,8 +249,8 @@ fn score_bits(report: &ExecutionReport) -> Vec<u64> {
 
 #[test]
 fn screened_runs_equal_a_serial_run_while_caches_clear_and_models_swap() {
-    // 24 outer rows: the screen's crossover, so every tensor join screens
-    // (on a CPU with AVX-512 VNNI) from the codes the pool keeps per slot
+    // every tensor join screens (on a CPU with AVX-512 VNNI) from the codes
+    // the pool keeps per slot
     let mut session = shared_session();
     session.with_strategy(JoinStrategy::Tensor(TensorJoinConfig::default()));
     let session = session;

@@ -14,20 +14,24 @@
 //!
 //! The int8 screen codes the pool keeps per slot follow the same rules
 //! (dropped with the model's entry, reset with the generation): a screened
-//! statement — an outer side above the screen's crossover — is held to a
-//! fresh session's pairs, score bits, `JoinStats` and embedding counts
-//! after every step, and its first runs report exactly the slots they code.
+//! statement — any tensor join over a catalog table, on a CPU with AVX-512
+//! VNNI — is held to a fresh session's pairs, score bits, `JoinStats` and
+//! embedding counts after every step, and its first runs report exactly the
+//! slots they code.  The served statements' shapes — 16 or 1 outer rows
+//! over 4,000, 5-row deltas into a standing view over 64 — screen from
+//! their first outer row and return the fp32 block path's bytes.
 
 use std::time::Duration;
 
 use cej_core::ivm::MaintainedResult;
 use cej_core::{
     ContextJoinSession, Delta, ExecutionReport, IndexJoinConfig, JoinStats, JoinStrategy,
-    ScalarValue, TensorJoinConfig,
+    NljConfig, ScalarValue, TensorJoinConfig, TensorPath,
 };
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_relational::{col, lit_i64, LogicalPlan, SimilarityPredicate};
 use cej_storage::{Table, TableBuilder};
+use cej_vector::Kernel;
 
 fn model(seed: u64) -> FastTextModel {
     FastTextModel::new(FastTextConfig {
@@ -333,9 +337,8 @@ fn slot_maps_are_swept_when_their_tables_are_dropped() {
     assert_eq!(s.embedding_caches().slot_maps(), 2);
 }
 
-/// The session of [`base_session`] plus `q`, an outer table of 30 rows: at
-/// least the screen's crossover (24 outer rows), so a tensor join from `q`
-/// screens on a CPU with AVX-512 VNNI.
+/// The session of [`base_session`] plus `q`, an outer table of 30 rows,
+/// which a tensor join screens on a CPU with AVX-512 VNNI.
 fn screened_session() -> ContextJoinSession {
     let mut s = base_session();
     s.register_table("q", rows(200, 30, 6));
@@ -498,4 +501,199 @@ fn first_runs_code_exactly_their_new_slots_and_warm_runs_none() {
     // a re-registered model drops the codes with its cache
     fresh.register_model("ft", model(9));
     assert_eq!(fresh.embedding_caches().coded_slots(), 0);
+}
+
+/// A phrase of `words` words drawn from a 400-word vocabulary by `i`.
+fn phrase(i: usize, words: usize) -> String {
+    let word = |j: usize| {
+        let mut x = (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        let mut w = String::new();
+        for _ in 0..5 + j % 4 {
+            w.push((b'a' + (x % 26) as u8) as char);
+            x /= 26;
+        }
+        w
+    };
+    let picks = (0..words).map(|k| word((i * 7 + k * 131) % 400));
+    picks.collect::<Vec<_>>().join(" ")
+}
+
+/// A table of `rows` phrases in column `column`, ids `first..`, and a
+/// `bucket` column `id % 100`.
+fn phrases(column: &str, first: i64, rows: usize, words: usize) -> Table {
+    let ids: Vec<i64> = (first..first + rows as i64).collect();
+    TableBuilder::new()
+        .int64("id", ids.clone())
+        .int64("bucket", ids.iter().map(|id| id % 100).collect())
+        .utf8(
+            column,
+            ids.iter().map(|&id| phrase(id as usize, words)).collect(),
+        )
+        .build()
+        .expect("table")
+}
+
+/// The tables of the served workload's warm statements: 4,000 `docs`, 16
+/// `queries`, a 1-row `probe`, 64 `topics` and the 2,000-row `live` table
+/// a standing view reads.
+fn serving_session(strategy: JoinStrategy) -> ContextJoinSession {
+    let mut s = ContextJoinSession::new();
+    s.register_table("docs", phrases("dtext", 0, 4_000, 3));
+    s.register_table("queries", phrases("qtext", 10_000, 16, 3));
+    s.register_table("probe", phrases("qtext", 20_000, 1, 4));
+    s.register_table("topics", phrases("label", 30_000, 64, 1));
+    s.register_table("live", phrases("note", 40_000, 2_000, 2));
+    s.register_model("ft", model(42));
+    s.with_strategy(strategy);
+    s
+}
+
+fn ejoin(
+    outer: &str,
+    inner: &str,
+    on: (&str, &str),
+    predicate: SimilarityPredicate,
+) -> LogicalPlan {
+    LogicalPlan::e_join(
+        LogicalPlan::scan(outer),
+        LogicalPlan::scan(inner),
+        on.0,
+        on.1,
+        "ft",
+        predicate,
+    )
+}
+
+/// The view's rows in a canonical order, score bits included.
+fn canonical(table: Table) -> Table {
+    MaintainedResult::new(table).canonical().expect("canonical")
+}
+
+/// `table` without its similarity column: the pairs a join returned.
+fn pairs_of(table: &Table) -> Table {
+    let keep: Vec<String> = table
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| f.name.clone())
+        .filter(|name| name != "similarity")
+        .collect();
+    let columns: Vec<&str> = keep.iter().map(String::as_str).collect();
+    table.project(&columns).expect("project")
+}
+
+#[test]
+fn serving_shapes_screen_from_the_first_outer_row() {
+    // the served workload's warm statements, run through one session: a
+    // 16-row statement over 4,000 rows with top-3 and with a threshold, a
+    // 1-row probe over the same rows, and a standing top-1 view over 64
+    // rows fed 5-row deltas.  Every inner side carries the session's stored
+    // codes, so on a CPU with AVX-512 VNNI each join screens, however few
+    // its outer rows; the pairs and score bits are the fp32 block path's
+    let vnni = cej_vector::Screen::detect().is_some();
+    let tensor = JoinStrategy::Tensor(TensorJoinConfig::default());
+    let live = serving_session(tensor);
+    // the fp32 block path's bits: the prefetch NLJ's `Unrolled` dot product
+    // is the GEMM's; the NO-SIMD kernel returns the same pairs with scores
+    // that may differ in the last bits
+    let block = serving_session(JoinStrategy::PrefetchNlj(NljConfig::default()));
+    let no_simd = TensorJoinConfig::default().with_kernel(Kernel::Scalar);
+    let no_simd = serving_session(JoinStrategy::Tensor(no_simd));
+    let statements = [
+        (
+            "16 x 4,000 top-3",
+            ejoin(
+                "queries",
+                "docs",
+                ("qtext", "dtext"),
+                SimilarityPredicate::TopK(3),
+            ),
+        ),
+        (
+            "16 x 4,000 >= 0.6",
+            ejoin(
+                "queries",
+                "docs",
+                ("qtext", "dtext"),
+                SimilarityPredicate::Threshold(0.6),
+            ),
+        ),
+        (
+            "1 x 4,000 top-3",
+            ejoin(
+                "probe",
+                "docs",
+                ("qtext", "dtext"),
+                SimilarityPredicate::TopK(3),
+            ),
+        ),
+    ];
+    for (what, plan) in &statements {
+        let first = run_plan(&live, plan);
+        let warm = run_plan(&live, plan);
+        assert!(warm.table.num_rows() > 0, "{what}");
+        assert_eq!(warm.join_stats.inner_rows_quantized, 0, "{what}: warm");
+        for report in [&first, &warm] {
+            let join = report.join_stats;
+            assert_eq!(join.pairs_rescored < join.pairs_compared, vnni, "{what}");
+            let screened = join.tensor_path == Some(TensorPath::Int8Screen);
+            assert_eq!(screened, vnni, "{what}");
+            assert_eq!(report.table, first.table, "{what}");
+            assert_eq!(score_bits(report), score_bits(&first), "{what}");
+        }
+        let expected = run_plan(&block, plan);
+        assert_eq!(
+            canonical(warm.table.clone()),
+            canonical(expected.table),
+            "{what}"
+        );
+        let scalar = run_plan(&no_simd, plan);
+        assert_eq!(
+            scalar.join_stats.pairs_rescored,
+            scalar.join_stats.pairs_compared
+        );
+        assert_eq!(pairs_of(&warm.table), pairs_of(&scalar.table), "{what}");
+    }
+
+    // the standing view: 100 rows appended per delta, 5 of which pass its
+    // filter, joined against the 64 topics it keeps, by their stored codes
+    let view = LogicalPlan::e_join(
+        LogicalPlan::scan("live").select(col("bucket").lt(lit_i64(5))),
+        LogicalPlan::scan("topics"),
+        "note",
+        "label",
+        "ft",
+        SimilarityPredicate::TopK(1),
+    );
+    let standing = live
+        .prepare(&view)
+        .expect("prepare")
+        .subscribe()
+        .expect("subscribe");
+    let coded = live.embedding_caches().coded_slots();
+    for step in 0..3u64 {
+        let what = format!("delta {step}");
+        let rows = phrases("note", 50_000 + 100 * step as i64, 100, 2);
+        for s in [&live, &block, &no_simd] {
+            s.apply_delta("live", &Delta::Append(rows.clone()))
+                .expect("append");
+        }
+        let stats = standing.stats();
+        assert_eq!(
+            (stats.propagations, stats.refreshes),
+            (step + 1, 0),
+            "{what}"
+        );
+        assert_eq!(stats.pairs_compared, (step + 1) * 5 * 64, "{what}");
+        assert_eq!(stats.pairs_rescored < stats.pairs_compared, vnni, "{what}");
+        let maintained = standing.snapshot().expect("snapshot");
+        let expected = canonical(run_plan(&block, &view).table);
+        assert_eq!(maintained, expected, "{what}");
+        let scalar = canonical(run_plan(&no_simd, &view).table);
+        assert_eq!(pairs_of(&maintained), pairs_of(&scalar), "{what}");
+    }
+    // the deltas coded nothing: the topics' slots were coded by the view's
+    // first run
+    assert_eq!(live.embedding_caches().coded_slots(), coded);
+    assert!(live.unsubscribe(standing.id()));
 }

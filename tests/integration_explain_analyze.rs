@@ -5,7 +5,8 @@
 
 use cej_core::{
     q_error, sim_gte, AccessPath, AccessPathAdvisor, ContextJoinSession, CoreError, CostModel,
-    CostParameters, IndexJoin, IndexJoinConfig, IndexPath, JoinStrategy, TensorJoinConfig,
+    CostParameters, IndexJoin, IndexJoinConfig, IndexPath, JoinStrategy, NljConfig,
+    TensorJoinConfig, TensorPath,
 };
 use cej_embedding::{FastTextConfig, FastTextModel};
 use cej_index::HnswParams;
@@ -381,6 +382,14 @@ fn explain_analyze_shows_the_path_an_index_join_took() {
         assert_eq!(probed, path == IndexPath::Walk);
         // both are the planned index-probe access path
         assert_eq!(analyzed.report.access_path, Some(AccessPath::IndexProbe));
+        // a survivor scan is a tensor join, and says how it scored
+        let scanned = analyzed.text.contains("tensor join: ");
+        assert_eq!(
+            scanned,
+            path == IndexPath::SurvivorScan,
+            "{}",
+            analyzed.text
+        );
         if path == IndexPath::Walk {
             // the priced costs, pinned: 3,000 pairs at 4.2 ns against
             // 3 · √(8 · 8) · log2 3,000 distances at 35 ns
@@ -398,4 +407,54 @@ fn explain_analyze_shows_the_path_an_index_join_took() {
         .expect("explain analyze");
     assert_eq!(analyzed.report.join_stats.index_route, None);
     assert!(!analyzed.text.contains("index join:"), "{}", analyzed.text);
+}
+
+#[test]
+fn explain_analyze_shows_how_a_tensor_join_scored_its_pairs() {
+    let vnni = cej_vector::Screen::detect().is_some();
+    let mut s = session(30, 300);
+    let filter = s.catalog().table("s").expect("s");
+    let filter = filter.column_by_name("filter").and_then(|c| c.as_int64());
+    let survivors = filter.expect("filter").iter().filter(|&&f| f < 40).count();
+    let compared = 30 * survivors as u64;
+    let plan = filtered_join(40, SimilarityPredicate::TopK(2));
+    s.with_strategy(JoinStrategy::Tensor(TensorJoinConfig::default()));
+    // the side windows a catalog table: it screens from the first run on a
+    // CPU with AVX-512 VNNI, coding its slots then, and none on the next
+    for run in ["first", "warm"] {
+        let analyzed = s.prepare(&plan).expect("prepare").explain_analyze();
+        let analyzed = analyzed.expect("explain analyze");
+        let join = analyzed.report.join_stats;
+        let path = if vnni {
+            TensorPath::Int8Screen
+        } else {
+            TensorPath::Fp32Block
+        };
+        assert_eq!(join.tensor_path, Some(path), "{run}");
+        assert_eq!(join.pairs_compared, compared, "{run}");
+        assert_eq!(join.pairs_rescored < compared, vnni, "{run}");
+        let coded = s.embedding_caches().coded_slots() as u64;
+        let quantized = if run == "first" { coded } else { 0 };
+        assert_eq!(join.inner_rows_quantized, quantized, "{run}");
+        let line = format!(
+            "tensor join: {} ({} of {compared} pairs rescored; {quantized} inner rows quantised)\n",
+            path.label(),
+            join.pairs_rescored,
+        );
+        assert!(analyzed.text.contains(&line), "{run}: {}", analyzed.text);
+    }
+    // the NO-SIMD kernel scores every pair in fp32; the line, pinned
+    let scalar = TensorJoinConfig::default().with_kernel(cej_vector::Kernel::Scalar);
+    s.with_strategy(JoinStrategy::Tensor(scalar));
+    let analyzed = s.prepare(&plan).expect("prepare").explain_analyze();
+    let analyzed = analyzed.expect("explain analyze");
+    assert_eq!(compared, 30 * 109, "the fixture's 40 % cut");
+    let pinned = "tensor join: fp32 block (3270 of 3270 pairs rescored; 0 inner rows quantised)\n";
+    assert!(analyzed.text.contains(pinned), "{}", analyzed.text);
+    // no other join prints the line
+    s.with_strategy(JoinStrategy::PrefetchNlj(NljConfig::default()));
+    let analyzed = s.prepare(&plan).expect("prepare").explain_analyze();
+    let analyzed = analyzed.expect("explain analyze");
+    assert_eq!(analyzed.report.join_stats.tensor_path, None);
+    assert!(!analyzed.text.contains("tensor join:"), "{}", analyzed.text);
 }

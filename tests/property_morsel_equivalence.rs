@@ -32,8 +32,10 @@
 //! that the whole-table GEMM and the 1/7/1024-row morsels all put pairs on
 //! both sides of the AVX2 kernel's 4 × 2 register-block edges — a score must
 //! not depend on which side.  Another cuts a 60-row outer side into morsels
-//! below and above the int8 screen's crossover: a screened and an
-//! unscreened cut must return the same bytes.  A persistent-index join whose
+//! of every size, each screened against the inner side's stored codes, and
+//! mixes a morsel the int8 screen refuses (it holds a row too faint to
+//! quantise) with screened ones: a screened and an unscreened cut must
+//! return the same bytes.  A persistent-index join whose
 //! probe filter passes few rows scans them once per run, and one whose rows
 //! nearly all pass walks the graph; either must take the same route and
 //! return the whole-table morsel's bytes at cuts of 1, 7 and 32 rows too.
@@ -44,7 +46,7 @@ use cej_core::{
     ContextJoinSession, ExecContext, IndexJoin, IndexJoinConfig, IndexPath, InnerInput,
     JoinStrategy, NljConfig, PhysicalJoinOp, TensorJoinConfig,
 };
-use cej_embedding::{EmbeddingStats, FastTextConfig, FastTextModel};
+use cej_embedding::{Embedder, EmbeddingStats, FastTextConfig, FastTextModel, Vector};
 use cej_index::HnswParams;
 use cej_oracle::Oracle;
 use cej_relational::{col, lit, lit_i64, LogicalPlan, SimilarityPredicate};
@@ -572,13 +574,79 @@ fn tensor_join_scores_do_not_depend_on_register_block_edges() {
     }
 }
 
+/// The word of [`Faint`]'s refused vector.
+const FAINT: &str = "faint";
+
+/// The test model with one word's vector scaled into the subnormals: its
+/// squared norm underflows to 0, so normalising leaves it as it is, and
+/// its largest magnitude lies below the int8 screen's range — an outer row
+/// the screen refuses, which the fp32 block path scores like any other.
+struct Faint(FastTextModel);
+
+impl Embedder for Faint {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn embed(&self, input: &str) -> Vector {
+        let mut v = self.0.embed(input);
+        if input == FAINT {
+            v.scale(1e-39);
+        }
+        v
+    }
+}
+
+/// [`session`]`(60, 400, Tensor)` with [`Faint`] as its model and the
+/// outer row 30 — in the second 24-row morsel — reading [`FAINT`], a word
+/// no inner row holds.
+fn faint_session() -> ContextJoinSession {
+    let workload = JoinWorkload::generate(
+        RelationSpec::with_rows(60),
+        RelationSpec::with_rows(400),
+        11,
+    );
+    let column = |table: &Table, name: &str| table.column_by_name(name).expect("column").clone();
+    let mut words = column(&workload.outer, "word")
+        .as_utf8()
+        .expect("utf8")
+        .to_vec();
+    words[30] = FAINT.to_string();
+    let ids = column(&workload.outer, "id")
+        .as_int64()
+        .expect("int64")
+        .to_vec();
+    let outer = cej_storage::TableBuilder::new()
+        .int64("id", ids)
+        .utf8("word", words)
+        .build()
+        .expect("outer table");
+    let inner_words = column(&workload.inner, "word");
+    assert!(!inner_words
+        .as_utf8()
+        .expect("utf8")
+        .iter()
+        .any(|w| w == FAINT));
+    let mut s = session_over(
+        outer,
+        workload.inner,
+        JoinStrategy::Tensor(TensorJoinConfig::default()),
+    );
+    let model = FastTextModel::new(FastTextConfig {
+        dim: 16,
+        buckets: 2_000,
+        ..FastTextConfig::default()
+    })
+    .expect("model construction");
+    s.register_model("ft", Faint(model));
+    s
+}
+
 #[test]
 fn screened_and_unscreened_cuts_are_byte_identical() {
-    // 60 outer rows: 7-row morsels stay below the tensor join's int8-screen
-    // crossover, a 1,024- or 16,384-row morsel (the whole side) is above it,
-    // so on a CPU with AVX-512 VNNI one cut screens and another does not;
-    // 24-row morsels (24/24/12) screen two morsels and score the third on
-    // the fp32 block path, against one inner side prepared for both
+    // 60 outer rows against a catalog table's 400: the inner side carries
+    // the session's stored codes, so on a CPU with AVX-512 VNNI every cut
+    // screens, 7-row morsels and the whole side alike
     let s = session(60, 400, JoinStrategy::Tensor(TensorJoinConfig::default()));
     let vnni = cej_vector::Screen::detect().is_some();
     for predicate in [
@@ -617,15 +685,19 @@ fn screened_and_unscreened_cuts_are_byte_identical() {
                 assert_eq!(whole_pairs, out.stats.matched_pairs, "{what}");
                 let join = out.stats.join_stats;
                 let screened = join.pairs_rescored < join.pairs_compared;
-                assert_eq!(screened, vnni && morsel_rows > 7, "{what}");
+                assert_eq!(screened, vnni, "{what}");
                 // the whole-table run coded every inner slot already
                 assert_eq!(join.inner_rows_quantized, 0, "{what}");
             }
         }
         // the mixed cut as a session's first run: the side is coded while
-        // it is prepared, and one morsel still takes the block path
+        // it is prepared; the 24-row morsel holding the faint row takes the
+        // block path, the other two screen
+        let faint = faint_session();
+        let (faint_table, faint_actuals, faint_pairs) = run_cut(&faint, &plan, WHOLE_TABLE, 1);
+        assert!(faint_pairs > 0);
         for threads in [1usize, 2] {
-            let fresh = session(60, 400, JoinStrategy::Tensor(TensorJoinConfig::default()));
+            let fresh = faint_session();
             let prepared = fresh.prepare(&plan).expect("prepare");
             let registry = fresh.model_registry();
             let ctx = ExecContext {
@@ -640,10 +712,18 @@ fn screened_and_unscreened_cuts_are_byte_identical() {
                 .execute_with(&ctx, 24)
                 .expect("execute");
             let what = format!("{predicate:?} first run, 24-row morsels, threads {threads}");
-            assert_eq!(whole_table, out.table, "{what}");
+            assert_eq!(faint_table, out.table, "{what}");
+            assert_eq!(faint_actuals, out.operator_rows, "{what}");
+            assert_eq!(faint_pairs, out.stats.matched_pairs, "{what}");
+            let join = out.stats.join_stats;
             let coded = fresh.embedding_caches().coded_slots() as u64;
-            assert_eq!(out.stats.join_stats.inner_rows_quantized, coded, "{what}");
+            assert_eq!(join.inner_rows_quantized, coded, "{what}");
             assert_eq!(coded > 0, vnni, "{what}");
+            // every pair of the refused morsel is rescored, and only some
+            // of the others'
+            let refused = 24 * 400;
+            assert!(join.pairs_rescored >= refused, "{what}");
+            assert_eq!(join.pairs_rescored < join.pairs_compared, vnni, "{what}");
         }
     }
 }
