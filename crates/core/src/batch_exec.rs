@@ -68,7 +68,7 @@
 //!   ([`HashSide::build_with_pool`]) and probes the left morsels against it.
 //!
 //! Incremental view maintenance ([`crate::ivm`]) owns no operator: it pushes
-//! its delta tables through [`stage_over_table`] and [`join_tables`], the
+//! its delta tables through `stage_over_table` and `join_tables`, the
 //! same bodies a full run executes.
 //!
 //! The load-bearing invariant: results are **byte-identical** for every
@@ -781,7 +781,7 @@ fn join_sides(
                 }
             }
         };
-        stats.access_path = Some(node.access_path);
+        stats.access_path = Some(node.op.access_path());
         return materialize_pairs(&join_side(outer)?, &inner_side, &JoinResult::default());
     }
 
@@ -1009,7 +1009,7 @@ fn join_sides(
     join_stats.model_calls = delta.model_calls;
     join_stats.elapsed = start.elapsed();
     stats.join_stats = join_stats;
-    stats.access_path = Some(node.access_path);
+    stats.access_path = Some(node.op.access_path());
     stats.matched_pairs = pairs.len();
 
     let result = JoinResult {
@@ -1225,7 +1225,7 @@ mod tests {
             .utf8("caption", "abcd".chars().map(String::from).collect())
             .build()
             .unwrap();
-        let est = PlanEstimate::new(4.0, 0.0);
+        let est = PlanEstimate::new(4.0);
         let rename = |columns: &[(&str, &str)]| PhysicalPlan::Rename {
             columns: columns
                 .iter()

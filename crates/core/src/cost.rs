@@ -1,17 +1,20 @@
 //! The abstract cost model of Section IV.
 //!
-//! The paper expresses operator costs in terms of four relative parameters:
-//! `A` (per-tuple data access), `M` (per-tuple model invocation), `C`
-//! (per-pair similarity computation), and `I_probe` (per-probe index
-//! traversal).  The formulas below are the paper's equations verbatim:
+//! The paper expresses operator costs in terms of relative parameters: `A`
+//! (per-tuple data access), `M` (per-tuple model invocation) and `C`
+//! (per-pair similarity computation).  The two E-NL Join formulas below are
+//! the paper's equations verbatim:
 //!
-//! * E-Selection:            `|R| · (A + M + C)`
 //! * E-NL Join (naive):      `|R| · |S| · (A + M + C)`
 //! * E-NLJ + prefetch:       `|R| · |S| · (A + C) + (|R| + |S|) · M`
-//! * E-Index Join:           `|R| · I_probe(S) · (A + C)`
 //!
-//! Costs are unitless; what matters for optimisation decisions is their
-//! *ratios*, which is why [`CostParameters`] is expressed relative to `A = 1`.
+//! Costs are unitless; what matters is their *ratios*, which is why
+//! [`CostParameters`] is expressed relative to `A = 1`.  Nothing plans with
+//! them: the operators' measured model-call counts are held to the
+//! formulas' counts ([`CostModel::naive_model_calls`],
+//! [`CostModel::prefetch_model_calls`]), and the one access-path decision,
+//! scan or index probe, is priced in nanoseconds by
+//! [`crate::IndexJoin::route`].
 
 use serde::{Deserialize, Serialize};
 
@@ -22,39 +25,19 @@ pub struct CostParameters {
     pub access_cost: f64,
     /// Per-tuple model invocation cost `M` (typically ≫ `A`).
     pub model_cost: f64,
-    /// Per-pair similarity computation cost `C`; scales with dimensionality.
+    /// Per-pair similarity computation cost `C`.
     pub compute_cost: f64,
-    /// Per-probe index traversal cost `I_probe`, expressed as the equivalent
-    /// number of per-pair computations one probe costs (graph traversal +
-    /// random access, amortised).
-    pub index_probe_cost: f64,
 }
 
 impl Default for CostParameters {
     fn default() -> Self {
-        // Defaults calibrated to the relative magnitudes discussed in the
-        // paper: model access is orders of magnitude more expensive than a
-        // single vector comparison, and one HNSW probe costs the equivalent
-        // of tens of thousands of *scan-side* comparisons because the scan
-        // side runs as cache-friendly blocked GEMM while the probe performs
-        // `ef · log(|S|)` random accesses.  The value is chosen so the
-        // advisor's top-1 crossover lands in the paper's 20-30 % selectivity
-        // band for the 10k × 1M workload of Figure 15.
+        // Model access is orders of magnitude more expensive than a single
+        // vector comparison (the relative magnitudes the paper discusses).
         Self {
             access_cost: 1.0,
             model_cost: 1_000.0,
             compute_cost: 4.0,
-            index_probe_cost: 17_000.0,
         }
-    }
-}
-
-impl CostParameters {
-    /// Scales the per-pair compute cost with the embedding dimensionality
-    /// (the `C` term grows linearly in `d`).
-    pub fn with_dimension(mut self, dim: usize) -> Self {
-        self.compute_cost = (dim as f64 / 25.0).max(0.1);
-        self
     }
 }
 
@@ -66,17 +49,6 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Creates a cost model with explicit parameters.
-    pub fn new(params: CostParameters) -> Self {
-        Self { params }
-    }
-
-    /// Cost of a context-enhanced selection over `n` tuples
-    /// (`|R| · (A + M + C)`).
-    pub fn e_selection(&self, n: usize) -> f64 {
-        n as f64 * (self.params.access_cost + self.params.model_cost + self.params.compute_cost)
-    }
-
     /// Cost of the naive E-NLJ (`|R| · |S| · (A + M + C)`): the model is
     /// invoked for every *pair*.
     pub fn e_nlj_naive(&self, r: usize, s: usize) -> f64 {
@@ -92,15 +64,6 @@ impl CostModel {
             + (r + s) as f64 * self.params.model_cost
     }
 
-    /// Cost of the index join (`|R| · I_probe(S) · (A + C)`), where the probe
-    /// cost grows logarithmically with the indexed cardinality.  Embedding
-    /// the probe side still costs `|R| · M`.
-    pub fn e_index_join(&self, r: usize, s: usize) -> f64 {
-        let probe = self.params.index_probe_cost * (1.0 + (s.max(2) as f64).ln());
-        (r as f64) * probe * (self.params.access_cost + self.params.compute_cost)
-            + r as f64 * self.params.model_cost
-    }
-
     /// The model-invocation *count* of the naive join (`|R| · |S|`) — used by
     /// tests to validate operators against the model, independent of the
     /// relative cost constants.
@@ -113,13 +76,6 @@ impl CostModel {
     pub fn prefetch_model_calls(r: usize, s: usize) -> u64 {
         (r + s) as u64
     }
-
-    /// Ratio of naive to prefetch cost — the speed-up the logical
-    /// optimisation alone is expected to deliver (orders of magnitude for
-    /// model-dominated workloads, per Figure 8).
-    pub fn prefetch_speedup(&self, r: usize, s: usize) -> f64 {
-        self.e_nlj_naive(r, s) / self.e_nlj_prefetch(r, s)
-    }
 }
 
 #[cfg(test)]
@@ -131,12 +87,6 @@ mod tests {
         let p = CostParameters::default();
         assert!(p.model_cost > 100.0 * p.access_cost);
         assert!(p.model_cost > p.compute_cost);
-    }
-
-    #[test]
-    fn selection_cost_is_linear() {
-        let m = CostModel::default();
-        assert!((m.e_selection(200) - 2.0 * m.e_selection(100)).abs() < 1e-9);
     }
 
     #[test]
@@ -160,37 +110,18 @@ mod tests {
 
     #[test]
     fn prefetch_speedup_grows_with_input_size() {
+        // the speed-up the logical optimisation alone is expected to
+        // deliver (Figure 8): naive over prefetch cost
         let m = CostModel::default();
-        assert!(m.prefetch_speedup(1000, 1000) > m.prefetch_speedup(10, 10));
+        let speedup = |n| m.e_nlj_naive(n, n) / m.e_nlj_prefetch(n, n);
+        assert!(speedup(1000) > speedup(10));
         // with model-dominated costs the speed-up is orders of magnitude
-        assert!(m.prefetch_speedup(1000, 1000) > 50.0);
+        assert!(speedup(1000) > 50.0);
     }
 
     #[test]
     fn model_call_counts() {
         assert_eq!(CostModel::naive_model_calls(10, 20), 200);
         assert_eq!(CostModel::prefetch_model_calls(10, 20), 30);
-    }
-
-    #[test]
-    fn index_join_cheaper_for_selective_small_probe_sets() {
-        let m = CostModel::default();
-        // few probes against a huge indexed relation: probing wins
-        let r = 10;
-        let s = 1_000_000;
-        assert!(m.e_index_join(r, s) < m.e_nlj_prefetch(r, s));
-        // many probes against a small relation: scanning wins
-        let r = 100_000;
-        let s = 1_000;
-        assert!(m.e_index_join(r, s) > m.e_nlj_prefetch(r, s));
-    }
-
-    #[test]
-    fn dimension_scaling_affects_compute_cost() {
-        let low = CostParameters::default().with_dimension(25);
-        let high = CostParameters::default().with_dimension(400);
-        assert!(high.compute_cost > low.compute_cost);
-        let tiny = CostParameters::default().with_dimension(1);
-        assert!(tiny.compute_cost > 0.0);
     }
 }

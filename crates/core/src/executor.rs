@@ -867,7 +867,6 @@ impl PhysicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access_path::AccessPathAdvisor;
     use crate::index_manager::IndexManager;
     use crate::planner::Planner;
     use crate::session::JoinStrategy;
@@ -923,7 +922,7 @@ mod tests {
         }
 
         fn run(&self, plan: &LogicalPlan) -> Result<ExecOutcome> {
-            let planner = Planner::new(AccessPathAdvisor::default(), JoinStrategy::Auto);
+            let planner = Planner::new(JoinStrategy::Auto);
             let physical = planner.plan(plan, &self.catalog, &self.registry, &self.indexes)?;
             physical.execute(&self.ctx())
         }

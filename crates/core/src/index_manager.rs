@@ -446,7 +446,7 @@ impl IndexManager {
 
     /// Total bytes of resident indexes that are currently *in use* (their
     /// `Arc` handle is held outside the cache).  These cannot be evicted, so
-    /// the advisor subtracts them from the budget when judging whether a
+    /// the planner subtracts them from the budget when judging whether a
     /// prospective index could ever stay resident.
     pub fn pinned_bytes(&self) -> usize {
         self.indexes

@@ -22,8 +22,8 @@
 //! studies (Section IV-B, Figures 15-17) per run, where the filter's
 //! survivors are counted exactly: it prices a scan of the survivors and a
 //! walk for them in nanoseconds per outer row ([`IndexJoin::route`]), and
-//! when the scan is cheaper — filtered or not — it scans them with the
-//! tensor join instead ([`IndexJoin::scan`]): the exact answer the walk
+//! unless the walk is cheaper — filtered or not — it scans them with the
+//! tensor join instead (`IndexJoin::scan`): the exact answer the walk
 //! approximates, with the walk's score bits (module docs of
 //! [`cej_index::HnswIndex`], "Distance").  The walk wins only where the
 //! graph is large against its search width and most rows pass.
@@ -238,9 +238,10 @@ impl IndexJoin {
     /// n` of the nodes it scores scores about `D̂ · n / S` of them to fill
     /// its list (`D̂` the distance computations of an unfiltered probe,
     /// estimated from `n`, `efSearch` and `M0`), at `c_dist(n)` each
-    /// (`WALK_NS_PER_DISTANCE`).  The run scans when the scan is
+    /// (`WALK_NS_PER_DISTANCE`).  The run walks only when the walk is
     /// cheaper, whether or not a filter dropped a row.  With `S = 0` the
-    /// walk is priced as for one survivor; such a run needs neither path.
+    /// walk is priced as for one survivor; such a run needs neither path,
+    /// and an empty table, where both prices are 0, scans.
     ///
     /// Both costs fall out of `S`, `n` and the graph's parameters alone:
     /// the route reads neither the outer rows nor how they were cut, nor
@@ -252,10 +253,10 @@ impl IndexJoin {
         let scan_ns = (survivors as f64 * SCAN_NS_PER_PAIR).round() as u64;
         let distances = self.walk_distances(rows) * rows as f64 / survivors.max(1) as f64;
         let walk_ns = (distances * walk_ns_per_distance(rows)).round() as u64;
-        let path = if scan_ns < walk_ns {
-            IndexPath::SurvivorScan
-        } else {
+        let path = if walk_ns < scan_ns {
             IndexPath::Walk
+        } else {
+            IndexPath::SurvivorScan
         };
         IndexRoute {
             path,

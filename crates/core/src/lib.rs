@@ -9,17 +9,20 @@
 //!
 //! | Operator | Paper section | Model cost | Compute pattern |
 //! |---|---|---|---|
-//! | [`join::NaiveNlJoin`] | IV-A (E-NL Join Cost) | `|R|·|S|·M` | per-pair embed + compare |
-//! | [`join::PrefetchNlJoin`] | IV-A (Prefetch Optimization), V-A | `(|R|+|S|)·M` | embed once, parallel pair-wise NLJ, SIMD / scalar kernels |
-//! | [`join::TensorJoin`] | IV-C, V-B | `(|R|+|S|)·M` | blocked matrix multiplication with mini-batching under a buffer budget |
-//! | [`join::IndexJoin`] | IV-B, VI-E | `(|R|+|S|)·M` + build | HNSW top-k probes with relational pre-filtering |
+//! | [`NaiveNlJoin`] | IV-A (E-NL Join Cost) | `|R|·|S|·M` | per-pair embed + compare |
+//! | [`PrefetchNlJoin`] | IV-A (Prefetch Optimization), V-A | `(|R|+|S|)·M` | embed once, parallel pair-wise NLJ, SIMD / scalar kernels |
+//! | [`TensorJoin`] | IV-C, V-B | `(|R|+|S|)·M` | blocked matrix multiplication with mini-batching under a buffer budget |
+//! | [`IndexJoin`] | IV-B, VI-E | `(|R|+|S|)·M` + build | HNSW top-k probes with relational pre-filtering |
 //!
 //! ## Cost model and access-path selection
 //!
-//! [`cost::CostModel`] implements the four closed-form costs of Section IV
-//! and [`access_path::AccessPathAdvisor`] uses them (plus the estimated
-//! selectivity) to choose between the scan-based tensor join and the
-//! index-probe join, reproducing the paper's scan-vs-probe analysis.
+//! [`cost::CostModel`] implements the closed-form E-NL Join costs of
+//! Section IV (naive and prefetch) and their model-call counts, which the
+//! operators' measured counts are held to.  The scan-vs-probe choice is
+//! one function priced in nanoseconds, [`IndexJoin::route`]: a scan of the
+//! inner rows a probe filter passes against a walk for them, per outer
+//! row.  The planner asks it with the statistics-estimated survivors, a
+//! run of the index join with the counted ones ([`access_path`]).
 //!
 //! ## The physical layer: plan once, execute many
 //!
@@ -27,8 +30,8 @@
 //!
 //! * [`planner::Planner`] lowers an optimised
 //!   [`cej_relational::LogicalPlan`] to a [`physical_plan::PhysicalPlan`],
-//!   consulting the advisor *at plan time*; the decision (operator, access
-//!   path, cost estimates) is rendered by
+//!   pricing the route *at plan time*; the decision (operator, access
+//!   path, estimated route) is rendered by
 //!   [`physical_plan::PhysicalPlan::explain`] before execution.
 //! * [`prepared::PreparedQuery`] executes one physical plan many times
 //!   against session-shared state: the `Arc`-shared model registry, the
@@ -60,7 +63,7 @@ pub mod prepared;
 pub mod result;
 pub mod session;
 
-pub use access_path::{AccessPath, AccessPathAdvisor, AccessPathQuery};
+pub use access_path::AccessPath;
 pub use builder::{sim_gte, top_k, QueryBuilder};
 pub use cost::{CostModel, CostParameters};
 pub use error::CoreError;

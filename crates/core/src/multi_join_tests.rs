@@ -386,7 +386,7 @@ fn dp_order_feeds_the_ejoin_fewer_rows_than_the_worst_left_deep_order() {
     // written order (its filter already sits on its scan)
     let prepared = s.prepare(&written).unwrap();
     let dp_plan = prepared.physical_plan();
-    let written_plan = Planner::new(s.advisor(), JoinStrategy::Auto)
+    let written_plan = Planner::new(JoinStrategy::Auto)
         .plan(&written, s.catalog(), &registry, s.index_manager())
         .unwrap();
     let dp = dp_plan.execute(&ctx).unwrap();

@@ -3,10 +3,10 @@
 //!
 //! Where [`cej_relational::LogicalPlan`] says *what* to compute, a
 //! [`PhysicalPlan`] says *how*: which of the four join operators runs, which
-//! access path was selected (and at what estimated cost), and whether the
+//! access path was selected (and how its route was priced), and whether the
 //! index-probe path uses a persistent index from the session's
 //! [`crate::index_manager::IndexManager`] or builds one per execution.
-//! Every node carries the planner's cardinality/cost annotations so
+//! Every node carries the planner's cardinality annotations so
 //! [`PhysicalPlan::explain`] can render the decision *before* anything runs —
 //! the paper's Section V cost-based choice, made visible — and
 //! [`PhysicalPlan::explain_analyze`] can render estimated-vs-actual rows
@@ -21,21 +21,23 @@ use crate::index_manager::IndexKey;
 use crate::join::index_join::IndexJoinConfig;
 use crate::join::prefetch_nlj::NljConfig;
 use crate::join::tensor_join::TensorJoinConfig;
+use crate::result::IndexRoute;
 
-/// Planner annotations attached to every physical operator.
+/// The planner's annotation on every physical operator: its estimated
+/// output rows, from the catalog's statistics.  EXPLAIN ANALYZE sets it
+/// against the rows a run counts ([`q_error`]); the access-path decision
+/// reads the inner side's, through the join's estimated route
+/// ([`JoinNode::est_route`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanEstimate {
     /// Estimated output rows.
     pub rows: f64,
-    /// Estimated cumulative cost (this operator plus its inputs), in the
-    /// unitless relative scale of [`crate::CostModel`].
-    pub cost: f64,
 }
 
 impl PlanEstimate {
     /// Creates an estimate.
-    pub fn new(rows: f64, cost: f64) -> Self {
-        Self { rows, cost }
+    pub fn new(rows: f64) -> Self {
+        Self { rows }
     }
 }
 
@@ -70,6 +72,15 @@ impl PhysicalJoinOp {
             PhysicalJoinOp::PrefetchNlj(_) => "PrefetchNljJoin",
             PhysicalJoinOp::Tensor(_) => "TensorJoin",
             PhysicalJoinOp::Index(_) => "IndexJoin",
+        }
+    }
+
+    /// The access path this operator takes (what the executor reports):
+    /// the index probe for the index join, the scan for every other.
+    pub fn access_path(&self) -> AccessPath {
+        match self {
+            PhysicalJoinOp::Index(_) => AccessPath::IndexProbe,
+            _ => AccessPath::TensorScan,
         }
     }
 }
@@ -122,17 +133,14 @@ pub struct JoinNode {
     pub model: String,
     /// The similarity predicate.
     pub predicate: SimilarityPredicate,
-    /// The operator chosen to execute this join.
+    /// The operator chosen to execute this join, and with it the access
+    /// path ([`PhysicalJoinOp::access_path`]).
     pub op: PhysicalJoinOp,
-    /// The access path the planner selected (what the executor will report).
-    pub access_path: AccessPath,
-    /// The statistics-estimated fraction of the inner relation surviving its
-    /// relational predicates — the selectivity axis the advisor decided on.
-    pub est_inner_selectivity: f64,
-    /// Advisor estimate for the scan (tensor) path.
-    pub scan_cost: f64,
-    /// Advisor estimate for the probe (index) path.
-    pub probe_cost: f64,
+    /// The index join's route ([`crate::IndexJoin::route`]) priced with the
+    /// statistics-estimated inner rows as its survivors, out of the base
+    /// table's rows for an indexable inner — the selectivity axis of
+    /// Figures 15-17, and what `Auto` decided on.
+    pub est_route: IndexRoute,
     /// Output estimate.
     pub est: PlanEstimate,
 }
@@ -281,8 +289,8 @@ impl PhysicalPlan {
     }
 
     /// Renders the operator tree with the planner's estimates — the access
-    /// path, per-operator row/cost annotations, and (for index joins) whether
-    /// a persistent or per-execution index is used.  This is available
+    /// path and its priced route, per-operator rows, and (for index joins)
+    /// whether a persistent or per-execution index is used.  This is available
     /// *before* execution; the executor follows exactly what is printed.
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -410,19 +418,17 @@ impl PhysicalPlan {
             PhysicalPlan::Join(node) => {
                 let _ = writeln!(
                     out,
-                    "{pad}{}: {} ~ {} ({}, model {}) [access path: {}; inner sel {:.2}; \
-                     est rows {}{}; scan cost {} vs probe cost {}]",
+                    "{pad}{}: {} ~ {} ({}, model {}) [access path: {}; est rows {}{}; \
+                     est route: {}]",
                     node.op.name(),
                     node.left_column,
                     node.right_column,
                     node.predicate.label(),
                     node.model,
-                    node.access_path.label(),
-                    node.est_inner_selectivity,
+                    node.op.access_path().label(),
                     fmt_rows(node.est.rows),
                     fmt_actual(node.est.rows, actual, micro),
-                    fmt_cost(node.scan_cost),
-                    fmt_cost(node.probe_cost),
+                    node.est_route,
                 );
                 node.outer.render(out, indent + 1, actuals, micros, cursor);
                 match &node.inner {
@@ -476,10 +482,9 @@ impl fmt::Display for PhysicalPlan {
 
 fn fmt_est(est: &PlanEstimate, actual: Option<u64>, micro: Option<u64>) -> String {
     format!(
-        "[rows {}{}; cost {}]",
+        "[rows {}{}]",
         fmt_rows(est.rows),
-        fmt_actual(est.rows, actual, micro),
-        fmt_cost(est.cost)
+        fmt_actual(est.rows, actual, micro)
     )
 }
 
@@ -510,10 +515,6 @@ fn fmt_rows(rows: f64) -> String {
     }
 }
 
-fn fmt_cost(cost: f64) -> String {
-    format!("{cost:.2e}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,11 +524,11 @@ mod tests {
     fn scan(table: &str, rows: f64) -> PhysicalPlan {
         PhysicalPlan::TableScan {
             table: table.to_string(),
-            est: PlanEstimate::new(rows, rows),
+            est: PlanEstimate::new(rows),
         }
     }
 
-    fn join_node(op: PhysicalJoinOp, path: AccessPath, inner: InnerInput) -> PhysicalPlan {
+    fn join_node(op: PhysicalJoinOp, inner: InnerInput) -> PhysicalPlan {
         PhysicalPlan::Join(Box::new(JoinNode {
             outer: scan("r", 100.0),
             inner,
@@ -536,11 +537,8 @@ mod tests {
             model: "ft".into(),
             predicate: SimilarityPredicate::TopK(1),
             op,
-            access_path: path,
-            est_inner_selectivity: 0.25,
-            scan_cost: 12_000.0,
-            probe_cost: 3_400.0,
-            est: PlanEstimate::new(100.0, 20_000.0),
+            est_route: crate::IndexJoin::default().route(250, 1_000),
+            est: PlanEstimate::new(100.0),
         }))
     }
 
@@ -548,14 +546,15 @@ mod tests {
     fn explain_renders_access_path_and_costs() {
         let plan = join_node(
             PhysicalJoinOp::Tensor(TensorJoinConfig::default()),
-            AccessPath::TensorScan,
             InnerInput::Plan(scan("s", 500.0)),
         );
         let text = plan.explain();
         assert!(text.contains("TensorJoin"));
         assert!(text.contains("access path: tensor-scan"));
-        assert!(text.contains("inner sel 0.25"));
-        assert!(text.contains("scan cost 1.20e4 vs probe cost 3.40e3"));
+        assert!(text.contains(
+            "est route: survivor scan (probe filter passes 250 of 1000 inner rows; \
+             scan ≈ 1.05 µs, walk ≈ 267.88 µs per probe)]"
+        ));
         assert!(text.contains("TableScan: r"));
         assert!(text.contains("TableScan: s"));
         assert_eq!(plan.estimate().rows, 100.0);
@@ -567,7 +566,6 @@ mod tests {
     fn explain_analyze_renders_estimates_against_actuals() {
         let plan = join_node(
             PhysicalJoinOp::Tensor(TensorJoinConfig::default()),
-            AccessPath::TensorScan,
             InnerInput::Plan(scan("s", 500.0)),
         );
         // pre-order: join, outer scan, inner scan
@@ -581,7 +579,7 @@ mod tests {
         // a short actuals vector leaves trailing operators un-annotated
         let partial = plan.explain_analyze(&[80]);
         assert!(partial.contains("actual 80"));
-        assert!(partial.contains("[rows 500; cost"));
+        assert!(partial.contains("[rows 500]"));
     }
 
     #[test]
@@ -594,7 +592,6 @@ mod tests {
         };
         let plan = join_node(
             PhysicalJoinOp::Index(IndexJoinConfig::default()),
-            AccessPath::IndexProbe,
             InnerInput::Indexed(ii),
         );
         let text = plan.explain();
@@ -610,7 +607,6 @@ mod tests {
     fn explain_marks_ephemeral_index_builds() {
         let plan = join_node(
             PhysicalJoinOp::Index(IndexJoinConfig::default()),
-            AccessPath::IndexProbe,
             InnerInput::Plan(scan("s", 500.0)),
         );
         let text = plan.explain();
@@ -627,18 +623,18 @@ mod tests {
                     predicate: col("x").gt(lit_i64(0)),
                     selectivity: 0.5,
                     input: Box::new(scan("t", 10.0)),
-                    est: PlanEstimate::new(5.0, 20.0),
+                    est: PlanEstimate::new(5.0),
                 }),
-                est: PlanEstimate::new(5.0, 25.0),
+                est: PlanEstimate::new(5.0),
             }),
-            est: PlanEstimate::new(5.0, 5_025.0),
+            est: PlanEstimate::new(5.0),
         };
         let text = plan.explain();
         assert!(text.contains("Embed: word -> word_emb"));
         assert!(text.contains("Project: [word]"));
         assert!(text.contains("Filter:"));
         assert!(text.contains("(sel 0.500)"));
-        assert!(text.contains("[rows 5; cost"));
+        assert!(text.contains("[rows 5]"));
         assert!(format!("{plan}").contains("TableScan: t"));
         assert!(plan.join_nodes().is_empty());
         assert_eq!(plan.operator_count(), 4);

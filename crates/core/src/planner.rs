@@ -10,10 +10,13 @@
 //!    view* ([`cej_storage::TableStats`], computed by the `ANALYZE` pass at
 //!    registration): scans are exact, filters apply histogram/ndv-based
 //!    selectivities ([`cej_relational::selectivity`]) instead of a constant;
-//! 3. for every `EJoin` the [`AccessPathAdvisor`] is consulted with the
-//!    estimated query shape — including the estimated *inner selectivity*,
-//!    the axis of Figures 15-17 — producing the scan-vs-probe cost pair that
-//!    [`PhysicalPlan::explain`] renders;
+//! 3. for every `EJoin` the index join's run-time route
+//!    ([`crate::IndexJoin::route`]) is priced with the statistics-estimated
+//!    inner cardinality standing in for the probe filter's survivors — the
+//!    selectivity axis of Figures 15-17 — and [`PhysicalPlan::explain`]
+//!    renders it; under [`JoinStrategy::Auto`] the join is planned on the
+//!    index only for a top-k whose route walks an index over a base-table
+//!    column that is resident or could stay resident;
 //! 4. when the index path is chosen *and* the inner side reduces to a
 //!    base-table column (scan plus filters/projections), the join is lowered
 //!    onto a persistent index handle ([`crate::physical_plan::IndexedInner`])
@@ -21,9 +24,9 @@
 //!    predicates turned into probe-time filter bitmaps — the paper's
 //!    pre-filtering semantics.
 //!
-//! The produced plan is immutable and snapshots the statistics it was costed
-//! with: executing it twice performs the same physical operators, which is
-//! what makes prepared queries meaningful.
+//! The produced plan is immutable and snapshots the statistics it was
+//! estimated with: executing it twice performs the same physical operators,
+//! which is what makes prepared queries meaningful.
 
 use std::sync::Arc;
 
@@ -35,14 +38,14 @@ use cej_storage::{ColumnStats, DataType, Field, Schema, TableStats};
 
 use cej_relational::physical::ModelRegistry;
 
-use crate::access_path::{AccessPath, AccessPathAdvisor, AccessPathQuery};
 use crate::error::CoreError;
-use crate::index_manager::{IndexKey, IndexManager};
-use crate::join::index_join::IndexJoinConfig;
+use crate::index_manager::{estimate_index_bytes, IndexKey, IndexManager};
+use crate::join::index_join::{IndexJoin, IndexJoinConfig};
 use crate::join::tensor_join::TensorJoinConfig;
 use crate::physical_plan::{
     HashJoinNode, IndexedInner, InnerInput, JoinNode, PhysicalJoinOp, PhysicalPlan, PlanEstimate,
 };
+use crate::result::IndexPath;
 use crate::session::JoinStrategy;
 use crate::Result;
 
@@ -65,18 +68,18 @@ struct Lowered {
     stats: Option<Arc<TableStats>>,
 }
 
-/// Lowers optimised logical plans into physical plans, consulting the
-/// [`AccessPathAdvisor`] for every context-enhanced join.
+/// Lowers optimised logical plans into physical plans, pricing the index
+/// join's route ([`crate::IndexJoin::route`]) for every context-enhanced
+/// join.
 #[derive(Debug, Clone, Copy)]
 pub struct Planner {
-    advisor: AccessPathAdvisor,
     strategy: JoinStrategy,
 }
 
 impl Planner {
-    /// Creates a planner with the given advisor and (session) strategy.
-    pub fn new(advisor: AccessPathAdvisor, strategy: JoinStrategy) -> Self {
-        Self { advisor, strategy }
+    /// Creates a planner for the given (session) strategy.
+    pub fn new(strategy: JoinStrategy) -> Self {
+        Self { strategy }
     }
 
     /// Lowers `plan` to a physical plan.
@@ -103,7 +106,6 @@ impl Planner {
         registry: &ModelRegistry,
         indexes: &IndexManager,
     ) -> Result<Lowered> {
-        let access = self.advisor.cost_model.params.access_cost;
         match plan {
             LogicalPlan::Scan { table } => {
                 let schema = catalog.schema(table).map_err(CoreError::from)?;
@@ -112,7 +114,7 @@ impl Planner {
                 Ok(Lowered {
                     plan: PhysicalPlan::TableScan {
                         table: table.clone(),
-                        est: PlanEstimate::new(rows, rows * access),
+                        est: PlanEstimate::new(rows),
                     },
                     schema,
                     stats: Some(stats),
@@ -126,11 +128,7 @@ impl Planner {
                     .as_deref()
                     .map(|stats| estimate_selectivity(predicate, stats))
                     .unwrap_or(DEFAULT_SELECTIVITY);
-                let in_est = child.plan.estimate();
-                let est = PlanEstimate::new(
-                    in_est.rows * selectivity,
-                    in_est.cost + in_est.rows * access,
-                );
+                let est = PlanEstimate::new(child.plan.estimate().rows * selectivity);
                 // The filter output keeps every column's value *distribution*
                 // (to first order) but shrinks the row count — scale the
                 // statistics view so estimators above the filter see it.
@@ -153,8 +151,7 @@ impl Planner {
                 let child = self.lower(input, catalog, registry, indexes)?;
                 let names: Vec<&str> = columns.iter().map(|c| c.as_str()).collect();
                 let schema = child.schema.project(&names).map_err(CoreError::from)?;
-                let in_est = child.plan.estimate();
-                let est = PlanEstimate::new(in_est.rows, in_est.cost + in_est.rows * access);
+                let est = child.plan.estimate();
                 Ok(Lowered {
                     plan: PhysicalPlan::Project {
                         columns: columns.clone(),
@@ -175,11 +172,7 @@ impl Planner {
                     DataType::Vector(model.dim()),
                 ));
                 let schema = Schema::new(fields).map_err(CoreError::from)?;
-                let in_est = child.plan.estimate();
-                let est = PlanEstimate::new(
-                    in_est.rows,
-                    in_est.cost + in_est.rows * self.advisor.cost_model.params.model_cost,
-                );
+                let est = child.plan.estimate();
                 Ok(Lowered {
                     plan: PhysicalPlan::Embed {
                         spec: spec.clone(),
@@ -200,7 +193,7 @@ impl Planner {
                     fields.push(Field::new(to, field.data_type));
                 }
                 let schema = Schema::new(fields).map_err(CoreError::from)?;
-                // Zero-copy column shuffle: same rows, no added cost.
+                // Zero-copy column shuffle: same rows.
                 let est = child.plan.estimate();
                 let stats = child.stats.as_deref().map(|s| {
                     let mut renamed = HashMap::new();
@@ -273,7 +266,6 @@ impl Planner {
         registry: &ModelRegistry,
         indexes: &IndexManager,
     ) -> Result<Lowered> {
-        let access = self.advisor.cost_model.params.access_cost;
         let l = self.lower(left, catalog, registry, indexes)?;
         let r = self.lower(right, catalog, registry, indexes)?;
         let lf = l.schema.field(left_column).map_err(|_| {
@@ -331,10 +323,7 @@ impl Planner {
         .unwrap_or_else(|| l_est.rows.max(r_est.rows))
         .max(1.0);
         let est_rows = l_est.rows * r_est.rows / ndv;
-        let est = PlanEstimate::new(
-            est_rows,
-            l_est.cost + r_est.cost + (l_est.rows + r_est.rows + est_rows) * access,
-        );
+        let est = PlanEstimate::new(est_rows);
 
         // Propagate statistics across the join boundary: both sides keep
         // their names, every column's distribution survives (scaled to the
@@ -393,89 +382,53 @@ impl Planner {
         // Can the inner side be served by a persistent index over a base
         // table column?
         let indexable = analyze_indexable_inner(right, right_column, catalog);
-
-        // The query shape the advisor reasons about: for an indexable inner
-        // the index covers the *full* base table and the statistics-estimated
-        // filtered cardinality acts as the inner selectivity — the axis of
-        // Figures 15-17; otherwise the materialised inner relation is scanned
-        // (and an ephemeral index would cover exactly its rows).
-        let (inner_rows, inner_selectivity) = match &indexable {
-            Some(ix) if ix.base_rows > 0 => (
-                ix.base_rows,
-                (inner_est.rows / ix.base_rows as f64).clamp(0.0, 1.0),
-            ),
-            _ => (inner_est.rows.round().max(0.0) as usize, 1.0),
-        };
-        let candidate_config = match self.strategy {
+        let config = match self.strategy {
             JoinStrategy::Index(config) => config,
             _ => IndexJoinConfig::default(),
         };
-        let index_available = indexable
-            .as_ref()
-            .map(|ix| {
-                indexes.contains(&IndexKey::new(
-                    &ix.table,
-                    right_column,
-                    model,
-                    candidate_config.params,
-                ))
-            })
-            .unwrap_or(false);
-        let query = AccessPathQuery {
-            outer_rows: outer_est.rows.round().max(0.0) as usize,
-            inner_rows,
-            inner_selectivity,
-            predicate,
-            index_available,
-        };
-        let scan_cost = self.advisor.scan_cost(&query);
-        let probe_cost = self.advisor.probe_cost(&query);
 
-        // Eviction-aware costing: a cold probe path is only worth planning
-        // when its index could actually *stay* resident under the session's
-        // memory budget (minus bytes pinned by in-flight queries).  An
-        // already-resident index is always usable; a doomed one would
-        // thrash build → evict → rebuild on every execution.
-        let index_can_stay_resident = index_available
-            || match &indexable {
-                Some(ix) => {
+        // The route a run of the index arm takes, priced as the interpreter
+        // prices it ([`IndexJoin::route`]) with the statistics-estimated
+        // inner rows standing in for the probe filter's survivors: an
+        // indexable inner is its whole base table behind the filters, any
+        // other inner its estimated rows.
+        let est_survivors = inner_est.rows.round().max(0.0) as usize;
+        let rows = indexable.as_ref().map_or(est_survivors, |ix| ix.base_rows);
+        let est_route = IndexJoin::new(config).route(est_survivors.min(rows), rows);
+
+        // Auto plans the index where a run would walk it: a top-k (a walk
+        // answers a threshold as a top-`range_probe_k` post-filter, an
+        // approximation the scan does not make) over a base-table column
+        // whose index is resident or could stay resident under the
+        // session's memory budget, minus bytes pinned by in-flight queries
+        // (a doomed one would thrash build → evict → rebuild on every
+        // execution).
+        let walks = match &indexable {
+            Some(ix)
+                if self.strategy == JoinStrategy::Auto
+                    && matches!(predicate, SimilarityPredicate::TopK(_))
+                    && est_route.path == IndexPath::Walk =>
+            {
+                let key = IndexKey::new(&ix.table, right_column, model, config.params);
+                indexes.contains(&key) || {
                     let dim = registry.model(model).map_err(CoreError::from)?.dim();
-                    indexes.would_stay_resident(crate::index_manager::estimate_index_bytes(
+                    indexes.would_stay_resident(estimate_index_bytes(
                         ix.base_rows,
                         dim,
-                        &candidate_config.params,
+                        &config.params,
                     ))
                 }
-                // a non-indexable inner builds an ephemeral (per-run) index
-                // that never enters the budgeted cache
-                None => true,
-            };
-
-        let (op, access_path) = match self.strategy {
-            JoinStrategy::Auto => match self.advisor.choose(&query) {
-                AccessPath::TensorScan => (
-                    PhysicalJoinOp::Tensor(TensorJoinConfig::default()),
-                    AccessPath::TensorScan,
-                ),
-                AccessPath::IndexProbe if !index_can_stay_resident => (
-                    PhysicalJoinOp::Tensor(TensorJoinConfig::default()),
-                    AccessPath::TensorScan,
-                ),
-                AccessPath::IndexProbe => (
-                    PhysicalJoinOp::Index(candidate_config),
-                    AccessPath::IndexProbe,
-                ),
-            },
-            JoinStrategy::NaiveNlj => (PhysicalJoinOp::NaiveNlj, AccessPath::TensorScan),
-            JoinStrategy::PrefetchNlj(config) => {
-                (PhysicalJoinOp::PrefetchNlj(config), AccessPath::TensorScan)
             }
-            JoinStrategy::Tensor(config) => {
-                (PhysicalJoinOp::Tensor(config), AccessPath::TensorScan)
-            }
-            JoinStrategy::Index(config) => (PhysicalJoinOp::Index(config), AccessPath::IndexProbe),
+            _ => false,
         };
-
+        let op = match self.strategy {
+            JoinStrategy::Auto if walks => PhysicalJoinOp::Index(config),
+            JoinStrategy::Auto => PhysicalJoinOp::Tensor(TensorJoinConfig::default()),
+            JoinStrategy::NaiveNlj => PhysicalJoinOp::NaiveNlj,
+            JoinStrategy::PrefetchNlj(config) => PhysicalJoinOp::PrefetchNlj(config),
+            JoinStrategy::Tensor(config) => PhysicalJoinOp::Tensor(config),
+            JoinStrategy::Index(config) => PhysicalJoinOp::Index(config),
+        };
         let schema = join_schema(&outer.schema, &inner.schema)?;
         let outer_stats = outer.stats.clone();
         let inner_stats = inner.stats.clone();
@@ -489,24 +442,13 @@ impl Planner {
             _ => InnerInput::Plan(inner.plan),
         };
 
-        // Output-cardinality estimate plus total cost: inputs, the linear
-        // (|R| + |S|) · M prefetch term, and the chosen path's join cost.
         let est_rows = match predicate {
             SimilarityPredicate::TopK(k) => outer_est.rows * k as f64,
             SimilarityPredicate::Threshold(t) => {
                 outer_est.rows * inner_est.rows * threshold_selectivity(t)
             }
         };
-        let prefetch_cost =
-            (outer_est.rows + inner_est.rows) * self.advisor.cost_model.params.model_cost;
-        let path_cost = match access_path {
-            AccessPath::TensorScan => scan_cost,
-            AccessPath::IndexProbe => probe_cost,
-        };
-        let est = PlanEstimate::new(
-            est_rows,
-            outer_est.cost + inner_est.cost + prefetch_cost + path_cost,
-        );
+        let est = PlanEstimate::new(est_rows);
 
         // Propagate statistics across the ejoin boundary under the output's
         // `l_*` / `r_*` re-labelling: each side's distributions survive
@@ -546,10 +488,7 @@ impl Planner {
                 model: model.to_string(),
                 predicate,
                 op,
-                access_path,
-                est_inner_selectivity: inner_selectivity,
-                scan_cost,
-                probe_cost,
+                est_route,
                 est,
             })),
             schema,
@@ -659,10 +598,10 @@ fn analyze_indexable_inner(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::access_path::AccessPathAdvisor;
-    use crate::cost::{CostModel, CostParameters};
+    use crate::access_path::AccessPath;
+    use crate::result::IndexRoute;
     use cej_relational::{col, lit_i64, EmbedSpec};
     use cej_storage::TableBuilder;
     use std::sync::Arc;
@@ -707,10 +646,76 @@ mod tests {
         )
     }
 
+    /// [`setup`] plus a `big` table of 200,000 rows whose `filter` column
+    /// cycles through 0..100: there the default index's route crosses over
+    /// near a 66 % pass ratio ([`IndexJoin::route`]), so a 95 % filter walks
+    /// and a 5 % one scans.
+    pub(crate) struct Big {
+        catalog: Catalog,
+        registry: ModelRegistry,
+        indexes: IndexManager,
+    }
+
+    impl Big {
+        pub(crate) fn new() -> Self {
+            let (catalog, registry, indexes) = setup();
+            let rows = 0..200_000;
+            catalog.register(
+                "big",
+                TableBuilder::new()
+                    .int64("filter", rows.clone().map(|i| i % 100).collect())
+                    .utf8("word", rows.map(|i| format!("w{i}")).collect())
+                    .build()
+                    .unwrap(),
+            );
+            Self {
+                catalog,
+                registry,
+                indexes,
+            }
+        }
+
+        /// The access path and estimated route `Auto` plans for `r` joined
+        /// to the `big` rows whose `filter` is below `cut`.
+        pub(crate) fn auto(
+            &self,
+            cut: i64,
+            predicate: SimilarityPredicate,
+        ) -> (AccessPath, IndexRoute) {
+            let plan = LogicalPlan::e_join(
+                LogicalPlan::scan("r"),
+                LogicalPlan::scan("big").select(col("filter").lt(lit_i64(cut))),
+                "word",
+                "word",
+                "m",
+                predicate,
+            );
+            let physical = Planner::new(JoinStrategy::Auto)
+                .plan(&plan, &self.catalog, &self.registry, &self.indexes)
+                .unwrap();
+            let node = physical.join_nodes()[0];
+            (node.op.access_path(), node.est_route)
+        }
+
+        /// Makes an index resident under the key `Auto` plans for `big`,
+        /// returning the handle that pins it.
+        fn resident_index(&self) -> Arc<cej_index::HnswIndex> {
+            let key = IndexKey::new("big", "word", "m", IndexJoinConfig::default().params);
+            let (vectors, _) = cej_workload::clustered_matrix(20, 8, 2, 0.05, 5);
+            let build = || cej_index::HnswIndex::build(vectors, cej_index::HnswParams::tiny());
+            let (held, _) = self
+                .indexes
+                .get_or_build(&key, || build().map_err(CoreError::from))
+                .unwrap();
+            assert!(self.indexes.contains(&key));
+            held
+        }
+    }
+
     #[test]
     fn scan_cardinalities_are_exact_and_filters_use_statistics() {
         let (catalog, registry, indexes) = setup();
-        let planner = Planner::new(AccessPathAdvisor::default(), JoinStrategy::Auto);
+        let planner = Planner::new(JoinStrategy::Auto);
         // ids are uniform 0..200, so `id > 10` keeps ~189/200 rows — the
         // histogram estimate must land near that, not at the old 0.5 constant
         let plan = LogicalPlan::scan("s").select(col("id").gt(lit_i64(10)));
@@ -734,7 +739,7 @@ mod tests {
     #[test]
     fn auto_small_join_lowers_to_tensor_with_both_costs() {
         let (catalog, registry, indexes) = setup();
-        let planner = Planner::new(AccessPathAdvisor::default(), JoinStrategy::Auto);
+        let planner = Planner::new(JoinStrategy::Auto);
         let physical = planner
             .plan(&join_plan(), &catalog, &registry, &indexes)
             .unwrap();
@@ -742,24 +747,25 @@ mod tests {
         assert_eq!(joins.len(), 1);
         let node = joins[0];
         assert!(matches!(node.op, PhysicalJoinOp::Tensor(_)));
-        assert_eq!(node.access_path, AccessPath::TensorScan);
-        assert!(node.scan_cost > 0.0 && node.probe_cost > 0.0);
-        assert!(node.scan_cost < node.probe_cost);
-        assert_eq!(node.est_inner_selectivity, 1.0);
+        assert_eq!(node.op.access_path(), AccessPath::TensorScan);
+        // every one of the 200 rows is a survivor, and scanning them is
+        // priced below the walk for them
+        let route = node.est_route;
+        assert_eq!((route.survivors, route.rows), (200, 200));
+        assert_eq!(route.path, IndexPath::SurvivorScan);
+        assert!(0 < route.scan_ns && route.scan_ns < route.walk_ns);
+        assert_eq!(route, IndexJoin::default().route(200, 200));
     }
 
     #[test]
     fn forced_index_strategy_uses_persistent_inner_for_base_scans() {
         let (catalog, registry, indexes) = setup();
-        let planner = Planner::new(
-            AccessPathAdvisor::default(),
-            JoinStrategy::Index(IndexJoinConfig::default()),
-        );
+        let planner = Planner::new(JoinStrategy::Index(IndexJoinConfig::default()));
         let physical = planner
             .plan(&join_plan(), &catalog, &registry, &indexes)
             .unwrap();
         let node = physical.join_nodes()[0];
-        assert_eq!(node.access_path, AccessPath::IndexProbe);
+        assert_eq!(node.op.access_path(), AccessPath::IndexProbe);
         match &node.inner {
             InnerInput::Indexed(ii) => {
                 assert_eq!(ii.key.table, "s");
@@ -773,10 +779,7 @@ mod tests {
     #[test]
     fn inner_filters_become_probe_bitmaps_with_estimated_selectivity() {
         let (catalog, registry, indexes) = setup();
-        let planner = Planner::new(
-            AccessPathAdvisor::default(),
-            JoinStrategy::Index(IndexJoinConfig::default()),
-        );
+        let planner = Planner::new(JoinStrategy::Index(IndexJoinConfig::default()));
         let plan = LogicalPlan::e_join(
             LogicalPlan::scan("r"),
             LogicalPlan::scan("s").select(col("id").lt(lit_i64(50))),
@@ -799,73 +802,61 @@ mod tests {
             }
             other => panic!("expected persistent index inner, got {other:?}"),
         }
+        let route = node.est_route;
+        assert_eq!(route.rows, 200);
         assert!(
-            (node.est_inner_selectivity - 0.25).abs() < 0.05,
-            "inner selectivity {} should track the histogram (~0.25)",
-            node.est_inner_selectivity
+            route.survivors.abs_diff(50) < 8,
+            "estimated survivors {} should track the histogram (~50)",
+            route.survivors
         );
     }
 
     #[test]
     fn advisor_choice_tracks_estimated_inner_selectivity() {
-        // A probe-friendly cost model (cheap index traversal) so the
-        // crossover happens inside a small test relation: the *only*
-        // difference between the two plans is the inner filter cutoff, so a
-        // flipped access path proves the advisor consumed the estimated
-        // selectivity.
-        let (catalog, registry, indexes) = setup();
-        catalog.register(
-            "big",
-            TableBuilder::new()
-                .int64("filter", (0..2000).map(|i| i % 100).collect())
-                .utf8("word", (0..2000).map(|i| format!("w{i}")).collect())
-                .build()
-                .unwrap(),
-        );
-        let advisor = AccessPathAdvisor::new(CostModel::new(CostParameters {
-            index_probe_cost: 20.0,
-            ..CostParameters::default()
-        }));
-        let planner = Planner::new(advisor, JoinStrategy::Auto);
-        let plan_at = |cut: i64| {
-            LogicalPlan::e_join(
-                LogicalPlan::scan("r"),
-                LogicalPlan::scan("big").select(col("filter").lt(lit_i64(cut))),
-                "word",
-                "word",
-                "m",
-                SimilarityPredicate::TopK(1),
-            )
-        };
-        let low = planner
-            .plan(&plan_at(5), &catalog, &registry, &indexes)
-            .unwrap();
-        let high = planner
-            .plan(&plan_at(95), &catalog, &registry, &indexes)
-            .unwrap();
-        let low_node = low.join_nodes()[0];
-        let high_node = high.join_nodes()[0];
-        assert!(low_node.est_inner_selectivity < 0.1);
-        assert!(high_node.est_inner_selectivity > 0.85);
+        // The only difference between the two plans is the inner filter
+        // cutoff, so a flipped access path proves Auto consumed the
+        // estimated selectivity.
+        let big = Big::new();
+        let (low_path, low) = big.auto(5, SimilarityPredicate::TopK(1));
+        let (high_path, high) = big.auto(95, SimilarityPredicate::TopK(1));
+        assert!(low.survivors < 20_000 && high.survivors > 170_000);
         assert_eq!(
-            low_node.access_path,
-            AccessPath::TensorScan,
-            "low selectivity: pre-filtered scan must win"
+            (low_path, low.path),
+            (AccessPath::TensorScan, IndexPath::SurvivorScan)
         );
         assert_eq!(
-            high_node.access_path,
-            AccessPath::IndexProbe,
-            "high selectivity: the probe must win"
+            (high_path, high.path),
+            (AccessPath::IndexProbe, IndexPath::Walk)
         );
+    }
+
+    #[test]
+    fn top_k_up_to_ef_search_leaves_the_crossover_in_place() {
+        // A walk keeps an `efSearch`-wide list (64 under the default index)
+        // whatever k it returns up to that width, so its price — and the
+        // route — reads no k: top-32 crosses over where top-1 does.
+        let big = Big::new();
+        for cut in [5, 50, 65, 70, 95] {
+            let at = |k| big.auto(cut, SimilarityPredicate::TopK(k));
+            assert_eq!(at(1), at(32), "filter < {cut}");
+        }
+    }
+
+    #[test]
+    fn a_resident_index_leaves_the_estimated_route_unchanged() {
+        // neither path is priced a build: a resident index changes no
+        // price, and a walking route plans the index either way
+        let big = Big::new();
+        let cold = big.auto(95, SimilarityPredicate::TopK(1));
+        let _held = big.resident_index();
+        assert_eq!(big.auto(95, SimilarityPredicate::TopK(1)), cold);
+        assert_eq!(cold.0, AccessPath::IndexProbe);
     }
 
     #[test]
     fn embedded_inner_disables_persistent_index() {
         let (catalog, registry, indexes) = setup();
-        let planner = Planner::new(
-            AccessPathAdvisor::default(),
-            JoinStrategy::Index(IndexJoinConfig::default()),
-        );
+        let planner = Planner::new(JoinStrategy::Index(IndexJoinConfig::default()));
         let plan = LogicalPlan::e_join(
             LogicalPlan::scan("r"),
             LogicalPlan::scan("s").embed(EmbedSpec::new("word", "m")),
@@ -884,7 +875,7 @@ mod tests {
     #[test]
     fn plan_time_schema_and_type_errors() {
         let (catalog, registry, indexes) = setup();
-        let planner = Planner::new(AccessPathAdvisor::default(), JoinStrategy::Auto);
+        let planner = Planner::new(JoinStrategy::Auto);
         // ejoin on a non-string column: typed error at plan time
         let non_string = LogicalPlan::e_join(
             LogicalPlan::scan("r"),
@@ -952,7 +943,7 @@ mod tests {
     #[test]
     fn unknown_table_and_model_error_at_plan_time() {
         let (catalog, registry, indexes) = setup();
-        let planner = Planner::new(AccessPathAdvisor::default(), JoinStrategy::Auto);
+        let planner = Planner::new(JoinStrategy::Auto);
         assert!(planner
             .plan(&LogicalPlan::scan("nope"), &catalog, &registry, &indexes)
             .is_err());
@@ -970,93 +961,27 @@ mod tests {
     }
 
     #[test]
-    fn existing_index_lowers_auto_cost() {
-        let (catalog, registry, indexes) = setup();
-        let planner = Planner::new(AccessPathAdvisor::default(), JoinStrategy::Auto);
-        let cold = planner
-            .plan(&join_plan(), &catalog, &registry, &indexes)
-            .unwrap();
-        // simulate a resident index for the candidate key
-        let key = IndexKey::new("s", "word", "m", IndexJoinConfig::default().params);
-        let (vectors, _) = cej_workload::clustered_matrix(20, 8, 2, 0.05, 5);
-        indexes
-            .get_or_build(&key, || {
-                cej_index::HnswIndex::build(vectors.clone(), cej_index::HnswParams::tiny())
-                    .map_err(CoreError::from)
-            })
-            .unwrap();
-        let warm = planner
-            .plan(&join_plan(), &catalog, &registry, &indexes)
-            .unwrap();
-        assert!(
-            warm.join_nodes()[0].probe_cost < cold.join_nodes()[0].probe_cost,
-            "a resident index must remove the build term from the probe cost"
-        );
-    }
-
-    #[test]
     fn doomed_index_budget_declines_the_probe_path() {
-        // Same probe-friendly setup as the selectivity-flip test: at high
-        // inner selectivity Auto picks the index probe — unless the budget
-        // could never hold the index, in which case the advisor must fall
-        // back to the pre-filtered scan instead of planning a build → evict
-        // → rebuild loop.
-        let (catalog, registry, indexes) = setup();
-        catalog.register(
-            "big",
-            TableBuilder::new()
-                .int64("filter", (0..2000).map(|i| i % 100).collect())
-                .utf8("word", (0..2000).map(|i| format!("w{i}")).collect())
-                .build()
-                .unwrap(),
-        );
-        let advisor = AccessPathAdvisor::new(CostModel::new(CostParameters {
-            index_probe_cost: 20.0,
-            ..CostParameters::default()
-        }));
-        let planner = Planner::new(advisor, JoinStrategy::Auto);
-        let plan = LogicalPlan::e_join(
-            LogicalPlan::scan("r"),
-            LogicalPlan::scan("big").select(col("filter").lt(lit_i64(95))),
-            "word",
-            "word",
-            "m",
-            SimilarityPredicate::TopK(1),
-        );
-        let unbudgeted = planner.plan(&plan, &catalog, &registry, &indexes).unwrap();
-        assert_eq!(
-            unbudgeted.join_nodes()[0].access_path,
-            AccessPath::IndexProbe,
-            "without a budget the probe wins this shape"
-        );
+        // At a high inner selectivity over the big table Auto picks the
+        // index probe — unless the budget could never hold the index, in
+        // which case it must fall back to the pre-filtered scan instead of
+        // planning a build → evict → rebuild loop.
+        let big = Big::new();
+        let path = || big.auto(95, SimilarityPredicate::TopK(1)).0;
+        assert_eq!(path(), AccessPath::IndexProbe, "no budget: the probe wins");
         // a budget far below the estimated index footprint dooms residency
-        indexes.set_budget(Some(64));
-        let budgeted = planner.plan(&plan, &catalog, &registry, &indexes).unwrap();
+        big.indexes.set_budget(Some(64));
+        assert_eq!(path(), AccessPath::TensorScan, "a never-resident index");
+        // ... but an index that is *already* resident keeps the probe path;
+        // the held handle pins it, so the tiny budget cannot evict it
+        big.indexes.set_budget(None);
+        let _held = big.resident_index();
+        big.indexes.set_budget(Some(64));
         assert_eq!(
-            budgeted.join_nodes()[0].access_path,
-            AccessPath::TensorScan,
-            "a never-resident index must not be planned"
-        );
-        // ... but an index that is *already* resident keeps the probe path
-        indexes.set_budget(None);
-        let key = IndexKey::new("big", "word", "m", IndexJoinConfig::default().params);
-        let (vectors, _) = cej_workload::clustered_matrix(20, 8, 2, 0.05, 5);
-        let (held, _) = indexes
-            .get_or_build(&key, || {
-                cej_index::HnswIndex::build(vectors.clone(), cej_index::HnswParams::tiny())
-                    .map_err(CoreError::from)
-            })
-            .unwrap();
-        // the held handle pins the entry, so the tiny budget cannot evict it
-        indexes.set_budget(Some(64));
-        assert!(indexes.contains(&key));
-        let resident = planner.plan(&plan, &catalog, &registry, &indexes).unwrap();
-        assert_eq!(
-            resident.join_nodes()[0].access_path,
+            path(),
             AccessPath::IndexProbe,
-            "an already-resident index stays usable"
+            "a resident index stays usable"
         );
-        drop(held);
     }
 
     #[test]

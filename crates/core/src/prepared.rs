@@ -22,7 +22,7 @@
 //!   parameter: it re-binds every similarity threshold in the *already
 //!   planned* operator tree and re-estimates the affected output
 //!   cardinalities, so one prepared query serves a whole family of
-//!   thresholds without re-running the optimizer, planner, or advisor.
+//!   thresholds without re-running the optimizer or planner.
 
 use std::sync::Arc;
 
@@ -334,15 +334,7 @@ impl<'s> PreparedQuery<'s> {
             .physical
             .explain_analyze_timed(&report.operator_rows, &report.operator_micros);
         if let Some(route) = report.join_stats.index_route {
-            text.push_str(&format!(
-                "index join: {} (probe filter passes {} of {} inner rows; \
-                 scan ≈ {:.2} µs, walk ≈ {:.2} µs per probe)\n",
-                route.path.label(),
-                route.survivors,
-                route.rows,
-                route.scan_ns as f64 / 1e3,
-                route.walk_ns as f64 / 1e3
-            ));
+            text.push_str(&format!("index join: {route}\n"));
         }
         let join = &report.join_stats;
         if let Some(path) = join.tensor_path {
@@ -372,8 +364,8 @@ impl<'s> PreparedQuery<'s> {
     /// optimisation, lowering, or access-path selection is repeated — the
     /// affected output-cardinality estimates are recomputed bottom-up from
     /// the new threshold, through every operator of the (possibly
-    /// DP-reordered) tree (the advisor's scan-vs-probe costs are invariant in
-    /// the threshold *value*, so the planned access path stays correct).
+    /// DP-reordered) tree (Auto never plans a threshold join on the index,
+    /// whatever its value, so the planned access path stays correct).
     ///
     /// # Errors
     /// Returns [`CoreError::InvalidInput`] when the plan has no threshold
@@ -518,8 +510,8 @@ fn operator_span_name(plan: &PhysicalPlan) -> String {
 /// Rewrites `Threshold` join predicates in the physical tree and re-estimates
 /// output cardinalities bottom-up, so operators *above* a re-bound join
 /// (filters on `similarity`, projections, enclosing joins) also reflect the
-/// new threshold.  Estimated costs keep their plan-time values — binding
-/// never re-runs the advisor.
+/// new threshold.  The estimated route keeps its plan-time value — binding
+/// never re-plans the access path.
 ///
 /// `target` selects which threshold ejoin to rebind, counted pre-order (the
 /// order `explain` renders them) via `next`; `None` rebinds all of them.

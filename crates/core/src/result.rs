@@ -1,5 +1,6 @@
 //! Join results and execution statistics.
 
+use std::fmt;
 use std::time::Duration;
 
 use cej_index::ProbeStats;
@@ -105,7 +106,7 @@ pub enum IndexPath {
     /// inside the walk.
     Walk,
     /// The probe filter's survivors — every row when there is no filter —
-    /// are scanned exactly by the tensor join: the priced scan was the
+    /// are scanned exactly by the tensor join: the priced walk was not the
     /// cheaper path ([`crate::IndexJoin::route`]).
     SurvivorScan,
 }
@@ -120,8 +121,10 @@ impl IndexPath {
     }
 }
 
-/// The path a persistent-index join took, the counts it was chosen on and
-/// what each path was priced at ([`crate::IndexJoin::route`]).
+/// The path a persistent-index join takes, the counts it is chosen on and
+/// what each path is priced at ([`crate::IndexJoin::route`]): the planner's
+/// estimate ([`crate::JoinNode::est_route`]) or a run's
+/// ([`JoinStats::index_route`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexRoute {
     /// Walk or survivor scan.
@@ -135,6 +138,24 @@ pub struct IndexRoute {
     pub scan_ns: u64,
     /// The walk's priced cost per outer row, in nanoseconds.
     pub walk_ns: u64,
+}
+
+impl fmt::Display for IndexRoute {
+    /// The path with both prices, as `EXPLAIN` and `explain_analyze` print
+    /// it: `walk (probe filter passes 3000 of 3000 inner rows; scan ≈ 12.60
+    /// µs, walk ≈ 9.70 µs per probe)`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} (probe filter passes {} of {} inner rows; \
+             scan ≈ {:.2} µs, walk ≈ {:.2} µs per probe)",
+            self.path.label(),
+            self.survivors,
+            self.rows,
+            self.scan_ns as f64 / 1e3,
+            self.walk_ns as f64 / 1e3
+        )
+    }
 }
 
 /// The outcome of a join operator: matched pairs plus statistics.

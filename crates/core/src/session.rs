@@ -10,9 +10,9 @@
 //! * **Plan** ([`ContextJoinSession::prepare`]): the optimizer pushes
 //!   relational predicates below the embedding (Section III-C / IV), then
 //!   the [`crate::planner::Planner`] lowers the result to a
-//!   [`crate::physical_plan::PhysicalPlan`], consulting the
-//!   [`AccessPathAdvisor`] *at plan time* — the Section V cost-based choice,
-//!   inspectable via `explain()` before anything runs.
+//!   [`crate::physical_plan::PhysicalPlan`], pricing the index join's route
+//!   ([`crate::IndexJoin::route`]) *at plan time* — the Section V cost-based
+//!   choice, inspectable via `explain()` before anything runs.
 //! * **Execute** ([`crate::prepared::PreparedQuery::run`]): the physical
 //!   plan runs against session-owned shared state — one `Arc`-shared
 //!   [`ModelRegistry`], per-model embedding caches, and persistent HNSW
@@ -42,7 +42,7 @@ use cej_embedding::{Embedder, EmbeddingStats};
 use cej_relational::{physical::ModelRegistry, reorder_joins, Catalog, LogicalPlan, Optimizer};
 use cej_storage::{Delta, Table};
 
-use crate::access_path::{AccessPath, AccessPathAdvisor};
+use crate::access_path::AccessPath;
 use crate::builder::QueryBuilder;
 use crate::error::CoreError;
 use crate::executor::{EmbeddingCachePool, RunEmbedder};
@@ -61,7 +61,11 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum JoinStrategy {
     /// Cost-based access-path selection between the tensor scan and the
-    /// index probe (the paper's recommended policy).
+    /// index probe (the paper's recommended policy): the index where a run
+    /// would walk it — a top-k over a base-table column whose estimated
+    /// survivors price the walk below their scan
+    /// ([`crate::IndexJoin::route`]), and whose index is resident or could
+    /// stay resident — the tensor scan everywhere else.
     #[default]
     Auto,
     /// The naive per-pair-embedding NLJ (for demonstration only).
@@ -151,7 +155,6 @@ struct SessionState {
     catalog: Catalog,
     registry: parking_lot::RwLock<Arc<ModelRegistry>>,
     strategy: parking_lot::RwLock<JoinStrategy>,
-    advisor: parking_lot::RwLock<AccessPathAdvisor>,
     optimizer: Optimizer,
     embeddings: EmbeddingCachePool,
     indexes: IndexManager,
@@ -182,14 +185,13 @@ impl Clone for ContextJoinSession {
 }
 
 impl ContextJoinSession {
-    /// Creates an empty session with the default optimizer and advisor.
+    /// Creates an empty session with the default optimizer and strategy.
     pub fn new() -> Self {
         Self {
             state: Arc::new(SessionState {
                 catalog: Catalog::new(),
                 registry: parking_lot::RwLock::new(Arc::new(ModelRegistry::new())),
                 strategy: parking_lot::RwLock::new(JoinStrategy::Auto),
-                advisor: parking_lot::RwLock::new(AccessPathAdvisor::default()),
                 optimizer: Optimizer::with_default_rules(),
                 embeddings: EmbeddingCachePool::new(),
                 indexes: IndexManager::new(),
@@ -247,13 +249,6 @@ impl ContextJoinSession {
         self
     }
 
-    /// Replaces the access-path advisor (e.g. with a recalibrated cost
-    /// model) consulted at plan time.
-    pub fn with_advisor(&mut self, advisor: AccessPathAdvisor) -> &mut Self {
-        *self.state.advisor.write() = advisor;
-        self
-    }
-
     /// Caps the resident memory of persistent HNSW indexes at `bytes`,
     /// evicting least-recently-used indexes beyond it.  Also configurable
     /// via the `CEJ_INDEX_BUDGET` environment variable at session creation
@@ -286,11 +281,6 @@ impl ContextJoinSession {
         &self.state.embeddings
     }
 
-    /// The access-path advisor consulted at plan time.
-    pub fn advisor(&self) -> AccessPathAdvisor {
-        *self.state.advisor.read()
-    }
-
     /// Starts a fluent query against a registered table.
     pub fn query(&self, table: &str) -> QueryBuilder<'_> {
         QueryBuilder::new(self, table)
@@ -321,7 +311,7 @@ impl ContextJoinSession {
         let start = std::time::Instant::now();
         let optimized = reorder_joins(&optimized, &self.state.catalog)?;
         let order_us = start.elapsed().as_micros() as u64;
-        let planner = Planner::new(self.advisor(), *self.state.strategy.read());
+        let planner = Planner::new(*self.state.strategy.read());
         let start = std::time::Instant::now();
         let physical = planner.plan(
             &optimized,
@@ -554,7 +544,7 @@ impl ContextJoinSession {
 mod tests {
     use super::*;
     use crate::builder::{sim_gte, top_k};
-    use crate::join::tests::{walking_config, walking_products};
+    use crate::join::tests::{walking_config, walking_products, WALKING_ROWS};
     use cej_embedding::{FastTextConfig, FastTextModel};
     use cej_relational::{col, lit_i64, SimilarityPredicate};
     use cej_storage::TableBuilder;
@@ -749,6 +739,25 @@ mod tests {
     }
 
     #[test]
+    fn the_planned_route_is_the_route_a_run_takes() {
+        // one function prices both sites: unfiltered, the planner's
+        // estimated survivors are the run's counted ones (S = n), so the
+        // plan's route is the run's, field for field
+        let mut s = session();
+        s.register_table("products", walking_products());
+        s.with_strategy(JoinStrategy::Index(walking_config()));
+        let prepared = s.prepare(&join_plan(SimilarityPredicate::TopK(1))).unwrap();
+        let planned = prepared.physical_plan().join_nodes()[0].est_route;
+        let run = prepared.run().unwrap().join_stats.index_route;
+        assert_eq!(Some(planned), run);
+        assert_eq!(planned.path, crate::IndexPath::Walk);
+        assert_eq!(
+            (planned.survivors, planned.rows),
+            (WALKING_ROWS, WALKING_ROWS)
+        );
+    }
+
+    #[test]
     fn purely_relational_plan_still_executes() {
         let s = session();
         let plan = LogicalPlan::scan("photos").select(col("year").gt(lit_i64(2022)));
@@ -829,7 +838,7 @@ mod tests {
         let plan = join_plan(SimilarityPredicate::TopK(1));
         let prepared = s.prepare(&plan).unwrap();
         let text = prepared.explain();
-        assert!(text.contains("scan cost") && text.contains("probe cost"));
+        assert!(text.contains("est route: ") && text.contains("µs per probe"));
         let report = prepared.run().unwrap();
         let path = report.access_path.unwrap();
         assert!(

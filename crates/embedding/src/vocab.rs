@@ -2,7 +2,7 @@
 //!
 //! The paper's algebra defines a decode operation `E⁻¹_µ(E_µ(R)) = R`
 //! (Section III-C).  FastText has no generative decoder, so the paper
-//! proposes "a lookup table mechanism [that] can maintain the
+//! proposes "a lookup table mechanism \[that\] can maintain the
 //! object-embedding mapping via unique IDs".  [`Vocabulary`] is exactly that
 //! mechanism: it interns strings, hands out stable ids, tracks frequencies,
 //! and can recover the original string for any id produced during the join.

@@ -25,7 +25,7 @@
 //!
 //! ## Batches and tokens
 //!
-//! A parallel call is represented by one heap-allocated [`BatchCore`]: the
+//! A parallel call is represented by one heap-allocated `BatchCore`: the
 //! task closure (type-erased; it may borrow the caller's stack, which is
 //! why the scheduler never outlives a call's tokens unsafely — see below),
 //! a shared claim counter, and completion state.  What flows through the
@@ -38,7 +38,7 @@
 //!
 //! ## Why the borrowed closure is safe
 //!
-//! The closure pointer inside a [`BatchCore`] dangles once the submitting
+//! The closure pointer inside a `BatchCore` dangles once the submitting
 //! call returns, but a token only dereferences it after (a) registering in
 //! `in_flight` and (b) claiming an index `< tasks` from the monotone
 //! counter.  The submitter returns only once `in_flight == 0` **and** the

@@ -52,8 +52,8 @@ fn threshold_fraction(t: f32) -> f64 {
 
 /// Computes the *physical* output column names of a plan — the names results
 /// actually carry, including the ejoin's `l_*` / `r_*` / `similarity`
-/// renaming (unlike [`output_columns`], which resolves the pre-rename names
-/// used for pushdown side decisions).
+/// renaming (unlike [`super::output_columns`], which resolves the
+/// pre-rename names used for pushdown side decisions).
 ///
 /// # Errors
 /// [`RelationalError::AmbiguousColumn`] when an equi-join's inputs share a

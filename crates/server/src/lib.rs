@@ -39,7 +39,7 @@
 //! ([`cej_core::StandingQuery`]): from then on, any connection's
 //! `APPLY <table> …` mutation that changes its result pushes a checksummed
 //! `DELTA` frame to the subscribing connection.  Every connection owns a
-//! dedicated flusher thread parked on the server-wide [`FrameNudge`]: a
+//! dedicated flusher thread parked on the server-wide `FrameNudge`: a
 //! successful `APPLY` bumps its generation and wakes every flusher, so
 //! frames go out the moment they are queued instead of waiting for a
 //! 100ms idle tick.  A per-connection writer mutex keeps frames from

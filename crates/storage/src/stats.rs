@@ -5,7 +5,7 @@
 //! for orderable types, and the average string length for `Utf8` columns.
 //! The planner turns these into selectivity estimates (see
 //! `cej-relational`'s estimator), replacing the classic "every filter keeps
-//! half the rows" constant that made the advisor's scan-vs-probe choice blind
+//! half the rows" constant that made the plan-time scan-vs-probe choice blind
 //! to the true inner selectivity of the paper's Figures 15-17.
 //!
 //! Equi-depth (equal-mass) histograms are used instead of equi-width ones

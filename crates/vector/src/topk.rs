@@ -72,8 +72,8 @@ pub struct TopK {
 
 impl TopK {
     /// Creates a collector for the best `k` entries.  `k == 0` collects
-    /// nothing; any `k` is accepted, and at most [`MAX_RESERVED`] entries
-    /// are reserved up front.
+    /// nothing; any `k` is accepted, and at most `MAX_RESERVED` (65,536)
+    /// entries are reserved up front.
     pub fn new(k: usize) -> Self {
         Self {
             k,

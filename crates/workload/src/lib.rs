@@ -17,7 +17,7 @@
 //! * [`vectors`] — clustered or uniform random embedding matrices for
 //!   benchmarks that bypass the model (Figures 8-14),
 //! * [`zipf`] — Zipfian frequency skew,
-//! * [`scale`] — the global `CEJ_SCALE` size knob shared by the benchmark
+//! * [`mod@scale`] — the global `CEJ_SCALE` size knob shared by the benchmark
 //!   binaries and the runnable examples.
 //!
 //! Every generator is deterministic given a seed, mirroring the paper's

@@ -5,7 +5,9 @@
 //! modality — images, documents, audio) is checked against a labelled
 //! reference collection.  Doing this one query at a time is a vector search;
 //! batching all queries is exactly a context-enhanced join, which lets the
-//! engine choose between the exhaustive tensor scan and an HNSW index probe.
+//! engine choose between the exhaustive tensor scan and an HNSW index probe:
+//! the index join's route prices both per probe in nanoseconds
+//! (`IndexJoin::route`), and the example then runs both and compares.
 //!
 //! Run with:
 //! ```sh
@@ -17,9 +19,7 @@
 
 use std::time::Instant;
 
-use cej_core::{
-    AccessPath, AccessPathAdvisor, AccessPathQuery, IndexJoin, IndexJoinConfig, TensorJoin,
-};
+use cej_core::{AccessPath, IndexJoin, IndexJoinConfig, TensorJoin};
 use cej_exec::ExecPool;
 use cej_index::HnswParams;
 use cej_relational::SimilarityPredicate;
@@ -37,21 +37,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 3;
     println!("reference {reference_rows} x incoming {incoming_rows} (CEJ_SCALE-adjusted)");
 
-    // 1. Ask the cost-based advisor which access path it would pick.
-    let advisor = AccessPathAdvisor::default();
-    let query = AccessPathQuery {
-        outer_rows: incoming.rows(),
-        inner_rows: reference.rows(),
-        inner_selectivity: 1.0,
-        predicate: SimilarityPredicate::TopK(k),
-        index_available: true,
-    };
-    println!(
-        "advisor: scan cost {:.2e}, probe cost {:.2e} -> {}",
-        advisor.scan_cost(&query),
-        advisor.probe_cost(&query),
-        advisor.choose(&query).label()
-    );
+    // 1. Ask the route which path a run would take: without a filter every
+    //    reference row survives.
+    let index_join = IndexJoin::new(IndexJoinConfig {
+        params: HnswParams::low_recall(),
+        range_probe_k: k,
+    });
+    let route = index_join.route(reference.rows(), reference.rows());
+    println!("route: {route}");
 
     // 2. Run both physical operators and compare.
     let start = Instant::now();
@@ -60,10 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scan = tensor.join(&incoming, &prepared, predicate, ExecPool::global())?;
     let scan_time = start.elapsed();
 
-    let index_join = IndexJoin::new(IndexJoinConfig {
-        params: HnswParams::low_recall(),
-        range_probe_k: k,
-    });
     let build_start = Instant::now();
     let index = index_join.build_index(&reference)?;
     let build_time = build_start.elapsed();

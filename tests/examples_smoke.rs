@@ -118,8 +118,8 @@ fn near_duplicate_detection_runs_at_reduced_scale() {
         "CEJ_SCALE was not honoured:\n{stdout}"
     );
     assert!(
-        stdout.contains("advisor:"),
-        "missing advisor line:\n{stdout}"
+        stdout.contains("route: ") && stdout.contains("µs per probe"),
+        "missing route line:\n{stdout}"
     );
     assert!(
         stdout.contains("index build time"),

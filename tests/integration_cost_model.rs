@@ -1,18 +1,19 @@
 //! Cost-model validation: the operators' *measured* model-invocation counts
 //! and work counters must match the closed-form formulas of Section IV, and
-//! the access-path advisor's qualitative decisions must agree with measured
-//! operator behaviour.
+//! the access-path route's decisions must agree with measured operator
+//! behaviour.
 
 use cej_core::{
-    AccessPathAdvisor, AccessPathQuery, ContextJoinSession, CostModel, JoinResult, JoinStrategy,
+    ContextJoinSession, CostModel, IndexJoin, IndexJoinConfig, IndexPath, JoinResult, JoinStrategy,
     NaiveNlJoin, NljConfig, TensorJoin, TensorJoinConfig,
 };
 use cej_embedding::{CachedEmbedder, Embedder, FastTextConfig, FastTextModel};
 use cej_exec::ExecPool;
+use cej_index::HnswParams;
 use cej_relational::{LogicalPlan, SimilarityPredicate};
-use cej_storage::TableBuilder;
+use cej_storage::{SelectionBitmap, TableBuilder};
 use cej_vector::{normalize_matrix_rows, BufferBudget, Matrix};
-use cej_workload::{uniform_matrix, JoinWorkload, RelationSpec};
+use cej_workload::{clustered_matrix, uniform_matrix, JoinWorkload, RelationSpec};
 
 /// A whole-input tensor join: `right` prepared for `left`, on the
 /// process-wide pool.
@@ -189,36 +190,42 @@ fn scan_work_scales_with_selectivity_probe_style_does_not() {
 
 #[test]
 fn advisor_decisions_match_measured_work_ordering() {
-    // For a workload where the advisor predicts the scan wins, the scan must
-    // indeed do less "work" (pair comparisons vs probe distance
-    // computations × calibration) — a qualitative sanity check that the
-    // advisor's constants are not absurd.
-    let advisor = AccessPathAdvisor::default();
-    let scan_query = AccessPathQuery {
-        outer_rows: 50,
-        inner_rows: 2_000,
-        inner_selectivity: 0.1,
-        predicate: SimilarityPredicate::TopK(1),
-        index_available: true,
-    };
-    assert_eq!(
-        advisor.choose(&scan_query),
-        cej_core::AccessPath::TensorScan
-    );
-    assert!(advisor.scan_cost(&scan_query) < advisor.probe_cost(&scan_query));
+    // At Figures 15-17's 10k × 1M shape the route walks a top-1 that every
+    // row passes and scans one that 5 % pass.
+    let join = IndexJoin::default();
+    assert_eq!(join.route(1_000_000, 1_000_000).path, IndexPath::Walk);
+    assert_eq!(join.route(50_000, 1_000_000).path, IndexPath::SurvivorScan);
 
-    let probe_query = AccessPathQuery {
-        outer_rows: 50,
-        inner_rows: 5_000_000,
-        inner_selectivity: 1.0,
-        predicate: SimilarityPredicate::TopK(1),
-        index_available: true,
-    };
-    assert_eq!(
-        advisor.choose(&probe_query),
-        cej_core::AccessPath::IndexProbe
-    );
-    assert!(advisor.probe_cost(&probe_query) < advisor.scan_cost(&probe_query));
+    // Measured, on a graph narrow against its 3,000 rows: where the route
+    // walks, a probe's walk scores fewer rows than a scan of the survivors
+    // compares; where it scans, the filtered walk scores more.
+    let join = IndexJoin::new(IndexJoinConfig {
+        params: HnswParams {
+            m: 4,
+            m0: 8,
+            ef_construction: 32,
+            ef_search: 8,
+            ..HnswParams::tiny()
+        },
+        range_probe_k: 8,
+    });
+    let (inner, _) = clustered_matrix(3_000, 24, 25, 0.05, 5);
+    let (outer, _) = clustered_matrix(30, 24, 25, 0.05, 6);
+    let index = join.build_index(&inner).unwrap();
+    for (every, path) in [(1, IndexPath::Walk), (20, IndexPath::SurvivorScan)] {
+        let filter = SelectionBitmap::from_bools((0..3_000).map(|row| row % every == 0).collect());
+        let survivors = filter.count_selected();
+        assert_eq!(join.route(survivors, 3_000).path, path, "1 in {every}");
+        let walked = join
+            .probe(&outer, &index, SimilarityPredicate::TopK(1), Some(&filter))
+            .unwrap();
+        let scored = walked.stats.probe_stats.distance_computations as f64 / 30.0;
+        assert_eq!(
+            scored < survivors as f64,
+            path == IndexPath::Walk,
+            "1 in {every}: a walk scores {scored} rows per probe, a scan {survivors}"
+        );
+    }
 }
 
 #[test]

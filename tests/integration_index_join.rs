@@ -185,11 +185,14 @@ fn higher_recall_parameters_do_not_hurt_recall() {
 }
 
 #[test]
-fn prefiltering_affects_results_not_probe_cost() {
+fn a_filtered_walk_scores_more_rows_than_an_unfiltered_one() {
     // The paper's observation (Table I / Section IV-B): relational
     // pre-filtering in a vector index drops result tuples "on the fly while
     // still incurring the traversal cost", whereas the scan-based join
-    // excludes them from the computation entirely.
+    // excludes them from the computation entirely.  This engine's walk
+    // admits only passing rows into its results, so it goes further to
+    // fill its list: the premise of the route's walk price, `D̂ · n / S`
+    // distances for `S` survivors of `n` rows (`IndexJoin::route`).
     let (inner, _) = clustered_matrix(3_000, 24, 25, 0.05, 5);
     let (outer, _) = clustered_matrix(30, 24, 25, 0.05, 6);
     let mut rng = StdRng::seed_from_u64(7);
@@ -216,11 +219,11 @@ fn prefiltering_affects_results_not_probe_cost() {
 
     // results respect the filter
     assert!(filtered.pairs.iter().all(|p| bitmap.is_selected(p.right)));
-    // but the traversal cost stays in the same ballpark (>= 50% of unfiltered),
-    // unlike the scan whose compared-pairs count shrinks with selectivity
+    // but the walk scores more rows than without the filter, unlike the
+    // scan, whose compared-pairs count shrinks with the selectivity
     assert!(
         filtered.stats.probe_stats.distance_computations
-            >= unfiltered.stats.probe_stats.distance_computations / 2
+            >= unfiltered.stats.probe_stats.distance_computations
     );
 
     // the scan is handed the selected rows only

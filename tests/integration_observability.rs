@@ -10,6 +10,18 @@ use cej_obs::Trace;
 use cej_relational::{LogicalPlan, SimilarityPredicate};
 use cej_workload::{JoinWorkload, RelationSpec};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// The slow-query threshold is process-wide: a test that lowers it turns
+/// every untraced run in this binary into a traced one while it is set, so
+/// the tests that set it or read an untraced run's trace id take this lock.
+static SLOW_QUERY_SETTING: Mutex<()> = Mutex::new(());
+
+fn slow_query_setting() -> MutexGuard<'static, ()> {
+    SLOW_QUERY_SETTING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Star session for the span-tree tests: fact ⋈ dimension feeding a
 /// similarity join, so the trace covers HashJoin, ejoin, and scan spans.
@@ -194,6 +206,7 @@ fn slow_query_threshold_captures_untraced_runs() {
     let s = star_session();
     let prepared = s.prepare(&multi_join_plan()).expect("prepare");
     // threshold 0: every untraced query counts as slow
+    let _setting = slow_query_setting();
     cej_obs::set_slow_query_ms(Some(0));
     let before = cej_obs::slow_query_count();
     let report = prepared
@@ -285,6 +298,7 @@ proptest! {
         );
         let prepared = s.prepare(&plan).expect("prepare");
         let pool = cej_exec::ExecPool::new(2);
+        let _setting = slow_query_setting();
         let untraced = prepared
             .run_traced_with(&Trace::disabled(), pool)
             .expect("untraced run");

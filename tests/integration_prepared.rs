@@ -3,8 +3,8 @@
 //! and old-vs-new API equivalence across all four join strategies.
 
 use cej_core::{
-    sim_gte, top_k, ContextJoinSession, ExecutionReport, IndexJoinConfig, JoinStrategy, NljConfig,
-    TensorJoinConfig,
+    sim_gte, top_k, ContextJoinSession, ExecutionReport, IndexJoin, IndexJoinConfig, JoinStrategy,
+    NljConfig, TensorJoinConfig,
 };
 use cej_embedding::{train_on_corpus, FastTextConfig, FastTextModel, TrainingConfig};
 use cej_index::HnswParams;
@@ -154,14 +154,14 @@ fn reregistering_the_inner_table_invalidates_its_index() {
 fn explain_names_the_access_path_and_costs_before_execution_and_matches_it() {
     let w = workload();
     let session = session_with(&w);
-    // Auto strategy: the planner consults the advisor at plan time.
+    // Auto strategy: the planner prices the index join's route at plan time.
     let prepared = session
         .prepare(&join_plan(SimilarityPredicate::TopK(1)))
         .unwrap();
     let text = prepared.explain();
     assert!(
-        text.contains("scan cost") && text.contains("probe cost"),
-        "explain must show both per-path cost estimates:\n{text}"
+        text.contains("est route: ") && text.contains("µs per probe"),
+        "explain must show both per-path price estimates:\n{text}"
     );
     assert!(
         text.contains("access path: tensor-scan") || text.contains("access path: index-probe"),
@@ -306,16 +306,15 @@ fn prepared_queries_with_different_params_keep_distinct_indexes() {
     );
     assert_eq!(stats.resident, 2);
 
-    // the auto path sees the resident index at plan time
+    // the auto path plans beside the resident indexes and prices the
+    // default index's route, which neither of them changes
     session.with_strategy(JoinStrategy::Auto);
     let prepared = session
         .prepare(&join_plan(SimilarityPredicate::TopK(1)))
         .unwrap();
-    let node_costs: Vec<(f64, f64)> = prepared
-        .physical_plan()
-        .join_nodes()
-        .iter()
-        .map(|n| (n.scan_cost, n.probe_cost))
-        .collect();
-    assert!(!node_costs.is_empty());
+    let route = prepared.physical_plan().join_nodes()[0].est_route;
+    assert_eq!(
+        route,
+        IndexJoin::default().route(route.survivors, route.rows)
+    );
 }
