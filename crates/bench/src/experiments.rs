@@ -422,13 +422,15 @@ pub struct Fig13Row {
 }
 
 /// Runs the Figure 13 experiment on an `n x n` self-join with the given
-/// mini-batch shapes (tuples per side).
+/// mini-batch shapes (tuples per side).  The join runs the fp32 block path
+/// with the NO-SIMD kernel (`Kernel::Scalar`): the figure measures the
+/// score block the budget cuts, and the int8 screen holds none.
 pub fn fig13_batch_size_impact(n: usize, dim: usize, batches: &[(usize, usize)]) -> Vec<Fig13Row> {
     let left = uniform_matrix(n, dim, 7, true);
     let right = uniform_matrix(n, dim, 8, true);
     let predicate = SimilarityPredicate::Threshold(0.95);
-    let unbatched =
-        TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::unlimited()));
+    let scalar = TensorJoinConfig::default().with_kernel(Kernel::Scalar);
+    let unbatched = TensorJoin::new(scalar.with_budget(BufferBudget::unlimited()));
     let pool = ExecPool::global();
     let (base_result, base_time) =
         time_once(|| tensor_join(&unbatched, &left, &right, predicate, pool));
@@ -441,7 +443,7 @@ pub fn fig13_batch_size_impact(n: usize, dim: usize, batches: &[(usize, usize)])
     }];
     for &(outer, inner) in batches {
         let budget = BufferBudget::from_bytes(outer * inner * std::mem::size_of::<f32>());
-        let op = TensorJoin::new(TensorJoinConfig::default().with_budget(budget));
+        let op = TensorJoin::new(scalar.with_budget(budget));
         let (result, elapsed) = time_once(|| tensor_join(&op, &left, &right, predicate, pool));
         let block_bytes = result.stats.peak_buffer_bytes.max(1);
         rows.push(Fig13Row {
@@ -715,7 +717,9 @@ mod tests {
         assert_eq!(rows.len(), 1);
         let rows = fig13_batch_size_impact(32, 8, &[(8, 8), (16, 16)]);
         assert_eq!(rows.len(), 3);
-        assert!(rows[1].ram_reduction >= 1.0);
+        // the block the budget cuts: 32 x 32 against 8 x 8 and 16 x 16
+        assert_eq!(rows[1].ram_reduction, 16.0);
+        assert_eq!(rows[2].ram_reduction, 4.0);
         let rows = fig14_tensor_vs_nlj(&[(16, 16)], 8, 1);
         assert_eq!(rows.len(), 1);
     }

@@ -627,6 +627,7 @@ fn merge_stats(acc: &mut JoinStats, part: &JoinStats) {
     acc.pairs_compared += part.pairs_compared;
     acc.blocks_computed += part.blocks_computed;
     acc.pairs_rescored += part.pairs_rescored;
+    acc.screen_candidates += part.screen_candidates;
     acc.tensor_path = TensorPath::merge(acc.tensor_path, part.tensor_path);
     acc.probe_stats.merge(&part.probe_stats);
     acc.peak_buffer_bytes = acc.peak_buffer_bytes.max(part.peak_buffer_bytes);

@@ -15,7 +15,7 @@
 //! # The int8 screen
 //!
 //! Nearly every pair of a selective join fails its predicate, so on a CPU
-//! with AVX-512 VNNI the block is first filled with *approximate* scores
+//! with AVX-512 VNNI every pair is first given an *approximate* score
 //! ([`cej_vector::sq8`]: both sides quantised to int8 per row) and only
 //! pairs that can qualify get an fp32 score.  Each outer morsel is
 //! quantised by its call.  The inner side is prepared once per join
@@ -29,16 +29,23 @@
 //! A side with stored codes keeps no fp32 copy of its rows: a candidate's
 //! row is read back from the embedding arena by slot and normalised again,
 //! to the same bits, and the whole side is gathered only if a call takes
-//! the block path, once per join.  Each
-//! outer row `a` carries a proven bound `ε_a ≥ |fp32 score − approx|`
-//! against every inner row, so:
+//! the block path, once per join.  Each outer row `a` carries a proven
+//! bound `ε_a ≥ |fp32 score − approx|` against every inner row, and a
+//! floor ([`Floor`]) the screen compares each approximation with as it
+//! computes it, in registers, so no block of approximations is ever
+//! written: only the pairs that reach their row's floor leave the kernel,
+//! as candidates grouped by outer row in ascending inner order.
 //!
-//! * a threshold `t` rescores the pairs with `approx ≥ t − ε_a`;
-//! * top-k rescores the pairs with `approx ≥ τ − 2ε_a`, `τ` a value `k`
-//!   pairs of the block row reach — for `k ≤ 16` the k-th largest of the 16
-//!   lane maxima the screen reports with the block, above that the row's
-//!   k-th best approximation — and, once the row's collector is full, with
-//!   `approx ≥ kth − ε_a`, `kth` its k-th best exact score.
+//! * a threshold `t`: the floor is `t − ε_a`, and every candidate is
+//!   rescored;
+//! * top-k: the floor is `τ − 2ε_a`, `τ` the k-th best approximation the
+//!   row has emitted so far (`-inf` until it has emitted `k`), carried
+//!   across the join's blocks.  The floor rises while the screen runs, so a
+//!   row's first inner rows emit more candidates than the floor it ends a
+//!   block with admits ([`JoinStats::screen_candidates`] counts them all);
+//!   only those reaching that final floor are rescored, and, once the row's
+//!   collector is full, only those with `approx ≥ kth − ε_a`, `kth` its
+//!   k-th best exact score.
 //!
 //! A pair left out scores strictly below a value `k` pairs reach (or below
 //! `t`), so it could never be returned.  Every rescored pair gets
@@ -48,7 +55,8 @@
 //! [`JoinStats::pairs_rescored`] counts the exact scores computed.  The
 //! screen runs only with the `Unrolled` kernel, for predicates that do not
 //! admit every pair, and on finite rows in its magnitude range; otherwise
-//! the fp32 block path runs exactly as it did without a screen.
+//! the fp32 block path runs exactly as it did without a screen, with its
+//! budgeted score block.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -60,7 +68,7 @@ use cej_relational::SimilarityPredicate;
 use cej_vector::{
     dot_lanes,
     gemm::block_into_with_pool,
-    sq8::{LaneMaxima, MAX_SCREEN_DIM, PANEL_ROWS},
+    sq8::{Candidates, Floor, MAX_SCREEN_DIM},
     topk::scan_at_least,
     BufferBudget, GemmConfig, Kernel, Matrix, Screen, Sq8Inner, Sq8Outer, TopK,
 };
@@ -82,17 +90,19 @@ const QUANTIZE_NS_PER_ROW: f64 = 36.0;
 /// 16 or more outer rows).
 const BLOCK_NS_PER_PAIR: f64 = super::index_join::SCAN_NS_PER_PAIR;
 
-/// Nanoseconds the int8 screen spends per pair at dimension 64 — block,
-/// candidates and rescore, without quantising the inner side: the median
-/// of the table's sweeps over 4,000 and 19,200 inner rows and 16 or more
-/// outer rows (0.7-2.3; the index join's sweep read 1.1-1.5).
-const SCREEN_NS_PER_PAIR: f64 = 1.4;
+/// Nanoseconds the int8 screen spends per pair at dimension 64 — the
+/// screen with its floor compare, the candidates and their rescore, without
+/// quantising the inner side: the median of the table's sweeps over 4,000
+/// and 19,200 inner rows and 16 or more outer rows (0.58-1.21; the same
+/// sweeps read 1.23-1.83, median 1.51, while the screen still wrote a block
+/// of approximations and harvested it).
+const SCREEN_NS_PER_PAIR: f64 = 0.75;
 
 /// Outer rows a join needs, over all its calls, before quantising an inner
 /// side that has no stored codes pays for itself: the side costs
 /// [`QUANTIZE_NS_PER_ROW`] per inner row once, and each outer row saves
 /// [`BLOCK_NS_PER_PAIR`] − [`SCREEN_NS_PER_PAIR`] per inner row, so the
-/// price is `36 / (4.2 − 1.4) ≈ 12.9`, rounded up.  A side assembled from
+/// price is `36 / (4.2 − 0.75) ≈ 10.4`, rounded up.  A side assembled from
 /// the codes the session keeps per slot pays no quantiser and screens from
 /// the first outer row.
 ///
@@ -108,18 +118,21 @@ const SCREEN_NS_PER_PAIR: f64 = 1.4;
 ///
 /// | outer rows | stored codes: 64 inner, top-3 / ≥ 0.62 | 4,000 inner | 19,200 inner | matrix side: 64 inner | 4,000 inner | 19,200 inner |
 /// |---|---|---|---|---|---|---|
-/// | 1  | 0.84 / 0.63 | 0.34 / 0.34 | 0.30 / 0.29 | 3.09 / 3.23 | 3.26 / 3.17 | 3.09 / 3.10 |
-/// | 4  | 1.15 / 0.61 | 0.36 / 0.32 | 0.30 / 0.28 | 2.38 / 2.24 | 1.92 / 1.91 | 2.22 / 2.18 |
-/// | 16 | 1.08 / 0.50 | 0.30 / 0.26 | 0.31 / 0.27 | 1.40 / 0.99 | 0.69 / 0.65 | 0.87 / 0.85 |
-/// | 24 | 1.09 / 0.47 | 0.29 / 0.24 | 0.27 / 0.28 | 1.19 / 0.79 | 0.57 / 0.51 | 0.63 / 0.66 |
-/// | 96 | 0.93 / 0.40 | 0.19 / 0.15 | 0.21 / 0.15 | 0.96 / 0.47 | 0.38 / 0.31 | 0.38 / 0.34 |
+/// | 1  | 1.03 / 0.76 | 0.13 / 0.13 | 0.12 / 0.12 | 2.82 / 2.41 | 3.28 / 3.19 | 2.95 / 3.05 |
+/// | 4  | 1.41 / 0.67 | 0.14 / 0.12 | 0.12 / 0.12 | 2.86 / 2.19 | 1.98 / 1.81 | 2.07 / 1.99 |
+/// | 16 | 1.33 / 0.47 | 0.14 / 0.12 | 0.10 / 0.10 | 1.87 / 1.00 | 0.64 / 0.55 | 0.66 / 0.62 |
+/// | 24 | 1.18 / 0.42 | 0.14 / 0.11 | 0.10 / 0.10 | 1.56 / 0.74 | 0.51 / 0.41 | 0.50 / 0.47 |
+/// | 96 | 1.17 / 0.33 | 0.14 / 0.09 | 0.09 / 0.07 | 1.29 / 0.44 | 0.28 / 0.19 | 0.22 / 0.18 |
 ///
 /// Stored codes win from one outer row on 4,000 and 19,200 inner rows
-/// (about 3x) and lose only on 64-row top-3 sides, by at most 15 % of a
-/// join that takes 3-20 µs.  A matrix side loses about 3x at one outer row
-/// and wins from 16 on over thousands of inner rows; over 64 a top-3 join
-/// still loses up to 1.4x (a few µs) below 96 outer rows, to per-call costs
-/// the price leaves out.
+/// (7-14x) and lose only on 64-row top-3 sides, by up to 1.4x of a join
+/// that takes 3-20 µs.  A matrix side loses about 3x at one outer row and
+/// wins from 16 on over thousands of inner rows.  Over 64 rows a top-3
+/// join still loses 1.3-1.9x (a few µs) at every outer-row count: a row's
+/// running top-3 floor settles only after most of a 64-row side, so nearly
+/// every pair is emitted and offered to the floor one at a time, which
+/// costs more than the 64-column block it replaced (the same sweeps read
+/// 1.47x and 1.19x at 16 and 24 outer rows on the block-writing screen).
 const QUANTIZE_BREAK_EVEN_OUTER_ROWS: usize =
     (QUANTIZE_NS_PER_ROW / (BLOCK_NS_PER_PAIR - SCREEN_NS_PER_PAIR)).ceil() as usize;
 
@@ -131,7 +144,9 @@ pub struct TensorJoinConfig {
     /// CPU has AVX-512 VNNI (module documentation) — same pairs, same score
     /// bits; `Scalar` (the paper's NO-SIMD axis) never screens.
     pub kernel: Kernel,
-    /// Buffer budget for the intermediate score block.
+    /// Buffer budget for the intermediate score block: the fp32 block path
+    /// scores blocks of at most this size; the int8 screen, which holds no
+    /// block, screens and rescores in blocks of the same shape.
     pub budget: BufferBudget,
 }
 
@@ -332,8 +347,10 @@ impl TensorJoin {
     ///
     /// The interpreter prepares the inner side once per join and every
     /// outer morsel reuses it.  Pair offsets refer to the row numbering of
-    /// the given sides, and `peak_buffer_bytes` is the score block — the
-    /// operator's own intermediate state, not its inputs.  The call takes
+    /// the given sides, and `peak_buffer_bytes` is the operator's own
+    /// intermediate state, not its inputs: the score block on the fp32
+    /// block path, the candidates, their unit rows and the running floors
+    /// on the int8 screen.  The call takes
     /// the path the side was prepared for: when the side carries codes and
     /// the screen can bound every outer row, the int8 screen decides which
     /// pairs get an fp32 score (module documentation); otherwise the fp32
@@ -405,9 +422,10 @@ impl TensorJoin {
     }
 
     /// Mini-batched blocked join: both inputs are partitioned along tuple
-    /// boundaries so each score block fits the buffer budget.  The block
-    /// holds fp32 scores of `left` against the inner side's matrix, or the
-    /// screen's approximations when `screened` is set.
+    /// boundaries so each block fits the buffer budget.  Without `screened`
+    /// the block holds fp32 scores of `left` against the inner side's
+    /// matrix; with it, the screen emits each block's candidates and no
+    /// score block exists.
     fn blocked_join(
         &self,
         left: &Matrix,
@@ -434,18 +452,13 @@ impl TensorJoin {
         };
         let mut pairs: Vec<JoinPair> = Vec::new();
 
-        let block_cells = outer_batch * inner_batch;
-        stats.peak_buffer_bytes = BufferBudget::block_bytes(outer_batch, inner_batch);
-
-        let mut scores = vec![0.0f32; block_cells];
-        // top-k's τ from the screen's lane maxima (k ≤ 16), one entry per
-        // outer row of a block
-        let mut lane_max: Option<Vec<LaneMaxima>> = match (&screened, predicate) {
-            (Some(_), SimilarityPredicate::TopK(k)) if k <= PANEL_ROWS => {
-                Some(vec![LaneMaxima::default(); outer_batch])
-            }
-            _ => None,
-        };
+        // only the fp32 block path holds a score block
+        let mut scores = Vec::new();
+        let mut work = ScreenWork::default();
+        if screened.is_none() {
+            scores = vec![0.0f32; outer_batch * inner_batch];
+            stats.peak_buffer_bytes = BufferBudget::block_bytes(outer_batch, inner_batch);
+        }
 
         let mut l_start = 0usize;
         while l_start < left_rows {
@@ -454,34 +467,39 @@ impl TensorJoin {
             let l_block = left
                 .rows_as_slice(l_start, l_end)
                 .expect("left block in range");
+            // the screen's floors carry across the blocks of these rows
+            if let Some(screened) = &screened {
+                screened.floors(l_start..l_end, predicate, right_rows, &mut work.floors);
+            }
             let mut r_start = 0usize;
             while r_start < right_rows {
                 let r_end = (r_start + inner_batch).min(right_rows);
                 let r_rows = r_end - r_start;
-                let out = &mut scores[..l_rows * r_rows];
                 stats.blocks_computed += 1;
-                stats.pairs_rescored += if let Some(screened) = &screened {
+                if let Some(screened) = &screened {
                     let (rows, columns) = (l_start..l_end, r_start..r_end);
-                    let mut lane_max = lane_max.as_mut().map(|m| &mut m[..l_rows]);
-                    screened.screen.block_into_with_pool(
+                    screened.screen.candidates_into_with_pool(
                         &screened.outer,
                         rows.clone(),
                         screened.inner,
-                        columns.clone(),
+                        columns,
                         pool,
-                        out,
-                        lane_max.as_deref_mut(),
+                        &mut work.floors,
+                        &mut work.candidates,
                     );
-                    match (predicate, &mut topk_state) {
+                    stats.screen_candidates += work.candidates.len() as u64;
+                    stats.pairs_rescored += match (predicate, &mut topk_state) {
                         (SimilarityPredicate::Threshold(t), _) => {
-                            screened.harvest_threshold(rows, columns, out, t, &mut pairs)
+                            screened.rescore_threshold(rows, &mut work, t, &mut pairs)
                         }
-                        (SimilarityPredicate::TopK(k), Some(state)) => {
-                            screened.harvest_topk(rows, columns, out, lane_max.as_deref(), k, state)
+                        (SimilarityPredicate::TopK(_), Some(state)) => {
+                            screened.rescore_topk(rows, &mut work, state)
                         }
                         _ => unreachable!("top-k state exists iff the predicate is top-k"),
-                    }
+                    };
+                    stats.peak_buffer_bytes = stats.peak_buffer_bytes.max(work.bytes(dim));
                 } else {
+                    let out = &mut scores[..l_rows * r_rows];
                     let r_block = inner
                         .matrix()
                         .rows_as_slice(r_start, r_end)
@@ -504,8 +522,8 @@ impl TensorJoin {
                         }
                         _ => unreachable!("top-k state exists iff the predicate is top-k"),
                     }
-                    (l_rows * r_rows) as u64
-                };
+                    stats.pairs_rescored += (l_rows * r_rows) as u64;
+                }
                 r_start = r_end;
             }
             l_start = l_end;
@@ -554,100 +572,76 @@ impl<'a> Screened<'a> {
         })
     }
 
-    /// Collects the candidates of every outer row of a block — row `i`'s
-    /// columns whose approximation reaches `floors[i]`, in ascending order
-    /// — and reads each distinct candidate row once, in one call to the
-    /// side's source.
-    fn candidates(
-        &self,
-        columns: &Range<usize>,
-        approx: &[f32],
-        floors: &[f32],
-        candidates: &mut Candidates,
-    ) {
-        let Candidates {
-            inner,
-            ends,
-            fetched,
-            at,
-            rows,
-        } = candidates;
-        inner.clear();
-        ends.clear();
-        for (row, &floor) in approx.chunks_exact(columns.len()).zip(floors) {
-            scan_at_least(row, floor, |i, _| {
-                inner.push(columns.start + i);
-                floor
-            });
-            ends.push(inner.len());
-        }
-        // each column's position in `fetched`, first come first placed
-        let mut position = vec![usize::MAX; columns.len()];
-        fetched.clear();
-        at.clear();
-        for &r in inner.iter() {
-            let slot = &mut position[r - columns.start];
-            if *slot == usize::MAX {
-                *slot = fetched.len();
-                fetched.push(r);
-            }
-            at.push(*slot);
-        }
-        self.source.unit_rows(fetched, rows);
-    }
-
-    /// The fp32 score of outer row `l` and candidate `j`: the bits the GEMM
-    /// writes for the pair.
-    fn rescore(&self, l: usize, candidates: &Candidates, j: usize) -> f32 {
-        let dim = self.left.cols();
-        let left = &self.left.as_slice()[l * dim..(l + 1) * dim];
-        let row = candidates.at[j];
-        dot_lanes::<8>(left, &candidates.rows[row * dim..(row + 1) * dim])
-    }
-
-    /// Threshold harvest of a screened block (`approx`, one row per outer
-    /// row of `rows`): a pair can reach `t` only if `approx ≥ t − ε`, and
-    /// those are rescored and kept if their score reaches `t` — in the
-    /// ascending inner order the block path pushes them.  Returns the
-    /// number rescored.
-    fn harvest_threshold(
+    /// The screen's floors for outer rows `rows` over an inner side of
+    /// `inner_rows` rows, into `floors`:
+    ///
+    /// * a threshold `t`: `t − ε`.  A pair can reach `t` only if
+    ///   `approx ≥ t − ε`;
+    /// * top-k: `τ − 2ε`, `τ` running over the approximations the row has
+    ///   been screened against ([`Floor::running`]), `-inf` until `k` of
+    ///   them.  `k` pairs reach `τ`, so their scores are `≥ τ − ε`, and a
+    ///   pair with `approx < τ − 2ε` scores strictly below all of them: it
+    ///   is not in the row's top-k.
+    fn floors(
         &self,
         rows: Range<usize>,
-        columns: Range<usize>,
-        approx: &[f32],
+        predicate: SimilarityPredicate,
+        inner_rows: usize,
+        floors: &mut Vec<Floor>,
+    ) {
+        floors.clear();
+        floors.extend(rows.map(|l| {
+            let eps = self.bounds[l];
+            match predicate {
+                // `next_down` makes the f32 difference a lower bound of the
+                // real `t − ε`
+                SimilarityPredicate::Threshold(t) => Floor::fixed((t - eps).next_down()),
+                SimilarityPredicate::TopK(k) => Floor::running(k.min(inner_rows), 2.0 * eps),
+            }
+        }));
+    }
+
+    /// The fp32 score of outer row `l` and picked candidate `pick`: the
+    /// bits the GEMM writes for the pair.
+    fn rescore(&self, l: usize, work: &ScreenWork, pick: &Pick) -> f32 {
+        let dim = self.left.cols();
+        let left = &self.left.as_slice()[l * dim..(l + 1) * dim];
+        let at = pick.at as usize * dim;
+        dot_lanes::<8>(left, &work.rows[at..at + dim])
+    }
+
+    /// Threshold rescore of a block's candidates (outer rows `rows`): each
+    /// is rescored and kept if its score reaches `t` — in the ascending
+    /// inner order the block path pushes them.  Returns the number
+    /// rescored.
+    fn rescore_threshold(
+        &self,
+        rows: Range<usize>,
+        work: &mut ScreenWork,
         t: f32,
         pairs: &mut Vec<JoinPair>,
     ) -> u64 {
-        // `next_down` makes the f32 difference a lower bound of the real
-        // `t − ε`
-        let floors: Vec<f32> = rows
-            .clone()
-            .map(|l| (t - self.bounds[l]).next_down())
-            .collect();
-        let mut candidates = Candidates::default();
-        self.candidates(&columns, approx, &floors, &mut candidates);
-        for (i, l) in rows.enumerate() {
-            for j in candidates.span(i) {
-                let r = candidates.inner[j];
-                let score = self.rescore(l, &candidates, j);
-                if score >= t {
-                    pairs.push(JoinPair::new(l, r, score));
-                }
+        work.pick(self.source, self.inner.rows(), |_| f32::NEG_INFINITY);
+        for pick in &work.picks {
+            let l = rows.start + pick.row as usize;
+            let score = self.rescore(l, work, pick);
+            if score >= t {
+                pairs.push(JoinPair::new(l, pick.column as usize, score));
             }
         }
-        candidates.inner.len() as u64
+        work.picks.len() as u64
     }
 
-    /// Top-k harvest of a screened block.  A pair is pushed unless it is
-    /// provably beaten, strictly, by `k` others:
+    /// Top-k rescore of a block's candidates (outer rows `rows`).  A pair
+    /// is pushed unless it is provably beaten, strictly, by `k` others:
     ///
-    /// * by `k` pairs of the block whose approximations are `≥ τ`: their
-    ///   scores are `≥ τ − ε`, so a pair with `approx < τ − 2ε` scores below
-    ///   all of them.  With `lane_max` (`k ≤ 16`), `τ` is the `k`-th
-    ///   largest of the row's lane maxima, which the screen wrote with the
-    ///   block: they belong to distinct inner rows, so `k` pairs reach it,
-    ///   and the approximations are not read a second time.  Without, it is
-    ///   the row's `k`-th best approximation, from a [`TopK`] pass.
+    /// * by the `k` pairs whose approximations reach the row's `τ` as the
+    ///   screen left it after this block: a pair with `approx` below the
+    ///   row's final floor `τ − 2ε` scores below all of them
+    ///   (`Screened::floors`).  The floor rose while the screen ran, so the
+    ///   candidates emitted early in a row include pairs below it, which
+    ///   are skipped here; `τ` ends at the row's `k`-th best approximation
+    ///   so far, at least the `τ` a pass over this block alone would give;
     /// * by the collector's `k` kept scores `≥ kth`: a pair with
     ///   `approx < kth − ε` scores below all of them, and its push would be
     ///   refused whatever its id.
@@ -655,93 +649,128 @@ impl<'a> Screened<'a> {
     /// A pair of the final top-k is beaten strictly by fewer than `k`, so it
     /// is always pushed; pushes of other pairs change nothing the collector
     /// returns (it keeps the `k` best by score, then id), so the output is
-    /// the block path's, tie order included.  The lane maxima's `τ` can lie
-    /// below the `k`-th best approximation, which only rescores more pairs.
+    /// the block path's, tie order included.
     ///
-    /// A row's floor only rises while its pairs are pushed, so the pairs
-    /// reaching the floor it starts from — the candidates, collected for
-    /// the whole block first — include every pair a scan under the rising
-    /// floor visits; walking them in order and skipping those below the
-    /// floor in force is that scan.  Returns the number rescored.
-    fn harvest_topk(
-        &self,
-        rows: Range<usize>,
-        columns: Range<usize>,
-        approx: &[f32],
-        lane_max: Option<&[LaneMaxima]>,
-        k: usize,
-        state: &mut [TopK],
-    ) -> u64 {
+    /// A row's floor only rises while its pairs are pushed, so the
+    /// candidates reaching the floor it starts from — picked for the whole
+    /// block first — include every pair a scan under the rising floor
+    /// visits; walking them in order and skipping those below the floor in
+    /// force is that scan.  Returns the number rescored.
+    fn rescore_topk(&self, rows: Range<usize>, work: &mut ScreenWork, state: &mut [TopK]) -> u64 {
         let kept_floor = |c: &TopK, eps: f32| {
             c.threshold()
                 .map_or(f32::NEG_INFINITY, |kth| (kth - eps).next_down())
         };
-        let width = columns.len();
-        let floors: Vec<f32> = rows
-            .clone()
-            .zip(approx.chunks_exact(width))
-            .enumerate()
-            .map(|(i, (l, row))| {
-                let tau = match lane_max {
-                    Some(lane_max) => {
-                        // the k-th largest in the total order: what a
-                        // descending sort puts at `k - 1`
-                        let mut maxima = lane_max[i];
-                        *maxima
-                            .select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a))
-                            .1
-                    }
-                    None => {
-                        let mut best = TopK::new(k);
-                        best.push_row(0, row);
-                        best.threshold().unwrap_or(f32::NEG_INFINITY)
-                    }
-                };
-                let eps = self.bounds[l];
-                (tau - 2.0 * eps)
-                    .next_down()
-                    .max(kept_floor(&state[l], eps))
-            })
-            .collect();
-        let mut candidates = Candidates::default();
-        self.candidates(&columns, approx, &floors, &mut candidates);
+        let start = |i: usize| {
+            let l = rows.start + i;
+            work.floors[i]
+                .value()
+                .max(kept_floor(&state[l], self.bounds[l]))
+        };
+        let starts: Vec<f32> = (0..rows.len()).map(start).collect();
+        work.pick(self.source, self.inner.rows(), |i| starts[i]);
         let mut rescored = 0;
-        for (i, (l, row)) in rows.zip(approx.chunks_exact(width)).enumerate() {
-            let (eps, collector, mut floor) = (self.bounds[l], &mut state[l], floors[i]);
-            for j in candidates.span(i) {
-                let r = candidates.inner[j];
-                if row[r - columns.start] >= floor {
-                    collector.push(r, self.rescore(l, &candidates, j));
-                    rescored += 1;
-                    floor = floor.max(kept_floor(collector, eps));
-                }
+        let mut floor = f32::NEG_INFINITY;
+        let mut row = usize::MAX;
+        for pick in &work.picks {
+            if pick.row as usize != row {
+                row = pick.row as usize;
+                floor = starts[row];
+            }
+            let l = rows.start + row;
+            if pick.approx >= floor {
+                let collector = &mut state[l];
+                collector.push(pick.column as usize, self.rescore(l, work, pick));
+                rescored += 1;
+                floor = floor.max(kept_floor(collector, self.bounds[l]));
             }
         }
         rescored
     }
 }
 
-/// The pairs of a block's outer rows a harvest may rescore and the unit
-/// rows they need.
+/// The screened path's working state, kept across a join's blocks: the
+/// rows' floors, a block's candidates, the candidates picked for a
+/// rescore and the unit rows they need.
 #[derive(Default)]
-struct Candidates {
-    /// Candidate inner rows, outer row by outer row, each ascending.
-    inner: Vec<usize>,
-    /// Where each outer row's candidates end in `inner`.
-    ends: Vec<usize>,
-    /// The distinct candidate rows, whose unit rows `rows` holds in that
-    /// order.
+struct ScreenWork {
+    floors: Vec<Floor>,
+    candidates: Candidates,
+    /// The candidates that reach their row's starting floor, row by row,
+    /// each row's ascending.
+    picks: Vec<Pick>,
+    /// The distinct inner rows picked, whose unit rows `rows` holds in
+    /// that order.
     fetched: Vec<usize>,
-    /// Per candidate, its row's position in `fetched`.
-    at: Vec<usize>,
+    /// Per inner row, its position in `fetched` (`u32::MAX`: not fetched);
+    /// reset after every block.
+    position: Vec<u32>,
     rows: Vec<f32>,
 }
 
-impl Candidates {
-    /// The positions in `inner` of outer row `i`'s candidates.
-    fn span(&self, i: usize) -> Range<usize> {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        start..self.ends[i]
+/// A candidate picked for a rescore: its outer row in the block, its inner
+/// row, its approximation and its unit row's position in
+/// [`ScreenWork::rows`].
+struct Pick {
+    row: u32,
+    column: u32,
+    approx: f32,
+    at: u32,
+}
+
+impl ScreenWork {
+    /// Picks the candidates of every outer row `i` of the block whose
+    /// approximation reaches `floor(i)`, and reads each distinct picked
+    /// row once, in one call to the side's source (of `inner_rows` rows).
+    fn pick(&mut self, source: &dyn UnitRows, inner_rows: usize, floor: impl Fn(usize) -> f32) {
+        let Self {
+            candidates,
+            picks,
+            fetched,
+            position,
+            rows,
+            ..
+        } = self;
+        picks.clear();
+        fetched.clear();
+        position.resize(inner_rows, u32::MAX);
+        for i in 0..candidates.rows() {
+            let floor = floor(i);
+            let (columns, approx) = candidates.row(i);
+            for (&column, &approx) in columns.iter().zip(approx) {
+                if approx < floor {
+                    continue;
+                }
+                let c = column as usize;
+                // each inner row's position in `fetched`, first come first
+                // placed
+                if position[c] == u32::MAX {
+                    position[c] = fetched.len() as u32;
+                    fetched.push(c);
+                }
+                let (row, at) = (i as u32, position[c]);
+                picks.push(Pick {
+                    row,
+                    column,
+                    approx,
+                    at,
+                });
+            }
+        }
+        for &c in fetched.iter() {
+            position[c] = u32::MAX;
+        }
+        source.unit_rows(fetched, rows);
+    }
+
+    /// Bytes of state the screened path holds for a block of dimension
+    /// `dim`: the candidates, the picks, the unit rows read back for them
+    /// and the running floors' kept approximations.
+    fn bytes(&self, dim: usize) -> usize {
+        self.candidates.bytes()
+            + self.picks.len() * std::mem::size_of::<Pick>()
+            + self.fetched.len() * dim * std::mem::size_of::<f32>()
+            + self.floors.iter().map(Floor::bytes).sum::<usize>()
     }
 }
 
@@ -997,10 +1026,11 @@ mod tests {
             .collect()
     }
 
-    /// Runs `join` on the fp32 block path and with every screen, asserting
-    /// that the pairs, their order and their score bits, and every stat but
-    /// the rescore count and the path are the block path's.  Returns the
-    /// block path's result and the screened results.
+    /// Runs `join` on the fp32 block path and with every screen, on the
+    /// process-wide pool, asserting that the pairs, their order and their
+    /// score bits, and every stat but the screen's own counts and the path
+    /// are the block path's.  Returns the block path's result and the
+    /// screened results.
     fn assert_screen_exact(
         join: &TensorJoin,
         left: &Matrix,
@@ -1008,7 +1038,20 @@ mod tests {
         predicate: SimilarityPredicate,
         what: &str,
     ) -> (JoinResult, Vec<JoinResult>) {
-        let (side, pool) = (coded(right), ExecPool::global());
+        assert_screen_exact_on(join, left, right, predicate, ExecPool::global(), what)
+    }
+
+    /// [`assert_screen_exact`] on `pool`.  A screened join emits at least
+    /// the candidates it rescores, exactly those for a threshold.
+    fn assert_screen_exact_on(
+        join: &TensorJoin,
+        left: &Matrix,
+        right: &Matrix,
+        predicate: SimilarityPredicate,
+        pool: &ExecPool,
+        what: &str,
+    ) -> (JoinResult, Vec<JoinResult>) {
+        let side = coded(right);
         // the side is quantised once, by its preparation
         assert_eq!(side.rows_quantized(), right.rows() as u64, "{what}");
         let block = join.join_with(left, &side, predicate, None, pool).unwrap();
@@ -1016,6 +1059,7 @@ mod tests {
             block.stats.pairs_rescored, block.stats.pairs_compared,
             "{what}"
         );
+        assert_eq!(block.stats.screen_candidates, 0, "{what}");
         let screened: Vec<JoinResult> = screens()
             .into_iter()
             .map(|screen| {
@@ -1026,12 +1070,21 @@ mod tests {
                 assert_eq!(pair_bits(&result), pair_bits(&block), "{what}");
                 let without = |s: JoinStats| JoinStats {
                     pairs_rescored: 0,
+                    screen_candidates: 0,
+                    peak_buffer_bytes: 0,
                     tensor_path: None,
                     elapsed: Duration::ZERO,
                     ..s
                 };
                 assert_eq!(without(result.stats), without(block.stats), "{what}");
-                assert!(result.stats.pairs_rescored <= result.stats.pairs_compared);
+                let stats = result.stats;
+                assert!(stats.pairs_rescored <= stats.pairs_compared);
+                if stats.tensor_path == Some(TensorPath::Int8Screen) {
+                    assert!(stats.screen_candidates >= stats.pairs_rescored, "{what}");
+                    if let SimilarityPredicate::Threshold(_) = predicate {
+                        assert_eq!(stats.screen_candidates, stats.pairs_rescored, "{what}");
+                    }
+                }
                 result
             })
             .collect();
@@ -1088,10 +1141,14 @@ mod tests {
     }
 
     #[test]
-    fn the_block_harvest_rescores_what_a_one_pass_scan_rescores() {
-        // the harvest collects a block's candidates before rescoring any;
-        // a scan that rescores as it goes, under each row's rising floor,
-        // must make the same pushes — so the same pairs_rescored
+    fn the_fused_screen_rescores_what_a_one_pass_scan_rescores() {
+        // the screen emits candidates under each row's running floor and
+        // the rescore skips those below the floor the row ends its block
+        // with; a reference that sees every approximation once — per inner
+        // block, the running τ over all of the row's approximations so far,
+        // then one pass rescoring under the rising floor — must make the
+        // same pushes: the same collectors and the same pairs_rescored, for
+        // one block and for blocks cut inside panels, on pools 1 and 2
         let left = uniform_matrix(40, 24, 64, true);
         let mut right = uniform_matrix(90, 24, 65, true);
         for r in (5..90).step_by(11) {
@@ -1099,85 +1156,78 @@ mod tests {
             right.row_mut(r).unwrap().copy_from_slice(&copy);
         }
         let side = coded(&right);
+        let rescore =
+            |l: usize, r: usize| dot_lanes::<8>(left.row(l).unwrap(), right.row(r).unwrap());
         for screen in screens() {
             let screened = Screened::new(screen, &left, &side).unwrap();
-            let mut approx = vec![0.0f32; 40 * 90];
-            let mut lane_max = vec![LaneMaxima::default(); 40];
-            let (inner, rows, columns) = (screened.inner, 0..40, 0..90);
-            screen.block_into(
-                &screened.outer,
-                rows.clone(),
-                inner,
-                columns.clone(),
-                &mut approx,
-                Some(&mut lane_max),
-            );
-            let rescore =
-                |l: usize, r: usize| dot_lanes::<8>(left.row(l).unwrap(), right.row(r).unwrap());
-            for k in [1usize, 3, 16, 17] {
-                let maxima = (k <= PANEL_ROWS).then_some(lane_max.as_slice());
-                let mut state: Vec<TopK> = (0..40).map(|_| TopK::new(k)).collect();
-                let got = screened.harvest_topk(
-                    rows.clone(),
-                    columns.clone(),
-                    &approx,
-                    maxima,
-                    k,
-                    &mut state,
-                );
-                // the one-pass reference
-                let mut reference: Vec<TopK> = (0..40).map(|_| TopK::new(k)).collect();
-                let mut expected = 0;
-                for (l, row) in approx.chunks_exact(90).enumerate() {
-                    let eps = screened.bounds[l];
-                    let tau = match maxima {
-                        Some(m) => {
-                            let mut sorted = m[l];
-                            sorted.sort_unstable_by(|a, b| b.total_cmp(a));
-                            sorted[k - 1]
-                        }
-                        None => {
-                            let mut best = TopK::new(k);
-                            best.push_row(0, row);
-                            best.threshold().unwrap_or(f32::NEG_INFINITY)
-                        }
+            // every approximation: a floor no pair fails
+            let mut floors = vec![Floor::fixed(f32::NEG_INFINITY); 40];
+            let mut all = Candidates::default();
+            let (outer, inner) = (&screened.outer, screened.inner);
+            screen.candidates_into(outer, 0..40, inner, 0..90, &mut floors, &mut all);
+            assert_eq!(all.len(), 40 * 90);
+            for k in [1usize, 3, 16, 17, 64] {
+                for bytes in [usize::MAX, 4 * 40 * 37] {
+                    let budget = match bytes {
+                        usize::MAX => BufferBudget::unlimited(),
+                        bytes => BufferBudget::from_bytes(bytes),
                     };
-                    let collector = &mut reference[l];
-                    let kept = |c: &TopK| {
-                        c.threshold()
-                            .map_or(f32::NEG_INFINITY, |kth| (kth - eps).next_down())
-                    };
-                    let mut floor = (tau - 2.0 * eps).next_down().max(kept(collector));
-                    scan_at_least(row, floor, |r, _| {
-                        collector.push(r, rescore(l, r));
-                        expected += 1;
-                        floor = floor.max(kept(collector));
-                        floor
-                    });
-                }
-                let what = format!("{} k {k}", screen.label());
-                assert_eq!(got, expected, "{what}");
-                let entries = |s: Vec<TopK>| -> Vec<Vec<(usize, u32)>> {
-                    s.into_iter()
-                        .map(|c| {
-                            c.into_sorted()
-                                .iter()
-                                .map(|e| (e.id, e.score.to_bits()))
-                                .collect()
+                    let (_, inner_batch) = budget.batch_shape(40, 90);
+                    let mut reference: Vec<TopK> = (0..40).map(|_| TopK::new(k)).collect();
+                    let mut expected = 0;
+                    for (l, collector) in reference.iter_mut().enumerate() {
+                        let (eps, (_, approx)) = (screened.bounds[l], all.row(l));
+                        let kept = |c: &TopK| {
+                            c.threshold()
+                                .map_or(f32::NEG_INFINITY, |kth| (kth - eps).next_down())
+                        };
+                        let mut tau = TopK::new(k);
+                        for first in (0..90).step_by(inner_batch) {
+                            let block = first..(first + inner_batch).min(90);
+                            for c in block.clone() {
+                                tau.push(c, approx[c]);
+                            }
+                            let tau = tau
+                                .threshold()
+                                .map_or(f32::NEG_INFINITY, |tau| (tau - 2.0 * eps).next_down());
+                            let mut floor = tau.max(kept(collector));
+                            scan_at_least(&approx[block], floor, |i, _| {
+                                collector.push(first + i, rescore(l, first + i));
+                                expected += 1;
+                                floor = floor.max(kept(collector));
+                                floor
+                            });
+                        }
+                    }
+                    let reference: Vec<(usize, usize, u32)> = reference
+                        .into_iter()
+                        .enumerate()
+                        .flat_map(|(l, c)| {
+                            let sorted = c.into_sorted().into_iter();
+                            sorted.map(move |e| (l, e.id, e.score.to_bits()))
                         })
-                        .collect()
-                };
-                assert_eq!(entries(state), entries(reference), "{what}");
+                        .collect();
+                    let join = TensorJoin::new(TensorJoinConfig::default().with_budget(budget));
+                    let predicate = SimilarityPredicate::TopK(k);
+                    for pool in [ExecPool::new(1), ExecPool::new(2)] {
+                        let what = format!("{} k {k} budget {bytes} {pool:?}", screen.label());
+                        let result = join.join_with(&left, &side, predicate, Some(screen), &pool);
+                        let stats = result.as_ref().unwrap().stats;
+                        assert_eq!(stats.pairs_rescored, expected, "{what}");
+                        assert!(stats.screen_candidates >= expected, "{what}");
+                        assert_eq!(pair_bits(&result.unwrap()), reference, "{what}");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn topk_from_the_lane_maxima_equals_the_block_path() {
-        // k up to 16 takes τ from the screen's lane maxima, k = 17 keeps the
-        // per-row TopK pass; inner sides with partial panels and blocks cut
-        // inside panels (budgets), near-duplicate inner rows so that the
-        // lane maxima tie and crowd into few lanes
+    fn topk_from_the_running_floor_equals_the_block_path() {
+        // k from 1 to past a panel and up to every inner row (a floor that
+        // never rises); inner sides with partial panels and blocks cut
+        // inside panels (budgets); near-duplicate inner rows so that the
+        // approximations tie; pools of 1 and 2
         let left = uniform_matrix(30, 24, 60, true);
         let mut right = uniform_matrix(75, 24, 61, true);
         for r in (3..75).step_by(16) {
@@ -1190,13 +1240,23 @@ mod tests {
                 bytes => BufferBudget::from_bytes(bytes),
             };
             let join = TensorJoin::new(TensorJoinConfig::default().with_budget(budget));
-            for k in [1usize, 3, 16, 17] {
+            for k in [1usize, 3, 16, 17, 64, 75, 80] {
                 let predicate = SimilarityPredicate::TopK(k);
-                let what = format!("budget {bytes}");
-                let (block, screened) = assert_screen_exact(&join, &left, &right, predicate, &what);
-                assert_eq!(block.len(), 30 * k);
-                for result in screened {
-                    assert!(result.stats.pairs_rescored < result.stats.pairs_compared);
+                for pool in [ExecPool::new(1), ExecPool::new(2)] {
+                    let what = format!("budget {bytes} {pool:?}");
+                    let (block, screened) =
+                        assert_screen_exact_on(&join, &left, &right, predicate, &pool, &what);
+                    assert_eq!(block.len(), 30 * k.min(75));
+                    for result in screened {
+                        let stats = result.stats;
+                        if k <= 17 {
+                            assert!(stats.pairs_rescored < stats.pairs_compared, "{what}");
+                        }
+                        if k >= 75 {
+                            // the floor stays -inf: every pair is emitted
+                            assert_eq!(stats.screen_candidates, stats.pairs_compared, "{what}");
+                        }
+                    }
                 }
             }
         }
@@ -1483,6 +1543,62 @@ mod tests {
                     let result = join.join(&left, &side, predicate, pool).unwrap();
                     assert_eq!(result.stats.pairs_rescored, result.stats.pairs_compared);
                     assert_eq!(result.stats.tensor_path, Some(TensorPath::Fp32Block));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_screened_path_holds_no_score_block() {
+        // 96 x 19,200 unit rows of dim 64, the widest scan_join_warm
+        // statement: the block path reports its 7.4 MB block, the screen
+        // the candidates, their unit rows and its running floors — less
+        // than one block — and the block path's pairs and score bits
+        let left = uniform_matrix(96, 64, 66, true);
+        let right = uniform_matrix(19_200, 64, 67, true);
+        let screen = *screens().last().expect("the reference always exists");
+        let (join, side, pool) = (TensorJoin::default(), coded(&right), ExecPool::new(1));
+        let block_bytes = BufferBudget::block_bytes(96, 19_200);
+        for predicate in both_predicates(3, 0.45) {
+            let block = join
+                .join_with(&left, &side, predicate, None, &pool)
+                .unwrap();
+            assert_eq!(block.stats.peak_buffer_bytes, block_bytes, "{predicate:?}");
+            let result = join.join_with(&left, &side, predicate, Some(screen), &pool);
+            let result = result.unwrap();
+            assert_eq!(pair_bits(&result), pair_bits(&block), "{predicate:?}");
+            let held = result.stats.peak_buffer_bytes;
+            assert!(
+                0 < held && held < block_bytes / 10,
+                "{predicate:?}: {held} B"
+            );
+        }
+    }
+
+    #[test]
+    fn the_screen_counts_its_candidates() {
+        // a fixed input, pinned on every screen and pool: a threshold's
+        // candidates are its rescores; top-k's running floor emits more
+        // than the rescore keeps while it settles, on a row's first inner
+        // rows, and the more the larger k
+        let left = uniform_matrix(24, 64, 68, true);
+        let right = uniform_matrix(2_000, 64, 69, true);
+        let side = coded(&right);
+        let join = TensorJoin::default();
+        let pinned: [(SimilarityPredicate, u64, u64); 4] = [
+            (SimilarityPredicate::Threshold(0.4), 29, 29),
+            (SimilarityPredicate::TopK(1), 326, 36),
+            (SimilarityPredicate::TopK(3), 865, 139),
+            (SimilarityPredicate::TopK(20), 3_592, 851),
+        ];
+        for (predicate, candidates, rescored) in pinned {
+            for screen in screens() {
+                for pool in [ExecPool::new(1), ExecPool::new(2)] {
+                    let result = join.join_with(&left, &side, predicate, Some(screen), &pool);
+                    let stats = result.unwrap().stats;
+                    let what = format!("{predicate:?} {} {pool:?}", screen.label());
+                    assert_eq!(stats.screen_candidates, candidates, "{what}");
+                    assert_eq!(stats.pairs_rescored, rescored, "{what}");
                 }
             }
         }

@@ -314,7 +314,8 @@ impl<'s> PreparedQuery<'s> {
     /// tensor join — a survivor scan's included — adds how it scored its
     /// pairs, int8 screen or fp32 block
     /// ([`JoinStats::tensor_path`](crate::JoinStats::tensor_path)), with the
-    /// pairs rescored of the pairs compared and the inner rows quantised.
+    /// pairs rescored of the pairs compared, the pairs the screen emitted
+    /// as candidates and the inner rows quantised.
     ///
     /// # Errors
     /// Propagates the same errors as [`PreparedQuery::run`].
@@ -339,10 +340,12 @@ impl<'s> PreparedQuery<'s> {
         let join = &report.join_stats;
         if let Some(path) = join.tensor_path {
             text.push_str(&format!(
-                "tensor join: {} ({} of {} pairs rescored; {} inner rows quantised)\n",
+                "tensor join: {} ({} of {} pairs rescored; {} screen candidates; \
+                 {} inner rows quantised)\n",
                 path.label(),
                 join.pairs_rescored,
                 join.pairs_compared,
+                join.screen_candidates,
                 join.inner_rows_quantized
             ));
         }

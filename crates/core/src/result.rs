@@ -37,7 +37,10 @@ pub struct JoinStats {
     pub model_calls: u64,
     /// Number of pair-wise similarity evaluations.
     pub pairs_compared: u64,
-    /// Peak bytes of intermediate score state held at any one time.
+    /// Peak bytes of intermediate score state held at any one time: the
+    /// score block on the tensor join's fp32 block path; the candidates,
+    /// their unit rows and the running floors on its int8 screen; the pair
+    /// list for the nested-loop joins.
     pub peak_buffer_bytes: usize,
     /// Wall-clock execution time.
     pub elapsed: Duration,
@@ -53,6 +56,14 @@ pub struct JoinStats {
     /// on where the outer side was cut into morsels when such a row is
     /// present; the pairs never do.
     pub pairs_rescored: u64,
+    /// Pairs the int8 screen emitted as candidates (tensor join only; 0
+    /// on the fp32 block path): those whose approximation reached their
+    /// outer row's floor while the screen ran, at least `pairs_rescored`.
+    /// Equal to it for a threshold; for top-k the floor rises with the
+    /// row's running `τ`, so the pairs emitted before it settles — a
+    /// row's first inner rows — are counted here and rescored only if they
+    /// reach the floor the row ends its block with.
+    pub screen_candidates: u64,
     /// Inner rows the int8 screen quantised preparing a tensor join's
     /// inner side, once per join ([`crate::PreparedInner::rows_quantized`],
     /// which the interpreter reports here; a join call quantises none): the

@@ -1,7 +1,8 @@
 //! The int8 screen of the tensor join: symmetric per-row scalar quantisation
-//! (SQ8), an integer approximation of every score of a block, and a proven
-//! bound on how far that approximation can lie from the fp32 score the GEMM
-//! computes for the same pair.
+//! (SQ8), an integer approximation of the score of every pair of a block,
+//! a proven bound on how far that approximation can lie from the fp32 score
+//! the GEMM computes for the same pair, and the compare that turns the
+//! approximations into candidates as they are computed.
 //!
 //! The tensor join uses it to decide which pairs *can* qualify before paying
 //! for their fp32 dot products: a pair whose approximation is further below
@@ -90,6 +91,23 @@
 //! be subnormal (absolute error `≤ 2⁻¹⁵⁰` each, `≤ d · 2⁻¹⁵⁰` in all),
 //! while no approximation underflows (below).
 //!
+//! # Candidates
+//!
+//! The screen writes no block of approximations.  [`Screen::candidates_into`]
+//! compares each approximation with its outer row's [`Floor`] as soon as it
+//! is computed and hands out only the pairs that reach it — `(outer row,
+//! inner row, approximation)` — grouped by outer row, each row's in
+//! ascending inner order ([`Candidates`]).  A floor is either fixed (a
+//! threshold's `t − ε`) or running: `τ − slack` with `τ` the `k`-th best
+//! approximation the row has emitted so far, `-inf` until it has emitted
+//! `k` (top-k's `τ − 2ε`).  A running floor is raised by every emitted
+//! approximation, lane by lane, so a row's candidates are those of one pass
+//! over its inner rows in ascending order, the floor in force at each; the
+//! caller keeps the floors for the whole join, and where its blocks, the
+//! kernel's tiles or a pool cut the pairs changes no candidate.  Both
+//! implementations emit the same candidates, approximations bit for bit,
+//! in the same order.
+//!
 //! # Which rows can be screened
 //!
 //! The bound must hold for any rows the screen accepts, not only unit rows,
@@ -105,23 +123,17 @@ use std::ops::Range;
 
 use cej_exec::ExecPool;
 
+use crate::topk::{TopK, TopKEntry};
+
 /// Largest dimension the screen handles: `d · 127²` must stay below `2²⁴` so
 /// that the integer dot product converts to f32 exactly.
 pub const MAX_SCREEN_DIM: usize = 1024;
 
-/// Inner rows per panel — the 16 `i32` lanes of a `zmm` register, and the
-/// lanes of a [`LaneMaxima`].
+/// Inner rows per panel — the 16 `i32` lanes of a `zmm` register.
 pub const PANEL_ROWS: usize = 16;
 /// Codes per group — the 4 bytes `vpdpbusd` multiplies into one lane, kept
 /// as one `u32` word.
 pub(crate) const GROUP: usize = 4;
-
-/// What [`Screen::block_into`] reports per outer row on request:
-/// lane `j` is the largest approximation over the block's inner rows `b`
-/// with `b % 16 == j` (`-inf` when the block has none).  The lanes belong
-/// to distinct inner rows, so the `k`-th largest of them (`k ≤ 16`) is a
-/// value that `k` distinct pairs of the block reach.
-pub type LaneMaxima = [f32; PANEL_ROWS];
 
 /// Largest row magnitude the screen accepts (`2³²`).
 const MAX_MAGNITUDE: f32 = 4_294_967_296.0;
@@ -566,6 +578,11 @@ impl Sq8Inner {
         })
     }
 
+    /// The number of inner rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
     /// The code words of panel `panel`: `groups` groups of 16 words, word
     /// `i` of a group holding four codes of the panel's row `i`.
     #[inline]
@@ -593,6 +610,263 @@ impl Sq8Inner {
     }
 }
 
+/// The floor an outer row's approximations must reach to be emitted as
+/// candidates by [`Screen::candidates_into`].  A caller keeps one per outer
+/// row for a whole join, so that a running floor carries across the
+/// kernel's tiles and the caller's blocks.
+#[derive(Debug, Clone)]
+pub struct Floor {
+    /// The floor in force: an approximation `≥` it is emitted.
+    value: f32,
+    rule: Rule,
+}
+
+/// How a [`Floor`] moves.
+#[derive(Debug, Clone)]
+pub(crate) enum Rule {
+    /// It does not.
+    Fixed,
+    /// A running floor for `k ≤ 16`: `top` holds the row's best emitted
+    /// approximations in descending order, `-inf` where there are none
+    /// yet; lanes past `k − 1` are scratch.  The floor is
+    /// `(top[k − 1] − slack)` rounded down.
+    Lanes {
+        k: usize,
+        top: [f32; PANEL_ROWS],
+        slack: f32,
+    },
+    /// A running floor for larger `k`: the `k` best emitted approximations
+    /// by inner row.
+    Heap { best: TopK, slack: f32 },
+}
+
+impl Floor {
+    /// A floor that stays `value` — a threshold's `t − ε`.
+    pub fn fixed(value: f32) -> Self {
+        Self {
+            value,
+            rule: Rule::Fixed,
+        }
+    }
+
+    /// A floor that follows the row's emitted approximations: `-inf` until
+    /// `k` have been emitted, then `τ − slack` rounded down (`next_down`, so
+    /// that the f32 difference is a lower bound of the real one), `τ` the
+    /// `k`-th best approximation emitted so far.  Every approximation not
+    /// emitted lies below the floor and so below `τ`, so `τ` is also the
+    /// `k`-th best the row has been screened against: a value `k` distinct
+    /// pairs reach, which only rises and ends at the row's `k`-th best
+    /// approximation.
+    ///
+    /// # Panics
+    /// Panics when `k` is 0.
+    pub fn running(k: usize, slack: f32) -> Self {
+        assert!(k > 0, "a running floor keeps at least one approximation");
+        let rule = if k <= PANEL_ROWS {
+            Rule::Lanes {
+                k,
+                top: [f32::NEG_INFINITY; PANEL_ROWS],
+                slack,
+            }
+        } else {
+            Rule::Heap {
+                best: TopK::new(k),
+                slack,
+            }
+        };
+        Self {
+            value: f32::NEG_INFINITY,
+            rule,
+        }
+    }
+
+    /// The floor in force.
+    #[inline]
+    pub fn value(&self) -> f32 {
+        self.value
+    }
+
+    /// Bytes of state the floor holds: a running floor's kept
+    /// approximations.
+    pub fn bytes(&self) -> usize {
+        match &self.rule {
+            Rule::Fixed => 0,
+            Rule::Lanes { top, .. } => std::mem::size_of_val(top),
+            Rule::Heap { best, .. } => best.len() * std::mem::size_of::<TopKEntry>(),
+        }
+    }
+
+    /// The floor in force and how it moves, for a kernel that raises it
+    /// itself.
+    #[inline]
+    pub(crate) fn parts(&mut self) -> (&mut f32, &mut Rule) {
+        (&mut self.value, &mut self.rule)
+    }
+
+    /// Emits outer row `row`'s (of the call) approximation `approx` against
+    /// inner row `column` into `emitted` if it reaches the floor in force,
+    /// and raises a running floor to it.
+    #[inline(always)]
+    pub(crate) fn offer(
+        &mut self,
+        row: usize,
+        column: usize,
+        approx: f32,
+        emitted: &mut Vec<Emitted>,
+    ) {
+        if approx < self.value {
+            return;
+        }
+        emitted.push(Emitted::new(row, column, approx));
+        match &mut self.rule {
+            Rule::Fixed => {}
+            Rule::Lanes { k, top, slack } => {
+                insert_lane(top, approx);
+                self.value = (top[*k - 1] - *slack).next_down();
+            }
+            Rule::Heap { best, slack } => {
+                best.push(column, approx);
+                if let Some(tau) = best.threshold() {
+                    self.value = (tau - *slack).next_down();
+                }
+            }
+        }
+    }
+}
+
+/// Inserts `x` into `top`, kept in descending order, after every value
+/// `≥ x`; the last lane drops out.  Lane by lane: a lane holding a value
+/// `≥ x` keeps it, the first other lane takes `x` and the rest take their
+/// left neighbour — what the AVX-512 kernel computes in registers.
+#[inline(always)]
+fn insert_lane(top: &mut [f32; PANEL_ROWS], x: f32) {
+    let old = *top;
+    for lane in 0..PANEL_ROWS {
+        if old[lane] < x {
+            let left = if lane == 0 {
+                f32::INFINITY
+            } else {
+                old[lane - 1]
+            };
+            top[lane] = left.min(x);
+        }
+    }
+}
+
+/// One candidate as the screen emits it: the outer row (of the call), the
+/// inner row and the approximation.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Emitted {
+    row: u32,
+    column: u32,
+    approx: f32,
+}
+
+impl Emitted {
+    #[inline(always)]
+    pub(crate) fn new(row: usize, column: usize, approx: f32) -> Self {
+        Self {
+            row: row as u32,
+            column: column as u32,
+            approx,
+        }
+    }
+}
+
+/// The pairs a [`Screen::candidates_into`] call emitted, grouped by outer
+/// row (the call's rows in order), each row's in ascending inner order.
+#[derive(Debug, Clone, Default)]
+pub struct Candidates {
+    /// Where each outer row's candidates end in `columns` and `approx`.
+    ends: Vec<usize>,
+    /// The inner row of each candidate.
+    columns: Vec<u32>,
+    /// The approximation of each candidate.
+    approx: Vec<f32>,
+    /// The candidates in the order the screen emitted them, before
+    /// grouping.
+    emitted: Vec<Emitted>,
+}
+
+impl Candidates {
+    /// The number of candidates.
+    pub fn len(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// `true` when no pair was emitted.
+    pub fn is_empty(&self) -> bool {
+        self.columns.is_empty()
+    }
+
+    /// The number of outer rows of the call.
+    pub fn rows(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Outer row `i`'s (of the call) candidates: their inner rows,
+    /// ascending, and their approximations.
+    ///
+    /// # Panics
+    /// Panics when `i` is not a row of the call.
+    pub fn row(&self, i: usize) -> (&[u32], &[f32]) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        let span = start..self.ends[i];
+        (&self.columns[span.clone()], &self.approx[span])
+    }
+
+    /// Bytes of candidate state held: each candidate as emitted and as
+    /// grouped.
+    pub fn bytes(&self) -> usize {
+        let grouped = std::mem::size_of::<u32>() + std::mem::size_of::<f32>();
+        self.len() * (std::mem::size_of::<Emitted>() + grouped)
+    }
+
+    fn clear(&mut self) {
+        self.ends.clear();
+        self.columns.clear();
+        self.approx.clear();
+        self.emitted.clear();
+    }
+
+    /// Groups the emitted candidates of `rows` outer rows by row with a
+    /// counting sort, which keeps each row's emission order — ascending
+    /// inner order, in which the screen visits a row's inner rows.
+    fn group(&mut self, rows: usize) {
+        let Self {
+            ends,
+            columns,
+            approx,
+            emitted,
+        } = self;
+        // counts, then starts, then (advanced past each row's last) ends
+        ends.clear();
+        ends.resize(rows, 0);
+        for e in emitted.iter() {
+            ends[e.row as usize] += 1;
+        }
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            (*end, start) = (start, start + *end);
+        }
+        columns.resize(emitted.len(), 0);
+        approx.resize(emitted.len(), 0.0);
+        for e in emitted.iter() {
+            let at = &mut ends[e.row as usize];
+            (columns[*at], approx[*at]) = (e.column, e.approx);
+            *at += 1;
+        }
+    }
+
+    /// Appends `other`'s rows after this one's.
+    fn append(&mut self, other: &Candidates) {
+        let base = self.columns.len();
+        self.ends.extend(other.ends.iter().map(|end| base + end));
+        self.columns.extend_from_slice(&other.columns);
+        self.approx.extend_from_slice(&other.approx);
+    }
+}
+
 /// Which implementation computes the approximate scores.  Both produce the
 /// same bits (module documentation); only [`Screen::detect`] can hand out
 /// the `std::arch` one, so holding it is proof the CPU has the features.
@@ -603,7 +877,8 @@ enum ScreenIsa {
     Reference,
 }
 
-/// An implementation of the screen's approximate-score block.
+/// An implementation of the screen: the approximate scores and the floor
+/// compare that turns them into candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Screen {
     isa: ScreenIsa,
@@ -629,8 +904,9 @@ impl Screen {
         None
     }
 
-    /// The scalar integer reference: the same bits as the kernel on every
-    /// CPU, one pair at a time (for tests and for checking the kernel).
+    /// The scalar integer reference: the kernel's candidates, with the
+    /// same bits, on every CPU, one pair at a time (for tests and for
+    /// checking the kernel).
     pub fn reference() -> Self {
         Self {
             isa: ScreenIsa::Reference,
@@ -654,7 +930,7 @@ impl Screen {
         assert!(rows.iter().all(|row| row.len() == groups));
         match self.isa {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `Screen::block_into`: `Avx512Vnni` is proof of
+            // SAFETY: as in `Screen::candidates_into`: `Avx512Vnni` is proof of
             // the features the callee is compiled for.
             ScreenIsa::Avx512Vnni => unsafe { crate::vnni::transpose_panel(rows, groups, panel) },
             ScreenIsa::Reference => {
@@ -667,30 +943,37 @@ impl Screen {
         }
     }
 
-    /// Writes the approximate score of every pair of outer rows `a_rows`
-    /// and inner rows `b_rows` into `out`, row-major
-    /// (`a_rows.len() × b_rows.len()`) — the layout of the GEMM's score
-    /// block, so a caller can screen into the same buffer — and, when
-    /// `lane_max` is given (`a_rows.len()` entries), each outer row's
-    /// [`LaneMaxima`] over `b_rows`.
+    /// Screens outer rows `a_rows` against inner rows `b_rows`: every pair
+    /// whose approximate score reaches its outer row's floor in force goes
+    /// to `out` as a candidate, grouped by outer row in `a_rows`' order and,
+    /// within a row, in ascending inner order; no score block is written.
+    /// `floors` holds one [`Floor`] per outer row of `a_rows` and is raised
+    /// as candidates are emitted (a running floor), so a caller that screens
+    /// a row in several calls — inner rows in ascending blocks — hands the
+    /// same floors to each: a row's candidates are then those of one pass
+    /// over its inner rows in ascending order, however the calls, the
+    /// kernel's tiles or a pool cut it.  `out` is overwritten.
     ///
     /// # Panics
     /// Panics when a range is out of bounds, the sides differ in dimension,
-    /// or `out` or `lane_max` has the wrong length.
-    pub fn block_into(
+    /// `floors` has the wrong length, or an inner row number exceeds
+    /// `u32::MAX`.
+    pub fn candidates_into(
         &self,
         outer: &Sq8Outer,
         a_rows: Range<usize>,
         inner: &Sq8Inner,
         b_rows: Range<usize>,
-        out: &mut [f32],
-        lane_max: Option<&mut [LaneMaxima]>,
+        floors: &mut [Floor],
+        out: &mut Candidates,
     ) {
         assert!(a_rows.start <= a_rows.end && a_rows.end <= outer.rows);
         assert!(b_rows.start <= b_rows.end && b_rows.end <= inner.rows);
+        assert!(u32::try_from(b_rows.end).is_ok(), "inner rows fit a u32");
         assert_eq!(outer.dim, inner.dim, "both sides must share a dimension");
-        assert_eq!(out.len(), a_rows.len() * b_rows.len());
-        assert!(lane_max.as_ref().is_none_or(|m| m.len() == a_rows.len()));
+        assert_eq!(floors.len(), a_rows.len(), "one floor per outer row");
+        out.emitted.clear();
+        let rows = a_rows.len();
         match self.isa {
             #[cfg(target_arch = "x86_64")]
             ScreenIsa::Avx512Vnni => {
@@ -698,59 +981,60 @@ impl Screen {
                 // `Screen::detect`, after the running CPU reported avx512f,
                 // avx512bw and avx512vnni — the features the callee is
                 // compiled for.
-                unsafe { crate::vnni::block_into(outer, a_rows, inner, b_rows, out, lane_max) }
+                unsafe {
+                    crate::vnni::screen_into(outer, a_rows, inner, b_rows, floors, &mut out.emitted)
+                }
             }
-            ScreenIsa::Reference => reference_block(outer, a_rows, inner, b_rows, out, lane_max),
+            ScreenIsa::Reference => {
+                reference_screen(outer, a_rows, inner, b_rows, floors, &mut out.emitted)
+            }
         }
+        out.group(rows);
     }
 
-    /// [`Screen::block_into`] with the outer rows split across `pool` the
-    /// way [`block_into_with_pool`](crate::gemm::block_into_with_pool)
-    /// splits them: each worker fills a disjoint row-aligned slice of `out`
-    /// and the matching entries of `lane_max`.
+    /// [`Screen::candidates_into`] with the outer rows split across `pool`
+    /// the way [`block_into_with_pool`](crate::gemm::block_into_with_pool)
+    /// splits them: each worker screens a disjoint range of rows with their
+    /// floors into candidates of its own, which are then appended in row
+    /// order — the same candidates as one call.
     ///
     /// # Panics
-    /// As [`Screen::block_into`].
+    /// As [`Screen::candidates_into`].
     #[allow(clippy::too_many_arguments)]
-    pub fn block_into_with_pool(
+    pub fn candidates_into_with_pool(
         &self,
         outer: &Sq8Outer,
         a_rows: Range<usize>,
         inner: &Sq8Inner,
         b_rows: Range<usize>,
         pool: &ExecPool,
-        out: &mut [f32],
-        lane_max: Option<&mut [LaneMaxima]>,
+        floors: &mut [Floor],
+        out: &mut Candidates,
     ) {
         if pool.threads() <= 1 || a_rows.len() < 2 {
-            self.block_into(outer, a_rows, inner, b_rows, out, lane_max);
+            self.candidates_into(outer, a_rows, inner, b_rows, floors, out);
             return;
         }
-        assert_eq!(out.len(), a_rows.len() * b_rows.len());
-        assert!(lane_max.as_ref().is_none_or(|m| m.len() == a_rows.len()));
-        // one part per task, each owning its rows of both outputs
-        let (tasks, width) = (pool.threads().min(a_rows.len()), b_rows.len());
+        assert_eq!(floors.len(), a_rows.len(), "one floor per outer row");
+        // one part per task, each owning its rows' floors and candidates
+        let tasks = pool.threads().min(a_rows.len());
         let mut parts = Vec::with_capacity(tasks);
-        let (mut out, mut lane_max, mut start) = (out, lane_max, a_rows.start);
+        let (mut floors, mut start) = (floors, a_rows.start);
         for t in 0..tasks {
             let end = a_rows.start + a_rows.len() * (t + 1) / tasks;
-            let (rows_out, rest_out) = out.split_at_mut((end - start) * width);
-            let (rows_max, rest_max) = match lane_max {
-                Some(m) => {
-                    let (rows, rest) = m.split_at_mut(end - start);
-                    (Some(rows), Some(rest))
-                }
-                None => (None, None),
-            };
-            parts.push((start..end, rows_out, rows_max));
-            (out, lane_max, start) = (rest_out, rest_max, end);
+            let (rows, rest) = floors.split_at_mut(end - start);
+            parts.push((start..end, rows, Candidates::default()));
+            (floors, start) = (rest, end);
         }
         pool.parallel_fill(&mut parts, tasks, 1, |_, parts| {
-            for (rows, out, lane_max) in parts {
-                let lane_max = lane_max.as_deref_mut();
-                self.block_into(outer, rows.clone(), inner, b_rows.clone(), out, lane_max);
+            for (rows, floors, part) in parts {
+                self.candidates_into(outer, rows.clone(), inner, b_rows.clone(), floors, part);
             }
         });
+        out.clear();
+        for (_, _, part) in &parts {
+            out.append(part);
+        }
     }
 }
 
@@ -767,26 +1051,19 @@ fn reference_score(outer: &Sq8Outer, a: usize, inner: &Sq8Inner, b: usize) -> f3
     (dot as f32 * inner.scales[b]) * outer.scales[a]
 }
 
-fn reference_block(
+/// The screen one pair at a time: each outer row's inner rows in ascending
+/// order, each approximation offered to the row's floor.
+fn reference_screen(
     outer: &Sq8Outer,
     a_rows: Range<usize>,
     inner: &Sq8Inner,
     b_rows: Range<usize>,
-    out: &mut [f32],
-    mut lane_max: Option<&mut [LaneMaxima]>,
+    floors: &mut [Floor],
+    emitted: &mut Vec<Emitted>,
 ) {
-    let width = b_rows.len();
-    for (i, a) in a_rows.enumerate() {
-        let mut max = [f32::NEG_INFINITY; PANEL_ROWS];
-        for (j, b) in b_rows.clone().enumerate() {
-            let score = reference_score(outer, a, inner, b);
-            out[i * width + j] = score;
-            // `vmaxps`'s choice: the new score unless the kept one is larger
-            let lane = &mut max[b % PANEL_ROWS];
-            *lane = if *lane > score { *lane } else { score };
-        }
-        if let Some(lane_max) = lane_max.as_deref_mut() {
-            lane_max[i] = max;
+    for ((i, a), floor) in a_rows.enumerate().zip(floors) {
+        for b in b_rows.clone() {
+            floor.offer(i, b, reference_score(outer, a, inner, b), emitted);
         }
     }
 }

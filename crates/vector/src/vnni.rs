@@ -1,5 +1,6 @@
 //! The AVX-512 implementations of the int8 screen ([`crate::sq8`]): the row
-//! quantiser and the VNNI approximate-score block.
+//! quantiser and the VNNI screen, which turns approximate scores into
+//! candidates without writing them to a block.
 //!
 //! **The quantiser** takes 16 rows (one inner panel) at a time and writes
 //! each row's codes as `u32` words straight to where the kernel reads them:
@@ -27,36 +28,47 @@
 //! Products are at most `255 · 127`, so no lane can overflow for
 //! `d ≤` [`MAX_SCREEN_DIM`](crate::sq8::MAX_SCREEN_DIM).  The conversion
 //! and the two multiplies `(f32(I) · s_b) · s_a` are the reference's
-//! operations in the reference's order, so the block has its bits.
+//! operations in the reference's order, so the approximations have its
+//! bits.  The epilogue compares each register of 16 approximations with
+//! its outer row's [`Floor`] in registers (`vcmpps` into a mask, lanes
+//! outside the inner range masked off); only a register block in which
+//! some lane reaches its floor leaves the hot loop, for an out-of-line,
+//! cold `Block::emit` that offers those lanes to their rows' floors in
+//! ascending inner order — a running floor of `k ≤ 16` keeps its `k` best
+//! approximations sorted in a register and is raised lane by lane without
+//! a branch on the data.  No approximation is stored anywhere else: the
+//! screen allocates no block.
 //!
 //! **Why the memory accesses are sound.**  Panel groups are read with
 //! `_mm512_loadu_si512` and the per-row scales and corrections with
 //! `_mm512_loadu_*`, which have no alignment requirement; each `// SAFETY:`
 //! comment derives that the 64 bytes lie inside a slice from a length check
 //! made in safe code above it.  The quantiser reads a row's tail with masked
-//! loads and the block writes a panel that straddles an end of the inner
-//! range with a compressing masked store; both touch only the enabled
-//! lanes, and the mask enables exactly the lanes inside the slice.  The
+//! loads, which touch only the enabled lanes, and the mask enables exactly
+//! the lanes inside the slice.  The screen stores approximations and a
+//! running floor's kept values only into local or borrowed arrays of 16
+//! floats; candidates leave through bounds-checked slice writes.  The
 //! quantiser's code words go through bounds-checked slice writes and one
 //! 16-byte store into a 4-word slice; the assembly reads each row's words
 //! with masked loads and stores whole 16-word groups into slices of 16.
 
 use std::arch::x86_64::{
     __m128i, __m512, __m512i, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_and_si512,
-    _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cvtepi32_epi8, _mm512_cvtepi32_ps,
-    _mm512_cvtss_f32, _mm512_dpbusd_epi32, _mm512_loadu_epi32, _mm512_loadu_ps, _mm512_loadu_si512,
-    _mm512_mask_compressstoreu_ps, _mm512_mask_max_ps, _mm512_maskz_loadu_epi32,
-    _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_epu32, _mm512_max_ps, _mm512_min_epi32,
-    _mm512_mul_ps, _mm512_permute_ps, _mm512_reduce_add_epi32, _mm512_reduce_max_epu32,
-    _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_setzero_si512,
-    _mm512_shuffle_f32x4, _mm512_shuffle_i32x4, _mm512_storeu_ps, _mm512_storeu_si512,
-    _mm512_sub_epi32, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpacklo_epi32,
-    _mm512_unpacklo_epi64, _mm_extract_epi32, _mm_storeu_si128,
+    _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cmp_ps_mask, _mm512_cvtepi32_epi8,
+    _mm512_cvtepi32_ps, _mm512_cvtss_f32, _mm512_dpbusd_epi32, _mm512_loadu_epi32, _mm512_loadu_ps,
+    _mm512_loadu_si512, _mm512_mask_blend_ps, _mm512_mask_cmp_ps_mask, _mm512_mask_permutexvar_ps,
+    _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_ps, _mm512_max_epi32, _mm512_max_epu32,
+    _mm512_min_epi32, _mm512_min_ps, _mm512_mul_ps, _mm512_permute_ps, _mm512_permutexvar_ps,
+    _mm512_reduce_add_epi32, _mm512_reduce_max_epu32, _mm512_set1_epi32, _mm512_set1_ps,
+    _mm512_set_epi32, _mm512_setzero_ps, _mm512_setzero_si512, _mm512_shuffle_f32x4,
+    _mm512_shuffle_i32x4, _mm512_storeu_ps, _mm512_storeu_si512, _mm512_sub_epi32,
+    _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64,
+    _mm_extract_epi32, _mm_storeu_si128, _CMP_GE_OQ,
 };
 use std::ops::Range;
 
 use crate::sq8::{
-    row_scalars, LaneMaxima, Layout, RowCode, Sq8Inner, Sq8Outer, GROUP, PANEL_ROWS,
+    row_scalars, Emitted, Floor, Layout, RowCode, Rule, Sq8Inner, Sq8Outer, GROUP, PANEL_ROWS,
     ROUNDING_MAGIC, ROUNDING_MAGIC_BITS,
 };
 
@@ -357,27 +369,26 @@ const NR: usize = 2;
 /// Bytes of inner codes per cache tile.
 const TILE_BYTES: usize = 32 * 1024;
 
-/// [`Screen::block_into`](crate::sq8::Screen::block_into) on `zmm`
-/// registers: outer rows in blocks of [`MR`] against [`NR`] panels at a
-/// time (8 accumulators, 6 loads per 8 `vpdpbusd`), edges with smaller
-/// blocks.  Panels that straddle either end of `b_rows` are computed whole
-/// and only their lanes inside the range are written and, when `lane_max`
-/// is given, folded into the lane maxima.
+/// [`Screen::candidates_into`](crate::sq8::Screen::candidates_into) on
+/// `zmm` registers: outer rows in blocks of [`MR`] against [`NR`] panels at
+/// a time (8 accumulators, 6 loads per 8 `vpdpbusd`), edges with smaller
+/// blocks.  Each panel's 16 approximations of a row are compared in
+/// registers with the row's floor; only the lanes that reach it, inside
+/// `b_rows`, leave the registers ([`Block::emit`]).  Panels that straddle
+/// either end of `b_rows` are computed whole and their lanes outside the
+/// range masked off.
 ///
-/// The caller has checked the ranges, the dimension and the lengths of
-/// `out` and `lane_max`.
+/// The caller has checked the ranges, the dimension and the length of
+/// `floors`.
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-pub(crate) fn block_into(
+pub(crate) fn screen_into(
     outer: &Sq8Outer,
     a_rows: Range<usize>,
     inner: &Sq8Inner,
     b_rows: Range<usize>,
-    out: &mut [f32],
-    lane_max: Option<&mut [LaneMaxima]>,
+    floors: &mut [Floor],
+    emitted: &mut Vec<Emitted>,
 ) {
-    let maxima = lane_max.is_some();
-    let lane_max = lane_max.unwrap_or_default();
-    lane_max.fill([f32::NEG_INFINITY; PANEL_ROWS]);
     if a_rows.is_empty() || b_rows.is_empty() {
         return;
     }
@@ -390,45 +401,38 @@ pub(crate) fn block_into(
         inner,
         a_rows: &a_rows,
         b_rows: &b_rows,
-        out,
-        lane_max,
+        floors,
+        emitted,
     };
     for first in panels.clone().step_by(tile) {
-        let tile = first..(first + tile).min(panels.end);
-        // the maxima cost the epilogue a few µops per panel and row, so
-        // only a block that reports them pays for them
-        if maxima {
-            block.tile::<true>(tile);
-        } else {
-            block.tile::<false>(tile);
-        }
+        block.tile(first..(first + tile).min(panels.end));
     }
 }
 
-/// One [`block_into`] call: its operands and its outputs (`lane_max` is
-/// empty when the caller did not ask for the maxima).
+/// One [`screen_into`] call: its operands, the rows' floors and the
+/// candidates emitted so far.
 struct Block<'a> {
     outer: &'a Sq8Outer,
     inner: &'a Sq8Inner,
     a_rows: &'a Range<usize>,
     b_rows: &'a Range<usize>,
-    out: &'a mut [f32],
-    lane_max: &'a mut [LaneMaxima],
+    floors: &'a mut [Floor],
+    emitted: &'a mut Vec<Emitted>,
 }
 
 impl Block<'_> {
     /// Every outer row against the panels of one cache tile, [`MR`] rows
-    /// at a time; `MAX`: raise the lane maxima.
+    /// at a time.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    fn tile<const MAX: bool>(&mut self, panels: Range<usize>) {
+    fn tile(&mut self, panels: Range<usize>) {
         let mut ar = self.a_rows.start;
         while ar + MR <= self.a_rows.end {
-            self.rows::<MR, MAX>(ar, panels.clone());
+            self.rows::<MR>(ar, panels.clone());
             ar += MR;
         }
         while ar < self.a_rows.end {
-            self.rows::<1, MAX>(ar, panels.clone());
+            self.rows::<1>(ar, panels.clone());
             ar += 1;
         }
     }
@@ -436,98 +440,189 @@ impl Block<'_> {
     /// Outer rows `ar..ar + M` against every panel of `panels`.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    fn rows<const M: usize, const MAX: bool>(&mut self, ar: usize, panels: Range<usize>) {
+    fn rows<const M: usize>(&mut self, ar: usize, panels: Range<usize>) {
         let (outer, inner) = (self.outer, self.inner);
         let first_row = ar - self.a_rows.start;
         let mut codes: [&[u32]; M] = [&[]; M];
         let mut s_a = [_mm512_setzero_ps(); M];
-        let mut maxima = [_mm512_setzero_ps(); M];
+        let mut floor = [_mm512_setzero_ps(); M];
         for i in 0..M {
             codes[i] = outer.row_codes(ar + i);
             s_a[i] = _mm512_set1_ps(outer.scale(ar + i));
-            if MAX {
-                // SAFETY: a `LaneMaxima` is 16 floats, exactly the 64 bytes
-                // the unaligned load reads.
-                maxima[i] = unsafe { _mm512_loadu_ps(self.lane_max[first_row + i].as_ptr()) };
-            }
+            floor[i] = _mm512_set1_ps(self.floors[first_row + i].value());
         }
         let mut p = panels.start;
         while p + NR <= panels.end {
             let acc = dot_block::<M, NR>(codes, [inner.panel(p), inner.panel(p + 1)]);
-            for (j, panel) in (p..p + NR).enumerate() {
-                self.panel::<M, MAX>(panel, first_row, s_a, |i| acc[i][j], &mut maxima);
-            }
+            self.panels::<M, NR>(p, first_row, s_a, acc, &mut floor);
             p += NR;
         }
         if p < panels.end {
             let acc = dot_block::<M, 1>(codes, [inner.panel(p)]);
-            self.panel::<M, MAX>(p, first_row, s_a, |i| acc[i][0], &mut maxima);
+            self.panels::<M, 1>(p, first_row, s_a, acc, &mut floor);
         }
-        if MAX {
-            for (i, max) in maxima.iter().enumerate() {
-                // SAFETY: as for the load above.
-                unsafe { _mm512_storeu_ps(self.lane_max[first_row + i].as_mut_ptr(), *max) };
+    }
+
+    /// Turns the `M` rows' accumulators against panels `first_panel..
+    /// first_panel + N` into approximations, `(f32(acc − 128 Σq_b) · s_b) ·
+    /// s_a`, and compares the lanes that fall inside `b_rows` with each
+    /// row's floor, `floor[i]` (`≥`, as the reference does).  When a lane
+    /// reaches it, the block goes to [`Block::emit`] and the floors are
+    /// read back.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn panels<const M: usize, const N: usize>(
+        &mut self,
+        first_panel: usize,
+        first_row: usize,
+        s_a: [__m512; M],
+        acc: [[__m512i; N]; M],
+        floor: &mut [__m512; M],
+    ) {
+        let mut scores = [[_mm512_setzero_ps(); N]; M];
+        let mut hits: [[__mmask16; N]; M] = [[0; N]; M];
+        let mut any = 0;
+        for j in 0..N {
+            let panel = first_panel + j;
+            let (bias, scales) = (self.inner.panel_bias(panel), self.inner.panel_scales(panel));
+            assert!(bias.len() == PANEL_ROWS && scales.len() == PANEL_ROWS);
+            // SAFETY: both slices hold exactly 16 four-byte values (asserted
+            // above), the 64 bytes each unaligned load reads.
+            let (bias, scales) = unsafe {
+                (
+                    _mm512_loadu_epi32(bias.as_ptr()),
+                    _mm512_loadu_ps(scales.as_ptr()),
+                )
+            };
+            // the panel's lanes inside `b_rows`: `lo..hi` of its 16
+            let first = panel * PANEL_ROWS;
+            let lo = first.max(self.b_rows.start) - first;
+            let hi = (first + PANEL_ROWS).min(self.b_rows.end) - first;
+            let live = ((1u32 << hi) - (1u32 << lo)) as __mmask16;
+            for i in 0..M {
+                let dot = _mm512_cvtepi32_ps(_mm512_sub_epi32(acc[i][j], bias));
+                scores[i][j] = _mm512_mul_ps(_mm512_mul_ps(dot, scales), s_a[i]);
+                hits[i][j] = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(live, scores[i][j], floor[i]);
+                any |= hits[i][j];
+            }
+        }
+        if any != 0 {
+            self.emit(first_row, first_panel * PANEL_ROWS, &hits, &scores);
+            for (i, floor) in floor.iter_mut().enumerate() {
+                *floor = _mm512_set1_ps(self.floors[first_row + i].value());
             }
         }
     }
 
-    /// Turns the `M` rows' accumulators `acc(i)` against panel `panel` into
-    /// approximations, `(f32(acc − 128 Σq_b) · s_b) · s_a`, stores the
-    /// lanes that fall inside `b_rows` into rows `first_row + i` of the
-    /// row-major `out` (`b_rows.len()` columns) and, with `MAX`, raises
-    /// `maxima[i]` to them (`vmaxps` keeps the score on a tie, as the
-    /// reference does).
-    #[inline]
+    /// Offers the `hits` lanes of a register block's approximations
+    /// `scores` (rows `first_row..first_row + M`, `16 N` inner rows from
+    /// `first`) to their rows' floors, each row's lanes in ascending inner
+    /// order, each against the floor in force when it is reached, which an
+    /// earlier lane may have raised.  Out of line and cold: after a row's
+    /// first panels almost no block has a lane that reaches its floor, and
+    /// the hot loop keeps no accumulator live across the call.
+    #[cold]
+    #[inline(never)]
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    fn panel<const M: usize, const MAX: bool>(
+    fn emit<const M: usize, const N: usize>(
         &mut self,
-        panel: usize,
         first_row: usize,
-        s_a: [__m512; M],
-        acc: impl Fn(usize) -> __m512i,
-        maxima: &mut [__m512; M],
+        first: usize,
+        hits: &[[__mmask16; N]; M],
+        scores: &[[__m512; N]; M],
     ) {
-        let (bias, scales) = (self.inner.panel_bias(panel), self.inner.panel_scales(panel));
-        assert!(bias.len() == PANEL_ROWS && scales.len() == PANEL_ROWS);
-        // SAFETY: both slices hold exactly 16 four-byte values (asserted
-        // above), the 64 bytes each unaligned load reads.
-        let (bias, scales) = unsafe {
-            (
-                _mm512_loadu_epi32(bias.as_ptr()),
-                _mm512_loadu_ps(scales.as_ptr()),
-            )
-        };
-        // the panel's columns inside `b_rows`: `lo..hi` of its 16 lanes
-        let first = panel * PANEL_ROWS;
-        let lo = first.max(self.b_rows.start) - first;
-        let hi = (first + PANEL_ROWS).min(self.b_rows.end) - first;
-        let width = self.b_rows.len();
-        let column = first + lo - self.b_rows.start;
         for i in 0..M {
-            let dot = _mm512_cvtepi32_ps(_mm512_sub_epi32(acc(i), bias));
-            let scores = _mm512_mul_ps(_mm512_mul_ps(dot, scales), s_a[i]);
-            let at = (first_row + i) * width + column;
-            let dst = &mut self.out[at..at + (hi - lo)];
-            if dst.len() == PANEL_ROWS {
-                // SAFETY: `dst` is 16 floats, exactly the 64 bytes the
+            if hits[i].iter().all(|&hits| hits == 0) {
+                continue;
+            }
+            let row = first_row + i;
+            let floor = &mut self.floors[row];
+            if let (value, Rule::Lanes { k, top, slack }) = floor.parts() {
+                offer_lanes(
+                    row,
+                    first,
+                    &hits[i],
+                    &scores[i],
+                    (value, *k, top, *slack),
+                    self.emitted,
+                );
+                continue;
+            }
+            for j in 0..N {
+                let mut lanes = [0.0f32; PANEL_ROWS];
+                // SAFETY: `lanes` is 16 floats, exactly the 64 bytes the
                 // unaligned store writes.
-                unsafe { _mm512_storeu_ps(dst.as_mut_ptr(), scores) };
-                if MAX {
-                    maxima[i] = _mm512_max_ps(maxima[i], scores);
-                }
-            } else {
-                let live = ((1u32 << hi) - (1u32 << lo)) as __mmask16;
-                // SAFETY: the compressing store writes the `live` lanes —
-                // there are `hi - lo == dst.len()` of them — to consecutive
-                // floats from `dst`'s start: no byte outside `dst` is
-                // written.
-                unsafe { _mm512_mask_compressstoreu_ps(dst.as_mut_ptr().cast(), live, scores) };
-                if MAX {
-                    maxima[i] = _mm512_mask_max_ps(maxima[i], live, maxima[i], scores);
+                unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), scores[i][j]) };
+                let mut hits = u32::from(hits[i][j]);
+                while hits != 0 {
+                    let lane = hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    floor.offer(
+                        row,
+                        first + j * PANEL_ROWS + lane,
+                        lanes[lane],
+                        self.emitted,
+                    );
                 }
             }
         }
     }
+}
+
+/// [`Floor::offer`](crate::sq8::Floor::offer) of the `hits` lanes of one
+/// row's approximations against `N` panels (`scores`, inner rows from
+/// `first`) to a running floor of `k ≤ 16` (`value`, `top`, `slack`: its
+/// parts), in ascending order.  The kept approximations stay sorted in a
+/// register and each lane is inserted as the portable `insert_lane` does;
+/// after every emitted lane the panel's remaining lanes are compared with
+/// the raised floor at once, so the loop visits only lanes that are
+/// emitted — a stale mask from the block's start would visit every lane
+/// of a row's first panels.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+fn offer_lanes<const N: usize>(
+    row: usize,
+    first: usize,
+    hits: &[__mmask16; N],
+    scores: &[__m512; N],
+    (value, k, top, slack): (&mut f32, usize, &mut [f32; PANEL_ROWS], f32),
+    emitted: &mut Vec<Emitted>,
+) {
+    // lane `l` of the shifted vector reads lane `l − 1`; lane 0 reads +inf
+    let shift = _mm512_set_epi32(14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0);
+    let (inf, kth) = (
+        _mm512_set1_ps(f32::INFINITY),
+        _mm512_set1_epi32(k as i32 - 1),
+    );
+    // SAFETY: `top` is 16 floats, exactly the 64 bytes the unaligned load
+    // reads (and the store below writes).
+    let mut best = unsafe { _mm512_loadu_ps(top.as_ptr()) };
+    let mut floor = *value;
+    for (j, (&hits, &scores)) in hits.iter().zip(scores).enumerate() {
+        let mut lanes = [0.0f32; PANEL_ROWS];
+        // SAFETY: `lanes` is 16 floats, exactly the 64 bytes the unaligned
+        // store writes.
+        unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), scores) };
+        // the floor may have risen since the block compared this panel
+        let mut hits = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(hits, scores, _mm512_set1_ps(floor));
+        while hits != 0 {
+            let lane = hits.trailing_zeros() as usize;
+            let x = lanes[lane];
+            emitted.push(Emitted::new(row, first + j * PANEL_ROWS + lane, x));
+            let x = _mm512_set1_ps(x);
+            let stays = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(best, x);
+            let shifted = _mm512_mask_permutexvar_ps(inf, 0xfffe, shift, best);
+            best = _mm512_mask_blend_ps(stays, _mm512_min_ps(shifted, x), best);
+            let tau = _mm512_cvtss_f32(_mm512_permutexvar_ps(kth, best));
+            floor = (tau - slack).next_down();
+            // the lanes after this one that still reach the floor
+            let rest = hits & hits.wrapping_sub(1);
+            hits = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(rest, scores, _mm512_set1_ps(floor));
+        }
+    }
+    // SAFETY: as for the load above.
+    unsafe { _mm512_storeu_ps(top.as_mut_ptr(), best) };
+    *value = floor;
 }
 
 /// The register block: for each of the `M` outer rows (code words `codes`)

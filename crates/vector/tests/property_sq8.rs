@@ -5,15 +5,18 @@
 //!   mixed magnitudes, rows scaled to the ends of the accepted range, zero
 //!   rows — the 8-lane fp32 score and the approximation of every pair differ
 //!   by at most the outer row's `error_bound`.
-//! * The bits: the approximation every implementation writes is the formula
+//! * The bits: the approximation every implementation emits is the formula
 //!   spelled out here from scratch — codes `round_ties_even(x · 127 / max)`,
 //!   `I = Σ q_a q_b` in `i32`, `(f32(I) · s_b) · s_a` — for the scalar
 //!   reference on every CPU and for the AVX-512 VNNI kernel where the CPU has
-//!   it, over sub-blocks that start and end inside 16-row panels.
-//! * The lane maxima: each outer row's 16 lane maxima every implementation
-//!   reports are the largest formula approximations over the block's inner
-//!   rows of each residue mod 16 (`-inf` where the block has none), on the
-//!   same sub-blocks — so the VNNI kernel's equal the reference's.
+//!   it, over sub-blocks that start and end inside 16-row panels (read as
+//!   the candidates of a floor no pair fails).
+//! * The candidates: under fixed floors and running top-k floors, every
+//!   implementation emits the candidates of a one-pass scan of the formula's
+//!   approximations — the same outer rows, inner rows and approximation
+//!   bits, in the same order — on the same sub-blocks, in one call, on a
+//!   pool, and in two calls sharing the floors; so the VNNI kernel's equal
+//!   the reference's.
 //! * The per-row form: an inner side assembled from rows quantised one by
 //!   one and kept (`quantize_rows`, `Sq8Inner::from_codes`) — in any order,
 //!   with repeats — is the side `Sq8Inner::quantize` packs from the same
@@ -23,8 +26,8 @@ use std::io::Write;
 use std::ops::Range;
 
 use cej_exec::ExecPool;
-use cej_vector::sq8::{quantize_rows, row_code_len, LaneMaxima};
-use cej_vector::{dot_lanes, Screen, Sq8Inner, Sq8Outer};
+use cej_vector::sq8::{quantize_rows, row_code_len, Candidates, Floor};
+use cej_vector::{dot_lanes, Screen, Sq8Inner, Sq8Outer, TopK};
 use proptest::prelude::*;
 
 /// Deterministic values in (-1, 1).
@@ -116,8 +119,99 @@ fn screens() -> Vec<Screen> {
     std::iter::once(Screen::reference()).chain(vnni).collect()
 }
 
-/// Every screen's block and lane maxima over `a_rows × b_rows` against the
-/// formula, bit for bit, with and without a two-thread pool.
+/// One screen call's candidates as `(outer row of the call, inner row,
+/// approximation bits)`, in their order.
+fn listed(candidates: &Candidates) -> Vec<(usize, u32, u32)> {
+    (0..candidates.rows())
+        .flat_map(|i| {
+            let (columns, approx) = candidates.row(i);
+            let row = columns.iter().zip(approx);
+            row.map(move |(&c, a)| (i, c, a.to_bits()))
+        })
+        .collect()
+}
+
+/// The floors a screen call runs under.
+#[derive(Debug, Clone, Copy)]
+enum Floors {
+    /// A fixed floor at `-inf`: every pair is a candidate.
+    Everything,
+    /// A fixed floor.
+    Fixed(f32),
+    /// Running floors for top-`k` with a slack.
+    Running(usize, f32),
+}
+
+impl Floors {
+    fn fresh(self, rows: usize) -> Vec<Floor> {
+        let floor = match self {
+            Floors::Everything => Floor::fixed(f32::NEG_INFINITY),
+            Floors::Fixed(at) => Floor::fixed(at),
+            Floors::Running(k, slack) => Floor::running(k, slack),
+        };
+        vec![floor; rows]
+    }
+}
+
+/// `screen`'s candidates of `a_rows × b_rows` under fresh `floors`: in
+/// one call, in one call on a two-thread pool, or with the inner
+/// rows cut at `cut` into two calls that share the floors.
+#[allow(clippy::too_many_arguments)]
+fn screened(
+    screen: Screen,
+    outer: &Sq8Outer,
+    a_rows: Range<usize>,
+    inner: &Sq8Inner,
+    b_rows: Range<usize>,
+    floors: Floors,
+    how: &str,
+) -> Vec<(usize, u32, u32)> {
+    let mut floors = floors.fresh(a_rows.len());
+    let mut out = Candidates::default();
+    match how {
+        "one call" => screen.candidates_into(outer, a_rows, inner, b_rows, &mut floors, &mut out),
+        "pool" => {
+            let pool = ExecPool::new(2);
+            screen.candidates_into_with_pool(
+                outer,
+                a_rows,
+                inner,
+                b_rows,
+                &pool,
+                &mut floors,
+                &mut out,
+            )
+        }
+        _ => {
+            // two calls: each call's rows in order, the second's after
+            let cut = b_rows.start + b_rows.len() / 3;
+            let mut first = listed(&{
+                screen.candidates_into(
+                    outer,
+                    a_rows.clone(),
+                    inner,
+                    b_rows.start..cut,
+                    &mut floors,
+                    &mut out,
+                );
+                out.clone()
+            });
+            screen.candidates_into(outer, a_rows, inner, cut..b_rows.end, &mut floors, &mut out);
+            first.extend(listed(&out));
+            first.sort_by_key(|&(i, c, _)| (i, c));
+            return first;
+        }
+    }
+    listed(&out)
+}
+
+/// Every screen's approximations over `a_rows × b_rows` against the
+/// formula, bit for bit — the candidates of a floor no pair fails — and,
+/// under floors pairs do fail (a fixed one, running ones for top-1, -3 and
+/// -17), the candidates of a one-pass scan of the formula's
+/// approximations: same rows, inner rows and approximation bits, in the
+/// same order.  Each in one call, on a two-thread pool, and in two calls
+/// that cut the inner rows and share the floors.
 fn assert_block_bits(
     a: &[f32],
     b: &[f32],
@@ -129,83 +223,69 @@ fn assert_block_bits(
     let (outer_rows, inner_rows) = (a.len() / dim, b.len() / dim);
     let outer = Sq8Outer::quantize(a, outer_rows, dim).expect("outer in range");
     let inner = Sq8Inner::quantize(b, inner_rows, dim).expect("inner in range");
-    let width = b_rows.len();
-    let mut expected = vec![0.0f32; a_rows.len() * width];
-    let mut expected_max = vec![[f32::NEG_INFINITY; 16]; a_rows.len()];
-    for (i, ar) in a_rows.clone().enumerate() {
-        for (j, br) in b_rows.clone().enumerate() {
-            let score =
-                approx_from_scratch(&a[ar * dim..(ar + 1) * dim], &b[br * dim..(br + 1) * dim]);
-            expected[i * width + j] = score;
-            let lane = &mut expected_max[i][br % 16];
-            *lane = lane.max(score);
+    let formula: Vec<Vec<f32>> = a_rows
+        .clone()
+        .map(|ar| {
+            let a = &a[ar * dim..(ar + 1) * dim];
+            let b = b_rows.clone().map(|br| &b[br * dim..(br + 1) * dim]);
+            b.map(|b| approx_from_scratch(a, b)).collect()
+        })
+        .collect();
+    // a fixed floor near the middle of the scores, and the running floors'
+    // slack: a tenth of the largest approximation
+    let largest = formula.iter().flatten().fold(0.0f32, |m, x| m.max(x.abs()));
+    let specs = [
+        Floors::Everything,
+        Floors::Fixed(0.0),
+        Floors::Fixed(largest / 2.0),
+        Floors::Running(1, 0.0),
+        Floors::Running(3, largest / 10.0),
+        Floors::Running(17, 0.0),
+    ];
+    for spec in specs {
+        // the one-pass scan: each row's approximations in ascending inner
+        // order against the floor in force, which an emitted one raises
+        let mut expected = Vec::new();
+        for (i, row) in formula.iter().enumerate() {
+            let (mut floor, mut best) = match spec {
+                Floors::Everything => (f32::NEG_INFINITY, None),
+                Floors::Fixed(at) => (at, None),
+                Floors::Running(k, slack) => (f32::NEG_INFINITY, Some((TopK::new(k), slack))),
+            };
+            for (br, &approx) in b_rows.clone().zip(row) {
+                if approx >= floor {
+                    expected.push((i, br as u32, approx.to_bits()));
+                    if let Some((best, slack)) = &mut best {
+                        best.push(br, approx);
+                        if let Some(tau) = best.threshold() {
+                            floor = (tau - *slack).next_down();
+                        }
+                    }
+                }
+            }
         }
-    }
-    let max_bits =
-        |m: &[LaneMaxima]| -> Vec<u32> { m.iter().flatten().map(|x| x.to_bits()).collect() };
-    for screen in screens() {
-        for pool in [None, Some(ExecPool::new(2))] {
-            let mut got = vec![f32::NAN; expected.len()];
-            let mut got_max = vec![[f32::NAN; 16]; a_rows.len()];
-            match &pool {
-                None => screen.block_into(
+        if let Floors::Everything = spec {
+            assert_eq!(expected.len(), a_rows.len() * b_rows.len());
+        }
+        for screen in screens() {
+            for how in ["one call", "pool", "two calls"] {
+                let got = screened(
+                    screen,
                     &outer,
                     a_rows.clone(),
                     &inner,
                     b_rows.clone(),
-                    &mut got,
-                    Some(&mut got_max),
-                ),
-                Some(pool) => screen.block_into_with_pool(
-                    &outer,
-                    a_rows.clone(),
-                    &inner,
-                    b_rows.clone(),
-                    pool,
-                    &mut got,
-                    Some(&mut got_max),
-                ),
-            }
-            // the block without maxima is the same block
-            let mut without = vec![f32::NAN; expected.len()];
-            match &pool {
-                None => screen.block_into(
-                    &outer,
-                    a_rows.clone(),
-                    &inner,
-                    b_rows.clone(),
-                    &mut without,
-                    None,
-                ),
-                Some(pool) => screen.block_into_with_pool(
-                    &outer,
-                    a_rows.clone(),
-                    &inner,
-                    b_rows.clone(),
-                    pool,
-                    &mut without,
-                    None,
-                ),
-            }
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-            assert_eq!(
-                bits(&without),
-                bits(&got),
-                "{what} {}: without maxima",
-                screen.label()
-            );
-            assert_eq!(
-                max_bits(&got_max),
-                max_bits(&expected_max),
-                "{what} {}: lane maxima",
-                screen.label()
-            );
-            for (at, (g, e)) in got.iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    e.to_bits(),
-                    "{what} {}: cell {at} is {g:e}, expected {e:e}",
-                    screen.label()
+                    spec,
+                    how,
+                );
+                let first_difference = got.iter().zip(&expected).position(|(g, e)| g != e);
+                assert!(
+                    got == expected,
+                    "{what} {} floors {spec:?} {how}: {} candidates, expected {}; first \
+                     difference at {first_difference:?}",
+                    screen.label(),
+                    got.len(),
+                    expected.len(),
                 );
             }
         }
@@ -216,7 +296,7 @@ fn assert_block_bits(
 fn every_screen_writes_the_formulas_bits() {
     // sub-blocks that start and end inside panels, single rows and columns,
     // edges of the 4-row register block; at dim 1,024 a cache tile is two
-    // panels, so the lane maxima are carried across tiles
+    // panels, so the running floors are carried across tiles
     for dim in [1usize, 3, 4, 5, 16, 63, 64, 65, 100, 130, 1024] {
         let a = uniform(11 * dim, dim as u64);
         let b = uniform(53 * dim, 1000 + dim as u64);
@@ -351,9 +431,12 @@ proptest! {
         else {
             return Ok(());
         };
-        let mut approx = vec![0.0f32; 9 * 40];
-        let mut lane_max = [[0.0f32; 16]; 9];
-        Screen::reference().block_into(&outer, 0..9, &inner, 0..40, &mut approx, Some(&mut lane_max));
+        // every approximation: the candidates of a floor no pair fails
+        let mut floors = vec![Floor::fixed(f32::NEG_INFINITY); 9];
+        let mut candidates = Candidates::default();
+        Screen::reference().candidates_into(&outer, 0..9, &inner, 0..40, &mut floors, &mut candidates);
+        let approx: Vec<f32> = (0..9).flat_map(|i| candidates.row(i).1.to_vec()).collect();
+        prop_assert_eq!(approx.len(), 9 * 40);
         for i in 0..9 {
             let eps = outer.error_bound(i, &inner);
             prop_assert!(eps.is_finite() && eps > 0.0);
@@ -366,6 +449,67 @@ proptest! {
                     outer_kind, inner_kind, dim, scale_exp, exact, approx[i * 40 + j], diff, eps
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn the_vnni_kernel_emits_the_references_candidates() {
+    // the join's shapes: unit-length rows, floors from the outer rows' own
+    // bounds (a threshold's `t − ε`, top-k's running `τ − 2ε`), where after
+    // a row's first panels almost every panel has no candidate; the inner
+    // range cut inside panels and screened in blocks that share the floors
+    let Some(vnni) = Screen::detect() else {
+        let _ = writeln!(
+            std::io::stderr(),
+            "property_sq8: no AVX-512 VNNI on this CPU, kernel-vs-reference check not run"
+        );
+        return;
+    };
+    let dim = 64;
+    let unit = |rows: usize, seed: u64| {
+        let mut data = uniform(rows * dim, seed);
+        for row in data.chunks_exact_mut(dim) {
+            let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt();
+            row.iter_mut().for_each(|x| *x /= norm);
+        }
+        data
+    };
+    let (a, b) = (unit(37, 11), unit(1_203, 12));
+    let outer = Sq8Outer::quantize(&a, 37, dim).expect("outer in range");
+    let inner = Sq8Inner::quantize(&b, 1_203, dim).expect("inner in range");
+    let bounds: Vec<f32> = (0..37).map(|i| outer.error_bound(i, &inner)).collect();
+    let predicates: [(&str, &dyn Fn(f32) -> Floor); 4] = [
+        ("threshold 0.3", &|eps| {
+            Floor::fixed((0.3 - eps).next_down())
+        }),
+        ("top-1", &|eps| Floor::running(1, 2.0 * eps)),
+        ("top-3", &|eps| Floor::running(3, 2.0 * eps)),
+        ("top-40", &|eps| Floor::running(40, 2.0 * eps)),
+    ];
+    for (what, floor) in predicates {
+        for blocks in [&[(0, 1_203)][..], &[(5, 500), (500, 1_000), (1_000, 1_203)]] {
+            let run = |screen: Screen| {
+                let mut floors: Vec<Floor> = bounds[3..37].iter().map(|&e| floor(e)).collect();
+                let mut out = Candidates::default();
+                let mut all = Vec::new();
+                for &(start, end) in blocks {
+                    screen.candidates_into(
+                        &outer,
+                        3..37,
+                        &inner,
+                        start..end,
+                        &mut floors,
+                        &mut out,
+                    );
+                    all.push(listed(&out));
+                }
+                all
+            };
+            let (got, expected) = (run(vnni), run(Screen::reference()));
+            let emitted: usize = expected.iter().map(Vec::len).sum();
+            assert!(emitted > 0 && emitted < 34 * 1_203 / 4, "{what}: {emitted}");
+            assert!(got == expected, "{what} {blocks:?}");
         }
     }
 }

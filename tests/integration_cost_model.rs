@@ -12,7 +12,7 @@ use cej_exec::ExecPool;
 use cej_index::HnswParams;
 use cej_relational::{LogicalPlan, SimilarityPredicate};
 use cej_storage::{SelectionBitmap, TableBuilder};
-use cej_vector::{normalize_matrix_rows, BufferBudget, Matrix};
+use cej_vector::{normalize_matrix_rows, BufferBudget, Kernel, Matrix};
 use cej_workload::{clustered_matrix, uniform_matrix, JoinWorkload, RelationSpec};
 
 /// A whole-input tensor join: `right` prepared for `left`, on the
@@ -232,11 +232,14 @@ fn advisor_decisions_match_measured_work_ordering() {
 fn buffer_budget_bounds_measured_intermediate_state() {
     // Figure 13's memory accounting: the reported peak intermediate buffer
     // (the score block, not the inputs) must respect the configured budget.
+    // Pinned to the fp32 block path with the NO-SIMD kernel: the int8
+    // screen holds no score block to bound.
     let left = uniform_matrix(200, 32, 5, true);
     let right = uniform_matrix(300, 32, 6, true);
+    let scalar = TensorJoinConfig::default().with_kernel(Kernel::Scalar);
 
     let unlimited = tensor_join(
-        TensorJoin::new(TensorJoinConfig::default().with_budget(BufferBudget::unlimited())),
+        TensorJoin::new(scalar.with_budget(BufferBudget::unlimited())),
         &left,
         &right,
         SimilarityPredicate::Threshold(0.5),
@@ -244,7 +247,7 @@ fn buffer_budget_bounds_measured_intermediate_state() {
     .unwrap();
     let budget = BufferBudget::from_bytes(16 * 1024);
     let bounded = tensor_join(
-        TensorJoin::new(TensorJoinConfig::default().with_budget(budget)),
+        TensorJoin::new(scalar.with_budget(budget)),
         &left,
         &right,
         SimilarityPredicate::Threshold(0.5),

@@ -428,8 +428,17 @@ fn explain_analyze_shows_how_a_tensor_join_scored_its_pairs() {
         let coded = s.embedding_caches().coded_slots() as u64;
         let quantized = if run == "first" { coded } else { 0 };
         assert_eq!(join.inner_rows_quantized, quantized, "{run}");
+        // the screen emits at least the pairs it rescores; the block path
+        // emits none
+        let candidates = join.screen_candidates;
+        assert_eq!(
+            candidates >= join.pairs_rescored && candidates > 0,
+            vnni,
+            "{run}"
+        );
         let line = format!(
-            "tensor join: {} ({} of {compared} pairs rescored; {quantized} inner rows quantised)\n",
+            "tensor join: {} ({} of {compared} pairs rescored; {candidates} screen candidates; \
+             {quantized} inner rows quantised)\n",
             path.label(),
             join.pairs_rescored,
         );
@@ -441,7 +450,8 @@ fn explain_analyze_shows_how_a_tensor_join_scored_its_pairs() {
     let analyzed = s.prepare(&plan).expect("prepare").explain_analyze();
     let analyzed = analyzed.expect("explain analyze");
     assert_eq!(compared, 30 * 109, "the fixture's 40 % cut");
-    let pinned = "tensor join: fp32 block (3270 of 3270 pairs rescored; 0 inner rows quantised)\n";
+    let pinned = "tensor join: fp32 block (3270 of 3270 pairs rescored; 0 screen candidates; \
+                  0 inner rows quantised)\n";
     assert!(analyzed.text.contains(pinned), "{}", analyzed.text);
     // no other join prints the line
     s.with_strategy(JoinStrategy::PrefetchNlj(NljConfig::default()));
