@@ -254,39 +254,23 @@ impl IndexManager {
     /// this call.  Inserting over budget evicts least-recently-used entries
     /// (never the one being returned).
     ///
-    /// The build runs outside the lock; if two threads race on the same key
-    /// the first inserted handle wins and both callers observe it.
+    /// The build runs outside the lock.  Builds are **single-flight**: when
+    /// many threads race on the same cold key, exactly one runs `build`
+    /// while the rest block and then share the built handle — a thundering
+    /// herd of prepared queries costs one HNSW construction, not one per
+    /// thread.
     ///
     /// # Errors
-    /// Propagates errors from `build`.
+    /// Propagates errors from `build` (only to the caller whose closure ran;
+    /// blocked waiters retry and trigger a fresh build).
     pub fn get_or_build(
         &self,
         key: &IndexKey,
         build: impl FnOnce() -> Result<HnswIndex>,
     ) -> Result<(Arc<HnswIndex>, bool)> {
-        let (index, built, _) = self.get_or_build_tracked(key, build)?;
+        let (index, built, _) =
+            self.get_or_build_tracked_from(self.publication_epoch(key), key, build)?;
         Ok((index, built))
-    }
-
-    /// [`IndexManager::get_or_build`] plus the number of LRU evictions this
-    /// very call performed, so executions on a shared manager can attribute
-    /// evictions run-locally instead of diffing the global counter (which
-    /// would blame one run for a concurrent run's evictions).
-    ///
-    /// Builds are **single-flight**: when many threads race on the same cold
-    /// key, exactly one runs `build` while the rest block and then share the
-    /// built handle — a thundering herd of prepared queries costs one HNSW
-    /// construction, not one per thread.
-    ///
-    /// # Errors
-    /// Propagates errors from `build` (only to the caller whose closure ran;
-    /// blocked waiters retry and trigger a fresh build).
-    pub fn get_or_build_tracked(
-        &self,
-        key: &IndexKey,
-        build: impl FnOnce() -> Result<HnswIndex>,
-    ) -> Result<(Arc<HnswIndex>, bool, u64)> {
-        self.get_or_build_tracked_from(self.publication_epoch(key), key, build)
     }
 
     /// The current invalidation epoch of `key`'s table and model.  Callers
@@ -304,8 +288,12 @@ impl IndexManager {
         }
     }
 
-    /// [`IndexManager::get_or_build_tracked`] with an explicit epoch
-    /// snapshot (see [`IndexManager::publication_epoch`]).
+    /// [`IndexManager::get_or_build`] with an explicit epoch snapshot (see
+    /// [`IndexManager::publication_epoch`]), plus the number of LRU
+    /// evictions this very call performed, so executions on a shared
+    /// manager can attribute evictions run-locally instead of diffing the
+    /// global counter (which would blame one run for a concurrent run's
+    /// evictions).
     ///
     /// # Errors
     /// Propagates errors from `build`.

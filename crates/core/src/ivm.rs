@@ -45,6 +45,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cej_embedding::hasher::{fnv1a, fnv1a_extend};
 use cej_relational::SimilarityPredicate;
 use cej_storage::{Column, Table};
 use parking_lot::{Mutex, RwLock};
@@ -482,16 +483,6 @@ pub(crate) fn row_keys(table: &Table) -> RowKeys {
     RowKeys { bytes, offsets }
 }
 
-/// FNV-1a over a byte slice (the same checksum the serving layer frames
-/// results with).
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// The multiset difference `new ∖ old` / `old ∖ new`, as a [`DeltaBatch`]
 /// (used to turn a full refresh into a correct delta frame).
 pub(crate) fn diff_tables(old: &Table, new: &Table) -> Result<DeltaBatch> {
@@ -650,18 +641,15 @@ impl MaintainedResult {
         self.table.gather(&order).map_err(CoreError::from)
     }
 
-    /// FNV-1a checksum of the canonical row encoding — equal exactly when
-    /// the maintained multisets are equal.
+    /// FNV-1a checksum of the canonical row encoding (the hash the serving
+    /// layer frames results with) — equal exactly when the maintained
+    /// multisets are equal.
     pub fn checksum(&self) -> u64 {
         let keys = row_keys(&self.table);
         let live = self.live();
         let mut sorted: Vec<&[u8]> = live.iter().map(|&row| keys.key(row as usize)).collect();
         sorted.sort_unstable();
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for key in sorted {
-            hash = fnv1a(key, hash);
-        }
-        hash
+        sorted.into_iter().fold(fnv1a(&[]), fnv1a_extend)
     }
 }
 
@@ -1616,9 +1604,7 @@ mod tests {
             let keys = row_keys(&self.table);
             let mut sorted: Vec<&[u8]> = keys.iter().collect();
             sorted.sort_unstable();
-            sorted
-                .into_iter()
-                .fold(0xcbf2_9ce4_8422_2325u64, |hash, key| fnv1a(key, hash))
+            sorted.into_iter().fold(fnv1a(&[]), fnv1a_extend)
         }
     }
 

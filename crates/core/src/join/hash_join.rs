@@ -28,6 +28,7 @@
 
 use std::collections::HashMap;
 
+use cej_embedding::hasher::{fnv1a, fnv1a_extend};
 use cej_exec::ExecPool;
 use cej_storage::{Column, Schema, Table};
 
@@ -66,32 +67,12 @@ fn key_column(table: &Table, column: &str) -> Result<Vec<Key>> {
 /// per-process randomised): the radix partition of a key must be a pure
 /// function of its value so partitioned builds are reproducible.
 fn stable_hash(key: &Key) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(PRIME);
-    };
     match key {
-        Key::Int(v) => {
-            eat(0);
-            v.to_le_bytes().iter().copied().for_each(&mut eat);
-        }
-        Key::Date(v) => {
-            eat(1);
-            v.to_le_bytes().iter().copied().for_each(&mut eat);
-        }
-        Key::Bool(v) => {
-            eat(2);
-            eat(u8::from(*v));
-        }
-        Key::Str(s) => {
-            eat(3);
-            s.as_bytes().iter().copied().for_each(&mut eat);
-        }
+        Key::Int(v) => fnv1a_extend(fnv1a(&[0]), &v.to_le_bytes()),
+        Key::Date(v) => fnv1a_extend(fnv1a(&[1]), &v.to_le_bytes()),
+        Key::Bool(v) => fnv1a(&[2, u8::from(*v)]),
+        Key::Str(s) => fnv1a_extend(fnv1a(&[3]), s.as_bytes()),
     }
-    h
 }
 
 /// The built (right) side of a hash equi-join: the materialised build table
@@ -155,16 +136,6 @@ impl HashSide {
             partitions,
             mask,
         })
-    }
-
-    /// Rows of the build side.
-    pub fn build_rows(&self) -> usize {
-        self.table.num_rows()
-    }
-
-    /// Number of radix partitions of the build map.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
     }
 
     /// The materialised build-side table.
@@ -265,7 +236,7 @@ mod tests {
     #[test]
     fn probe_order_is_probe_row_then_build_row() {
         let side = HashSide::build(dim(), "id").unwrap();
-        assert_eq!(side.build_rows(), 3);
+        assert_eq!(side.table.num_rows(), 3);
         let out = side.probe(&fact(), "fk").unwrap();
         // fk=1 matches build rows 0,1; fk=2 matches 2; fk=1 again; fk=3 none
         assert_eq!(out.num_rows(), 5);
@@ -292,7 +263,7 @@ mod tests {
             .build()
             .unwrap();
         grown.extend_build(&added, "id").unwrap();
-        assert_eq!(grown.build_rows(), 5);
+        assert_eq!(grown.table.num_rows(), 5);
         let fresh = HashSide::build(Table::concat(&[&dim(), &added]).unwrap(), "id").unwrap();
         let via_grown = grown.probe(&fact(), "fk").unwrap();
         let via_fresh = fresh.probe(&fact(), "fk").unwrap();
@@ -308,8 +279,8 @@ mod tests {
     fn partitioned_build_is_identical_to_the_serial_build() {
         let serial = HashSide::build(dim(), "id").unwrap();
         let parallel = HashSide::build_with_pool(dim(), "id", &ExecPool::new(4)).unwrap();
-        assert_eq!(serial.partition_count(), 1);
-        assert!(parallel.partition_count() > 1);
+        assert_eq!(serial.partitions.len(), 1);
+        assert!(parallel.partitions.len() > 1);
         let via_serial = serial.probe(&fact(), "fk").unwrap();
         let via_parallel = parallel.probe(&fact(), "fk").unwrap();
         assert_eq!(via_serial, via_parallel);
@@ -328,7 +299,7 @@ mod tests {
             .build()
             .unwrap();
         let side = HashSide::build_with_pool(skewed.clone(), "id", &ExecPool::new(4)).unwrap();
-        assert!(side.partition_count() > 1);
+        assert!(side.partitions.len() > 1);
         let non_empty = side.partitions.iter().filter(|p| !p.is_empty()).count();
         assert_eq!(non_empty, 1);
         let probe = TableBuilder::new()
@@ -383,6 +354,20 @@ mod tests {
             stable_hash(&Key::Str("abc".into())),
             stable_hash(&Key::Str("abc".into()))
         );
+    }
+
+    #[test]
+    fn stable_hash_values_are_pinned() {
+        // the radix partition of a key is part of a build's reproducibility
+        let pinned = [
+            (Key::Int(-42), 0x1e75_2773_9936_272e),
+            (Key::Date(19_000), 0x7a35_a9e5_3b63_2e92),
+            (Key::Bool(true), 0x0839_5307_b4f1_348c),
+            (Key::Str("barbecue".into()), 0xd6f6_632b_9d33_e935),
+        ];
+        for (key, hash) in pinned {
+            assert_eq!(stable_hash(&key), hash, "{key:?}");
+        }
     }
 
     #[test]

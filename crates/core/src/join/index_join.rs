@@ -181,12 +181,6 @@ impl IndexJoinConfig {
             range_probe_k: 32,
         }
     }
-
-    /// Sets the probe `k` used for threshold predicates.
-    pub fn with_range_probe_k(mut self, k: usize) -> Self {
-        self.range_probe_k = k.max(1);
-        self
-    }
 }
 
 /// The index-probe join operator.
@@ -612,7 +606,10 @@ mod tests {
         // the same (S, n, params) is priced the same whatever else the
         // join is configured with and however often it is asked
         let a = IndexJoin::new(test_config());
-        let b = IndexJoin::new(test_config().with_range_probe_k(1));
+        let b = IndexJoin::new(IndexJoinConfig {
+            range_probe_k: 1,
+            ..test_config()
+        });
         for rows in [10, 4_000, 250_000] {
             for survivors in [0, 1, rows / 3, rows] {
                 let route = a.route(survivors, rows);
@@ -642,12 +639,6 @@ mod tests {
             HnswParams::low_recall()
         );
         assert_eq!(IndexJoinConfig::default().range_probe_k, 32);
-        assert_eq!(
-            IndexJoinConfig::default()
-                .with_range_probe_k(0)
-                .range_probe_k,
-            1
-        );
         assert_eq!(
             IndexJoin::default().config().params,
             HnswParams::low_recall()

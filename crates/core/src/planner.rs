@@ -32,7 +32,9 @@ use std::sync::Arc;
 
 use std::collections::HashMap;
 
-use cej_relational::selectivity::{check_predicate, estimate_selectivity, DEFAULT_SELECTIVITY};
+use cej_relational::selectivity::{
+    check_predicate, estimate_selectivity, threshold_selectivity, DEFAULT_SELECTIVITY,
+};
 use cej_relational::{Catalog, Expr, LogicalPlan, RelationalError, SimilarityPredicate};
 use cej_storage::{ColumnStats, DataType, Field, Schema, TableStats};
 
@@ -48,14 +50,6 @@ use crate::physical_plan::{
 use crate::result::IndexPath;
 use crate::session::JoinStrategy;
 use crate::Result;
-
-/// Estimated fraction of scanned pairs that satisfy `sim >= t`, assuming
-/// cosine scores spread over `[-1, 1]`.  Used for output-cardinality
-/// estimates (not for path selection), and re-evaluated when a prepared
-/// query re-binds its threshold.
-pub(crate) fn threshold_selectivity(threshold: f32) -> f64 {
-    ((1.0 - threshold as f64) / 2.0).clamp(0.0, 1.0)
-}
 
 /// The output of lowering one subtree: the physical operator, its resolved
 /// output schema (for plan-time type checking), and the statistics view of

@@ -26,15 +26,16 @@
 
 use std::sync::Arc;
 
+use cej_embedding::hasher::fnv1a;
 use cej_obs::{AttrValue, SpanId, Trace};
 use cej_relational::physical::ModelRegistry;
+use cej_relational::selectivity::threshold_selectivity;
 use cej_relational::{LogicalPlan, SimilarityPredicate};
 
 use crate::error::CoreError;
 use crate::executor::{ExecContext, ExecOutcome};
 use crate::ivm::IvmPolicy;
 use crate::physical_plan::{InnerInput, PhysicalPlan};
-use crate::planner::threshold_selectivity;
 use crate::session::{ContextJoinSession, ExecutionReport};
 use crate::Result;
 
@@ -160,13 +161,7 @@ impl<'s> PreparedQuery<'s> {
     /// change — the property the serving layer's DELTA fan-out cache keys
     /// on (together with [`crate::ivm::ResultDelta::seq`]).
     pub fn fingerprint(&self) -> u64 {
-        let rendered = format!("{:?}", self.physical);
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in rendered.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        fnv1a(format!("{:?}", self.physical).as_bytes())
     }
 
     /// Renders the physical operator tree with the planner's access-path

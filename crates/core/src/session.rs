@@ -526,18 +526,6 @@ impl ContextJoinSession {
         self.state.indexes.publish_replacements(table, replacements);
         Ok(())
     }
-
-    /// Resolves a model by name from the shared registry.
-    ///
-    /// # Errors
-    /// Returns an unknown-model error when absent.
-    pub fn shared_model(&self, name: &str) -> Result<Arc<dyn Embedder>> {
-        self.state
-            .registry
-            .read()
-            .model(name)
-            .map_err(CoreError::from)
-    }
 }
 
 #[cfg(test)]
@@ -873,6 +861,14 @@ mod tests {
     }
 
     #[test]
+    fn plan_fingerprint_is_pinned() {
+        // standing queries key their DELTA fan-out cache on it
+        let s = session();
+        let prepared = s.prepare(&join_plan(SimilarityPredicate::TopK(1))).unwrap();
+        assert_eq!(prepared.fingerprint(), 0x1577_03ad_e65d_908e);
+    }
+
+    #[test]
     fn model_registry_is_shared_not_rebuilt() {
         let s = session();
         let before = Arc::as_ptr(&s.model_registry());
@@ -883,8 +879,8 @@ mod tests {
             Arc::as_ptr(&s.model_registry()),
             "execute must not rebuild the registry"
         );
-        assert!(s.shared_model("fasttext").is_ok());
-        assert!(s.shared_model("bert").is_err());
+        assert!(s.model_registry().model("fasttext").is_ok());
+        assert!(s.model_registry().model("bert").is_err());
     }
 
     #[test]

@@ -44,7 +44,6 @@ use cej_vector::{Matrix, Vector};
 use parking_lot::RwLock;
 
 use crate::arena::Arena;
-use crate::cost::ModelCostProfile;
 use crate::model::Embedder;
 
 /// Counters describing how an operator interacted with the model.
@@ -110,7 +109,6 @@ pub struct CachedEmbedder<E> {
     /// `filled_gate`, taken only after the memo lock is released.
     filled_gate: Mutex<()>,
     filled: Condvar,
-    cost: ModelCostProfile,
     model_calls: AtomicU64,
     cache_hits: AtomicU64,
 }
@@ -166,16 +164,9 @@ impl<E: Embedder> CachedEmbedder<E> {
             cache: None,
             filled_gate: Mutex::new(()),
             filled: Condvar::new(),
-            cost: ModelCostProfile::free(),
             model_calls: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
         }
-    }
-
-    /// Attaches a simulated per-call model cost.
-    pub fn with_cost(mut self, cost: ModelCostProfile) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Current counters.
@@ -233,7 +224,6 @@ impl<E: Embedder> CachedEmbedder<E> {
 
     fn invoke_model(&self, input: &str) -> Vector {
         self.model_calls.fetch_add(1, Ordering::Relaxed);
-        self.cost.simulate();
         self.inner.embed(input)
     }
 
@@ -690,15 +680,30 @@ mod tests {
         assert_eq!(e.stats().model_calls, 2);
     }
 
+    /// Spins 20 µs per call, so a model call outlasts the other resolvers'
+    /// arrival.
+    struct Slow(FastTextModel);
+
+    impl Embedder for Slow {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn embed(&self, input: &str) -> Vector {
+            let start = std::time::Instant::now();
+            while start.elapsed() < std::time::Duration::from_micros(20) {
+                std::hint::spin_loop();
+            }
+            self.0.embed(input)
+        }
+    }
+
     #[test]
     fn concurrent_first_touch_is_single_flight_per_string() {
         // every thread resolves the same column (with duplicates) at once; a
         // per-call delay keeps the first resolver's reservations in flight
         // while the others arrive
         let column: Vec<String> = (0..300).map(|i| format!("w{}", i % 120)).collect();
-        let e = std::sync::Arc::new(
-            CachedEmbedder::new(model()).with_cost(ModelCostProfile::from_micros(20)),
-        );
+        let e = std::sync::Arc::new(CachedEmbedder::new(Slow(model())));
         let start = std::sync::Barrier::new(4);
         let results: Vec<(ResolvedSlots, Matrix)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)

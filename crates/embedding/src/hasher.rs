@@ -20,7 +20,7 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 /// Continues an FNV-1a hash over more bytes, so a string held in pieces
 /// hashes like their concatenation.
 #[inline]
-pub(crate) fn fnv1a_extend(mut hash: u64, data: &[u8]) -> u64 {
+pub fn fnv1a_extend(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {
         hash ^= b as u64;
         hash = hash.wrapping_mul(FNV_PRIME);

@@ -31,8 +31,6 @@
 //!   operator-visible embedding call is counted, so tests and benchmarks can
 //!   verify the quadratic-vs-linear model cost claim of the cost model
 //!   exactly (Section IV-A, Figure 8).
-//! * [`cost`] — an optional simulated per-call model latency, standing in for
-//!   expensive deep models or paid embedding APIs.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -40,7 +38,6 @@
 
 mod arena;
 pub mod cache;
-pub mod cost;
 pub mod error;
 pub mod hasher;
 pub mod model;
@@ -50,7 +47,6 @@ pub mod train;
 pub mod vocab;
 
 pub use cache::{CachedEmbedder, EmbeddingStats, ResolvedSlots, UNRESOLVED_SLOT};
-pub use cost::ModelCostProfile;
 pub use error::EmbeddingError;
 pub use model::{Embedder, FastTextConfig, FastTextModel};
 pub use tokenizer::Tokenizer;

@@ -242,14 +242,6 @@ impl FastTextModel {
         })
     }
 
-    /// Creates a model with the paper's default configuration (100-D).
-    pub fn with_dim(dim: usize) -> Result<Self> {
-        Self::new(FastTextConfig {
-            dim,
-            ..FastTextConfig::default()
-        })
-    }
-
     /// The model configuration.
     pub fn config(&self) -> &FastTextConfig {
         &self.config
@@ -258,12 +250,6 @@ impl FastTextModel {
     /// The training vocabulary (empty for untrained models).
     pub fn vocab(&self) -> &Vocabulary {
         &self.vocab
-    }
-
-    /// Replaces the tokenizer (e.g. to keep stop words).
-    pub fn with_tokenizer(mut self, tokenizer: Tokenizer) -> Self {
-        self.tokenizer = tokenizer;
-        self
     }
 
     /// Number of words with trained (overridden) vectors.

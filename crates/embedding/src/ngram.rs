@@ -39,15 +39,6 @@ impl NgramRange {
     }
 }
 
-/// Wraps a word with the FastText boundary markers.
-pub fn wrap_word(word: &str) -> String {
-    let mut s = String::with_capacity(word.len() + 2);
-    s.push('<');
-    s.push_str(word);
-    s.push('>');
-    s
-}
-
 /// One n-gram of a wrapped word, named by the pieces it is made of instead of
 /// copied out: `<` if it starts the word, a slice of the word itself, `>` if
 /// it ends it.  [`Ngram::fnv1a`] hashes those pieces in place; `to_string()`
@@ -125,20 +116,6 @@ pub fn extract_ngrams(word: &str, range: NgramRange) -> Vec<String> {
     ngrams(word, range).map(|gram| gram.to_string()).collect()
 }
 
-/// Jaccard overlap between the n-gram sets of two words — a cheap diagnostic
-/// used in tests to confirm that misspellings share most of their subwords.
-pub fn ngram_overlap(a: &str, b: &str, range: NgramRange) -> f32 {
-    use std::collections::HashSet;
-    let sa: HashSet<String> = extract_ngrams(a, range).into_iter().collect();
-    let sb: HashSet<String> = extract_ngrams(b, range).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count() as f32;
-    let union = sa.union(&sb).count() as f32;
-    inter / union
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +124,7 @@ mod tests {
     /// `String` per n-gram, `contains` for the whole-word rule — kept as the
     /// reference the enumerator is held to.
     fn reference_ngrams(word: &str, range: NgramRange) -> Vec<String> {
-        let wrapped = wrap_word(word);
+        let wrapped = format!("<{word}>");
         let chars: Vec<char> = wrapped.chars().collect();
         let mut out = Vec::new();
         for n in range.min_n..=range.max_n {
@@ -202,11 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn wraps_with_markers() {
-        assert_eq!(wrap_word("abc"), "<abc>");
-    }
-
-    #[test]
     fn extracts_expected_trigrams() {
         let grams = extract_ngrams("ab", NgramRange::new(3, 3));
         // "<ab>" has chars < a b > : trigrams "<ab", "ab>", plus full "<ab>"
@@ -250,6 +222,13 @@ mod tests {
 
     #[test]
     fn misspellings_share_most_ngrams() {
+        // Jaccard overlap of the two words' n-gram sets
+        let ngram_overlap = |a: &str, b: &str, range: NgramRange| {
+            use std::collections::HashSet;
+            let sa: HashSet<String> = extract_ngrams(a, range).into_iter().collect();
+            let sb: HashSet<String> = extract_ngrams(b, range).into_iter().collect();
+            sa.intersection(&sb).count() as f32 / sa.union(&sb).count() as f32
+        };
         let overlap_misspelling = ngram_overlap("barbecue", "barbicue", NgramRange::default());
         let overlap_unrelated = ngram_overlap("barbecue", "database", NgramRange::default());
         assert!(overlap_misspelling > 0.1, "got {overlap_misspelling}");

@@ -20,12 +20,11 @@ pub const DEFAULT_STOPWORDS: &[&str] = &[
     "its", "of", "on", "or", "that", "the", "to", "was", "were", "will", "with",
 ];
 
-/// Configurable tokenizer.
+/// Tokenizer over [`DEFAULT_STOPWORDS`].
 #[derive(Debug, Clone)]
 pub struct Tokenizer {
     remove_stopwords: bool,
     stopwords: HashSet<String>,
-    min_token_len: usize,
 }
 
 impl Default for Tokenizer {
@@ -40,21 +39,7 @@ impl Tokenizer {
         Self {
             remove_stopwords,
             stopwords: DEFAULT_STOPWORDS.iter().map(|s| s.to_string()).collect(),
-            min_token_len: 1,
         }
-    }
-
-    /// Replaces the stop-word list.
-    pub fn with_stopwords<I: IntoIterator<Item = String>>(mut self, words: I) -> Self {
-        self.stopwords = words.into_iter().collect();
-        self
-    }
-
-    /// Sets a minimum token length in characters (not bytes); shorter tokens
-    /// are discarded.
-    pub fn with_min_token_len(mut self, len: usize) -> Self {
-        self.min_token_len = len.max(1);
-        self
     }
 
     /// Normalises a single word: lower-case, keep only alphanumeric characters.
@@ -73,9 +58,8 @@ impl Tokenizer {
         for word in text.split(|c: char| c.is_whitespace() || c == '-' || c == '_' || c == '/') {
             token.clear();
             normalize_into(word, &mut token);
-            if token.chars().count() >= self.min_token_len
-                && !(self.remove_stopwords && self.stopwords.contains(token.as_str()))
-            {
+            let stopped = self.remove_stopwords && self.stopwords.contains(token.as_str());
+            if !(token.is_empty() || stopped) {
                 visit(&token);
             }
         }
@@ -86,11 +70,6 @@ impl Tokenizer {
         let mut tokens = Vec::new();
         self.for_each_token(text, |token| tokens.push(token.to_string()));
         tokens
-    }
-
-    /// `true` when the (already normalised) token is a stop word.
-    pub fn is_stopword(&self, token: &str) -> bool {
-        self.stopwords.contains(token)
     }
 }
 
@@ -148,19 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn min_token_len_filters_short_tokens() {
-        let t = Tokenizer::new(false).with_min_token_len(3);
-        assert_eq!(t.tokenize("a an the dbms"), vec!["the", "dbms"]);
-    }
-
-    #[test]
-    fn min_token_len_counts_characters_not_bytes() {
-        let t = Tokenizer::new(false).with_min_token_len(3);
-        // two characters, six bytes: too short; three characters pass
-        assert_eq!(t.tokenize("東京 東京都 né née"), vec!["東京都", "née"]);
-    }
-
-    #[test]
     fn ascii_fast_path_normalises_like_the_unicode_path() {
         let t = Tokenizer::new(false);
         for c in (0u8..128).map(char::from) {
@@ -172,20 +138,12 @@ mod tests {
 
     #[test]
     fn visitor_and_tokenize_agree() {
-        let t = Tokenizer::new(true).with_min_token_len(2);
+        let t = Tokenizer::new(true);
         let text = "The Zürich-café_of/IPv6 a   x2  ";
         let mut visited = Vec::new();
         t.for_each_token(text, |token| visited.push(token.to_string()));
         assert_eq!(visited, t.tokenize(text));
         assert_eq!(visited, vec!["zürich", "café", "ipv6", "x2"]);
-    }
-
-    #[test]
-    fn custom_stopwords() {
-        let t = Tokenizer::new(true).with_stopwords(vec!["dbms".to_string()]);
-        assert_eq!(t.tokenize("the dbms rocks"), vec!["the", "rocks"]);
-        assert!(t.is_stopword("dbms"));
-        assert!(!t.is_stopword("the"));
     }
 
     #[test]

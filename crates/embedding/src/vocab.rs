@@ -41,11 +41,6 @@ impl Vocabulary {
         id
     }
 
-    /// Looks up the id of `word` without interning it.
-    pub fn id_of(&self, word: &str) -> Option<usize> {
-        self.word_to_id.get(word).copied()
-    }
-
     /// The decode operation `E⁻¹`: recovers the string for an id.
     ///
     /// # Errors
@@ -79,18 +74,6 @@ impl Vocabulary {
             .enumerate()
             .map(|(i, w)| (i, w.as_str()))
     }
-
-    /// Words sorted by descending frequency (ties by id), useful for
-    /// inspecting the head of the distribution in examples and reports.
-    pub fn most_frequent(&self, limit: usize) -> Vec<(&str, u64)> {
-        let mut entries: Vec<(usize, u64)> = self.counts.iter().copied().enumerate().collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        entries
-            .into_iter()
-            .take(limit)
-            .map(|(id, c)| (self.id_to_word[id].as_str(), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -100,6 +83,7 @@ mod tests {
     #[test]
     fn add_returns_stable_ids() {
         let mut v = Vocabulary::new();
+        assert!(v.is_empty());
         let a = v.add("dbms");
         let b = v.add("postgres");
         let a2 = v.add("dbms");
@@ -111,11 +95,11 @@ mod tests {
     #[test]
     fn counts_track_occurrences() {
         let mut v = Vocabulary::new();
+        let x = v.add("x");
         v.add("x");
-        v.add("x");
-        v.add("y");
-        assert_eq!(v.count(v.id_of("x").unwrap()), 2);
-        assert_eq!(v.count(v.id_of("y").unwrap()), 1);
+        let y = v.add("y");
+        assert_eq!(v.count(x), 2);
+        assert_eq!(v.count(y), 1);
         assert_eq!(v.count(99), 0);
     }
 
@@ -133,32 +117,11 @@ mod tests {
     }
 
     #[test]
-    fn id_of_missing_is_none() {
-        let v = Vocabulary::new();
-        assert!(v.id_of("nope").is_none());
-        assert!(v.is_empty());
-    }
-
-    #[test]
     fn iter_in_id_order() {
         let mut v = Vocabulary::new();
         v.add("a");
         v.add("b");
         let collected: Vec<(usize, &str)> = v.iter().collect();
         assert_eq!(collected, vec![(0, "a"), (1, "b")]);
-    }
-
-    #[test]
-    fn most_frequent_sorted() {
-        let mut v = Vocabulary::new();
-        for _ in 0..3 {
-            v.add("common");
-        }
-        v.add("rare");
-        v.add("mid");
-        v.add("mid");
-        let top = v.most_frequent(2);
-        assert_eq!(top[0].0, "common");
-        assert_eq!(top[1].0, "mid");
     }
 }

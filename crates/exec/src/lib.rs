@@ -5,10 +5,10 @@
 //! Every data-parallel operator in the tree (the pair-wise NLJ, the blocked
 //! GEMM of the tensor join, batched embedding, parallel HNSW construction)
 //! used to hand-roll its own `std::thread::scope` row partitioning.  This
-//! crate centralises that threading model behind one [`ExecPool`] with three
-//! primitives — [`ExecPool::parallel_chunks`], [`ExecPool::parallel_map`],
-//! and [`ExecPool::parallel_reduce`] — plus [`ExecPool::parallel_fill`] for
-//! kernels that write pre-allocated output buffers in place.
+//! crate centralises that threading model behind one [`ExecPool`] with two
+//! primitives — [`ExecPool::parallel_chunks`] and [`ExecPool::parallel_map`]
+//! — plus [`ExecPool::parallel_fill`] for kernels that write pre-allocated
+//! output buffers in place.
 //!
 //! ## Scheduling model
 //!
@@ -31,10 +31,6 @@
 //!   serial loop, for every thread count.
 //! * `parallel_chunks` returns per-chunk results in ascending range order;
 //!   concatenating them reproduces the serial left-to-right traversal.
-//! * `parallel_reduce` partitions by a **length-only** rule (the thread
-//!   count never influences chunk boundaries), so even non-associative
-//!   reductions (e.g. float sums) are identical under `CEJ_THREADS=1` and
-//!   `CEJ_THREADS=N`.
 //! * A panic in any closure is propagated to the caller with its original
 //!   payload once all workers have stopped; remaining unclaimed chunks are
 //!   abandoned.
@@ -65,11 +61,6 @@ pub const MAX_THREADS: usize = 256;
 /// Number of chunks handed out per worker thread: more chunks than workers
 /// gives the dynamic scheduler room to balance uneven work.
 const CHUNKS_PER_THREAD: usize = 4;
-
-/// Chunk count used by [`ExecPool::parallel_reduce`]; a function of nothing
-/// but this constant and the input length, so reduction order is independent
-/// of the thread count.
-const REDUCE_CHUNKS: usize = 64;
 
 /// Parses a `CEJ_THREADS`-style value. `None` for unset, empty, unparsable,
 /// or zero values (zero means "pick for me", like the unset default).
@@ -246,27 +237,6 @@ impl ExecPool {
         out
     }
 
-    /// Folds `items` into per-chunk accumulators and combines them in chunk
-    /// order.
-    ///
-    /// The chunking depends only on `items.len()`, so the combination order
-    /// — and therefore the result, even for non-associative operations like
-    /// float addition — is identical for every thread budget.
-    pub fn parallel_reduce<T, A, I, F, C>(&self, items: &[T], identity: I, fold: F, combine: C) -> A
-    where
-        T: Sync,
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(A, &T) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        let ranges = Self::partition(items.len(), REDUCE_CHUNKS);
-        let partials = self.run_indexed(ranges.len(), |i| {
-            items[ranges[i].clone()].iter().fold(identity(), &fold)
-        });
-        partials.into_iter().fold(identity(), combine)
-    }
-
     /// Runs `f` over contiguous row-chunks of a pre-allocated output buffer:
     /// `out` is treated as `rows` rows of `stride` elements and split into
     /// disjoint row-aligned slices, each passed (with its row range) to `f`
@@ -366,35 +336,6 @@ mod tests {
         let flat: Vec<usize> = chunks.into_iter().flatten().collect();
         assert_eq!(flat, (0..100).collect::<Vec<usize>>());
         assert!(pool.parallel_chunks(0, |r| r.len()).is_empty());
-    }
-
-    #[test]
-    fn parallel_reduce_is_thread_count_invariant_for_floats() {
-        // Sums of many different magnitudes: the result depends on the
-        // association order, so this only passes because chunk boundaries are
-        // a function of the length alone.
-        let items: Vec<f32> = (0..10_000)
-            .map(|i| (i as f32 * 0.37).sin() * 10f32.powi(i % 7 - 3))
-            .collect();
-        let reduce = |threads: usize| {
-            ExecPool::new(threads).parallel_reduce(&items, || 0.0f32, |a, x| a + x, |a, b| a + b)
-        };
-        let serial = reduce(1);
-        for threads in [2, 5, 16] {
-            assert_eq!(serial.to_bits(), reduce(threads).to_bits());
-        }
-    }
-
-    #[test]
-    fn parallel_reduce_empty_input_yields_identity() {
-        let pool = ExecPool::new(4);
-        let sum = pool.parallel_reduce(
-            &[] as &[u32],
-            || 100u64,
-            |a, x| a + u64::from(*x),
-            |a, b| a + b,
-        );
-        assert_eq!(sum, 100);
     }
 
     #[test]

@@ -98,6 +98,7 @@
 //! [`ProbeStats`].
 
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use cej_exec::ExecPool;
 use cej_storage::SelectionBitmap;
@@ -786,14 +787,18 @@ impl GraphBuilder<'_> {
         self.select_neighbors_heuristic(&scored, bound)
     }
 
-    /// Classic sequential construction: every node is planned against the
-    /// full graph of its predecessors and committed immediately.
-    fn build_sequential(&self) -> (usize, usize) {
-        let n = self.levels.len();
-        let mut entry = 0usize;
-        let mut max_level = self.levels[0];
-        let mut scratch = SearchScratch::new(n);
-        for id in 1..n {
+    /// Classic sequential insertion of `ids` into a graph whose entry point
+    /// and top level are `entry` and `max_level`: every node is planned
+    /// against the full graph of its predecessors and committed
+    /// immediately.  Returns the new entry point and top level.
+    fn insert_sequential(
+        &self,
+        ids: Range<usize>,
+        mut entry: usize,
+        mut max_level: usize,
+    ) -> (usize, usize) {
+        let mut scratch = SearchScratch::new(self.levels.len());
+        for id in ids {
             let plan = self.plan_insert(id, entry, max_level, &mut scratch);
             self.commit_own_links(&plan);
             for (layer, selected) in plan.selected.iter().enumerate() {
@@ -1011,10 +1016,8 @@ impl HnswIndex {
             levels: &levels,
             adj: &adj,
         };
-        let (entry_point, max_level) = if n == 1 {
-            (0, levels[0])
-        } else if pool.threads() <= 1 {
-            builder.build_sequential()
+        let (entry_point, max_level) = if n == 1 || pool.threads() <= 1 {
+            builder.insert_sequential(1..n, 0, levels[0])
         } else {
             builder.build_batched(pool)
         };
@@ -1123,22 +1126,8 @@ impl HnswIndex {
             levels: &levels,
             adj: &adj,
         };
-        let mut entry = self.entry_point;
-        let mut max_level = self.max_level;
-        let mut scratch = SearchScratch::new(n);
-        for (id, &level) in levels.iter().enumerate().take(n).skip(old_n) {
-            let plan = builder.plan_insert(id, entry, max_level, &mut scratch);
-            builder.commit_own_links(&plan);
-            for (layer, selected) in plan.selected.iter().enumerate() {
-                for &nb in selected {
-                    builder.connect(nb as usize, id, layer);
-                }
-            }
-            if level > max_level {
-                max_level = level;
-                entry = id;
-            }
-        }
+        let (entry, max_level) =
+            builder.insert_sequential(old_n..n, self.entry_point, self.max_level);
         // Amortised pruning may leave lists overshot; restore the bounds.
         // Per-node pruning is independent, so the pool split cannot affect
         // the result.

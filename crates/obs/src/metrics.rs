@@ -188,11 +188,6 @@ impl Histogram {
         self.inner.max.load(Ordering::Relaxed)
     }
 
-    /// Mean of the recorded samples (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum().checked_div(self.count()).unwrap_or(0)
-    }
-
     /// The `q`-quantile (nearest-rank over the buckets), clamped to
     /// [`Histogram::max`].  Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
@@ -462,7 +457,6 @@ mod tests {
         }
         assert_eq!(h.count(), 100);
         assert_eq!(h.max(), 100);
-        assert_eq!(h.mean(), 50);
         // within one bucket width (≈4.4%) below the exact nearest-rank value
         let close =
             |got: u64, exact: u64| got <= exact && (got as f64) >= (exact as f64) * 0.95 - 1.0;

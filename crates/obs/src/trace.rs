@@ -241,18 +241,6 @@ impl Trace {
         id
     }
 
-    /// Records a zero-duration event span under `parent`.
-    pub fn event(&self, parent: SpanId, name: &str, attrs: Vec<(&'static str, AttrValue)>) {
-        if self.is_sampled() {
-            let start_us = self
-                .inner
-                .as_ref()
-                .map(|i| i.origin.elapsed().as_micros() as u64)
-                .unwrap_or(0);
-            self.add_span(parent, name, start_us, 0, attrs);
-        }
-    }
-
     /// Attaches an attribute to a span.
     pub fn attr_on(&self, span: SpanId, key: &'static str, value: impl Into<AttrValue>) {
         if let Some(inner) = &self.inner {

@@ -245,11 +245,6 @@ impl Catalog {
         self.maps.read().versions.contains_key(name)
     }
 
-    /// Names of all registered tables (unsorted).
-    pub fn table_names(&self) -> Vec<String> {
-        self.maps.read().versions.keys().cloned().collect()
-    }
-
     /// Number of registered tables.
     pub fn len(&self) -> usize {
         self.maps.read().versions.len()
@@ -311,7 +306,7 @@ mod tests {
             TableBuilder::new().int64("id", vec![1]).build().unwrap(),
         );
         assert_eq!(c.table("t").unwrap().num_rows(), 1);
-        assert_eq!(c.table_names(), vec!["t".to_string()]);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -95,13 +95,6 @@ impl Expr {
         }
     }
 
-    /// `true` when the expression only references columns in `available`.
-    pub fn only_references(&self, available: &[&str]) -> bool {
-        self.referenced_columns()
-            .iter()
-            .all(|c| available.contains(&c.as_str()))
-    }
-
     /// Conjunction helper.
     pub fn and(self, other: Expr) -> Expr {
         Expr::And(Box::new(self), Box::new(other))
@@ -229,15 +222,6 @@ mod tests {
         assert!(s.contains("a = 3"));
         assert!(s.contains("OR"));
         assert!(s.contains("NOT"));
-    }
-
-    #[test]
-    fn only_references_checks_scope() {
-        let e = col("taken").gt(lit_i64(5));
-        assert!(e.only_references(&["taken", "id"]));
-        assert!(!e.only_references(&["id"]));
-        let lit_only = lit_i64(5).eq(lit_i64(5));
-        assert!(lit_only.only_references(&[]));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::algebra::{LogicalPlan, SimilarityPredicate};
 use crate::catalog::Catalog;
 use crate::error::RelationalError;
 use crate::expr::col;
-use crate::selectivity::estimate_selectivity;
+use crate::selectivity::{estimate_selectivity, threshold_selectivity, DEFAULT_SELECTIVITY};
 use crate::Result;
 
 use super::transform_up;
@@ -39,16 +39,6 @@ use super::transform_up;
 /// Largest join region the DP enumerates (2^n subsets); bigger regions keep
 /// their written order.
 pub const MAX_DP_RELATIONS: usize = 14;
-
-/// Selectivity assumed for a filter when no statistics are available
-/// (mirrors the planner's default).
-const DEFAULT_FILTER_SELECTIVITY: f64 = 0.5;
-
-/// Output-row fraction of `sim >= t` assuming scores uniform over [-1, 1]
-/// (mirrors `cej-core`'s `threshold_selectivity`).
-fn threshold_fraction(t: f32) -> f64 {
-    ((1.0 - t as f64) / 2.0).clamp(0.0, 1.0)
-}
 
 /// Computes the *physical* output column names of a plan — the names results
 /// actually carry, including the ejoin's `l_*` / `r_*` / `similarity`
@@ -117,7 +107,7 @@ pub(crate) fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
             let sel = base_table(input)
                 .and_then(|t| catalog.stats(t).ok())
                 .map(|s| estimate_selectivity(predicate, &s))
-                .unwrap_or(DEFAULT_FILTER_SELECTIVITY);
+                .unwrap_or(DEFAULT_SELECTIVITY);
             base * sel
         }
         LogicalPlan::Projection { input, .. }
@@ -148,7 +138,7 @@ pub(crate) fn estimate_rows(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
             let rr = estimate_rows(right, catalog);
             match predicate {
                 SimilarityPredicate::TopK(k) => lr * (*k as f64).min(rr.max(1.0)),
-                SimilarityPredicate::Threshold(t) => lr * rr * threshold_fraction(*t),
+                SimilarityPredicate::Threshold(t) => lr * rr * threshold_selectivity(*t),
             }
         }
     }

@@ -93,11 +93,6 @@ impl Optimizer {
         }
     }
 
-    /// Names of the installed rules, in application order.
-    pub fn rule_names(&self) -> Vec<&'static str> {
-        self.rules.iter().map(|r| r.name()).collect()
-    }
-
     /// Rewrites the plan to a fixpoint (bounded by an internal pass limit).
     ///
     /// # Errors
@@ -284,7 +279,7 @@ mod tests {
         let plan = LogicalPlan::scan("r");
         let opt = Optimizer::with_default_rules();
         assert_eq!(opt.optimize(plan.clone(), &c).unwrap(), plan);
-        assert_eq!(opt.rule_names().len(), 3);
+        assert_eq!(opt.rules.len(), 3);
     }
 
     #[test]

@@ -28,6 +28,14 @@ use crate::Result;
 /// constant the planner used for *every* filter before statistics existed).
 pub const DEFAULT_SELECTIVITY: f64 = 0.5;
 
+/// Estimated fraction of scanned pairs that satisfy `sim >= t`, assuming
+/// cosine scores spread over `[-1, 1]`.  Used for output-cardinality
+/// estimates (not for path selection): by the join orderer, the planner, and
+/// a prepared query that re-binds its threshold.
+pub fn threshold_selectivity(threshold: f32) -> f64 {
+    ((1.0 - threshold as f64) / 2.0).clamp(0.0, 1.0)
+}
+
 /// Fallback selectivity for inequality comparisons without a histogram.
 pub const DEFAULT_INEQUALITY_SELECTIVITY: f64 = 1.0 / 3.0;
 

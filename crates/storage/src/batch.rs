@@ -1,18 +1,10 @@
-//! Column batches with selection vectors — the unit of work exchanged by the
-//! vectorised executor.
+//! The morsel size of the vectorised executor.
 //!
 //! Following the MonetDB/X100 design, operators pass around fixed-size
-//! *batches* of rows instead of whole tables.  A batch never copies data out
-//! of its base [`Table`]: it is a window `[start, end)` of row positions plus
-//! a **selection vector** listing the lanes that are still alive after
-//! filtering.  `Filter` shrinks the selection vector, `Project` narrows the
-//! set of visible columns, and only a materialising boundary (`Embed`, join
-//! probe, final drain) gathers the surviving lanes into contiguous storage.
-
-use crate::column::Column;
-use crate::error::StorageError;
-use crate::table::Table;
-use crate::Result;
+//! *batches* of rows instead of whole tables: a window of a base table's
+//! row positions plus a selection vector of the lanes still alive after
+//! filtering.  The executor's batch type lives with the executor; this
+//! module fixes how many rows a batch spans.
 
 /// Default number of rows per batch handed between operators.
 ///
@@ -34,164 +26,3 @@ use crate::Result;
 /// `scan_join_warm` (median of 10 runs each side).  Results do not depend
 /// on it.
 pub const DEFAULT_BATCH_ROWS: usize = 16_384;
-
-/// A zero-copy view over a subset of a table's rows and columns.
-///
-/// `sel` holds **absolute row indices** into `table` (ascending, no repeats
-/// for pipeline batches; gather-style repeats are allowed), and `visible`
-/// holds the schema positions of the columns the view exposes, in output
-/// order.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchView<'a> {
-    table: &'a Table,
-    sel: &'a [u32],
-    visible: &'a [usize],
-}
-
-impl<'a> BatchView<'a> {
-    /// Creates a validated view.
-    ///
-    /// # Errors
-    /// Returns [`StorageError::RowOutOfBounds`] when a selection lane exceeds
-    /// the row count or a visible index exceeds the column count.
-    pub fn new(table: &'a Table, sel: &'a [u32], visible: &'a [usize]) -> Result<Self> {
-        for &lane in sel {
-            if lane as usize >= table.num_rows() {
-                return Err(StorageError::RowOutOfBounds {
-                    row: lane as usize,
-                    rows: table.num_rows(),
-                });
-            }
-        }
-        for &col in visible {
-            if col >= table.num_columns() {
-                return Err(StorageError::RowOutOfBounds {
-                    row: col,
-                    rows: table.num_columns(),
-                });
-            }
-        }
-        Ok(Self {
-            table,
-            sel,
-            visible,
-        })
-    }
-
-    /// The base table the view windows into.
-    pub fn table(&self) -> &'a Table {
-        self.table
-    }
-
-    /// The selection vector (absolute row indices into the base table).
-    pub fn selection(&self) -> &'a [u32] {
-        self.sel
-    }
-
-    /// The visible column positions, in output order.
-    pub fn visible(&self) -> &'a [usize] {
-        self.visible
-    }
-
-    /// Number of selected lanes (the batch's logical row count).
-    pub fn num_selected(&self) -> usize {
-        self.sel.len()
-    }
-
-    /// `true` when no lanes survive.
-    pub fn is_empty(&self) -> bool {
-        self.sel.is_empty()
-    }
-
-    /// Materialises the view into an owned table: visible columns only, in
-    /// view order, with exactly the selected lanes.
-    ///
-    /// # Errors
-    /// Propagates column gather / table construction errors.
-    pub fn gather(&self) -> Result<Table> {
-        let mut names = Vec::with_capacity(self.visible.len());
-        let mut columns = Vec::with_capacity(self.visible.len());
-        for &col in self.visible {
-            names.push(self.table.schema().fields()[col].name.as_str());
-            columns.push(self.table.column(col)?.gather(self.sel)?);
-        }
-        let schema = self.table.schema().project(&names)?;
-        Table::new(schema, columns)
-    }
-
-    /// Borrows a visible column of the base table by *view* position.
-    ///
-    /// # Errors
-    /// Returns [`StorageError::RowOutOfBounds`] when `i` exceeds the number
-    /// of visible columns.
-    pub fn column(&self, i: usize) -> Result<&'a Column> {
-        let &base = self.visible.get(i).ok_or(StorageError::RowOutOfBounds {
-            row: i,
-            rows: self.visible.len(),
-        })?;
-        self.table.column(base)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::datatype::DataType;
-    use crate::scalar::ScalarValue;
-    use crate::schema::{Field, Schema};
-
-    fn sample() -> Table {
-        let schema = Schema::new(vec![
-            Field::new("id", DataType::Int64),
-            Field::new("word", DataType::Utf8),
-        ])
-        .unwrap();
-        Table::new(
-            schema,
-            vec![
-                Column::Int64(vec![10, 20, 30, 40]),
-                Column::Utf8(vec!["a".into(), "b".into(), "c".into(), "d".into()]),
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn view_validates_bounds() {
-        let t = sample();
-        assert!(BatchView::new(&t, &[0, 4], &[0]).is_err());
-        assert!(BatchView::new(&t, &[0], &[2]).is_err());
-        let v = BatchView::new(&t, &[1, 3], &[1, 0]).unwrap();
-        assert_eq!(v.num_selected(), 2);
-        assert!(!v.is_empty());
-    }
-
-    #[test]
-    fn gather_materialises_selected_lanes_and_visible_columns() {
-        let t = sample();
-        let v = BatchView::new(&t, &[3, 1], &[1]).unwrap();
-        let out = v.gather().unwrap();
-        assert_eq!(out.num_rows(), 2);
-        assert_eq!(out.num_columns(), 1);
-        assert_eq!(out.value(0, "word").unwrap(), ScalarValue::Utf8("d".into()));
-        assert_eq!(out.value(1, "word").unwrap(), ScalarValue::Utf8("b".into()));
-    }
-
-    #[test]
-    fn column_resolves_view_positions() {
-        let t = sample();
-        let v = BatchView::new(&t, &[0], &[1, 0]).unwrap();
-        assert_eq!(v.column(0).unwrap().data_type(), DataType::Utf8);
-        assert_eq!(v.column(1).unwrap().data_type(), DataType::Int64);
-        assert!(v.column(2).is_err());
-    }
-
-    #[test]
-    fn empty_selection_gathers_zero_rows() {
-        let t = sample();
-        let v = BatchView::new(&t, &[], &[0, 1]).unwrap();
-        let out = v.gather().unwrap();
-        assert_eq!(out.num_rows(), 0);
-        assert_eq!(out.num_columns(), 2);
-    }
-}

@@ -153,13 +153,6 @@ impl SelectionBitmap {
         })
     }
 
-    /// Logical NOT.
-    pub fn not(&self) -> SelectionBitmap {
-        SelectionBitmap {
-            bits: self.bits.iter().map(|b| !b).collect(),
-        }
-    }
-
     /// Borrow the raw booleans.
     pub fn as_bools(&self) -> &[bool] {
         &self.bits
@@ -209,7 +202,6 @@ mod tests {
         let b = SelectionBitmap::from_bools(vec![true, false, true, false]);
         assert_eq!(a.and(&b).unwrap().as_bools(), &[true, false, false, false]);
         assert_eq!(a.or(&b).unwrap().as_bools(), &[true, true, true, false]);
-        assert_eq!(a.not().as_bools(), &[false, false, true, true]);
     }
 
     #[test]

@@ -26,34 +26,6 @@ pub enum DataType {
     Vector(usize),
 }
 
-impl DataType {
-    /// `true` for types with a total order usable in range predicates.
-    pub fn is_orderable(&self) -> bool {
-        matches!(
-            self,
-            DataType::Int64 | DataType::Float64 | DataType::Date | DataType::Utf8
-        )
-    }
-
-    /// `true` for the numeric types.
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, DataType::Int64 | DataType::Float64)
-    }
-
-    /// `true` when this is an embedding column.
-    pub fn is_vector(&self) -> bool {
-        matches!(self, DataType::Vector(_))
-    }
-
-    /// Embedding dimensionality, when applicable.
-    pub fn vector_dim(&self) -> Option<usize> {
-        match self {
-            DataType::Vector(d) => Some(*d),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for DataType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -75,24 +47,5 @@ mod tests {
     fn display_names() {
         assert_eq!(DataType::Int64.to_string(), "Int64");
         assert_eq!(DataType::Vector(100).to_string(), "Vector(100)");
-    }
-
-    #[test]
-    fn orderable_and_numeric_classification() {
-        assert!(DataType::Int64.is_orderable());
-        assert!(DataType::Date.is_orderable());
-        assert!(DataType::Utf8.is_orderable());
-        assert!(!DataType::Vector(4).is_orderable());
-        assert!(!DataType::Bool.is_orderable());
-        assert!(DataType::Float64.is_numeric());
-        assert!(!DataType::Utf8.is_numeric());
-    }
-
-    #[test]
-    fn vector_dim_accessor() {
-        assert_eq!(DataType::Vector(64).vector_dim(), Some(64));
-        assert_eq!(DataType::Int64.vector_dim(), None);
-        assert!(DataType::Vector(64).is_vector());
-        assert!(!DataType::Date.is_vector());
     }
 }

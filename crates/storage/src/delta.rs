@@ -227,13 +227,6 @@ impl Delta {
         }
     }
 
-    /// Whether this delta only adds rows (never removes any) — the fast
-    /// path that lets persistent HNSW indexes be extended in place instead
-    /// of invalidated.
-    pub fn is_append_only(&self) -> bool {
-        matches!(self, Delta::Append(_))
-    }
-
     /// Validates this delta against a table schema and takes it apart.
     fn parts(&self, schema: &Schema) -> Result<DeltaParts<'_>> {
         Ok(match self {
@@ -585,7 +578,6 @@ mod tests {
     #[test]
     fn append_extends_and_reports_added() {
         let delta = Delta::Append(rows(vec![4], vec!["d"]));
-        assert!(delta.is_append_only());
         assert_eq!(delta.verb(), "APPEND");
         assert_eq!(delta.payload_rows(), 1);
         let (table, applied) = delta.apply(&base()).unwrap();
@@ -600,7 +592,6 @@ mod tests {
     fn delete_by_key_removes_all_matches() {
         let t = Table::concat(&[&base(), &rows(vec![2], vec!["dup"])]).unwrap();
         let delta = delete(&[2, 99]);
-        assert!(!delta.is_append_only());
         let (table, applied) = delta.apply(&t).unwrap();
         assert_eq!(applied.removed.num_rows(), 2, "both id=2 rows go");
         assert_eq!(applied.added.num_rows(), 0);

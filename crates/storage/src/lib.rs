@@ -18,8 +18,8 @@
 //!   slice operations.
 //! * [`SelectionBitmap`] — selection vectors used to push relational
 //!   predicates below the embedding operator (the paper's pre-filtering).
-//! * [`BatchView`] — zero-copy column batches (window + selection vector)
-//!   exchanged by the vectorised executor (MonetDB/X100 style).
+//! * [`DEFAULT_BATCH_ROWS`] — the morsel size of the vectorised executor
+//!   (MonetDB/X100 style).
 //! * [`Delta`] / [`TableVersion`] / [`Segment`] — batch mutations, and the
 //!   immutable, segment-sharing table versions they produce.
 //! * [`builder`] — convenient typed table construction.
@@ -40,7 +40,7 @@ pub mod schema;
 pub mod stats;
 pub mod table;
 
-pub use batch::{BatchView, DEFAULT_BATCH_ROWS};
+pub use batch::DEFAULT_BATCH_ROWS;
 pub use bitmap::SelectionBitmap;
 pub use builder::TableBuilder;
 pub use column::Column;

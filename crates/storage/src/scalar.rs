@@ -78,15 +78,6 @@ impl ScalarValue {
         }
     }
 
-    /// Extracts an `f64`, widening integers.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            ScalarValue::Float64(v) => Some(*v),
-            ScalarValue::Int64(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     /// Extracts the embedding, if this is a vector value.
     pub fn as_vector(&self) -> Option<&Vector> {
         match self {
@@ -273,9 +264,6 @@ mod tests {
     fn accessors() {
         assert_eq!(ScalarValue::Utf8("x".into()).as_str(), Some("x"));
         assert_eq!(ScalarValue::Int64(5).as_i64(), Some(5));
-        assert_eq!(ScalarValue::Int64(5).as_f64(), Some(5.0));
-        assert_eq!(ScalarValue::Float64(2.5).as_f64(), Some(2.5));
-        assert!(ScalarValue::Bool(true).as_f64().is_none());
         assert!(ScalarValue::Vector(Vector::zeros(3)).as_vector().is_some());
         assert!(ScalarValue::Int64(1).as_vector().is_none());
     }

@@ -45,11 +45,6 @@ impl Metric {
         !matches!(self, Metric::Euclidean)
     }
 
-    /// Whether the metric is invariant to the scale of its inputs.
-    pub fn scale_invariant(&self) -> bool {
-        matches!(self, Metric::Cosine)
-    }
-
     /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -176,8 +171,6 @@ mod tests {
         assert!(Metric::Cosine.higher_is_better());
         assert!(Metric::InnerProduct.higher_is_better());
         assert!(!Metric::Euclidean.higher_is_better());
-        assert!(Metric::Cosine.scale_invariant());
-        assert!(!Metric::InnerProduct.scale_invariant());
         assert_eq!(Metric::Cosine.label(), "cosine");
         assert_eq!(Metric::default(), Metric::Cosine);
     }

@@ -23,8 +23,8 @@
 //! * [`distance`] — cosine similarity / distance, dot product and L2 metrics.
 //! * [`topk`] — top-k selection used by index probes and top-k join
 //!   predicates, and the 8-at-a-time score-row harvest under it.
-//! * [`partition`] — block partitioning helpers that derive mini-batch sizes
-//!   from a buffer budget (Section V-B, Figure 7).
+//! * [`partition`] — the buffer budget that derives the tensor join's
+//!   mini-batch shape (Section V-B, Figure 7).
 //! * [`sq8`] — the tensor join's int8 screen: per-row scalar quantisation,
 //!   an AVX-512 VNNI approximate-score block with a proven error bound
 //!   against the fp32 score, so the join rescores only pairs that can
@@ -48,7 +48,6 @@ pub mod matrix;
 pub mod norm;
 pub mod partition;
 pub mod sq8;
-pub mod stats;
 pub mod topk;
 pub mod vector;
 #[cfg(target_arch = "x86_64")]
@@ -60,7 +59,7 @@ pub use gemm::{GemmConfig, SimilarityMatrix};
 pub use kernels::{dot_lanes, dot_select, filter_cmp, filter_cmp_window, CmpOp, Kernel, SimdIsa};
 pub use matrix::Matrix;
 pub use norm::{l2_norm, normalize, normalize_matrix_rows};
-pub use partition::{BlockPartition, BufferBudget};
+pub use partition::BufferBudget;
 pub use sq8::{Screen, Sq8Inner, Sq8Outer};
 pub use topk::{TopK, TopKEntry};
 pub use vector::Vector;

@@ -233,13 +233,6 @@ impl Matrix {
     pub fn bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
-
-    /// Converts every row into an owned [`Vector`].
-    pub fn to_vectors(&self) -> Vec<Vector> {
-        (0..self.rows)
-            .map(|i| Vector::new(self.data[i * self.cols..(i + 1) * self.cols].to_vec()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -350,13 +343,5 @@ mod tests {
         assert_eq!(empty.rows(), 0);
         assert_eq!(empty.cols(), 2);
         assert!(m.gather_rows(&[3]).is_err());
-    }
-
-    #[test]
-    fn to_vectors_roundtrip() {
-        let m = sample();
-        let vs = m.to_vectors();
-        assert_eq!(vs.len(), 3);
-        assert_eq!(Matrix::from_rows(&vs).unwrap(), m);
     }
 }

@@ -68,15 +68,6 @@ pub fn normalize_matrix_rows_with(m: &mut Matrix, kernel: Kernel) -> Vec<f32> {
     norms
 }
 
-/// Returns `true` when every row of the matrix has (approximately) unit norm
-/// or is the zero vector.  Used by debug assertions in the tensor join.
-pub fn rows_are_normalized(m: &Matrix, tolerance: f32) -> bool {
-    (0..m.rows()).all(|r| {
-        let n = l2_norm(m.row(r).expect("row in range"));
-        n == 0.0 || (n - 1.0).abs() <= tolerance
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,13 +110,9 @@ mod tests {
         assert!((norms[0] - 5.0).abs() < 1e-6);
         assert_eq!(norms[1], 0.0);
         assert!((norms[2] - 1.0).abs() < 1e-6);
-        assert!(rows_are_normalized(&m, 1e-5));
-    }
-
-    #[test]
-    fn rows_are_normalized_detects_unnormalized() {
-        let m = Matrix::from_rows(&[Vector::new(vec![2.0, 0.0])]).unwrap();
-        assert!(!rows_are_normalized(&m, 1e-5));
+        for (r, want) in [(0, 1.0), (1, 0.0), (2, 1.0)] {
+            assert!((l2_norm(m.row(r).unwrap()) - want).abs() <= 1e-5);
+        }
     }
 
     #[test]

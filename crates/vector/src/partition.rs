@@ -1,96 +1,12 @@
-//! Tuple-boundary partitioning and buffer budgets for mini-batched execution.
+//! Buffer budgets for mini-batched execution.
 //!
 //! The naive tensor join materialises the full `|R| × |S|` score matrix,
 //! which for two 100 k-row inputs is 40 GB of FP32 (paper Section V-B).  The
 //! paper's remedy is to partition both inputs along tuple boundaries into
 //! mini-batches so that each intermediate block fits a caller-supplied buffer
-//! budget (Figure 7).  This module computes those partitions.
+//! budget (Figure 7).  This module derives those mini-batch shapes.
 
 use serde::{Deserialize, Serialize};
-
-use crate::error::VectorError;
-use crate::Result;
-
-/// A half-open row range `[start, end)` of one relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RowRange {
-    /// First row of the block (inclusive).
-    pub start: usize,
-    /// One past the last row of the block.
-    pub end: usize,
-}
-
-impl RowRange {
-    /// Number of rows covered.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// `true` when the range covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
-/// Partition of `total` rows into consecutive blocks of at most `block` rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockPartition {
-    ranges: Vec<RowRange>,
-    total: usize,
-    block: usize,
-}
-
-impl BlockPartition {
-    /// Splits `total` rows into blocks of at most `block` rows.
-    ///
-    /// # Errors
-    /// Returns [`VectorError::InvalidParameter`] when `block == 0` and
-    /// `total > 0`.
-    pub fn new(total: usize, block: usize) -> Result<Self> {
-        if total > 0 && block == 0 {
-            return Err(VectorError::InvalidParameter(
-                "block size must be non-zero".into(),
-            ));
-        }
-        let mut ranges = Vec::new();
-        let mut start = 0;
-        while start < total {
-            let end = (start + block).min(total);
-            ranges.push(RowRange { start, end });
-            start = end;
-        }
-        Ok(Self {
-            ranges,
-            total,
-            block: block.max(1),
-        })
-    }
-
-    /// The block ranges in order.
-    pub fn ranges(&self) -> &[RowRange] {
-        &self.ranges
-    }
-
-    /// Number of blocks.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// `true` when there are no blocks (zero input rows).
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    /// Total number of rows partitioned.
-    pub fn total_rows(&self) -> usize {
-        self.total
-    }
-
-    /// The configured maximum block size.
-    pub fn block_size(&self) -> usize {
-        self.block
-    }
-}
 
 /// A byte budget for the intermediate score matrix of the tensor join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -160,54 +76,6 @@ impl BufferBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_covers_all_rows_without_overlap() {
-        let p = BlockPartition::new(10, 3).unwrap();
-        let ranges = p.ranges();
-        assert_eq!(ranges.len(), 4);
-        assert_eq!(ranges[0], RowRange { start: 0, end: 3 });
-        assert_eq!(ranges[3], RowRange { start: 9, end: 10 });
-        let covered: usize = ranges.iter().map(|r| r.len()).sum();
-        assert_eq!(covered, 10);
-        assert_eq!(p.total_rows(), 10);
-        assert_eq!(p.block_size(), 3);
-    }
-
-    #[test]
-    fn partition_exact_multiple() {
-        let p = BlockPartition::new(8, 4).unwrap();
-        assert_eq!(p.len(), 2);
-        assert!(p.ranges().iter().all(|r| r.len() == 4));
-    }
-
-    #[test]
-    fn partition_zero_rows_is_empty() {
-        let p = BlockPartition::new(0, 5).unwrap();
-        assert!(p.is_empty());
-        assert_eq!(p.len(), 0);
-    }
-
-    #[test]
-    fn partition_zero_block_rejected() {
-        assert!(BlockPartition::new(5, 0).is_err());
-        // but zero rows with zero block is fine
-        assert!(BlockPartition::new(0, 0).is_ok());
-    }
-
-    #[test]
-    fn partition_block_larger_than_total() {
-        let p = BlockPartition::new(3, 100).unwrap();
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.ranges()[0], RowRange { start: 0, end: 3 });
-    }
-
-    #[test]
-    fn row_range_helpers() {
-        let r = RowRange { start: 2, end: 2 };
-        assert!(r.is_empty());
-        assert_eq!(r.len(), 0);
-    }
 
     #[test]
     fn unlimited_budget_never_splits() {

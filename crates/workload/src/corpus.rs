@@ -36,12 +36,6 @@ impl CorpusGenerator {
         }
     }
 
-    /// Sets the sentence length.
-    pub fn with_sentence_len(mut self, len: usize) -> Self {
-        self.sentence_len = len.max(2);
-        self
-    }
-
     /// Sets the cross-cluster noise probability.
     pub fn with_noise(mut self, noise: f64) -> Self {
         self.noise = noise.clamp(0.0, 1.0);
@@ -119,8 +113,7 @@ mod tests {
 
     #[test]
     fn builders_clamp_values() {
-        let g = CorpusGenerator::new(1).with_sentence_len(1).with_noise(5.0);
-        assert_eq!(g.sentence_len, 2);
+        let g = CorpusGenerator::new(1).with_noise(5.0);
         assert_eq!(g.noise, 1.0);
     }
 

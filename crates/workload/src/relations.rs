@@ -95,16 +95,6 @@ impl JoinWorkload {
             .build()
             .expect("workload table construction cannot fail")
     }
-
-    /// The number of ground-truth matching pairs (same cluster label) —
-    /// the reference result size for exact semantic joins.
-    pub fn ground_truth_pairs(&self) -> usize {
-        let mut inner_counts = vec![0usize; self.clusters.len()];
-        for &l in &self.inner_labels {
-            inner_counts[l] += 1;
-        }
-        self.outer_labels.iter().map(|&l| inner_counts[l]).sum()
-    }
 }
 
 #[cfg(test)]
@@ -189,29 +179,6 @@ mod tests {
         );
         let frac_below_80 = filter.iter().filter(|&&v| v < 80).count() as f64 / filter.len() as f64;
         assert!((frac_below_80 - 0.8).abs() < 0.05);
-    }
-
-    #[test]
-    fn ground_truth_pairs_counts_same_cluster() {
-        let w = JoinWorkload::generate(
-            RelationSpec {
-                rows: 10,
-                clusters: 2,
-                variants_per_cluster: 3,
-            },
-            RelationSpec {
-                rows: 20,
-                clusters: 2,
-                variants_per_cluster: 3,
-            },
-            5,
-        );
-        let expected: usize = w
-            .outer_labels
-            .iter()
-            .map(|&ol| w.inner_labels.iter().filter(|&&il| il == ol).count())
-            .sum();
-        assert_eq!(w.ground_truth_pairs(), expected);
     }
 
     #[test]
