@@ -12,7 +12,7 @@
 //! a join produced, recursing into its inputs), cuts each into
 //! `morsel_rows`-sized selections and maps the whole stage chain over them
 //! on the context's [`cej_exec::ExecPool`] — inline at a budget of one
-//! thread, on the work-stealing workers above it.  The code is the same at
+//! thread, on the scheduler's workers above it.  The code is the same at
 //! every budget and every morsel size: a morsel of the whole table is the
 //! materialise-everything execution model, a morsel of one row is
 //! tuple-at-a-time.

@@ -802,9 +802,10 @@ pub struct RunStats {
     /// Model access performed by this run (run-local counters, exact even
     /// under concurrent executions on a shared session).
     pub embedding_stats: EmbeddingStats,
-    /// Worker-pool activity across this run: tasks/steals/injections are
-    /// process-wide deltas over the persistent scheduler (concurrent runs
-    /// overlap in them — they are a *contention* signal, not an attribution),
+    /// Worker-pool activity across this run: tasks/injections/wakeups are
+    /// process-wide deltas over the persistent scheduler's one queue
+    /// (concurrent runs overlap in them — they are a *contention* signal,
+    /// not an attribution),
     /// `queue_depth`/`workers` are sampled at run end.
     pub scheduler: cej_exec::PoolMetrics,
     /// The access path executed (None when the plan had no join).

@@ -278,7 +278,6 @@ impl<'s> PreparedQuery<'s> {
             ("embed_calls", stats.embedding_stats.model_calls.into()),
             ("embed_hits", stats.embedding_stats.cache_hits.into()),
             ("pool_tasks", stats.scheduler.tasks_executed.into()),
-            ("pool_steals", stats.scheduler.steals.into()),
         ];
         if let Some(path) = stats.access_path {
             attrs.push(("access_path", format!("{path:?}").into()));
@@ -346,13 +345,8 @@ impl<'s> PreparedQuery<'s> {
         }
         let pool = &report.scheduler;
         text.push_str(&format!(
-            "scheduler: tasks={} steals={} injected={} wakeups={} queue_depth={} workers={}\n",
-            pool.tasks_executed,
-            pool.steals,
-            pool.injected,
-            pool.wakeups,
-            pool.queue_depth,
-            pool.workers
+            "scheduler: tasks={} injected={} wakeups={} queue_depth={} workers={}\n",
+            pool.tasks_executed, pool.injected, pool.wakeups, pool.queue_depth, pool.workers
         ));
         Ok(ExplainAnalyze { text, report })
     }

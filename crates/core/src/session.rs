@@ -121,7 +121,7 @@ pub struct ExecutionReport {
     /// byte-identity contract.
     pub operator_morsels: Vec<u64>,
     /// Persistent worker-pool activity observed across this run (tasks
-    /// executed, steals, injector submissions, queue depth) — the scheduler
+    /// executed, queued tokens, wakeups, queue depth) — the scheduler
     /// side of `explain_analyze()`.  Process-wide deltas: under concurrent
     /// serving they measure contention, not per-run attribution.
     pub scheduler: cej_exec::PoolMetrics,

@@ -7,8 +7,6 @@ use std::fmt;
 pub enum EmbeddingError {
     /// A configuration value was invalid (zero dimension, empty n-gram range…).
     InvalidConfig(String),
-    /// The requested word id does not exist in the vocabulary.
-    UnknownId(usize),
     /// The training corpus was empty or otherwise unusable.
     EmptyCorpus,
     /// Serialisation / deserialisation of a persisted model failed.
@@ -19,7 +17,6 @@ impl fmt::Display for EmbeddingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EmbeddingError::InvalidConfig(msg) => write!(f, "invalid embedding config: {msg}"),
-            EmbeddingError::UnknownId(id) => write!(f, "unknown vocabulary id {id}"),
             EmbeddingError::EmptyCorpus => write!(f, "training corpus is empty"),
             EmbeddingError::Serialization(msg) => write!(f, "model serialization error: {msg}"),
         }
@@ -37,7 +34,6 @@ mod tests {
         assert!(EmbeddingError::InvalidConfig("dim=0".into())
             .to_string()
             .contains("dim=0"));
-        assert!(EmbeddingError::UnknownId(7).to_string().contains('7'));
         assert!(EmbeddingError::EmptyCorpus.to_string().contains("empty"));
         assert!(EmbeddingError::Serialization("bad".into())
             .to_string()

@@ -24,9 +24,9 @@
 //!   words appearing in similar contexts towards each other, enough to
 //!   reproduce the semantic-clustering behaviour of Table II on a synthetic
 //!   synonym corpus.
-//! * [`vocab`] — the vocabulary and the id ↔ string lookup table, which also
-//!   implements the paper's decode operation `E⁻¹` (Section III-C) for models
-//!   without a generative decoder.
+//! * [`vocab`] — the vocabulary, the lookup table behind the paper's decode
+//!   operation `E⁻¹` (Section III-C) for models without a generative
+//!   decoder.
 //! * [`cache`] — an embedding cache with *model access accounting*: every
 //!   operator-visible embedding call is counted, so tests and benchmarks can
 //!   verify the quadratic-vs-linear model cost claim of the cost model

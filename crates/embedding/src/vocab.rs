@@ -1,18 +1,15 @@
-//! Vocabulary and the id ↔ string lookup table (`E⁻¹`).
+//! Vocabulary: the interned words a model was trained on.
 //!
 //! The paper's algebra defines a decode operation `E⁻¹_µ(E_µ(R)) = R`
 //! (Section III-C).  FastText has no generative decoder, so the paper
 //! proposes "a lookup table mechanism \[that\] can maintain the
-//! object-embedding mapping via unique IDs".  [`Vocabulary`] is exactly that
-//! mechanism: it interns strings, hands out stable ids, tracks frequencies,
-//! and can recover the original string for any id produced during the join.
+//! object-embedding mapping via unique IDs".  [`Vocabulary`] is that table:
+//! it interns strings, hands out stable ids and tracks frequencies, and
+//! `FastTextModel::decode_nearest` decodes an embedding by walking it.
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-
-use crate::error::EmbeddingError;
-use crate::Result;
 
 /// An interned vocabulary with stable ids and occurrence counts.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -39,17 +36,6 @@ impl Vocabulary {
         self.id_to_word.push(word.to_string());
         self.counts.push(1);
         id
-    }
-
-    /// The decode operation `E⁻¹`: recovers the string for an id.
-    ///
-    /// # Errors
-    /// Returns [`EmbeddingError::UnknownId`] for ids never interned.
-    pub fn decode(&self, id: usize) -> Result<&str> {
-        self.id_to_word
-            .get(id)
-            .map(|s| s.as_str())
-            .ok_or(EmbeddingError::UnknownId(id))
     }
 
     /// Occurrence count of an id (0 when unknown).
@@ -101,19 +87,6 @@ mod tests {
         assert_eq!(v.count(x), 2);
         assert_eq!(v.count(y), 1);
         assert_eq!(v.count(99), 0);
-    }
-
-    #[test]
-    fn decode_roundtrip() {
-        let mut v = Vocabulary::new();
-        let id = v.add("barbecue");
-        assert_eq!(v.decode(id).unwrap(), "barbecue");
-    }
-
-    #[test]
-    fn decode_unknown_errors() {
-        let v = Vocabulary::new();
-        assert!(matches!(v.decode(0), Err(EmbeddingError::UnknownId(0))));
     }
 
     #[test]

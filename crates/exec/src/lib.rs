@@ -12,18 +12,19 @@
 //!
 //! ## Scheduling model
 //!
-//! A pool owns a thread *budget*, not threads.  All pools submit to the
-//! process-wide persistent [`Scheduler`] (see [`scheduler`]): long-lived
-//! workers with per-worker deques, steal-from-random-victim, and an
-//! injector queue for submissions from non-worker threads — so a server
-//! issuing many small parallel operators pays queue pushes, not thread
-//! spawns.  Work is split into chunks and participants *claim* chunks
-//! dynamically from a shared atomic counter, but results are always
-//! reassembled **in input order**, so callers observe the same output for
-//! any thread count.  The calling thread always participates in its own
-//! batch (closures may borrow the caller's stack, and a batch completes
-//! even with zero workers); a pool's budget caps how many scheduler
-//! workers join it.
+//! A pool owns a thread *budget*, not threads.  All pools submit to one
+//! process-wide persistent scheduler: long-lived workers that pop
+//! participation tokens from one shared FIFO queue and sleep on one condvar
+//! when it is empty — so a server issuing many small parallel operators
+//! pays a queue push, not a thread spawn.  Work is split into chunks and
+//! participants *claim* chunks dynamically from a shared atomic counter,
+//! but results are always reassembled **in input order**, so callers
+//! observe the same output for any thread count.  The calling thread
+//! always participates in its own batch (closures may borrow the caller's
+//! stack, a batch completes even with zero workers, and nested parallel
+//! calls cannot deadlock); a pool's budget caps how many scheduler workers
+//! join it.  [`ExecPool::metrics`] is the window onto the scheduler's
+//! counters.
 //!
 //! ## Determinism guarantees
 //!
@@ -46,9 +47,10 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(clippy::all)]
 
-pub mod scheduler;
+mod scheduler;
 
-pub use scheduler::{PoolMetrics, Scheduler};
+pub use scheduler::PoolMetrics;
+use scheduler::Scheduler;
 
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -90,7 +92,7 @@ pub fn default_threads() -> usize {
 /// A worker pool with a fixed thread budget.
 ///
 /// Creating a pool is free — a pool is only a *budget* over the shared
-/// persistent [`Scheduler`], so it can live in a context struct or be built
+/// persistent scheduler, so it can live in a context struct or be built
 /// on the fly for one call.  A parallel call runs on
 /// the calling thread plus up to `threads - 1` scheduler workers; nothing
 /// is spawned per call and nothing keeps running between calls.
@@ -197,7 +199,7 @@ impl ExecPool {
     }
 
     /// A snapshot of the shared scheduler's activity counters (tasks
-    /// executed, steals, injector submissions, queue depth, worker count).
+    /// executed, queued tokens, wakeups, queue depth, worker count).
     /// Execution layers snapshot this around a query and report the delta —
     /// the scheduler-contention side of `EXPLAIN ANALYZE`.
     pub fn metrics() -> PoolMetrics {
@@ -452,5 +454,121 @@ mod tests {
         let caller = std::thread::current().id();
         let ids = ExecPool::new(1).parallel_map(&[1, 2, 3], |_| std::thread::current().id());
         assert!(ids.iter().all(|id| *id == caller));
+    }
+
+    #[test]
+    fn nested_parallel_maps_match_the_serial_loop() {
+        let pool = ExecPool::new(2);
+        let outer: Vec<u64> = (0..40).collect();
+        let inner_sum = |x: u64| -> u64 { (0..x % 13).map(|j| j * j + x).sum() };
+        let expected: Vec<u64> = outer.iter().map(|&x| inner_sum(x)).collect();
+        let got = pool.parallel_map(&outer, |&x| {
+            let inner: Vec<u64> = (0..x % 13).collect();
+            pool.parallel_map(&inner, |&j| j * j + x)
+                .iter()
+                .sum::<u64>()
+        });
+        assert_eq!(got, expected);
+    }
+
+    /// splitmix64: the stress test's seeded choices.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn seeded_stress_of_nested_batches_with_yields_and_panics() {
+        // 4 submitters x a budget-4 pool: at most 3 workers plus the 4
+        // submitting threads.  Each batch maps a seeded-length input whose
+        // tasks yield at seeded indices and run a nested parallel map; some
+        // batches panic at a seeded index, in the outer task or inside the
+        // nested map.
+        const PANIC_TAG: &str = "seeded stress panic";
+        static QUIET: std::sync::Once = std::sync::Once::new();
+        QUIET.call_once(|| {
+            let previous = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let message = info.payload().downcast_ref::<String>();
+                if !message.is_some_and(|m| m.starts_with(PANIC_TAG)) {
+                    previous(info);
+                }
+            }));
+        });
+        let pool = ExecPool::new(4);
+        // < 2^56, so a sum of five never overflows
+        let value = |seed: u64, i: u64, j: u64| (seed ^ (i << 20) ^ (j << 40)) >> 8;
+        std::thread::scope(|scope| {
+            for submitter in 0..4u64 {
+                scope.spawn(move || {
+                    let mut rng = 0x5EED_0000 + submitter;
+                    let mut panicked = 0;
+                    for batch in 0..300u64 {
+                        let len = 1 + splitmix(&mut rng) % 48;
+                        let yields = splitmix(&mut rng);
+                        let seed = splitmix(&mut rng);
+                        let fault = splitmix(&mut rng);
+                        // one batch in 8 panics: at outer index `at`, or at
+                        // its nested index `at % 5` when bit 8 is set
+                        let at = fault.is_multiple_of(8).then_some((fault >> 16) % len);
+                        let nested = fault & 0x100 != 0;
+                        let width = |i: u64| i % 5 + 1;
+                        let items: Vec<u64> = (0..len).collect();
+                        let expected: Vec<u64> = items
+                            .iter()
+                            .map(|&i| (0..width(i)).map(|j| value(seed, i, j)).sum())
+                            .collect();
+                        let message =
+                            |i: u64, j: u64| format!("{PANIC_TAG} {submitter}/{batch}/{i}/{j}");
+                        let run = || {
+                            pool.parallel_map(&items, |&i| {
+                                if yields >> (i % 64) & 1 == 1 {
+                                    std::thread::yield_now();
+                                }
+                                if at == Some(i) && !nested {
+                                    panic!("{}", message(i, 0));
+                                }
+                                let inner: Vec<u64> = (0..width(i)).collect();
+                                pool.parallel_map(&inner, |&j| {
+                                    if at == Some(i) && nested && j == i % 5 {
+                                        panic!("{}", message(i, j));
+                                    }
+                                    value(seed, i, j)
+                                })
+                                .iter()
+                                .sum::<u64>()
+                            })
+                        };
+                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                            Ok(got) => {
+                                assert_eq!(at, None, "batch {submitter}/{batch} swallowed a panic");
+                                assert_eq!(got, expected, "batch {submitter}/{batch}");
+                            }
+                            Err(payload) => {
+                                let i = at.expect("a batch without a fault panicked");
+                                let j = if nested { i % 5 } else { 0 };
+                                assert_eq!(
+                                    payload.downcast_ref::<String>(),
+                                    Some(&message(i, j)),
+                                    "another batch's payload reached {submitter}/{batch}"
+                                );
+                                panicked += 1;
+                            }
+                        }
+                    }
+                    assert!(
+                        panicked > 0,
+                        "submitter {submitter} never exercised a panic"
+                    );
+                });
+            }
+        });
+        // late tokens of drained batches retire as no-ops
+        scheduler::tests::wait_until(10, "the queue to drain", || {
+            ExecPool::metrics().queue_depth == 0
+        });
     }
 }

@@ -1,40 +1,26 @@
-//! The persistent work-stealing scheduler behind [`crate::ExecPool`].
+//! The persistent scheduler behind [`crate::ExecPool`]: long-lived workers,
+//! one FIFO queue of participation tokens and one condvar.
 //!
-//! Until PR 5 the pool spawned scoped threads per parallel call (~tens of
-//! µs per call).  That is fine for a handful of coarse-grained operators,
-//! but a server issuing many small joins pays the spawn cost on every
-//! operator of every query.  [`Scheduler`] replaces it with the classic
-//! work-stealing architecture:
-//!
-//! * **Long-lived workers**, spawned lazily up to the largest thread budget
-//!   any [`crate::ExecPool`] has requested.  An idle worker parks on its
-//!   *own* condvar and registers on an idle stack; a submitter pops one
-//!   parked worker per queued token and notifies exactly that worker, so
-//!   a submission never stampedes the whole pool awake (no thundering
-//!   herd), and each wakeup is counted in [`PoolMetrics::wakeups`].
-//! * **An injector queue** for cross-thread submission: a non-worker thread
-//!   (the main thread, a server connection handler) pushes participation
-//!   tokens there.
-//! * **Per-worker deques**: a worker that submits a nested parallel call
-//!   pushes its tokens onto its *own* deque (cheap, contention-free), where
-//!   siblings can steal them.
-//! * **Steal-from-random-victim**: an idle worker first drains its own
-//!   deque (LIFO), then the injector (FIFO), then sweeps the other workers'
-//!   deques starting from a randomised victim, stealing from the front
-//!   (FIFO — the oldest, usually largest, unit of work).
+//! * **Workers** are spawned lazily up to the largest thread budget any
+//!   pool has requested, so a parallel call pays a queue push, not a thread
+//!   spawn.  A worker pops the oldest token and joins that token's batch;
+//!   with nothing queued it sleeps on the condvar.
+//! * **One queue.**  Every submission — from the main thread, a server
+//!   connection or a worker running a nested call — appends its tokens to
+//!   one `Mutex<VecDeque<_>>`.  Sleeping workers count themselves under
+//!   that lock, so a submission of `t` tokens notifies `min(t, sleeping)`
+//!   workers one at a time (no thundering herd; [`PoolMetrics::wakeups`]).
 //!
 //! ## Batches and tokens
 //!
-//! A parallel call is represented by one heap-allocated `BatchCore`: the
-//! task closure (type-erased; it may borrow the caller's stack, which is
-//! why the scheduler never outlives a call's tokens unsafely — see below),
-//! a shared claim counter, and completion state.  What flows through the
-//! queues are **participation tokens** (`Arc<BatchCore>` clones): a worker
-//! that pops one simply joins the batch and claims task indices from the
-//! shared counter until the batch is drained.  The submitting thread always
-//! participates too, so *every* batch completes even with zero workers
-//! (`CEJ_THREADS=1`) and nested parallel calls from worker threads can
-//! never deadlock: the nested caller drives its own batch to completion.
+//! A parallel call is one heap-allocated `BatchCore`: the task closure
+//! (type-erased; it may borrow the caller's stack), a shared claim counter
+//! and completion state.  A token is an `Arc<BatchCore>` clone: whoever
+//! pops one joins the batch and claims task indices from the counter until
+//! it is drained, so the counter balances the work and the queue only
+//! recruits participants.  The submitting thread always participates too:
+//! every batch completes with zero workers (`CEJ_THREADS=1`), and a nested
+//! call from a worker cannot deadlock, because its caller drives it.
 //!
 //! ## Why the borrowed closure is safe
 //!
@@ -47,48 +33,31 @@
 //! without touching the closure.  The `BatchCore` itself is reference
 //! counted, so late tokens never touch freed memory at all.
 //!
-//! ## Determinism
-//!
-//! The scheduler executes exactly the task indices the pool hands it and
-//! the pool reassembles results by index, so every determinism guarantee of
-//! [`crate::ExecPool`] (input-order maps, length-only reduce chunking) is
-//! preserved no matter which thread runs which chunk.
+//! The pool reassembles results by task index, so which thread runs which
+//! index never changes a result.
 
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, Weak};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use crate::MAX_THREADS;
 
-/// How long an idle worker sleeps before re-checking the queues even
-/// without a wakeup — a belt-and-braces guard, not the primary wake path
-/// (submissions notify one parked worker per token).
-const IDLE_PARK: Duration = Duration::from_millis(50);
-
-/// A snapshot (or delta) of the scheduler's activity counters.
-///
-/// Cumulative process-wide counters; per-run deltas are computed with
-/// [`PoolMetrics::delta_since`] and surfaced by the query layer in its
-/// execution reports, so `EXPLAIN ANALYZE` can show scheduler contention
-/// next to cardinality q-errors.
+/// A snapshot of the scheduler's process-wide counters.  The query layer
+/// reports per-run deltas ([`PoolMetrics::delta_since`]), so `EXPLAIN
+/// ANALYZE` shows scheduler contention next to cardinality q-errors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
     /// Task indices executed through the scheduler (by workers *and* by
     /// submitting threads participating in their own batches).
     pub tasks_executed: u64,
-    /// Tokens taken from another worker's deque.
-    pub steals: u64,
-    /// Tokens submitted through the injector queue (i.e. from threads that
-    /// are not scheduler workers).
+    /// Participation tokens submitted to the scheduler's queue.
     pub injected: u64,
-    /// Targeted wakeups issued to parked workers (one notified worker per
-    /// queued token, not a notify-all broadcast).
+    /// Single-waiter notifies issued to sleeping workers (at most one per
+    /// queued token, never a notify-all broadcast).
     pub wakeups: u64,
-    /// Tokens currently queued (injector + all deques) at snapshot time.
+    /// Tokens currently queued at snapshot time.
     pub queue_depth: usize,
     /// Worker threads currently alive.
     pub workers: usize,
@@ -100,7 +69,6 @@ impl PoolMetrics {
     pub fn delta_since(&self, earlier: &PoolMetrics) -> PoolMetrics {
         PoolMetrics {
             tasks_executed: self.tasks_executed.saturating_sub(earlier.tasks_executed),
-            steals: self.steals.saturating_sub(earlier.steals),
             injected: self.injected.saturating_sub(earlier.injected),
             wakeups: self.wakeups.saturating_sub(earlier.wakeups),
             queue_depth: self.queue_depth,
@@ -111,7 +79,7 @@ impl PoolMetrics {
 
 /// One parallel call: a type-erased borrowed closure plus claim/completion
 /// state.  Tokens (`Arc<BatchCore>` clones) flow through the scheduler's
-/// queues; see the module docs for the safety argument.
+/// queue; see the module docs for the safety argument.
 struct BatchCore {
     /// Monomorphised trampoline invoking the erased closure.
     run: unsafe fn(*const (), usize),
@@ -153,10 +121,7 @@ impl BatchCore {
     fn participate(&self) -> u64 {
         self.in_flight.fetch_add(1, Ordering::AcqRel);
         let mut executed = 0u64;
-        loop {
-            if self.poisoned.load(Ordering::Acquire) {
-                break;
-            }
+        while !self.poisoned.load(Ordering::Acquire) {
             let i = self.next.fetch_add(1, Ordering::AcqRel);
             if i >= self.tasks {
                 break;
@@ -169,9 +134,7 @@ impl BatchCore {
             executed += 1;
             if let Err(payload) = outcome {
                 let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
+                slot.get_or_insert(payload);
                 drop(slot);
                 self.poisoned.store(true, Ordering::Release);
             }
@@ -192,328 +155,124 @@ impl BatchCore {
                 || self.next.load(Ordering::Acquire) >= self.tasks)
     }
 
-    /// Blocks until [`BatchCore::finished`].
+    /// Blocks until [`BatchCore::finished`].  Every participant takes
+    /// `done_lock` after leaving `in_flight`, so the predicate cannot turn
+    /// true between this thread's check and its wait.
     fn wait(&self) {
         let mut guard = self.done_lock.lock().unwrap_or_else(|e| e.into_inner());
         while !self.finished() {
-            let (g, _) = self
-                .done_cv
-                .wait_timeout(guard, IDLE_PARK)
-                .unwrap_or_else(|e| e.into_inner());
-            guard = g;
+            guard = self.done_cv.wait(guard).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
-/// A queued participation token.
-type Token = Arc<BatchCore>;
-
-type DequeRef = Arc<Mutex<VecDeque<Token>>>;
-
-/// One worker's private parking slot.  A worker with nothing to run parks
-/// on its own condvar; a submitter wakes exactly one chosen thief via
-/// [`Shared::notify_workers`] instead of broadcasting to every sleeper.
-struct Parker {
-    /// `true` once a submitter has targeted this worker — the condvar
-    /// predicate, so a notify that lands before the wait starts is never
-    /// lost.
-    notified: Mutex<bool>,
-    cv: Condvar,
+/// Everything the queue mutex protects.
+#[derive(Default)]
+struct Queue {
+    tokens: VecDeque<Arc<BatchCore>>,
+    /// Workers waiting on [`Shared::wake`], the most a submission notifies.
+    sleeping: usize,
+    shutdown: bool,
+    injected: u64,
+    wakeups: u64,
 }
 
 /// State shared between the scheduler handle and its workers.
+#[derive(Default)]
 struct Shared {
-    injector: Mutex<VecDeque<Token>>,
-    deques: RwLock<Vec<DequeRef>>,
-    /// Per-worker parking slots, index-aligned with `deques`.
-    parkers: RwLock<Vec<Arc<Parker>>>,
-    /// Indices of currently-parked workers, LIFO: the most recently parked
-    /// worker (warmest cache) is woken first.
-    idle: Mutex<Vec<usize>>,
-    /// Lock-free mirror of the worker count (the `handles` vector length),
-    /// so the per-parallel-call fast paths (`workers()`, the
-    /// `ensure_workers` no-growth check) never touch the handles mutex.
-    worker_count: AtomicUsize,
-    /// Tokens pushed but not yet popped, across injector and deques; the
-    /// lock-free `queue_depth` reading and the workers' sleep predicate.
-    pending: AtomicUsize,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    wake: Condvar,
+    /// Workers spawned and not shut down: read without a lock on every
+    /// parallel call, written only under the handles mutex.
+    workers: AtomicUsize,
     tasks_executed: AtomicU64,
-    steals: AtomicU64,
-    injected: AtomicU64,
-    wakeups: AtomicU64,
 }
 
 impl Shared {
-    fn new() -> Self {
-        Shared {
-            injector: Mutex::new(VecDeque::new()),
-            deques: RwLock::new(Vec::new()),
-            parkers: RwLock::new(Vec::new()),
-            idle: Mutex::new(Vec::new()),
-            worker_count: AtomicUsize::new(0),
-            pending: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            tasks_executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-        }
-    }
-
-    /// Wakes up to `count` parked workers, one targeted notify each.
-    ///
-    /// The idle lock is released *before* the popped worker's parker lock
-    /// is taken, while a parking worker acquires them in the opposite
-    /// nesting (parker, then idle) — since this side never holds both at
-    /// once there is no lock-order cycle.  A worker that is between
-    /// "pushed onto the idle stack" and "waiting on its condvar" re-checks
-    /// `pending` under its parker lock (and `pending` is incremented
-    /// before this is called), so the wakeup cannot be lost.
-    fn notify_workers(&self, count: usize) {
-        for _ in 0..count {
-            let idx = {
-                let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
-                match idle.pop() {
-                    Some(idx) => idx,
-                    // Nobody is parked: every worker is already awake and
-                    // sweeping the queues, so the token will be found.
-                    None => return,
-                }
-            };
-            let parker = {
-                let parkers = self.parkers.read().unwrap_or_else(|e| e.into_inner());
-                parkers[idx].clone()
-            };
-            let mut notified = parker.notified.lock().unwrap_or_else(|e| e.into_inner());
-            *notified = true;
-            drop(notified);
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-            parker.cv.notify_one();
-        }
-    }
-
-    /// Removes `idx` from the idle stack unless a submitter already popped
-    /// (claimed) it.
-    fn deregister_idle(&self, idx: usize) {
-        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(pos) = idle.iter().rposition(|&i| i == idx) {
-            idle.swap_remove(pos);
-        }
-    }
-
-    /// Pops a token for worker `idx`: own deque (LIFO) → injector (FIFO) →
-    /// steal from a pseudo-randomly chosen victim's deque front.
-    fn find_token(&self, idx: usize, rng: &mut u64) -> Option<Token> {
-        let deques = self.deques.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(own) = deques.get(idx) {
-            if let Some(token) = own.lock().unwrap_or_else(|e| e.into_inner()).pop_back() {
-                self.pending.fetch_sub(1, Ordering::AcqRel);
-                return Some(token);
-            }
-        }
-        if let Some(token) = self
-            .injector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
-        {
-            self.pending.fetch_sub(1, Ordering::AcqRel);
-            return Some(token);
-        }
-        let n = deques.len();
-        if n > 1 {
-            // xorshift64* — cheap per-worker victim randomisation.
-            *rng ^= *rng << 13;
-            *rng ^= *rng >> 7;
-            *rng ^= *rng << 17;
-            let start = (*rng as usize) % n;
-            for off in 0..n {
-                let victim = (start + off) % n;
-                if victim == idx {
-                    continue;
-                }
-                if let Some(token) = deques[victim]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop_front()
-                {
-                    self.pending.fetch_sub(1, Ordering::AcqRel);
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(token);
-                }
-            }
-        }
-        None
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-thread_local! {
-    /// Identifies the current thread as worker `index` of a scheduler, so
-    /// nested submissions go to its own deque instead of the injector.
-    static WORKER: RefCell<Option<(Weak<Shared>, usize)>> = const { RefCell::new(None) };
-}
-
-fn worker_main(shared: Arc<Shared>, idx: usize) {
-    WORKER.with(|slot| *slot.borrow_mut() = Some((Arc::downgrade(&shared), idx)));
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((idx as u64 + 1) << 17);
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        if let Some(token) = shared.find_token(idx, &mut rng) {
-            if shared.pending.load(Ordering::Acquire) > 0 {
-                // Chain wake: more tokens remain, so recruit one more
-                // thief before starting work — wakeups propagate one hop
-                // per token instead of the submitter broadcasting.
-                shared.notify_workers(1);
-            }
+fn worker_main(shared: Arc<Shared>) {
+    let mut queue = shared.queue();
+    while !queue.shutdown {
+        if let Some(token) = queue.tokens.pop_front() {
+            drop(queue);
             let executed = token.participate();
             shared.tasks_executed.fetch_add(executed, Ordering::Relaxed);
+            drop(token);
+            queue = shared.queue();
             continue;
         }
-        // Park on this worker's own slot: arm the predicate, register on
-        // the idle stack, then re-check the sleep condition under the
-        // parker lock.  A submitter increments `pending` before popping
-        // the stack, so a concurrently queued token is either observed by
-        // the re-check or delivers a targeted notify once this lock is
-        // released by the wait.
-        let parker = {
-            let parkers = shared.parkers.read().unwrap_or_else(|e| e.into_inner());
-            parkers[idx].clone()
-        };
-        let mut notified = parker.notified.lock().unwrap_or_else(|e| e.into_inner());
-        *notified = false;
-        shared
-            .idle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(idx);
-        if shared.shutdown.load(Ordering::Acquire) || shared.pending.load(Ordering::Acquire) > 0 {
-            drop(notified);
-            shared.deregister_idle(idx);
-            continue;
-        }
-        // Timed park: the timeout only guards against implementation bugs
-        // ever stranding a worker; the targeted notify is the wake path.
-        while !*notified {
-            let (guard, timeout) = parker
-                .cv
-                .wait_timeout(notified, IDLE_PARK)
-                .unwrap_or_else(|e| e.into_inner());
-            notified = guard;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-        drop(notified);
-        shared.deregister_idle(idx);
+        // The queue is empty and its lock is held, so a submission either
+        // already happened (the token was popped above) or happens after
+        // this wait released the lock and finds this worker in `sleeping`.
+        queue.sleeping += 1;
+        queue = shared.wake.wait(queue).unwrap_or_else(|e| e.into_inner());
+        queue.sleeping -= 1;
     }
 }
 
-/// The persistent work-stealing scheduler: long-lived workers, per-worker
-/// deques, an injector for cross-thread submission, and graceful shutdown.
-///
-/// All [`crate::ExecPool`]s share [`Scheduler::global`]; constructing a
-/// dedicated instance is mainly useful for tests and for embedding the
-/// execution layer into another runtime.
-pub struct Scheduler {
+/// Long-lived workers serving one shared FIFO of participation tokens.
+/// Every [`crate::ExecPool`] submits to [`Scheduler::global`]; the tests
+/// build their own.
+pub(crate) struct Scheduler {
     shared: Arc<Shared>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl std::fmt::Debug for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let m = self.metrics();
-        f.debug_struct("Scheduler")
-            .field("workers", &m.workers)
-            .field("tasks_executed", &m.tasks_executed)
-            .field("steals", &m.steals)
-            .field("injected", &m.injected)
-            .field("wakeups", &m.wakeups)
-            .field("queue_depth", &m.queue_depth)
-            .finish()
-    }
-}
-
 impl Scheduler {
-    /// Creates a scheduler with `workers` worker threads (clamped to
-    /// `MAX_THREADS`).  Workers spawn immediately; [`Scheduler::global`]
-    /// instead grows lazily with demand.
-    pub fn new(workers: usize) -> Self {
+    /// Creates a scheduler with `workers` worker threads, spawned now.
+    pub(crate) fn new(workers: usize) -> Self {
         let scheduler = Scheduler {
-            shared: Arc::new(Shared::new()),
+            shared: Arc::default(),
             handles: Mutex::new(Vec::new()),
         };
         scheduler.ensure_workers(workers);
         scheduler
     }
 
-    /// The process-wide scheduler every [`crate::ExecPool`] submits to.
-    /// Never shut down; its workers are reclaimed by process exit.
-    pub fn global() -> &'static Scheduler {
+    /// The process-wide scheduler, grown lazily by the pools; never shut down.
+    pub(crate) fn global() -> &'static Scheduler {
         static GLOBAL: OnceLock<Scheduler> = OnceLock::new();
-        GLOBAL.get_or_init(|| Scheduler {
-            shared: Arc::new(Shared::new()),
-            handles: Mutex::new(Vec::new()),
-        })
+        GLOBAL.get_or_init(|| Scheduler::new(0))
     }
 
     /// Grows the worker set to at least `target` threads (never shrinks;
     /// capped at [`MAX_THREADS`]).  Pools call this with `threads - 1`
     /// before submitting, so worker count tracks the largest budget in use.
-    pub fn ensure_workers(&self, target: usize) {
+    pub(crate) fn ensure_workers(&self, target: usize) {
         let target = target.min(MAX_THREADS);
         // lock-free fast path: the common case is "already big enough"
-        if self.shared.worker_count.load(Ordering::Acquire) >= target {
+        if self.workers() >= target {
             return;
         }
         let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
         while handles.len() < target {
-            let idx = handles.len();
-            {
-                let mut deques = self
-                    .shared
-                    .deques
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner());
-                debug_assert_eq!(deques.len(), idx);
-                deques.push(Arc::new(Mutex::new(VecDeque::new())));
-            }
-            {
-                let mut parkers = self
-                    .shared
-                    .parkers
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner());
-                debug_assert_eq!(parkers.len(), idx);
-                parkers.push(Arc::new(Parker {
-                    notified: Mutex::new(false),
-                    cv: Condvar::new(),
-                }));
-            }
             let shared = self.shared.clone();
             let handle = std::thread::Builder::new()
-                .name(format!("cej-exec-{idx}"))
-                .spawn(move || worker_main(shared, idx))
+                .name(format!("cej-exec-{}", handles.len()))
+                .spawn(move || worker_main(shared))
                 .expect("spawning a scheduler worker");
             handles.push(handle);
+            self.shared.workers.store(handles.len(), Ordering::Release);
         }
     }
 
     /// Worker threads currently alive.
-    pub fn workers(&self) -> usize {
-        self.handles.lock().unwrap_or_else(|e| e.into_inner()).len()
+    pub(crate) fn workers(&self) -> usize {
+        self.shared.workers.load(Ordering::Acquire)
     }
 
     /// A snapshot of the activity counters and queue depth.
-    pub fn metrics(&self) -> PoolMetrics {
+    pub(crate) fn metrics(&self) -> PoolMetrics {
+        let queue = self.shared.queue();
         PoolMetrics {
             tasks_executed: self.shared.tasks_executed.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            injected: self.shared.injected.load(Ordering::Relaxed),
-            wakeups: self.shared.wakeups.load(Ordering::Relaxed),
-            queue_depth: self.shared.pending.load(Ordering::Acquire),
+            injected: queue.injected,
+            wakeups: queue.wakeups,
+            queue_depth: queue.tokens.len(),
             workers: self.workers(),
         }
     }
@@ -536,7 +295,7 @@ impl Scheduler {
         unsafe fn trampoline<F: Fn(usize) + Sync>(ctx: *const (), i: usize) {
             (*(ctx as *const F))(i);
         }
-        let core: Token = Arc::new(BatchCore {
+        let core = Arc::new(BatchCore {
             run: trampoline::<F>,
             ctx: f as *const F as *const (),
             tasks,
@@ -550,10 +309,19 @@ impl Scheduler {
 
         // Tokens beyond the worker count (or the task count) could never be
         // claimed usefully; with zero workers none are queued and the
-        // caller simply runs the batch inline.
-        let tokens = helpers.min(self.workers()).min(tasks.saturating_sub(1));
+        // caller simply runs the batch inline.  Each token wakes one
+        // sleeping worker, as far as there are sleepers.
+        let tokens = helpers.min(self.workers()).min(tasks - 1);
         if tokens > 0 {
-            self.submit(&core, tokens);
+            let mut queue = self.shared.queue();
+            queue.tokens.extend((0..tokens).map(|_| core.clone()));
+            let wake = tokens.min(queue.sleeping);
+            queue.injected += tokens as u64;
+            queue.wakeups += wake as u64;
+            drop(queue);
+            for _ in 0..wake {
+                self.shared.wake.notify_one();
+            }
         }
 
         let executed = core.participate();
@@ -568,71 +336,17 @@ impl Scheduler {
         }
     }
 
-    /// Queues `tokens` participation tokens for `core`: onto the current
-    /// worker's own deque when called from one of this scheduler's workers,
-    /// onto the injector otherwise.
-    fn submit(&self, core: &Token, tokens: usize) {
-        let own_deque = WORKER.with(|slot| {
-            slot.borrow().as_ref().and_then(|(shared, idx)| {
-                let shared = shared.upgrade()?;
-                if Arc::ptr_eq(&shared, &self.shared) {
-                    Some(*idx)
-                } else {
-                    None
-                }
-            })
-        });
-        match own_deque {
-            Some(idx) => {
-                let deques = self.shared.deques.read().unwrap_or_else(|e| e.into_inner());
-                let mut deque = deques[idx].lock().unwrap_or_else(|e| e.into_inner());
-                for _ in 0..tokens {
-                    deque.push_back(core.clone());
-                }
-            }
-            None => {
-                let mut injector = self
-                    .shared
-                    .injector
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                for _ in 0..tokens {
-                    injector.push_back(core.clone());
-                }
-                self.shared
-                    .injected
-                    .fetch_add(tokens as u64, Ordering::Relaxed);
-            }
-        }
-        self.shared.pending.fetch_add(tokens, Ordering::AcqRel);
-        self.shared.notify_workers(tokens);
-    }
-
     /// Graceful shutdown: stops the workers after their current token and
     /// joins them.  Queued tokens of still-blocked submitters are not lost —
     /// the submitting threads themselves drain their batches.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Shutdown is the one broadcast: every parker is notified directly
-        // (bypassing the idle stack) so no worker sleeps out its timeout.
-        {
-            let parkers = self
-                .shared
-                .parkers
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            for parker in parkers.iter() {
-                let mut notified = parker.notified.lock().unwrap_or_else(|e| e.into_inner());
-                *notified = true;
-                drop(notified);
-                parker.cv.notify_one();
-            }
-        }
+    pub(crate) fn shutdown(&self) {
+        self.shared.queue().shutdown = true;
+        self.shared.wake.notify_all();
         let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
         for handle in handles.drain(..) {
             let _ = handle.join();
         }
-        self.shared.worker_count.store(0, Ordering::Release);
+        self.shared.workers.store(0, Ordering::Release);
     }
 }
 
@@ -643,13 +357,12 @@ impl Drop for Scheduler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// Spins until `predicate` holds, failing the test after `secs`.
-    fn wait_until(secs: u64, what: &str, predicate: impl Fn() -> bool) {
+    pub(crate) fn wait_until(secs: u64, what: &str, predicate: impl Fn() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(secs);
         while !predicate() {
             assert!(Instant::now() < deadline, "timed out waiting for {what}");
@@ -695,6 +408,8 @@ mod tests {
 
     #[test]
     fn external_submission_goes_through_the_injector() {
+        // The one queue is the injector: a batch with helpers to spare
+        // queues tokens there and counts them.
         let scheduler = Scheduler::new(2);
         scheduler.run_batch(50, 2, &|_i: usize| {
             std::thread::sleep(Duration::from_micros(200));
@@ -708,15 +423,14 @@ mod tests {
     }
 
     #[test]
-    fn nested_submission_from_a_worker_is_stolen_by_a_sibling() {
+    fn nested_submission_from_a_worker_is_run_by_a_sibling() {
         // Outer batch: two rendezvous tasks, so exactly one of {main thread,
         // worker A} runs each.  The participant on the *worker* thread then
-        // submits a nested two-task rendezvous batch: its token lands on
-        // that worker's own deque, the worker claims inner task 0 and blocks
-        // until inner task 1 runs — which only the *other* worker, by
-        // stealing the token from the sibling deque, can do.  Completion
-        // therefore proves the own-deque + steal-from-victim path end to
-        // end; timeouts turn a broken steal path into a test failure.
+        // submits a nested two-task rendezvous batch: worker A claims inner
+        // task 0 and blocks until inner task 1 runs — which only the *other*
+        // worker, by popping the nested token from the shared queue, can do.
+        // Completion therefore proves that a worker's nested submission
+        // reaches its siblings; timeouts turn a lost token into a failure.
         let scheduler = Scheduler::new(2);
         let outer_arrived = AtomicUsize::new(0);
         let inner_done = AtomicBool::new(false);
@@ -732,7 +446,7 @@ mod tests {
                 let inner_arrived = AtomicUsize::new(0);
                 scheduler.run_batch(2, 1, &|_inner: usize| {
                     inner_arrived.fetch_add(1, Ordering::SeqCst);
-                    wait_until(10, "the stolen inner task", || {
+                    wait_until(10, "the sibling's inner task", || {
                         inner_arrived.load(Ordering::SeqCst) >= 2
                     });
                 });
@@ -744,11 +458,6 @@ mod tests {
             }
         });
         assert!(inner_done.load(Ordering::SeqCst));
-        assert!(
-            scheduler.metrics().steals >= 1,
-            "the nested token must have been stolen: {:?}",
-            scheduler.metrics()
-        );
         scheduler.shutdown();
     }
 
@@ -766,7 +475,6 @@ mod tests {
     fn metrics_delta() {
         let a = PoolMetrics {
             tasks_executed: 10,
-            steals: 2,
             injected: 4,
             wakeups: 3,
             queue_depth: 7,
@@ -774,7 +482,6 @@ mod tests {
         };
         let b = PoolMetrics {
             tasks_executed: 25,
-            steals: 3,
             injected: 9,
             wakeups: 8,
             queue_depth: 1,
@@ -782,7 +489,6 @@ mod tests {
         };
         let d = b.delta_since(&a);
         assert_eq!(d.tasks_executed, 15);
-        assert_eq!(d.steals, 1);
         assert_eq!(d.injected, 5);
         assert_eq!(d.wakeups, 5);
         assert_eq!(d.queue_depth, 1);
@@ -792,26 +498,23 @@ mod tests {
     #[test]
     fn parked_workers_are_woken_individually() {
         let scheduler = Scheduler::new(2);
-        // Both workers park once their initial queue sweep comes up empty.
-        wait_until(10, "both workers to park", || {
-            scheduler
-                .shared
-                .idle
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len()
-                == 2
+        // Both workers sleep once they find the queue empty.
+        wait_until(10, "both workers to sleep", || {
+            scheduler.shared.queue().sleeping == 2
         });
-        // A worker deregisters transiently around its park timeout, so a
-        // single submission could race past an empty idle stack; batches
-        // are cheap, so retry until a targeted wakeup is observed.
-        wait_until(10, "a targeted wakeup", || {
+        // One helper token wakes one of the two sleepers, not both.  A
+        // spurious wakeup could leave no sleeper to notify, so retry until
+        // a wakeup is observed.
+        wait_until(10, "a single-waiter wakeup", || {
             let hits = AtomicUsize::new(0);
-            scheduler.run_batch(8, 2, &|_i: usize| {
+            let before = scheduler.metrics();
+            scheduler.run_batch(8, 1, &|_i: usize| {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
             assert_eq!(hits.load(Ordering::SeqCst), 8);
-            scheduler.metrics().wakeups >= 1
+            let wakeups = scheduler.metrics().delta_since(&before).wakeups;
+            assert!(wakeups <= 1, "one token woke {wakeups} workers");
+            wakeups == 1
         });
         scheduler.shutdown();
     }

@@ -111,55 +111,14 @@ use crate::error::IndexError;
 use crate::params::HnswParams;
 use crate::Result;
 
-/// Baseline parallel insert window.  Nodes inside one batch cannot link to
+/// The parallel insert window.  Nodes inside one batch cannot link to
 /// each other (they are planned against the committed graph only), so the
 /// batch must stay small relative to a cluster of similar vectors or
 /// intra-cluster connectivity — and with it recall — degrades.  16
 /// approximates the effective window of fine-grained-locking parallel
-/// inserters; pools of up to four workers use exactly this window (the
-/// PR-2 behaviour, bit-for-bit), keeping small-pool builds — including the
-/// CI matrix legs — byte-identical across that range of thread counts.
+/// inserters.  Every pool of two or more threads plans batches of this
+/// size, so all multi-thread builds produce the same graph.
 const MAX_BATCH: usize = 16;
-
-/// Hard ceiling on the adaptive insert window, however many workers and
-/// however dense the committed graph.
-const MAX_BATCH_CEILING: usize = 256;
-
-/// The adaptive insert-window policy for pools with more than four workers
-/// (ROADMAP PR-2 follow-up: the fixed 16-node window caps build parallelism
-/// on >16-core machines).
-///
-/// The window grows with the worker count (4 insert slots per worker) but
-/// only as far as the *committed-graph density* justifies: a batch is blind
-/// to its own members, so wide batches are safe only once the committed
-/// graph is already well connected.  Density is the sampled average layer-0
-/// degree relative to the `M0` bound — an empty graph pins the window at
-/// the baseline, a saturated one allows up to `4 × MAX_BATCH`.
-///
-/// Both inputs are thread-count-*stable* per pool size (the degree sample
-/// depends only on the committed graph, which batches commit
-/// deterministically), so builds remain deterministic for a given pool
-/// size; pools in the ≤ 4-worker window class produce identical graphs.
-fn batch_window(threads: usize, avg_layer0_degree: impl FnOnce() -> f64, m0: usize) -> usize {
-    let by_threads = threads.saturating_mul(4);
-    if by_threads <= MAX_BATCH {
-        // small pools never consult the density sample (the closure keeps
-        // the per-batch O(64) lock walk off the common path entirely)
-        return MAX_BATCH;
-    }
-    let density = if m0 == 0 {
-        0.0
-    } else {
-        (avg_layer0_degree() / m0 as f64).clamp(0.0, 1.0)
-    };
-    // density interpolates the allowance between the baseline window and
-    // the ceiling: a sparse graph pins wide pools at the baseline, a
-    // saturated one lets the worker-count term run up to the ceiling
-    let by_density = (MAX_BATCH as f64 + (MAX_BATCH_CEILING - MAX_BATCH) as f64 * density) as usize;
-    by_threads
-        .min(by_density)
-        .clamp(MAX_BATCH, MAX_BATCH_CEILING)
-}
 
 /// The metric the graph compares with: a cosine index holds unit rows and
 /// searches with a unit probe, where cosine is the inner product.
@@ -814,38 +773,15 @@ impl GraphBuilder<'_> {
         (entry, max_level)
     }
 
-    /// Sampled average layer-0 degree of the first `committed` (already
-    /// inserted) nodes: up to 64 nodes at a fixed stride, so the cost per
-    /// batch is O(64) regardless of graph size and the sample — hence the
-    /// window policy fed from it — is a deterministic function of the
-    /// committed graph alone.
-    fn sampled_layer0_degree(&self, committed: usize) -> f64 {
-        if committed == 0 {
-            return 0.0;
-        }
-        let sample = committed.min(64);
-        let stride = (committed / sample).max(1);
-        let mut total = 0usize;
-        let mut count = 0usize;
-        let mut node = 0usize;
-        while node < committed && count < sample {
-            let guard = self.adj.lists[node].lock();
-            total += guard.first().map(|l| l.len()).unwrap_or(0);
-            count += 1;
-            node += stride;
-        }
-        total as f64 / count as f64
-    }
-
     /// Batched parallel construction.
     ///
     /// Each batch is planned in parallel against the committed graph (pure
     /// reads), then committed in two steps: forward links per new node, and
     /// back-links grouped by *target* so every worker owns disjoint
     /// neighbour lists.  Group order and within-group order are fixed by
-    /// node id, and the [`batch_window`] policy depends only on the pool
-    /// size and the committed graph, so the result is deterministic per
-    /// pool size (and identical across the whole ≤ 4-worker window class).
+    /// node id, and every batch is [`MAX_BATCH`] nodes (or as many as are
+    /// committed, while the graph is small), so the result is the same for
+    /// every pool of two or more threads.
     fn build_batched(&self, pool: &ExecPool) -> (usize, usize) {
         let n = self.levels.len();
         let scratch_pool = ScratchPool::new(pool.threads(), n);
@@ -853,12 +789,7 @@ impl GraphBuilder<'_> {
         let mut max_level = self.levels[0];
         let mut next = 1usize;
         while next < n {
-            let window = batch_window(
-                pool.threads(),
-                || self.sampled_layer0_degree(next),
-                self.params.m0,
-            );
-            let end = (next + next.min(window)).min(n);
+            let end = (next + next.min(MAX_BATCH)).min(n);
             let plans: Vec<InsertPlan> = pool
                 .parallel_chunks(end - next, |range| {
                     let mut scratch = scratch_pool.take();
@@ -1397,29 +1328,19 @@ mod tests {
 
     #[test]
     fn batched_build_is_deterministic_within_the_small_window_class() {
-        // Pools of 2..=4 workers share the baseline 16-node window, so their
-        // graphs are bit-identical (the PR-2 guarantee, re-pinned after the
-        // adaptive window landed for larger pools).
+        // Every multi-thread pool plans the same 16-node batches, so pools
+        // of 2, 4 and 8 threads build bit-identical graphs.
         let vectors = clustered(4, 60, 12, 23);
         let params = HnswParams::tiny();
         let two = HnswIndex::build_with_pool(vectors.clone(), params, &ExecPool::new(2)).unwrap();
-        let four = HnswIndex::build_with_pool(vectors.clone(), params, &ExecPool::new(4)).unwrap();
-        assert_eq!(two.neighbors, four.neighbors);
-        assert_eq!(two.entry_point, four.entry_point);
-        assert_eq!(two.max_level, four.max_level);
-    }
-
-    #[test]
-    fn wide_pool_build_is_deterministic_per_pool_size() {
-        // Above the small-window class the window scales with the worker
-        // count, so an 8-worker build may differ from a 2-worker build —
-        // but it must be exactly reproducible for its own pool size.
-        let vectors = clustered(4, 60, 12, 23);
-        let params = HnswParams::tiny();
-        let a = HnswIndex::build_with_pool(vectors.clone(), params, &ExecPool::new(8)).unwrap();
-        let b = HnswIndex::build_with_pool(vectors.clone(), params, &ExecPool::new(8)).unwrap();
-        assert_eq!(a.neighbors, b.neighbors);
-        assert_eq!(a.entry_point, b.entry_point);
+        for threads in [4, 8] {
+            let other =
+                HnswIndex::build_with_pool(vectors.clone(), params, &ExecPool::new(threads))
+                    .unwrap();
+            assert_eq!(two.neighbors, other.neighbors, "threads={threads}");
+            assert_eq!(two.entry_point, other.entry_point, "threads={threads}");
+            assert_eq!(two.max_level, other.max_level, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1431,35 +1352,12 @@ mod tests {
         let wide = HnswIndex::build_with_pool(vectors.clone(), params, &ExecPool::new(8)).unwrap();
         let seq_recall = self_probe_recall(&sequential, &vectors, 10, 17).unwrap();
         let wide_recall = self_probe_recall(&wide, &vectors, 10, 17).unwrap();
-        // a wider window trades a little intra-batch connectivity for build
-        // parallelism; hold it to a few points of the sequential recall
+        // an 8-thread pool plans the same 16-node batches as any other
+        // multi-thread pool; hold it to a few points of the sequential recall
         assert!(
             (seq_recall - wide_recall).abs() <= 0.05,
-            "sequential recall {seq_recall} vs wide-window recall {wide_recall}"
+            "sequential recall {seq_recall} vs 8-thread recall {wide_recall}"
         );
-    }
-
-    #[test]
-    fn batch_window_policy() {
-        // ≤ 4 workers: exactly the baseline window, and the density sample
-        // is never even computed (the closure must not run).
-        for threads in 1..=4 {
-            assert_eq!(
-                batch_window(threads, || panic!("density sampled needlessly"), 16),
-                MAX_BATCH
-            );
-        }
-        // wider pools scale with worker count when the graph is dense…
-        assert_eq!(batch_window(16, || 16.0, 16), 64);
-        // …but a sparse committed graph pins the window at the baseline…
-        assert_eq!(batch_window(16, || 0.0, 16), MAX_BATCH);
-        // …and density interpolates the allowance in between.
-        let half = batch_window(64, || 8.0, 16);
-        assert!(half > MAX_BATCH && half < MAX_BATCH_CEILING, "got {half}");
-        // the ceiling holds for absurd pools at full density
-        assert_eq!(batch_window(1000, || 16.0, 16), MAX_BATCH_CEILING);
-        // degenerate M0 never divides by zero
-        assert_eq!(batch_window(16, || 4.0, 0), MAX_BATCH);
     }
 
     #[test]

@@ -1,22 +1,19 @@
-//! Execution-facing pieces of the relational layer: the model registry and
-//! the embedding operator kernel.
+//! Execution-facing piece of the relational layer: the model registry.
 //!
 //! Physical *lowering* does not live here.  Plans — including the purely
 //! relational operators (scan, selection, projection) — are lowered to an
 //! explicit physical operator tree by `cej-core`'s `Planner` and executed by
-//! its `PhysicalPlan` executor, which consults the
-//! [`ModelRegistry`] defined here to resolve model names and calls
-//! [`apply_embedding`] for `Embed` nodes.  This module keeps only what the
-//! algebra itself owes the execution layer: name resolution and the `E_µ`
-//! kernel.
+//! its interpreter, which consults the [`ModelRegistry`] defined here to
+//! resolve model names and embeds `Embed` nodes' columns itself
+//! (`batch_exec::embed_one_batch`, through the session's embedding cache).
+//! This module keeps only what the algebra itself owes the execution layer:
+//! name resolution.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use cej_embedding::Embedder;
-use cej_storage::{Column, Table};
 
-use crate::algebra::EmbedSpec;
 use crate::error::RelationalError;
 use crate::Result;
 
@@ -73,40 +70,13 @@ impl ModelRegistry {
     }
 }
 
-/// Applies the embedding operator `E_µ` to one column of a table, appending
-/// the embedding column named by the spec.
-///
-/// # Errors
-/// Returns model-resolution, column-lookup, and type errors.
-pub fn apply_embedding(table: &Table, spec: &EmbedSpec, models: &ModelRegistry) -> Result<Table> {
-    let model = models.model(&spec.model)?;
-    let strings = table
-        .column_by_name(&spec.input_column)
-        .map_err(|_| RelationalError::UnknownColumn(spec.input_column.clone()))?
-        .as_utf8()
-        .map_err(RelationalError::from)?;
-    let matrix = model.embed_batch(strings);
-    table
-        .with_column(&spec.output_column, Column::Vector(matrix))
-        .map_err(RelationalError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cej_embedding::{FastTextConfig, FastTextModel};
-    use cej_storage::{DataType, TableBuilder};
 
-    fn setup() -> (Table, ModelRegistry) {
-        let table = TableBuilder::new()
-            .int64("id", vec![1, 2, 3])
-            .utf8(
-                "caption",
-                vec!["bbq party".into(), "database talk".into(), "grill".into()],
-            )
-            .date("taken", vec![10, 20, 30])
-            .build()
-            .unwrap();
+    #[test]
+    fn registry_lookup() {
         let mut models = ModelRegistry::new();
         let model = FastTextModel::new(FastTextConfig {
             dim: 16,
@@ -115,12 +85,6 @@ mod tests {
         })
         .unwrap();
         models.register("fasttext", Arc::new(model));
-        (table, models)
-    }
-
-    #[test]
-    fn registry_lookup() {
-        let (_, models) = setup();
         assert!(models.contains("fasttext"));
         assert!(models.model("fasttext").is_ok());
         assert!(matches!(
@@ -129,36 +93,5 @@ mod tests {
         ));
         assert_eq!(models.model_names(), vec!["fasttext"]);
         assert!(format!("{models:?}").contains("fasttext"));
-    }
-
-    #[test]
-    fn embedding_appends_vector_column() {
-        let (table, models) = setup();
-        let out = apply_embedding(&table, &EmbedSpec::new("caption", "fasttext"), &models).unwrap();
-        assert_eq!(out.num_columns(), 4);
-        let field = out.schema().field("caption_emb").unwrap();
-        assert_eq!(field.data_type, DataType::Vector(16));
-        // embedding rows correspond to input rows
-        let emb = out
-            .column_by_name("caption_emb")
-            .unwrap()
-            .as_vectors()
-            .unwrap();
-        assert_eq!(emb.rows(), 3);
-    }
-
-    #[test]
-    fn unknown_model_column_and_type_errors() {
-        let (table, models) = setup();
-        assert!(matches!(
-            apply_embedding(&table, &EmbedSpec::new("caption", "bert"), &models),
-            Err(RelationalError::UnknownModel(_))
-        ));
-        assert!(matches!(
-            apply_embedding(&table, &EmbedSpec::new("nope", "fasttext"), &models),
-            Err(RelationalError::UnknownColumn(_))
-        ));
-        // embedding a non-string column is a type error
-        assert!(apply_embedding(&table, &EmbedSpec::new("id", "fasttext"), &models).is_err());
     }
 }

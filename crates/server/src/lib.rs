@@ -15,9 +15,9 @@
 //!   so one client's cold query warms every other client.
 //! * **Connection threads feed the shared scheduler.**  Queries execute on
 //!   their connection's thread; every parallel operator inside them submits
-//!   work to the persistent work-stealing scheduler's injector
-//!   ([`cej_exec::Scheduler`]), where the long-lived workers pick it up —
-//!   no thread is spawned per query.
+//!   participation tokens to the persistent scheduler's one shared queue
+//!   (behind [`cej_exec::ExecPool`]), where the long-lived workers pick
+//!   them up — no thread is spawned per query.
 //! * **Admission control** ([`admission::AdmissionGate`]): a hard cap on
 //!   in-flight queries plus a bounded wait queue; beyond both, clients get
 //!   `ERR busy` immediately instead of collapsing the server.
@@ -52,7 +52,7 @@
 //!
 //! Each server owns a [`cej_obs::Registry`] aggregating every stat family —
 //! admission, query latency, persistent indexes, embedding caches, the
-//! work-stealing pool, incremental-view maintenance, the DELTA fan-out
+//! worker pool, incremental-view maintenance, the DELTA fan-out
 //! cache, and trace capture.  `METRICS` renders it in Prometheus text
 //! exposition format; `STATS` stays the legacy single-line view over the
 //! same registry.  `RUN`/`ANALYZE`/`PROBE` execute under a
@@ -371,7 +371,7 @@ impl Drop for Server {
 }
 
 /// Registers every stat family as scrape-time collectors: admission,
-/// latency, persistent indexes, embedding caches, the work-stealing pool,
+/// latency, persistent indexes, embedding caches, the worker pool,
 /// incremental-view maintenance, the DELTA fan-out cache, and trace
 /// capture.  `STATS` re-sources its legacy line from these same entries
 /// ([`render_stats`]), so the two surfaces can never drift.
@@ -463,27 +463,22 @@ fn register_collectors(
 
     registry.counter_fn(
         "cej_pool_tasks_total",
-        "Task indices executed through the work-stealing scheduler",
+        "Task indices executed through the worker-pool scheduler",
         || cej_exec::ExecPool::metrics().tasks_executed,
     );
     registry.counter_fn(
-        "cej_pool_steals_total",
-        "Tokens taken from another worker's deque",
-        || cej_exec::ExecPool::metrics().steals,
-    );
-    registry.counter_fn(
         "cej_pool_injected_total",
-        "Tokens submitted through the scheduler's injector queue",
+        "Participation tokens submitted to the scheduler's queue",
         || cej_exec::ExecPool::metrics().injected,
     );
     registry.counter_fn(
         "cej_pool_wakeups_total",
-        "Targeted wakeups issued to parked scheduler workers",
+        "Single-waiter notifies issued to sleeping scheduler workers",
         || cej_exec::ExecPool::metrics().wakeups,
     );
     registry.gauge_fn(
         "cej_pool_queue_depth",
-        "Tokens currently queued across the injector and all deques",
+        "Participation tokens currently queued",
         || cej_exec::ExecPool::metrics().queue_depth as u64,
     );
     registry.gauge_fn(
@@ -1021,7 +1016,7 @@ fn render_stats(shared: &ServerShared) -> String {
          p50_us={} p95_us={} p99_us={} max_us={} \
          index_builds={} index_hits={} index_evictions={} index_resident={} index_bytes={} \
          embed_calls={} embed_hits={} \
-         pool_tasks={} pool_steals={} pool_injected={} pool_wakeups={} pool_queue_depth={} pool_workers={} \
+         pool_tasks={} pool_injected={} pool_wakeups={} pool_queue_depth={} pool_workers={} \
          standing={} deltas_applied={} ivm_propagations={} ivm_refreshes={} \
          ivm_p50_us={} ivm_p95_us={} ivm_p99_us={} \
          frame_renders={} frame_shares={} frame_wakeups={}\n",
@@ -1043,7 +1038,6 @@ fn render_stats(shared: &ServerShared) -> String {
         value("cej_embed_model_calls_total"),
         value("cej_embed_cache_hits_total"),
         value("cej_pool_tasks_total"),
-        value("cej_pool_steals_total"),
         value("cej_pool_injected_total"),
         value("cej_pool_wakeups_total"),
         value("cej_pool_queue_depth"),

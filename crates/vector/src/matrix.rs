@@ -186,17 +186,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Transposes the matrix (returns a new matrix).
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
     /// Gathers the rows named by a selection vector into a new compact
     /// matrix (one output row per selected lane, in lane order; repeats are
     /// allowed).
@@ -315,16 +304,6 @@ mod tests {
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
         assert!(m.push_row(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = sample();
-        let t = m.transpose();
-        assert_eq!(t.rows(), 2);
-        assert_eq!(t.cols(), 3);
-        assert_eq!(t.row(0).unwrap(), &[1.0, 3.0, 5.0]);
-        assert_eq!(t.transpose(), m);
     }
 
     #[test]

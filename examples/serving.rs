@@ -7,7 +7,7 @@
 //! ad-hoc probe text through a prepared probe template (the "user query
 //! string" path).  Finishes with the server's `STATS` line: admission
 //! counters, latency percentiles, and the persistent worker pool's
-//! task/steal metrics.
+//! task, queued-token and wakeup counters.
 //!
 //! Run with:
 //! ```sh

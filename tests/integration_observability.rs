@@ -97,8 +97,8 @@ fn traced_multi_join_records_a_complete_span_tree_under_both_executors() {
     let s = star_session();
     let prepared = s.prepare(&multi_join_plan()).expect("prepare");
     // both ways `cej-exec` runs the interpreter's morsels: inline at a budget
-    // of one thread, on the work-stealing scheduler above it (every table
-    // here fits one morsel, so this is the whole-table cut)
+    // of one thread, on the scheduler's workers above it (every table here
+    // fits one morsel, so this is the whole-table cut)
     for threads in [1usize, 2] {
         let trace = Trace::forced("integration multi-join");
         let report = prepared
